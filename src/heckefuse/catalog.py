@@ -217,7 +217,8 @@ def fusion_table(pair: FinitePair) -> dict:
             for label in sorted(result.support, key=lambda l: l.images):
                 for cls in sorted(result.support[label], key=lambda c: c.sort_key()):
                     z = descriptor(label, cls)
-                    assert z in known  # the table is closed over the basis
+                    if z not in known:
+                        raise RuntimeError(f"{kx} * {ky} has the term {z} outside the basis")
                     terms.append({"z": z, "mult": result.support[label][cls]})
             products.append({"x": kx, "y": ky, "terms": terms})
     lambdas = [{"label": hk.label_str(label),

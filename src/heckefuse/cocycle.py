@@ -348,7 +348,8 @@ def coboundary_witness(target: Cocycle) -> Optional[PhaseFunction]:
     for i, c in column.items():
         values[i] = x[c]
     phi = PhaseFunction(group, m, values)
-    assert phi.coboundary() == target
+    if phi.coboundary() != target:
+        raise RuntimeError(f"solved phase {phi.values} is not a coboundary witness")
     return phi
 
 

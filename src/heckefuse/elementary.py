@@ -184,7 +184,9 @@ def canonical_term(h: ElementaryBimodule) -> tuple:
         if best is None or fingerprint < best:
             best = fingerprint
             best_rep = moved
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"no gamma element carries {h.delta.cycle_string()} "
+                           f"to its label {label.cycle_string()}")
     term = (label.images, best)
     _CANON[key] = term
     _CANON.setdefault(("rep", pair_key, omega.key(), term),

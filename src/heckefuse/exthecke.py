@@ -31,6 +31,7 @@ from .permcore import (
     Perm,
     Subgroup,
     conjugate_intersection,
+    right_coset_reps,
 )
 from .projrep import (
     Rep,
@@ -80,16 +81,9 @@ class FinitePair:
         self._conj: dict[tuple, dict] = {}
         self._meets: dict[tuple, Subgroup] = {}
         # right cosets of gamma\G as their minimal elements
-        mins, seen = [], set()
-        for g in group.elements:
-            if g in seen:
-                continue
-            coset = sorted(h * g for h in gamma.elements)
-            mins.append(coset[0])
-            seen.update(coset)
-        self._coset_mins = tuple(mins)
+        self._coset_mins = tuple(right_coset_reps(group, gamma))
         self._coset_min_of = {}
-        for m in mins:
+        for m in self._coset_mins:
             for h in gamma.elements:
                 self._coset_min_of[h * m] = m
 
@@ -246,9 +240,6 @@ class ExtHeckeElement:
         return ExtHeckeElement(self.pair, {
             label: {c: n * m for c, m in parts.items()}
             for label, parts in self.support.items()})
-
-    def is_zero(self) -> bool:
-        return not self.support
 
     def __str__(self) -> str:
         hk = self.pair.hecke()

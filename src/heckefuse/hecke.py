@@ -158,7 +158,8 @@ class GL2Hecke:
             raise ValueError("only positive-determinant matrices are supported")
         c = _content(x)
         m = det / (c * c)
-        assert m.denominator == 1 and m > 0
+        if m.denominator != 1 or m <= 0:
+            raise RuntimeError(f"primitive part of {x} has determinant {m}")
         return (c, c * m)
 
     def element_of(self, label) -> Mat:
@@ -298,7 +299,8 @@ class BostConnesHecke:
         g = frac_gcd(frac_gcd(Fraction(1), a1), a)
         base = r1 + a1 * r2
         count = step / g
-        assert count.denominator == 1
+        if count.denominator != 1:
+            raise RuntimeError(f"{kx} * {ky} splits into {count} double cosets")
         return {self.canonical_label((a, base + t * g))
                 for t in range(int(count))}
 

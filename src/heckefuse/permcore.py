@@ -277,27 +277,25 @@ class FiniteGroup:
     def subgroup(self, elements: Iterable[Perm]) -> "Subgroup":
         return Subgroup(self, elements)
 
-    def generated_subgroup(self, generators: Sequence[Perm]) -> "Subgroup":
-        return Subgroup(self, mulclose(list(generators), len(self)) if generators
-                        else [self.identity])
-
     def small_generating_set(self) -> tuple[Perm, ...]:
-        """A short (greedy) generating list; stored generators when available."""
-        if self.generators:
-            return self.generators
-        gens: list[Perm] = []
-        have = {self.identity}
-        for g in self.elements:
-            if g not in have:
-                gens.append(g)
-                have = mulclose(gens, len(self))
-                if len(have) == len(self):
-                    break
-        return tuple(gens)
+        """A short generating list, verified to generate the group.
 
-    def is_abelian(self) -> bool:
-        els = self.elements
-        return all(a * b == b * a for a in els for b in els)
+        The stored generators, followed by each element (in canonical order)
+        that the list so far does not generate; empty for the trivial group.
+        Computed once and kept on the group, like ``mul_table``.
+        """
+        gens = getattr(self, "_generating_set", None)
+        if gens is None:
+            if not self.contains_subset(self.generators):
+                raise ValueError("stored generators lie outside the group")
+            found = list(self.generators)
+            have = mulclose(found, len(self)) if found else {self.identity}
+            for g in self.elements:
+                if g not in have:
+                    found.append(g)
+                    have = mulclose(found, len(self))
+            gens = self._generating_set = tuple(found)
+        return gens
 
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups, grown to a fixpoint by joining with cyclic subgroups."""
@@ -351,17 +349,6 @@ class Subgroup(FiniteGroup):
 
     def index(self) -> int:
         return len(self.parent) // len(self)
-
-
-def intersection(a: FiniteGroup, b: FiniteGroup, parent: FiniteGroup) -> Subgroup:
-    bset = set(b.elements)
-    return Subgroup(parent, [g for g in a.elements if g in bset])
-
-
-def conjugate_subgroup(gamma: FiniteGroup, by: Perm,
-                       parent: FiniteGroup) -> Subgroup:
-    """The conjugate by * gamma * by^-1 as a subgroup of parent."""
-    return Subgroup(parent, [g.conjugate(by) for g in gamma.elements])
 
 
 def conjugate_intersection(gamma: Subgroup, g: Perm) -> Subgroup:
@@ -452,9 +439,15 @@ class DoubleCosetSystem:
             self._by_label[label] = dc
             for x in coset:
                 self._label_of[x] = label
-        assert sum(len(dc.elements) for dc in self.cosets) == len(group)
+        covered = sum(len(dc.elements) for dc in self.cosets)
+        if covered != len(group):
+            raise RuntimeError(
+                f"double cosets cover {covered} elements of a group of order {len(group)}")
         for dc in self.cosets:
-            assert len(dc.right_reps) == dc.right_count
+            if len(dc.right_reps) != dc.right_count:
+                raise RuntimeError(
+                    f"double coset of {dc.label.cycle_string()} has "
+                    f"{len(dc.right_reps)} right cosets, not {dc.right_count}")
 
     def label_of(self, g: Perm) -> Perm:
         return self._label_of[g]
@@ -550,13 +543,6 @@ class GroupAction:
 
     def perm_of(self, g: Perm) -> Perm:
         return Perm(self._table[g])
-
-    def permutation_image(self) -> FiniteGroup:
-        """The image of the action homomorphism inside Sym(points)."""
-        return FiniteGroup(self.npoints, {self.perm_of(g) for g in self.group})
-
-    def is_faithful(self) -> bool:
-        return len({self._table[g] for g in self.group}) == len(self.group)
 
     def orbits(self) -> list[list[int]]:
         seen, out = set(), []

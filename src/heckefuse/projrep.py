@@ -6,9 +6,13 @@ All final outputs of this module are integers (dimensions, multiplicities,
 intertwiner ranks); the tolerances below leave them enormous margins at the
 group orders this package targets.
 
-Irreducible decomposition uses the classical randomized commutant split:
-average a random Hermitian matrix over the group, cut along the eigenspaces
-of the result, recurse.  Seeds are fixed, so runs are reproducible.
+A representation is validated once, when it is built, on a generating set
+of its group.  The irreducible classes of a (group, cocycle) come from the
+classical randomized commutant split of its regular representation: average
+a random Hermitian matrix over the group, cut along the eigenspaces of the
+result, recurse.  Seeds are fixed, so runs are reproducible.  Every other
+representation is decomposed by inner products of characters against those
+classes.
 """
 
 from __future__ import annotations
@@ -77,41 +81,30 @@ class Rep:
         self._validate()
 
     def _validate(self) -> None:
-        n, d = len(self.group), self.dim
+        """Check the identity, and unitarity and multiplicativity on generators.
+
+        If pi(s) pi(h) = omega(s, h) pi(sh) holds for every generator s and
+        every h, the cocycle identity omega(a, b) omega(ab, h) =
+        omega(a, bh) omega(b, h) carries it from a and b to ab, so it holds
+        on the whole group; every pi(g) is then a phase times a product of
+        unitary generator matrices.  The work is one matmul per generator.
+        """
+        group, eye = self.group, np.eye(self.dim)
         stack = np.stack(self.matrices)
-        e_idx = self.group.index_of(self.group.identity)
-        if np.abs(stack[e_idx] - np.eye(d)).max() > UNITARY_TOL:
+        if np.abs(stack[group.index_of(group.identity)] - eye).max() > UNITARY_TOL:
             raise ValueError("identity element must act as the identity matrix")
-        gram = np.einsum("gab,gcb->gac", stack, stack.conj())
-        if np.abs(gram - np.eye(d)).max() > UNITARY_TOL:
-            bad = int(np.abs(gram - np.eye(d)).reshape(n, -1).max(axis=1).argmax())
-            raise ValueError(
-                f"matrix at {self.group.elements[bad].cycle_string()} is not unitary")
-        mul = np.array(self.group.mul_table())
-        phases = np.array(_phase_table(self.cocycle))
-        if n * n * d * d <= 4_000_000:
-            products = np.einsum("iab,jbc->ijac", stack, stack)
-            expected = phases[:, :, None, None] * stack[mul]
-            err = np.abs(products - expected)
+        mul = group.mul_table()
+        phases = _phase_table(self.cocycle)
+        for g in group.small_generating_set():
+            s = group.index_of(g)
+            if np.abs(stack[s] @ stack[s].conj().T - eye).max() > UNITARY_TOL:
+                raise ValueError(f"matrix at {g.cycle_string()} is not unitary")
+            expected = np.array(phases[s])[:, None, None] * stack[list(mul[s])]
+            err = np.abs(np.matmul(stack[s], stack) - expected)
             if err.max() > UNITARY_TOL:
-                i, j = np.unravel_index(
-                    int(err.reshape(n, n, -1).max(axis=2).argmax()), (n, n))
-                els = self.group.elements
+                h = group.elements[int(err.reshape(len(group), -1).max(axis=1).argmax())]
                 raise ValueError(
-                    "multiplicativity fails at "
-                    f"({els[i].cycle_string()}, {els[j].cycle_string()})")
-        else:
-            # row-at-a-time to bound memory on large regular representations
-            for i in range(n):
-                got = np.einsum("ab,jbc->jac", stack[i], stack)
-                want = phases[i][:, None, None] * stack[mul[i]]
-                err = np.abs(got - want)
-                if err.max() > UNITARY_TOL:
-                    j = int(err.reshape(n, -1).max(axis=1).argmax())
-                    els = self.group.elements
-                    raise ValueError(
-                        "multiplicativity fails at "
-                        f"({els[i].cycle_string()}, {els[j].cycle_string()})")
+                    f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
 
     def mat(self, g: Perm) -> np.ndarray:
         return self.matrices[self.group.index_of(g)]
@@ -319,14 +312,13 @@ def hom_dim(a: Rep, b: Rep) -> int:
 
 # ------------------------------------------------------------ decomposition
 
-_DECOMPOSED: dict = {}
 _REALIZED: dict = {}
 _IRREDUCIBLES: dict = {}
 _COSET_REPS: dict = {}
 
 
 def clear_caches() -> None:
-    _DECOMPOSED.clear()
+    _PHASES.clear()
     _REALIZED.clear()
     _IRREDUCIBLES.clear()
     _COSET_REPS.clear()
@@ -379,38 +371,45 @@ def _split_irreducible(rep: Rep, seed: int) -> list[Rep]:
         f"irreducible splitting did not converge after {MAX_SPLIT_TRIES} seeds")
 
 
+def _characters(classes) -> np.ndarray:
+    return np.array([realize(cls).character() for cls in classes])
+
+
+def _checked_multiset(rep: Rep, classes, mults, chars) -> dict[RepClass, int]:
+    """{class: mult} once the dimensions and the character of rep add up."""
+    parts = {cls: int(m) for cls, m in zip(classes, mults) if m}
+    if multiset_dim(parts) != rep.dim:
+        raise NumericalDegradation("constituent dimensions do not add up")
+    if np.abs(np.asarray(mults) @ chars - np.array(rep.character())).max() > INT_TOL:
+        raise NumericalDegradation("character reconstruction drifted")
+    return parts
+
+
 def decompose(rep: Rep, seed: int = 0) -> dict[RepClass, int]:
     """Multiset of irreducible constituents; exact multiplicities.
 
-    Results are cached by (group, cocycle, rounded character): equal
-    characters with equal cocycles have equal decompositions.
+    The multiplicity of an irreducible class is the inner product
+    |G|^-1 sum_g chi(g) conj(chi_irr(g)): irreducible characters sharing a
+    cocycle are orthonormal (Karpilovsky, Projective Representations of
+    Finite Groups, 1985).  The keys are the classes of
+    ``irreducibles(rep.group, rep.cocycle, seed)``.
     """
-    key = (rep.group.key(), rep.cocycle.key(), rep.char_key())
-    hit = _DECOMPOSED.get(key)
-    if hit is not None:
-        return dict(hit)
-    out: dict[RepClass, int] = {}
-    for irr in _split_irreducible(rep, seed):
-        cls = rep_class(irr)
-        out[cls] = out.get(cls, 0) + 1
-    total = sum(cls.dim * mult for cls, mult in out.items())
-    if total != rep.dim:
-        raise NumericalDegradation("constituent dimensions do not add up")
-    recon = np.zeros(len(rep.group), dtype=complex)
-    for cls, mult in out.items():
-        recon += mult * np.array([complex(re, im) for re, im in cls.char])
-    if np.abs(recon - np.array(rep.character())).max() > INT_TOL:
-        raise NumericalDegradation("character reconstruction drifted")
-    _DECOMPOSED[key] = dict(out)
-    return out
+    classes = irreducibles(rep.group, rep.cocycle, seed)
+    chars = _characters(classes)
+    raw = chars.conj() @ np.array(rep.character()) / len(rep.group)
+    mults = np.rint(raw.real)
+    if np.abs(raw - mults).max() > INT_TOL or (mults < 0).any():
+        raise NumericalDegradation(
+            f"non-integral multiplicities {np.round(raw, 9).tolist()}")
+    return _checked_multiset(rep, classes, mults, chars)
 
 
 def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
                  seed: int = 0) -> tuple[RepClass, ...]:
     """All irreducible classes, canonically ordered by (dim, character).
 
-    Obtained from the (twisted) regular representation, which contains every
-    irreducible; with a trivial cocycle, sum of dim^2 = |G| is asserted.
+    Split out of the (twisted) regular representation, which contains each
+    irreducible dim times, so the squared dimensions sum to |G|.
     """
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
@@ -418,12 +417,19 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
     hit = _IRREDUCIBLES.get(key)
     if hit is not None:
         return hit
-    parts = decompose(regular_rep(group, cocycle), seed)
-    classes = tuple(sorted(parts, key=lambda c: c.sort_key()))
-    if cocycle.is_trivial_table():
-        assert sum(c.dim ** 2 for c in classes) == len(group)
-    for cls, mult in parts.items():
-        assert mult == cls.dim or not cocycle.is_trivial_table()
+    regular = regular_rep(group, cocycle)
+    counts: dict[RepClass, int] = {}
+    for irr in _split_irreducible(regular, seed):
+        cls = rep_class(irr)
+        counts[cls] = counts.get(cls, 0) + 1
+    classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
+    _checked_multiset(regular, classes, [counts[cls] for cls in classes],
+                      _characters(classes))
+    if (sum(c.dim ** 2 for c in classes) != len(group)
+            or any(counts[c] != c.dim for c in classes)):
+        raise NumericalDegradation(
+            "regular representation splits as (dim, mult) "
+            f"{[(c.dim, counts[c]) for c in classes]} for |G| = {len(group)}")
     _IRREDUCIBLES[key] = classes
     return classes
 

@@ -93,6 +93,24 @@ def test_closure_cap():
         )
 
 
+def test_generating_set_completes_stored_generators():
+    g = s4()
+    assert g.small_generating_set() == g.generators
+    # a transposition alone does not generate S3: the set is completed
+    s3 = FiniteGroup(3, FiniteGroup.symmetric(3).elements, [Perm.parse(3, "(0 1)")])
+    gens = s3.small_generating_set()
+    assert gens[0] == Perm.parse(3, "(0 1)") and len(gens) == 2
+    assert FiniteGroup.generate(3, gens).elements == s3.elements
+    assert FiniteGroup.generate(3, []).small_generating_set() == ()
+
+
+def test_generating_set_rejects_outside_generators():
+    z2 = FiniteGroup(3, [Perm.identity(3), Perm.parse(3, "(0 1)")],
+                     [Perm.parse(3, "(1 2)")])
+    with pytest.raises(ValueError):
+        z2.small_generating_set()
+
+
 def test_element_order_is_canonical():
     g = s4()
     assert list(g.elements) == sorted(g.elements)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heckefuse import projrep
 from heckefuse.cocycle import Cocycle, PhaseFunction, coboundary, heisenberg_cocycle
 from heckefuse.permcore import FiniteGroup, Perm, right_coset_reps
 from heckefuse.projrep import (
@@ -277,3 +278,89 @@ def test_rep_validation_rejects_wrong_cocycle():
     omega = Cocycle(g, 2, [[0, 0], [0, 1]])
     with pytest.raises(ValueError):
         Rep(g, omega, [np.eye(1), np.eye(1)])
+
+
+# ------------------------------------------------------------ validation on generators
+
+def _non_generator(group):
+    gens = set(group.small_generating_set())
+    return next(g for g in group.elements if g not in gens and g != group.identity)
+
+
+def test_validation_rejects_scaled_non_generator_matrix():
+    g = s3()
+    reg = regular_rep(g)
+    mats = list(reg.matrices)
+    bad = g.index_of(_non_generator(g))
+    mats[bad] = 2 * mats[bad]
+    with pytest.raises(ValueError, match="multiplicativity fails"):
+        Rep(g, reg.cocycle, mats)
+
+
+def test_validation_rejects_non_generator_times_generator_matrix():
+    # the product is still unitary, so only multiplicativity can catch it
+    g = s3()
+    reg = regular_rep(g)
+    mats = list(reg.matrices)
+    bad = g.index_of(_non_generator(g))
+    gen = g.index_of(g.small_generating_set()[0])
+    mats[bad] = mats[gen] @ mats[bad]
+    with pytest.raises(ValueError, match="multiplicativity fails"):
+        Rep(g, reg.cocycle, mats)
+
+
+def test_validation_on_the_trivial_group():
+    g = FiniteGroup.generate(3, [])
+    assert g.small_generating_set() == ()
+    assert Rep(g, Cocycle.trivial(g), [np.eye(2)]).dim == 2
+    with pytest.raises(ValueError, match="identity"):
+        Rep(g, Cocycle.trivial(g), [np.array([[0.0, 1.0], [1.0, 0.0]])])
+
+
+# ------------------------------------------------------------ decomposition by characters
+
+def _heisenberg3_regular():
+    group, _, omega = heisenberg_cocycle(3, 1)
+    return regular_rep(group, omega)
+
+
+def _heisenberg3_induced():
+    group, coords, omega = heisenberg_cocycle(3, 1)
+    axis = group.subgroup([g for g in group if coords[g][1] == 0])
+    line = Rep(axis, omega.restrict(axis), [np.eye(1)] * len(axis))
+    return induce(line, group, omega)
+
+
+def _s3_induced():
+    g, h = z2_in_s3()
+    return induce(realize(irreducibles(h)[-1]), g, Cocycle.trivial(g))
+
+
+DECOMPOSE_CASES = {
+    "regular-trivial": lambda: regular_rep(s3()),
+    "tensor-square-trivial": lambda: tensor(regular_rep(s3()), regular_rep(s3())),
+    "induced-trivial": _s3_induced,
+    "regular-heisenberg": _heisenberg3_regular,
+    "tensor-square-heisenberg": lambda: tensor(_heisenberg3_regular(),
+                                               _heisenberg3_regular()),
+    "induced-heisenberg": _heisenberg3_induced,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSE_CASES))
+def test_decompose_returns_the_irreducible_classes(case):
+    rep = DECOMPOSE_CASES[case]()
+    parts = decompose(rep)
+    classes = irreducibles(rep.group, rep.cocycle)
+    assert all(any(cls is c for c in classes) for cls in parts)
+    assert sum(mult * cls.dim for cls, mult in parts.items()) == rep.dim
+
+
+def test_clear_caches_empties_every_module_cache():
+    g, h = z2_in_s3()
+    decompose(induce(trivial_rep(h), g, Cocycle.trivial(g)))
+    caches = {name: value for name, value in vars(projrep).items()
+              if name.startswith("_") and name.isupper() and isinstance(value, dict)}
+    assert all(caches.values())
+    clear_caches()
+    assert {name: len(value) for name, value in caches.items()} == dict.fromkeys(caches, 0)
