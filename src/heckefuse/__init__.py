@@ -95,6 +95,17 @@ from .projrep import (
 # themselves to use both side by side
 from .exthecke import fuse as ext_fuse
 from .elementary import fuse as elementary_fuse
+from . import cocycle, elementary, projrep
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache of the package.
+
+    Per-pair caches live on their ``FinitePair`` and go with it.
+    """
+    projrep.clear_caches()
+    cocycle._TRIVIAL_CACHE.clear()
+    elementary._CANON.clear()
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

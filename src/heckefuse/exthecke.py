@@ -17,11 +17,20 @@ immediately, so elements stay canonical and multiplicities exact.  Summing
 over all cosets instead of orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
 divisibility on concrete inputs.
+
+``fuse`` works on characters only: transport reads a class's character
+through the conjugation, the tensor product is a pointwise product, and
+induction is the Frobenius formula, so it builds no representation matrix
+and chooses no induction coset representatives (the character does not
+depend on them).  ``triple_fuse`` and ``conjugate`` still build and induce
+matrices; they stay the independent second path the checks compare against.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from .cocycle import Cocycle
 from .hecke import FiniteHecke, HeckeElement
@@ -39,6 +48,7 @@ from .projrep import (
     add_multiset,
     conjugate_rep,
     decompose,
+    decompose_character,
     induce,
     irreducibles,
     multiset_dim,
@@ -61,8 +71,12 @@ class FinitePair:
 
     ``rng`` (a random.Random) randomizes every representative choice: right
     coset representatives, transport decompositions, fusion orbit
-    representatives, induction coset representatives.  The canonical pair
-    (rng=None) makes the lexicographically least choice everywhere.
+    representatives, and the induction coset representatives of the matrix
+    paths (``triple_fuse``, ``conjugate``, elementary fusion).  The canonical
+    pair (rng=None) makes the lexicographically least choice everywhere.
+
+    The pair keeps the orbits of each little group on right cosets, and per
+    label the double cosets each orbit reads (``orbit_labels``).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -76,6 +90,9 @@ class FinitePair:
         self._hecke = FiniteHecke(group, gamma, self.cosets)
         self._little: dict[Perm, Subgroup] = {
             dc.label: dc.little for dc in self.cosets.cosets}
+        self._little_of: dict[Perm, Subgroup] = {}
+        self._orbits: dict[tuple, list] = {}
+        self._orbit_labels: dict[Perm, list] = {}
         self._decomp: dict[tuple, tuple] = {}
         self._fuse: dict[tuple, dict] = {}
         self._conj: dict[tuple, dict] = {}
@@ -101,13 +118,15 @@ class FinitePair:
         return self.cosets.label_of(g)
 
     def little(self, label: Perm) -> Subgroup:
-        return self._little[label]
+        hit = self._little.get(label)
+        if hit is None:
+            raise ValueError(f"{label!r} is not the label of a double coset")
+        return hit
 
     def little_of_element(self, t: Perm) -> Subgroup:
-        hit = self._little.get(t)
+        hit = self._little.get(t) or self._little_of.get(t)
         if hit is None:
-            hit = conjugate_intersection(self.gamma, t)
-            self._little[t] = hit
+            hit = self._little_of[t] = conjugate_intersection(self.gamma, t)
         return hit
 
     def decomposition(self, label: Perm, target: Perm) -> tuple[Perm, Perm]:
@@ -141,6 +160,9 @@ class FinitePair:
 
     def coset_orbits(self, little: Subgroup) -> list[list[Perm]]:
         """Orbits of the little group on right cosets (as coset-min lists)."""
+        hit = self._orbits.get(little.key())
+        if hit is not None:
+            return hit
         remaining = set(self._coset_mins)
         orbits = []
         for start in self._coset_mins:
@@ -159,7 +181,24 @@ class FinitePair:
                 boundary = fresh
             remaining -= orbit
             orbits.append(sorted(orbit))
+        self._orbits[little.key()] = orbits
         return orbits
+
+    def orbit_labels(self, label: Perm) -> list[tuple[list[Perm], Perm, Perm]]:
+        """(orbit, label of label * m^-1, label of m) per orbit of little(label),
+        with m the orbit's minimum.
+
+        Both labels are the same for every element of every coset of the
+        orbit: label * x^-1 lies in gamma * label for x in little(label).
+        They are where the fusion of x and y reads x and y on that orbit.
+        """
+        hit = self._orbit_labels.get(label)
+        if hit is None:
+            hit = self._orbit_labels[label] = [
+                (orbit, self.label_of(label * orbit[0].inverse()),
+                 self.label_of(orbit[0]))
+                for orbit in self.coset_orbits(self.little(label))]
+        return hit
 
     def pair_orbits(self, little: Subgroup) -> list[list[tuple[Perm, Perm]]]:
         """Orbits of the little group on pairs of right cosets, diagonally."""
@@ -298,26 +337,55 @@ def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
     return rep_class(moved)
 
 
+def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
+                  by: Perm) -> np.ndarray:
+    """The character of (x at point) ∘ Ad(by) on meet, in meet's element order.
+
+    With point = c1 * label * c2, x at point is (x at label) ∘ Ad(c2), so the
+    value at t is the label's multiset character at (c2 by) t (c2 by)^-1.
+    """
+    pair = x.pair
+    label = pair.label_of(point)
+    if point != label:
+        by = pair.decomposition(label, point)[1] * by
+    little = pair.little(label)
+    char = sum(m * np.array(realize(cls).character())
+               for cls, m in x.support[label].items())
+    by_inv = by.inverse()
+    return char[[little.index_of(by * t * by_inv) for t in meet.elements]]
+
+
 def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement,
                         g0: Perm, h: Perm) -> Optional[dict]:
-    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗ (y at h))."""
+    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗ (y at h)).
+
+    The induced character is chi↑(g) = |meet|^-1 sum over x in little(g0)
+    of chi(x g x^-1), with chi zero off meet (Isaacs, Character Theory of
+    Finite Groups, ch. 5).
+    """
     w = g0 * h.inverse()
-    if pair.label_of(w) not in x.support or pair.label_of(h) not in y.support:
+    label_w, label_h = pair.label_of(w), pair.label_of(h)
+    if label_w not in x.support or label_h not in y.support:
         return None
-    rep_w = value_at(x, w)
-    rep_h = value_at(y, h)
     little_g = pair.little(g0)
     meet = pair.intersection(little_g, pair.little_of_element(h))
-    left = transport(rep_w, meet, lambda t: t.conjugate(h))
-    right = restrict(rep_h, meet)
-    product = tensor(left, right)
-    ind = induce(product, little_g, Cocycle.trivial(little_g),
-                 rng=pair.rng)
-    return decompose(ind, pair.seed)
+    product = (_character_on(x, w, meet, h)
+               * _character_on(y, h, meet, Perm.identity(h.degree)))
+    spread = np.zeros(len(little_g), dtype=complex)
+    spread[[little_g.index_of(t) for t in meet.elements]] = product
+    induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
+    dim = (multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
+           * (len(little_g) // len(meet)))
+    return decompose_character(little_g, Cocycle.trivial(little_g), induced, dim,
+                               pair.seed)
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
-    """The fusion product, summed over little-group orbits of right cosets."""
+    """The fusion product, summed over little-group orbits of right cosets.
+
+    Orbits whose labels miss the support of x or of y contribute nothing and
+    are skipped before a representative is drawn.
+    """
     pair = x.pair
     if y.pair is not pair and (y.pair.group != pair.group
                                or y.pair.gamma != pair.gamma):
@@ -328,13 +396,12 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
         return ExtHeckeElement(pair, hit)
     out: dict[Perm, dict] = {}
     for g0 in pair.labels():
-        little_g = pair.little(g0)
         total: dict[RepClass, int] = {}
-        for orbit in pair.coset_orbits(little_g):
+        for orbit, label_w, label_h in pair.orbit_labels(g0):
+            if label_w not in x.support or label_h not in y.support:
+                continue
             h = pair.random_coset_element(pair.pick(orbit))
-            parts = _orbit_contribution(pair, x, y, g0, h)
-            if parts:
-                total = add_multiset(total, parts)
+            total = add_multiset(total, _orbit_contribution(pair, x, y, g0, h))
         if total:
             out[g0] = total
     pair._fuse[cache_key] = {label: dict(parts) for label, parts in out.items()}

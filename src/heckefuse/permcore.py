@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_MAX_ORDER = 10_000
 MAX_SYM_DEGREE = 8
 MAX_ACTION_POINTS = 6
@@ -260,6 +262,15 @@ class FiniteGroup:
         if table is None:
             table = tuple(self._index[g.inverse()] for g in self.elements)
             self._inv_indices = table
+        return table
+
+    def conj_table(self) -> np.ndarray:
+        """conj_table()[x, g] = index of e_x * e_g * e_x^-1, as an int array."""
+        table = getattr(self, "_conj_table", None)
+        if table is None:
+            mul = np.array(self.mul_table(), dtype=np.intp)
+            inv = np.array(self.inv_indices(), dtype=np.intp)
+            table = self._conj_table = mul[mul, inv[:, None]]
         return table
 
     def __eq__(self, other) -> bool:

@@ -375,33 +375,41 @@ def _characters(classes) -> np.ndarray:
     return np.array([realize(cls).character() for cls in classes])
 
 
-def _checked_multiset(rep: Rep, classes, mults, chars) -> dict[RepClass, int]:
-    """{class: mult} once the dimensions and the character of rep add up."""
+def _checked_multiset(char, dim: int, classes, mults, chars) -> dict[RepClass, int]:
+    """{class: mult} once the dimensions and the character add up."""
     parts = {cls: int(m) for cls, m in zip(classes, mults) if m}
-    if multiset_dim(parts) != rep.dim:
+    if multiset_dim(parts) != dim:
         raise NumericalDegradation("constituent dimensions do not add up")
-    if np.abs(np.asarray(mults) @ chars - np.array(rep.character())).max() > INT_TOL:
+    if np.abs(np.asarray(mults) @ chars - np.asarray(char)).max() > INT_TOL:
         raise NumericalDegradation("character reconstruction drifted")
     return parts
 
 
-def decompose(rep: Rep, seed: int = 0) -> dict[RepClass, int]:
-    """Multiset of irreducible constituents; exact multiplicities.
+def decompose_character(group: FiniteGroup, cocycle: Cocycle, char, dim: int,
+                        seed: int = 0) -> dict[RepClass, int]:
+    """Multiset of irreducible constituents of the character of a dim-dimensional
+    representation of (group, cocycle); exact multiplicities.
 
     The multiplicity of an irreducible class is the inner product
     |G|^-1 sum_g chi(g) conj(chi_irr(g)): irreducible characters sharing a
     cocycle are orthonormal (Karpilovsky, Projective Representations of
     Finite Groups, 1985).  The keys are the classes of
-    ``irreducibles(rep.group, rep.cocycle, seed)``.
+    ``irreducibles(group, cocycle, seed)``.  ``dim`` is checked against the
+    constituents, so it must come from the construction, not from char.
     """
-    classes = irreducibles(rep.group, rep.cocycle, seed)
+    classes = irreducibles(group, cocycle, seed)
     chars = _characters(classes)
-    raw = chars.conj() @ np.array(rep.character()) / len(rep.group)
+    raw = chars.conj() @ np.asarray(char) / len(group)
     mults = np.rint(raw.real)
     if np.abs(raw - mults).max() > INT_TOL or (mults < 0).any():
         raise NumericalDegradation(
             f"non-integral multiplicities {np.round(raw, 9).tolist()}")
-    return _checked_multiset(rep, classes, mults, chars)
+    return _checked_multiset(char, dim, classes, mults, chars)
+
+
+def decompose(rep: Rep, seed: int = 0) -> dict[RepClass, int]:
+    """Multiset of irreducible constituents of rep; see ``decompose_character``."""
+    return decompose_character(rep.group, rep.cocycle, rep.character(), rep.dim, seed)
 
 
 def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
@@ -423,8 +431,8 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
         cls = rep_class(irr)
         counts[cls] = counts.get(cls, 0) + 1
     classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
-    _checked_multiset(regular, classes, [counts[cls] for cls in classes],
-                      _characters(classes))
+    _checked_multiset(regular.character(), regular.dim, classes,
+                      [counts[cls] for cls in classes], _characters(classes))
     if (sum(c.dim ** 2 for c in classes) != len(group)
             or any(counts[c] != c.dim for c in classes)):
         raise NumericalDegradation(

@@ -1,11 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from heckefuse.catalog import BUILTIN, build_pair
+from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
     FinitePair,
+    _orbit_contribution,
     basis,
     conjugate,
     crossed_dim_identity,
@@ -21,10 +25,11 @@ from heckefuse.exthecke import (
     value_at,
 )
 from heckefuse.hecke import convolve
-from heckefuse.permcore import FiniteGroup, Perm
+from heckefuse.permcore import FiniteGroup, Perm, conjugate_intersection
 from heckefuse.projrep import (
     decompose,
     hom_dim,
+    induce,
     irreducibles,
     realize,
     restrict,
@@ -80,6 +85,21 @@ def reciprocity_oracle(pair, x, y):
         if per_class:
             out[g0] = per_class
     return out
+
+
+def matrix_contribution(pair, x, y, g0, h):
+    """The orbit contribution by matrices: transport, restrict, tensor and
+    induce representations, then decompose the induced one."""
+    w = g0 * h.inverse()
+    if pair.label_of(w) not in x.support or pair.label_of(h) not in y.support:
+        return None
+    little_g = pair.little(g0)
+    meet = pair.intersection(little_g, pair.little_of_element(h))
+    left = transport(value_at(x, w), meet, lambda t: t.conjugate(h))
+    right = restrict(value_at(y, h), meet)
+    ind = induce(tensor(left, right), little_g, Cocycle.trivial(little_g),
+                 rng=pair.rng)
+    return decompose(ind, pair.seed)
 
 
 # ------------------------------------------------------------ basics
@@ -160,6 +180,43 @@ def test_to_hecke_homomorphism_all_basis_pairs(s3s4):
     for x in els:
         for y in els:
             assert to_hecke(fuse(x, y)) == convolve(to_hecke(x), to_hecke(y))
+
+
+@pytest.mark.parametrize("choice", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"])
+def test_orbit_contribution_matches_matrix_formula(name, choice):
+    pair = build_pair(BUILTIN[name])
+    if choice is not None:
+        pair = pair.with_choices(random.Random(choice))
+    els = [b for _, b in basis(pair)]
+    nonzero = 0
+    for g0 in pair.labels():
+        for orbit in pair.coset_orbits(pair.little(g0)):
+            for coset_min in orbit:
+                h = pair.random_coset_element(coset_min)
+                for x in els:
+                    for y in els:
+                        got = _orbit_contribution(pair, x, y, g0, h)
+                        assert got == matrix_contribution(pair, x, y, g0, h)
+                        nonzero += got is not None
+    assert nonzero
+
+
+def test_little_takes_labels_only_whatever_was_cached(s3s4):
+    pair = FinitePair(s3s4.group, s3s4.gamma, name="S3_in_S4")
+    t = Perm.parse(4, "(1 2)")
+    assert t not in pair.labels()
+    cls = irreducibles(conjugate_intersection(pair.gamma, t))[0]
+    named = re.escape(repr(t))
+    with pytest.raises(ValueError, match=named):
+        ExtHeckeElement(pair, {t: {cls: 1}})
+    assert pair.little_of_element(t) == conjugate_intersection(pair.gamma, t)
+    with pytest.raises(ValueError, match=named):
+        ExtHeckeElement(pair, {t: {cls: 1}})
+    with pytest.raises(ValueError, match=named):
+        pair.little(t)
+    for label in pair.labels():
+        assert pair.little_of_element(label) is pair.little(label)
 
 
 # ------------------------------------------------------------ overcount
