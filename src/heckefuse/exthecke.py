@@ -18,12 +18,13 @@ over all cosets instead of orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
 divisibility on concrete inputs.
 
-``fuse`` works on characters only: transport reads a class's character
-through the conjugation, the tensor product is a pointwise product, and
-induction is the Frobenius formula, so it builds no representation matrix
-and chooses no induction coset representatives (the character does not
-depend on them).  ``triple_fuse`` and ``conjugate`` still build and induce
-matrices; they stay the independent second path the checks compare against.
+Fusion, the triple product, conjugation and transport all work on
+characters: transport reads a class's character through the conjugation,
+tensor products are pointwise products, induction is the Frobenius formula
+and conjugation is complex conjugation.  No representation matrix is built,
+and no induction coset representatives are chosen (the character does not
+depend on them).  The matrix constructions of :mod:`heckefuse.projrep` stay
+as the independent path of elementary fusion and of the tests.
 """
 
 from __future__ import annotations
@@ -46,18 +47,13 @@ from .projrep import (
     Rep,
     RepClass,
     add_multiset,
-    conjugate_rep,
     decompose,
     decompose_character,
-    induce,
     irreducibles,
     multiset_dim,
     realize,
-    realize_multiset,
     rep_class,
     restrict,
-    tensor,
-    transport,
     trivial_rep,
 )
 
@@ -71,9 +67,9 @@ class FinitePair:
 
     ``rng`` (a random.Random) randomizes every representative choice: right
     coset representatives, transport decompositions, fusion orbit
-    representatives, and the induction coset representatives of the matrix
-    paths (``triple_fuse``, ``conjugate``, elementary fusion).  The canonical
-    pair (rng=None) makes the lexicographically least choice everywhere.
+    representatives, and the induction coset representatives of elementary
+    fusion, the one path that still induces matrices.  The canonical pair
+    (rng=None) makes the lexicographically least choice everywhere.
 
     The pair keeps the orbits of each little group on right cosets, and per
     label the double cosets each orbit reads (``orbit_labels``).
@@ -200,27 +196,6 @@ class FinitePair:
                 for orbit in self.coset_orbits(self.little(label))]
         return hit
 
-    def pair_orbits(self, little: Subgroup) -> list[list[tuple[Perm, Perm]]]:
-        """Orbits of the little group on pairs of right cosets, diagonally."""
-        all_pairs = {(a, b) for a in self._coset_mins for b in self._coset_mins}
-        orbits = []
-        while all_pairs:
-            start = min(all_pairs)
-            orbit = {start}
-            boundary = [start]
-            while boundary:
-                fresh = []
-                for (a, b) in boundary:
-                    for x in little.elements:
-                        nxt = (self._coset_min_of[a * x], self._coset_min_of[b * x])
-                        if nxt not in orbit:
-                            orbit.add(nxt)
-                            fresh.append(nxt)
-                boundary = fresh
-            all_pairs -= orbit
-            orbits.append(sorted(orbit))
-        return orbits
-
     def pick(self, items: list):
         """Orbit-representative choice: canonical minimum, or random under rng."""
         if self.rng is None:
@@ -305,36 +280,30 @@ def unit(pair: FinitePair) -> ExtHeckeElement:
 
 
 def from_rep(pair: FinitePair, rep: Rep) -> ExtHeckeElement:
-    """Embed a representation of gamma, supported on the unit coset."""
+    """Embed a representation of gamma, or the restriction to gamma of a
+    representation of a group containing it, supported on the unit coset."""
     label = pair.labels()[0]
     little = pair.little(label)
     if rep.group.key() != little.key():
-        rep = transport(rep, little, lambda x: x)
+        rep = restrict(rep, little)
     return ExtHeckeElement(pair, {label: decompose(rep, pair.seed)})
-
-
-def value_at(x: ExtHeckeElement, target: Perm) -> Optional[Rep]:
-    """The representation of little(target) that x assigns to target, or None."""
-    pair = x.pair
-    label = pair.label_of(target)
-    parts = x.support.get(label)
-    if parts is None:
-        return None
-    base = realize_multiset(parts)
-    if target == label:
-        return base
-    _, c2 = pair.decomposition(label, target)
-    return transport(base, pair.little_of_element(target),
-                     lambda t: t.conjugate(c2))
 
 
 def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
                     target: Perm) -> RepClass:
     """The class over little(target) induced by equivariance from (label, cls)."""
-    _, c2 = pair.decomposition(label, target)
-    moved = transport(realize(cls), pair.little_of_element(target),
-                      lambda t: t.conjugate(c2))
-    return rep_class(moved)
+    x = ExtHeckeElement(pair, {label: {cls: 1}})
+    if pair.label_of(target) != label:
+        raise ValueError(
+            f"{target.cycle_string()} is not in the double coset of "
+            f"{label.cycle_string()}")
+    little = pair.little_of_element(target)
+    char = _character_on(x, target, little, Perm.identity(target.degree))
+    parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim,
+                                pair.seed)
+    if list(parts.values()) != [1]:
+        raise ValueError("transport_class takes an irreducible class")
+    return next(iter(parts))
 
 
 def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
@@ -355,14 +324,24 @@ def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
     return char[[little.index_of(by * t * by_inv) for t in meet.elements]]
 
 
-def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement,
-                        g0: Perm, h: Perm) -> Optional[dict]:
-    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗ (y at h)).
+def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
+                     char: np.ndarray, dim: int) -> dict:
+    """decompose(Ind from meet to little_g) of a dim-dimensional character of meet.
 
-    The induced character is chi↑(g) = |meet|^-1 sum over x in little(g0)
-    of chi(x g x^-1), with chi zero off meet (Isaacs, Character Theory of
+    The induced character is chi↑(g) = |meet|^-1 sum over x in little_g of
+    chi(x g x^-1), with chi zero off meet (Isaacs, Character Theory of
     Finite Groups, ch. 5).
     """
+    spread = np.zeros(len(little_g), dtype=complex)
+    spread[[little_g.index_of(t) for t in meet.elements]] = char
+    induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
+    return decompose_character(little_g, Cocycle.trivial(little_g), induced,
+                               dim * (len(little_g) // len(meet)), pair.seed)
+
+
+def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement,
+                        g0: Perm, h: Perm) -> Optional[dict]:
+    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗ (y at h))."""
     w = g0 * h.inverse()
     label_w, label_h = pair.label_of(w), pair.label_of(h)
     if label_w not in x.support or label_h not in y.support:
@@ -371,13 +350,8 @@ def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement
     meet = pair.intersection(little_g, pair.little_of_element(h))
     product = (_character_on(x, w, meet, h)
                * _character_on(y, h, meet, Perm.identity(h.degree)))
-    spread = np.zeros(len(little_g), dtype=complex)
-    spread[[little_g.index_of(t) for t in meet.elements]] = product
-    induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
-    dim = (multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
-           * (len(little_g) // len(meet)))
-    return decompose_character(little_g, Cocycle.trivial(little_g), induced, dim,
-                               pair.seed)
+    dim = multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
+    return _induced_classes(pair, little_g, meet, product, dim)
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
@@ -457,33 +431,37 @@ def triple_fuse(x: ExtHeckeElement, y: ExtHeckeElement,
     (h, k); the (h, k) orbit contributes the induction from
     little(g) ∩ little(h) ∩ little(k) of
     (x at g h^-1 ∘ Ad h) ⊗ (y at h k^-1 ∘ Ad k) ⊗ (z at k).
-    Must agree with both iterated fusions.
+    The pair orbits are enumerated as the orbits of h, and for each h the
+    orbits of its stabilizer little(g) ∩ little(h) on k.  Must agree with
+    both iterated fusions.
     """
     pair = x.pair
+    identity = Perm.identity(pair.group.degree)
     out: dict[Perm, dict] = {}
     for g0 in pair.labels():
         little_g = pair.little(g0)
         total: dict[RepClass, int] = {}
-        for orbit in pair.pair_orbits(little_g):
-            h0, k0 = pair.pick(orbit)
-            h = pair.random_coset_element(h0)
-            k = pair.random_coset_element(k0)
-            w1 = g0 * h.inverse()
-            w2 = h * k.inverse()
-            if (pair.label_of(w1) not in x.support
-                    or pair.label_of(w2) not in y.support
-                    or pair.label_of(k) not in z.support):
+        for h_orbit, label_w, _ in pair.orbit_labels(g0):
+            if label_w not in x.support:
                 continue
-            meet = pair.intersection(
-                pair.intersection(little_g, pair.little_of_element(h)),
-                pair.little_of_element(k))
-            a = transport(value_at(x, w1), meet, lambda t: t.conjugate(h))
-            b = transport(value_at(y, w2), meet, lambda t: t.conjugate(k))
-            c = restrict(value_at(z, k), meet)
-            product = tensor(tensor(a, b), c)
-            ind = induce(product, little_g, Cocycle.trivial(little_g),
-                         rng=pair.rng)
-            total = add_multiset(total, decompose(ind, pair.seed))
+            h = pair.random_coset_element(pair.pick(h_orbit))
+            w = g0 * h.inverse()
+            stab = pair.intersection(little_g, pair.little_of_element(h))
+            for k_orbit in pair.coset_orbits(stab):
+                k = pair.random_coset_element(pair.pick(k_orbit))
+                v = h * k.inverse()
+                label_v, label_k = pair.label_of(v), pair.label_of(k)
+                if label_v not in y.support or label_k not in z.support:
+                    continue
+                meet = pair.intersection(stab, pair.little_of_element(k))
+                product = (_character_on(x, w, meet, h)
+                           * _character_on(y, v, meet, k)
+                           * _character_on(z, k, meet, identity))
+                dim = (multiset_dim(x.support[label_w])
+                       * multiset_dim(y.support[label_v])
+                       * multiset_dim(z.support[label_k]))
+                total = add_multiset(
+                    total, _induced_classes(pair, little_g, meet, product, dim))
         if total:
             out[g0] = total
     return ExtHeckeElement(pair, out)
@@ -501,14 +479,14 @@ def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
     if hit is not None:
         return ExtHeckeElement(pair, hit)
     out: dict[Perm, dict] = {}
-    for label in x.support:
+    for label, parts in x.support.items():
         new_label = pair.label_of(label.inverse())
-        target = new_label.inverse()  # lies in the double coset of label
-        rep_t = value_at(x, target)
         little_new = pair.little(new_label)
-        moved = transport(rep_t, little_new, lambda t: t.conjugate(new_label))
-        out[new_label] = add_multiset(out.get(new_label, {}),
-                                      decompose(conjugate_rep(moved), pair.seed))
+        # new_label^-1 lies in the double coset of label
+        char = np.conj(_character_on(x, new_label.inverse(), little_new, new_label))
+        out[new_label] = add_multiset(out.get(new_label, {}), decompose_character(
+            little_new, Cocycle.trivial(little_new), char, multiset_dim(parts),
+            pair.seed))
     pair._conj[x.key()] = {label: dict(parts) for label, parts in out.items()}
     return ExtHeckeElement(pair, out)
 

@@ -458,14 +458,6 @@ def realize(cls: RepClass) -> Rep:
     return rep
 
 
-def realize_multiset(parts: dict[RepClass, int]) -> Rep:
-    """Block-diagonal representative of a multiset, in canonical class order."""
-    summands = []
-    for cls in sorted(parts, key=lambda c: c.sort_key()):
-        summands.extend([realize(cls)] * parts[cls])
-    return direct_sum(summands)
-
-
 def multiset_dim(parts: dict[RepClass, int]) -> int:
     return sum(cls.dim * mult for cls, mult in parts.items())
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from heckefuse import projrep
 from heckefuse.catalog import BUILTIN, build_pair
 from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
@@ -22,19 +23,23 @@ from heckefuse.exthecke import (
     transport_class,
     triple_fuse,
     unit,
-    value_at,
 )
 from heckefuse.hecke import convolve
 from heckefuse.permcore import FiniteGroup, Perm, conjugate_intersection
 from heckefuse.projrep import (
+    add_multiset,
+    conjugate_rep,
     decompose,
+    direct_sum,
     hom_dim,
     induce,
     irreducibles,
     realize,
+    regular_rep,
     restrict,
     tensor,
     transport,
+    trivial_rep,
 )
 
 
@@ -55,6 +60,23 @@ def klein_d4():
                                  Perm.parse(4, "(0 2)(1 3)")]).elements
     )
     return FinitePair(g, gamma, name="Klein_in_D4")
+
+
+def value_at(x, target):
+    """The representation of little(target) that x assigns to target, or None:
+    the block sum of its label's classes, transported along the decomposition."""
+    pair = x.pair
+    label = pair.label_of(target)
+    parts = x.support.get(label)
+    if parts is None:
+        return None
+    base = direct_sum([realize(cls) for cls in sorted(parts, key=lambda c: c.sort_key())
+                       for _ in range(parts[cls])])
+    if target == label:
+        return base
+    _, c2 = pair.decomposition(label, target)
+    return transport(base, pair.little_of_element(target),
+                     lambda t: t.conjugate(c2))
 
 
 def reciprocity_oracle(pair, x, y):
@@ -100,6 +122,82 @@ def matrix_contribution(pair, x, y, g0, h):
     ind = induce(tensor(left, right), little_g, Cocycle.trivial(little_g),
                  rng=pair.rng)
     return decompose(ind, pair.seed)
+
+
+def pair_orbits(pair, little):
+    """Orbits of the little group on pairs of right cosets, diagonally."""
+    all_pairs = {(a, b) for a in pair._coset_mins for b in pair._coset_mins}
+    orbits = []
+    while all_pairs:
+        start = min(all_pairs)
+        orbit = {start}
+        boundary = [start]
+        while boundary:
+            fresh = []
+            for (a, b) in boundary:
+                for x in little.elements:
+                    nxt = (pair._coset_min_of[a * x], pair._coset_min_of[b * x])
+                    if nxt not in orbit:
+                        orbit.add(nxt)
+                        fresh.append(nxt)
+            boundary = fresh
+        all_pairs -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def matrix_triple_fuse(x, y, z):
+    """The triple product by matrices, one induction per diagonal pair orbit."""
+    pair = x.pair
+    out = {}
+    for g0 in pair.labels():
+        little_g = pair.little(g0)
+        total = {}
+        for orbit in pair_orbits(pair, little_g):
+            h0, k0 = pair.pick(orbit)
+            h = pair.random_coset_element(h0)
+            k = pair.random_coset_element(k0)
+            w1 = g0 * h.inverse()
+            w2 = h * k.inverse()
+            if (pair.label_of(w1) not in x.support
+                    or pair.label_of(w2) not in y.support
+                    or pair.label_of(k) not in z.support):
+                continue
+            meet = pair.intersection(
+                pair.intersection(little_g, pair.little_of_element(h)),
+                pair.little_of_element(k))
+            a = transport(value_at(x, w1), meet, lambda t: t.conjugate(h))
+            b = transport(value_at(y, w2), meet, lambda t: t.conjugate(k))
+            c = restrict(value_at(z, k), meet)
+            ind = induce(tensor(tensor(a, b), c), little_g, Cocycle.trivial(little_g),
+                         rng=pair.rng)
+            total = add_multiset(total, decompose(ind, pair.seed))
+        if total:
+            out[g0] = total
+    return ExtHeckeElement(pair, out)
+
+
+def matrix_conjugate(x):
+    """Conjugation by matrices: transport the value at new_label^-1 to
+    little(new_label) along Ad(new_label), then take the complex conjugate."""
+    pair = x.pair
+    out = {}
+    for label in x.support:
+        new_label = pair.label_of(label.inverse())
+        rep_t = value_at(x, new_label.inverse())
+        moved = transport(rep_t, pair.little(new_label),
+                          lambda t: t.conjugate(new_label))
+        out[new_label] = add_multiset(out.get(new_label, {}),
+                                      decompose(conjugate_rep(moved), pair.seed))
+    return ExtHeckeElement(pair, out)
+
+
+ORACLE_PAIRS = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
+
+
+def oracle_pair(name, choice):
+    pair = build_pair(BUILTIN[name])
+    return pair if choice is None else pair.with_choices(random.Random(choice))
 
 
 # ------------------------------------------------------------ basics
@@ -183,11 +281,9 @@ def test_to_hecke_homomorphism_all_basis_pairs(s3s4):
 
 
 @pytest.mark.parametrize("choice", [None, 0, 1, 2])
-@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"])
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
 def test_orbit_contribution_matches_matrix_formula(name, choice):
-    pair = build_pair(BUILTIN[name])
-    if choice is not None:
-        pair = pair.with_choices(random.Random(choice))
+    pair = oracle_pair(name, choice)
     els = [b for _, b in basis(pair)]
     nonzero = 0
     for g0 in pair.labels():
@@ -200,6 +296,39 @@ def test_orbit_contribution_matches_matrix_formula(name, choice):
                         assert got == matrix_contribution(pair, x, y, g0, h)
                         nonzero += got is not None
     assert nonzero
+
+
+@pytest.mark.parametrize("choice", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
+def test_triple_and_conjugate_match_matrix_formulas(name, choice):
+    pair = oracle_pair(name, choice)
+    els = [b for _, b in basis(pair)]
+    for b in els:
+        assert conjugate(b) == matrix_conjugate(b)
+    triples = list(itertools.product(els, repeat=3))
+    for x, y, z in random.Random(0).sample(triples, min(24, len(triples))):
+        assert triple_fuse(x, y, z) == matrix_triple_fuse(x, y, z)
+
+
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
+def test_character_paths_build_no_rep(name, monkeypatch):
+    pair = build_pair(BUILTIN[name])
+    els = [b for _, b in basis(pair)]
+    built = []
+    init = projrep.Rep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(projrep.Rep, "__init__", counting)
+    for x in els:
+        conjugate(x)
+        for y in els:
+            fuse(x, y)
+    for x, y, z in random.Random(0).sample(list(itertools.product(els, repeat=3)), 8):
+        triple_fuse(x, y, z)
+    assert len(built) == 0
 
 
 def test_little_takes_labels_only_whatever_was_cached(s3s4):
@@ -348,6 +477,18 @@ def test_from_rep_homomorphism(s3s4):
             assert prod == expect
 
 
+def test_from_rep_restricts_to_gamma(s3s4):
+    pair = s3s4
+    e_label, k_label = pair.labels()
+    assert from_rep(pair, trivial_rep(pair.group)) == unit(pair)
+    # the regular representation of S4 is 4 copies of S3's on restriction
+    classes = irreducibles(pair.little(e_label))
+    assert (from_rep(pair, regular_rep(pair.group)).support
+            == {e_label: {c: 4 * c.dim for c in classes}})
+    with pytest.raises(ValueError, match="not a subgroup"):
+        from_rep(pair, trivial_rep(pair.little(k_label)))
+
+
 def from_rep_multiset(pair, parts):
     label = pair.labels()[0]
     return ExtHeckeElement(pair, {label: parts})
@@ -390,6 +531,18 @@ def test_transport_outside_coset_raises(s3s4):
     cls = irreducibles(pair.little(k_label))[0]
     with pytest.raises(ValueError):
         transport_class(pair, k_label, cls, e_label)
+
+
+def test_transport_class_on_wrong_little_group_raises(s3s4):
+    pair = s3s4
+    e_label, k_label = pair.labels()
+    gamma_cls = irreducibles(pair.little(e_label))[0]
+    target = sorted(pair.cosets.coset(k_label).elements)[5]
+    k_cls = irreducibles(pair.little(k_label))[0]
+    for label, cls, at in [(k_label, gamma_cls, target),
+                           (e_label, k_cls, Perm.parse(4, "(1 2)"))]:
+        with pytest.raises(ValueError, match="wrong little group"):
+            transport_class(pair, label, cls, at)
 
 
 def test_transport_decomposition_independent(s3s4):

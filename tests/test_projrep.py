@@ -16,7 +16,6 @@ from heckefuse.projrep import (
     irreducibles,
     multiset_dim,
     realize,
-    realize_multiset,
     regular_rep,
     rep_class,
     restrict,
@@ -255,11 +254,11 @@ def test_decompose_respects_character_sum():
     assert np.abs(recon - np.array(reg.character())).max() < 1e-6
 
 
-def test_realize_multiset_round_trip():
+def test_direct_sum_round_trip():
     g = s3()
     classes = irreducibles(g)
     ms = {classes[0]: 2, classes[-1]: 1}
-    rep = realize_multiset(ms)
+    rep = direct_sum([realize(classes[0])] * 2 + [realize(classes[-1])])
     assert rep.dim == 4
     assert decompose(rep) == ms
 
