@@ -82,7 +82,6 @@ from .projrep import (
     hom_dim,
     induce,
     irreducibles,
-    realize,
     regular_rep,
     restrict,
     tensor,
@@ -105,7 +104,6 @@ def clear_caches() -> None:
     """
     projrep.clear_caches()
     cocycle._TRIVIAL_CACHE.clear()
-    elementary._CANON.clear()
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -141,20 +141,24 @@ def build_pair(entry: CatalogEntry, max_order: int = DEFAULT_MAX_ORDER,
     return FinitePair(group, gamma, name=entry.name, seed=seed)
 
 
+def heisenberg_chart(entry: CatalogEntry, group: FiniteGroup, n: int) -> dict:
+    """The chart a^x b^y -> (x, y) of group as (Z/n)^2, with a and b the
+    entry's first two subgroup generators."""
+    a, b = (Perm.parse(entry.degree, s) for s in entry.gamma_gens[:2])
+    coords = {(a ** x) * (b ** y): (x, y) for x in range(n) for y in range(n)}
+    if len(coords) != len(group):
+        raise ValueError(
+            f"{entry.name}: subgroup is not (Z/{n})^2 on the listed generators")
+    return coords
+
+
 def build_omega_from_spec(spec, entry: CatalogEntry,
                           pair: FinitePair) -> Cocycle:
     tag = spec[0]
     if tag == "heisenberg":
         _, n, k = spec
-        a, b = (Perm.parse(entry.degree, s) for s in entry.gamma_gens[:2])
-        coords = {}
-        for x in range(n):
-            for y in range(n):
-                coords[(a ** x) * (b ** y)] = (x, y)
-        if len(coords) != len(pair.gamma):
-            raise ValueError(
-                f"{entry.name}: subgroup is not (Z/{n})^2 on the listed generators")
-        return bilinear_cocycle(pair.gamma, coords, n, k)
+        return bilinear_cocycle(pair.gamma, heisenberg_chart(entry, pair.gamma, n),
+                                n, k)
     if tag == "table":
         _, modulus, triples = spec
         n = len(pair.gamma)

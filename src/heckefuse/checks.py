@@ -13,7 +13,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .catalog import BUILTIN, CatalogEntry, build_omega, build_pair, fusion_table
+from .catalog import (
+    BUILTIN,
+    CatalogEntry,
+    build_omega,
+    build_pair,
+    fusion_table,
+    heisenberg_chart,
+)
 from .cocycle import (
     Cocycle,
     PhaseFunction,
@@ -69,7 +76,6 @@ from .projrep import (
     hom_dim,
     induce,
     irreducibles,
-    realize,
     regular_rep,
     restrict,
     transport,
@@ -180,20 +186,12 @@ def check_conjugation_identity(pair: FinitePair, omega: Cocycle,
 
 
 def check_heisenberg_classification(pair: FinitePair, omega: Cocycle,
-                                    cfg: Config, n: int,
-                                    generator_strings: tuple) -> None:
+                                    cfg: Config, entry: CatalogEntry) -> None:
+    n = entry.omega[1]
     if n > 4:
         return
-    from .permcore import Perm
-    coords_group = omega.group
-    a, b = (Perm.parse(pair.group.degree, s) for s in generator_strings[:2])
-    coords = {}
-    for x in range(n):
-        for y in range(n):
-            coords[(a ** x) * (b ** y)] = (x, y)
-    if len(coords) != len(coords_group):
-        raise CheckFailure("coordinate chart does not cover the subgroup")
-    all_classes = [bilinear_cocycle(coords_group, coords, n, k) for k in range(n)]
+    coords = heisenberg_chart(entry, omega.group, n)
+    all_classes = [bilinear_cocycle(omega.group, coords, n, k) for k in range(n)]
     for i, ci in enumerate(all_classes):
         for j, cj in enumerate(all_classes):
             if are_cohomologous(ci, cj) != (i == j):
@@ -222,10 +220,10 @@ def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
         return
     triv = Cocycle.trivial(big)
     for small_cls in irreducibles(gamma_grp, seed=cfg.seed):
-        ind = induce(realize(small_cls), big, triv)
+        ind = induce(small_cls.rep, big, triv)
         for big_cls in irreducibles(big, seed=cfg.seed):
-            lhs = hom_dim(ind, realize(big_cls))
-            rhs = hom_dim(realize(small_cls), restrict(realize(big_cls), gamma_grp))
+            lhs = hom_dim(ind, big_cls.rep)
+            rhs = hom_dim(small_cls.rep, restrict(big_cls.rep, gamma_grp))
             if lhs != rhs:
                 raise CheckFailure(
                     f"induction reciprocity fails: {lhs} != {rhs}")
@@ -235,7 +233,7 @@ def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
     gamma_grp = pair.little(pair.labels()[0])
     rng = random.Random(cfg.seed)
     cls = irreducibles(gamma_grp, seed=cfg.seed)[-1]
-    rep = realize(cls)
+    rep = cls.rep
     for _ in range(cfg.trials):
         c = gamma_grp.elements[rng.randrange(len(gamma_grp))]
         moved = transport(rep, gamma_grp, lambda t: t.conjugate(c))
@@ -248,7 +246,7 @@ def check_equivalence_vs_hom(pair: FinitePair, cfg: Config) -> None:
     classes = irreducibles(gamma_grp, seed=cfg.seed)
     for a in classes:
         for b in classes:
-            if (hom_dim(realize(a), realize(b)) >= 1) != (a == b):
+            if (hom_dim(a.rep, b.rep) >= 1) != (a == b):
                 raise CheckFailure("hom_dim and character equality disagree")
 
 
@@ -397,8 +395,8 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     gamma_classes = irreducibles(pair.little(pair.labels()[0]), seed=cfg.seed)
     for a in gamma_classes:
         for b in gamma_classes:
-            lhs = fuse(from_rep(pair, realize(a)), from_rep(pair, realize(b)))
-            product_parts = decompose(rep_tensor(realize(a), realize(b)), cfg.seed)
+            lhs = fuse(from_rep(pair, a.rep), from_rep(pair, b.rep))
+            product_parts = decompose(rep_tensor(a.rep, b.rep), cfg.seed)
             rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
             if lhs != rhs:
                 raise CheckFailure("from_rep is not multiplicative")
@@ -440,7 +438,7 @@ def _elementary_basis(pair: FinitePair, omega: Cocycle):
     out = []
     for label in pair.labels():
         for cls in admissible_classes(pair, omega, label):
-            out.append(make(pair, omega, label, realize(cls)))
+            out.append(make(pair, omega, label, cls.rep))
     return out
 
 
@@ -465,7 +463,7 @@ def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
     objs = []
     for label in pair.labels():
         for cls in irreducibles(pair.little(label), seed=cfg.seed):
-            objs.append(make(pair, omega, label, realize(cls)))
+            objs.append(make(pair, omega, label, cls.rep))
     for (x_obj, x_ext), (y_obj, y_ext) in itertools.product(
             zip(objs, ext_els), repeat=2):
         if elem_to_ext(fuse_objects(x_obj, y_obj)) != fuse(x_ext, y_ext):
@@ -569,8 +567,7 @@ def run_checks(entry_names: Optional[list[str]] = None,
                 check_conjugation_identity, pair, omega, cfg)
             if entry.omega[0] == "heisenberg":
                 run("heisenberg-classification", entry_name,
-                    check_heisenberg_classification, pair, omega, cfg,
-                    entry.omega[1], entry.gamma_gens)
+                    check_heisenberg_classification, pair, omega, cfg, entry)
             run("elementary-associativity", entry_name,
                 check_elementary_associativity, pair, omega, cfg)
             run("elementary-irreducibility", entry_name,

@@ -37,7 +37,7 @@ from .elementary import (
 from .exthecke import FinitePair, basis, dims, fuse, parse_ext_element
 from .hecke import modular_lambda, parse_element
 from .permcore import Perm, out_description
-from .projrep import irreducibles, realize, rep_class
+from .projrep import RepClass, irreducibles
 
 SCHEMA = 1
 
@@ -111,7 +111,7 @@ def parse_elem_element(pair: FinitePair, omega: Cocycle, degree: int,
         if idx >= len(classes):
             raise SystemExit(
                 f"class index {idx} out of range ({len(classes)} admissible)")
-        piece = BimoduleSum.of(make(pair, omega, delta, realize(classes[idx])))
+        piece = BimoduleSum.of(make(pair, omega, delta, classes[idx].rep))
         piece = piece.scale(mult)
         out = piece if out is None else out + piece
     if out is None:
@@ -124,7 +124,7 @@ def elem_sum_json(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> list:
     for rep_obj, mult in total.items():
         label = rep_obj.delta
         classes = admissible_classes(pair, omega, label)
-        cls = rep_class(rep_obj.rep)
+        cls = RepClass(rep_obj.rep)
         terms.append({
             "delta": label.cycle_string(),
             "class_index": classes.index(cls),
@@ -138,7 +138,7 @@ def elem_sum_text(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> str:
     bits = []
     for rep_obj, mult in total.items():
         classes = admissible_classes(pair, omega, rep_obj.delta)
-        idx = classes.index(rep_class(rep_obj.rep))
+        idx = classes.index(RepClass(rep_obj.rep))
         body = f"H({rep_obj.delta.cycle_string()},{idx})"
         bits.append(body if mult == 1 else f"{mult}*{body}")
     return " + ".join(bits) if bits else "0"

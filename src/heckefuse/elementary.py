@@ -15,6 +15,10 @@ omega.  Every representation produced on the way must carry exactly the
 cocycle that the induction prescribes; a mismatch is raised loudly since it
 can only mean a bookkeeping bug, never bad input.
 
+A fused sum keeps each irreducible constituent as a canonical term (the
+label of its double coset and a character fingerprint); terms and their
+representative objects are memoized on the pair, not in the module.
+
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
 """
@@ -25,12 +29,9 @@ from typing import Optional
 
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import (
-    Perm,
-    commensuration_subgroups,
-    two_sided_orbit_reps,
-)
+from .permcore import Perm, two_sided_orbit_reps
 from .projrep import (
+    NumericalDegradation,
     Rep,
     decompose,
     direct_sum,
@@ -38,7 +39,6 @@ from .projrep import (
     hom_dim,
     induce,
     irreducibles,
-    realize,
     restrict,
     tensor,
     transport,
@@ -72,7 +72,7 @@ class ElementaryBimodule:
             raise ValueError("the ambient cocycle must live on gamma")
         if delta not in pair.group:
             raise ValueError("delta must lie in the ambient group")
-        left, right = commensuration_subgroups(pair.gamma, delta)
+        right = pair.little_of_element(delta)
         if rep.group.key() != right.key():
             raise ValueError(
                 "the representation must live on gamma ∩ delta^-1 gamma delta")
@@ -86,7 +86,7 @@ class ElementaryBimodule:
         self.omega = omega
         self.delta = delta
         self.rep = rep
-        self.left_subgroup = left
+        self.left_subgroup = pair.little_of_element(delta.inverse())
         self.right_subgroup = right
 
     def dim(self) -> int:
@@ -153,50 +153,58 @@ def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
     return twist(moved, phase)
 
 
-_CANON: dict = {}
+def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
+                   rep: Rep) -> tuple:
+    """Canonical fingerprint (label images, char key) of the irreducible
+    object (delta, rep).
 
-
-def canonical_term(h: ElementaryBimodule) -> tuple:
-    """Canonical fingerprint (coset label images, char key) of an irreducible.
-
-    Moves delta to the canonical representative of its double coset via every
-    decomposition pair (g, c) with g delta c = label and keeps the least
-    character fingerprint; the minimum over all pairs does not depend on any
-    representative choice made elsewhere.
+    Moves delta to the label of its double coset by every decomposition
+    label = g delta c and keeps the least character fingerprint; the minimum
+    over all of them does not depend on any representative choice made
+    elsewhere.  Memoized on the pair.
     """
-    pair, omega = h.pair, h.omega
-    pair_key = (pair.group.key(), pair.gamma.key())
-    key = (pair_key, omega.key(), h.delta.images, h.rep.char_key())
-    hit = _CANON.get(key)
+    key = ("term", omega.key(), delta.images, rep.char_key())
+    hit = pair._canon.get(key)
     if hit is not None:
         return hit
-    label = pair.label_of(h.delta)
-    gamma_set = set(pair.gamma.elements)
-    best: Optional[tuple] = None
-    best_rep: Optional[Rep] = None
-    dinv = h.delta.inverse()
-    for c in pair.gamma.elements:
-        g = label * c.inverse() * dinv
-        if g not in gamma_set:
-            continue
-        moved = transfer_rep(pair, omega, h.delta, h.rep, g, c)
-        fingerprint = moved.char_key()
-        if best is None or fingerprint < best:
-            best = fingerprint
-            best_rep = moved
-    if best is None:
-        raise RuntimeError(f"no gamma element carries {h.delta.cycle_string()} "
-                           f"to its label {label.cycle_string()}")
-    term = (label.images, best)
-    _CANON[key] = term
-    _CANON.setdefault(("rep", pair_key, omega.key(), term),
-                      ElementaryBimodule(pair, omega, label, best_rep))
+    label = pair.label_of(delta)
+    best = min((transfer_rep(pair, omega, delta, rep, g, c)
+                for g, c in pair.decompositions(delta, label)),
+               key=lambda moved: moved.char_key())
+    need = required_cocycle(pair, omega, label)
+    if best.cocycle != need:
+        raise CocycleBookkeepingError(
+            f"transfer to {label.cycle_string()} carries the wrong cocycle; "
+            "witness pair " + _witness_pair(best.cocycle, need))
+    term = pair._canon[key] = (label.images, best.char_key())
     return term
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,
                              term: tuple) -> ElementaryBimodule:
-    return _CANON[("rep", (pair.group.key(), pair.gamma.key()), omega.key(), term)]
+    """The object at the term's label carrying the admissible class whose
+    character is the term's fingerprint; memoized on the pair."""
+    key = ("rep", omega.key(), term)
+    hit = pair._canon.get(key)
+    if hit is None:
+        label = Perm(term[0])
+        cls = next((c for c in admissible_classes(pair, omega, label)
+                    if c.char == term[1]), None)
+        if cls is None:
+            raise NumericalDegradation(
+                f"no admissible class at {label.cycle_string()} has the "
+                "canonical fingerprint")
+        hit = pair._canon[key] = ElementaryBimodule(pair, omega, label, cls.rep)
+    return hit
+
+
+def _add_terms(out: dict, pair: FinitePair, omega: Cocycle, delta: Perm,
+               rep: Rep) -> dict:
+    """Add the canonical terms of rep's irreducible constituents at delta."""
+    for cls, mult in decompose(rep, pair.seed).items():
+        term = canonical_term(pair, omega, delta, cls.rep)
+        out[term] = out.get(term, 0) + mult
+    return out
 
 
 class BimoduleSum:
@@ -210,12 +218,7 @@ class BimoduleSum:
     @classmethod
     def of(cls, h: ElementaryBimodule) -> "BimoduleSum":
         """Decompose an object into irreducibles and canonicalize the result."""
-        out: dict = {}
-        for irr_cls, mult in decompose(h.rep, h.pair.seed).items():
-            piece = ElementaryBimodule(h.pair, h.omega, h.delta, realize(irr_cls))
-            term = canonical_term(piece)
-            out[term] = out.get(term, 0) + mult
-        return cls(h.pair, h.omega, out)
+        return cls(h.pair, h.omega, _add_terms({}, h.pair, h.omega, h.delta, h.rep))
 
     def __add__(self, other: "BimoduleSum") -> "BimoduleSum":
         if other.omega != self.omega:
@@ -283,10 +286,7 @@ def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
                 "fusion integrand carries the wrong cocycle at coset of "
                 f"{g.cycle_string()}")
         fused = induce(integrand, rig_new, target_cocycle, rng=pair.rng)
-        for irr_cls, mult in decompose(fused, pair.seed).items():
-            piece = ElementaryBimodule(pair, omega, new_delta, realize(irr_cls))
-            term = canonical_term(piece)
-            out[term] = out.get(term, 0) + mult
+        _add_terms(out, pair, omega, new_delta, fused)
     return BimoduleSum(pair, omega, out)
 
 
@@ -315,12 +315,7 @@ def isomorphism_witness(h1: ElementaryBimodule,
     pair = h1.pair
     if pair.label_of(h1.delta) != pair.label_of(h2.delta):
         return None
-    gamma_set = set(pair.gamma.elements)
-    d1inv = h1.delta.inverse()
-    for h in pair.gamma.elements:
-        g = h2.delta * h.inverse() * d1inv
-        if g not in gamma_set:
-            continue
+    for g, h in pair.decompositions(h1.delta, h2.delta):
         moved = transfer_rep(pair, h1.omega, h1.delta, h1.rep, g, h)
         if equivalent(moved, h2.rep):
             return g, h

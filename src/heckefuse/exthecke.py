@@ -51,8 +51,6 @@ from .projrep import (
     decompose_character,
     irreducibles,
     multiset_dim,
-    realize,
-    rep_class,
     restrict,
     trivial_rep,
 )
@@ -71,8 +69,10 @@ class FinitePair:
     fusion, the one path that still induces matrices.  The canonical pair
     (rng=None) makes the lexicographically least choice everywhere.
 
-    The pair keeps the orbits of each little group on right cosets, and per
-    label the double cosets each orbit reads (``orbit_labels``).
+    The pair keeps the orbits of each little group on right cosets, per
+    label the double cosets each orbit reads (``orbit_labels``), and the
+    canonical terms and representatives of elementary objects over it
+    (filled by :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -92,6 +92,7 @@ class FinitePair:
         self._decomp: dict[tuple, tuple] = {}
         self._fuse: dict[tuple, dict] = {}
         self._conj: dict[tuple, dict] = {}
+        self._canon: dict[tuple, object] = {}
         self._meets: dict[tuple, Subgroup] = {}
         # right cosets of gamma\G as their minimal elements
         self._coset_mins = tuple(right_coset_reps(group, gamma))
@@ -144,6 +145,15 @@ class FinitePair:
         raise ValueError(
             f"{target.cycle_string()} is not in the double coset of "
             f"{label.cycle_string()}")
+
+    def decompositions(self, delta: Perm, target: Perm):
+        """Every (c1, c2) in gamma^2 with target = c1 * delta * c2, in the
+        order of c2 in gamma."""
+        dinv = delta.inverse()
+        for c2 in self.gamma.elements:
+            c1 = target * c2.inverse() * dinv
+            if c1 in self.gamma:
+                yield c1, c2
 
     def intersection(self, a: Subgroup, b: Subgroup) -> Subgroup:
         key = (a.key(), b.key())
@@ -275,7 +285,7 @@ class ExtHeckeElement:
 def unit(pair: FinitePair) -> ExtHeckeElement:
     """The identity: trivial representation of gamma at the unit coset."""
     label = pair.labels()[0]
-    triv = rep_class(trivial_rep(pair.little(label)))
+    triv = RepClass(trivial_rep(pair.little(label)))
     return ExtHeckeElement(pair, {label: {triv: 1}})
 
 
@@ -318,7 +328,7 @@ def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
     if point != label:
         by = pair.decomposition(label, point)[1] * by
     little = pair.little(label)
-    char = sum(m * np.array(realize(cls).character())
+    char = sum(m * np.array(cls.rep.character())
                for cls, m in x.support[label].items())
     by_inv = by.inverse()
     return char[[little.index_of(by * t * by_inv) for t in meet.elements]]

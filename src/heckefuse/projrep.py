@@ -122,16 +122,18 @@ class Rep:
 
 
 class RepClass:
-    """Equivalence-class fingerprint of a representation: its rounded character."""
+    """Equivalence class of a representation, fingerprinted by its rounded
+    character; ``rep`` is the representation it was built from."""
 
-    __slots__ = ("group", "cocycle", "dim", "char", "_key")
+    __slots__ = ("rep", "group", "cocycle", "dim", "char", "_key")
 
-    def __init__(self, group: FiniteGroup, cocycle: Cocycle, dim: int, char: tuple):
-        self.group = group
-        self.cocycle = cocycle
-        self.dim = dim
-        self.char = char
-        self._key = (group.key(), cocycle.key(), char)
+    def __init__(self, rep: Rep):
+        self.rep = rep
+        self.group = rep.group
+        self.cocycle = rep.cocycle
+        self.dim = rep.dim
+        self.char = rep.char_key()
+        self._key = (self.group.key(), self.cocycle.key(), self.char)
 
     def sort_key(self):
         return (self.dim, self.char)
@@ -150,12 +152,6 @@ class RepClass:
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "character": [[re, im] for re, im in self.char]}
-
-
-def rep_class(rep: Rep) -> RepClass:
-    cls = RepClass(rep.group, rep.cocycle, rep.dim, rep.char_key())
-    _REALIZED.setdefault(cls.key(), rep)
-    return cls
 
 
 def equivalent(a: Rep, b: Rep) -> bool:
@@ -312,14 +308,12 @@ def hom_dim(a: Rep, b: Rep) -> int:
 
 # ------------------------------------------------------------ decomposition
 
-_REALIZED: dict = {}
 _IRREDUCIBLES: dict = {}
 _COSET_REPS: dict = {}
 
 
 def clear_caches() -> None:
     _PHASES.clear()
-    _REALIZED.clear()
     _IRREDUCIBLES.clear()
     _COSET_REPS.clear()
 
@@ -372,7 +366,7 @@ def _split_irreducible(rep: Rep, seed: int) -> list[Rep]:
 
 
 def _characters(classes) -> np.ndarray:
-    return np.array([realize(cls).character() for cls in classes])
+    return np.array([cls.rep.character() for cls in classes])
 
 
 def _checked_multiset(char, dim: int, classes, mults, chars) -> dict[RepClass, int]:
@@ -428,7 +422,7 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
     regular = regular_rep(group, cocycle)
     counts: dict[RepClass, int] = {}
     for irr in _split_irreducible(regular, seed):
-        cls = rep_class(irr)
+        cls = RepClass(irr)
         counts[cls] = counts.get(cls, 0) + 1
     classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
     _checked_multiset(regular.character(), regular.dim, classes,
@@ -440,22 +434,6 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
             f"{[(c.dim, counts[c]) for c in classes]} for |G| = {len(group)}")
     _IRREDUCIBLES[key] = classes
     return classes
-
-
-def realize(cls: RepClass) -> Rep:
-    """A representative with the given fingerprint.
-
-    Known for every class produced in-process; for an unseen irreducible
-    class the (group, cocycle) irreducibles are computed first.
-    """
-    rep = _REALIZED.get(cls.key())
-    if rep is not None:
-        return rep
-    irreducibles(cls.group, cls.cocycle)
-    rep = _REALIZED.get(cls.key())
-    if rep is None:
-        raise KeyError("no realization known for this representation class")
-    return rep
 
 
 def multiset_dim(parts: dict[RepClass, int]) -> int:

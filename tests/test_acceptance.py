@@ -45,7 +45,6 @@ from heckefuse.projrep import (
     induce,
     irreducibles,
     multiset_dim,
-    realize,
     regular_rep,
     restrict,
 )
@@ -231,10 +230,10 @@ def test_criterion_9(pairs):
         big = pair.group
         triv = Cocycle.trivial(big)
         for small in irreducibles(sub):
-            ind = induce(realize(small), big, triv)
+            ind = induce(small.rep, big, triv)
             for large in irreducibles(big):
-                assert hom_dim(ind, realize(large)) == \
-                    hom_dim(realize(small), restrict(realize(large), sub))
+                assert hom_dim(ind, large.rep) == \
+                    hom_dim(small.rep, restrict(large.rep, sub))
 
 
 @criterion(10, "elementary versus extended fusion")
@@ -245,7 +244,7 @@ def test_criterion_10(pairs):
     objs = []
     for label in pair.labels():
         for cls in irreducibles(pair.little(label)):
-            objs.append(make(pair, omega, label, realize(cls)))
+            objs.append(make(pair, omega, label, cls.rep))
     for (obj_x, ext_x), (obj_y, ext_y) in itertools.product(
             zip(objs, ext_els), repeat=2):
         assert to_ext_hecke(fuse_objects(obj_x, obj_y)) == fuse(ext_x, ext_y)

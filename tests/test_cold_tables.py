@@ -14,7 +14,7 @@ from pathlib import Path
 import heckefuse
 from heckefuse import catalog, elementary
 from heckefuse.cocycle import Cocycle
-from heckefuse.projrep import irreducibles, realize
+from heckefuse.projrep import irreducibles
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,7 +56,7 @@ def test_clear_caches_empties_every_module_cache():
     catalog.fusion_table(pair)
     k_label = pair.labels()[1]
     a = elementary.make(pair, Cocycle.trivial(pair.gamma), k_label,
-                        realize(irreducibles(pair.little(k_label))[0]))
+                        irreducibles(pair.little(k_label))[0].rep)
     elementary.fuse(a, a)
     caches = module_caches()
     assert caches and all(caches.values())

@@ -1,8 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+import heckefuse
+from heckefuse import elementary, permcore
+from heckefuse.catalog import BUILTIN, build_omega, build_pair
+from heckefuse.cli import elem_sum_json
 from heckefuse.cocycle import (
     Cocycle,
     CocycleError,
@@ -11,7 +17,9 @@ from heckefuse.cocycle import (
 )
 from heckefuse.elementary import (
     BimoduleSum,
+    CocycleBookkeepingError,
     admissible_classes,
+    canonical_representative,
     canonical_term,
     direct_sum_objects,
     fuse,
@@ -28,8 +36,8 @@ from heckefuse.exthecke import FinitePair, basis as ext_basis
 from heckefuse.exthecke import fuse as ext_fuse, unit as ext_unit
 from heckefuse.permcore import FiniteGroup, Perm
 from heckefuse.projrep import (
+    NumericalDegradation,
     irreducibles,
-    realize,
     regular_rep,
     trivial_rep,
     twist,
@@ -69,7 +77,7 @@ def elementary_basis(pair, omega):
     out = []
     for label in pair.labels():
         for cls in admissible_classes(pair, omega, label):
-            out.append(make(pair, omega, label, realize(cls)))
+            out.append(make(pair, omega, label, cls.rep))
     return out
 
 
@@ -87,7 +95,7 @@ def test_any_ordinary_rep_valid_with_trivial_cocycle(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     for label in pair.labels():
         for cls in irreducibles(pair.little(label)):
-            obj = make(pair, omega, label, realize(cls))
+            obj = make(pair, omega, label, cls.rep)
             assert obj.rep.dim == cls.dim
 
 
@@ -101,7 +109,7 @@ def test_klein_admissible_reps_exist_via_twist(d4_klein):
     phi = coboundary_witness_s1(need)
     assert phi is not None
     rig = pair.little_of_element(rotation)
-    ordinary = realize(irreducibles(rig)[0])
+    ordinary = irreducibles(rig)[0].rep
     candidate = twist(ordinary, phi)
     assert candidate.cocycle == need.rescale(phi.modulus) or \
         candidate.cocycle == need
@@ -151,7 +159,7 @@ def test_twisted_klein_object_irreducible(d4_klein):
     cls = irreducibles(rig, omega.restrict(rig))[0]
     assert cls.dim == 2
     from heckefuse.projrep import hom_dim
-    assert hom_dim(realize(cls), realize(cls)) == 1
+    assert hom_dim(cls.rep, cls.rep) == 1
 
 
 # ------------------------------------------------------------ fusion
@@ -194,7 +202,7 @@ def test_cross_oracle_with_ext_hecke(s3s4):
     elem = []
     for label in pair.labels():
         for cls in irreducibles(pair.little(label)):
-            elem.append(make(pair, omega, label, realize(cls)))
+            elem.append(make(pair, omega, label, cls.rep))
     assert len(ext) == len(elem)
     for (x_ext, x_elem) in zip(ext, elem):
         assert to_ext_hecke(BimoduleSum.of(x_elem)) == x_ext
@@ -247,9 +255,9 @@ def test_not_isomorphic_across_cosets(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     e_label, k_label = pair.labels()
     a = make(pair, omega, e_label,
-             realize(irreducibles(pair.little(e_label))[0]))
+             irreducibles(pair.little(e_label))[0].rep)
     b = make(pair, omega, k_label,
-             realize(irreducibles(pair.little(k_label))[0]))
+             irreducibles(pair.little(k_label))[0].rep)
     assert isomorphism_witness(a, b) is None
 
 
@@ -257,7 +265,7 @@ def test_isomorphism_round_trip(s3s4):
     pair = s3s4
     omega = Cocycle.trivial(pair.gamma)
     k_label = pair.labels()[1]
-    pi = realize(irreducibles(pair.little(k_label))[1])
+    pi = irreducibles(pair.little(k_label))[1].rep
     obj = make(pair, omega, k_label, pi)
     g = Perm.parse(4, "(0 1 2)")
     h = Perm.parse(4, "(0 1)")
@@ -269,7 +277,8 @@ def test_isomorphism_round_trip(s3s4):
     wg, wh = witness
     assert wg * k_label * wh == moved_delta
     # and the canonical forms agree
-    assert canonical_term(obj) == canonical_term(moved)
+    assert canonical_term(pair, omega, obj.delta, obj.rep) == \
+        canonical_term(pair, omega, moved.delta, moved.rep)
 
 
 def test_isomorphism_round_trip_twisted(d4_klein):
@@ -282,7 +291,8 @@ def test_isomorphism_round_trip_twisted(d4_klein):
     moved = make(pair, omega, g * target.delta * h,
                  transfer_rep(pair, omega, target.delta, target.rep, g, h))
     assert isomorphism_witness(target, moved) is not None
-    assert canonical_term(target) == canonical_term(moved)
+    assert canonical_term(pair, omega, target.delta, target.rep) == \
+        canonical_term(pair, omega, moved.delta, moved.rep)
 
 
 # ------------------------------------------------------------ direct sums
@@ -292,8 +302,8 @@ def test_direct_sum_dims_add(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     k_label = pair.labels()[1]
     classes = irreducibles(pair.little(k_label))
-    a = make(pair, omega, k_label, realize(classes[0]))
-    b = make(pair, omega, k_label, realize(classes[1]))
+    a = make(pair, omega, k_label, classes[0].rep)
+    b = make(pair, omega, k_label, classes[1].rep)
     both = direct_sum_objects(a, b)
     assert both.rep.dim == a.rep.dim + b.rep.dim
     assert BimoduleSum.of(both) == BimoduleSum.of(a) + BimoduleSum.of(b)
@@ -303,8 +313,8 @@ def test_direct_sum_requires_same_delta(s3s4):
     pair = s3s4
     omega = Cocycle.trivial(pair.gamma)
     e_label, k_label = pair.labels()
-    a = make(pair, omega, e_label, realize(irreducibles(pair.little(e_label))[0]))
-    b = make(pair, omega, k_label, realize(irreducibles(pair.little(k_label))[0]))
+    a = make(pair, omega, e_label, irreducibles(pair.little(e_label))[0].rep)
+    b = make(pair, omega, k_label, irreducibles(pair.little(k_label))[0].rep)
     with pytest.raises(ValueError):
         direct_sum_objects(a, b)
 
@@ -322,14 +332,14 @@ def test_to_ext_hecke_round_trip(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     k_label = pair.labels()[1]
     triv_cls = [c for c in irreducibles(pair.little(k_label)) if c.dim == 1][0]
-    obj = make(pair, omega, k_label, realize(triv_cls))
+    obj = make(pair, omega, k_label, triv_cls.rep)
     ext = to_ext_hecke(obj)
     assert ext.support == {k_label: {triv_cls: 1}}
     # move delta somewhere else in the double coset and come back
     other = sorted(pair.cosets.coset(k_label).elements)[7]
     c1, c2 = pair.decomposition(k_label, other)
     from heckefuse.projrep import transport
-    moved_rep = transport(realize(triv_cls), pair.little_of_element(other),
+    moved_rep = transport(triv_cls.rep, pair.little_of_element(other),
                           lambda t: t.conjugate(c2))
     moved = make(pair, omega, other, moved_rep)
     assert to_ext_hecke(moved) == ext
@@ -355,3 +365,83 @@ def test_canonical_sums_are_representative_independent(d4_klein):
         objs2 = elementary_basis(shuffled, klein_cocycle(shuffled))
         got = fuse_objects(objs2[4], objs2[5]).terms
         assert got == baseline
+
+
+def test_canonical_term_rejects_a_rep_without_the_required_cocycle(d4_klein):
+    pair = d4_klein
+    omega = klein_cocycle(pair)
+    rotation = Perm.parse(4, "(0 1 2 3)")
+    with pytest.raises(CocycleBookkeepingError):
+        canonical_term(pair, omega, rotation,
+                       trivial_rep(pair.little_of_element(rotation)))
+
+
+def test_canonical_representative_needs_a_matching_class(s3s4):
+    pair = s3s4
+    omega = Cocycle.trivial(pair.gamma)
+    k_label = pair.labels()[1]
+    fingerprint = ((7.0, 0.0),) * len(pair.little(k_label))
+    with pytest.raises(NumericalDegradation):
+        canonical_representative(pair, omega, (k_label.images, fingerprint))
+
+
+# ------------------------------------------------------------ values own their data
+
+def catalog_case(name):
+    pair = build_pair(BUILTIN[name])
+    return pair, build_omega(BUILTIN[name], pair) or Cocycle.trivial(pair.gamma)
+
+
+def test_sums_survive_clear_caches():
+    pair, omega = catalog_case("S3_in_S4")
+    objs = elementary_basis(pair, omega)
+    total = fuse_objects(objs[-1], objs[-1]) + fuse_objects(objs[1], objs[-1])
+
+    def observe():
+        return ([(obj.delta, obj.rep.char_key(), mult) for obj, mult in total.items()],
+                total.total_dim(), repr(total), to_ext_hecke(total),
+                fuse(total, total))
+
+    before = observe()
+    heckefuse.clear_caches()
+    assert observe() == before
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
+def test_repeated_fusion_builds_no_objects_or_subgroups(name, monkeypatch):
+    pair, omega = catalog_case(name)
+    objs = elementary_basis(pair, omega)
+    for x, y in itertools.product(objs, repeat=2):
+        fuse_objects(x, y)
+    built = []
+    for cls in (elementary.ElementaryBimodule, permcore.Subgroup):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for x, y in itertools.product(objs, repeat=2):
+        fuse_objects(x, y)
+    assert built == []
+
+
+# sha256 of the elem_sum_json of fuse_objects over every pair of basis objects
+# (catalog cocycle, trivial where the catalog has none), recorded before
+# canonical forms moved onto the pair
+GOLDEN_ELEMENTARY = {
+    "D4_klein": "ea7f378f1390e817df33967da2b6fa00bf151e93e9a1cbebf21fbdf270601898",
+    "Heis3": "bb3ef0a3ece301aee11094a842e7c64920ad4219c89e2387823da8baf3116c1c",
+    "S3_in_S4": "4c554ff29d0eeab36ecf82ef3730c65256575742de8b8258d63923ddbb3f9537",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ELEMENTARY))
+def test_elementary_products_match_golden_digests(name):
+    pair, omega = catalog_case(name)
+    objs = elementary_basis(pair, omega)
+    products = [elem_sum_json(pair, omega, fuse_objects(x, y))
+                for x, y in itertools.product(objs, repeat=2)]
+    digest = hashlib.sha256(json.dumps(products, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_ELEMENTARY[name]

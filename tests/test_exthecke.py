@@ -34,7 +34,6 @@ from heckefuse.projrep import (
     hom_dim,
     induce,
     irreducibles,
-    realize,
     regular_rep,
     restrict,
     tensor,
@@ -70,7 +69,7 @@ def value_at(x, target):
     parts = x.support.get(label)
     if parts is None:
         return None
-    base = direct_sum([realize(cls) for cls in sorted(parts, key=lambda c: c.sort_key())
+    base = direct_sum([cls.rep for cls in sorted(parts, key=lambda c: c.sort_key())
                        for _ in range(parts[cls])])
     if target == label:
         return base
@@ -101,7 +100,7 @@ def reciprocity_oracle(pair, x, y):
             right = restrict(value_at(y, h), meet)
             tau = tensor(left, right)
             for cls in irreducibles(little_g):
-                m = hom_dim(tau, restrict(realize(cls), meet))
+                m = hom_dim(tau, restrict(cls.rep, meet))
                 if m:
                     per_class[cls] = per_class.get(cls, 0) + m
         if per_class:
@@ -470,10 +469,10 @@ def test_from_rep_homomorphism(s3s4):
     gamma_classes = irreducibles(pair.little(pair.labels()[0]))
     for a in gamma_classes:
         for b in gamma_classes:
-            x = from_rep(pair, realize(a))
-            y = from_rep(pair, realize(b))
+            x = from_rep(pair, a.rep)
+            y = from_rep(pair, b.rep)
             prod = fuse(x, y)
-            expect = from_rep_multiset(pair, decompose(tensor(realize(a), realize(b))))
+            expect = from_rep_multiset(pair, decompose(tensor(a.rep, b.rep)))
             assert prod == expect
 
 
@@ -543,6 +542,18 @@ def test_transport_class_on_wrong_little_group_raises(s3s4):
                            (e_label, k_cls, Perm.parse(4, "(1 2)"))]:
         with pytest.raises(ValueError, match="wrong little group"):
             transport_class(pair, label, cls, at)
+
+
+def test_decompositions_are_every_pair_in_gamma_order(s3s4):
+    pair = s3s4
+    e_label, k_label = pair.labels()
+    gamma = pair.gamma.elements
+    for target in sorted(pair.cosets.coset(k_label).elements)[::4]:
+        brute = [(c1, c2) for c2 in gamma for c1 in gamma
+                 if c1 * k_label * c2 == target]
+        assert list(pair.decompositions(k_label, target)) == brute
+        assert len(brute) == len(pair.little(k_label))
+    assert list(pair.decompositions(k_label, e_label)) == []
 
 
 def test_transport_decomposition_independent(s3s4):

@@ -6,6 +6,7 @@ from heckefuse.cocycle import Cocycle, PhaseFunction, coboundary, heisenberg_coc
 from heckefuse.permcore import FiniteGroup, Perm, right_coset_reps
 from heckefuse.projrep import (
     Rep,
+    RepClass,
     clear_caches,
     conjugate_rep,
     decompose,
@@ -15,9 +16,7 @@ from heckefuse.projrep import (
     induce,
     irreducibles,
     multiset_dim,
-    realize,
     regular_rep,
-    rep_class,
     restrict,
     tensor,
     transport,
@@ -100,7 +99,7 @@ def test_irreducibles_are_canonically_ordered_and_stable():
 def test_induce_from_whole_group_is_identity_up_to_equivalence():
     g = s3()
     classes = irreducibles(g)
-    two_dim = realize(classes[-1])
+    two_dim = (classes[-1]).rep
     ind = induce(two_dim, g, Cocycle.trivial(g))
     assert equivalent(ind, two_dim)
 
@@ -124,7 +123,7 @@ def test_induce_trivial_from_z2_matches_permutation_character():
 def test_induced_dimension_formula():
     g, h = z2_in_s3()
     for cls in irreducibles(h):
-        ind = induce(realize(cls), g, Cocycle.trivial(g))
+        ind = induce(cls.rep, g, Cocycle.trivial(g))
         assert ind.dim == (len(g) // len(h)) * cls.dim
 
 
@@ -160,19 +159,19 @@ def test_induce_along_twisted_cocycle():
 
 def test_tensor_with_trivial():
     g = s3()
-    std = realize(irreducibles(g)[-1])
+    std = (irreducibles(g)[-1]).rep
     assert equivalent(tensor(std, trivial_rep(g)), std)
 
 
 def test_conjugate_standard_rep_is_self():
     g = s3()
-    std = realize(irreducibles(g)[-1])
+    std = (irreducibles(g)[-1]).rep
     assert equivalent(conjugate_rep(std), std)
 
 
 def test_twist_cocycle_bookkeeping():
     g = s3()
-    std = realize(irreducibles(g)[-1])
+    std = (irreducibles(g)[-1]).rep
     phi = PhaseFunction(g, 6, [0, 1, 2, 3, 4, 5])
     twisted = twist(std, phi)
     assert twisted.cocycle == std.cocycle * coboundary(phi)
@@ -180,7 +179,7 @@ def test_twist_cocycle_bookkeeping():
 
 def test_transport_along_inner_automorphism_is_equivalent():
     g = s3()
-    std = realize(irreducibles(g)[-1])
+    std = (irreducibles(g)[-1]).rep
     c = Perm.parse(3, "(0 1 2)")
     moved = transport(std, g, lambda x: x.conjugate(c))
     assert equivalent(moved, std)
@@ -188,7 +187,7 @@ def test_transport_along_inner_automorphism_is_equivalent():
 
 def test_restrict_then_decompose():
     g, h = z2_in_s3()
-    std = realize(irreducibles(g)[-1])
+    std = (irreducibles(g)[-1]).rep
     parts = decompose(restrict(std, h))
     assert multiset_dim(parts) == 2
     assert sorted(c.dim for c in parts) == [1, 1]
@@ -199,7 +198,7 @@ def test_restrict_then_decompose():
 def test_hom_dim_schur():
     g = s3()
     for cls in irreducibles(g):
-        rep = realize(cls)
+        rep = cls.rep
         assert hom_dim(rep, rep) == 1
 
 
@@ -211,7 +210,7 @@ def test_hom_dim_regular_vs_trivial():
 def test_hom_dim_counts_multiplicities():
     g = s3()
     classes = irreducibles(g)
-    std = realize(classes[-1])
+    std = (classes[-1]).rep
     doubled = direct_sum([std, std])
     assert hom_dim(doubled, doubled) == 4
     assert hom_dim(doubled, std) == 2
@@ -229,10 +228,10 @@ def test_frobenius_reciprocity():
     g, h = z2_in_s3()
     triv_g = Cocycle.trivial(g)
     for small in irreducibles(h):
-        ind = induce(realize(small), g, triv_g)
+        ind = induce(small.rep, g, triv_g)
         for big in irreducibles(g):
-            lhs = hom_dim(ind, realize(big))
-            rhs = hom_dim(realize(small), restrict(realize(big), h))
+            lhs = hom_dim(ind, big.rep)
+            rhs = hom_dim(small.rep, restrict(big.rep, h))
             assert lhs == rhs
 
 
@@ -240,8 +239,8 @@ def test_frobenius_reciprocity():
 
 def test_decompose_irreducible_is_singleton():
     g = s3()
-    std = realize(irreducibles(g)[-1])
-    assert decompose(std) == {rep_class(std): 1}
+    std = (irreducibles(g)[-1]).rep
+    assert decompose(std) == {RepClass(std): 1}
 
 
 def test_decompose_respects_character_sum():
@@ -258,7 +257,7 @@ def test_direct_sum_round_trip():
     g = s3()
     classes = irreducibles(g)
     ms = {classes[0]: 2, classes[-1]: 1}
-    rep = direct_sum([realize(classes[0])] * 2 + [realize(classes[-1])])
+    rep = direct_sum([classes[0].rep] * 2 + [(classes[-1]).rep])
     assert rep.dim == 4
     assert decompose(rep) == ms
 
@@ -268,7 +267,7 @@ def test_equivalence_matches_hom_dim_on_irreducibles():
     classes = irreducibles(g)
     for a in classes:
         for b in classes:
-            ra, rb = realize(a), realize(b)
+            ra, rb = a.rep, b.rep
             assert (hom_dim(ra, rb) >= 1) == equivalent(ra, rb)
 
 
@@ -332,7 +331,7 @@ def _heisenberg3_induced():
 
 def _s3_induced():
     g, h = z2_in_s3()
-    return induce(realize(irreducibles(h)[-1]), g, Cocycle.trivial(g))
+    return induce((irreducibles(h)[-1]).rep, g, Cocycle.trivial(g))
 
 
 DECOMPOSE_CASES = {
