@@ -188,8 +188,6 @@ def check_conjugation_identity(pair: FinitePair, omega: Cocycle,
 def check_heisenberg_classification(pair: FinitePair, omega: Cocycle,
                                     cfg: Config, entry: CatalogEntry) -> None:
     n = entry.omega[1]
-    if n > 4:
-        return
     coords = heisenberg_chart(entry, omega.group, n)
     all_classes = [bilinear_cocycle(omega.group, coords, n, k) for k in range(n)]
     for i, ci in enumerate(all_classes):

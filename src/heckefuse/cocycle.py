@@ -68,6 +68,13 @@ class Cocycle:
         self._key = (group.key(),) + _canonical_table(modulus, self.table)
 
     def _validate(self) -> None:
+        """Check normalization on all of G, the cocycle identity on G x G x S.
+
+        S is ``small_generating_set()``.  F = delta(omega) satisfies
+        delta(F) = 0, so F(g, h, s) = 0 for every generator s gives
+        F(g, h, k s) = F(g, h, k); with F(g, h, e) = 0 from normalization,
+        F vanishes everywhere.  The work is n^2 |S| instead of n^3.
+        """
         group, m, table = self.group, self.modulus, self.table
         n = len(group)
         e_idx = group.index_of(group.identity)
@@ -76,21 +83,18 @@ class Cocycle:
                 raise CocycleError(
                     f"not normalized at ({group.elements[i].cycle_string()})")
         mul = group.mul_table()
-        for i in range(n):
-            row_i = table[i]
-            mul_i = mul[i]
-            for j in range(n):
-                ij = mul_i[j]
-                base = row_i[j]
-                row_ij = table[ij]
-                row_j_mul = mul[j]
-                for k in range(n):
-                    if (base + row_ij[k] - table[j][k] - row_i[row_j_mul[k]]) % m:
+        for s in group.small_generating_set():
+            k = group.index_of(s)
+            col_k = [row[k] for row in table]
+            for i in range(n):
+                row_i, mul_i = table[i], mul[i]
+                for j in range(n):
+                    if (row_i[j] + col_k[mul_i[j]] - col_k[j] - row_i[mul[j][k]]) % m:
                         els = group.elements
                         raise CocycleError(
                             "cocycle identity fails at "
                             f"({els[i].cycle_string()}, {els[j].cycle_string()}, "
-                            f"{els[k].cycle_string()})")
+                            f"{s.cycle_string()})")
 
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "Cocycle":
@@ -321,32 +325,41 @@ def _solve_mod(a: list[list[int]], b: list[int], modulus: int) -> Optional[list[
 
 
 def coboundary_witness(target: Cocycle) -> Optional[PhaseFunction]:
-    """A phase phi with coboundary(phi) = target, if target is a coboundary."""
-    group, m = target.group, target.modulus
-    els = group.elements
-    idx = group.index_of
-    e_idx = idx(group.identity)
-    unknowns = [i for i in range(len(els)) if i != e_idx]
-    column = {g: c for c, g in enumerate(unknowns)}
-    a, b = [], []
-    for i, g in enumerate(els):
-        for j, h in enumerate(els):
-            if i == e_idx or j == e_idx:
-                continue
-            row = [0] * len(unknowns)
-            row[column[i]] += 1
-            row[column[j]] += 1
-            k = idx(g * h)
-            if k != e_idx:
-                row[column[k]] -= 1
-            a.append(row)
-            b.append(target.table[i][j])
-    x = _solve_mod(a, b, m)
+    """A phase phi with coboundary(phi) = target, if target is a coboundary.
+
+    phi(g s) = phi(g) + phi(s) - target(g, s) propagates phi along a
+    breadth-first tree over S = ``small_generating_set()``, so phi is affine
+    in the |S| unknowns phi(s); each non-tree edge (g, s) gives one row mod m,
+    at most |G| |S| rows in all.  Solving them suffices: if d = target -
+    delta(phi) vanishes on G x S, the cocycle identity gives d(g, h s) =
+    d(g, h), so d = 0.
+    """
+    group, m, table = target.group, target.modulus, target.table
+    mul = group.mul_table()
+    gens = [group.index_of(s) for s in group.small_generating_set()]
+    e_idx = group.index_of(group.identity)
+    affine = {e_idx: ((0,) * len(gens), 0)}  # index -> (coefficients, constant)
+    rows: dict = {}
+    queue = [e_idx]
+    for g in queue:  # grows while iterating: breadth-first
+        coeffs, const = affine[g]
+        for c, s in enumerate(gens):
+            gs = mul[g][s]
+            new = (tuple((a + (t == c)) % m for t, a in enumerate(coeffs)),
+                   (const - table[g][s]) % m)
+            old = affine.get(gs)
+            if old is None:
+                affine[gs] = new
+                queue.append(gs)
+            else:  # a non-tree edge: both affine forms of phi(gs) must agree
+                rows[tuple((a - b) % m for a, b in zip(new[0], old[0])),
+                     (old[1] - new[1]) % m] = None
+    x = _solve_mod([list(r) for r, _ in rows], [b for _, b in rows], m)
     if x is None:
         return None
-    values = [0] * len(els)
-    for i, c in column.items():
-        values[i] = x[c]
+    values = [0] * len(group)
+    for i, (coeffs, const) in affine.items():
+        values[i] = (const + sum(a * xi for a, xi in zip(coeffs, x))) % m
     phi = PhaseFunction(group, m, values)
     if phi.coboundary() != target:
         raise RuntimeError(f"solved phase {phi.values} is not a coboundary witness")
@@ -428,15 +441,13 @@ def bilinear_cocycle(group: FiniteGroup, coords: dict[Perm, tuple[int, int]],
     """
     if len(group) != n * n:
         raise ValueError("group order must be n^2")
-    for g in group.elements:
-        for h in group.elements:
-            gx, gy = coords[g]
-            hx, hy = coords[h]
-            px, py = coords[g * h]
+    xy = [coords[g] for g in group.elements]
+    for (gx, gy), mul_g in zip(xy, group.mul_table()):
+        for (hx, hy), gh in zip(xy, mul_g):
+            px, py = xy[gh]
             if (px - gx - hx) % n or (py - gy - hy) % n:
                 raise ValueError("chart is not additive")
-    table = [[(k * coords[g][0] * coords[h][1]) % n for h in group.elements]
-             for g in group.elements]
+    table = [[(k * gx * hy) % n for _, hy in xy] for gx, _ in xy]
     return Cocycle(group, n, table)
 
 

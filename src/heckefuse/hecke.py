@@ -375,6 +375,17 @@ class HeckeElement:
                 for label, c in self.sorted_items()]
 
 
+def _product_labels(bk, kx, ky) -> set:
+    """Labels of the double cosets in coset(kx) * coset(ky).
+
+    If coset(kx) is the disjoint union of the right cosets Gamma r, the
+    product set is the union of the double cosets of r * beta for any one
+    beta in coset(ky) (Shimura 1971, section 3.1): one product per r.
+    """
+    beta = bk.element_of(ky)
+    return {bk.canonical_label(bk.mul(r, beta)) for r in bk.right_reps(kx)}
+
+
 def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """(x * y)(g) = sum over right cosets h in supp(y) of x(g h^-1) y(h)."""
     if x.backend is not y.backend:
@@ -383,10 +394,8 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     y_reps = {label: bk.right_reps(label) for label in y.coeffs}
     candidates = set()
     for kx in x.coeffs:
-        for r in bk.right_reps(kx):
-            for ky, reps in y_reps.items():
-                for s in reps:
-                    candidates.add(bk.canonical_label(bk.mul(r, s)))
+        for ky in y.coeffs:
+            candidates |= _product_labels(bk, kx, ky)
     out = {}
     for label in candidates:
         g = bk.element_of(label)
@@ -436,19 +445,15 @@ def lambda_multiplicativity_witnesses(x: HeckeElement, y: HeckeElement) -> list:
     of representative products are checked directly.
     """
     bk = x.backend
-    support_fn = getattr(bk, "product_support", None)
+    # BC has a closed form; the other backends take one product per r
+    support = (getattr(bk, "product_support", None)
+               or functools.partial(_product_labels, bk))
     bad = []
     for kx in x.coeffs:
-        reps_x = bk.right_reps(kx)
         lam_x = modular_lambda(bk, kx)
         for ky in y.coeffs:
             want = lam_x * modular_lambda(bk, ky)
-            if support_fn is not None:
-                support = support_fn(kx, ky)
-            else:
-                support = {bk.canonical_label(bk.mul(r, s))
-                           for r in reps_x for s in bk.right_reps(ky)}
-            for label in support:
+            for label in support(kx, ky):
                 got = modular_lambda(bk, label)
                 if got != want:
                     bad.append((kx, ky, label, got, want))

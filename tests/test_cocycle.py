@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heckefuse.catalog import CatalogEntry, build_omega, build_pair
+from heckefuse.checks import Config, check_heisenberg_classification
 from heckefuse.cocycle import (
     Cocycle,
     CocycleError,
@@ -20,7 +23,7 @@ from heckefuse.cocycle import (
     heisenberg_group,
     _solve_mod,
 )
-from heckefuse.permcore import FiniteGroup
+from heckefuse.permcore import FiniteGroup, Perm
 
 
 def klein():
@@ -249,13 +252,41 @@ def test_heisenberg_klein_class_is_nontrivial():
     assert not are_cohomologous(omega, Cocycle.trivial(group, 2))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_heisenberg_classification(n):
     group, coords, _ = heisenberg_cocycle(n, 0)
     cocycles = [bilinear_cocycle(group, coords, n, k) for k in range(n)]
     for i in range(n):
         for j in range(n):
             assert are_cohomologous(cocycles[i], cocycles[j]) == (i == j)
+
+
+def test_bilinear_cocycle_rejects_a_non_additive_chart():
+    group, coords = heisenberg_group(3)
+    a, b = sorted(g for g in group.elements if coords[g] in ((1, 0), (2, 0)))
+    swapped = dict(coords)
+    swapped[a], swapped[b] = coords[b], coords[a]
+    with pytest.raises(ValueError, match="not additive"):
+        bilinear_cocycle(group, swapped, 3, 1)
+    bilinear_cocycle(group, coords, 3, 1)
+
+
+def test_heisenberg_check_runs_beyond_n4(monkeypatch):
+    # the check used to return early for n > 4 and pass without a comparison
+    entry = CatalogEntry(name="Heis5", degree=10,
+                         g_gens=("(0 1 2 3 4)", "(5 6 7 8 9)"),
+                         gamma_gens=("(0 1 2 3 4)", "(5 6 7 8 9)"),
+                         omega=("heisenberg", 5, 1))
+    pair = build_pair(entry)
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return are_cohomologous(a, b)
+
+    monkeypatch.setattr("heckefuse.checks.are_cohomologous", counting)
+    check_heisenberg_classification(pair, build_omega(entry, pair), Config(), entry)
+    assert len(calls) == 25
 
 
 def test_heisenberg_commutation_pairing():
@@ -271,3 +302,188 @@ def test_heisenberg_commutation_pairing():
 def test_group_exponent():
     assert group_exponent(FiniteGroup.symmetric(3)) == 6
     assert group_exponent(FiniteGroup.cyclic(4)) == 4
+
+
+# ---------------------------------------------------------------- generator validation
+
+def brute_force_is_cocycle(group, m, table):
+    """The cocycle identity on all |G|^3 triples, by group multiplication."""
+    els, idx = group.elements, group.index_of
+    return all((table[i][j] + table[idx(g * h)][k]
+                - table[j][k] - table[i][idx(h * els[k])]) % m == 0
+               for i, g in enumerate(els) for j, h in enumerate(els)
+               for k in range(len(els)))
+
+
+def d4_tables():
+    """(D4, m, table) for exponents al*b*c + be*a*d + ga*b*d + de*a*c mod m at
+    (r^a f^b, r^c f^d), r = (0 1 2 3), f = (1 3): cocycles and non-cocycles,
+    split and non-split."""
+    r, f = Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")
+    d4 = FiniteGroup.generate(4, [r, f])
+    chart = {(r ** a) * (f ** b): (a, b) for a in range(4) for b in range(2)}
+    for m in (2, 4):
+        for al, be, ga, de in itertools.product(range(m), repeat=4):
+            yield d4, m, [[(al * chart[g][1] * chart[h][0]
+                            + be * chart[g][0] * chart[h][1]
+                            + ga * chart[g][1] * chart[h][1]
+                            + de * chart[g][0] * chart[h][0]) % m
+                           for h in d4.elements] for g in d4.elements]
+
+
+def s3_cocycles():
+    """k * sgn(g) * sgn(h) mod m on S3 (sgn in {0, 1}), pulled back from Z/2;
+    at (m, k) = (2, 1) it splits over S^1 but not over mu_2."""
+    s3 = FiniteGroup.symmetric(3)
+    sgn = [sum(len(c) - 1 for c in g.cycles()) % 2 for g in s3.elements]
+    return [Cocycle(s3, m, [[k * a * b for b in sgn] for a in sgn])
+            for m in (2, 4, 6) for k in range(m)]
+
+
+def test_generator_validation_matches_all_triples():
+    accepted = 0
+    for group, m, table in d4_tables():
+        try:
+            Cocycle(group, m, table)
+        except CocycleError:
+            assert not brute_force_is_cocycle(group, m, table)
+        else:
+            accepted += 1
+            assert brute_force_is_cocycle(group, m, table)
+    assert 0 < accepted < 16 + 256
+
+
+def test_validation_error_names_a_failing_triple():
+    group, omega = klein_yx_cocycle()
+    idx = group.index_of
+    by_name = {x.cycle_string(): x for x in group.elements}
+    for i, j in itertools.product(range(1, 4), repeat=2):
+        table = [list(row) for row in omega.table]
+        table[i][j] ^= 1
+        with pytest.raises(CocycleError, match="identity fails") as err:
+            Cocycle(group, 2, table)
+        g, h, k = (by_name[c] for c in
+                   str(err.value).split("at (", 1)[1][:-1].split(", "))
+        assert k in group.small_generating_set()
+        assert (table[idx(g)][idx(h)] + table[idx(g * h)][idx(k)]
+                - table[idx(h)][idx(k)] - table[idx(g)][idx(h * k)]) % 2
+
+
+# ---------------------------------------------------------------- solver oracle
+
+def dense_coboundary_witness(target):
+    """The dense solver: one row per pair of non-identity elements, (|G|-1)^2
+    rows over the |G|-1 unknown values of phi; exact but cubic in |G|."""
+    group, m = target.group, target.modulus
+    els = group.elements
+    idx = group.index_of
+    e_idx = idx(group.identity)
+    unknowns = [i for i in range(len(els)) if i != e_idx]
+    column = {g: c for c, g in enumerate(unknowns)}
+    a, b = [], []
+    for i, g in enumerate(els):
+        for j, h in enumerate(els):
+            if i == e_idx or j == e_idx:
+                continue
+            row = [0] * len(unknowns)
+            row[column[i]] += 1
+            row[column[j]] += 1
+            k = idx(g * h)
+            if k != e_idx:
+                row[column[k]] -= 1
+            a.append(row)
+            b.append(target.table[i][j])
+    x = _solve_mod(a, b, m)
+    if x is None:
+        return None
+    values = [0] * len(els)
+    for i, c in column.items():
+        values[i] = x[c]
+    return PhaseFunction(group, m, values)
+
+
+def twisted(omega, rng):
+    """omega times the coboundary of a seeded random phase."""
+    group, m = omega.group, omega.modulus
+    e_idx = group.index_of(group.identity)
+    return omega * PhaseFunction(group, m, [
+        0 if i == e_idx else rng.randrange(m) for i in range(len(group))
+    ]).coboundary()
+
+
+def oracle_targets():
+    """Named cocycles whose splitting the dense and propagating solvers must
+    decide alike: the inputs of the cohomology tests above, every Heisenberg
+    class on (Z/n)^2 for n <= 4 twisted by a seeded coboundary (untwisted too
+    for n <= 3), cocycles on D4 and S3 (plain and twisted), each also at its
+    S^1 modulus, and the trivial group."""
+    rng = random.Random(7)
+    group, omega = klein_yx_cocycle()
+    z2 = Cocycle(FiniteGroup.cyclic(2), 2, [[0, 0], [0, 1]])
+    out = {
+        "klein-self": omega * omega.inverse(),
+        "klein-vs-trivial": omega,
+        "klein-shifted": coboundary(PhaseFunction(group, 2, [0, 1, 1, 0])),
+        "z2-mu2": z2,
+        "z2-s1": z2.rescale(4),
+        "trivial-group": Cocycle.trivial(FiniteGroup.cyclic(1), 3),
+    }
+    for n in (2, 3, 4):
+        hgroup, coords, _ = heisenberg_cocycle(n, 0)
+        for k in range(n):
+            cls = bilinear_cocycle(hgroup, coords, n, k)
+            if n <= 3:
+                out[f"heis{n}-{k}"] = cls
+            out[f"heis{n}-{k}-twisted"] = twisted(cls, rng)
+    d4 = []
+    for group, m, table in d4_tables():
+        try:
+            d4.append(Cocycle(group, m, table))
+        except CocycleError:
+            pass
+    for name, family in (("d4", d4[::3]), ("s3", s3_cocycles())):
+        for i, c in enumerate(family):
+            out[f"{name}-{i}"] = c
+            out[f"{name}-{i}-twisted"] = twisted(c, rng)
+            out[f"{name}-{i}-s1"] = c.rescale(c.modulus * group_exponent(c.group))
+    return out
+
+
+ORACLE_TARGETS = oracle_targets()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TARGETS))
+def test_propagating_solver_matches_dense_oracle(name):
+    target = ORACLE_TARGETS[name]
+    dense = dense_coboundary_witness(target)
+    phi = coboundary_witness(target)
+    assert (phi is None) == (dense is None)
+    if phi is not None:
+        # witnesses are unique only up to Hom(G, Z/m), so compare coboundaries
+        assert coboundary(phi) == target == coboundary(dense)
+
+
+def test_oracle_targets_include_both_verdicts():
+    verdicts = {name: coboundary_witness(c) is not None
+                for name, c in ORACLE_TARGETS.items()}
+    for prefix in ("heis4", "d4", "s3"):
+        assert {v for k, v in verdicts.items() if k.startswith(prefix)} == {True, False}
+    assert not verdicts["z2-mu2"] and verdicts["z2-s1"]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_solver_system_is_generators_wide(n, monkeypatch):
+    shapes = []
+
+    def recording(a, b, modulus):
+        shapes.append((len(a), len(a[0]) if a else 0))
+        return _solve_mod(a, b, modulus)
+
+    monkeypatch.setattr("heckefuse.cocycle._solve_mod", recording)
+    group, coords, _ = heisenberg_cocycle(n, 0)
+    gens = len(group.small_generating_set())
+    rng = random.Random(n)
+    for k in range(n):
+        coboundary_witness(twisted(bilinear_cocycle(group, coords, n, k), rng))
+    assert len(shapes) == n
+    assert all(rows <= len(group) * gens and cols <= gens for rows, cols in shapes)

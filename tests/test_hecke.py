@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckefuse.catalog import BUILTIN, build_pair
 from heckefuse.hecke import (
     BostConnesHecke,
     FiniteHecke,
@@ -364,3 +365,77 @@ def test_parse_element_errors(finite_s3_s4):
         parse_element(finite_s3_s4, "T[K]*")
     with pytest.raises(ValueError):
         parse_element(finite_s3_s4, "")
+
+
+# ------------------------------------------------------------ one representative per coset
+
+def all_pairs_convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """Convolution with candidate labels from every product r * s of
+    right-coset representatives of the two supports."""
+    bk = x.backend
+    y_reps = {label: bk.right_reps(label) for label in y.coeffs}
+    candidates = set()
+    for kx in x.coeffs:
+        for r in bk.right_reps(kx):
+            for ky, reps in y_reps.items():
+                for s in reps:
+                    candidates.add(bk.canonical_label(bk.mul(r, s)))
+    out = {}
+    for label in candidates:
+        g = bk.element_of(label)
+        total = 0
+        for ky, cy in y.coeffs.items():
+            for s in y_reps[ky]:
+                t = bk.canonical_label(bk.mul(g, bk.inv(s)))
+                total += cy * x.coeffs.get(t, 0)
+        if total:
+            out[label] = total
+    return HeckeElement(bk, out)
+
+
+def assert_convolve_matches_all_pairs(bk, labels):
+    for kx, ky in itertools.product(labels, repeat=2):
+        x, y = HeckeElement(bk, {kx: 1}), HeckeElement(bk, {ky: 1})
+        assert convolve(x, y) == all_pairs_convolve(x, y), (kx, ky)
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein", "Heis3"])
+def test_convolve_matches_all_pairs_finite(name):
+    bk = build_pair(BUILTIN[name]).hecke()
+    assert_convolve_matches_all_pairs(bk, bk.labels())
+
+
+def test_convolve_matches_all_pairs_gl2(gl2):
+    # a full grid to 10 and composite pairs up to 30; the all-pairs oracle
+    # would take about 40 s on the full grid to 30
+    assert_convolve_matches_all_pairs(
+        gl2, [(Fraction(1), Fraction(a)) for a in range(1, 11)])
+    for a, b in ((12, 12), (18, 30), (30, 24), (30, 30)):
+        x = HeckeElement(gl2, {(Fraction(1), Fraction(a)): 1})
+        y = HeckeElement(gl2, {(Fraction(1), Fraction(b)): 1})
+        assert convolve(x, y) == all_pairs_convolve(x, y), (a, b)
+
+
+def test_convolve_matches_all_pairs_bc(bc):
+    fracs = [Fraction(n, d) for n in (1, 2, 3, 4) for d in (1, 2, 3, 4)]
+    residues = [Fraction(0), Fraction(1, 3)]
+    assert_convolve_matches_all_pairs(
+        bc, sorted({bc.canonical_label((a, r)) for a in fracs for r in residues}))
+
+
+@pytest.mark.parametrize("kind, expr, bound", [
+    ("gl2", "T[1,42]*T[1,66]", 700),
+    ("bc", "T[1/130;0]*T[1/182;0]", 320),
+])
+def test_product_canonicalizes_once_per_representative(kind, expr, bound, monkeypatch):
+    cls = GL2Hecke if kind == "gl2" else BostConnesHecke
+    calls = []
+    original = cls.canonical_label
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(cls, "canonical_label", counting)
+    parse_element(cls(), expr)
+    assert len(calls) <= bound
