@@ -100,7 +100,8 @@ from . import cocycle, elementary, projrep
 def clear_caches() -> None:
     """Empty every module-level cache of the package.
 
-    Per-pair caches live on their ``FinitePair`` and go with it.
+    Per-pair caches live on their ``FinitePair``, and coset tables on their
+    ``FiniteGroup``; each goes with its owner.
     """
     projrep.clear_caches()
     cocycle._TRIVIAL_CACHE.clear()

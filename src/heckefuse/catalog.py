@@ -91,6 +91,14 @@ def parse_omega_spec(text: str):
     raise ValueError(f"unsupported cocycle spec: {text!r}")
 
 
+def _string_list(text: str) -> tuple:
+    """A JSON list of strings, as a tuple; a ValueError otherwise."""
+    items = json.loads(text)
+    if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
+        raise ValueError(f"expected a JSON list of strings, got {text!r}")
+    return tuple(items)
+
+
 def parse_catalog(text: str) -> dict[str, CatalogEntry]:
     entries = {}
     block: dict[str, str] = {}
@@ -107,11 +115,20 @@ def parse_catalog(text: str) -> dict[str, CatalogEntry]:
                                          note=block.get("note", ""))
             block.clear()
             return
-        omega = parse_omega_spec(block["omega"]) if "omega" in block else None
+
+        def field(key, parse):
+            if key not in block:
+                raise ValueError(f"catalog record {name!r} lacks the key {key!r}")
+            try:
+                return parse(block[key])
+            except ValueError as exc:
+                raise ValueError(
+                    f"catalog record {name!r}, key {key!r}: {exc}") from None
+
+        omega = field("omega", parse_omega_spec) if "omega" in block else None
         entries[name] = CatalogEntry(
-            name=name, kind="finite", degree=int(block["degree"]),
-            g_gens=tuple(json.loads(block["G"])),
-            gamma_gens=tuple(json.loads(block["Gamma"])),
+            name=name, kind="finite", degree=field("degree", int),
+            g_gens=field("G", _string_list), gamma_gens=field("Gamma", _string_list),
             omega=omega, note=block.get("note", ""))
         block.clear()
 

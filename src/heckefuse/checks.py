@@ -524,8 +524,12 @@ def run_checks(entry_names: Optional[list[str]] = None,
                 bk, cfg, small)
             continue
 
-        pair = build_pair(entry, seed=cfg.seed)
-        omega = build_omega(entry, pair)
+        try:
+            pair = build_pair(entry, seed=cfg.seed)
+            omega = build_omega(entry, pair)
+        except Exception as exc:  # noqa: BLE001 - a bad entry fails alone
+            outcomes.append(Outcome("build-entry", entry_name, False, str(exc)))
+            continue
         run("coset-counting", entry_name, check_coset_counting, pair, cfg)
         run("labels-stable", entry_name, check_labels_stable, pair, cfg)
         run("conjugation-isomorphism", entry_name,

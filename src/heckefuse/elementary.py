@@ -29,7 +29,7 @@ from typing import Optional
 
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import Perm, two_sided_orbit_reps
+from .permcore import Perm
 from .projrep import (
     NumericalDegradation,
     Rep,
@@ -266,9 +266,11 @@ def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
         raise ValueError("objects carry different ambient cocycles")
     gamma = pair.gamma
     out: dict = {}
-    mid_reps = two_sided_orbit_reps(gamma, h1.right_subgroup, h2.left_subgroup,
-                                    rng=pair.rng)
-    for g in mid_reps:
+    # right_subgroup\gamma/left_subgroup as left_subgroup-orbits on the
+    # right cosets; g is the least element of the double coset, or a random one
+    cosets, coset_of = gamma.right_cosets(h1.right_subgroup)
+    for orbit in gamma.coset_orbits(h1.right_subgroup, h2.left_subgroup):
+        g = pair.pick([x for m in orbit for x in cosets[coset_of[m]]])
         new_delta = h1.delta * g * h2.delta
         rig_new = pair.little_of_element(new_delta)
         meet = pair.intersection(rig_new, h2.right_subgroup)

@@ -41,7 +41,6 @@ from .permcore import (
     Perm,
     Subgroup,
     conjugate_intersection,
-    right_coset_reps,
 )
 from .projrep import (
     Rep,
@@ -69,10 +68,10 @@ class FinitePair:
     fusion, the one path that still induces matrices.  The canonical pair
     (rng=None) makes the lexicographically least choice everywhere.
 
-    The pair keeps the orbits of each little group on right cosets, per
-    label the double cosets each orbit reads (``orbit_labels``), and the
-    canonical terms and representatives of elementary objects over it
-    (filled by :mod:`heckefuse.elementary`).
+    The group keeps the right cosets of gamma and the orbits of each little
+    group on them.  The pair keeps, per label, the double cosets each orbit
+    reads (``orbit_labels``), and the canonical terms and representatives of
+    elementary objects over it (filled by :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -84,22 +83,14 @@ class FinitePair:
         self.rng = rng
         self.cosets = DoubleCosetSystem(group, gamma, rng=rng)
         self._hecke = FiniteHecke(group, gamma, self.cosets)
-        self._little: dict[Perm, Subgroup] = {
+        self._little_of: dict[Perm, Subgroup] = {
             dc.label: dc.little for dc in self.cosets.cosets}
-        self._little_of: dict[Perm, Subgroup] = {}
-        self._orbits: dict[tuple, list] = {}
         self._orbit_labels: dict[Perm, list] = {}
         self._decomp: dict[tuple, tuple] = {}
         self._fuse: dict[tuple, dict] = {}
         self._conj: dict[tuple, dict] = {}
         self._canon: dict[tuple, object] = {}
         self._meets: dict[tuple, Subgroup] = {}
-        # right cosets of gamma\G as their minimal elements
-        self._coset_mins = tuple(right_coset_reps(group, gamma))
-        self._coset_min_of = {}
-        for m in self._coset_mins:
-            for h in gamma.elements:
-                self._coset_min_of[h * m] = m
 
     def with_choices(self, rng) -> "FinitePair":
         """The same pair with all representative choices drawn from rng."""
@@ -115,36 +106,31 @@ class FinitePair:
         return self.cosets.label_of(g)
 
     def little(self, label: Perm) -> Subgroup:
-        hit = self._little.get(label)
-        if hit is None:
-            raise ValueError(f"{label!r} is not the label of a double coset")
-        return hit
+        try:
+            return self.cosets.coset(label).little
+        except KeyError:
+            raise ValueError(
+                f"{label!r} is not the label of a double coset") from None
 
     def little_of_element(self, t: Perm) -> Subgroup:
-        hit = self._little.get(t) or self._little_of.get(t)
+        hit = self._little_of.get(t)
         if hit is None:
             hit = self._little_of[t] = conjugate_intersection(self.gamma, t)
         return hit
 
     def decomposition(self, label: Perm, target: Perm) -> tuple[Perm, Perm]:
-        """(c1, c2) in gamma^2 with target = c1 * label * c2."""
+        """(c1, c2) in gamma^2 with target = c1 * label * c2: the first of
+        ``decompositions``, or one picked under rng; memoized."""
         key = (label, target)
         hit = self._decomp.get(key)
-        if hit is not None:
-            return hit
-        order = list(self.gamma.elements)
-        if self.rng is not None:
-            self.rng.shuffle(order)
-        gamma_set = set(self.gamma.elements)
-        linv = label.inverse()
-        for c2 in order:
-            c1 = target * c2.inverse() * linv
-            if c1 in gamma_set:
-                self._decomp[key] = (c1, c2)
-                return c1, c2
-        raise ValueError(
-            f"{target.cycle_string()} is not in the double coset of "
-            f"{label.cycle_string()}")
+        if hit is None:
+            found = list(self.decompositions(label, target))
+            if not found:
+                raise ValueError(
+                    f"{target.cycle_string()} is not in the double coset of "
+                    f"{label.cycle_string()}")
+            hit = self._decomp[key] = self.pick(found)
+        return hit
 
     def decompositions(self, delta: Perm, target: Perm):
         """Every (c1, c2) in gamma^2 with target = c1 * delta * c2, in the
@@ -164,33 +150,11 @@ class FinitePair:
             self._meets[key] = hit
         return hit
 
-    def coset_orbits(self, little: Subgroup) -> list[list[Perm]]:
-        """Orbits of the little group on right cosets (as coset-min lists)."""
-        hit = self._orbits.get(little.key())
-        if hit is not None:
-            return hit
-        remaining = set(self._coset_mins)
-        orbits = []
-        for start in self._coset_mins:
-            if start not in remaining:
-                continue
-            orbit = {start}
-            boundary = [start]
-            while boundary:
-                fresh = []
-                for m in boundary:
-                    for x in little.elements:
-                        nxt = self._coset_min_of[m * x]
-                        if nxt not in orbit:
-                            orbit.add(nxt)
-                            fresh.append(nxt)
-                boundary = fresh
-            remaining -= orbit
-            orbits.append(sorted(orbit))
-        self._orbits[little.key()] = orbits
-        return orbits
+    def coset_orbits(self, little: Subgroup) -> tuple:
+        """Orbits of the little group on right cosets (as coset-min tuples)."""
+        return self.group.coset_orbits(self.gamma, little)
 
-    def orbit_labels(self, label: Perm) -> list[tuple[list[Perm], Perm, Perm]]:
+    def orbit_labels(self, label: Perm) -> list[tuple[tuple, Perm, Perm]]:
         """(orbit, label of label * m^-1, label of m) per orbit of little(label),
         with m the orbit's minimum.
 
@@ -213,10 +177,10 @@ class FinitePair:
         return items[self.rng.randrange(len(items))]
 
     def random_coset_element(self, coset_min: Perm) -> Perm:
-        if self.rng is None:
-            return coset_min
-        els = [h * coset_min for h in self.gamma.elements]
-        return els[self.rng.randrange(len(els))]
+        """An element of the right coset gamma * coset_min: its minimum, or
+        one picked under rng."""
+        cosets, coset_of = self.group.right_cosets(self.gamma)
+        return self.pick(cosets[coset_of[coset_min]])
 
 
 class ExtHeckeElement:
@@ -532,7 +496,7 @@ def basis(pair: FinitePair) -> list[tuple[str, ExtHeckeElement]]:
 
 def crossed_dim_identity(pair: FinitePair) -> tuple[int, int]:
     """(|gamma\\G| * |gamma|,  sum over labels of right_count^2 * |little|)."""
-    lhs = len(pair._coset_mins) * len(pair.gamma)
+    lhs = len(pair.group.right_cosets(pair.gamma)[0]) * len(pair.gamma)
     rhs = sum(dc.right_count ** 2 * len(dc.little) for dc in pair.cosets.cosets)
     return lhs, rhs
 

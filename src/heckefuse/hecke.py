@@ -391,7 +391,8 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     if x.backend is not y.backend:
         raise ValueError("cannot convolve over different backends")
     bk = x.backend
-    y_reps = {label: bk.right_reps(label) for label in y.coeffs}
+    y_invs = {label: [bk.inv(s) for s in bk.right_reps(label)]
+              for label in y.coeffs}
     candidates = set()
     for kx in x.coeffs:
         for ky in y.coeffs:
@@ -401,8 +402,8 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         g = bk.element_of(label)
         total = 0
         for ky, cy in y.coeffs.items():
-            for s in y_reps[ky]:
-                t = bk.canonical_label(bk.mul(g, bk.inv(s)))
+            for s_inv in y_invs[ky]:
+                t = bk.canonical_label(bk.mul(g, s_inv))
                 total += cy * x.coeffs.get(t, 0)
         if total:
             out[label] = total

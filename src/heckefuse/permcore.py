@@ -204,6 +204,8 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._index = {g: i for i, g in enumerate(elements)}
         self._key = (degree, tuple(g.images for g in elements))
+        self._right_cosets: dict = {}
+        self._coset_orbits: dict = {}
 
     @classmethod
     def generate(cls, degree: int, generators: Sequence[Perm],
@@ -272,6 +274,47 @@ class FiniteGroup:
             inv = np.array(self.inv_indices(), dtype=np.intp)
             table = self._conj_table = mul[mul, inv[:, None]]
         return table
+
+    def right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
+        """The right cosets sub * g, each a sorted tuple, in order of their
+        minima, and the number of the coset holding each element.
+
+        Computed once per subgroup and kept on the group, like ``mul_table``.
+        """
+        hit = self._right_cosets.get(sub.key())
+        if hit is None:
+            if not self.contains_subset(sub.elements):
+                raise ValueError("cosets need a subgroup of the group")
+            cosets, coset_of = [], {}
+            for g in self.elements:
+                if g not in coset_of:
+                    coset = tuple(sorted(h * g for h in sub.elements))
+                    coset_of.update(dict.fromkeys(coset, len(cosets)))
+                    cosets.append(coset)
+            hit = self._right_cosets[sub.key()] = (tuple(cosets), coset_of)
+        return hit
+
+    def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
+        """The orbits of actor, acting by right multiplication on sub\\group,
+        each the sorted tuple of its cosets' minima, in order of minimum.
+
+        An orbit of sub on its own cosets is a double coset; one of L on
+        R\\group is a double coset R g L.  Kept on the group, like
+        ``right_cosets``.
+        """
+        key = (sub.key(), actor.key())
+        hit = self._coset_orbits.get(key)
+        if hit is None:
+            cosets, coset_of = self.right_cosets(sub)
+            seen, orbits = set(), []
+            for coset in cosets:
+                if coset[0] not in seen:
+                    orbit = tuple(sorted({cosets[coset_of[coset[0] * x]][0]
+                                          for x in actor.elements}))
+                    seen.update(orbit)
+                    orbits.append(orbit)
+            hit = self._coset_orbits[key] = tuple(orbits)
+        return hit
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._key == other._key
@@ -415,50 +458,32 @@ class DoubleCosetSystem:
         self.cosets: list[DoubleCoset] = []
         self._label_of: dict[Perm, Perm] = {}
         self._by_label: dict[Perm, DoubleCoset] = {}
-        gels = gamma.elements
-        for g in group.elements:
-            if g in self._label_of:
-                continue
-            coset = frozenset(a * g * b for a in gels for b in gels)
-            label = min(coset)
-            # right cosets gamma*x inside the double coset
-            leftover = set(coset)
-            rep_by_coset = []
-            for x in sorted(leftover):
-                if x not in leftover:
-                    continue
-                rc = [a * x for a in gels]
-                for y in rc:
-                    leftover.discard(y)
-                rep_by_coset.append((min(rc), sorted(rc)))
-            rep_by_coset.sort()
+        right_cosets, coset_of = group.right_cosets(gamma)
+        # a double coset is an orbit of gamma on the right cosets gamma\G
+        for orbit in group.coset_orbits(gamma, gamma):
+            label = orbit[0]
+            members = [right_cosets[coset_of[m]] for m in orbit]
             if rng is None:
-                right_reps = tuple(r for r, _ in rep_by_coset)
+                right_reps = orbit
             else:
-                right_reps = tuple(rc[rng.randrange(len(rc))] for _, rc in rep_by_coset)
+                right_reps = tuple(rc[rng.randrange(len(rc))] for rc in members)
             little = conjugate_intersection(gamma, label)
             left_little = conjugate_intersection(gamma, label.inverse())
             dc = DoubleCoset(
                 label=label,
-                elements=coset,
+                elements=frozenset(x for rc in members for x in rc),
                 right_reps=right_reps,
                 left_count=len(gamma) // len(left_little),
                 right_count=len(gamma) // len(little),
                 little=little,
             )
+            if len(right_reps) != dc.right_count:
+                raise RuntimeError(
+                    f"double coset of {label.cycle_string()} has "
+                    f"{len(right_reps)} right cosets, not {dc.right_count}")
             self.cosets.append(dc)
             self._by_label[label] = dc
-            for x in coset:
-                self._label_of[x] = label
-        covered = sum(len(dc.elements) for dc in self.cosets)
-        if covered != len(group):
-            raise RuntimeError(
-                f"double cosets cover {covered} elements of a group of order {len(group)}")
-        for dc in self.cosets:
-            if len(dc.right_reps) != dc.right_count:
-                raise RuntimeError(
-                    f"double coset of {dc.label.cycle_string()} has "
-                    f"{len(dc.right_reps)} right cosets, not {dc.right_count}")
+            self._label_of.update(dict.fromkeys(dc.elements, label))
 
     def label_of(self, g: Perm) -> Perm:
         return self._label_of[g]
@@ -479,29 +504,12 @@ def double_cosets(group: FiniteGroup, gamma: Subgroup) -> DoubleCosetSystem:
 
 def right_coset_reps(group: FiniteGroup, sub: FiniteGroup,
                      rng=None) -> list[Perm]:
-    """Representatives of sub\\group; canonical choice is the coset minimum."""
-    reps, covered = [], set()
-    for g in group.elements:
-        if g in covered:
-            continue
-        coset = [h * g for h in sub.elements]
-        for y in coset:
-            covered.add(y)
-        reps.append(min(coset) if rng is None else coset[rng.randrange(len(coset))])
-    return reps
-
-
-def two_sided_orbit_reps(group: FiniteGroup, left: FiniteGroup,
-                         right: FiniteGroup, rng=None) -> list[Perm]:
-    """Representatives of left\\group/right for two possibly different subgroups."""
-    reps, covered = [], set()
-    for g in group.elements:
-        if g in covered:
-            continue
-        orbit = [a * g * b for a in left.elements for b in right.elements]
-        covered.update(orbit)
-        reps.append(min(orbit) if rng is None else orbit[rng.randrange(len(orbit))])
-    return reps
+    """Representatives of sub\\group, in order of coset minimum; the
+    canonical choice is the minimum, else one rng draw per coset."""
+    cosets = group.right_cosets(sub)[0]
+    if rng is None:
+        return [coset[0] for coset in cosets]
+    return [coset[rng.randrange(len(coset))] for coset in cosets]
 
 
 def normalizer_in_sym(gamma: FiniteGroup,
@@ -551,9 +559,6 @@ class GroupAction:
 
     def act(self, g: Perm, i: int) -> int:
         return self._table[g][i]
-
-    def perm_of(self, g: Perm) -> Perm:
-        return Perm(self._table[g])
 
     def orbits(self) -> list[list[int]]:
         seen, out = set(), []
@@ -617,51 +622,46 @@ class Commensuration:
                               iso_inv)
 
 
+def _hom_from_generators(group: FiniteGroup, values: dict, one,
+                         mul: Callable) -> Optional[dict]:
+    """The homomorphism f on group with f(s) = values[s] on
+    ``small_generating_set()``, or None if there is none.
+
+    Propagates f(g s) = f(g) f(s) along a breadth-first tree over the
+    generators and checks every other edge (g, s) of group x generators; by
+    induction on word length that gives f(g s1..sk) = f(g) f(s1)..f(sk).
+    """
+    gens = group.small_generating_set()
+    table = {group.identity: one}
+    boundary = [group.identity]
+    while boundary:
+        fresh = []
+        for g in boundary:
+            for s in gens:
+                gs, image = g * s, mul(table[g], values[s])
+                if gs not in table:
+                    table[gs] = image
+                    fresh.append(gs)
+                elif table[gs] != image:
+                    return None
+        boundary = fresh
+    return table
+
+
 def _injective_homs(domain: Subgroup, codomain: FiniteGroup,
                     allowed: dict[Perm, set[Perm]]) -> list[dict[Perm, Perm]]:
     """All injective homomorphisms with values constrained pointwise."""
     gens = domain.small_generating_set()
-    if not gens:
-        e_img = {lam for lam in allowed[domain.identity]}
-        return [{domain.identity: codomain.identity}] \
-            if codomain.identity in e_img else []
     results = []
-
-    def extend(assignment: dict[Perm, Perm]) -> Optional[dict[Perm, Perm]]:
-        # close the partial generator assignment to a map on all of domain,
-        # then verify it is a homomorphism in full
-        table = dict(assignment)
-        table[domain.identity] = codomain.identity
-        boundary = list(table)
-        while boundary:
-            fresh = []
-            for a in list(table):
-                for b in boundary:
-                    c = a * b
-                    img = table[a] * table[b]
-                    if c not in table:
-                        table[c] = img
-                        fresh.append(c)
-            boundary = fresh
-        if len(table) != len(domain):
-            return None
-        for a in table:
-            for b in table:
-                if table[a * b] != table[a] * table[b]:
-                    return None
-        return table
 
     def backtrack(k: int, assignment: dict[Perm, Perm]):
         if k == len(gens):
-            table = extend(assignment)
-            if table is None:
+            table = _hom_from_generators(domain, assignment, codomain.identity,
+                                         lambda a, b: a * b)
+            if table is None or len(set(table.values())) != len(table):
                 return
-            if len(set(table.values())) != len(table):
-                return
-            for g, lam in table.items():
-                if lam not in allowed[g]:
-                    return
-            results.append(table)
+            if all(lam in allowed[g] for g, lam in table.items()):
+                results.append(table)
             return
         for lam in sorted(allowed[gens[k]]):
             assignment[gens[k]] = lam
@@ -723,14 +723,9 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
     """
     comm = commutator_subgroup(group)
     cset = set(comm.elements)
-    # cosets of the commutator subgroup, with coset order = order in quotient
-    cosets: list[Perm] = []
-    covered: set[Perm] = set()
-    for g in group.elements:
-        if g in covered:
-            continue
-        cosets.append(g)
-        covered.update(g * c for c in comm.elements)
+    # cosets of the normal commutator subgroup, with coset order = order
+    # in the quotient
+    cosets = right_coset_reps(group, comm)
 
     def coset_order(x: Perm) -> int:
         k, y = 1, x
@@ -803,28 +798,9 @@ def characters(group: FiniteGroup) -> list[dict[Perm, int]]:
     found: set[tuple] = set()
     out = []
     for values in itertools.product(range(m), repeat=len(gens)):
-        table: dict[Perm, int] = {group.identity: 0}
-        for g, v in zip(gens, values):
-            if g in table and table[g] != v % m:
-                table = None
-                break
-            table[g] = v % m
+        table = _hom_from_generators(group, dict(zip(gens, values)), 0,
+                                     lambda a, b: (a + b) % m)
         if table is None:
-            continue
-        boundary = list(table)
-        while boundary:
-            fresh = []
-            for a in list(table):
-                for b in boundary:
-                    c = a * b
-                    if c not in table:
-                        table[c] = (table[a] + table[b]) % m
-                        fresh.append(c)
-            boundary = fresh
-        if len(table) != len(group):
-            continue
-        if any(table[a * b] != (table[a] + table[b]) % m
-               for a in table for b in table):
             continue
         key = tuple(table[g] for g in group.elements)
         if key not in found:
@@ -856,13 +832,8 @@ def out_description(gamma: FiniteGroup,
     invs = abelian_invariants(gamma)
     m = invs[-1] if invs else 1
     norm = normalizer_in_sym(gamma, max_degree)
-    gamma_set = set(gamma.elements)
-    reps, covered = [], set()
-    for s in norm.elements:
-        if s in covered:
-            continue
-        reps.append(s)
-        covered.update(s * g for g in gamma.elements)
+    # gamma is normal in norm, so its left and right cosets agree
+    reps = right_coset_reps(norm, gamma)
     char_keys = [tuple(c[g] for g in gamma.elements) for c in chars]
     key_index = {k: i for i, k in enumerate(char_keys)}
     action = {}

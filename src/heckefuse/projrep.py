@@ -251,18 +251,8 @@ def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
         raise ValueError("extension cocycle must live on the big group")
     if ext_cocycle.restrict(sub) != rep.cocycle:
         raise ValueError("cocycle restriction mismatch")
-    cache_key = (big.key(), sub.key())
-    cached = _COSET_REPS.get(cache_key) if rng is None else None
-    if cached is None:
-        reps = right_coset_reps(big, sub, rng)
-        coset_of = {}
-        for j, r in enumerate(reps):
-            for h in sub.elements:
-                coset_of[h * r] = j
-        if rng is None:
-            _COSET_REPS[cache_key] = (reps, coset_of)
-    else:
-        reps, coset_of = cached
+    coset_of = big.right_cosets(sub)[1]
+    reps = right_coset_reps(big, sub, rng)
     k, d = len(reps), rep.dim
     m_mod = ext_cocycle.modulus
     mats = []
@@ -309,13 +299,11 @@ def hom_dim(a: Rep, b: Rep) -> int:
 # ------------------------------------------------------------ decomposition
 
 _IRREDUCIBLES: dict = {}
-_COSET_REPS: dict = {}
 
 
 def clear_caches() -> None:
     _PHASES.clear()
     _IRREDUCIBLES.clear()
-    _COSET_REPS.clear()
 
 
 def _average_commutant(rep: Rep, rng: np.random.Generator) -> np.ndarray:

@@ -205,3 +205,58 @@ def test_build_omega_rejects_bad_subgroup():
     pair = build_pair(entry)
     with pytest.raises(ValueError):
         build_omega(entry, pair)
+
+
+FINITE_RECORD = {
+    "degree": "degree = 4",
+    "G": 'G = ["(0 1)", "(0 1 2 3)"]',
+    "Gamma": 'Gamma = ["(0 1)", "(0 1 2)"]',
+}
+
+
+@pytest.mark.parametrize("key", sorted(FINITE_RECORD))
+def test_parse_catalog_names_a_missing_key(key):
+    lines = ["name = partial"] + [v for k, v in FINITE_RECORD.items() if k != key]
+    with pytest.raises(ValueError, match=f"'partial'.*'{key}'"):
+        parse_catalog("\n".join(lines) + "\n")
+
+
+def test_parse_catalog_names_a_malformed_list():
+    text = ("name = broken\ndegree = 4\n"
+            'G = ["(0 1)", "(0 1 2 3)"\nGamma = ["(0 1)"]\n')
+    with pytest.raises(ValueError, match="'broken', key 'G'"):
+        parse_catalog(text)
+    with pytest.raises(ValueError, match="'broken', key 'Gamma'"):
+        parse_catalog(text.replace('"(0 1 2 3)"\n', '"(0 1 2 3)"]\n')
+                      .replace('["(0 1)"]', '"(0 1)"'))
+
+
+BAD_OMEGA_RECORD = (
+    "name = klein_heis3\n"
+    "degree = 4\n"
+    'G = ["(0 1)(2 3)", "(0 2)(1 3)"]\n'
+    'Gamma = ["(0 1)(2 3)", "(0 2)(1 3)"]\n'
+    "omega = heisenberg 3 1\n"
+)
+
+
+def test_run_checks_survives_a_bad_entry():
+    from heckefuse.checks import Config, run_checks
+    catalog = parse_catalog(BAD_OMEGA_RECORD)
+    catalog.update(parse_catalog(
+        "name = z3\ndegree = 3\n" 'G = ["(0 1 2)"]\n' 'Gamma = ["(0 1 2)"]\n'))
+    outcomes = run_checks(["klein_heis3", "z3"], catalog, Config(trials=2))
+    first, rest = outcomes[0], outcomes[1:]
+    assert (first.name, first.target, first.passed) == ("build-entry", "klein_heis3",
+                                                        False)
+    assert first.detail
+    assert rest and all(o.passed and o.target == "z3" for o in rest)
+
+
+def test_check_command_fails_on_a_bad_entry(tmp_path, capsys):
+    catalog = tmp_path / "bad.cat"
+    catalog.write_text(BAD_OMEGA_RECORD)
+    code, out = run(capsys, "--catalog", str(catalog), "check",
+                    "--pair", "klein_heis3")
+    assert code == 1
+    assert "FAIL build-entry [klein_heis3]" in out

@@ -125,7 +125,9 @@ def matrix_contribution(pair, x, y, g0, h):
 
 def pair_orbits(pair, little):
     """Orbits of the little group on pairs of right cosets, diagonally."""
-    all_pairs = {(a, b) for a in pair._coset_mins for b in pair._coset_mins}
+    cosets, coset_of = pair.group.right_cosets(pair.gamma)
+    mins = [coset[0] for coset in cosets]
+    all_pairs = {(a, b) for a in mins for b in mins}
     orbits = []
     while all_pairs:
         start = min(all_pairs)
@@ -135,7 +137,7 @@ def pair_orbits(pair, little):
             fresh = []
             for (a, b) in boundary:
                 for x in little.elements:
-                    nxt = (pair._coset_min_of[a * x], pair._coset_min_of[b * x])
+                    nxt = (cosets[coset_of[a * x]][0], cosets[coset_of[b * x]][0])
                     if nxt not in orbit:
                         orbit.add(nxt)
                         fresh.append(nxt)

@@ -439,3 +439,18 @@ def test_product_canonicalizes_once_per_representative(kind, expr, bound, monkey
     monkeypatch.setattr(cls, "canonical_label", counting)
     parse_element(cls(), expr)
     assert len(calls) <= bound
+
+
+def test_product_inverts_each_right_representative_once(monkeypatch):
+    # 144 right-coset representatives of T[1,66]; the convolution used to
+    # invert each of them once per candidate label (4 * 144 = 576)
+    calls = []
+    original = GL2Hecke.inv
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(GL2Hecke, "inv", counting)
+    parse_element(GL2Hecke(), "T[1,42]*T[1,66]")
+    assert len(calls) == 144
