@@ -28,7 +28,6 @@ from .cocycle import (
     bilinear_cocycle,
     coboundary,
     cohomology_witness,
-    conjugation_phase,
 )
 from .elementary import (
     BimoduleSum,
@@ -38,6 +37,7 @@ from .elementary import (
     identity_object,
     is_irreducible,
     make,
+    pair_conjugation_phase,
     to_ext_hecke as elem_to_ext,
 )
 from .exthecke import (
@@ -182,7 +182,7 @@ def check_cohomologous_equivalence(pair: FinitePair, omega: Cocycle,
 def check_conjugation_identity(pair: FinitePair, omega: Cocycle,
                                cfg: Config) -> None:
     for g in omega.group.elements:
-        conjugation_phase(omega, g)  # raises if the identity fails
+        pair_conjugation_phase(pair, omega, g)  # raises if the identity fails
 
 
 def check_heisenberg_classification(pair: FinitePair, omega: Cocycle,

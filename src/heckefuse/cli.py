@@ -45,7 +45,10 @@ SCHEMA = 1
 def load_catalog(path: Optional[str]) -> dict[str, CatalogEntry]:
     entries = dict(BUILTIN)
     if path:
-        entries.update(parse_catalog(Path(path).read_text()))
+        try:
+            entries.update(parse_catalog(Path(path).read_text()))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot load catalog {path}: {exc}") from None
     return entries
 
 

@@ -1,10 +1,10 @@
 """Scalar 2-cocycles on finite groups with values in roots of unity.
 
 A cocycle is stored additively: its value at (g, h) is exp(2*pi*i*e/m)
-where e = table[i][j] is an exponent mod m and i, j index the canonical
-element order of the group.  Every cohomology class of a finite group has
-a representative with values in some mu_m, so nothing is lost and all
-cohomology questions become exact linear algebra over Z/m.
+where e = arr[i, j] is an exponent mod m in one int64 array, and i, j
+index the canonical element order of the group.  Every cohomology class of
+a finite group has a representative with values in some mu_m, so nothing is
+lost and all cohomology questions become exact linear algebra over Z/m.
 
 Cocycles are normalized, omega(e, g) = omega(g, e) = 1; constructors can
 normalize arbitrary input by dividing out a (constant) coboundary.
@@ -12,11 +12,12 @@ normalize arbitrary input by dividing out a (constant) coboundary.
 
 from __future__ import annotations
 
-import cmath
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .permcore import FiniteGroup, Perm
+import numpy as np
+
+from .permcore import FiniteGroup, Perm, conj_map
 
 
 class CocycleError(ValueError):
@@ -26,26 +27,13 @@ class CocycleError(ValueError):
 _TRIVIAL_CACHE: dict = {}
 
 
-def _canonical_table(modulus: int, table) -> tuple[int, tuple]:
-    """Reduce (modulus, table) so equal root-of-unity functions compare equal."""
-    g = modulus
-    for row in table:
-        for e in row:
-            g = gcd(g, e)
-    # g divides the modulus and every entry; g == modulus iff the table is zero
-    if g == modulus:
-        n = len(table)
-        return 1, tuple((0,) * n for _ in range(n))
-    m = modulus // g
-    return m, tuple(tuple(e // g for e in row) for row in table)
-
-
 class Cocycle:
     """A normalized scalar 2-cocycle with values in m-th roots of unity.
 
-    Constructing from a raw table validates the cocycle identity; operations
-    that preserve validity by construction (products, inverses, rescaling,
-    restriction, pullback along homomorphisms, coboundaries) skip the check.
+    ``arr`` is the (|G|, |G|) int64 array of exponents mod m.  Constructing
+    from a raw table validates the cocycle identity; operations that preserve
+    validity by construction (products, inverses, rescaling, restriction,
+    pullback along homomorphisms, coboundaries) skip the check.
     """
 
     def __init__(self, group: FiniteGroup, modulus: int, table,
@@ -53,19 +41,25 @@ class Cocycle:
         if modulus < 1:
             raise ValueError("modulus must be positive")
         n = len(group)
-        table = [list(int(e) % modulus for e in row) for row in table]
-        if len(table) != n or any(len(row) != n for row in table):
+        arr = np.array(table, dtype=np.int64) % modulus
+        if arr.shape != (n, n):
             raise ValueError("table must be |G| x |G|")
-        e_idx = group.index_of(group.identity)
-        if normalize:
-            const = table[e_idx][e_idx]
-            table = [[(e - const) % modulus for e in row] for row in table]
+        if normalize:  # the identity is element 0
+            arr = (arr - arr[0, 0]) % modulus
         self.group = group
         self.modulus = modulus
-        self.table = tuple(tuple(row) for row in table)
+        self.arr = arr
         if validate:
             self._validate()
-        self._key = (group.key(),) + _canonical_table(modulus, self.table)
+        # reduced so equal root-of-unity functions compare equal; the gcd is
+        # the modulus iff the table is zero
+        g = gcd(modulus, int(np.gcd.reduce(arr, axis=None)))
+        self._key = (group.key(), modulus // g, (arr // g).tobytes())
+
+    @property
+    def table(self) -> tuple:
+        """The exponents as nested tuples of ints."""
+        return tuple(map(tuple, self.arr.tolist()))
 
     def _validate(self) -> None:
         """Check normalization on all of G, the cocycle identity on G x G x S.
@@ -75,26 +69,21 @@ class Cocycle:
         F(g, h, k s) = F(g, h, k); with F(g, h, e) = 0 from normalization,
         F vanishes everywhere.  The work is n^2 |S| instead of n^3.
         """
-        group, m, table = self.group, self.modulus, self.table
-        n = len(group)
-        e_idx = group.index_of(group.identity)
-        for i in range(n):
-            if table[e_idx][i] or table[i][e_idx]:
-                raise CocycleError(
-                    f"not normalized at ({group.elements[i].cycle_string()})")
+        group, m, t = self.group, self.modulus, self.arr
+        els = group.elements
+        off = np.flatnonzero(t[0] | t[:, 0])
+        if len(off):
+            raise CocycleError(f"not normalized at ({els[off[0]].cycle_string()})")
         mul = group.mul_table()
         for s in group.small_generating_set():
             k = group.index_of(s)
-            col_k = [row[k] for row in table]
-            for i in range(n):
-                row_i, mul_i = table[i], mul[i]
-                for j in range(n):
-                    if (row_i[j] + col_k[mul_i[j]] - col_k[j] - row_i[mul[j][k]]) % m:
-                        els = group.elements
-                        raise CocycleError(
-                            "cocycle identity fails at "
-                            f"({els[i].cycle_string()}, {els[j].cycle_string()}, "
-                            f"{s.cycle_string()})")
+            fails = np.argwhere((t + t[mul, k] - t[:, k] - t[:, mul[:, k]]) % m)
+            if len(fails):
+                i, j = fails[0]
+                raise CocycleError(
+                    "cocycle identity fails at "
+                    f"({els[i].cycle_string()}, {els[j].cycle_string()}, "
+                    f"{s.cycle_string()})")
 
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "Cocycle":
@@ -102,64 +91,50 @@ class Cocycle:
         hit = _TRIVIAL_CACHE.get(key)
         if hit is None:
             n = len(group)
-            hit = cls(group, modulus, [[0] * n for _ in range(n)], validate=False)
+            hit = cls(group, modulus, np.zeros((n, n), np.int64), validate=False)
             _TRIVIAL_CACHE[key] = hit
         return hit
 
     def exponent(self, g: Perm, h: Perm) -> int:
-        return self.table[self.group.index_of(g)][self.group.index_of(h)]
-
-    def value(self, g: Perm, h: Perm) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent(g, h) / self.modulus)
+        return int(self.arr[self.group.index_of(g), self.group.index_of(h)])
 
     def is_trivial_table(self) -> bool:
-        return all(e == 0 for row in self.table for e in row)
+        return not self.arr.any()
 
     def rescale(self, new_modulus: int) -> "Cocycle":
         if new_modulus == self.modulus:
             return self
         if new_modulus % self.modulus:
             raise ValueError("new modulus must be a multiple of the old one")
-        f = new_modulus // self.modulus
         return Cocycle(self.group, new_modulus,
-                       [[e * f for e in row] for row in self.table],
-                       validate=False)
+                       self.arr * (new_modulus // self.modulus), validate=False)
 
     def __mul__(self, other: "Cocycle") -> "Cocycle":
         if other.group != self.group:
             raise ValueError("cocycles live on different groups")
         m = lcm(self.modulus, other.modulus)
-        a, b = self.rescale(m), other.rescale(m)
-        return Cocycle(self.group, m,
-                       [[(x + y) % m for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a.table, b.table)],
+        return Cocycle(self.group, m, self.rescale(m).arr + other.rescale(m).arr,
                        validate=False)
 
     def inverse(self) -> "Cocycle":
-        m = self.modulus
-        return Cocycle(self.group, m,
-                       [[(-e) % m for e in row] for row in self.table],
-                       validate=False)
+        return Cocycle(self.group, self.modulus, -self.arr, validate=False)
 
     def restrict(self, sub: FiniteGroup) -> "Cocycle":
-        if not self.group.contains_subset(sub.elements):
+        idx = self.group.positions(sub.images)
+        if (idx < 0).any():
             raise ValueError("restriction target is not a subgroup")
-        idx = [self.group.index_of(g) for g in sub.elements]
-        return Cocycle(sub, self.modulus,
-                       [[self.table[i][j] for j in idx] for i in idx],
-                       validate=False)
+        return self.pullback(sub, idx)
 
-    def pullback(self, new_group: FiniteGroup,
-                 fwd: Callable[[Perm], Perm]) -> "Cocycle":
-        """The cocycle (x, y) -> self(fwd x, fwd y); fwd must be a homomorphism."""
-        idx = [self.group.index_of(fwd(g)) for g in new_group.elements]
-        return Cocycle(new_group, self.modulus,
-                       [[self.table[i][j] for j in idx] for i in idx],
+    def pullback(self, new_group: FiniteGroup, idx) -> "Cocycle":
+        """The cocycle (x, y) -> self(fwd x, fwd y) for a homomorphism fwd,
+        given as idx[i] = position in self.group of fwd(new_group element i)."""
+        idx = np.asarray(idx)
+        return Cocycle(new_group, self.modulus, self.arr[np.ix_(idx, idx)],
                        validate=False)
 
     def conjugated(self, g: Perm) -> "Cocycle":
         """self o Ad g on the same group: (x, y) -> self(gxg^-1, gyg^-1)."""
-        return self.pullback(self.group, lambda x: x.conjugate(g))
+        return self.pullback(self.group, conj_map(self.group, g, self.group))
 
     def key(self):
         return self._key
@@ -176,13 +151,13 @@ class Cocycle:
 
 
 class PhaseFunction:
-    """A function group -> mu_m, stored as exponents; phi(e) = 0."""
+    """A function group -> mu_m, stored as an int64 array of exponents; phi(e) = 0."""
 
     def __init__(self, group: FiniteGroup, modulus: int, values):
-        values = tuple(int(v) % modulus for v in values)
-        if len(values) != len(group):
+        values = np.array(values, dtype=np.int64) % modulus
+        if values.shape != (len(group),):
             raise ValueError("need one value per group element")
-        if values[group.index_of(group.identity)] != 0:
+        if values[0]:  # the identity is element 0
             raise ValueError("phase must vanish at the identity")
         self.group = group
         self.modulus = modulus
@@ -190,7 +165,7 @@ class PhaseFunction:
 
     @classmethod
     def zero(cls, group: FiniteGroup, modulus: int = 1) -> "PhaseFunction":
-        return cls(group, modulus, [0] * len(group))
+        return cls(group, modulus, np.zeros(len(group), np.int64))
 
     @classmethod
     def from_map(cls, group: FiniteGroup, modulus: int,
@@ -198,47 +173,38 @@ class PhaseFunction:
         return cls(group, modulus, [fn(g) for g in group.elements])
 
     def exponent(self, g: Perm) -> int:
-        return self.values[self.group.index_of(g)]
+        return int(self.values[self.group.index_of(g)])
 
     def rescale(self, new_modulus: int) -> "PhaseFunction":
         if new_modulus % self.modulus:
             raise ValueError("new modulus must be a multiple of the old one")
-        f = new_modulus // self.modulus
-        return PhaseFunction(self.group, new_modulus, [v * f for v in self.values])
+        return PhaseFunction(self.group, new_modulus,
+                             self.values * (new_modulus // self.modulus))
 
     def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
         if other.group != self.group:
             raise ValueError("phases live on different groups")
         m = lcm(self.modulus, other.modulus)
-        a, b = self.rescale(m), other.rescale(m)
         return PhaseFunction(self.group, m,
-                             [(x + y) % m for x, y in zip(a.values, b.values)])
+                             self.rescale(m).values + other.rescale(m).values)
 
     def inverse(self) -> "PhaseFunction":
-        m = self.modulus
-        return PhaseFunction(self.group, m, [(-v) % m for v in self.values])
-
-    def restrict(self, sub: FiniteGroup) -> "PhaseFunction":
-        return PhaseFunction(sub, self.modulus,
-                             [self.exponent(g) for g in sub.elements])
+        return PhaseFunction(self.group, self.modulus, -self.values)
 
     def coboundary(self) -> Cocycle:
         """The cocycle (g, h) -> phi(g) phi(h) / phi(gh); always valid."""
-        group, m, v = self.group, self.modulus, self.values
-        mul = group.mul_table()
-        n = len(group)
-        table = [[(v[i] + v[j] - v[mul[i][j]]) % m for j in range(n)]
-                 for i in range(n)]
-        return Cocycle(group, m, table, validate=False)
+        v = self.values
+        return Cocycle(self.group, self.modulus,
+                       v[:, None] + v - v[self.group.mul_table()], validate=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseFunction) or other.group != self.group:
             return False
         m = lcm(self.modulus, other.modulus)
-        return self.rescale(m).values == other.rescale(m).values
+        return np.array_equal(self.rescale(m).values, other.rescale(m).values)
 
     def __hash__(self) -> int:
-        return hash((self.group.key(), self.modulus, self.values))
+        return hash((self.group.key(), self.modulus, self.values.tobytes()))
 
 
 def coboundary(phi: PhaseFunction) -> Cocycle:
@@ -334,19 +300,19 @@ def coboundary_witness(target: Cocycle) -> Optional[PhaseFunction]:
     delta(phi) vanishes on G x S, the cocycle identity gives d(g, h s) =
     d(g, h), so d = 0.
     """
-    group, m, table = target.group, target.modulus, target.table
-    mul = group.mul_table()
+    group, m = target.group, target.modulus
     gens = [group.index_of(s) for s in group.small_generating_set()]
-    e_idx = group.index_of(group.identity)
-    affine = {e_idx: ((0,) * len(gens), 0)}  # index -> (coefficients, constant)
+    mul = group.mul_table()[:, gens].tolist()
+    table = target.arr[:, gens].tolist()
+    affine = {0: ((0,) * len(gens), 0)}  # index -> (coefficients, constant)
     rows: dict = {}
-    queue = [e_idx]
+    queue = [0]  # the identity is element 0
     for g in queue:  # grows while iterating: breadth-first
         coeffs, const = affine[g]
-        for c, s in enumerate(gens):
-            gs = mul[g][s]
+        for c in range(len(gens)):
+            gs = mul[g][c]
             new = (tuple((a + (t == c)) % m for t, a in enumerate(coeffs)),
-                   (const - table[g][s]) % m)
+                   (const - table[g][c]) % m)
             old = affine.get(gs)
             if old is None:
                 affine[gs] = new
@@ -362,7 +328,8 @@ def coboundary_witness(target: Cocycle) -> Optional[PhaseFunction]:
         values[i] = (const + sum(a * xi for a, xi in zip(coeffs, x))) % m
     phi = PhaseFunction(group, m, values)
     if phi.coboundary() != target:
-        raise RuntimeError(f"solved phase {phi.values} is not a coboundary witness")
+        raise RuntimeError(
+            f"solved phase {phi.values.tolist()} is not a coboundary witness")
     return phi
 
 
@@ -407,13 +374,12 @@ def conjugation_phase(omega: Cocycle, g: Perm) -> PhaseFunction:
     (omega o Ad g) = coboundary(phase) * omega is verified on construction,
     so a failure here means the input table is not a cocycle.
     """
-    group, m = omega.group, omega.modulus
+    group, t = omega.group, omega.arr
     if g not in group:
         raise ValueError("g must lie in the cocycle's group")
-    phi = PhaseFunction(group, m,
-                        [(omega.exponent(h.conjugate(g), g) - omega.exponent(g, h)) % m
-                         for h in group.elements])
-    if omega.conjugated(g) != phi.coboundary() * omega:
+    k, moved = group.index_of(g), conj_map(group, g, group)
+    phi = PhaseFunction(group, omega.modulus, t[moved, k] - t[k])
+    if omega.pullback(group, moved) != phi.coboundary() * omega:
         raise CocycleError(f"conjugation identity fails for {g.cycle_string()}")
     return phi
 
@@ -441,14 +407,12 @@ def bilinear_cocycle(group: FiniteGroup, coords: dict[Perm, tuple[int, int]],
     """
     if len(group) != n * n:
         raise ValueError("group order must be n^2")
-    xy = [coords[g] for g in group.elements]
-    for (gx, gy), mul_g in zip(xy, group.mul_table()):
-        for (hx, hy), gh in zip(xy, mul_g):
-            px, py = xy[gh]
-            if (px - gx - hx) % n or (py - gy - hy) % n:
-                raise ValueError("chart is not additive")
-    table = [[(k * gx * hy) % n for _, hy in xy] for gx, _ in xy]
-    return Cocycle(group, n, table)
+    x, y = np.array([coords[g] for g in group.elements], dtype=np.int64).T
+    mul = group.mul_table()
+    for c in (x, y):
+        if ((c[mul] - c[:, None] - c) % n).any():
+            raise ValueError("chart is not additive")
+    return Cocycle(group, n, k * x[:, None] * y)
 
 
 def heisenberg_cocycle(n: int, k: int):

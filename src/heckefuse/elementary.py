@@ -16,8 +16,10 @@ cocycle that the induction prescribes; a mismatch is raised loudly since it
 can only mean a bookkeeping bug, never bad input.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
-label of its double coset and a character fingerprint); terms and their
-representative objects are memoized on the pair, not in the module.
+label of its double coset and a character fingerprint); terms, their
+representative objects, required cocycles and conjugation phases are
+memoized on the pair, not in the module.  Conjugations act on index arrays
+(``permcore.conj_map``), not on ``Perm`` objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -25,11 +27,14 @@ algebra, which serves as an independent cross-check (``to_ext_hecke``).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional
+
+import numpy as np
 
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import Perm
+from .permcore import Perm, conj_map
 from .projrep import (
     NumericalDegradation,
     Rep,
@@ -52,10 +57,24 @@ class CocycleBookkeepingError(AssertionError):
 
 
 def required_cocycle(pair: FinitePair, omega: Cocycle, delta: Perm) -> Cocycle:
-    """(omega o Ad delta) / omega on gamma ∩ delta^-1 gamma delta."""
-    rig = pair.little_of_element(delta)
-    moved = omega.pullback(rig, lambda t: t.conjugate(delta))
-    return moved * omega.restrict(rig).inverse()
+    """(omega o Ad delta) / omega on gamma ∩ delta^-1 gamma delta; memoized
+    on the pair."""
+    key = ("required", omega.key(), delta.images)
+    hit = pair._canon.get(key)
+    if hit is None:
+        rig = pair.little_of_element(delta)
+        moved = omega.pullback(rig, conj_map(rig, delta, omega.group))
+        hit = pair._canon[key] = moved * omega.restrict(rig).inverse()
+    return hit
+
+
+def pair_conjugation_phase(pair: FinitePair, omega: Cocycle, g: Perm) -> PhaseFunction:
+    """``conjugation_phase(omega, g)``, memoized on the pair."""
+    key = ("phase", omega.key(), g.images)
+    hit = pair._canon.get(key)
+    if hit is None:
+        hit = pair._canon[key] = conjugation_phase(omega, g)
+    return hit
 
 
 def admissible_classes(pair: FinitePair, omega: Cocycle, delta: Perm):
@@ -98,14 +117,12 @@ class ElementaryBimodule:
 
 
 def _witness_pair(got: Cocycle, want: Cocycle) -> str:
-    from math import lcm
     m = lcm(got.modulus, want.modulus)
-    a, b = got.rescale(m), want.rescale(m)
-    for g in got.group.elements:
-        for h in got.group.elements:
-            if a.exponent(g, h) != b.exponent(g, h):
-                return f"({g.cycle_string()}, {h.cycle_string()})"
-    return "(none: moduli differ only)"
+    differ = np.argwhere(got.rescale(m).arr != want.rescale(m).arr)
+    if not len(differ):
+        return "(none: moduli differ only)"
+    g, h = (got.group.elements[i].cycle_string() for i in differ[0])
+    return f"({g}, {h})"
 
 
 def make(pair: FinitePair, omega: Cocycle, delta: Perm,
@@ -140,16 +157,14 @@ def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
     Build (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on the right
     subgroup of g delta h, where phase_x is the conjugation phase of omega.
     """
-    new_delta = g * delta * h
-    rig_new = pair.little_of_element(new_delta)
-    moved = transport(rep, rig_new, lambda t: t.conjugate(h))
-    phi_g = conjugation_phase(omega, g)
-    phi_h = conjugation_phase(omega, h)
     dh = delta * h
-    m = omega.modulus
-    phase = PhaseFunction(rig_new, m,
-                          [(phi_g.exponent(t.conjugate(dh)) + phi_h.exponent(t)) % m
-                           for t in rig_new.elements])
+    rig_new = pair.little_of_element(g * dh)
+    moved = transport(rep, rig_new, conj_map(rig_new, h, rep.group))
+    gamma = omega.group
+    phase = PhaseFunction(
+        rig_new, omega.modulus,
+        pair_conjugation_phase(pair, omega, g).values[conj_map(rig_new, dh, gamma)]
+        + pair_conjugation_phase(pair, omega, h).values[gamma.positions(rig_new.images)])
     return twist(moved, phase)
 
 
@@ -274,13 +289,11 @@ def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
         new_delta = h1.delta * g * h2.delta
         rig_new = pair.little_of_element(new_delta)
         meet = pair.intersection(rig_new, h2.right_subgroup)
-        moved = transport(h1.rep, meet, lambda t: t.conjugate(g * h2.delta))
+        moved = transport(h1.rep, meet, conj_map(meet, g * h2.delta, h1.rep.group))
         product = tensor(moved, restrict(h2.rep, meet))
-        phi_g = conjugation_phase(omega, g)
-        m = omega.modulus
-        phase = PhaseFunction(meet, m,
-                              [phi_g.exponent(t.conjugate(h2.delta)) % m
-                               for t in meet.elements])
+        phi_g = pair_conjugation_phase(pair, omega, g)
+        phase = PhaseFunction(meet, omega.modulus,
+                              phi_g.values[conj_map(meet, h2.delta, gamma)])
         integrand = twist(product, phase)
         target_cocycle = required_cocycle(pair, omega, new_delta)
         if integrand.cocycle != target_cocycle.restrict(meet):
@@ -340,6 +353,5 @@ def to_ext_hecke(h) -> ExtHeckeElement:
     label = pair.label_of(h.delta)
     c1, c2 = pair.decomposition(label, h.delta)
     little = pair.little(label)
-    c2inv = c2.inverse()
-    moved = transport(h.rep, little, lambda t: t.conjugate(c2inv))
+    moved = transport(h.rep, little, conj_map(little, c2.inverse(), h.rep.group))
     return ExtHeckeElement(pair, {label: decompose(moved, pair.seed)})

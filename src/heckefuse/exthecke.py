@@ -29,6 +29,7 @@ as the independent path of elementary fusion and of the tests.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from .permcore import (
     FiniteGroup,
     Perm,
     Subgroup,
+    conj_map,
     conjugate_intersection,
 )
 from .projrep import (
@@ -70,8 +72,10 @@ class FinitePair:
 
     The group keeps the right cosets of gamma and the orbits of each little
     group on them.  The pair keeps, per label, the double cosets each orbit
-    reads (``orbit_labels``), and the canonical terms and representatives of
-    elementary objects over it (filled by :mod:`heckefuse.elementary`).
+    reads (``orbit_labels``), the index arrays through which characters are
+    read at a point (``_reads``), and the canonical terms, representatives,
+    required cocycles and conjugation phases of elementary objects over it
+    (filled by :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -91,6 +95,7 @@ class FinitePair:
         self._conj: dict[tuple, dict] = {}
         self._canon: dict[tuple, object] = {}
         self._meets: dict[tuple, Subgroup] = {}
+        self._reads: dict[tuple, np.ndarray] = {}
 
     def with_choices(self, rng) -> "FinitePair":
         """The same pair with all representative choices drawn from rng."""
@@ -135,19 +140,20 @@ class FinitePair:
     def decompositions(self, delta: Perm, target: Perm):
         """Every (c1, c2) in gamma^2 with target = c1 * delta * c2, in the
         order of c2 in gamma."""
-        dinv = delta.inverse()
-        for c2 in self.gamma.elements:
-            c1 = target * c2.inverse() * dinv
-            if c1 in self.gamma:
-                yield c1, c2
+        gamma = self.gamma
+        # c1 = target c2^-1 delta^-1, for every c2 at once
+        c2_inv = np.argsort(gamma.images, axis=1)
+        rows = np.array(target.images)[c2_inv[:, np.argsort(delta.images)]]
+        for c1, c2 in zip(gamma.positions(rows).tolist(), gamma.elements):
+            if c1 >= 0:
+                yield gamma.elements[c1], c2
 
     def intersection(self, a: Subgroup, b: Subgroup) -> Subgroup:
         key = (a.key(), b.key())
         hit = self._meets.get(key)
         if hit is None:
-            bset = set(b.elements)
-            hit = Subgroup(self.gamma, [g for g in a.elements if g in bset])
-            self._meets[key] = hit
+            inside = (b.positions(a.images) >= 0).tolist()
+            hit = self._meets[key] = Subgroup(self.gamma, compress(a.elements, inside))
         return hit
 
     def coset_orbits(self, little: Subgroup) -> tuple:
@@ -272,7 +278,7 @@ def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
             f"{target.cycle_string()} is not in the double coset of "
             f"{label.cycle_string()}")
     little = pair.little_of_element(target)
-    char = _character_on(x, target, little, Perm.identity(target.degree))
+    char = _character_on(x, target, little, pair.group.identity)
     parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim,
                                 pair.seed)
     if list(parts.values()) != [1]:
@@ -289,13 +295,15 @@ def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
     """
     pair = x.pair
     label = pair.label_of(point)
-    if point != label:
-        by = pair.decomposition(label, point)[1] * by
-    little = pair.little(label)
+    key = (point, by, meet.key())
+    reads = pair._reads.get(key)
+    if reads is None:
+        if point != label:
+            by = pair.decomposition(label, point)[1] * by
+        reads = pair._reads[key] = conj_map(meet, by, pair.little(label))
     char = sum(m * np.array(cls.rep.character())
                for cls, m in x.support[label].items())
-    by_inv = by.inverse()
-    return char[[little.index_of(by * t * by_inv) for t in meet.elements]]
+    return char[reads]
 
 
 def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
@@ -307,7 +315,7 @@ def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
     Finite Groups, ch. 5).
     """
     spread = np.zeros(len(little_g), dtype=complex)
-    spread[[little_g.index_of(t) for t in meet.elements]] = char
+    spread[little_g.positions(meet.images)] = char
     induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
     return decompose_character(little_g, Cocycle.trivial(little_g), induced,
                                dim * (len(little_g) // len(meet)), pair.seed)
@@ -323,7 +331,7 @@ def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement
     little_g = pair.little(g0)
     meet = pair.intersection(little_g, pair.little_of_element(h))
     product = (_character_on(x, w, meet, h)
-               * _character_on(y, h, meet, Perm.identity(h.degree)))
+               * _character_on(y, h, meet, pair.group.identity))
     dim = multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
     return _induced_classes(pair, little_g, meet, product, dim)
 
@@ -410,7 +418,7 @@ def triple_fuse(x: ExtHeckeElement, y: ExtHeckeElement,
     both iterated fusions.
     """
     pair = x.pair
-    identity = Perm.identity(pair.group.degree)
+    identity = pair.group.identity
     out: dict[Perm, dict] = {}
     for g0 in pair.labels():
         little_g = pair.little(g0)

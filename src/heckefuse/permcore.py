@@ -11,8 +11,11 @@ Conventions used throughout the package:
 * conjugation is Ad(g): x -> g x g^-1.
 
 Everything here is an immutable value; all operations are pure functions,
-so concurrent use needs no locking.  Subgroups are stored as explicit
-sorted element lists: the groups this package is meant for are small, and
+so concurrent use needs no locking.  A group is stored as its sorted element
+list plus the same elements as a (|G|, degree) array of image rows; the rows
+are looked up exactly by a sorted search (``FiniteGroup.positions``), so the
+hot paths compose and conjugate whole groups as index arrays instead of
+``Perm`` objects.  The groups this package is meant for are small, and
 explicit lists beat stabilizer chains for simplicity at this scale.
 """
 
@@ -188,8 +191,22 @@ def mulclose(generators: Sequence[Perm], max_order: int = DEFAULT_MAX_ORDER) -> 
     return elements
 
 
+def _row_keys(rows) -> np.ndarray:
+    """Image rows as big-endian uint16 bytes, one np.void per row: they
+    compare like the rows, lexicographically, at every degree below 2^16."""
+    rows = np.ascontiguousarray(rows, dtype=">u2")
+    return rows.view(np.dtype((np.void, 2 * rows.shape[-1])))[..., 0]
+
+
+def _conj_rows(rows: np.ndarray, x: Perm) -> np.ndarray:
+    """The image rows of x t x^-1 for each image row t."""
+    xa = np.array(x.images)
+    return xa[rows[..., np.argsort(xa)]]
+
+
 class FiniteGroup:
-    """A finite permutation group, stored as its full sorted element list."""
+    """A finite permutation group: its sorted element list, and ``images``,
+    the same elements as a (|G|, degree) array of image rows."""
 
     def __init__(self, degree: int, elements: Iterable[Perm],
                  generators: Sequence[Perm] = ()):
@@ -204,6 +221,9 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._index = {g: i for i, g in enumerate(elements)}
         self._key = (degree, tuple(g.images for g in elements))
+        self.images = np.array([g.images for g in elements],
+                               dtype=np.intp).reshape(len(elements), degree)
+        self._row_keys = _row_keys(self.images)
         self._right_cosets: dict = {}
         self._coset_orbits: dict = {}
 
@@ -228,10 +248,8 @@ class FiniteGroup:
 
     @property
     def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
-    def order(self) -> int:
-        return len(self.elements)
+        """Element 0: the identity is the lexicographically least permutation."""
+        return self.elements[0]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -245,34 +263,50 @@ class FiniteGroup:
     def index_of(self, g: Perm) -> int:
         return self._index[g]
 
+    def positions(self, rows) -> np.ndarray:
+        """The index of each image row (last axis) in the element list, or -1
+        where the row is not an element; exact, by a sorted search."""
+        rows = np.asarray(rows)
+        if rows.shape[-1] != self.degree:
+            return np.full(rows.shape[:-1], -1)
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._row_keys, keys), len(self) - 1)
+        return np.where(self._row_keys[pos] == keys, pos, -1)
+
     def key(self):
         """Hashable identity of the group (degree + sorted image tuples)."""
         return self._key
 
-    def mul_table(self) -> tuple:
-        """Index multiplication table: mul_table()[i][j] = index of e_i * e_j."""
+    def _product_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(i0, positions of e_i * e_j) for blocks of rows i from i0, each
+        of about 2^20 entries; -1 where a product is not an element."""
+        rows = self.images
+        step = max(1, (1 << 20) // rows.size)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            yield start, self.positions(block[np.arange(len(block))[:, None, None], rows])
+
+    def mul_table(self) -> np.ndarray:
+        """mul_table()[i, j] = index of e_i * e_j, as an int array."""
         table = getattr(self, "_mul_table", None)
         if table is None:
-            els, idx = self.elements, self._index
-            table = tuple(tuple(idx[a * b] for b in els) for a in els)
-            self._mul_table = table
+            table = self._mul_table = np.concatenate(
+                [block for _, block in self._product_blocks()])
         return table
 
-    def inv_indices(self) -> tuple:
+    def inv_indices(self) -> np.ndarray:
         """inv_indices()[i] = index of the inverse of element i."""
         table = getattr(self, "_inv_indices", None)
         if table is None:
-            table = tuple(self._index[g.inverse()] for g in self.elements)
-            self._inv_indices = table
+            table = self._inv_indices = self.positions(np.argsort(self.images, axis=1))
         return table
 
     def conj_table(self) -> np.ndarray:
         """conj_table()[x, g] = index of e_x * e_g * e_x^-1, as an int array."""
         table = getattr(self, "_conj_table", None)
         if table is None:
-            mul = np.array(self.mul_table(), dtype=np.intp)
-            inv = np.array(self.inv_indices(), dtype=np.intp)
-            table = self._conj_table = mul[mul, inv[:, None]]
+            mul = self.mul_table()
+            table = self._conj_table = mul[mul, self.inv_indices()[:, None]]
         return table
 
     def right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
@@ -285,10 +319,11 @@ class FiniteGroup:
         if hit is None:
             if not self.contains_subset(sub.elements):
                 raise ValueError("cosets need a subgroup of the group")
-            cosets, coset_of = [], {}
-            for g in self.elements:
+            cosets, coset_of, els = [], {}, self.elements
+            for g in els:
                 if g not in coset_of:
-                    coset = tuple(sorted(h * g for h in sub.elements))
+                    found = np.sort(self.positions(sub.images[:, g.images]))
+                    coset = tuple(els[i] for i in found.tolist())
                     coset_of.update(dict.fromkeys(coset, len(cosets)))
                     cosets.append(coset)
             hit = self._right_cosets[sub.key()] = (tuple(cosets), coset_of)
@@ -306,11 +341,12 @@ class FiniteGroup:
         hit = self._coset_orbits.get(key)
         if hit is None:
             cosets, coset_of = self.right_cosets(sub)
-            seen, orbits = set(), []
+            seen, orbits, els = set(), [], self.elements
             for coset in cosets:
                 if coset[0] not in seen:
-                    orbit = tuple(sorted({cosets[coset_of[coset[0] * x]][0]
-                                          for x in actor.elements}))
+                    moved = self.positions(np.array(coset[0].images)[actor.images])
+                    orbit = tuple(sorted({cosets[coset_of[els[i]]][0]
+                                          for i in moved.tolist()}))
                     seen.update(orbit)
                     orbits.append(orbit)
             hit = self._coset_orbits[key] = tuple(orbits)
@@ -390,28 +426,32 @@ class Subgroup(FiniteGroup):
             raise ValueError("subgroup elements must lie in the parent group")
         super().__init__(parent.degree, elements)
         self.parent = parent
-        els = set(self.elements)
-        for g in self.elements:
-            if g.inverse() not in els:
-                raise ValueError(f"not closed under inverse: {g}")
-        for g in self.elements:
-            for h in self.elements:
-                if g * h not in els:
-                    raise ValueError(f"not closed under product: {g}, {h}")
+        els, inv = self.elements, self.inv_indices()
+        if (inv < 0).any():
+            raise ValueError(f"not closed under inverse: {els[np.argmax(inv < 0)]}")
+        for start, prod in self._product_blocks():
+            if (prod < 0).any():
+                i, j = np.argwhere(prod < 0)[0]
+                raise ValueError(
+                    f"not closed under product: {els[start + i]}, {els[j]}")
         if len(parent) % len(els):
             raise ValueError("Lagrange violated; element list is not a subgroup")
-
-    def index(self) -> int:
-        return len(self.parent) // len(self)
 
 
 def conjugate_intersection(gamma: Subgroup, g: Perm) -> Subgroup:
     """gamma ∩ g^-1 gamma g, the subgroup of gamma attached to the coset of g."""
     if g not in gamma.parent:
         raise ValueError("element must lie in the parent group")
-    gamma_set = set(gamma.elements)
-    return Subgroup(gamma.parent,
-                    [x for x in gamma.elements if x.conjugate(g) in gamma_set])
+    inside = gamma.positions(_conj_rows(gamma.images, g)) >= 0
+    return Subgroup(gamma.parent, itertools.compress(gamma.elements, inside.tolist()))
+
+
+def conj_map(src: FiniteGroup, x: Perm, dst: FiniteGroup) -> np.ndarray:
+    """Positions in dst of x t x^-1 for each t in src; Ad x must carry src into dst."""
+    pos = dst.positions(_conj_rows(src.images, x))
+    if (pos < 0).any():
+        raise ValueError(f"Ad {x.cycle_string()} does not carry src into dst")
+    return pos
 
 
 def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Subgroup]:
@@ -419,11 +459,10 @@ def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Su
 
     Ad(delta^-1) is verified to carry the left subgroup onto the right one.
     """
-    left = conjugate_intersection(gamma, delta.inverse())
-    right = conjugate_intersection(gamma, delta)
     dinv = delta.inverse()
-    carried = sorted(x.conjugate(dinv) for x in left.elements)
-    if carried != list(right.elements):
+    left, right = conjugate_intersection(gamma, dinv), conjugate_intersection(gamma, delta)
+    carried = right.positions(_conj_rows(left.images, dinv))
+    if len(left) != len(right) or (carried < 0).any():
         raise AssertionError("Ad(delta^-1) does not map the left onto the right subgroup")
     return left, right
 
@@ -518,13 +557,11 @@ def normalizer_in_sym(gamma: FiniteGroup,
     n = gamma.degree
     if n > max_degree:
         raise DegreeTooLarge(f"degree too large for brute force: {n} > {max_degree}")
-    gamma_set = set(gamma.elements)
-    out = []
-    for images in itertools.permutations(range(n)):
-        s = Perm(images)
-        if all(g.conjugate(s) in gamma_set for g in gamma.elements):
-            out.append(s)
-    return FiniteGroup(n, out)
+    sym = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    sym_inv, inside = np.argsort(sym, axis=1), np.ones(len(sym), dtype=bool)
+    for g in gamma.images:  # s g s^-1 for every s at once
+        inside &= gamma.positions(np.take_along_axis(sym, g[sym_inv], axis=1)) >= 0
+    return FiniteGroup(n, [Perm(s) for s in sym[inside].tolist()])
 
 
 class GroupAction:
@@ -534,18 +571,17 @@ class GroupAction:
                  act: Callable[[Perm, int], int]):
         self.group = group
         self.npoints = npoints
-        self._table = {g: tuple(act(g, i) for i in range(npoints))
-                       for g in group.elements}
-        e = group.identity
-        if self._table[e] != tuple(range(npoints)):
+        table = np.array([[act(g, i) for i in range(npoints)] for g in group.elements],
+                         dtype=np.intp).reshape(len(group), npoints)
+        if table[0].tolist() != list(range(npoints)):  # the identity is element 0
             raise ValueError("identity must act trivially")
-        for g in group.elements:
-            for h in group.elements:
-                gh = self._table[g * h]
-                composed = tuple(self._table[g][self._table[h][i]]
-                                 for i in range(npoints))
-                if gh != composed:
-                    raise ValueError(f"not an action: fails at ({g}, {h})")
+        # (g h).i = g.(h.i) for every g, h
+        composed = table[np.arange(len(group))[:, None, None], table]
+        fails = np.argwhere((table[group.mul_table()] != composed).any(axis=2))
+        if len(fails):
+            g, h = (group.elements[i] for i in fails[0])
+            raise ValueError(f"not an action: fails at ({g}, {h})")
+        self._table = table
 
     @classmethod
     def natural(cls, group: FiniteGroup) -> "GroupAction":
@@ -555,10 +591,10 @@ class GroupAction:
     def regular(cls, group: FiniteGroup) -> "GroupAction":
         """Left multiplication on the element list (points = element indices)."""
         return cls(group, len(group),
-                   lambda g, i: group.index_of(g * group.elements[i]))
+                   lambda g, i: group.mul_table()[group.index_of(g), i])
 
     def act(self, g: Perm, i: int) -> int:
-        return self._table[g][i]
+        return int(self._table[self.group.index_of(g), i])
 
     def orbits(self) -> list[list[int]]:
         seen, out = set(), []
@@ -633,18 +669,15 @@ def _hom_from_generators(group: FiniteGroup, values: dict, one,
     """
     gens = group.small_generating_set()
     table = {group.identity: one}
-    boundary = [group.identity]
-    while boundary:
-        fresh = []
-        for g in boundary:
-            for s in gens:
-                gs, image = g * s, mul(table[g], values[s])
-                if gs not in table:
-                    table[gs] = image
-                    fresh.append(gs)
-                elif table[gs] != image:
-                    return None
-        boundary = fresh
+    queue = [group.identity]
+    for g in queue:  # grows while iterating: breadth-first
+        for s in gens:
+            gs, image = g * s, mul(table[g], values[s])
+            if gs not in table:
+                table[gs] = image
+                queue.append(gs)
+            elif table[gs] != image:
+                return None
     return table
 
 
@@ -838,11 +871,8 @@ def out_description(gamma: FiniteGroup,
     key_index = {k: i for i, k in enumerate(char_keys)}
     action = {}
     for s in reps:
-        perm = []
-        for c in chars:
-            moved = tuple(c[g.conjugate(s)] for g in gamma.elements)
-            perm.append(key_index[moved])
-        action[s] = tuple(perm)
+        moved = [gamma.elements[i] for i in conj_map(gamma, s, gamma).tolist()]
+        action[s] = tuple(key_index[tuple(c[g] for g in moved)] for c in chars)
     return OutDescription(
         char_invariants=invs,
         char_exponents=tuple(char_keys),

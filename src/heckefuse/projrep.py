@@ -18,7 +18,7 @@ classes.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -36,18 +36,9 @@ class NumericalDegradation(RuntimeError):
     """A result that must be integral failed its tolerance check."""
 
 
-_PHASES: dict = {}
-
-
-def _phase_table(cocycle: Cocycle) -> tuple:
-    """The cocycle's value table as complex numbers, cached by cocycle key."""
-    hit = _PHASES.get(cocycle.key())
-    if hit is None:
-        m = cocycle.modulus
-        roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(m)]
-        hit = tuple(tuple(roots[e] for e in row) for row in cocycle.table)
-        _PHASES[cocycle.key()] = hit
-    return hit
+def _roots(m: int) -> np.ndarray:
+    """exp(2 pi i e / m) for e = 0..m-1: exponent arrays index into it."""
+    return np.array([cmath.exp(2j * cmath.pi * e / m) for e in range(m)])
 
 
 def _round_part(x: float) -> float:
@@ -59,20 +50,22 @@ def round_char(values: Iterable[complex]) -> tuple:
 
 
 class Rep:
-    """A projective unitary representation: pi(g) pi(h) = omega(g, h) pi(gh)."""
+    """A projective unitary representation: pi(g) pi(h) = omega(g, h) pi(gh).
+
+    ``matrices`` is one (|G|, d, d) complex array in the group's element order.
+    """
 
     def __init__(self, group: FiniteGroup, cocycle: Cocycle, matrices):
         if cocycle.group != group:
             raise ValueError("cocycle lives on a different group")
-        matrices = tuple(np.asarray(m, dtype=complex) for m in matrices)
+        matrices = np.asarray(matrices, dtype=complex)
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise ValueError("matrices must be square and of equal size")
         if len(matrices) != len(group):
             raise ValueError("need one matrix per group element")
-        dim = matrices[0].shape[0]
+        dim = matrices.shape[1]
         if dim < 1:
             raise ValueError("representations have dimension at least 1")
-        for m in matrices:
-            if m.shape != (dim, dim):
-                raise ValueError("matrices must be square and of equal size")
         self.group = group
         self.cocycle = cocycle
         self.dim = dim
@@ -89,29 +82,24 @@ class Rep:
         on the whole group; every pi(g) is then a phase times a product of
         unitary generator matrices.  The work is one matmul per generator.
         """
-        group, eye = self.group, np.eye(self.dim)
-        stack = np.stack(self.matrices)
-        if np.abs(stack[group.index_of(group.identity)] - eye).max() > UNITARY_TOL:
+        group, eye, stack = self.group, np.eye(self.dim), self.matrices
+        if np.abs(stack[0] - eye).max() > UNITARY_TOL:  # the identity is element 0
             raise ValueError("identity element must act as the identity matrix")
-        mul = group.mul_table()
-        phases = _phase_table(self.cocycle)
+        mul, roots = group.mul_table(), _roots(self.cocycle.modulus)
         for g in group.small_generating_set():
             s = group.index_of(g)
             if np.abs(stack[s] @ stack[s].conj().T - eye).max() > UNITARY_TOL:
                 raise ValueError(f"matrix at {g.cycle_string()} is not unitary")
-            expected = np.array(phases[s])[:, None, None] * stack[list(mul[s])]
+            expected = roots[self.cocycle.arr[s]][:, None, None] * stack[mul[s]]
             err = np.abs(np.matmul(stack[s], stack) - expected)
             if err.max() > UNITARY_TOL:
                 h = group.elements[int(err.reshape(len(group), -1).max(axis=1).argmax())]
                 raise ValueError(
                     f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
 
-    def mat(self, g: Perm) -> np.ndarray:
-        return self.matrices[self.group.index_of(g)]
-
     def character(self) -> tuple:
         if self._char is None:
-            self._char = tuple(complex(np.trace(m)) for m in self.matrices)
+            self._char = tuple(np.trace(self.matrices, axis1=1, axis2=2).tolist())
         return self._char
 
     def char_key(self) -> tuple:
@@ -163,8 +151,7 @@ def equivalent(a: Rep, b: Rep) -> bool:
 # ------------------------------------------------------------ constructions
 
 def trivial_rep(group: FiniteGroup) -> Rep:
-    eye = np.eye(1)
-    return Rep(group, Cocycle.trivial(group), [eye] * len(group))
+    return Rep(group, Cocycle.trivial(group), np.ones((len(group), 1, 1)))
 
 
 def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
@@ -172,48 +159,47 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
     n = len(group)
-    mul = group.mul_table()
-    phases = _phase_table(cocycle)
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            m[mul[i][j], j] = phases[i][j]
-        mats.append(m)
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[np.arange(n)[:, None], group.mul_table(), np.arange(n)] = (
+        _roots(cocycle.modulus)[cocycle.arr])
     return Rep(group, cocycle, mats)
 
 
 def tensor(a: Rep, b: Rep) -> Rep:
+    """Kronecker products, one broadcast multiply for the whole group."""
     if a.group != b.group:
         raise ValueError("tensor factors live on different groups")
-    mats = [np.kron(x, y) for x, y in zip(a.matrices, b.matrices)]
-    return Rep(a.group, a.cocycle * b.cocycle, mats)
+    d = a.dim * b.dim
+    mats = a.matrices[:, :, None, :, None] * b.matrices[:, None, :, None, :]
+    return Rep(a.group, a.cocycle * b.cocycle, mats.reshape(len(a.group), d, d))
 
 
 def conjugate_rep(a: Rep) -> Rep:
-    return Rep(a.group, a.cocycle.inverse(), [m.conj() for m in a.matrices])
+    return Rep(a.group, a.cocycle.inverse(), a.matrices.conj())
 
 
 def restrict(a: Rep, sub: FiniteGroup) -> Rep:
-    if not a.group.contains_subset(sub.elements):
-        raise ValueError("restriction target is not a subgroup")
-    return Rep(sub, a.cocycle.restrict(sub), [a.mat(g) for g in sub.elements])
+    cocycle = a.cocycle.restrict(sub)  # raises unless sub lies in a.group
+    return Rep(sub, cocycle, a.matrices[a.group.positions(sub.images)])
 
 
 def twist(a: Rep, phase: PhaseFunction) -> Rep:
     """Multiply by a scalar phase; the cocycle picks up the phase coboundary."""
     if phase.group != a.group:
         raise ValueError("phase lives on a different group")
-    mats = [cmath.exp(2j * cmath.pi * phase.exponent(g) / phase.modulus) * a.mat(g)
-            for g in a.group.elements]
-    return Rep(a.group, a.cocycle * phase.coboundary(), mats)
+    return Rep(a.group, a.cocycle * phase.coboundary(),
+               _roots(phase.modulus)[phase.values][:, None, None] * a.matrices)
 
 
 def transport(a: Rep, new_group: FiniteGroup,
-              fwd: Callable[[Perm], Perm]) -> Rep:
-    """Pull back along a homomorphism fwd: new_group -> a.group."""
-    return Rep(new_group, a.cocycle.pullback(new_group, fwd),
-               [a.mat(fwd(g)) for g in new_group.elements])
+              fwd: Union[Callable[[Perm], Perm], np.ndarray]) -> Rep:
+    """Pull back along a homomorphism fwd: new_group -> a.group, given as a
+    function or as the positions in a.group of the images of new_group's
+    elements (``permcore.conj_map`` gives them for a conjugation)."""
+    if callable(fwd):
+        fwd = [a.group.index_of(fwd(g)) for g in new_group.elements]
+    idx = np.asarray(fwd)
+    return Rep(new_group, a.cocycle.pullback(new_group, idx), a.matrices[idx])
 
 
 def direct_sum(reps: Iterable[Rep]) -> Rep:
@@ -225,14 +211,11 @@ def direct_sum(reps: Iterable[Rep]) -> Rep:
         if r.group != group or r.cocycle != cocycle:
             raise ValueError("direct summands must share group and cocycle")
     dim = sum(r.dim for r in reps)
-    mats = []
-    for i in range(len(group)):
-        m = np.zeros((dim, dim), dtype=complex)
-        at = 0
-        for r in reps:
-            m[at:at + r.dim, at:at + r.dim] = r.matrices[i]
-            at += r.dim
-        mats.append(m)
+    mats = np.zeros((len(group), dim, dim), dtype=complex)
+    at = 0
+    for r in reps:
+        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
+        at += r.dim
     return Rep(group, cocycle, mats)
 
 
@@ -252,21 +235,22 @@ def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
     if ext_cocycle.restrict(sub) != rep.cocycle:
         raise ValueError("cocycle restriction mismatch")
     coset_of = big.right_cosets(sub)[1]
+    coset = np.array([coset_of[g] for g in big.elements])
     reps = right_coset_reps(big, sub, rng)
-    k, d = len(reps), rep.dim
-    m_mod = ext_cocycle.modulus
-    mats = []
-    for g in big.elements:
-        m = np.zeros((k * d, k * d), dtype=complex)
-        for i, ri in enumerate(reps):
-            t = ri * g
-            j = coset_of[t]
-            h = t * reps[j].inverse()
-            exp = (ext_cocycle.exponent(ri, g) - ext_cocycle.exponent(h, reps[j])) % m_mod
-            scalar = cmath.exp(2j * cmath.pi * exp / m_mod)
-            m[i * d:(i + 1) * d, j * d:(j + 1) * d] = scalar * rep.mat(h)
-        mats.append(m)
-    return Rep(big, ext_cocycle, mats)
+    rows = np.array([r.images for r in reps])
+    at, inv_rows = big.positions(rows), np.argsort(rows, axis=1)
+    n, k, d = len(big), len(reps), rep.dim
+    w, roots, every = ext_cocycle.arr, _roots(ext_cocycle.modulus), np.arange(n)
+    mats = np.zeros((n, k, d, k, d), dtype=complex)
+    # block (i, j) of g is w(r_i, g) / w(h, r_j) pi(h), where r_i g = h r_j
+    for i in range(k):
+        t = rows[i][big.images]  # r_i g for every g
+        j = coset[big.positions(t)]
+        h_rows = np.take_along_axis(t, inv_rows[j], axis=1)
+        exp = (w[at[i], every] - w[big.positions(h_rows), at[j]]) % ext_cocycle.modulus
+        mats[every, i, :, j, :] = (roots[exp][:, None, None]
+                                   * rep.matrices[sub.positions(h_rows)])
+    return Rep(big, ext_cocycle, mats.reshape(n, k * d, k * d))
 
 
 # ------------------------------------------------------------ intertwiners
@@ -282,12 +266,9 @@ def hom_dim(a: Rep, b: Rep) -> int:
         raise ValueError("intertwiners need a common group")
     if a.cocycle != b.cocycle:
         raise ValueError("intertwiners need a common cocycle")
-    n = len(a.group)
     size = a.dim * b.dim
-    m = np.zeros((size, size), dtype=complex)
-    for ag, bg in zip(a.matrices, b.matrices):
-        m += np.kron(ag.conj().T, bg.T)
-    m /= n
+    m = np.einsum("gji,glk->ikjl", a.matrices.conj(), b.matrices).reshape(size, size)
+    m /= len(a.group)
     svals = np.linalg.svd(m, compute_uv=False)
     total = float(np.sum(svals[svals > RANK_SV_TOL]))
     rank = round(total)
@@ -302,7 +283,6 @@ _IRREDUCIBLES: dict = {}
 
 
 def clear_caches() -> None:
-    _PHASES.clear()
     _IRREDUCIBLES.clear()
 
 
@@ -310,10 +290,8 @@ def _average_commutant(rep: Rep, rng: np.random.Generator) -> np.ndarray:
     d = rep.dim
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = x + x.conj().T
-    out = np.zeros((d, d), dtype=complex)
-    for m in rep.matrices:
-        out += m.conj().T @ h @ m
-    return out / len(rep.group)
+    mats = rep.matrices
+    return (mats.conj().transpose(0, 2, 1) @ h @ mats).sum(axis=0) / len(rep.group)
 
 
 def _eigensplit(rep: Rep, rng: np.random.Generator) -> Optional[list[Rep]]:
@@ -330,7 +308,7 @@ def _eigensplit(rep: Rep, rng: np.random.Generator) -> Optional[list[Rep]]:
     subs = []
     for block in blocks:
         basis = v[:, list(block)]
-        mats = [basis.conj().T @ m @ basis for m in rep.matrices]
+        mats = basis.conj().T @ rep.matrices @ basis
         subs.append(Rep(rep.group, rep.cocycle, mats))
     return subs
 

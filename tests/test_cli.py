@@ -141,6 +141,25 @@ def test_custom_catalog_file(tmp_path, capsys):
     assert len(data["cosets"]) == 1
 
 
+def test_catalog_record_without_gamma_exits_with_one_line(tmp_path):
+    catalog = tmp_path / "f.cat"
+    catalog.write_text('name = no_gamma\ndegree = 3\nG = ["(0 1 2)"]\n')
+    with pytest.raises(SystemExit) as err:
+        main(["--catalog", str(catalog), "list"])
+    message = str(err.value)
+    assert str(catalog) in message and "'Gamma'" in message
+    assert "\n" not in message
+
+
+def test_missing_catalog_file_exits_with_one_line(tmp_path):
+    missing = tmp_path / "missing.cat"
+    with pytest.raises(SystemExit) as err:
+        main(["--catalog", str(missing), "check"])
+    message = str(err.value)
+    assert str(missing) in message and "No such file" in message
+    assert "\n" not in message
+
+
 # ------------------------------------------------------------ catalog parsing
 
 def test_parse_catalog_round_trip():
