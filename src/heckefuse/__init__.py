@@ -94,17 +94,20 @@ from .projrep import (
 # themselves to use both side by side
 from .exthecke import fuse as ext_fuse
 from .elementary import fuse as elementary_fuse
-from . import cocycle, elementary, projrep
+from . import cocycle, elementary, hecke, projrep
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache of the package.
+    """Empty every module-level cache of the package: irreducible classes,
+    trivial cocycles and GL2's primitive HNF representatives.
 
-    Per-pair caches live on their ``FinitePair``, and coset tables on their
-    ``FiniteGroup``; each goes with its owner.
+    Each ``FinitePair`` and ``FiniteGroup`` keeps its own cache store, which
+    goes with its owner.  Cached values own their data, so a live element,
+    class or cocycle stays valid after the clear.
     """
     projrep.clear_caches()
     cocycle._TRIVIAL_CACHE.clear()
+    hecke._HNF_REPS.clear()
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from .cocycle import Cocycle, bilinear_cocycle
 from .exthecke import FinitePair, basis, dims, fuse
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
 from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm
-from .projrep import irreducibles
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ def parse_catalog(text: str) -> dict[str, CatalogEntry]:
     return entries
 
 
-def build_pair(entry: CatalogEntry, max_order: int = DEFAULT_MAX_ORDER,
-               seed: int = 0) -> FinitePair:
+def build_pair(entry: CatalogEntry,
+               max_order: int = DEFAULT_MAX_ORDER) -> FinitePair:
     if entry.kind != "finite":
         raise ValueError(f"{entry.name} is not a finite pair")
     g_gens = [Perm.parse(entry.degree, s) for s in entry.g_gens]
@@ -155,7 +154,7 @@ def build_pair(entry: CatalogEntry, max_order: int = DEFAULT_MAX_ORDER,
     group = FiniteGroup.generate(entry.degree, g_gens, max_order)
     gamma_closure = FiniteGroup.generate(entry.degree, gamma_gens, max_order)
     gamma = group.subgroup(gamma_closure.elements)
-    return FinitePair(group, gamma, name=entry.name, seed=seed)
+    return FinitePair(group, gamma, name=entry.name)
 
 
 def heisenberg_chart(entry: CatalogEntry, group: FiniteGroup, n: int) -> dict:
@@ -192,13 +191,12 @@ def build_omega(entry: CatalogEntry, pair: FinitePair) -> Optional[Cocycle]:
     return build_omega_from_spec(entry.omega, entry, pair)
 
 
-def build_backend(entry: CatalogEntry, max_order: int = DEFAULT_MAX_ORDER,
-                  seed: int = 0):
+def build_backend(entry: CatalogEntry, max_order: int = DEFAULT_MAX_ORDER):
     if entry.kind == "gl2":
         return GL2Hecke()
     if entry.kind == "bc":
         return BostConnesHecke()
-    return build_pair(entry, max_order, seed).hecke()
+    return build_pair(entry, max_order).hecke()
 
 
 def fusion_table(pair: FinitePair) -> dict:
@@ -209,13 +207,6 @@ def fusion_table(pair: FinitePair) -> dict:
     """
     hk = pair.hecke()
     generators = basis(pair)
-    class_index = {
-        label: {cls: i for i, cls in enumerate(irreducibles(pair.little(label)))}
-        for label in pair.labels()}
-
-    def descriptor(label, cls) -> str:
-        return f"{hk.label_str(label)}:{class_index[label][cls]}"
-
     basis_json = []
     for key, el in generators:
         (label, parts), = el.support.items()
@@ -224,7 +215,7 @@ def fusion_table(pair: FinitePair) -> dict:
         basis_json.append({
             "key": key,
             "label": hk.label_str(label),
-            "class_index": class_index[label][cls],
+            "class_index": pair.class_index(label)[cls],
             "repclass": cls.to_json(),
             "dim_left": left,
             "dim_right": right,
@@ -233,14 +224,11 @@ def fusion_table(pair: FinitePair) -> dict:
     products = []
     for kx, x in generators:
         for ky, y in generators:
-            result = fuse(x, y)
             terms = []
-            for label in sorted(result.support, key=lambda l: l.images):
-                for cls in sorted(result.support[label], key=lambda c: c.sort_key()):
-                    z = descriptor(label, cls)
-                    if z not in known:
-                        raise RuntimeError(f"{kx} * {ky} has the term {z} outside the basis")
-                    terms.append({"z": z, "mult": result.support[label][cls]})
+            for z, mult in fuse(x, y).terms():
+                if z not in known:
+                    raise RuntimeError(f"{kx} * {ky} has the term {z} outside the basis")
+                terms.append({"z": z, "mult": mult})
             products.append({"x": kx, "y": ky, "terms": terms})
     lambdas = [{"label": hk.label_str(label),
                 "value": str(modular_lambda(hk, label))}

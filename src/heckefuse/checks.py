@@ -116,7 +116,7 @@ def check_coset_counting(pair: FinitePair, cfg: Config) -> None:
 
 
 def check_labels_stable(pair: FinitePair, cfg: Config) -> None:
-    rebuilt = FinitePair(pair.group, pair.gamma, pair.name, pair.seed)
+    rebuilt = FinitePair(pair.group, pair.gamma, pair.name)
     if rebuilt.labels() != pair.labels():
         raise CheckFailure("canonical labels changed across recomputation")
 
@@ -201,11 +201,11 @@ def check_heisenberg_classification(pair: FinitePair, omega: Cocycle,
 def check_rep_completeness(pair: FinitePair, omega: Optional[Cocycle],
                            cfg: Config) -> None:
     gamma = pair.little(pair.labels()[0])
-    plain = irreducibles(gamma, seed=cfg.seed)
+    plain = irreducibles(gamma)
     if sum(c.dim ** 2 for c in plain) != len(gamma):
         raise CheckFailure("sum of squared dimensions misses the group order")
     if omega is not None:
-        twisted = decompose(regular_rep(gamma, omega.restrict(gamma)), cfg.seed)
+        twisted = decompose(regular_rep(gamma, omega.restrict(gamma)))
         total = sum(c.dim * m for c, m in twisted.items())
         if total != len(gamma):
             raise CheckFailure("twisted regular total dimension is wrong")
@@ -217,9 +217,9 @@ def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
     if len(gamma_grp) == len(big):
         return
     triv = Cocycle.trivial(big)
-    for small_cls in irreducibles(gamma_grp, seed=cfg.seed):
+    for small_cls in irreducibles(gamma_grp):
         ind = induce(small_cls.rep, big, triv)
-        for big_cls in irreducibles(big, seed=cfg.seed):
+        for big_cls in irreducibles(big):
             lhs = hom_dim(ind, big_cls.rep)
             rhs = hom_dim(small_cls.rep, restrict(big_cls.rep, gamma_grp))
             if lhs != rhs:
@@ -230,7 +230,7 @@ def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
 def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
     gamma_grp = pair.little(pair.labels()[0])
     rng = random.Random(cfg.seed)
-    cls = irreducibles(gamma_grp, seed=cfg.seed)[-1]
+    cls = irreducibles(gamma_grp)[-1]
     rep = cls.rep
     for _ in range(cfg.trials):
         c = gamma_grp.elements[rng.randrange(len(gamma_grp))]
@@ -241,7 +241,7 @@ def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
 
 def check_equivalence_vs_hom(pair: FinitePair, cfg: Config) -> None:
     gamma_grp = pair.little(pair.labels()[0])
-    classes = irreducibles(gamma_grp, seed=cfg.seed)
+    classes = irreducibles(gamma_grp)
     for a in classes:
         for b in classes:
             if (hom_dim(a.rep, b.rep) >= 1) != (a == b):
@@ -390,11 +390,11 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     for x, y in itertools.product(els, repeat=2):
         if to_hecke(fuse(x, y)) != convolve(to_hecke(x), to_hecke(y)):
             raise CheckFailure("to_hecke is not multiplicative")
-    gamma_classes = irreducibles(pair.little(pair.labels()[0]), seed=cfg.seed)
+    gamma_classes = irreducibles(pair.little(pair.labels()[0]))
     for a in gamma_classes:
         for b in gamma_classes:
             lhs = fuse(from_rep(pair, a.rep), from_rep(pair, b.rep))
-            product_parts = decompose(rep_tensor(a.rep, b.rep), cfg.seed)
+            product_parts = decompose(rep_tensor(a.rep, b.rep))
             rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
             if lhs != rhs:
                 raise CheckFailure("from_rep is not multiplicative")
@@ -460,7 +460,7 @@ def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
     ext_els = [b for _, b in basis(pair)]
     objs = []
     for label in pair.labels():
-        for cls in irreducibles(pair.little(label), seed=cfg.seed):
+        for cls in irreducibles(pair.little(label)):
             objs.append(make(pair, omega, label, cls.rep))
     for (x_obj, x_ext), (y_obj, y_ext) in itertools.product(
             zip(objs, ext_els), repeat=2):
@@ -525,7 +525,7 @@ def run_checks(entry_names: Optional[list[str]] = None,
             continue
 
         try:
-            pair = build_pair(entry, seed=cfg.seed)
+            pair = build_pair(entry)
             omega = build_omega(entry, pair)
         except Exception as exc:  # noqa: BLE001 - a bad entry fails alone
             outcomes.append(Outcome("build-entry", entry_name, False, str(exc)))

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: list, cosets, hecke-mul, ext-basis, ext-mul, elem-mul, out-desc,
-table, check.  All output is deterministic for a fixed --seed (and catalog):
+table, check.  All output is deterministic for a fixed catalog (and, for
+check, a fixed --seed, which drives its sampling):
 JSON is emitted with sorted keys, exact integers, fraction strings, and
 character entries rounded to the 1e-6 grid.
 """
@@ -37,7 +38,7 @@ from .elementary import (
 from .exthecke import FinitePair, basis, dims, fuse, parse_ext_element
 from .hecke import modular_lambda, parse_element
 from .permcore import Perm, out_description
-from .projrep import RepClass, irreducibles
+from .projrep import RepClass
 
 SCHEMA = 1
 
@@ -137,14 +138,11 @@ def elem_sum_json(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> list:
     return terms
 
 
-def elem_sum_text(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> str:
-    bits = []
-    for rep_obj, mult in total.items():
-        classes = admissible_classes(pair, omega, rep_obj.delta)
-        idx = classes.index(RepClass(rep_obj.rep))
-        body = f"H({rep_obj.delta.cycle_string()},{idx})"
-        bits.append(body if mult == 1 else f"{mult}*{body}")
-    return " + ".join(bits) if bits else "0"
+def elem_sum_text(terms: list) -> str:
+    """The ``elem_sum_json`` terms in the grammar of ``parse_elem_element``."""
+    bits = [f"H({t['delta']},{t['class_index']})" for t in terms]
+    return " + ".join(b if t["mult"] == 1 else f"{t['mult']}*{b}"
+                      for b, t in zip(bits, terms)) or "0"
 
 
 # ------------------------------------------------------------------ commands
@@ -161,7 +159,7 @@ def cmd_cosets(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
     if entry.kind != "finite":
         raise SystemExit("cosets are enumerable only for finite pairs")
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     hk = pair.hecke()
     rows = []
     for dc in pair.cosets.cosets:
@@ -184,7 +182,7 @@ def cmd_cosets(args, catalog) -> int:
 
 def cmd_hecke_mul(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    backend = build_backend(entry, args.max_group_order, args.seed)
+    backend = build_backend(entry, args.max_group_order)
     element = parse_element(backend, args.expr)
     emit(args, {"schema": SCHEMA, "backend": entry.name,
                 "element": element.to_json()}, str(element))
@@ -193,7 +191,7 @@ def cmd_hecke_mul(args, catalog) -> int:
 
 def cmd_ext_basis(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     rows = []
     for key, el in basis(pair):
         (label, parts), = el.support.items()
@@ -209,19 +207,11 @@ def cmd_ext_basis(args, catalog) -> int:
 
 def cmd_ext_mul(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     x = parse_ext_element(pair, args.x)
     y = parse_ext_element(pair, args.y)
     product = fuse(x, y)
-    hk = pair.hecke()
-    classes_at = {label: irreducibles(pair.little(label))
-                  for label in pair.labels()}
-    terms = []
-    for label in sorted(product.support, key=lambda l: l.images):
-        index = {c: i for i, c in enumerate(classes_at[label])}
-        for cls in sorted(product.support[label], key=lambda c: c.sort_key()):
-            terms.append({"z": f"{hk.label_str(label)}:{index[cls]}",
-                          "mult": product.support[label][cls]})
+    terms = [{"z": z, "mult": mult} for z, mult in product.terms()]
     emit(args, {"schema": SCHEMA, "pair": entry.name,
                 "x": args.x, "y": args.y, "terms": terms},
          str(product))
@@ -230,22 +220,21 @@ def cmd_ext_mul(args, catalog) -> int:
 
 def cmd_elem_mul(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     omega = resolve_omega(args, entry, pair)
     x = parse_elem_element(pair, omega, entry.degree, args.x)
     y = parse_elem_element(pair, omega, entry.degree, args.y)
-    product = elem_fuse(x, y)
+    terms = elem_sum_json(pair, omega, elem_fuse(x, y))
     emit(args, {"schema": SCHEMA, "pair": entry.name,
                 "omega": omega_descriptor(entry, args),
-                "x": args.x, "y": args.y,
-                "terms": elem_sum_json(pair, omega, product)},
-         elem_sum_text(pair, omega, product))
+                "x": args.x, "y": args.y, "terms": terms},
+         elem_sum_text(terms))
     return 0
 
 
 def cmd_out_desc(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     desc = out_description(pair.gamma)
     data = {
         "schema": SCHEMA,
@@ -269,7 +258,7 @@ def cmd_out_desc(args, catalog) -> int:
 
 def cmd_table(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order, args.seed)
+    pair = build_pair(entry, args.max_group_order)
     data = fusion_table(pair)
     text = (f"fusion table for {entry.name}: {len(data['basis'])} basis elements, "
             f"{len(data['products'])} products")

@@ -17,14 +17,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .permcore import FiniteGroup, Perm, conj_map
+from .permcore import FiniteGroup, Memo, Perm, conj_map
 
 
 class CocycleError(ValueError):
     """A cocycle axiom fails; carries a witness in the message."""
 
 
-_TRIVIAL_CACHE: dict = {}
+_TRIVIAL_CACHE = Memo()
 
 
 class Cocycle:
@@ -87,13 +87,9 @@ class Cocycle:
 
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "Cocycle":
-        key = (group.key(), modulus)
-        hit = _TRIVIAL_CACHE.get(key)
-        if hit is None:
-            n = len(group)
-            hit = cls(group, modulus, np.zeros((n, n), np.int64), validate=False)
-            _TRIVIAL_CACHE[key] = hit
-        return hit
+        n = len(group)
+        return _TRIVIAL_CACHE.get_or((group.key(), modulus), lambda: cls(
+            group, modulus, np.zeros((n, n), np.int64), validate=False))
 
     def exponent(self, g: Perm, h: Perm) -> int:
         return int(self.arr[self.group.index_of(g), self.group.index_of(h)])

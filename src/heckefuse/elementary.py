@@ -59,28 +59,26 @@ class CocycleBookkeepingError(AssertionError):
 def required_cocycle(pair: FinitePair, omega: Cocycle, delta: Perm) -> Cocycle:
     """(omega o Ad delta) / omega on gamma ∩ delta^-1 gamma delta; memoized
     on the pair."""
-    key = ("required", omega.key(), delta.images)
-    hit = pair._canon.get(key)
-    if hit is None:
-        rig = pair.little_of_element(delta)
-        moved = omega.pullback(rig, conj_map(rig, delta, omega.group))
-        hit = pair._canon[key] = moved * omega.restrict(rig).inverse()
-    return hit
+    return pair._memo.get_or(("required", omega.key(), delta.images),
+                             _required_cocycle, pair, omega, delta)
+
+
+def _required_cocycle(pair: FinitePair, omega: Cocycle, delta: Perm) -> Cocycle:
+    rig = pair.little_of_element(delta)
+    moved = omega.pullback(rig, conj_map(rig, delta, omega.group))
+    return moved * omega.restrict(rig).inverse()
 
 
 def pair_conjugation_phase(pair: FinitePair, omega: Cocycle, g: Perm) -> PhaseFunction:
     """``conjugation_phase(omega, g)``, memoized on the pair."""
-    key = ("phase", omega.key(), g.images)
-    hit = pair._canon.get(key)
-    if hit is None:
-        hit = pair._canon[key] = conjugation_phase(omega, g)
-    return hit
+    return pair._memo.get_or(("phase", omega.key(), g.images),
+                             conjugation_phase, omega, g)
 
 
 def admissible_classes(pair: FinitePair, omega: Cocycle, delta: Perm):
     """Irreducible classes eligible to sit at delta, canonically ordered."""
     rig = pair.little_of_element(delta)
-    return irreducibles(rig, required_cocycle(pair, omega, delta), pair.seed)
+    return irreducibles(rig, required_cocycle(pair, omega, delta))
 
 
 class ElementaryBimodule:
@@ -178,10 +176,12 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
     over all of them does not depend on any representative choice made
     elsewhere.  Memoized on the pair.
     """
-    key = ("term", omega.key(), delta.images, rep.char_key())
-    hit = pair._canon.get(key)
-    if hit is not None:
-        return hit
+    return pair._memo.get_or(("term", omega.key(), delta.images, rep.char_key()),
+                             _canonical_term, pair, omega, delta, rep)
+
+
+def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
+                    rep: Rep) -> tuple:
     label = pair.label_of(delta)
     best = min((transfer_rep(pair, omega, delta, rep, g, c)
                 for g, c in pair.decompositions(delta, label)),
@@ -191,32 +191,33 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
         raise CocycleBookkeepingError(
             f"transfer to {label.cycle_string()} carries the wrong cocycle; "
             "witness pair " + _witness_pair(best.cocycle, need))
-    term = pair._canon[key] = (label.images, best.char_key())
-    return term
+    return label.images, best.char_key()
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,
                              term: tuple) -> ElementaryBimodule:
     """The object at the term's label carrying the admissible class whose
     character is the term's fingerprint; memoized on the pair."""
-    key = ("rep", omega.key(), term)
-    hit = pair._canon.get(key)
-    if hit is None:
-        label = Perm(term[0])
-        cls = next((c for c in admissible_classes(pair, omega, label)
-                    if c.char == term[1]), None)
-        if cls is None:
-            raise NumericalDegradation(
-                f"no admissible class at {label.cycle_string()} has the "
-                "canonical fingerprint")
-        hit = pair._canon[key] = ElementaryBimodule(pair, omega, label, cls.rep)
-    return hit
+    return pair._memo.get_or(("rep", omega.key(), term),
+                             _canonical_representative, pair, omega, term)
+
+
+def _canonical_representative(pair: FinitePair, omega: Cocycle,
+                              term: tuple) -> ElementaryBimodule:
+    label = Perm(term[0])
+    cls = next((c for c in admissible_classes(pair, omega, label)
+                if c.char == term[1]), None)
+    if cls is None:
+        raise NumericalDegradation(
+            f"no admissible class at {label.cycle_string()} has the "
+            "canonical fingerprint")
+    return ElementaryBimodule(pair, omega, label, cls.rep)
 
 
 def _add_terms(out: dict, pair: FinitePair, omega: Cocycle, delta: Perm,
                rep: Rep) -> dict:
     """Add the canonical terms of rep's irreducible constituents at delta."""
-    for cls, mult in decompose(rep, pair.seed).items():
+    for cls, mult in decompose(rep).items():
         term = canonical_term(pair, omega, delta, cls.rep)
         out[term] = out.get(term, 0) + mult
     return out
@@ -354,4 +355,4 @@ def to_ext_hecke(h) -> ExtHeckeElement:
     c1, c2 = pair.decomposition(label, h.delta)
     little = pair.little(label)
     moved = transport(h.rep, little, conj_map(little, c2.inverse(), h.rep.group))
-    return ExtHeckeElement(pair, {label: decompose(moved, pair.seed)})
+    return ExtHeckeElement(pair, {label: decompose(moved)})

@@ -39,6 +39,7 @@ from .hecke import FiniteHecke, HeckeElement
 from .permcore import (
     DoubleCosetSystem,
     FiniteGroup,
+    Memo,
     Perm,
     Subgroup,
     conj_map,
@@ -62,7 +63,7 @@ class FusionFormulaError(AssertionError):
 
 
 class FinitePair:
-    """A finite pair gamma <= group, with coset data, caches, and a seed.
+    """A finite pair gamma <= group, with its coset data and one cache store.
 
     ``rng`` (a random.Random) randomizes every representative choice: right
     coset representatives, transport decompositions, fusion orbit
@@ -71,35 +72,32 @@ class FinitePair:
     (rng=None) makes the lexicographically least choice everywhere.
 
     The group keeps the right cosets of gamma and the orbits of each little
-    group on them.  The pair keeps, per label, the double cosets each orbit
-    reads (``orbit_labels``), the index arrays through which characters are
-    read at a point (``_reads``), and the canonical terms, representatives,
-    required cocycles and conjugation phases of elementary objects over it
-    (filled by :mod:`heckefuse.elementary`).
+    group on them.  The pair keeps everything else in ``_memo``, under keys
+    tagged by kind: little groups of elements, decompositions, meets of
+    little groups, the double cosets each orbit reads (``orbit_labels``), the
+    index arrays through which characters are read at a point, the index of
+    each class in its label's basis keys, fusion and conjugation results
+    (the elements themselves, keyed by their factors), and the canonical terms,
+    representatives, required cocycles and conjugation phases of elementary
+    objects over it (filled by :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
-                 seed: int = 0, rng=None):
+                 rng=None):
         self.group = group
         self.gamma = gamma
         self.name = name
-        self.seed = seed
         self.rng = rng
         self.cosets = DoubleCosetSystem(group, gamma, rng=rng)
         self._hecke = FiniteHecke(group, gamma, self.cosets)
-        self._little_of: dict[Perm, Subgroup] = {
-            dc.label: dc.little for dc in self.cosets.cosets}
-        self._orbit_labels: dict[Perm, list] = {}
-        self._decomp: dict[tuple, tuple] = {}
-        self._fuse: dict[tuple, dict] = {}
-        self._conj: dict[tuple, dict] = {}
-        self._canon: dict[tuple, object] = {}
-        self._meets: dict[tuple, Subgroup] = {}
-        self._reads: dict[tuple, np.ndarray] = {}
+        # a label's little group is its double coset's own object, which
+        # carries the index tables built on it
+        self._memo = Memo({("little", dc.label): dc.little
+                           for dc in self.cosets.cosets})
 
     def with_choices(self, rng) -> "FinitePair":
         """The same pair with all representative choices drawn from rng."""
-        return FinitePair(self.group, self.gamma, self.name, self.seed, rng)
+        return FinitePair(self.group, self.gamma, self.name, rng)
 
     def hecke(self) -> FiniteHecke:
         return self._hecke
@@ -117,25 +115,28 @@ class FinitePair:
             raise ValueError(
                 f"{label!r} is not the label of a double coset") from None
 
+    def class_index(self, label: Perm) -> dict[RepClass, int]:
+        """The index of each irreducible class of little(label) in
+        ``irreducibles``, the class part of a basis key; memoized."""
+        return self._memo.get_or(("class_index", label), lambda: {
+            cls: i for i, cls in enumerate(irreducibles(self.little(label)))})
+
     def little_of_element(self, t: Perm) -> Subgroup:
-        hit = self._little_of.get(t)
-        if hit is None:
-            hit = self._little_of[t] = conjugate_intersection(self.gamma, t)
-        return hit
+        return self._memo.get_or(("little", t), conjugate_intersection, self.gamma, t)
 
     def decomposition(self, label: Perm, target: Perm) -> tuple[Perm, Perm]:
         """(c1, c2) in gamma^2 with target = c1 * label * c2: the first of
         ``decompositions``, or one picked under rng; memoized."""
-        key = (label, target)
-        hit = self._decomp.get(key)
-        if hit is None:
-            found = list(self.decompositions(label, target))
-            if not found:
-                raise ValueError(
-                    f"{target.cycle_string()} is not in the double coset of "
-                    f"{label.cycle_string()}")
-            hit = self._decomp[key] = self.pick(found)
-        return hit
+        return self._memo.get_or(("decomposition", label, target),
+                                 self._decomposition, label, target)
+
+    def _decomposition(self, label: Perm, target: Perm) -> tuple[Perm, Perm]:
+        found = list(self.decompositions(label, target))
+        if not found:
+            raise ValueError(
+                f"{target.cycle_string()} is not in the double coset of "
+                f"{label.cycle_string()}")
+        return self.pick(found)
 
     def decompositions(self, delta: Perm, target: Perm):
         """Every (c1, c2) in gamma^2 with target = c1 * delta * c2, in the
@@ -149,12 +150,8 @@ class FinitePair:
                 yield gamma.elements[c1], c2
 
     def intersection(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        key = (a.key(), b.key())
-        hit = self._meets.get(key)
-        if hit is None:
-            inside = (b.positions(a.images) >= 0).tolist()
-            hit = self._meets[key] = Subgroup(self.gamma, compress(a.elements, inside))
-        return hit
+        return self._memo.get_or(("meet", a.key(), b.key()), lambda: Subgroup(
+            self.gamma, compress(a.elements, (b.positions(a.images) >= 0).tolist())))
 
     def coset_orbits(self, little: Subgroup) -> tuple:
         """Orbits of the little group on right cosets (as coset-min tuples)."""
@@ -168,13 +165,10 @@ class FinitePair:
         orbit: label * x^-1 lies in gamma * label for x in little(label).
         They are where the fusion of x and y reads x and y on that orbit.
         """
-        hit = self._orbit_labels.get(label)
-        if hit is None:
-            hit = self._orbit_labels[label] = [
-                (orbit, self.label_of(label * orbit[0].inverse()),
-                 self.label_of(orbit[0]))
-                for orbit in self.coset_orbits(self.little(label))]
-        return hit
+        return self._memo.get_or(("orbit_labels", label), lambda: [
+            (orbit, self.label_of(label * orbit[0].inverse()),
+             self.label_of(orbit[0]))
+            for orbit in self.coset_orbits(self.little(label))])
 
     def pick(self, items: list):
         """Orbit-representative choice: canonical minimum, or random under rng."""
@@ -209,20 +203,22 @@ class ExtHeckeElement:
             clean[label] = dict(parts)
         self.pair = pair
         self.support = clean
+        self._key = tuple(sorted(
+            (label.images, tuple(sorted((c.key(), m) for c, m in parts.items())))
+            for label, parts in clean.items()))
+        self._hash = hash(self._key)
 
     def key(self) -> tuple:
-        return tuple(sorted(
-            (label.images, tuple(sorted((c.key(), m) for c, m in parts.items())))
-            for label, parts in self.support.items()))
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtHeckeElement)
                 and self.pair.group == other.pair.group
                 and self.pair.gamma == other.pair.gamma
-                and self.key() == other.key())
+                and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __add__(self, other: "ExtHeckeElement") -> "ExtHeckeElement":
         out = {label: dict(parts) for label, parts in self.support.items()}
@@ -235,17 +231,18 @@ class ExtHeckeElement:
             label: {c: n * m for c, m in parts.items()}
             for label, parts in self.support.items()})
 
-    def __str__(self) -> str:
-        hk = self.pair.hecke()
-        bits = []
+    def terms(self) -> list[tuple[str, int]]:
+        """(basis key "label:class index", multiplicity) per term, in the
+        canonical order; the keys are those of ``basis``."""
+        hk, out = self.pair.hecke(), []
         for label in sorted(self.support, key=lambda l: l.images):
-            name = hk.label_str(label)
-            classes = irreducibles(self.pair.little(label))
-            index = {c: i for i, c in enumerate(classes)}
-            for cls in sorted(self.support[label], key=lambda c: c.sort_key()):
-                m = self.support[label][cls]
-                body = f"B[{name}:{index[cls]}]"
-                bits.append(body if m == 1 else f"{m}*{body}")
+            index, parts = self.pair.class_index(label), self.support[label]
+            for cls in sorted(parts, key=lambda c: c.sort_key()):
+                out.append((f"{hk.label_str(label)}:{index[cls]}", parts[cls]))
+        return out
+
+    def __str__(self) -> str:
+        bits = [f"B[{z}]" if m == 1 else f"{m}*B[{z}]" for z, m in self.terms()]
         return " + ".join(bits) if bits else "0"
 
     def __repr__(self) -> str:
@@ -266,7 +263,7 @@ def from_rep(pair: FinitePair, rep: Rep) -> ExtHeckeElement:
     little = pair.little(label)
     if rep.group.key() != little.key():
         rep = restrict(rep, little)
-    return ExtHeckeElement(pair, {label: decompose(rep, pair.seed)})
+    return ExtHeckeElement(pair, {label: decompose(rep)})
 
 
 def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
@@ -279,8 +276,7 @@ def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
             f"{label.cycle_string()}")
     little = pair.little_of_element(target)
     char = _character_on(x, target, little, pair.group.identity)
-    parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim,
-                                pair.seed)
+    parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim)
     if list(parts.values()) != [1]:
         raise ValueError("transport_class takes an irreducible class")
     return next(iter(parts))
@@ -295,15 +291,19 @@ def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
     """
     pair = x.pair
     label = pair.label_of(point)
-    key = (point, by, meet.key())
-    reads = pair._reads.get(key)
-    if reads is None:
-        if point != label:
-            by = pair.decomposition(label, point)[1] * by
-        reads = pair._reads[key] = conj_map(meet, by, pair.little(label))
+    reads = pair._memo.get_or(("reads", point, by, meet.key()),
+                              _read_map, pair, label, point, meet, by)
     char = sum(m * np.array(cls.rep.character())
                for cls, m in x.support[label].items())
     return char[reads]
+
+
+def _read_map(pair: FinitePair, label: Perm, point: Perm, meet: Subgroup,
+              by: Perm) -> np.ndarray:
+    """Positions in little(label) of (c2 by) t (c2 by)^-1 for t in meet."""
+    if point != label:
+        by = pair.decomposition(label, point)[1] * by
+    return conj_map(meet, by, pair.little(label))
 
 
 def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
@@ -318,7 +318,7 @@ def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
     spread[little_g.positions(meet.images)] = char
     induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
     return decompose_character(little_g, Cocycle.trivial(little_g), induced,
-                               dim * (len(little_g) // len(meet)), pair.seed)
+                               dim * (len(little_g) // len(meet)))
 
 
 def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement,
@@ -340,16 +340,18 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
     """The fusion product, summed over little-group orbits of right cosets.
 
     Orbits whose labels miss the support of x or of y contribute nothing and
-    are skipped before a representative is drawn.
+    are skipped before a representative is drawn.  Memoized on the pair: a
+    repeated product returns the same element.
     """
     pair = x.pair
     if y.pair is not pair and (y.pair.group != pair.group
                                or y.pair.gamma != pair.gamma):
         raise ValueError("elements live over different pairs")
-    cache_key = (x.key(), y.key())
-    hit = pair._fuse.get(cache_key)
-    if hit is not None:
-        return ExtHeckeElement(pair, hit)
+    return pair._memo.get_or(("fuse", x, y), _fuse, pair, x, y)
+
+
+def _fuse(pair: FinitePair, x: ExtHeckeElement,
+          y: ExtHeckeElement) -> ExtHeckeElement:
     out: dict[Perm, dict] = {}
     for g0 in pair.labels():
         total: dict[RepClass, int] = {}
@@ -360,7 +362,6 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
             total = add_multiset(total, _orbit_contribution(pair, x, y, g0, h))
         if total:
             out[g0] = total
-    pair._fuse[cache_key] = {label: dict(parts) for label, parts in out.items()}
     return ExtHeckeElement(pair, out)
 
 
@@ -455,21 +456,20 @@ def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
 
     The defining axioms fix conjugation only up to these domain constraints;
     this formula is validated by the involutivity and reciprocity tests.
+    Memoized on the pair, like ``fuse``.
     """
-    pair = x.pair
-    hit = pair._conj.get(x.key())
-    if hit is not None:
-        return ExtHeckeElement(pair, hit)
-    out: dict[Perm, dict] = {}
+    return x.pair._memo.get_or(("conjugate", x), _conjugate, x)
+
+
+def _conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
+    pair, out = x.pair, {}
     for label, parts in x.support.items():
         new_label = pair.label_of(label.inverse())
         little_new = pair.little(new_label)
         # new_label^-1 lies in the double coset of label
         char = np.conj(_character_on(x, new_label.inverse(), little_new, new_label))
         out[new_label] = add_multiset(out.get(new_label, {}), decompose_character(
-            little_new, Cocycle.trivial(little_new), char, multiset_dim(parts),
-            pair.seed))
-    pair._conj[x.key()] = {label: dict(parts) for label, parts in out.items()}
+            little_new, Cocycle.trivial(little_new), char, multiset_dim(parts)))
     return ExtHeckeElement(pair, out)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 from typing import Optional
 
-from .permcore import DoubleCosetSystem, FiniteGroup, Perm, Subgroup
+from .permcore import DoubleCosetSystem, FiniteGroup, Memo, Perm, Subgroup
 
 _LETTERS = "KLMNPQRSUVWXYZABCDFGHIJ"
 
@@ -123,9 +123,15 @@ def _content(x: Mat) -> Fraction:
     return Fraction(g, denom)
 
 
-@functools.lru_cache(maxsize=None)
+_HNF_REPS = Memo()
+
+
 def primitive_hnf_reps(m: int) -> tuple[Mat, ...]:
     """Upper-triangular (a b / 0 d) with ad = m, 0 <= b < d, gcd(a, b, d) = 1."""
+    return _HNF_REPS.get_or(m, _primitive_hnf_reps, m)
+
+
+def _primitive_hnf_reps(m: int) -> tuple[Mat, ...]:
     out = []
     for a in range(1, m + 1):
         if m % a:
@@ -221,7 +227,7 @@ class BostConnesHecke:
     kind = "bc"
 
     def __init__(self):
-        self._reps_cache: dict = {}
+        self._reps_cache = Memo()
 
     @property
     def unit_label(self):
@@ -240,13 +246,12 @@ class BostConnesHecke:
         return (Fraction(label[0]), Fraction(label[1]))
 
     def right_reps(self, label) -> list:
-        hit = self._reps_cache.get(label)
-        if hit is None:
-            a, r = Fraction(label[0]), Fraction(label[1])
-            q = a.denominator
-            hit = [(a, r + Fraction(j, q)) for j in range(q)]
-            self._reps_cache[label] = hit
-        return hit
+        return self._reps_cache.get_or(label, self._right_reps, label)
+
+    @staticmethod
+    def _right_reps(label) -> list:
+        a, r = Fraction(label[0]), Fraction(label[1])
+        return [(a, r + Fraction(j, a.denominator)) for j in range(a.denominator)]
 
     def mul(self, x, y):
         return (x[0] * y[0], x[0] * y[1] + x[1])

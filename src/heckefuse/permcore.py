@@ -204,9 +204,32 @@ def _conj_rows(rows: np.ndarray, x: Perm) -> np.ndarray:
     return xa[rows[..., np.argsort(xa)]]
 
 
+class Memo(dict):
+    """A cache store; every memo of the package is one, filled by ``get_or``.
+
+    Each owner keeps one: a group its tables and coset data, a pair its
+    coset, character and fusion data, a module its ``_UPPERCASE`` cache.
+    """
+
+    def get_or(self, key, compute: Callable, *args):
+        """The value stored under key, else compute(*args), stored; a
+        compute that raises stores nothing."""
+        try:
+            return self[key]
+        except KeyError:
+            pass
+        value = self[key] = compute(*args)
+        return value
+
+
 class FiniteGroup:
     """A finite permutation group: its sorted element list, and ``images``,
-    the same elements as a (|G|, degree) array of image rows."""
+    the same elements as a (|G|, degree) array of image rows.
+
+    ``_memo`` holds what is computed once per group: the multiplication,
+    inverse and conjugation tables, a small generating set, and the right
+    cosets and coset orbits of each subgroup.
+    """
 
     def __init__(self, degree: int, elements: Iterable[Perm],
                  generators: Sequence[Perm] = ()):
@@ -224,8 +247,7 @@ class FiniteGroup:
         self.images = np.array([g.images for g in elements],
                                dtype=np.intp).reshape(len(elements), degree)
         self._row_keys = _row_keys(self.images)
-        self._right_cosets: dict = {}
-        self._coset_orbits: dict = {}
+        self._memo = Memo()
 
     @classmethod
     def generate(cls, degree: int, generators: Sequence[Perm],
@@ -288,26 +310,18 @@ class FiniteGroup:
 
     def mul_table(self) -> np.ndarray:
         """mul_table()[i, j] = index of e_i * e_j, as an int array."""
-        table = getattr(self, "_mul_table", None)
-        if table is None:
-            table = self._mul_table = np.concatenate(
-                [block for _, block in self._product_blocks()])
-        return table
+        return self._memo.get_or("mul_table", lambda: np.concatenate(
+            [block for _, block in self._product_blocks()]))
 
     def inv_indices(self) -> np.ndarray:
         """inv_indices()[i] = index of the inverse of element i."""
-        table = getattr(self, "_inv_indices", None)
-        if table is None:
-            table = self._inv_indices = self.positions(np.argsort(self.images, axis=1))
-        return table
+        return self._memo.get_or("inv_indices", lambda: self.positions(
+            np.argsort(self.images, axis=1)))
 
     def conj_table(self) -> np.ndarray:
         """conj_table()[x, g] = index of e_x * e_g * e_x^-1, as an int array."""
-        table = getattr(self, "_conj_table", None)
-        if table is None:
-            mul = self.mul_table()
-            table = self._conj_table = mul[mul, self.inv_indices()[:, None]]
-        return table
+        return self._memo.get_or("conj_table", lambda: self.mul_table()[
+            self.mul_table(), self.inv_indices()[:, None]])
 
     def right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
         """The right cosets sub * g, each a sorted tuple, in order of their
@@ -315,19 +329,19 @@ class FiniteGroup:
 
         Computed once per subgroup and kept on the group, like ``mul_table``.
         """
-        hit = self._right_cosets.get(sub.key())
-        if hit is None:
-            if not self.contains_subset(sub.elements):
-                raise ValueError("cosets need a subgroup of the group")
-            cosets, coset_of, els = [], {}, self.elements
-            for g in els:
-                if g not in coset_of:
-                    found = np.sort(self.positions(sub.images[:, g.images]))
-                    coset = tuple(els[i] for i in found.tolist())
-                    coset_of.update(dict.fromkeys(coset, len(cosets)))
-                    cosets.append(coset)
-            hit = self._right_cosets[sub.key()] = (tuple(cosets), coset_of)
-        return hit
+        return self._memo.get_or(("right_cosets", sub.key()), self._right_cosets, sub)
+
+    def _right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
+        if not self.contains_subset(sub.elements):
+            raise ValueError("cosets need a subgroup of the group")
+        cosets, coset_of, els = [], {}, self.elements
+        for g in els:
+            if g not in coset_of:
+                found = np.sort(self.positions(sub.images[:, g.images]))
+                coset = tuple(els[i] for i in found.tolist())
+                coset_of.update(dict.fromkeys(coset, len(cosets)))
+                cosets.append(coset)
+        return tuple(cosets), coset_of
 
     def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
         """The orbits of actor, acting by right multiplication on sub\\group,
@@ -337,20 +351,20 @@ class FiniteGroup:
         R\\group is a double coset R g L.  Kept on the group, like
         ``right_cosets``.
         """
-        key = (sub.key(), actor.key())
-        hit = self._coset_orbits.get(key)
-        if hit is None:
-            cosets, coset_of = self.right_cosets(sub)
-            seen, orbits, els = set(), [], self.elements
-            for coset in cosets:
-                if coset[0] not in seen:
-                    moved = self.positions(np.array(coset[0].images)[actor.images])
-                    orbit = tuple(sorted({cosets[coset_of[els[i]]][0]
-                                          for i in moved.tolist()}))
-                    seen.update(orbit)
-                    orbits.append(orbit)
-            hit = self._coset_orbits[key] = tuple(orbits)
-        return hit
+        return self._memo.get_or(("coset_orbits", sub.key(), actor.key()),
+                                 self._coset_orbits, sub, actor)
+
+    def _coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
+        cosets, coset_of = self.right_cosets(sub)
+        seen, orbits, els = set(), [], self.elements
+        for coset in cosets:
+            if coset[0] not in seen:
+                moved = self.positions(np.array(coset[0].images)[actor.images])
+                orbit = tuple(sorted({cosets[coset_of[els[i]]][0]
+                                      for i in moved.tolist()}))
+                seen.update(orbit)
+                orbits.append(orbit)
+        return tuple(orbits)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._key == other._key
@@ -374,18 +388,18 @@ class FiniteGroup:
         that the list so far does not generate; empty for the trivial group.
         Computed once and kept on the group, like ``mul_table``.
         """
-        gens = getattr(self, "_generating_set", None)
-        if gens is None:
-            if not self.contains_subset(self.generators):
-                raise ValueError("stored generators lie outside the group")
-            found = list(self.generators)
-            have = mulclose(found, len(self)) if found else {self.identity}
-            for g in self.elements:
-                if g not in have:
-                    found.append(g)
-                    have = mulclose(found, len(self))
-            gens = self._generating_set = tuple(found)
-        return gens
+        return self._memo.get_or("small_generating_set", self._small_generating_set)
+
+    def _small_generating_set(self) -> tuple[Perm, ...]:
+        if not self.contains_subset(self.generators):
+            raise ValueError("stored generators lie outside the group")
+        found = list(self.generators)
+        have = mulclose(found, len(self)) if found else {self.identity}
+        for g in self.elements:
+            if g not in have:
+                found.append(g)
+                have = mulclose(found, len(self))
+        return tuple(found)
 
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups, grown to a fixpoint by joining with cyclic subgroups."""

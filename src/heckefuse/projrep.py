@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .cocycle import Cocycle, PhaseFunction
-from .permcore import FiniteGroup, Perm, right_coset_reps
+from .permcore import FiniteGroup, Memo, Perm, right_coset_reps
 
 UNITARY_TOL = 1e-8
 RANK_SV_TOL = 1e-9
@@ -70,8 +70,8 @@ class Rep:
         self.cocycle = cocycle
         self.dim = dim
         self.matrices = matrices
-        self._char: Optional[tuple] = None
         self._validate()
+        self._char = tuple(np.trace(matrices, axis1=1, axis2=2).tolist())
 
     def _validate(self) -> None:
         """Check the identity, and unitarity and multiplicativity on generators.
@@ -98,8 +98,6 @@ class Rep:
                     f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
 
     def character(self) -> tuple:
-        if self._char is None:
-            self._char = tuple(np.trace(self.matrices, axis1=1, axis2=2).tolist())
         return self._char
 
     def char_key(self) -> tuple:
@@ -279,7 +277,7 @@ def hom_dim(a: Rep, b: Rep) -> int:
 
 # ------------------------------------------------------------ decomposition
 
-_IRREDUCIBLES: dict = {}
+_IRREDUCIBLES = Memo()
 
 
 def clear_caches() -> None:
@@ -313,11 +311,13 @@ def _eigensplit(rep: Rep, rng: np.random.Generator) -> Optional[list[Rep]]:
     return subs
 
 
-def _split_irreducible(rep: Rep, seed: int) -> list[Rep]:
+def _split_irreducible(rep: Rep) -> list[Rep]:
     if rep.dim == 1:
         return [rep]
     for attempt in range(MAX_SPLIT_TRIES):
-        rng = np.random.default_rng((seed, attempt, rep.dim, len(rep.group)))
+        # one fixed seed: the classes cached by irreducibles must not depend
+        # on which caller split a group first
+        rng = np.random.default_rng((0, attempt, rep.dim, len(rep.group)))
         subs = _eigensplit(rep, rng)
         if subs is None:
             if hom_dim(rep, rep) == 1:
@@ -325,7 +325,7 @@ def _split_irreducible(rep: Rep, seed: int) -> list[Rep]:
             continue  # reducible but the random element was degenerate; retry
         out = []
         for sub in subs:
-            out.extend(_split_irreducible(sub, seed))
+            out.extend(_split_irreducible(sub))
         return out
     raise NumericalDegradation(
         f"irreducible splitting did not converge after {MAX_SPLIT_TRIES} seeds")
@@ -345,8 +345,8 @@ def _checked_multiset(char, dim: int, classes, mults, chars) -> dict[RepClass, i
     return parts
 
 
-def decompose_character(group: FiniteGroup, cocycle: Cocycle, char, dim: int,
-                        seed: int = 0) -> dict[RepClass, int]:
+def decompose_character(group: FiniteGroup, cocycle: Cocycle, char,
+                        dim: int) -> dict[RepClass, int]:
     """Multiset of irreducible constituents of the character of a dim-dimensional
     representation of (group, cocycle); exact multiplicities.
 
@@ -354,10 +354,10 @@ def decompose_character(group: FiniteGroup, cocycle: Cocycle, char, dim: int,
     |G|^-1 sum_g chi(g) conj(chi_irr(g)): irreducible characters sharing a
     cocycle are orthonormal (Karpilovsky, Projective Representations of
     Finite Groups, 1985).  The keys are the classes of
-    ``irreducibles(group, cocycle, seed)``.  ``dim`` is checked against the
+    ``irreducibles(group, cocycle)``.  ``dim`` is checked against the
     constituents, so it must come from the construction, not from char.
     """
-    classes = irreducibles(group, cocycle, seed)
+    classes = irreducibles(group, cocycle)
     chars = _characters(classes)
     raw = chars.conj() @ np.asarray(char) / len(group)
     mults = np.rint(raw.real)
@@ -367,13 +367,13 @@ def decompose_character(group: FiniteGroup, cocycle: Cocycle, char, dim: int,
     return _checked_multiset(char, dim, classes, mults, chars)
 
 
-def decompose(rep: Rep, seed: int = 0) -> dict[RepClass, int]:
+def decompose(rep: Rep) -> dict[RepClass, int]:
     """Multiset of irreducible constituents of rep; see ``decompose_character``."""
-    return decompose_character(rep.group, rep.cocycle, rep.character(), rep.dim, seed)
+    return decompose_character(rep.group, rep.cocycle, rep.character(), rep.dim)
 
 
-def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
-                 seed: int = 0) -> tuple[RepClass, ...]:
+def irreducibles(group: FiniteGroup,
+                 cocycle: Optional[Cocycle] = None) -> tuple[RepClass, ...]:
     """All irreducible classes, canonically ordered by (dim, character).
 
     Split out of the (twisted) regular representation, which contains each
@@ -381,13 +381,14 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
     """
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
-    key = (group.key(), cocycle.key())
-    hit = _IRREDUCIBLES.get(key)
-    if hit is not None:
-        return hit
+    return _IRREDUCIBLES.get_or((group.key(), cocycle.key()),
+                                _split_regular, group, cocycle)
+
+
+def _split_regular(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
     regular = regular_rep(group, cocycle)
     counts: dict[RepClass, int] = {}
-    for irr in _split_irreducible(regular, seed):
+    for irr in _split_irreducible(regular):
         cls = RepClass(irr)
         counts[cls] = counts.get(cls, 0) + 1
     classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
@@ -398,7 +399,6 @@ def irreducibles(group: FiniteGroup, cocycle: Optional[Cocycle] = None,
         raise NumericalDegradation(
             "regular representation splits as (dim, mult) "
             f"{[(c.dim, counts[c]) for c in classes]} for |G| = {len(group)}")
-    _IRREDUCIBLES[key] = classes
     return classes
 
 

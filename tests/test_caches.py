@@ -1,0 +1,75 @@
+"""One cache store per owner: a group and a pair each keep one ``Memo``,
+and fusion results are cached as the elements themselves, which outlive
+``clear_caches``."""
+
+import pytest
+
+import heckefuse
+from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
+from heckefuse.elementary import admissible_classes, fuse as elem_fuse, make
+from heckefuse.exthecke import basis, conjugate, fuse
+from heckefuse.permcore import Memo
+
+PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
+
+
+def exercise(pair) -> None:
+    """Fusion table, conjugation and one twisted elementary product."""
+    fusion_table(pair)
+    for _, x in basis(pair):
+        conjugate(x)
+    omega = build_omega(BUILTIN[pair.name], pair)
+    if omega is not None:
+        label = pair.labels()[-1]
+        h = make(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
+        elem_fuse(h, h).total_dim()
+
+
+def stores(owner) -> list:
+    return [v for v in vars(owner).values() if isinstance(v, Memo)]
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_pair_and_group_each_keep_one_store(name):
+    pair = build_pair(BUILTIN[name])
+    before = [(owner, set(vars(owner))) for owner in (pair, pair.group, pair.gamma)]
+    exercise(pair)
+    for owner, attrs in before:
+        assert len(stores(owner)) == 1
+        assert set(vars(owner)) == attrs  # nothing cached on the side
+    kinds = {key[0] for key in pair._memo}
+    assert {"little", "meet", "orbit_labels", "reads", "fuse", "conjugate"} <= kinds
+    assert kinds <= {"little", "decomposition", "meet", "orbit_labels", "reads",
+                     "class_index", "fuse", "conjugate", "required", "phase",
+                     "term", "rep"}
+    if build_omega(BUILTIN[name], pair) is not None:
+        assert {"required", "phase", "term", "rep"} <= kinds
+    assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_cached_fusion_is_the_fresh_product(name):
+    pair = build_pair(BUILTIN[name])
+    elements = [x for _, x in basis(pair)]
+    cached = {(i, j): fuse(x, y) for i, x in enumerate(elements)
+              for j, y in enumerate(elements)}
+    for (i, j), z in cached.items():
+        assert fuse(elements[i], elements[j]) is z
+    fresh = build_pair(BUILTIN[name])
+    fresh_elements = [x for _, x in basis(fresh)]
+    for (i, j), z in cached.items():
+        assert fuse(fresh_elements[i], fresh_elements[j]) == z
+        assert conjugate(z) is conjugate(z)
+
+
+def test_cached_element_survives_clear_caches():
+    pair = build_pair(BUILTIN["S3_in_S4"])
+    elements = [x for _, x in basis(pair)]
+    z = fuse(elements[-1], elements[-1])
+    text, terms = str(z), z.terms()
+    heckefuse.clear_caches()
+    assert (str(z), z.terms()) == (text, terms)
+    assert fuse(elements[-1], elements[-1]) is z
+    fresh = build_pair(BUILTIN["S3_in_S4"])
+    last = basis(fresh)[-1][1]
+    assert fuse(last, last) == z

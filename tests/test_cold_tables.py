@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import heckefuse
-from heckefuse import catalog, elementary
+from heckefuse import catalog, elementary, hecke
 from heckefuse.cocycle import Cocycle
 from heckefuse.projrep import irreducibles
 
@@ -58,6 +58,7 @@ def test_clear_caches_empties_every_module_cache():
     a = elementary.make(pair, Cocycle.trivial(pair.gamma), k_label,
                         irreducibles(pair.little(k_label))[0].rep)
     elementary.fuse(a, a)
+    hecke.primitive_hnf_reps(6)
     caches = module_caches()
     assert caches and all(caches.values())
     heckefuse.clear_caches()

@@ -120,7 +120,7 @@ def matrix_contribution(pair, x, y, g0, h):
     right = restrict(value_at(y, h), meet)
     ind = induce(tensor(left, right), little_g, Cocycle.trivial(little_g),
                  rng=pair.rng)
-    return decompose(ind, pair.seed)
+    return decompose(ind)
 
 
 def pair_orbits(pair, little):
@@ -172,7 +172,7 @@ def matrix_triple_fuse(x, y, z):
             c = restrict(value_at(z, k), meet)
             ind = induce(tensor(tensor(a, b), c), little_g, Cocycle.trivial(little_g),
                          rng=pair.rng)
-            total = add_multiset(total, decompose(ind, pair.seed))
+            total = add_multiset(total, decompose(ind))
         if total:
             out[g0] = total
     return ExtHeckeElement(pair, out)
@@ -189,7 +189,7 @@ def matrix_conjugate(x):
         moved = transport(rep_t, pair.little(new_label),
                           lambda t: t.conjugate(new_label))
         out[new_label] = add_multiset(out.get(new_label, {}),
-                                      decompose(conjugate_rep(moved), pair.seed))
+                                      decompose(conjugate_rep(moved)))
     return ExtHeckeElement(pair, out)
 
 

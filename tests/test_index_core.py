@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import heckefuse
-from heckefuse import checks, cocycle, elementary, permcore, projrep
+from heckefuse import checks, cocycle, elementary, exthecke, permcore, projrep
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cocycle import Cocycle, PhaseFunction, conjugation_phase, heisenberg_group
 from heckefuse.elementary import required_cocycle
@@ -303,6 +303,7 @@ def test_check_pass_object_counts(monkeypatch):
     counting(cocycle.Cocycle, "__init__", "cocycle")
     counting(projrep.Rep, "__init__", "rep")
     counting(elementary, "conjugation_phase", "phase")
+    counting(exthecke.ExtHeckeElement, "__init__", "ext")
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
@@ -310,11 +311,13 @@ def test_check_pass_object_counts(monkeypatch):
     assert counts["cocycle"] <= 6_000
     assert counts["phase"] <= 40
     assert counts["rep"] == 3_564
+    # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit
+    assert counts["ext"] <= 2_600
 
 
 def test_table_path_builds_no_ambient_group_table():
     from heckefuse.catalog import fusion_table
     pair = make_pair("S4_in_S5")
     assert fusion_table(pair)["products"]
-    assert not hasattr(pair.group, "_mul_table")
-    assert not hasattr(pair.group, "_conj_table")
+    assert "mul_table" not in pair.group._memo
+    assert "conj_table" not in pair.group._memo
