@@ -183,7 +183,10 @@ def cmd_cosets(args, catalog) -> int:
 def cmd_hecke_mul(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
     backend = build_backend(entry, args.max_group_order)
-    element = parse_element(backend, args.expr)
+    try:
+        element = parse_element(backend, args.expr)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemExit(f"cannot evaluate {args.expr!r}: {exc}") from None
     emit(args, {"schema": SCHEMA, "backend": entry.name,
                 "element": element.to_json()}, str(element))
     return 0
@@ -208,8 +211,10 @@ def cmd_ext_basis(args, catalog) -> int:
 def cmd_ext_mul(args, catalog) -> int:
     entry = pick_entry(catalog, args.pair)
     pair = build_pair(entry, args.max_group_order)
-    x = parse_ext_element(pair, args.x)
-    y = parse_ext_element(pair, args.y)
+    try:
+        x, y = parse_ext_element(pair, args.x), parse_ext_element(pair, args.y)
+    except ValueError as exc:
+        raise SystemExit(f"cannot parse element: {exc}") from None
     product = fuse(x, y)
     terms = [{"z": z, "mult": mult} for z, mult in product.terms()]
     emit(args, {"schema": SCHEMA, "pair": entry.name,

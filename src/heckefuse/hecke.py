@@ -11,7 +11,8 @@ Three backends provide labels and coset data:
 * ``FiniteHecke``     -- a finite pair Gamma <= G of permutation groups;
 * ``GL2Hecke``        -- SL(2,Z) inside rational 2x2 matrices of positive
   determinant; labels are rational elementary-divisor pairs (d1, d2) with
-  d2/d1 a positive integer, so inverses stay inside the label set;
+  d2/d1 a positive integer, so inverses stay inside the label set; elements
+  are a rational content times a primitive integer matrix;
 * ``BostConnesHecke`` -- the integer-translation subgroup inside the rational
   ax+b group, with exact fraction arithmetic.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .permcore import DoubleCosetSystem, FiniteGroup, Memo, Perm, Subgroup
@@ -93,35 +94,8 @@ class FiniteHecke:
 
 # ------------------------------------------------------------------ GL2
 
-Mat = tuple  # (a, b, c, d): rows (a b) / (c d), entries Fraction
-
-
-def mat_mul(x: Mat, y: Mat) -> Mat:
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-def mat_det(x: Mat) -> Fraction:
-    return x[0] * x[3] - x[1] * x[2]
-
-
-def mat_inv(x: Mat) -> Mat:
-    d = mat_det(x)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    return (x[3] / d, -x[1] / d, -x[2] / d, x[0] / d)
-
-
-def _content(x: Mat) -> Fraction:
-    """The positive rational c with x / c integral of entry gcd 1."""
-    fracs = [Fraction(e) for e in x]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = gcd(*(abs(i) for i in ints))
-    if g == 0:
-        raise ZeroDivisionError("zero matrix has no content")
-    return Fraction(g, denom)
-
+Mat = tuple  # (a, b, c, d): rows (a b) / (c d), entries int
+Elt = tuple  # (content, P): a positive Fraction times a primitive Mat, det P > 0
 
 _HNF_REPS = Memo()
 
@@ -138,8 +112,8 @@ def _primitive_hnf_reps(m: int) -> tuple[Mat, ...]:
             continue
         d = m // a
         for b in range(d):
-            if gcd(a, gcd(b, d)) == 1:
-                out.append((Fraction(a), Fraction(b), Fraction(0), Fraction(d)))
+            if gcd(a, b, d) == 1:
+                out.append((a, b, 0, d))
     return tuple(out)
 
 
@@ -147,9 +121,10 @@ class GL2Hecke:
     """SL(2,Z) double cosets of rational 2x2 matrices with positive determinant.
 
     Labels are pairs (d1, d2) of positive rationals with d2/d1 a positive
-    integer: the matrix is content * (primitive integral part), the primitive
-    part has elementary divisors (1, m), and (d1, d2) = content * (1, m).
-    Right-coset representatives are content * (primitive Hermite forms).
+    integer.  A primitive integer matrix P has elementary divisors (1, det P),
+    so the element (content, P) has label (content, content * det P).
+    Right-coset representatives pair d1 with the primitive Hermite forms of
+    determinant d2/d1.
     """
 
     kind = "gl2"
@@ -158,35 +133,55 @@ class GL2Hecke:
     def unit_label(self):
         return (Fraction(1), Fraction(1))
 
-    def canonical_label(self, x: Mat):
-        det = mat_det(x)
-        if det <= 0:
+    @staticmethod
+    def from_matrix(x: tuple) -> Elt:
+        """The element (content, P) equal to a rational matrix (a, b, c, d)."""
+        fracs = [Fraction(e) for e in x]
+        if fracs[0] * fracs[3] - fracs[1] * fracs[2] <= 0:
             raise ValueError("only positive-determinant matrices are supported")
-        c = _content(x)
-        m = det / (c * c)
-        if m.denominator != 1 or m <= 0:
-            raise RuntimeError(f"primitive part of {x} has determinant {m}")
-        return (c, c * m)
+        denom = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (denom // f.denominator) for f in fracs]
+        g = gcd(*ints)
+        return (Fraction(g, denom), tuple(i // g for i in ints))
 
-    def element_of(self, label) -> Mat:
-        d1, d2 = label
-        return (Fraction(d1), Fraction(0), Fraction(0), Fraction(d2))
+    def canonical_label(self, x: Elt):
+        c, p = x
+        return (c, c * (p[0] * p[3] - p[1] * p[2]))
 
-    def right_reps(self, label) -> list[Mat]:
+    def _split(self, label) -> tuple[Fraction, int]:
+        """(d1, d2 / d1) of a valid label; checks d1 before dividing by it."""
         d1, d2 = Fraction(label[0]), Fraction(label[1])
-        ratio = d2 / d1
-        if d1 <= 0 or ratio.denominator != 1 or ratio < 1:
-            raise ValueError(f"not a valid label: {label}")
-        return [tuple(d1 * e for e in h) for h in primitive_hnf_reps(int(ratio))]
+        if d1 > 0:
+            ratio = d2 / d1
+            if ratio.denominator == 1 and ratio >= 1:
+                return d1, int(ratio)
+        raise ValueError(f"not a valid label: {self.label_str((d1, d2))}")
 
-    def mul(self, x: Mat, y: Mat) -> Mat:
-        return mat_mul(x, y)
+    def element_of(self, label) -> Elt:
+        d1, m = self._split(label)
+        return (d1, (1, 0, 0, m))
 
-    def inv(self, x: Mat) -> Mat:
-        return mat_inv(x)
+    def right_reps(self, label) -> list[Elt]:
+        d1, m = self._split(label)
+        return [(d1, h) for h in primitive_hnf_reps(m)]
+
+    def mul(self, x: Elt, y: Elt) -> Elt:
+        (cx, p), (cy, q) = x, y
+        m = (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+             p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+        g = gcd(*m)
+        return (Fraction(cx.numerator * cy.numerator * g,
+                         cx.denominator * cy.denominator),
+                (m[0] // g, m[1] // g, m[2] // g, m[3] // g))
+
+    def inv(self, x: Elt) -> Elt:
+        # (c P)^-1 = adj P / (c det P), and adj P is primitive with det P
+        c, (a, b, g, d) = x
+        return (Fraction(c.denominator, c.numerator * (a * d - b * g)),
+                (d, -b, -g, a))
 
     def inverse_label(self, label):
-        return self.canonical_label(mat_inv(self.element_of(label)))
+        return self.canonical_label(self.inv(self.element_of(label)))
 
     def right_count(self, label) -> int:
         return len(self.right_reps(label))
@@ -237,10 +232,9 @@ class BostConnesHecke:
         a, b = Fraction(x[0]), Fraction(x[1])
         if a <= 0:
             raise ValueError("the scaling part must be positive")
-        q = a.denominator
-        step = Fraction(1, q)
-        r = b - floor(b / step) * step
-        return (a, r)
+        # b = n/d, so b mod 1/q = ((n q) mod d) / (d q)
+        q, d = a.denominator, b.denominator
+        return (a, Fraction(b.numerator * q % d, d * q))
 
     def element_of(self, label):
         return (Fraction(label[0]), Fraction(label[1]))

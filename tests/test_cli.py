@@ -120,6 +120,22 @@ def test_unknown_pair_errors(capsys):
         main(["cosets", "--pair", "nope"])
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["hecke-mul", "--pair", "bc", "--expr", "T[1;x]"], "'x'"),
+    (["hecke-mul", "--pair", "bc", "--expr", "T[1;1/0]"], "Fraction(1, 0)"),
+    (["hecke-mul", "--pair", "gl2", "--expr", "T[0,1]"], "not a valid label: 0,1"),
+    (["hecke-mul", "--pair", "S3_in_S4", "--expr", "T[ZZ]"], "'ZZ'"),
+    (["ext-mul", "--pair", "S3_in_S4", "--x", "B[Q:0]", "--y", "B[K:0]"], "'Q'"),
+    (["ext-mul", "--pair", "S3_in_S4", "--x", "B[K:0]", "--y", "B[K:9]"],
+     "class index 9"),
+])
+def test_bad_expression_exits_with_one_line(argv, detail):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    message = str(err.value)
+    assert detail in message and "\n" not in message
+
+
 def test_custom_catalog_file(tmp_path, capsys):
     catalog = tmp_path / "extra.cat"
     catalog.write_text(

@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
+from math import floor, gcd, lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heckefuse.catalog import BUILTIN, build_pair
 from heckefuse.hecke import (
@@ -14,8 +17,6 @@ from heckefuse.hecke import (
     degrees,
     involution,
     lambda_multiplicativity_witnesses,
-    mat_inv,
-    mat_mul,
     modular_lambda,
     parse_element,
     primitive_hnf_reps,
@@ -175,15 +176,42 @@ def test_hnf_representative_counts(gl2):
     assert len(primitive_hnf_reps(4)) == 4 + 2  # psi(4) = 6
 
 
-def test_gl2_canonical_label(gl2):
-    m = (Fraction(2), Fraction(0), Fraction(0), Fraction(6))
-    assert gl2.canonical_label(m) == (Fraction(2), Fraction(6))
-    half = tuple(e / 2 for e in m)
-    assert gl2.canonical_label(half) == (Fraction(1), Fraction(3))
+# Brute-force oracle on Fraction matrices (a, b, c, d), rows (a b) / (c d),
+# independent of the backend's (content, primitive part) arithmetic.
+
+def mat_mul(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
 def mat_det(x):
     return x[0] * x[3] - x[1] * x[2]
+
+
+def mat_inv(x):
+    d = mat_det(x)
+    return (x[3] / d, -x[1] / d, -x[2] / d, x[0] / d)
+
+
+def content(x):
+    """The positive rational c with x / c integral of entry gcd 1."""
+    fracs = [Fraction(e) for e in x]
+    denom = lcm(*(f.denominator for f in fracs))
+    return Fraction(gcd(*(int(f * denom) for f in fracs)), denom)
+
+
+def oracle_label(x):
+    """Elementary divisors (c, c m): c the content, m the primitive determinant."""
+    c = content(x)
+    m = mat_det(x) / (c * c)
+    assert m.denominator == 1 and m > 0
+    return (c, c * m)
+
+
+def as_matrix(x):
+    """The Fraction matrix of a backend element (content, P)."""
+    c, p = x
+    return tuple(Fraction(c) * e for e in p)
 
 
 def in_sl2z_coset(product, g):
@@ -192,15 +220,47 @@ def in_sl2z_coset(product, g):
     return all(Fraction(e).denominator == 1 for e in w) and mat_det(w) == 1
 
 
+def test_gl2_canonical_label(gl2):
+    m = (Fraction(2), Fraction(0), Fraction(0), Fraction(6))
+    assert gl2.canonical_label(gl2.from_matrix(m)) == (Fraction(2), Fraction(6))
+    half = tuple(e / 2 for e in m)
+    assert gl2.canonical_label(gl2.from_matrix(half)) == (Fraction(1), Fraction(3))
+
+
+matrices = st.tuples(*[st.fractions(min_value=-12, max_value=12,
+                                     max_denominator=12)] * 4)
+
+
+@given(matrices, matrices)
+@example((Fraction(0),) * 4, (Fraction(1), Fraction(0), Fraction(0), Fraction(-1)))
+def test_gl2_from_matrix_matches_content_formula(x, y):
+    gl2 = GL2Hecke()
+    for m in (x, y):
+        if mat_det(m) <= 0:
+            with pytest.raises(ValueError):
+                gl2.from_matrix(m)
+            continue
+        c, p = gl2.from_matrix(m)
+        assert c == content(m) and as_matrix((c, p)) == m
+        assert all(type(e) is int for e in p)
+        assert gcd(*p) == 1 and mat_det(p) > 0
+        assert gl2.canonical_label((c, p)) == oracle_label(m)
+    if mat_det(x) <= 0 or mat_det(y) <= 0:
+        return
+    ex, ey = gl2.from_matrix(x), gl2.from_matrix(y)
+    assert as_matrix(gl2.mul(ex, ey)) == mat_mul(x, y)
+    assert as_matrix(gl2.inv(ex)) == mat_inv(x)
+
+
 def test_gl2_product_of_primes(gl2):
     t2 = HeckeElement(gl2, {gl2.parse_label("1,2"): 1})
     t3 = HeckeElement(gl2, {gl2.parse_label("1,3"): 1})
     prod = convolve(t2, t3)
     assert prod.coeffs == {(Fraction(1), Fraction(6)): 1}
     # independent oracle: count Hermite-representative products in one right coset
-    reps2 = gl2.right_reps(gl2.parse_label("1,2"))
-    reps3 = gl2.right_reps(gl2.parse_label("1,3"))
-    g = gl2.element_of((Fraction(1), Fraction(6)))
+    reps2 = [as_matrix(r) for r in gl2.right_reps(gl2.parse_label("1,2"))]
+    reps3 = [as_matrix(r) for r in gl2.right_reps(gl2.parse_label("1,3"))]
+    g = as_matrix(gl2.element_of((Fraction(1), Fraction(6))))
     count = sum(1 for x in reps2 for y in reps3 if in_sl2z_coset(mat_mul(x, y), g))
     assert count == 1
 
@@ -215,11 +275,40 @@ def test_gl2_classical_relation(gl2, p):
     }
     # independent oracle: count products of Hermite representatives that land
     # in a single right coset of each target; membership in SL(2,Z) is exact
-    reps = gl2.right_reps((Fraction(1), Fraction(p)))
+    reps = [as_matrix(r) for r in gl2.right_reps((Fraction(1), Fraction(p)))]
     for target, expected in lhs.coeffs.items():
-        g = gl2.element_of(target)
+        g = as_matrix(gl2.element_of(target))
         count = sum(1 for x in reps for y in reps if in_sl2z_coset(mat_mul(x, y), g))
         assert count == expected
+
+
+@pytest.mark.parametrize("k, l", [("1,4", "1,12"), ("1,6", "1,10"),
+                                  ("1/2,3/2", "1,6"), ("2,2", "1,9")])
+def test_gl2_convolve_matches_coset_count(gl2, k, l):
+    # the coefficient of SL(2,Z) g SL(2,Z) in T[k] * T[l] is the number of
+    # pairs (x, y) in R(k) x R(l) with x y in SL(2,Z) g (Shimura 1971, 3.1)
+    kx, ky = gl2.parse_label(k), gl2.parse_label(l)
+    reps_k = [as_matrix(r) for r in gl2.right_reps(kx)]
+    reps_l = [as_matrix(r) for r in gl2.right_reps(ky)]
+    assert {oracle_label(r) for r in reps_k} == {kx}
+    assert {oracle_label(r) for r in reps_l} == {ky}
+    products = [mat_mul(x, y) for x in reps_k for y in reps_l]
+    expected = {}
+    for d1, d2 in {oracle_label(m) for m in products}:
+        g = (d1, Fraction(0), Fraction(0), d2)
+        expected[(d1, d2)] = sum(1 for m in products if in_sl2z_coset(m, g))
+    got = convolve(HeckeElement(gl2, {kx: 1}), HeckeElement(gl2, {ky: 1}))
+    assert got.coeffs == expected
+
+
+def test_gl2_invalid_labels(gl2):
+    for label in ((0, 1), (-1, 2), (2, 3), (2, 1), (1, 0)):
+        with pytest.raises(ValueError, match="not a valid label"):
+            gl2.right_reps(label)
+        with pytest.raises(ValueError, match="not a valid label"):
+            gl2.element_of(label)
+    with pytest.raises(ValueError, match="not a valid label"):
+        parse_element(gl2, "T[0,1]")
 
 
 def test_gl2_commutativity(gl2):
@@ -264,6 +353,17 @@ def test_bc_canonicalization(bc):
     assert a == Fraction(3, 2)
     assert 0 <= r < Fraction(1, 2)
     assert bc.canonical_label(bc.element_of(label)) == label
+
+
+@given(st.fractions(min_value=0, max_value=30, max_denominator=30).filter(bool),
+       st.fractions(min_value=-30, max_value=30, max_denominator=30))
+@example(Fraction(3, 2), Fraction(-7, 3))
+@example(Fraction(5, 12), Fraction(-1, 8))
+@example(Fraction(7), Fraction(-5, 2))
+def test_bc_label_matches_floor_formula(a, b):
+    step = Fraction(1, a.denominator)
+    want = (a, b - floor(b / step) * step)
+    assert BostConnesHecke().canonical_label((a, b)) == want
 
 
 def test_bc_lambda_at_primes(bc):
@@ -439,6 +539,27 @@ def test_product_canonicalizes_once_per_representative(kind, expr, bound, monkey
     monkeypatch.setattr(cls, "canonical_label", counting)
     parse_element(cls(), expr)
     assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("kind, expr, bound", [
+    # arithmetic on Fraction matrices built 21,396 and 4,002 Fractions here
+    ("gl2", "T[1,42]*T[1,66]", 3000),
+    ("bc", "T[1/130;0]*T[1/182;0]", 3500),
+])
+def test_product_fraction_builds(kind, expr, bound, monkeypatch):
+    cls = GL2Hecke if kind == "gl2" else BostConnesHecke
+    builds = []
+    original = Fraction.__new__
+
+    def counting(frac_cls, *args, **kwargs):
+        builds.append(1)
+        return original(frac_cls, *args, **kwargs)
+
+    backend = cls()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    parse_element(backend, expr)
+    monkeypatch.undo()
+    assert 0 < len(builds) <= bound
 
 
 def test_product_inverts_each_right_representative_once(monkeypatch):
