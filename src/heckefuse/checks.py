@@ -499,29 +499,25 @@ def run_checks(entry_names: Optional[list[str]] = None,
         else:
             outcomes.append(Outcome(name, target, True))
 
+    # built per call, so a check rebound on the module (perfbench times
+    # each check that way) is the one that runs
+    hecke_laws = (("hecke-associativity", check_hecke_associativity),
+                  ("degree-homomorphism", check_degree_homomorphism),
+                  ("involution-laws", check_involution_laws))
+    arithmetic = {
+        "gl2": (GL2Hecke, "gl2-relations", check_gl2_relations, ("1,2", "1,3", "2,2")),
+        "bc": (BostConnesHecke, "bc-lambda-homomorphism", check_bc_lambda,
+               ("2;0", "1/2;0", "3;1/3")),
+    }
     for entry_name in names:
         entry = catalog[entry_name]
-        if entry.kind == "gl2":
-            bk = GL2Hecke()
-            small = [bk.parse_label(s) for s in ("1,2", "1,3", "2,2")]
-            run("gl2-relations", entry_name, check_gl2_relations, cfg)
-            run("hecke-associativity", entry_name, check_hecke_associativity,
-                bk, cfg, small)
-            run("degree-homomorphism", entry_name, check_degree_homomorphism,
-                bk, cfg, small)
-            run("involution-laws", entry_name, check_involution_laws,
-                bk, cfg, small)
-            continue
-        if entry.kind == "bc":
-            bk = BostConnesHecke()
-            small = [bk.parse_label(s) for s in ("2;0", "1/2;0", "3;1/3")]
-            run("bc-lambda-homomorphism", entry_name, check_bc_lambda, cfg)
-            run("hecke-associativity", entry_name, check_hecke_associativity,
-                bk, cfg, small)
-            run("degree-homomorphism", entry_name, check_degree_homomorphism,
-                bk, cfg, small)
-            run("involution-laws", entry_name, check_involution_laws,
-                bk, cfg, small)
+        if entry.kind in arithmetic:
+            backend, first, first_check, labels = arithmetic[entry.kind]
+            bk = backend()
+            small = [bk.parse_label(s) for s in labels]
+            run(first, entry_name, first_check, cfg)
+            for name, law in hecke_laws:
+                run(name, entry_name, law, bk, cfg, small)
             continue
 
         try:
@@ -543,9 +539,8 @@ def run_checks(entry_names: Optional[list[str]] = None,
         run("inner-transport", entry_name, check_inner_transport, pair, cfg)
         run("equivalence-vs-hom", entry_name, check_equivalence_vs_hom, pair, cfg)
         bk = pair.hecke()
-        run("hecke-associativity", entry_name, check_hecke_associativity, bk, cfg)
-        run("degree-homomorphism", entry_name, check_degree_homomorphism, bk, cfg)
-        run("involution-laws", entry_name, check_involution_laws, bk, cfg)
+        for name, law in hecke_laws:
+            run(name, entry_name, law, bk, cfg)
         run("hecke-frobenius-weighted", entry_name,
             check_hecke_frobenius_weighted, bk, cfg)
         run("lambda-trivial", entry_name, check_lambda_trivial_finite, bk, cfg)

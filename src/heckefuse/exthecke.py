@@ -29,7 +29,6 @@ as the independent path of elementary fusion and of the tests.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -150,8 +149,8 @@ class FinitePair:
                 yield gamma.elements[c1], c2
 
     def intersection(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        return self._memo.get_or(("meet", a.key(), b.key()), lambda: Subgroup(
-            self.gamma, compress(a.elements, (b.positions(a.images) >= 0).tolist())))
+        return self._memo.get_or(("meet", a.key(), b.key()), lambda: Subgroup._of(
+            a.parent, a.idx[b.positions(a.images) >= 0]))
 
     def coset_orbits(self, little: Subgroup) -> tuple:
         """Orbits of the little group on right cosets (as coset-min tuples)."""

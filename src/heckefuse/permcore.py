@@ -11,12 +11,12 @@ Conventions used throughout the package:
 * conjugation is Ad(g): x -> g x g^-1.
 
 Everything here is an immutable value; all operations are pure functions,
-so concurrent use needs no locking.  A group is stored as its sorted element
-list plus the same elements as a (|G|, degree) array of image rows; the rows
-are looked up exactly by a sorted search (``FiniteGroup.positions``), so the
-hot paths compose and conjugate whole groups as index arrays instead of
-``Perm`` objects.  The groups this package is meant for are small, and
-explicit lists beat stabilizer chains for simplicity at this scale.
+so concurrent use needs no locking.  A group is its sorted element list plus
+a (|G|, degree) array of image rows, looked up exactly by a sorted search
+(``FiniteGroup.positions``); hot paths work on index arrays, not ``Perm``s.
+A subgroup is its parent plus ``idx``, its elements' sorted parent positions,
+and every group is closed from generator rows by one breadth-first closure.
+Groups here are small: explicit lists beat stabilizer chains at this scale.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 class Perm:
     """A permutation of {0, .., n-1}, stored as the tuple of images."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images)-1}: {images}")
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_hash", hash(images))
 
     @property
     def degree(self) -> int:
@@ -156,7 +157,7 @@ class Perm:
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return self._hash
 
     def __lt__(self, other: "Perm") -> bool:
         return self.images < other.images
@@ -168,34 +169,30 @@ class Perm:
         return f"Perm{self.cycle_string()}"
 
 
-def mulclose(generators: Sequence[Perm], max_order: int = DEFAULT_MAX_ORDER) -> set[Perm]:
-    """Breadth-first closure of a generating set under multiplication."""
-    if not generators:
-        return set()
-    elements = set(generators)
-    elements.add(Perm.identity(generators[0].degree))
-    boundary = list(elements)
-    while boundary:
-        fresh = []
-        for a in generators:
-            for b in boundary:
-                c = a * b
-                if c not in elements:
-                    elements.add(c)
-                    fresh.append(c)
-                    if len(elements) > max_order:
-                        raise GroupTooLarge(
-                            f"group too large: closure exceeds {max_order} elements"
-                        )
-        boundary = fresh
-    return elements
-
-
 def _row_keys(rows) -> np.ndarray:
     """Image rows as big-endian uint16 bytes, one np.void per row: they
     compare like the rows, lexicographically, at every degree below 2^16."""
     rows = np.ascontiguousarray(rows, dtype=">u2")
     return rows.view(np.dtype((np.void, 2 * rows.shape[-1])))[..., 0]
+
+
+def _closure(gens: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """The sorted image rows of the group the rows gens generate, breadth-first:
+    each round composes every generator with the whole frontier at once."""
+    degree = gens.shape[1]
+    frontier = np.arange(degree)[None]
+    keys = _row_keys(frontier)
+    while len(frontier):
+        products = gens[:, frontier].reshape(-1, degree)
+        new, first = np.unique(_row_keys(products), return_index=True)
+        at = np.searchsorted(keys, new)
+        fresh = keys[np.minimum(at, len(keys) - 1)] != new
+        frontier = products[first[fresh]]
+        keys = np.insert(keys, at[fresh], new[fresh])
+        if len(keys) > max_order:
+            raise GroupTooLarge(f"group too large: closure exceeds {max_order} elements")
+    rows = np.frombuffer(keys.tobytes(), dtype=">u2").reshape(len(keys), degree)
+    return rows.astype(np.intp)
 
 
 def _conj_rows(rows: np.ndarray, x: Perm) -> np.ndarray:
@@ -233,20 +230,22 @@ class FiniteGroup:
 
     def __init__(self, degree: int, elements: Iterable[Perm],
                  generators: Sequence[Perm] = ()):
-        elements = tuple(sorted(set(elements)))
+        elements = list(elements)
         if not elements:
             raise ValueError("a group needs at least the identity")
         for g in elements:
             if g.degree != degree:
                 raise ValueError("degree mismatch in element list")
+        rows = np.array([g.images for g in elements],
+                        dtype=np.intp).reshape(len(elements), degree)
+        keys, first = np.unique(_row_keys(rows), return_index=True)  # sorted, distinct
         self.degree = degree
-        self.elements = elements
+        self.elements = tuple(elements[i] for i in first.tolist())
         self.generators = tuple(generators)
-        self._index = {g: i for i, g in enumerate(elements)}
-        self._key = (degree, tuple(g.images for g in elements))
-        self.images = np.array([g.images for g in elements],
-                               dtype=np.intp).reshape(len(elements), degree)
-        self._row_keys = _row_keys(self.images)
+        self._index = dict(zip(self.elements, range(len(first))))
+        self.images = rows[first]
+        self._row_keys = keys
+        self._key = (degree, keys.tobytes())
         self._memo = Memo()
 
     @classmethod
@@ -255,9 +254,9 @@ class FiniteGroup:
         for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-        if not generators:
-            return cls(degree, [Perm.identity(degree)])
-        return cls(degree, mulclose(list(generators), max_order), generators)
+        rows = _closure(np.array([g.images for g in generators], dtype=np.intp)
+                        .reshape(len(generators), degree), max_order)
+        return cls(degree, map(Perm, rows.tolist()), generators)
 
     @classmethod
     def symmetric(cls, degree: int) -> "FiniteGroup":
@@ -296,7 +295,7 @@ class FiniteGroup:
         return np.where(self._row_keys[pos] == keys, pos, -1)
 
     def key(self):
-        """Hashable identity of the group (degree + sorted image tuples)."""
+        """Hashable identity of the group (degree + bytes of the sorted rows)."""
         return self._key
 
     def _product_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -393,53 +392,46 @@ class FiniteGroup:
     def _small_generating_set(self) -> tuple[Perm, ...]:
         if not self.contains_subset(self.generators):
             raise ValueError("stored generators lie outside the group")
-        found = list(self.generators)
-        have = mulclose(found, len(self)) if found else {self.identity}
-        for g in self.elements:
-            if g not in have:
-                found.append(g)
-                have = mulclose(found, len(self))
-        return tuple(found)
+        found = [self.index_of(g) for g in self.generators]
+        have = np.zeros(len(self), dtype=bool)
+        while True:
+            have[self.positions(_closure(self.images[found], len(self)))] = True
+            if have.all():
+                return tuple(self.elements[i] for i in found)
+            found.append(int(np.argmin(have)))  # the least element not generated
 
     def subgroups(self) -> list["Subgroup"]:
-        """All subgroups, grown to a fixpoint by joining with cyclic subgroups."""
-        found: dict[tuple, frozenset] = {}
+        """All subgroups, grown to a fixpoint by joining with cyclic subgroups;
+        a join closes the subgroup's generators and one more element."""
+        seen, queue = set(), []
 
-        def register(els: frozenset) -> bool:
-            key = tuple(sorted(g.images for g in els))
-            if key in found:
-                return False
-            found[key] = els
-            return True
+        def register(gens: list[int]) -> None:
+            idx = self.positions(_closure(self.images[gens], len(self)))
+            if idx.tobytes() not in seen:
+                seen.add(idx.tobytes())
+                queue.append((idx, gens))
 
-        register(frozenset([self.identity]))
-        cyclic = []
-        for g in self.elements:
-            els = frozenset(mulclose([g], len(self)))
-            register(els)
-            cyclic.append(els)
-        changed = True
-        while changed:
-            changed = False
-            for els in list(found.values()):
-                for c in cyclic:
-                    if c <= els:
-                        continue
-                    if register(frozenset(mulclose(list(els | c), len(self)))):
-                        changed = True
-        return sorted((Subgroup(self, els) for els in found.values()),
+        for gens in [[]] + [[i] for i in range(len(self))]:
+            register(gens)
+        cyclic = [gens[0] for _, gens in queue[1:]]
+        for idx, gens in queue:  # grows while iterating: every join is tried
+            for c in np.setdiff1d(cyclic, idx, assume_unique=True).tolist():
+                register(gens + [c])
+        return sorted((Subgroup._of(self, idx) for idx, _ in queue),
                       key=lambda h: (len(h), h.key()))
 
 
 class Subgroup(FiniteGroup):
-    """A subgroup of a parent group; closure under product/inverse is checked."""
+    """A subgroup: ``idx`` holds its elements' sorted positions in ``parent``,
+    whose Perm objects it shares.  Closure is checked; ``_of`` is unchecked."""
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[Perm]):
         elements = list(elements)
         if not parent.contains_subset(elements):
             raise ValueError("subgroup elements must lie in the parent group")
-        super().__init__(parent.degree, elements)
-        self.parent = parent
+        idx = sorted({parent.index_of(g) for g in elements})
+        super().__init__(parent.degree, map(parent.elements.__getitem__, idx))
+        self.parent, self.idx = parent, np.array(idx, dtype=np.intp)
         els, inv = self.elements, self.inv_indices()
         if (inv < 0).any():
             raise ValueError(f"not closed under inverse: {els[np.argmax(inv < 0)]}")
@@ -451,13 +443,22 @@ class Subgroup(FiniteGroup):
         if len(parent) % len(els):
             raise ValueError("Lagrange violated; element list is not a subgroup")
 
+    @classmethod
+    def _of(cls, parent: FiniteGroup, idx: np.ndarray) -> "Subgroup":
+        """The subgroup at sorted parent positions idx, unchecked."""
+        sub = cls.__new__(cls)
+        FiniteGroup.__init__(sub, parent.degree,
+                             map(parent.elements.__getitem__, idx.tolist()))
+        sub.parent, sub.idx = parent, idx
+        return sub
+
 
 def conjugate_intersection(gamma: Subgroup, g: Perm) -> Subgroup:
     """gamma ∩ g^-1 gamma g, the subgroup of gamma attached to the coset of g."""
     if g not in gamma.parent:
         raise ValueError("element must lie in the parent group")
     inside = gamma.positions(_conj_rows(gamma.images, g)) >= 0
-    return Subgroup(gamma.parent, itertools.compress(gamma.elements, inside.tolist()))
+    return Subgroup._of(gamma.parent, gamma.idx[inside])
 
 
 def conj_map(src: FiniteGroup, x: Perm, dst: FiniteGroup) -> np.ndarray:
@@ -756,9 +757,14 @@ def commensurations(a: GroupAction, b: GroupAction,
 
 
 def commutator_subgroup(group: FiniteGroup) -> Subgroup:
-    gens = [a * b * a.inverse() * b.inverse()
-            for a in group.elements for b in group.elements]
-    return Subgroup(group, mulclose(gens, len(group)))
+    rows, inv = group.images, np.argsort(group.images, axis=1)
+    gens, have = [], np.zeros(len(group), dtype=bool)
+    for a, a_inv in zip(rows, inv):  # a b a^-1 b^-1 for every b at once
+        found = group.positions(a[np.take_along_axis(rows, a_inv[inv], axis=1)])
+        while not have[found].all():  # a few generators keep each closure small
+            gens.append(found[np.argmin(have[found])])
+            have[group.positions(_closure(rows[gens], len(group)))] = True
+    return Subgroup._of(group, np.flatnonzero(have))
 
 
 def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
@@ -769,14 +775,13 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
     elementary divisors.
     """
     comm = commutator_subgroup(group)
-    cset = set(comm.elements)
     # cosets of the normal commutator subgroup, with coset order = order
     # in the quotient
     cosets = right_coset_reps(group, comm)
 
     def coset_order(x: Perm) -> int:
         k, y = 1, x
-        while y not in cset:
+        while y not in comm:
             y = y * x
             k += 1
         return k

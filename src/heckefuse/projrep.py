@@ -111,7 +111,7 @@ class RepClass:
     """Equivalence class of a representation, fingerprinted by its rounded
     character; ``rep`` is the representation it was built from."""
 
-    __slots__ = ("rep", "group", "cocycle", "dim", "char", "_key")
+    __slots__ = ("rep", "group", "cocycle", "dim", "char", "_key", "_hash")
 
     def __init__(self, rep: Rep):
         self.rep = rep
@@ -120,6 +120,7 @@ class RepClass:
         self.dim = rep.dim
         self.char = rep.char_key()
         self._key = (self.group.key(), self.cocycle.key(), self.char)
+        self._hash = hash(self._key)
 
     def sort_key(self):
         return (self.dim, self.char)
@@ -131,7 +132,7 @@ class RepClass:
         return isinstance(other, RepClass) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RepClass(dim={self.dim})"

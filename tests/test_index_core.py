@@ -321,3 +321,55 @@ def test_table_path_builds_no_ambient_group_table():
     assert fusion_table(pair)["products"]
     assert "mul_table" not in pair.group._memo
     assert "conj_table" not in pair.group._memo
+
+
+def test_generate_builds_one_perm_per_element(monkeypatch):
+    gens = [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3 4)")]
+    built = collections.Counter()
+    init = permcore.Perm.__init__
+
+    def counted(self, images):
+        built["perm"] += 1
+        init(self, images)
+    monkeypatch.setattr(permcore.Perm, "__init__", counted)
+    s5 = FiniteGroup.generate(5, gens)
+    assert len(s5) == 120
+    # 243 while the closure multiplied Perm sets
+    assert built["perm"] <= len(s5) + 5
+
+
+def test_little_groups_and_meets_build_no_perm(monkeypatch):
+    """Little groups and meets are picked from their parent by index: the
+    builders make no Perm and run no product check."""
+    counts, inside = collections.Counter(), [0]
+
+    def builder(owner, attr):
+        original = getattr(owner, attr)
+
+        def call(*args, **kwargs):
+            counts["built"] += 1
+            inside[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        monkeypatch.setattr(owner, attr, call)
+
+    def counted(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def call(*args, **kwargs):
+            counts[name] += bool(inside[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, call)
+
+    builder(permcore, "conjugate_intersection")
+    builder(exthecke, "conjugate_intersection")
+    builder(FinitePair, "intersection")
+    counted(permcore.Perm, "__init__", "perm")
+    counted(FiniteGroup, "_product_blocks", "blocks")
+    heckefuse.clear_caches()
+    from heckefuse.catalog import fusion_table
+    assert fusion_table(make_pair("S4_in_S5"))["products"]
+    assert counts["built"]
+    assert counts["perm"] == counts["blocks"] == 0
