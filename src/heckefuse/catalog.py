@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cocycle import Cocycle, bilinear_cocycle
-from .exthecke import FinitePair, basis, dims, fuse
+from .exthecke import FinitePair, basis, dims, fusion_block
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
 from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm
 
@@ -204,33 +204,35 @@ def fusion_table(pair: FinitePair) -> dict:
 
     Multiplicities are exact integers; representation classes serialize as
     dimension plus rounded character; lambda values are fraction strings.
+    Basis products are read from ``fusion_block``, with their terms in the
+    order of ``ExtHeckeElement.terms``: labels, then class indices.
     """
     hk = pair.hecke()
-    generators = basis(pair)
-    basis_json = []
-    for key, el in generators:
+    names = {label: hk.label_str(label) for label in pair.labels()}
+    generators, basis_json = [], []  # (key, label, class index) per element
+    for key, el in basis(pair):
         (label, parts), = el.support.items()
         (cls, _), = parts.items()
+        index = pair.class_index(label)[cls]
         left, right = dims(el)
+        generators.append((key, label, index))
         basis_json.append({
             "key": key,
-            "label": hk.label_str(label),
-            "class_index": pair.class_index(label)[cls],
+            "label": names[label],
+            "class_index": index,
             "repclass": cls.to_json(),
             "dim_left": left,
             "dim_right": right,
         })
-    known = {key for key, _ in generators}
     products = []
-    for kx, x in generators:
-        for ky, y in generators:
-            terms = []
-            for z, mult in fuse(x, y).terms():
-                if z not in known:
-                    raise RuntimeError(f"{kx} * {ky} has the term {z} outside the basis")
-                terms.append({"z": z, "mult": mult})
+    for kx, label_x, i in generators:
+        for ky, label_y, j in generators:
+            block = fusion_block(pair, label_x, label_y)
+            terms = [{"z": f"{names[g0]}:{k}", "mult": mult}
+                     for g0 in pair.labels() if g0 in block
+                     for k, mult in enumerate(block[g0][i, j].tolist()) if mult]
             products.append({"x": kx, "y": ky, "terms": terms})
-    lambdas = [{"label": hk.label_str(label),
+    lambdas = [{"label": names[label],
                 "value": str(modular_lambda(hk, label))}
                for label in pair.labels()]
     return {

@@ -214,8 +214,6 @@ def check_rep_completeness(pair: FinitePair, omega: Optional[Cocycle],
 def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
     gamma_grp = pair.little(pair.labels()[0])
     big = pair.group
-    if len(gamma_grp) == len(big):
-        return
     triv = Cocycle.trivial(big)
     for small_cls in irreducibles(gamma_grp):
         ind = induce(small_cls.rep, big, triv)

@@ -12,11 +12,17 @@ The fusion product of x and y at an output label g sums over orbits of the
 little group of g on right cosets of gamma in G; the orbit of h contributes
 the induction, from little(g) ∩ little(h) up to little(g), of the transported
 value of x at g h^-1 (composed with conjugation by h) tensored with the value
-of y at h.  Each contribution is decomposed into irreducible classes
-immediately, so elements stay canonical and multiplicities exact.  Summing
-over all cosets instead of orbits overcounts each orbit contribution exactly
+of y at h.  Each orbit reads x at one label la and y at one label lb, so the
+products of all basis elements at la with all basis elements at lb form one
+``fusion_block``: per orbit that reads (la, lb), one representative h, the
+product characters of every class pair, induced and decomposed into
+irreducible classes in one batched step.  ``fuse`` is the bilinear
+contraction of the blocks over the supports of x and y, so elements stay
+canonical and multiplicities exact.  Summing over all cosets instead of
+orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
-divisibility on concrete inputs.
+divisibility on concrete inputs, orbit by orbit and independently of the
+blocks, as ``triple_fuse`` does for associativity.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -50,6 +56,7 @@ from .projrep import (
     add_multiset,
     decompose,
     decompose_character,
+    decompose_characters,
     irreducibles,
     multiset_dim,
     restrict,
@@ -73,10 +80,12 @@ class FinitePair:
     The group keeps the right cosets of gamma and the orbits of each little
     group on them.  The pair keeps everything else in ``_memo``, under keys
     tagged by kind: little groups of elements, decompositions, meets of
-    little groups, the double cosets each orbit reads (``orbit_labels``), the
-    index arrays through which characters are read at a point, the index of
-    each class in its label's basis keys, fusion and conjugation results
-    (the elements themselves, keyed by their factors), and the canonical terms,
+    little groups, the double cosets each orbit reads (``orbit_labels``) and
+    the orbits grouped by them (``orbits_by_labels``), the index arrays
+    through which characters are read at a point, the index of each class in
+    its label's basis keys, the fusion blocks of label pairs
+    (``fusion_block``), fusion and conjugation results (the elements
+    themselves, keyed by their factors), and the canonical terms,
     representatives, required cocycles and conjugation phases of elementary
     objects over it (filled by :mod:`heckefuse.elementary`).
     """
@@ -168,6 +177,19 @@ class FinitePair:
             (orbit, self.label_of(label * orbit[0].inverse()),
              self.label_of(orbit[0]))
             for orbit in self.coset_orbits(self.little(label))])
+
+    def orbits_by_labels(self) -> dict[tuple[Perm, Perm], list[tuple[Perm, tuple]]]:
+        """(label, orbit) per orbit of every little group, grouped by the two
+        labels of ``orbit_labels`` at which fusion reads its factors;
+        memoized."""
+        return self._memo.get_or(("orbits_by_labels",), self._orbits_by_labels)
+
+    def _orbits_by_labels(self) -> dict:
+        out: dict[tuple[Perm, Perm], list] = {}
+        for g0 in self.labels():
+            for orbit, label_w, label_h in self.orbit_labels(g0):
+                out.setdefault((label_w, label_h), []).append((g0, orbit))
+        return out
 
     def pick(self, items: list):
         """Orbit-representative choice: canonical minimum, or random under rng."""
@@ -305,18 +327,23 @@ def _read_map(pair: FinitePair, label: Perm, point: Perm, meet: Subgroup,
     return conj_map(meet, by, pair.little(label))
 
 
-def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
-                     char: np.ndarray, dim: int) -> dict:
-    """decompose(Ind from meet to little_g) of a dim-dimensional character of meet.
+def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray:
+    """Ind from meet to little_g of each row of chars, a character of meet.
 
     The induced character is chi↑(g) = |meet|^-1 sum over x in little_g of
     chi(x g x^-1), with chi zero off meet (Isaacs, Character Theory of
     Finite Groups, ch. 5).
     """
-    spread = np.zeros(len(little_g), dtype=complex)
-    spread[little_g.positions(meet.images)] = char
-    induced = spread[little_g.conj_table()].sum(axis=0) / len(meet)
-    return decompose_character(little_g, Cocycle.trivial(little_g), induced,
+    spread = np.zeros((len(chars), len(little_g)), dtype=complex)
+    spread[:, little_g.positions(meet.images)] = chars
+    return spread[:, little_g.conj_table()].sum(axis=1) / len(meet)
+
+
+def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
+                     char: np.ndarray, dim: int) -> dict:
+    """decompose(Ind from meet to little_g) of a dim-dimensional character of meet."""
+    return decompose_character(little_g, Cocycle.trivial(little_g),
+                               _induce(little_g, meet, char[None]),
                                dim * (len(little_g) // len(meet)))
 
 
@@ -335,12 +362,52 @@ def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement
     return _induced_classes(pair, little_g, meet, product, dim)
 
 
-def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
-    """The fusion product, summed over little-group orbits of right cosets.
+def fusion_block(pair: FinitePair, label_a: Perm,
+                 label_b: Perm) -> dict[Perm, np.ndarray]:
+    """The fusion of every irreducible class at label_a with every one at
+    label_b: per output label g0 with an orbit that reads (label_a, label_b),
+    a read-only int array (n_a, n_b, classes of little(g0)) of
+    multiplicities, classes in ``irreducibles`` order.  Memoized on the pair.
 
-    Orbits whose labels miss the support of x or of y contribute nothing and
-    are skipped before a representative is drawn.  Memoized on the pair: a
-    repeated product returns the same element.
+    Each orbit contributes once for all n_a * n_b class pairs: one drawn
+    representative h, one meet little(g0) ∩ little(h), one pair of read maps,
+    and one batched induction and decomposition of the product characters.
+    """
+    return pair._memo.get_or(("block", label_a, label_b), _fusion_block,
+                             pair, label_a, label_b)
+
+
+def _fusion_block(pair: FinitePair, label_a: Perm,
+                  label_b: Perm) -> dict[Perm, np.ndarray]:
+    classes_a = irreducibles(pair.little(label_a))
+    classes_b = irreducibles(pair.little(label_b))
+    chars_a = np.array([cls.rep.character() for cls in classes_a])
+    chars_b = np.array([cls.rep.character() for cls in classes_b])
+    dims = np.outer([c.dim for c in classes_a], [c.dim for c in classes_b]).ravel()
+    out: dict[Perm, np.ndarray] = {}
+    for g0, orbit in pair.orbits_by_labels().get((label_a, label_b), ()):
+        h = pair.random_coset_element(pair.pick(orbit))
+        little_g = pair.little(g0)
+        meet = pair.intersection(little_g, pair.little_of_element(h))
+        at_a = _read_map(pair, label_a, g0 * h.inverse(), meet, h)
+        at_b = _read_map(pair, label_b, h, meet, pair.group.identity)
+        products = chars_a[:, None, at_a] * chars_b[None, :, at_b]
+        mults = decompose_characters(
+            little_g, Cocycle.trivial(little_g),
+            _induce(little_g, meet, products.reshape(-1, len(meet))),
+            dims * (len(little_g) // len(meet)))
+        mults = mults.reshape(len(classes_a), len(classes_b), -1)
+        out[g0] = out[g0] + mults if g0 in out else mults
+    for mults in out.values():
+        mults.flags.writeable = False
+    return out
+
+
+def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
+    """The fusion product: the bilinear contraction of the fusion blocks of
+    the label pairs of the supports of x and y.
+
+    Memoized on the pair: a repeated product returns the same element.
     """
     pair = x.pair
     if y.pair is not pair and (y.pair.group != pair.group
@@ -349,18 +416,31 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
     return pair._memo.get_or(("fuse", x, y), _fuse, pair, x, y)
 
 
+def _coefficients(pair: FinitePair, label: Perm, parts: dict) -> np.ndarray:
+    """The multiplicities of parts as a vector over ``irreducibles`` at label."""
+    index = pair.class_index(label)
+    out = np.zeros(len(index), dtype=np.int64)
+    for cls, mult in parts.items():
+        out[index[cls]] = mult
+    return out
+
+
 def _fuse(pair: FinitePair, x: ExtHeckeElement,
           y: ExtHeckeElement) -> ExtHeckeElement:
-    out: dict[Perm, dict] = {}
+    totals: dict[Perm, np.ndarray] = {}
+    coeffs_b = [(label_b, _coefficients(pair, label_b, parts_b))
+                for label_b, parts_b in y.support.items()]
+    for label_a, parts_a in x.support.items():
+        coeff_a = _coefficients(pair, label_a, parts_a)
+        for label_b, coeff_b in coeffs_b:
+            for g0, block in fusion_block(pair, label_a, label_b).items():
+                mults = np.einsum("i,j,ijk->k", coeff_a, coeff_b, block)
+                totals[g0] = totals[g0] + mults if g0 in totals else mults
+    out = {}
     for g0 in pair.labels():
-        total: dict[RepClass, int] = {}
-        for orbit, label_w, label_h in pair.orbit_labels(g0):
-            if label_w not in x.support or label_h not in y.support:
-                continue
-            h = pair.random_coset_element(pair.pick(orbit))
-            total = add_multiset(total, _orbit_contribution(pair, x, y, g0, h))
-        if total:
-            out[g0] = total
+        if g0 in totals:
+            classes = irreducibles(pair.little(g0))
+            out[g0] = {cls: m for cls, m in zip(classes, totals[g0].tolist()) if m}
     return ExtHeckeElement(pair, out)
 
 

@@ -757,13 +757,31 @@ def commensurations(a: GroupAction, b: GroupAction,
 
 
 def commutator_subgroup(group: FiniteGroup) -> Subgroup:
-    rows, inv = group.images, np.argsort(group.images, axis=1)
-    gens, have = [], np.zeros(len(group), dtype=bool)
-    for a, a_inv in zip(rows, inv):  # a b a^-1 b^-1 for every b at once
-        found = group.positions(a[np.take_along_axis(rows, a_inv[inv], axis=1)])
-        while not have[found].all():  # a few generators keep each closure small
-            gens.append(found[np.argmin(have[found])])
-            have[group.positions(_closure(rows[gens], len(group)))] = True
+    """[G, G]: the normal closure of the commutators [s, t] of a generating set.
+
+    Modulo a normal subgroup holding every [s, t] the generators commute, so
+    the quotient is abelian and the subgroup contains [G, G].  The closure
+    grows until conjugation by each s keeps its generators in it, which makes
+    it normal.
+    """
+    rows = group.images
+    gens = rows[[group.index_of(g) for g in group.small_generating_set()]]
+    inv = np.argsort(gens, axis=1)
+    s, t = np.divmod(np.arange(len(gens) ** 2), len(gens))
+    # s t s^-1 t^-1 = s[t[s^-1[t^-1]]]
+    queue = group.positions(gens[s[:, None], gens[t[:, None], inv[s[:, None], inv[t]]]])
+    queue, normal = queue.tolist(), []
+    have = np.zeros(len(group), dtype=bool)
+    have[0] = True  # the identity
+    while queue:
+        n = queue.pop()
+        if have[n]:
+            continue
+        normal.append(n)
+        have[group.positions(_closure(rows[normal], len(group)))] = True
+        # s n s^-1 for every generator s
+        conjugates = np.take_along_axis(gens[:, rows[n]], inv, axis=1)
+        queue += group.positions(conjugates).tolist()
     return Subgroup._of(group, np.flatnonzero(have))
 
 

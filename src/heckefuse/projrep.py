@@ -336,36 +336,67 @@ def _characters(classes) -> np.ndarray:
     return np.array([cls.rep.character() for cls in classes])
 
 
-def _checked_multiset(char, dim: int, classes, mults, chars) -> dict[RepClass, int]:
-    """{class: mult} once the dimensions and the character add up."""
-    parts = {cls: int(m) for cls, m in zip(classes, mults) if m}
-    if multiset_dim(parts) != dim:
+def _character_table(group: FiniteGroup, cocycle: Cocycle) -> tuple:
+    """(characters as rows, dimensions) of ``irreducibles(group, cocycle)``,
+    read-only; memoized next to the classes."""
+    def table():
+        classes = irreducibles(group, cocycle)
+        chars, dims = _characters(classes), np.array([c.dim for c in classes])
+        chars.flags.writeable = dims.flags.writeable = False
+        return chars, dims
+    return _IRREDUCIBLES.get_or(("table", group.key(), cocycle.key()), table)
+
+
+def _check_rows(chars: np.ndarray, dims, irr: np.ndarray, irr_dims: np.ndarray,
+                mults: np.ndarray, raw: Optional[np.ndarray] = None) -> None:
+    """Raise at the first row of mults, the multiplicities of the matching
+    row of chars, that fails a check: its inner products ``raw`` (when
+    given) are within INT_TOL of mults, its constituents add up to its
+    entry of dims and reconstruct its character."""
+    integral = True if raw is None else np.abs(raw - mults).max(axis=1) <= INT_TOL
+    adds_up = mults @ irr_dims == dims
+    rebuilds = np.abs(mults @ irr - chars).max(axis=1) <= INT_TOL
+    ok = integral & adds_up & rebuilds
+    if ok.all():
+        return
+    row = int(np.argmin(ok))
+    if raw is not None and not integral[row]:
+        raise NumericalDegradation(
+            f"non-integral multiplicities {np.round(raw[row], 9).tolist()}")
+    if not adds_up[row]:
         raise NumericalDegradation("constituent dimensions do not add up")
-    if np.abs(np.asarray(mults) @ chars - np.asarray(char)).max() > INT_TOL:
-        raise NumericalDegradation("character reconstruction drifted")
-    return parts
+    raise NumericalDegradation("character reconstruction drifted")
+
+
+def decompose_characters(group: FiniteGroup, cocycle: Cocycle, chars,
+                         dims) -> np.ndarray:
+    """Multiplicities of the irreducible constituents of each row of chars,
+    the character of a representation of (group, cocycle) of dimension the
+    matching entry of dims: an int array with one row per character and one
+    column per class of ``irreducibles(group, cocycle)``.
+
+    The multiplicity of an irreducible class is the inner product
+    |G|^-1 sum_g chi(g) conj(chi_irr(g)): irreducible characters sharing a
+    cocycle are orthonormal (Karpilovsky, Projective Representations of
+    Finite Groups, 1985).  Each row must give non-negative integers whose
+    constituents add up to its dimension and reconstruct its character;
+    the dimensions must come from the construction, not from the characters.
+    """
+    irr, irr_dims = _character_table(group, cocycle)
+    chars = np.asarray(chars).reshape(-1, len(group))
+    raw = chars @ irr.conj().T / len(group)
+    mults = np.rint(raw.real).clip(0)  # a negative multiplicity fails as non-integral
+    _check_rows(chars, dims, irr, irr_dims, mults, raw)
+    return mults.astype(np.int64)
 
 
 def decompose_character(group: FiniteGroup, cocycle: Cocycle, char,
                         dim: int) -> dict[RepClass, int]:
     """Multiset of irreducible constituents of the character of a dim-dimensional
-    representation of (group, cocycle); exact multiplicities.
-
-    The multiplicity of an irreducible class is the inner product
-    |G|^-1 sum_g chi(g) conj(chi_irr(g)): irreducible characters sharing a
-    cocycle are orthonormal (Karpilovsky, Projective Representations of
-    Finite Groups, 1985).  The keys are the classes of
-    ``irreducibles(group, cocycle)``.  ``dim`` is checked against the
-    constituents, so it must come from the construction, not from char.
-    """
-    classes = irreducibles(group, cocycle)
-    chars = _characters(classes)
-    raw = chars.conj() @ np.asarray(char) / len(group)
-    mults = np.rint(raw.real)
-    if np.abs(raw - mults).max() > INT_TOL or (mults < 0).any():
-        raise NumericalDegradation(
-            f"non-integral multiplicities {np.round(raw, 9).tolist()}")
-    return _checked_multiset(char, dim, classes, mults, chars)
+    representation of (group, cocycle); the one-row ``decompose_characters``.
+    The keys are the classes of ``irreducibles(group, cocycle)``."""
+    mults = decompose_characters(group, cocycle, char, dim)[0].tolist()
+    return {cls: m for cls, m in zip(irreducibles(group, cocycle), mults) if m}
 
 
 def decompose(rep: Rep) -> dict[RepClass, int]:
@@ -393,8 +424,9 @@ def _split_regular(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]
         cls = RepClass(irr)
         counts[cls] = counts.get(cls, 0) + 1
     classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
-    _checked_multiset(regular.character(), regular.dim, classes,
-                      [counts[cls] for cls in classes], _characters(classes))
+    _check_rows(np.array([regular.character()]), regular.dim, _characters(classes),
+                np.array([c.dim for c in classes]),
+                np.array([[counts[c] for c in classes]]))
     if (sum(c.dim ** 2 for c in classes) != len(group)
             or any(counts[c] != c.dim for c in classes)):
         raise NumericalDegradation(

@@ -38,10 +38,11 @@ def test_pair_and_group_each_keep_one_store(name):
         assert len(stores(owner)) == 1
         assert set(vars(owner)) == attrs  # nothing cached on the side
     kinds = {key[0] for key in pair._memo}
-    assert {"little", "meet", "orbit_labels", "reads", "fuse", "conjugate"} <= kinds
-    assert kinds <= {"little", "decomposition", "meet", "orbit_labels", "reads",
-                     "class_index", "fuse", "conjugate", "required", "phase",
-                     "term", "rep"}
+    assert {"little", "meet", "orbit_labels", "orbits_by_labels", "reads",
+            "block", "conjugate"} <= kinds
+    assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
+                     "orbits_by_labels", "reads", "class_index", "block", "fuse",
+                     "conjugate", "required", "phase", "term", "rep"}
     if build_omega(BUILTIN[name], pair) is not None:
         assert {"required", "phase", "term", "rep"} <= kinds
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}

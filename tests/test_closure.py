@@ -85,9 +85,9 @@ def oracle_small_generating_set(group):
 
 
 def oracle_commutator_elements(group):
-    gens = [a * b * a.inverse() * b.inverse()
-            for a in group.elements for b in group.elements]
-    return sorted(mulclose(gens, len(group)))
+    gens = {a * b * a.inverse() * b.inverse()
+            for a in group.elements for b in group.elements}
+    return sorted(mulclose(list(gens), len(group)))
 
 
 # ------------------------------------------------------------ closure
@@ -141,8 +141,28 @@ def test_subgroups_match_the_all_elements_join(make):
     assert list(commutator_subgroup(group).elements) == oracle_commutator_elements(group)
 
 
+def alternating5():
+    return FiniteGroup.generate(5, [Perm.parse(5, "(0 1 2 3 4)"), Perm.parse(5, "(0 1 2)")])
+
+
+def s4_inside_s5():
+    s5 = FiniteGroup.symmetric(5)
+    return s5.subgroup(g for g in s5.elements if g.images[4] == 4)
+
+
+@pytest.mark.parametrize("make", [lambda: FiniteGroup.symmetric(4), alternating5,
+                                  lambda: FiniteGroup.symmetric(5), z3_squared,
+                                  s4_inside_s5],
+                         ids=["S4", "A5", "S5", "Z3xZ3", "S4<S5"])
+def test_commutator_subgroup_matches_the_all_commutators_closure(make):
+    group = make()
+    comm = commutator_subgroup(group)
+    assert list(comm.elements) == oracle_commutator_elements(group)
+    assert comm.parent is group
+
+
 def test_a5_has_59_subgroups():
-    a5 = FiniteGroup.generate(5, [Perm.parse(5, "(0 1 2 3 4)"), Perm.parse(5, "(0 1 2)")])
+    a5 = alternating5()
     subs = a5.subgroups()
     assert len(subs) == 59
     assert sorted({len(h) for h in subs}) == [1, 2, 3, 4, 5, 6, 10, 12, 60]

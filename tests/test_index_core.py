@@ -310,7 +310,9 @@ def test_check_pass_object_counts(monkeypatch):
     assert counts["perm"] < 30_000
     assert counts["cocycle"] <= 6_000
     assert counts["phase"] <= 40
-    assert counts["rep"] == 3_564
+    # 3,564 while induction-frobenius returned early on the index-1 pairs;
+    # running it there builds 90 (Heis3) and 12 (Z3_regular) more
+    assert counts["rep"] == 3_666
     # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit
     assert counts["ext"] <= 2_600
 
