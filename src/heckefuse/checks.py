@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .catalog import (
@@ -215,11 +216,13 @@ def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
     gamma_grp = pair.little(pair.labels()[0])
     big = pair.group
     triv = Cocycle.trivial(big)
+    big_reps = [cls.rep for cls in irreducibles(big)]
+    restricted = [restrict(rep, gamma_grp) for rep in big_reps]
     for small_cls in irreducibles(gamma_grp):
         ind = induce(small_cls.rep, big, triv)
-        for big_cls in irreducibles(big):
-            lhs = hom_dim(ind, big_cls.rep)
-            rhs = hom_dim(small_cls.rep, restrict(big_cls.rep, gamma_grp))
+        for big_rep, res in zip(big_reps, restricted):
+            lhs = hom_dim(ind, big_rep)
+            rhs = hom_dim(small_cls.rep, res)
             if lhs != rhs:
                 raise CheckFailure(
                     f"induction reciprocity fails: {lhs} != {rhs}")
@@ -305,7 +308,6 @@ def check_lambda_trivial_finite(backend, cfg: Config) -> None:
 
 
 def check_gl2_relations(cfg: Config) -> None:
-    from fractions import Fraction
     bk = GL2Hecke()
     t2 = HeckeElement(bk, {(Fraction(1), Fraction(2)): 1})
     t3 = HeckeElement(bk, {(Fraction(1), Fraction(3)): 1})
@@ -326,7 +328,6 @@ def check_gl2_relations(cfg: Config) -> None:
 
 
 def check_bc_lambda(cfg: Config, bound: int = 6) -> None:
-    from fractions import Fraction
     bk = BostConnesHecke()
     for p in (2, 3, 5):
         if modular_lambda(bk, (Fraction(p), Fraction(0))) != p:
@@ -344,6 +345,45 @@ def check_bc_lambda(cfg: Config, bound: int = 6) -> None:
         bad = lambda_multiplicativity_witnesses(x, y)
         if bad:
             raise CheckFailure(f"modular multiplicativity fails: {bad[0]}")
+
+
+def _closed_form_agrees(bk, products) -> None:
+    for kx, ky in products:
+        want = convolve(HeckeElement(bk, {kx: 1}), HeckeElement(bk, {ky: 1}))
+        if bk.closed_product(kx, ky) != want.coeffs:
+            raise CheckFailure(
+                f"closed form and convolution disagree at "
+                f"T[{bk.label_str(kx)}]*T[{bk.label_str(ky)}]")
+
+
+def check_gl2_closed_form(cfg: Config, count: int = 6) -> None:
+    """Closed-form GL2 products against convolution: composite n <= 36
+    times composite n <= 9, with non-unit contents.  Convolution costs
+    about the right factor's coset count per output label, so the right
+    factor is kept small."""
+    rng = random.Random(cfg.seed)
+    contents = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2))
+
+    def draw(ratios):
+        c = rng.choice(contents)
+        return (c, c * rng.choice(ratios))
+
+    _closed_form_agrees(GL2Hecke(), [
+        (draw((12, 18, 20, 24, 30, 36)), draw((4, 6, 8, 9)))
+        for _ in range(count)])
+
+
+def check_bc_closed_form(cfg: Config, count: int = 6) -> None:
+    """Closed-form ax+b products against convolution, on labels read from
+    negative translations."""
+    rng = random.Random(cfg.seed)
+    bk = BostConnesHecke()
+
+    def draw():
+        a = Fraction(rng.randint(1, 6), rng.randint(1, 12))
+        return bk.canonical_label((a, Fraction(-rng.randint(1, 12), rng.randint(1, 12))))
+
+    _closed_form_agrees(bk, [(draw(), draw()) for _ in range(count)])
 
 
 # ------------------------------------------------------------ ext-hecke checks
@@ -503,17 +543,21 @@ def run_checks(entry_names: Optional[list[str]] = None,
                   ("degree-homomorphism", check_degree_homomorphism),
                   ("involution-laws", check_involution_laws))
     arithmetic = {
-        "gl2": (GL2Hecke, "gl2-relations", check_gl2_relations, ("1,2", "1,3", "2,2")),
-        "bc": (BostConnesHecke, "bc-lambda-homomorphism", check_bc_lambda,
+        "gl2": (GL2Hecke, (("gl2-relations", check_gl2_relations),
+                           ("gl2-closed-form", check_gl2_closed_form)),
+                ("1,2", "1,3", "2,2")),
+        "bc": (BostConnesHecke, (("bc-lambda-homomorphism", check_bc_lambda),
+                                 ("bc-closed-form", check_bc_closed_form)),
                ("2;0", "1/2;0", "3;1/3")),
     }
     for entry_name in names:
         entry = catalog[entry_name]
         if entry.kind in arithmetic:
-            backend, first, first_check, labels = arithmetic[entry.kind]
+            backend, firsts, labels = arithmetic[entry.kind]
             bk = backend()
             small = [bk.parse_label(s) for s in labels]
-            run(first, entry_name, first_check, cfg)
+            for name, check in firsts:
+                run(name, entry_name, check, cfg)
             for name, law in hecke_laws:
                 run(name, entry_name, law, bk, cfg, small)
             continue

@@ -16,6 +16,14 @@ Three backends provide labels and coset data:
 * ``BostConnesHecke`` -- the integer-translation subgroup inside the rational
   ax+b group, with exact fraction arithmetic.
 
+The two arithmetic backends also give the product of two basis elements in
+closed form (``closed_product``): GL2 by the local product formula of
+Shimura's and Macdonald's Hecke rings, ax+b by one coefficient spread over
+``product_support``.  ``multiply``, the product behind ``*`` and
+``parse_element``, expands over those closed forms and falls back on
+``convolve`` for finite pairs.  ``convolve`` stays the generic path on every
+backend and is the oracle the closed forms are checked against.
+
 All coefficients are Python integers and all label data is exact, so there
 is no overflow and no rounding anywhere in this module.
 """
@@ -117,6 +125,27 @@ def _primitive_hnf_reps(m: int) -> tuple[Mat, ...]:
     return tuple(out)
 
 
+def _factor(n: int) -> dict[int, int]:
+    """Prime -> exponent for a positive integer, by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _local_coeffs(p: int, m: int, n: int) -> list[int]:
+    """c_0..c_n of T(1, p^m) T(1, p^n) = sum_k c_k T(p^k, p^(m+n-k)), m >= n."""
+    if n == 0:
+        return [1]
+    inner = [p ** (k - 1) * (p - 1) for k in range(1, n)]
+    return [1, *inner, p ** (n - 1) * (p + 1) if m == n else p ** n]
+
+
 class GL2Hecke:
     """SL(2,Z) double cosets of rational 2x2 matrices with positive determinant.
 
@@ -183,6 +212,30 @@ class GL2Hecke:
     def inverse_label(self, label):
         return self.canonical_label(self.inv(self.element_of(label)))
 
+    def closed_product(self, kx, ky) -> dict:
+        """T(kx) T(ky) as {label: coefficient}, in closed form.
+
+        T(d1, d2) = T(d1, d1) T(1, n) with n = d2/d1, where T(d, d) is the
+        one coset of the central d I; T(1, n) T(1, n') is multiplicative
+        over the primes of n n', and for m >= n locally
+
+            T(1, p^m) T(1, p^n) = sum_{k=0..n} c_k T(p^k, p^(m+n-k))
+
+        with c_0 = 1, c_k = p^(k-1) (p-1) for 0 < k < n, and c_n =
+        p^(n-1) (p+1) if m = n, else p^n (Shimura 1971, ch. 3; Macdonald,
+        Symmetric Functions and Hall Polynomials, ch. V).
+        """
+        (ax, nx), (ay, ny) = self._split(kx), self._split(ky)
+        fx, fy = _factor(nx), _factor(ny)
+        terms = {(1, 1): 1}  # integer (d1, d2) -> coefficient
+        for p in fx.keys() | fy.keys():
+            m, n = sorted((fx.get(p, 0), fy.get(p, 0)), reverse=True)
+            local = _local_coeffs(p, m, n)
+            terms = {(d1 * p ** k, d2 * p ** (m + n - k)): c * ck
+                     for (d1, d2), c in terms.items() for k, ck in enumerate(local)}
+        a = ax * ay
+        return {(a * d1, a * d2): c for (d1, d2), c in terms.items()}
+
     def right_count(self, label) -> int:
         return len(self.right_reps(label))
 
@@ -204,7 +257,7 @@ class GL2Hecke:
             raise ValueError(f"GL2 labels look like 'd1,d2', got {text!r}")
         d1, d2 = (Fraction(p.strip()) for p in parts)
         label = (d1, d2)
-        self.right_reps(label)  # validates
+        self._split(label)  # validates
         return label
 
 
@@ -303,6 +356,23 @@ class BostConnesHecke:
         return {self.canonical_label((a, base + t * g))
                 for t in range(int(count))}
 
+    def closed_product(self, kx, ky) -> dict:
+        """T(kx) T(ky) as {label: coefficient}, in closed form.
+
+        With a1 = p1/q1 and a2 = p2/q2, the coefficient at (a1 a2, b) counts
+        the j mod q2 with a1 j / q2 in one coset of (1/q1)Z fixed by b: a
+        fibre of a homomorphism from Z/q2, so it is the same on every label
+        of ``product_support``.  The degree homomorphism then fixes it at
+        q1 q2 / (q |support|), with q = denom(a1 a2) the right count of each.
+        """
+        support = self.product_support(kx, ky)
+        q = Fraction(kx[0] * ky[0]).denominator
+        c, rem = divmod(self.right_count(kx) * self.right_count(ky),
+                        q * len(support))
+        if rem:
+            raise RuntimeError(f"{kx} * {ky} has a non-integral coefficient")
+        return dict.fromkeys(support, c)
+
 
 # ------------------------------------------------------------------ elements
 
@@ -343,7 +413,7 @@ class HeckeElement:
     def __mul__(self, other) -> "HeckeElement":
         if isinstance(other, int):
             return self.scale(other)
-        return convolve(self, other)
+        return multiply(self, other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElement)
@@ -407,6 +477,22 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         if total:
             out[label] = total
     return HeckeElement(bk, out)
+
+
+def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """x * y, bilinear over the backend's ``closed_product`` of basis
+    elements; ``convolve`` on a backend without one."""
+    if x.backend is not y.backend:
+        raise ValueError("cannot multiply over different backends")
+    closed = getattr(x.backend, "closed_product", None)
+    if closed is None:
+        return convolve(x, y)
+    out: dict = {}
+    for kx, cx in x.coeffs.items():
+        for ky, cy in y.coeffs.items():
+            for label, c in closed(kx, ky).items():
+                out[label] = out.get(label, 0) + cx * cy * c
+    return HeckeElement(x.backend, out)
 
 
 def involution(x: HeckeElement) -> HeckeElement:
@@ -508,7 +594,7 @@ def parse_element(backend, text: str) -> HeckeElement:
             elif value is None:
                 value = f
             else:
-                value = convolve(value, f)
+                value = multiply(value, f)
         if value is None:
             raise ValueError("a term needs at least one basis element")
         terms.append(value.scale(scale) if scale != 1 else value)

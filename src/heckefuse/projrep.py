@@ -7,7 +7,8 @@ intertwiner ranks); the tolerances below leave them enormous margins at the
 group orders this package targets.
 
 A representation is validated once, when it is built, on a generating set
-of its group.  The irreducible classes of a (group, cocycle) come from the
+of its group; the regular representation is checked exactly, on the
+exponents of its cocycle.  The irreducible classes of a (group, cocycle) come from the
 classical randomized commutant split of its regular representation: average
 a random Hermitian matrix over the group, cut along the eigenspaces of the
 result, recurse.  Seeds are fixed, so runs are reproducible.  Every other
@@ -63,14 +64,24 @@ class Rep:
             raise ValueError("matrices must be square and of equal size")
         if len(matrices) != len(group):
             raise ValueError("need one matrix per group element")
-        dim = matrices.shape[1]
-        if dim < 1:
+        if matrices.shape[1] < 1:
             raise ValueError("representations have dimension at least 1")
+        self._fill(group, cocycle, matrices)
+        self._validate()
+
+    @classmethod
+    def _of(cls, group: FiniteGroup, cocycle: Cocycle, matrices: np.ndarray) -> "Rep":
+        """The representation with these complex matrices, unchecked: for
+        constructions whose laws were checked exactly."""
+        rep = cls.__new__(cls)
+        rep._fill(group, cocycle, matrices)
+        return rep
+
+    def _fill(self, group, cocycle, matrices) -> None:
         self.group = group
         self.cocycle = cocycle
-        self.dim = dim
+        self.dim = matrices.shape[1]
         self.matrices = matrices
-        self._validate()
         self._char = tuple(np.trace(matrices, axis1=1, axis2=2).tolist())
 
     def _validate(self) -> None:
@@ -154,14 +165,32 @@ def trivial_rep(group: FiniteGroup) -> Rep:
 
 
 def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
-    """The (possibly twisted) left regular representation on C^|G|."""
+    """The (possibly twisted) left regular representation on C^|G|.
+
+    pi(g) sends e_h to omega(g, h) e_gh, so every pi(g) is monomial and
+    unitary, and ``Rep``'s checks reduce to exact ones on exponents: pi(e) = I
+    iff omega(e, -) = 0, and pi(s) pi(h) = omega(s, h) pi(sh) iff
+    omega(h, k) + omega(s, hk) - omega(s, h) - omega(sh, k) = 0 mod m for
+    every k.  They raise ``Rep``'s errors.
+    """
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
+    if cocycle.group != group:
+        raise ValueError("cocycle lives on a different group")
+    t, m, mul = cocycle.arr, cocycle.modulus, group.mul_table()
+    if t[0].any():  # the identity is element 0
+        raise ValueError("identity element must act as the identity matrix")
+    for g in group.small_generating_set():
+        s = group.index_of(g)
+        off = (t + t[s][mul] - t[s][:, None] - t[mul[s]]) % m
+        if off.any():
+            h = group.elements[int(np.flatnonzero(off.any(axis=1))[0])]
+            raise ValueError(
+                f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
     n = len(group)
     mats = np.zeros((n, n, n), dtype=complex)
-    mats[np.arange(n)[:, None], group.mul_table(), np.arange(n)] = (
-        _roots(cocycle.modulus)[cocycle.arr])
-    return Rep(group, cocycle, mats)
+    mats[np.arange(n)[:, None], mul, np.arange(n)] = _roots(m)[t]
+    return Rep._of(group, cocycle, mats)
 
 
 def tensor(a: Rep, b: Rep) -> Rep:

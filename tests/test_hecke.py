@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heckefuse import checks
 from heckefuse.catalog import BUILTIN, build_pair
 from heckefuse.hecke import (
     BostConnesHecke,
@@ -18,6 +19,7 @@ from heckefuse.hecke import (
     involution,
     lambda_multiplicativity_witnesses,
     modular_lambda,
+    multiply,
     parse_element,
     primitive_hnf_reps,
 )
@@ -523,6 +525,13 @@ def test_convolve_matches_all_pairs_bc(bc):
         bc, sorted({bc.canonical_label((a, r)) for a in fracs for r in residues}))
 
 
+def convolve_factors(backend, expr: str) -> HeckeElement:
+    """The oracle path for a product of two factors: ``parse_element``
+    multiplies by closed forms, so the cost tests below convolve directly."""
+    x, y = (parse_element(backend, f) for f in expr.split("*"))
+    return convolve(x, y)
+
+
 @pytest.mark.parametrize("kind, expr, bound", [
     ("gl2", "T[1,42]*T[1,66]", 700),
     ("bc", "T[1/130;0]*T[1/182;0]", 320),
@@ -537,7 +546,7 @@ def test_product_canonicalizes_once_per_representative(kind, expr, bound, monkey
         return original(self, x)
 
     monkeypatch.setattr(cls, "canonical_label", counting)
-    parse_element(cls(), expr)
+    convolve_factors(cls(), expr)
     assert len(calls) <= bound
 
 
@@ -557,7 +566,7 @@ def test_product_fraction_builds(kind, expr, bound, monkeypatch):
 
     backend = cls()
     monkeypatch.setattr(Fraction, "__new__", counting)
-    parse_element(backend, expr)
+    convolve_factors(backend, expr)
     monkeypatch.undo()
     assert 0 < len(builds) <= bound
 
@@ -573,5 +582,114 @@ def test_product_inverts_each_right_representative_once(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(GL2Hecke, "inv", counting)
-    parse_element(GL2Hecke(), "T[1,42]*T[1,66]")
+    convolve_factors(GL2Hecke(), "T[1,42]*T[1,66]")
     assert len(calls) == 144
+
+
+# ------------------------------------------------------------ closed-form products
+
+def gl2_labels():
+    content = st.builds(Fraction, st.sampled_from([1, 2, 3, 5]),
+                        st.sampled_from([1, 2, 7]))
+    ratio = st.integers(1, 40) | st.sampled_from([8, 16, 27, 32, 25])
+    return st.builds(lambda c, n: (c, c * n), content, ratio)
+
+
+def bc_labels():
+    a = st.fractions(min_value=0, max_value=12, max_denominator=12).filter(bool)
+    b = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.builds(lambda a, b: BostConnesHecke().canonical_label((a, b)), a, b)
+
+
+def elements(backend, labels):
+    return st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda coeffs: HeckeElement(backend, coeffs))
+
+
+@pytest.mark.parametrize("backend, labels", [(GL2Hecke(), gl2_labels()),
+                                             (BostConnesHecke(), bc_labels())])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_convolve(backend, labels, data):
+    x, y = (data.draw(elements(backend, labels)) for _ in range(2))
+    assert multiply(x, y) == convolve(x, y)
+
+
+def test_multiply_falls_back_on_convolve(finite_s3_s4):
+    k = finite_s3_s4.parse_label("K")
+    x = HeckeElement(finite_s3_s4, {k: 1})
+    assert multiply(x, x) == convolve(x, x)
+    with pytest.raises(ValueError, match="different backends"):
+        multiply(HeckeElement(GL2Hecke(), {(Fraction(1), Fraction(2)): 1}), x)
+
+
+class ConvolvingGL2(GL2Hecke):
+    closed_product = None
+
+
+class ConvolvingBC(BostConnesHecke):
+    closed_product = None
+
+
+# the README examples and the benchmark's product pools
+PRODUCTS = [
+    ("gl2", "T[1,2]*T[1,3]", "T[1,6]"),
+    ("bc", "T[2;0]*T[3;0]", "T[6;0]"),
+    ("gl2", "T[1,30]*T[1,66]", "T[1,1980] + 3*T[2,990] + 4*T[3,660] + 12*T[6,330]"),
+    ("gl2", "T[1,30]*T[1,78]", None),
+    ("gl2", "T[1,30]*T[1,105]", None),
+    ("gl2", "T[1,42]*T[1,66]", None),
+    ("gl2", "T[1,36]*T[1,24]*T[1/2,3] + 2*T[2,6]", None),
+    ("bc", "T[1/105;0]*T[1/110;0]", "T[1/11550;0]"),
+    ("bc", "T[1/105;0]*T[1/210;0]", None),
+    ("bc", "T[1/110;0]*T[1/154;0]", None),
+    ("bc", "T[1/110;0]*T[1/165;0]", None),
+    ("bc", "T[1/110;0]*T[1/182;0]", None),
+    ("bc", "T[1/110;0]*T[1/210;0]", None),
+    ("bc", "T[1/130;0]*T[1/154;0]", None),
+    ("bc", "T[1/130;0]*T[1/182;0]", None),
+    ("bc", "T[1/6;1/12]*T[2/9;-5/9]*T[4/3;1/6]", "T[4/81;1/324] + T[4/81;1/108]"),
+]
+
+
+@pytest.mark.parametrize("kind, expr, text", PRODUCTS)
+def test_closed_products_print_as_convolution(kind, expr, text):
+    closed, plain = ((GL2Hecke(), ConvolvingGL2()) if kind == "gl2"
+                     else (BostConnesHecke(), ConvolvingBC()))
+    got, want = parse_element(closed, expr), parse_element(plain, expr)
+    assert str(got) == str(want)
+    assert got.to_json() == want.to_json()
+    if text is not None:
+        assert str(got) == text
+
+
+def _plus_one(coeffs: dict) -> dict:
+    label = min(coeffs, key=lambda k: (k[0], k[1]))
+    return {**coeffs, label: coeffs[label] + 1}
+
+
+@pytest.mark.parametrize("check, backend", [
+    (checks.check_gl2_closed_form, GL2Hecke),
+    (checks.check_bc_closed_form, BostConnesHecke),
+])
+@pytest.mark.parametrize("side", ["closed_product", "convolve"])
+def test_closed_form_checks_catch_one_wrong_coefficient(check, backend, side, monkeypatch):
+    check(checks.Config())
+    if side == "closed_product":
+        original = backend.closed_product
+        monkeypatch.setattr(backend, "closed_product",
+                            lambda self, kx, ky: _plus_one(original(self, kx, ky)))
+    else:
+        def off_by_one(x, y):
+            z = convolve(x, y)
+            return HeckeElement(z.backend, _plus_one(z.coeffs))
+        monkeypatch.setattr(checks, "convolve", off_by_one)
+    with pytest.raises(checks.CheckFailure, match="closed form and convolution disagree"):
+        check(checks.Config())
+
+
+def test_gl2_parse_label_enumerates_no_representatives(gl2, monkeypatch):
+    monkeypatch.setattr(GL2Hecke, "right_reps", None)
+    assert gl2.parse_label("2,6") == (Fraction(2), Fraction(6))
+    with pytest.raises(ValueError, match="not a valid label: 2,3"):
+        gl2.parse_label("2,3")

@@ -311,8 +311,10 @@ def test_check_pass_object_counts(monkeypatch):
     assert counts["cocycle"] <= 6_000
     assert counts["phase"] <= 40
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
-    # running it there builds 90 (Heis3) and 12 (Z3_regular) more
-    assert counts["rep"] == 3_666
+    # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
+    # It now restricts each irreducible of G once (103 fewer), and the 13
+    # regular representations are checked exactly, without Rep.__init__
+    assert counts["rep"] == 3_550
     # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit
     assert counts["ext"] <= 2_600
 

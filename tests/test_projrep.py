@@ -68,6 +68,42 @@ def test_twisted_regular_heisenberg3():
     assert multiset_dim(parts) == 9
 
 
+def _dense_regular(group, cocycle):
+    n = len(group)
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[np.arange(n)[:, None], group.mul_table(), np.arange(n)] = (
+        np.exp(2j * np.pi * cocycle.arr / cocycle.modulus))
+    return mats
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 3)])
+def test_regular_rep_passes_the_dense_checks(n, k):
+    group, _, omega = heisenberg_cocycle(n, k)
+    reg = regular_rep(group, omega)
+    np.testing.assert_array_equal(reg.matrices, Rep(group, omega, reg.matrices).matrices)
+    assert np.abs(reg.matrices - _dense_regular(group, omega)).max() < 1e-12
+
+
+@pytest.mark.parametrize("at", [(0, 2), (1, 2), (2, 1), (4, 5), (5, 5)])
+def test_regular_rep_rejects_a_cocycle_with_one_wrong_entry(at):
+    g = s3()
+    table = np.zeros((len(g), len(g)), dtype=np.int64)
+    table[at] = 1
+    bad = Cocycle(g, 3, table, validate=False)
+    with pytest.raises(ValueError) as exact:
+        regular_rep(g, bad)
+    with pytest.raises(ValueError) as dense:
+        Rep(g, bad, _dense_regular(g, bad))
+    # the same message, up to which of several failing h is named
+    assert str(exact.value).split("), (")[0] == str(dense.value).split("), (")[0]
+    assert ("identity" if at[0] == 0 else "multiplicativity fails") in str(exact.value)
+
+
+def test_regular_rep_rejects_a_cocycle_of_another_group():
+    with pytest.raises(ValueError, match="different group"):
+        regular_rep(s3(), Cocycle.trivial(FiniteGroup.cyclic(6)))
+
+
 # ------------------------------------------------------------ irreducibles
 
 def test_irreducibles_s3():
