@@ -356,7 +356,7 @@ def _closed_form_agrees(bk, products) -> None:
                 f"T[{bk.label_str(kx)}]*T[{bk.label_str(ky)}]")
 
 
-def check_gl2_closed_form(cfg: Config, count: int = 6) -> None:
+def check_gl2_closed_form(cfg: Config) -> None:
     """Closed-form GL2 products against convolution: composite n <= 36
     times composite n <= 9, with non-unit contents.  Convolution costs
     about the right factor's coset count per output label, so the right
@@ -370,10 +370,10 @@ def check_gl2_closed_form(cfg: Config, count: int = 6) -> None:
 
     _closed_form_agrees(GL2Hecke(), [
         (draw((12, 18, 20, 24, 30, 36)), draw((4, 6, 8, 9)))
-        for _ in range(count)])
+        for _ in range(6)])
 
 
-def check_bc_closed_form(cfg: Config, count: int = 6) -> None:
+def check_bc_closed_form(cfg: Config) -> None:
     """Closed-form ax+b products against convolution, on labels read from
     negative translations."""
     rng = random.Random(cfg.seed)
@@ -383,7 +383,7 @@ def check_bc_closed_form(cfg: Config, count: int = 6) -> None:
         a = Fraction(rng.randint(1, 6), rng.randint(1, 12))
         return bk.canonical_label((a, Fraction(-rng.randint(1, 12), rng.randint(1, 12))))
 
-    _closed_form_agrees(bk, [(draw(), draw()) for _ in range(count)])
+    _closed_form_agrees(bk, [(draw(), draw()) for _ in range(6)])
 
 
 # ------------------------------------------------------------ ext-hecke checks

@@ -693,3 +693,18 @@ def test_gl2_parse_label_enumerates_no_representatives(gl2, monkeypatch):
     assert gl2.parse_label("2,6") == (Fraction(2), Fraction(6))
     with pytest.raises(ValueError, match="not a valid label: 2,3"):
         gl2.parse_label("2,3")
+
+
+@pytest.mark.parametrize("backend, expr", [
+    (GL2Hecke, "T[1,42]*T[1,66]"),
+    (BostConnesHecke, "T[1/130;0]*T[1/182;0]"),
+])
+def test_closed_products_never_convolve(backend, expr, monkeypatch):
+    want = parse_element(backend(), expr).to_json()
+
+    def refuse(*args):
+        raise AssertionError("the closed-form product path must not enumerate cosets")
+
+    monkeypatch.setattr("heckefuse.hecke.convolve", refuse)
+    monkeypatch.setattr(backend, "right_reps", refuse)
+    assert parse_element(backend(), expr).to_json() == want
