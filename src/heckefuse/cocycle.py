@@ -6,8 +6,9 @@ index the canonical element order of the group.  Every cohomology class of
 a finite group has a representative with values in some mu_m, so nothing is
 lost and all cohomology questions become exact linear algebra over Z/m.
 
-Cocycles are normalized, omega(e, g) = omega(g, e) = 1; constructors can
-normalize arbitrary input by dividing out a (constant) coboundary.
+Cocycles are normalized, omega(e, g) = omega(g, e) = 1.  ``Cocycle(...)``
+checks a table from outside exactly; products, pullbacks and coboundaries
+of checked values build through the unchecked ``Cocycle._of``.
 """
 
 from __future__ import annotations
@@ -30,27 +31,33 @@ _TRIVIAL_CACHE = Memo()
 class Cocycle:
     """A normalized scalar 2-cocycle with values in m-th roots of unity.
 
-    ``arr`` is the (|G|, |G|) int64 array of exponents mod m.  Constructing
-    from a raw table validates the cocycle identity; operations that preserve
-    validity by construction (products, inverses, rescaling, restriction,
-    pullback along homomorphisms, coboundaries) skip the check.
+    ``arr`` is the (|G|, |G|) int64 array of exponents mod m.  The
+    constructor checks a table from outside; ``_of`` is unchecked.
     """
 
-    def __init__(self, group: FiniteGroup, modulus: int, table,
-                 normalize: bool = False, validate: bool = True):
+    def __init__(self, group: FiniteGroup, modulus: int, table):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         n = len(group)
-        arr = np.array(table, dtype=np.int64) % modulus
+        arr = np.array(table, dtype=np.int64)
         if arr.shape != (n, n):
             raise ValueError("table must be |G| x |G|")
-        if normalize:  # the identity is element 0
-            arr = (arr - arr[0, 0]) % modulus
+        self._fill(group, modulus, arr)
+        self._validate()
+
+    @classmethod
+    def _of(cls, group: FiniteGroup, modulus: int, arr: np.ndarray) -> "Cocycle":
+        """The cocycle with this (|G|, |G|) integer exponent array, unchecked:
+        for constructions from cocycles or from a checked chart."""
+        omega = cls.__new__(cls)
+        omega._fill(group, modulus, arr)
+        return omega
+
+    def _fill(self, group, modulus, arr) -> None:
+        arr = arr % modulus
         self.group = group
         self.modulus = modulus
         self.arr = arr
-        if validate:
-            self._validate()
         # reduced so equal root-of-unity functions compare equal; the gcd is
         # the modulus iff the table is zero
         g = gcd(modulus, int(np.gcd.reduce(arr, axis=None)))
@@ -88,8 +95,8 @@ class Cocycle:
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "Cocycle":
         n = len(group)
-        return _TRIVIAL_CACHE.get_or((group.key(), modulus), lambda: cls(
-            group, modulus, np.zeros((n, n), np.int64), validate=False))
+        return _TRIVIAL_CACHE.get_or((group.key(), modulus), lambda: cls._of(
+            group, modulus, np.zeros((n, n), np.int64)))
 
     def exponent(self, g: Perm, h: Perm) -> int:
         return int(self.arr[self.group.index_of(g), self.group.index_of(h)])
@@ -102,18 +109,17 @@ class Cocycle:
             return self
         if new_modulus % self.modulus:
             raise ValueError("new modulus must be a multiple of the old one")
-        return Cocycle(self.group, new_modulus,
-                       self.arr * (new_modulus // self.modulus), validate=False)
+        return Cocycle._of(self.group, new_modulus,
+                           self.arr * (new_modulus // self.modulus))
 
     def __mul__(self, other: "Cocycle") -> "Cocycle":
         if other.group != self.group:
             raise ValueError("cocycles live on different groups")
         m = lcm(self.modulus, other.modulus)
-        return Cocycle(self.group, m, self.rescale(m).arr + other.rescale(m).arr,
-                       validate=False)
+        return Cocycle._of(self.group, m, self.rescale(m).arr + other.rescale(m).arr)
 
     def inverse(self) -> "Cocycle":
-        return Cocycle(self.group, self.modulus, -self.arr, validate=False)
+        return Cocycle._of(self.group, self.modulus, -self.arr)
 
     def restrict(self, sub: FiniteGroup) -> "Cocycle":
         idx = self.group.positions(sub.images)
@@ -125,8 +131,7 @@ class Cocycle:
         """The cocycle (x, y) -> self(fwd x, fwd y) for a homomorphism fwd,
         given as idx[i] = position in self.group of fwd(new_group element i)."""
         idx = np.asarray(idx)
-        return Cocycle(new_group, self.modulus, self.arr[np.ix_(idx, idx)],
-                       validate=False)
+        return Cocycle._of(new_group, self.modulus, self.arr[np.ix_(idx, idx)])
 
     def conjugated(self, g: Perm) -> "Cocycle":
         """self o Ad g on the same group: (x, y) -> self(gxg^-1, gyg^-1)."""
@@ -190,8 +195,8 @@ class PhaseFunction:
     def coboundary(self) -> Cocycle:
         """The cocycle (g, h) -> phi(g) phi(h) / phi(gh); always valid."""
         v = self.values
-        return Cocycle(self.group, self.modulus,
-                       v[:, None] + v - v[self.group.mul_table()], validate=False)
+        return Cocycle._of(self.group, self.modulus,
+                           v[:, None] + v - v[self.group.mul_table()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseFunction) or other.group != self.group:
@@ -408,7 +413,8 @@ def bilinear_cocycle(group: FiniteGroup, coords: dict[Perm, tuple[int, int]],
     for c in (x, y):
         if ((c[mul] - c[:, None] - c) % n).any():
             raise ValueError("chart is not additive")
-    return Cocycle(group, n, k * x[:, None] * y)
+    # an additive chart vanishes at e, so k x y' is a normalized bilinear form
+    return Cocycle._of(group, n, k * x[:, None] * y)
 
 
 def heisenberg_cocycle(n: int, k: int):

@@ -54,6 +54,7 @@ from .projrep import (
     Rep,
     RepClass,
     add_multiset,
+    character_table,
     decompose,
     decompose_character,
     decompose_characters,
@@ -379,11 +380,10 @@ def fusion_block(pair: FinitePair, label_a: Perm,
 
 def _fusion_block(pair: FinitePair, label_a: Perm,
                   label_b: Perm) -> dict[Perm, np.ndarray]:
-    classes_a = irreducibles(pair.little(label_a))
-    classes_b = irreducibles(pair.little(label_b))
-    chars_a = np.array([cls.rep.character() for cls in classes_a])
-    chars_b = np.array([cls.rep.character() for cls in classes_b])
-    dims = np.outer([c.dim for c in classes_a], [c.dim for c in classes_b]).ravel()
+    little_a, little_b = pair.little(label_a), pair.little(label_b)
+    chars_a, dims_a = character_table(little_a, Cocycle.trivial(little_a))
+    chars_b, dims_b = character_table(little_b, Cocycle.trivial(little_b))
+    dims = np.outer(dims_a, dims_b).ravel()
     out: dict[Perm, np.ndarray] = {}
     for g0, orbit in pair.orbits_by_labels().get((label_a, label_b), ()):
         h = pair.random_coset_element(pair.pick(orbit))
@@ -396,7 +396,7 @@ def _fusion_block(pair: FinitePair, label_a: Perm,
             little_g, Cocycle.trivial(little_g),
             _induce(little_g, meet, products.reshape(-1, len(meet))),
             dims * (len(little_g) // len(meet)))
-        mults = mults.reshape(len(classes_a), len(classes_b), -1)
+        mults = mults.reshape(len(dims_a), len(dims_b), -1)
         out[g0] = out[g0] + mults if g0 in out else mults
     for mults in out.values():
         mults.flags.writeable = False

@@ -237,7 +237,12 @@ class GL2Hecke:
         return {(a * d1, a * d2): c for (d1, d2), c in terms.items()}
 
     def right_count(self, label) -> int:
-        return len(self.right_reps(label))
+        """psi(n) = n prod_{p | n} (1 + 1/p), n = d2/d1: the number of
+        primitive Hermite forms of determinant n, without listing them."""
+        count = 1
+        for p, e in _factor(self._split(label)[1]).items():
+            count *= p ** (e - 1) * (p + 1)
+        return count
 
     def left_count(self, label) -> int:
         # left cosets of the coset of g = right cosets of the coset of g^-1

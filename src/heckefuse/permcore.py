@@ -440,8 +440,6 @@ class Subgroup(FiniteGroup):
                 i, j = np.argwhere(prod < 0)[0]
                 raise ValueError(
                     f"not closed under product: {els[start + i]}, {els[j]}")
-        if len(parent) % len(els):
-            raise ValueError("Lagrange violated; element list is not a subgroup")
 
     @classmethod
     def _of(cls, parent: FiniteGroup, idx: np.ndarray) -> "Subgroup":

@@ -6,14 +6,16 @@ All final outputs of this module are integers (dimensions, multiplicities,
 intertwiner ranks); the tolerances below leave them enormous margins at the
 group orders this package targets.
 
-A representation is validated once, when it is built, on a generating set
-of its group; the regular representation is checked exactly, on the
-exponents of its cocycle.  The irreducible classes of a (group, cocycle) come from the
-classical randomized commutant split of its regular representation: average
-a random Hermitian matrix over the group, cut along the eigenspaces of the
-result, recurse.  Seeds are fixed, so runs are reproducible.  Every other
-representation is decomposed by inner products of characters against those
-classes.
+``Rep(...)`` validates matrices where they enter, on a generating set of the
+group: matrices from outside, and the blocks of the commutant split.  A
+construction from checked representations makes only its exact checks (same
+group and cocycle, containment, a homomorphism on generators, cocycle
+exponents) and builds through the unchecked ``Rep._of``.  The irreducible
+classes of a (group, cocycle) come from the classical randomized commutant
+split of its regular representation: average a random Hermitian matrix over
+the group and cut along the eigenspaces of the result.  Seeds are fixed, so
+runs are reproducible.  Every other representation is decomposed by inner
+products of characters against those classes.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def equivalent(a: Rep, b: Rep) -> bool:
 # ------------------------------------------------------------ constructions
 
 def trivial_rep(group: FiniteGroup) -> Rep:
-    return Rep(group, Cocycle.trivial(group), np.ones((len(group), 1, 1)))
+    return Rep._of(group, Cocycle.trivial(group), np.ones((len(group), 1, 1), complex))
 
 
 def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
@@ -199,35 +201,41 @@ def tensor(a: Rep, b: Rep) -> Rep:
         raise ValueError("tensor factors live on different groups")
     d = a.dim * b.dim
     mats = a.matrices[:, :, None, :, None] * b.matrices[:, None, :, None, :]
-    return Rep(a.group, a.cocycle * b.cocycle, mats.reshape(len(a.group), d, d))
+    return Rep._of(a.group, a.cocycle * b.cocycle, mats.reshape(len(a.group), d, d))
 
 
 def conjugate_rep(a: Rep) -> Rep:
-    return Rep(a.group, a.cocycle.inverse(), a.matrices.conj())
+    return Rep._of(a.group, a.cocycle.inverse(), a.matrices.conj())
 
 
 def restrict(a: Rep, sub: FiniteGroup) -> Rep:
     cocycle = a.cocycle.restrict(sub)  # raises unless sub lies in a.group
-    return Rep(sub, cocycle, a.matrices[a.group.positions(sub.images)])
+    return Rep._of(sub, cocycle, a.matrices[a.group.positions(sub.images)])
 
 
 def twist(a: Rep, phase: PhaseFunction) -> Rep:
     """Multiply by a scalar phase; the cocycle picks up the phase coboundary."""
     if phase.group != a.group:
         raise ValueError("phase lives on a different group")
-    return Rep(a.group, a.cocycle * phase.coboundary(),
-               _roots(phase.modulus)[phase.values][:, None, None] * a.matrices)
+    return Rep._of(a.group, a.cocycle * phase.coboundary(),
+                   _roots(phase.modulus)[phase.values][:, None, None] * a.matrices)
 
 
 def transport(a: Rep, new_group: FiniteGroup,
               fwd: Union[Callable[[Perm], Perm], np.ndarray]) -> Rep:
     """Pull back along a homomorphism fwd: new_group -> a.group, given as a
     function or as the positions in a.group of the images of new_group's
-    elements (``permcore.conj_map`` gives them for a conjugation)."""
+    elements (``permcore.conj_map`` gives them for a conjugation).  A map
+    with fwd(s h) = fwd(s) fwd(h) for each generator s is a homomorphism."""
     if callable(fwd):
         fwd = [a.group.index_of(fwd(g)) for g in new_group.elements]
     idx = np.asarray(fwd)
-    return Rep(new_group, a.cocycle.pullback(new_group, idx), a.matrices[idx])
+    mul_new, mul_old = new_group.mul_table(), a.group.mul_table()
+    for g in new_group.small_generating_set():
+        s = new_group.index_of(g)
+        if (idx[mul_new[s]] != mul_old[idx[s], idx]).any():
+            raise ValueError(f"map is not a homomorphism at {g.cycle_string()}")
+    return Rep._of(new_group, a.cocycle.pullback(new_group, idx), a.matrices[idx])
 
 
 def direct_sum(reps: Iterable[Rep]) -> Rep:
@@ -244,7 +252,7 @@ def direct_sum(reps: Iterable[Rep]) -> Rep:
     for r in reps:
         mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
         at += r.dim
-    return Rep(group, cocycle, mats)
+    return Rep._of(group, cocycle, mats)
 
 
 def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
@@ -278,7 +286,7 @@ def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
         exp = (w[at[i], every] - w[big.positions(h_rows), at[j]]) % ext_cocycle.modulus
         mats[every, i, :, j, :] = (roots[exp][:, None, None]
                                    * rep.matrices[sub.positions(h_rows)])
-    return Rep(big, ext_cocycle, mats.reshape(n, k * d, k * d))
+    return Rep._of(big, ext_cocycle, mats.reshape(n, k * d, k * d))
 
 
 # ------------------------------------------------------------ intertwiners
@@ -341,31 +349,11 @@ def _eigensplit(rep: Rep, rng: np.random.Generator) -> Optional[list[Rep]]:
     return subs
 
 
-def _split_irreducible(rep: Rep) -> list[Rep]:
-    if rep.dim == 1:
-        return [rep]
-    for attempt in range(MAX_SPLIT_TRIES):
-        # one fixed seed: the classes cached by irreducibles must not depend
-        # on which caller split a group first
-        rng = np.random.default_rng((0, attempt, rep.dim, len(rep.group)))
-        subs = _eigensplit(rep, rng)
-        if subs is None:
-            if hom_dim(rep, rep) == 1:
-                return [rep]
-            continue  # reducible but the random element was degenerate; retry
-        out = []
-        for sub in subs:
-            out.extend(_split_irreducible(sub))
-        return out
-    raise NumericalDegradation(
-        f"irreducible splitting did not converge after {MAX_SPLIT_TRIES} seeds")
-
-
 def _characters(classes) -> np.ndarray:
     return np.array([cls.rep.character() for cls in classes])
 
 
-def _character_table(group: FiniteGroup, cocycle: Cocycle) -> tuple:
+def character_table(group: FiniteGroup, cocycle: Cocycle) -> tuple:
     """(characters as rows, dimensions) of ``irreducibles(group, cocycle)``,
     read-only; memoized next to the classes."""
     def table():
@@ -411,7 +399,7 @@ def decompose_characters(group: FiniteGroup, cocycle: Cocycle, chars,
     constituents add up to its dimension and reconstruct its character;
     the dimensions must come from the construction, not from the characters.
     """
-    irr, irr_dims = _character_table(group, cocycle)
+    irr, irr_dims = character_table(group, cocycle)
     chars = np.asarray(chars).reshape(-1, len(group))
     raw = chars @ irr.conj().T / len(group)
     mults = np.rint(raw.real).clip(0)  # a negative multiplicity fails as non-integral
@@ -447,21 +435,28 @@ def irreducibles(group: FiniteGroup,
 
 
 def _split_regular(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
-    regular = regular_rep(group, cocycle)
-    counts: dict[RepClass, int] = {}
-    for irr in _split_irreducible(regular):
-        cls = RepClass(irr)
-        counts[cls] = counts.get(cls, 0) + 1
-    classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
-    _check_rows(np.array([regular.character()]), regular.dim, _characters(classes),
-                np.array([c.dim for c in classes]),
-                np.array([[counts[c] for c in classes]]))
-    if (sum(c.dim ** 2 for c in classes) != len(group)
-            or any(counts[c] != c.dim for c in classes)):
-        raise NumericalDegradation(
-            "regular representation splits as (dim, mult) "
-            f"{[(c.dim, counts[c]) for c in classes]} for |G| = {len(group)}")
-    return classes
+    """One eigensplit of the regular representation per seed, accepted when
+    each class appears dim times, which no reducible block psi can: the
+    regular representation holds each irreducible chi_i d_i times, and dim psi
+    copies of a psi holding chi_i m_i times would hold it dim psi * m_i > d_i."""
+    regular, n = regular_rep(group, cocycle), len(group)
+    for attempt in range(MAX_SPLIT_TRIES):
+        # one fixed seed: the classes cached by irreducibles must not depend
+        # on which caller split a group first
+        rng = np.random.default_rng((0, attempt, n, n))
+        counts: dict[RepClass, int] = {}
+        for block in _eigensplit(regular, rng) or [regular]:
+            cls = RepClass(block)
+            counts[cls] = counts.get(cls, 0) + 1
+        classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
+        if all(counts[c] == c.dim for c in classes):
+            _check_rows(np.array([regular.character()]), n, _characters(classes),
+                        np.array([c.dim for c in classes]),
+                        np.array([[counts[c] for c in classes]]))
+            return classes
+    raise NumericalDegradation(
+        f"regular representation of |G| = {n} splits as (dim, mult) "
+        f"{[(c.dim, counts[c]) for c in classes]} after {MAX_SPLIT_TRIES} seeds")
 
 
 def multiset_dim(parts: dict[RepClass, int]) -> int:

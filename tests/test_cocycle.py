@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckefuse.catalog import CatalogEntry, build_omega, build_pair
+from heckefuse.catalog import BUILTIN, CatalogEntry, build_omega, build_pair
 from heckefuse.checks import Config, check_heisenberg_classification
 from heckefuse.cocycle import (
     Cocycle,
@@ -65,11 +65,21 @@ def test_flipped_entry_reports_witness():
         Cocycle(group, 2, table)
 
 
-def test_unnormalized_input_is_normalized():
+@pytest.mark.parametrize("name", ["D4_klein", "Heis3"])
+def test_unchecked_constructor_equals_the_checked_one(name):
+    entry = BUILTIN[name]
+    pair = build_pair(entry)
+    omega = build_omega(entry, pair)
+    m = omega.modulus
+    checked = Cocycle(pair.gamma, m, omega.table)
+    for table in (omega.arr, omega.arr + 3 * m, omega.arr - m):
+        unchecked = Cocycle._of(pair.gamma, m, table)
+        assert unchecked == checked and (unchecked.arr == checked.arr).all()
+
+
+def test_unnormalized_input_is_rejected():
     g = FiniteGroup.cyclic(2)
     # constant table: a valid cocycle, but not normalized
-    omega = Cocycle(g, 4, [[1, 1], [1, 1]], normalize=True)
-    assert omega.is_trivial_table()
     with pytest.raises(CocycleError):
         Cocycle(g, 4, [[1, 1], [1, 1]])
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -176,6 +177,26 @@ def test_hnf_representative_counts(gl2):
     for p in (2, 3, 5):
         assert len(primitive_hnf_reps(p)) == p + 1
     assert len(primitive_hnf_reps(4)) == 4 + 2  # psi(4) = 6
+
+
+@pytest.mark.parametrize("content", [Fraction(1), Fraction(2, 3)])
+def test_right_count_is_psi_of_the_hnf_enumeration(gl2, content):
+    for n in range(1, 401):
+        assert gl2.right_count((content, content * n)) == len(primitive_hnf_reps(n))
+
+
+def test_degree_of_a_large_product_is_fast(gl2, monkeypatch):
+    # the enumeration took O(n) steps per label, and this did not finish in
+    # two minutes; psi(5184) = 96 * 108 = 10,368
+
+    def refuse(*args):
+        raise AssertionError("counting cosets must not enumerate them")
+
+    monkeypatch.setattr(GL2Hecke, "right_reps", refuse)
+    start = time.perf_counter()
+    d = degree(parse_element(gl2, "T[1,5184]*T[1,5184]"))
+    assert time.perf_counter() - start < 1.0
+    assert d == 10_368 ** 2
 
 
 # Brute-force oracle on Fraction matrices (a, b, c, d), rows (a b) / (c d),

@@ -313,8 +313,10 @@ def test_check_pass_object_counts(monkeypatch):
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
     # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
     # It now restricts each irreducible of G once (103 fewer), and the 13
-    # regular representations are checked exactly, without Rep.__init__
-    assert counts["rep"] == 3_550
+    # regular representations are checked exactly, without Rep.__init__: 3,550.
+    # Constructions from checked representations now build unchecked, so
+    # only the 49 eigenspace blocks of the 11 regular splits are checked
+    assert counts["rep"] == 49
     # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit
     assert counts["ext"] <= 2_600
 

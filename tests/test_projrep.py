@@ -3,8 +3,9 @@ import pytest
 
 from heckefuse import projrep
 from heckefuse.cocycle import Cocycle, PhaseFunction, coboundary, heisenberg_cocycle
-from heckefuse.permcore import FiniteGroup, Perm, right_coset_reps
+from heckefuse.permcore import FiniteGroup, Perm, conj_map, right_coset_reps
 from heckefuse.projrep import (
+    NumericalDegradation,
     Rep,
     RepClass,
     clear_caches,
@@ -89,7 +90,7 @@ def test_regular_rep_rejects_a_cocycle_with_one_wrong_entry(at):
     g = s3()
     table = np.zeros((len(g), len(g)), dtype=np.int64)
     table[at] = 1
-    bad = Cocycle(g, 3, table, validate=False)
+    bad = Cocycle._of(g, 3, table)
     with pytest.raises(ValueError) as exact:
         regular_rep(g, bad)
     with pytest.raises(ValueError) as dense:
@@ -398,3 +399,119 @@ def test_clear_caches_empties_every_module_cache():
     assert all(caches.values())
     clear_caches()
     assert {name: len(value) for name, value in caches.items()} == dict.fromkeys(caches, 0)
+
+
+# ------------------------------------------------------------ trusted constructions
+
+def _catalog_cases():
+    """(group, cocycle) for every little group of the finite catalog pairs:
+    with the trivial cocycle, and, where the pair has a cocycle omega, with
+    the cocycle its elementary objects need; and gamma with omega."""
+    from heckefuse.catalog import BUILTIN, build_omega, build_pair
+    from heckefuse.elementary import required_cocycle
+    cases = []
+    for name, entry in sorted(BUILTIN.items()):
+        if entry.kind != "finite":
+            continue
+        pair = build_pair(entry)
+        omega = build_omega(entry, pair)
+        for i, label in enumerate(pair.labels()):
+            little = pair.little(label)
+            cases.append(pytest.param(little, Cocycle.trivial(little),
+                                      id=f"{name}-label{i}"))
+            if omega is not None:
+                cases.append(pytest.param(
+                    pair.little_of_element(label), required_cocycle(pair, omega, label),
+                    id=f"{name}-label{i}-omega"))
+        if omega is not None:
+            cases.append(pytest.param(pair.gamma, omega, id=f"{name}-gamma-omega"))
+    return cases
+
+
+def _trusted_outputs(group, cocycle):
+    classes = irreducibles(group, cocycle)
+    a, b = classes[-1].rep, classes[0].rep
+    rng = np.random.default_rng(len(group))
+    phase = PhaseFunction(group, 6, [0, *rng.integers(0, 6, len(group) - 1)])
+    h = group.elements[-1]
+    sub = group.subgroup(FiniteGroup.generate(group.degree, [h]).elements)
+    return {
+        "tensor": tensor(a, b),
+        "conjugate_rep": conjugate_rep(a),
+        "restrict": restrict(a, sub),
+        "twist": twist(a, phase),
+        "transport-array": transport(a, group, conj_map(group, h, group)),
+        "transport-callable": transport(a, group, lambda t: t.conjugate(h)),
+        "direct_sum": direct_sum([a, b]),
+        "induce": induce(restrict(a, sub), group, a.cocycle),
+    }
+
+
+@pytest.mark.parametrize("group, cocycle", _catalog_cases())
+def test_trusted_constructions_pass_the_checked_constructor(group, cocycle):
+    for how, out in _trusted_outputs(group, cocycle).items():
+        checked = Rep(out.group, out.cocycle, out.matrices)
+        assert checked.matrices.dtype == out.matrices.dtype, how
+        np.testing.assert_array_equal(checked.matrices, out.matrices)
+
+
+def _swap_orders_two_and_three(g):
+    """A bijection of S3 fixing e that swaps a transposition and a 3-cycle:
+    it changes an order, so it is no homomorphism."""
+    t = next(x for x in g.elements if x.order() == 2)
+    c = next(x for x in g.elements if x.order() == 3)
+    swap = {t: c, c: t}
+    return lambda x: swap.get(x, x)
+
+
+def test_transport_rejects_a_bijection_that_is_not_a_homomorphism():
+    g = s3()
+    rep = irreducibles(g)[-1].rep
+    fwd = _swap_orders_two_and_three(g)
+    idx = np.array([g.index_of(fwd(x)) for x in g.elements])
+    for form in (fwd, idx):
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            transport(rep, g, form)
+
+
+def _merging_first_two(merges: int):
+    """_eigensplit, except that its first ``merges`` calls return the first
+    two blocks merged into one reducible block; and the list of its calls."""
+    original = projrep._eigensplit
+    made = []
+
+    def merging(rep, rng):
+        subs = original(rep, rng)
+        made.append(rep)
+        if len(made) <= merges:
+            return [direct_sum(subs[:2]), *subs[2:]]
+        return subs
+    return merging, made
+
+
+SPLIT_CASES = {
+    "s3": lambda: (s3(), None),
+    "heisenberg3": lambda: heisenberg_cocycle(3, 1)[::2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_irreducibles_retry_a_merged_split(case, monkeypatch):
+    group, cocycle = SPLIT_CASES[case]()
+    want = irreducibles(group, cocycle)
+    clear_caches()
+    merging, made = _merging_first_two(1)
+    monkeypatch.setattr(projrep, "_eigensplit", merging)
+    got = irreducibles(group, cocycle)
+    assert len(made) == 2
+    assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_irreducibles_give_up_when_every_split_merges(case, monkeypatch):
+    group, cocycle = SPLIT_CASES[case]()
+    merging, made = _merging_first_two(projrep.MAX_SPLIT_TRIES)
+    monkeypatch.setattr(projrep, "_eigensplit", merging)
+    with pytest.raises(NumericalDegradation):
+        irreducibles(group, cocycle)
+    assert len(made) == projrep.MAX_SPLIT_TRIES
