@@ -497,13 +497,14 @@ def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
 
 def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
                                     cfg: Config) -> None:
-    for obj in _elementary_basis(pair, omega):
+    objs = _elementary_basis(pair, omega)
+    for obj in objs:
         if not is_irreducible(obj):
             raise CheckFailure("a basis object is not irreducible")
         if sum(BimoduleSum.of(obj).terms.values()) != 1:
             raise CheckFailure("an irreducible object decomposes")
     e_obj = identity_object(pair, omega)
-    for obj in _elementary_basis(pair, omega):
+    for obj in objs:
         if fuse_objects(e_obj, obj) != BimoduleSum.of(obj):
             raise CheckFailure("identity object is not neutral")
 

@@ -9,17 +9,28 @@ This constraint is checked exactly, as exponent tables, at construction.
 Fusion of (delta, pi) and (delta~, pi~) is a sum over double cosets of
 gamma between the right subgroup of delta and the left subgroup of delta~;
 the coset of g contributes the object at delta * g * delta~ whose
-representation is built by a scalar twist, a conjugation transport, a tensor
-product, and an induction along the cocycle (omega o Ad(delta g delta~)) /
-omega.  Every representation produced on the way must carry exactly the
-cocycle that the induction prescribes; a mismatch is raised loudly since it
-can only mean a bookkeeping bug, never bad input.
+representation is built by a conjugation transport, a tensor product, a
+scalar twist, and an induction along the cocycle
+(omega o Ad(delta g delta~)) / omega.  The representation before induction
+must carry exactly the cocycle that the induction prescribes; a mismatch is
+raised loudly since it can only mean a bookkeeping bug, never bad input.
+
+Everything but the matrices depends only on (omega, delta, delta~), so it is
+planned once per pair of deltas (``fusion_plan``): per orbit, the new delta
+and its little group, the checked transport index, the restriction index,
+the twist's phase roots, the target cocycle and the induction's index
+arrays.  The plan runs its exact checks once, on the required cocycles of
+delta and delta~ instead of on pi and pi~: an object's cocycle equals its
+required cocycle exactly (``ElementaryBimodule`` refuses it otherwise), so
+the integrand of every pair of classes at (delta, delta~) carries the
+cocycle checked for the plan.  A product then does matrix work only:
+gather, Kronecker product, phase multiply and induction.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
-label of its double coset and a character fingerprint); terms, their
-representative objects, required cocycles and conjugation phases are
-memoized on the pair, not in the module.  Conjugations act on index arrays
-(``permcore.conj_map``), not on ``Perm`` objects.
+label of its double coset and a character fingerprint); plans, products,
+terms, their representative objects, required cocycles and conjugation
+phases are memoized on the pair, not in the module.  Conjugations act on
+index arrays (``permcore.conj_map``), not on ``Perm`` objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -28,24 +39,25 @@ algebra, which serves as an independent cross-check (``to_ext_hecke``).
 from __future__ import annotations
 
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import Perm, conj_map
+from .permcore import Perm, Subgroup, conj_map
 from .projrep import (
+    Induction,
     NumericalDegradation,
     Rep,
+    check_homomorphism,
     decompose,
     direct_sum,
     equivalent,
     hom_dim,
-    induce,
     irreducibles,
-    restrict,
-    tensor,
+    kron,
+    phase_roots,
     transport,
     trivial_rep,
     twist,
@@ -273,37 +285,85 @@ class BimoduleSum:
 
 
 def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
-    """Fusion of two elementary objects, canonicalized and fully decomposed."""
+    """Fusion of two elementary objects, canonicalized and fully decomposed.
+
+    The sum depends only on the two classes, so it is memoized on the pair
+    under the deltas and character keys.
+    """
     pair, omega = h1.pair, h1.omega
     if h2.pair is not pair and (h2.pair.group != pair.group
                                 or h2.pair.gamma != pair.gamma):
         raise ValueError("objects live over different pairs")
     if h2.omega != omega:
         raise ValueError("objects carry different ambient cocycles")
-    gamma = pair.gamma
+    return pair._memo.get_or(
+        ("product", omega.key(), h1.delta.images, h2.delta.images,
+         h1.rep.char_key(), h2.rep.char_key()),
+        _fuse_objects, pair, omega, h1, h2)
+
+
+def _fuse_objects(pair: FinitePair, omega: Cocycle, h1: ElementaryBimodule,
+                  h2: ElementaryBimodule) -> BimoduleSum:
     out: dict = {}
-    # right_subgroup\gamma/left_subgroup as left_subgroup-orbits on the
-    # right cosets; g is the least element of the double coset, or a random one
-    cosets, coset_of = gamma.right_cosets(h1.right_subgroup)
-    for orbit in gamma.coset_orbits(h1.right_subgroup, h2.left_subgroup):
+    for step in fusion_plan(pair, omega, h1.delta, h2.delta):
+        integrand = kron(h1.rep.matrices[step.moved], h2.rep.matrices[step.restricted])
+        fused = step.induction.apply(step.phase_roots[:, None, None] * integrand)
+        _add_terms(out, pair, omega, step.delta,
+                   Rep._of(step.little, step.target, fused))
+    return BimoduleSum(pair, omega, out)
+
+
+class FusionStep(NamedTuple):
+    """One orbit of R\\gamma/L in the fusion of objects at delta1 and delta2."""
+    delta: Perm  # delta1 g delta2 for the orbit's representative g
+    little: Subgroup  # its little group, on which the orbit's term lives
+    moved: np.ndarray  # positions in little(delta1) of Ad(g delta2) of the meet
+    restricted: np.ndarray  # positions in little(delta2) of the meet
+    phase_roots: np.ndarray  # conjugation phase of omega at g, o Ad delta2
+    target: Cocycle  # required_cocycle(delta)
+    induction: Induction  # from the meet to little, along target
+
+
+def fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
+                delta2: Perm) -> tuple[FusionStep, ...]:
+    """The index and cocycle work of fusing any object at delta1 with any
+    object at delta2, one step per orbit; memoized on the pair."""
+    return pair._memo.get_or(("plan", omega.key(), delta1.images, delta2.images),
+                             _fusion_plan, pair, omega, delta1, delta2)
+
+
+def _fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
+                 delta2: Perm) -> tuple[FusionStep, ...]:
+    gamma = pair.gamma
+    right1, right2 = pair.little_of_element(delta1), pair.little_of_element(delta2)
+    need1 = required_cocycle(pair, omega, delta1)
+    need2 = required_cocycle(pair, omega, delta2)
+    steps = []
+    # right1\gamma/left2 as left2-orbits on the right cosets; g is the least
+    # element of the double coset, or a random one
+    cosets, coset_of = gamma.right_cosets(right1)
+    for orbit in gamma.coset_orbits(right1, pair.little_of_element(delta2.inverse())):
         g = pair.pick([x for m in orbit for x in cosets[coset_of[m]]])
-        new_delta = h1.delta * g * h2.delta
+        new_delta = delta1 * g * delta2
         rig_new = pair.little_of_element(new_delta)
-        meet = pair.intersection(rig_new, h2.right_subgroup)
-        moved = transport(h1.rep, meet, conj_map(meet, g * h2.delta, h1.rep.group))
-        product = tensor(moved, restrict(h2.rep, meet))
-        phi_g = pair_conjugation_phase(pair, omega, g)
-        phase = PhaseFunction(meet, omega.modulus,
-                              phi_g.values[conj_map(meet, h2.delta, gamma)])
-        integrand = twist(product, phase)
-        target_cocycle = required_cocycle(pair, omega, new_delta)
-        if integrand.cocycle != target_cocycle.restrict(meet):
+        meet = pair.intersection(rig_new, right2)
+        moved = conj_map(meet, g * delta2, right1)
+        check_homomorphism(meet, right1, moved)
+        restricted = right2.positions(meet.images)
+        phase = PhaseFunction(
+            meet, omega.modulus,
+            pair_conjugation_phase(pair, omega, g).values[conj_map(meet, delta2, gamma)])
+        integrand = (need1.pullback(meet, moved) * need2.pullback(meet, restricted)
+                     * phase.coboundary())
+        target = required_cocycle(pair, omega, new_delta)
+        if integrand != target.restrict(meet):
             raise CocycleBookkeepingError(
                 "fusion integrand carries the wrong cocycle at coset of "
                 f"{g.cycle_string()}")
-        fused = induce(integrand, rig_new, target_cocycle, rng=pair.rng)
-        _add_terms(out, pair, omega, new_delta, fused)
-    return BimoduleSum(pair, omega, out)
+        steps.append(FusionStep(
+            new_delta, rig_new, moved, restricted, phase_roots(phase), target,
+            Induction(meet, rig_new, target, integrand, rng=pair.rng)))
+    return tuple(steps)
 
 
 def fuse(a, b) -> BimoduleSum:

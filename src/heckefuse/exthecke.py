@@ -86,9 +86,10 @@ class FinitePair:
     through which characters are read at a point, the index of each class in
     its label's basis keys, the fusion blocks of label pairs
     (``fusion_block``), fusion and conjugation results (the elements
-    themselves, keyed by their factors), and the canonical terms,
-    representatives, required cocycles and conjugation phases of elementary
-    objects over it (filled by :mod:`heckefuse.elementary`).
+    themselves, keyed by their factors), and the fusion plans and products,
+    canonical terms, representatives, required cocycles and conjugation
+    phases of elementary objects over it (filled by
+    :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",

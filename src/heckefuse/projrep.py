@@ -85,6 +85,7 @@ class Rep:
         self.dim = matrices.shape[1]
         self.matrices = matrices
         self._char = tuple(np.trace(matrices, axis1=1, axis2=2).tolist())
+        self._char_key = None
 
     def _validate(self) -> None:
         """Check the identity, and unitarity and multiplicativity on generators.
@@ -114,7 +115,10 @@ class Rep:
         return self._char
 
     def char_key(self) -> tuple:
-        return round_char(self.character())
+        """The rounded character, the class fingerprint; computed once."""
+        if self._char_key is None:
+            self._char_key = round_char(self._char)
+        return self._char_key
 
     def __repr__(self) -> str:
         return f"Rep(dim={self.dim}, group order {len(self.group)})"
@@ -195,13 +199,17 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
     return Rep._of(group, cocycle, mats)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two stacks of matrices, one broadcast multiply."""
+    d = a.shape[1] * b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), d, d)
+
+
 def tensor(a: Rep, b: Rep) -> Rep:
-    """Kronecker products, one broadcast multiply for the whole group."""
+    """Kronecker products of the matrices, with the product cocycle."""
     if a.group != b.group:
         raise ValueError("tensor factors live on different groups")
-    d = a.dim * b.dim
-    mats = a.matrices[:, :, None, :, None] * b.matrices[:, None, :, None, :]
-    return Rep._of(a.group, a.cocycle * b.cocycle, mats.reshape(len(a.group), d, d))
+    return Rep._of(a.group, a.cocycle * b.cocycle, kron(a.matrices, b.matrices))
 
 
 def conjugate_rep(a: Rep) -> Rep:
@@ -218,7 +226,12 @@ def twist(a: Rep, phase: PhaseFunction) -> Rep:
     if phase.group != a.group:
         raise ValueError("phase lives on a different group")
     return Rep._of(a.group, a.cocycle * phase.coboundary(),
-                   _roots(phase.modulus)[phase.values][:, None, None] * a.matrices)
+                   phase_roots(phase)[:, None, None] * a.matrices)
+
+
+def phase_roots(phase: PhaseFunction) -> np.ndarray:
+    """The phase's complex values, one per group element."""
+    return _roots(phase.modulus)[phase.values]
 
 
 def transport(a: Rep, new_group: FiniteGroup,
@@ -230,12 +243,20 @@ def transport(a: Rep, new_group: FiniteGroup,
     if callable(fwd):
         fwd = [a.group.index_of(fwd(g)) for g in new_group.elements]
     idx = np.asarray(fwd)
-    mul_new, mul_old = new_group.mul_table(), a.group.mul_table()
+    check_homomorphism(new_group, a.group, idx)
+    return Rep._of(new_group, a.cocycle.pullback(new_group, idx), a.matrices[idx])
+
+
+def check_homomorphism(new_group: FiniteGroup, old_group: FiniteGroup,
+                       idx: np.ndarray) -> None:
+    """Raise unless the map new_group -> old_group with idx[i] = position of
+    the image of element i satisfies fwd(s h) = fwd(s) fwd(h) for each
+    generator s, which makes it a homomorphism."""
+    mul_new, mul_old = new_group.mul_table(), old_group.mul_table()
     for g in new_group.small_generating_set():
         s = new_group.index_of(g)
         if (idx[mul_new[s]] != mul_old[idx[s], idx]).any():
             raise ValueError(f"map is not a homomorphism at {g.cycle_string()}")
-    return Rep._of(new_group, a.cocycle.pullback(new_group, idx), a.matrices[idx])
 
 
 def direct_sum(reps: Iterable[Rep]) -> Rep:
@@ -263,30 +284,51 @@ def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
     rep.group exactly (as exponent tables).  The result's cocycle is
     ext_cocycle, and its dimension is [big : rep.group] * rep.dim.
     """
-    sub = rep.group
-    if not big.contains_subset(sub.elements):
-        raise ValueError("rep's group is not a subgroup of the big group")
-    if ext_cocycle.group != big:
-        raise ValueError("extension cocycle must live on the big group")
-    if ext_cocycle.restrict(sub) != rep.cocycle:
-        raise ValueError("cocycle restriction mismatch")
-    coset_of = big.right_cosets(sub)[1]
-    coset = np.array([coset_of[g] for g in big.elements])
-    reps = right_coset_reps(big, sub, rng)
-    rows = np.array([r.images for r in reps])
-    at, inv_rows = big.positions(rows), np.argsort(rows, axis=1)
-    n, k, d = len(big), len(reps), rep.dim
-    w, roots, every = ext_cocycle.arr, _roots(ext_cocycle.modulus), np.arange(n)
-    mats = np.zeros((n, k, d, k, d), dtype=complex)
-    # block (i, j) of g is w(r_i, g) / w(h, r_j) pi(h), where r_i g = h r_j
-    for i in range(k):
-        t = rows[i][big.images]  # r_i g for every g
-        j = coset[big.positions(t)]
-        h_rows = np.take_along_axis(t, inv_rows[j], axis=1)
-        exp = (w[at[i], every] - w[big.positions(h_rows), at[j]]) % ext_cocycle.modulus
-        mats[every, i, :, j, :] = (roots[exp][:, None, None]
-                                   * rep.matrices[sub.positions(h_rows)])
-    return Rep._of(big, ext_cocycle, mats.reshape(n, k * d, k * d))
+    return Rep._of(big, ext_cocycle, Induction(rep.group, big, ext_cocycle,
+                                               rep.cocycle, rng).apply(rep.matrices))
+
+
+class Induction:
+    """The exact part of inducing from sub to big along ext_cocycle: its
+    checks, and the index arrays that ``apply`` reads for any matrices of
+    (sub, sub_cocycle), with k right cosets of sub in big.
+
+    Block (i, j) of the induced matrix at g is w(r_i, g) / w(h, r_j) pi(h),
+    where r_i g = h r_j; ``cols[i, g]`` is j, ``at[i, g]`` is the position
+    of h in sub and ``roots[i, g]`` the phase.  The coset representatives r_i
+    are the least elements, or one rng draw per coset.
+    """
+
+    __slots__ = ("cols", "at", "roots")
+
+    def __init__(self, sub: FiniteGroup, big: FiniteGroup, ext_cocycle: Cocycle,
+                 sub_cocycle: Cocycle, rng=None):
+        if not big.contains_subset(sub.elements):
+            raise ValueError("rep's group is not a subgroup of the big group")
+        if ext_cocycle.group != big:
+            raise ValueError("extension cocycle must live on the big group")
+        if ext_cocycle.restrict(sub) != sub_cocycle:
+            raise ValueError("cocycle restriction mismatch")
+        coset_of = big.right_cosets(sub)[1]
+        coset = np.array([coset_of[g] for g in big.elements])
+        rows = np.array([r.images for r in right_coset_reps(big, sub, rng)])
+        at = big.positions(rows)
+        t = rows[:, big.images]  # r_i g for every i and g
+        self.cols = coset[big.positions(t)]
+        h_rows = np.take_along_axis(t, np.argsort(rows, axis=1)[self.cols], axis=2)
+        w, m = ext_cocycle.arr, ext_cocycle.modulus
+        exp = (w[at[:, None], np.arange(len(big))]
+               - w[big.positions(h_rows), at[self.cols]]) % m
+        self.roots = _roots(m)[exp]
+        self.at = sub.positions(h_rows)
+
+    def apply(self, matrices: np.ndarray) -> np.ndarray:
+        """The induced (|big|, k d, k d) matrices of the (|sub|, d, d) ones."""
+        (k, n), d = self.cols.shape, matrices.shape[1]
+        mats = np.zeros((n, k, d, k, d), dtype=complex)
+        mats[np.arange(n), np.arange(k)[:, None], :, self.cols, :] = (
+            self.roots[:, :, None, None] * matrices[self.at])
+        return mats.reshape(n, k * d, k * d)
 
 
 # ------------------------------------------------------------ intertwiners

@@ -42,9 +42,10 @@ def test_pair_and_group_each_keep_one_store(name):
             "block", "conjugate"} <= kinds
     assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
                      "orbits_by_labels", "reads", "class_index", "block", "fuse",
-                     "conjugate", "required", "phase", "term", "rep"}
+                     "conjugate", "required", "phase", "term", "rep", "plan",
+                     "product"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "rep"} <= kinds
+        assert {"required", "phase", "term", "rep", "plan", "product"} <= kinds
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
 
 

@@ -291,24 +291,34 @@ def test_subgroup_accepts_every_subgroup_of_s4():
 def test_check_pass_object_counts(monkeypatch):
     counts = collections.Counter()
 
-    def counting(owner, attr, name):
+    def counting(owner, attr, name, wrap=lambda f: f):
         original = getattr(owner, attr)
 
         def counted(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, counted)
+        monkeypatch.setattr(owner, attr, wrap(counted))
 
     counting(permcore.Perm, "__init__", "perm")
+    counting(permcore.FiniteGroup, "positions", "positions")
     counting(cocycle.Cocycle, "__init__", "cocycle")
+    counting(cocycle.Cocycle, "_of", "cocycle_of", staticmethod)
     counting(projrep.Rep, "__init__", "rep")
+    counting(projrep.Rep, "_of", "rep_of", staticmethod)
     counting(elementary, "conjugation_phase", "phase")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
     assert counts["perm"] < 30_000
-    assert counts["cocycle"] <= 6_000
+    # every cocycle of a check pass is derived from checked ones; elementary
+    # fusion built 5,448 while it redid its cocycle work for every product
+    # (7,754 positions lookups, 3,514 derived Reps), and builds 1,619 since
+    # it plans that work once per pair of deltas (2,623 lookups, 1,228 Reps)
+    assert counts["cocycle"] == 0
+    assert counts["cocycle_of"] <= 1_700
+    assert counts["positions"] <= 2_700
+    assert counts["rep_of"] <= 1_300
     assert counts["phase"] <= 40
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
     # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
