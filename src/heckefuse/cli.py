@@ -38,7 +38,6 @@ from .elementary import (
 from .exthecke import FinitePair, basis, dims, fuse, parse_ext_element
 from .hecke import modular_lambda, parse_element
 from .permcore import Perm, out_description
-from .projrep import RepClass
 
 SCHEMA = 1
 
@@ -128,11 +127,11 @@ def elem_sum_json(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> list:
     for rep_obj, mult in total.items():
         label = rep_obj.delta
         classes = admissible_classes(pair, omega, label)
-        cls = RepClass(rep_obj.rep)
+        index = [c.char for c in classes].index(rep_obj.rep.char_key())
         terms.append({
             "delta": label.cycle_string(),
-            "class_index": classes.index(cls),
-            "repclass": cls.to_json(),
+            "class_index": index,
+            "repclass": classes[index].to_json(),
             "mult": mult,
         })
     return terms

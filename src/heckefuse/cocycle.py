@@ -14,7 +14,7 @@ of checked values build through the unchecked ``Cocycle._of``.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class Cocycle:
         idx = np.asarray(idx)
         return Cocycle._of(new_group, self.modulus, self.arr[np.ix_(idx, idx)])
 
-    def conjugated(self, g: Perm) -> "Cocycle":
-        """self o Ad g on the same group: (x, y) -> self(gxg^-1, gyg^-1)."""
-        return self.pullback(self.group, conj_map(self.group, g, self.group))
-
     def key(self):
         return self._key
 
@@ -163,15 +159,6 @@ class PhaseFunction:
         self.group = group
         self.modulus = modulus
         self.values = values
-
-    @classmethod
-    def zero(cls, group: FiniteGroup, modulus: int = 1) -> "PhaseFunction":
-        return cls(group, modulus, np.zeros(len(group), np.int64))
-
-    @classmethod
-    def from_map(cls, group: FiniteGroup, modulus: int,
-                 fn: Callable[[Perm], int]) -> "PhaseFunction":
-        return cls(group, modulus, [fn(g) for g in group.elements])
 
     def exponent(self, g: Perm) -> int:
         return int(self.values[self.group.index_of(g)])

@@ -52,12 +52,12 @@ from .projrep import (
     Rep,
     check_homomorphism,
     decompose,
-    direct_sum,
     equivalent,
     hom_dim,
     irreducibles,
     kron,
     phase_roots,
+    round_char,
     transport,
     trivial_rep,
     twist,
@@ -150,16 +150,6 @@ def is_irreducible(h: ElementaryBimodule) -> bool:
     return hom_dim(h.rep, h.rep) == 1
 
 
-def direct_sum_objects(a: ElementaryBimodule,
-                       b: ElementaryBimodule) -> ElementaryBimodule:
-    if a.delta != b.delta:
-        raise ValueError("direct summands must share the same delta")
-    if a.omega != b.omega:
-        raise ValueError("direct summands must share the ambient cocycle")
-    return ElementaryBimodule(a.pair, a.omega, a.delta,
-                              direct_sum([a.rep, b.rep]))
-
-
 def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
                  g: Perm, h: Perm) -> Rep:
     """The representation that moves (delta, rep) to (g delta h, . ).
@@ -167,21 +157,27 @@ def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
     Build (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on the right
     subgroup of g delta h, where phase_x is the conjugation phase of omega.
     """
+    idx, phase = _transfer(pair, omega, delta, rep.group, g, h)
+    return twist(transport(rep, phase.group, idx), phase)
+
+
+def _transfer(pair: FinitePair, omega: Cocycle, delta: Perm, group: Subgroup,
+              g: Perm, h: Perm) -> tuple[np.ndarray, PhaseFunction]:
+    """``transfer_rep``'s exact part: the positions in group of Ad h of the
+    right subgroup of g delta h, and the phase on it."""
     dh = delta * h
     rig_new = pair.little_of_element(g * dh)
-    moved = transport(rep, rig_new, conj_map(rig_new, h, rep.group))
     gamma = omega.group
     phase = PhaseFunction(
         rig_new, omega.modulus,
         pair_conjugation_phase(pair, omega, g).values[conj_map(rig_new, dh, gamma)]
         + pair_conjugation_phase(pair, omega, h).values[gamma.positions(rig_new.images)])
-    return twist(moved, phase)
+    return conj_map(rig_new, h, group), phase
 
 
-def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
-                   rep: Rep) -> tuple:
+def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
     """Canonical fingerprint (label images, char key) of the irreducible
-    object (delta, rep).
+    object (delta, rep), for a ``Rep`` or a ``RepClass`` rep.
 
     Moves delta to the label of its double coset by every decomposition
     label = g delta c and keeps the least character fingerprint; the minimum
@@ -192,18 +188,25 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
                              _canonical_term, pair, omega, delta, rep)
 
 
-def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm,
-                    rep: Rep) -> tuple:
+def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
+    """Each transfer's character is the phase times rep's character read
+    through the transport index, so no matrices are built; the winner's
+    cocycle is checked against the label's required cocycle."""
     label = pair.label_of(delta)
-    best = min((transfer_rep(pair, omega, delta, rep, g, c)
-                for g, c in pair.decompositions(delta, label)),
-               key=lambda moved: moved.char_key())
+    char, best = np.asarray(rep.character()), None
+    for g, c in pair.decompositions(delta, label):
+        idx, phase = _transfer(pair, omega, delta, rep.group, g, c)
+        key = round_char(phase_roots(phase) * char[idx])
+        if best is None or key < best[0]:
+            best = key, idx, phase
+    key, idx, phase = best
+    moved = rep.cocycle.pullback(phase.group, idx) * phase.coboundary()
     need = required_cocycle(pair, omega, label)
-    if best.cocycle != need:
+    if moved != need:
         raise CocycleBookkeepingError(
             f"transfer to {label.cycle_string()} carries the wrong cocycle; "
-            "witness pair " + _witness_pair(best.cocycle, need))
-    return label.images, best.char_key()
+            "witness pair " + _witness_pair(moved, need))
+    return label.images, key
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,
@@ -230,7 +233,7 @@ def _add_terms(out: dict, pair: FinitePair, omega: Cocycle, delta: Perm,
                rep: Rep) -> dict:
     """Add the canonical terms of rep's irreducible constituents at delta."""
     for cls, mult in decompose(rep).items():
-        term = canonical_term(pair, omega, delta, cls.rep)
+        term = canonical_term(pair, omega, delta, cls)
         out[term] = out.get(term, 0) + mult
     return out
 
@@ -270,10 +273,6 @@ class BimoduleSum:
     def items(self):
         for term in sorted(self.terms):
             yield canonical_representative(self.pair, self.omega, term), self.terms[term]
-
-    def total_dim(self) -> int:
-        return sum(canonical_representative(self.pair, self.omega, t).rep.dim * m
-                   for t, m in self.terms.items())
 
     def __repr__(self) -> str:
         bits = []

@@ -61,7 +61,6 @@ from .projrep import (
     irreducibles,
     multiset_dim,
     restrict,
-    trivial_rep,
 )
 
 
@@ -275,7 +274,8 @@ class ExtHeckeElement:
 def unit(pair: FinitePair) -> ExtHeckeElement:
     """The identity: trivial representation of gamma at the unit coset."""
     label = pair.labels()[0]
-    triv = RepClass(trivial_rep(pair.little(label)))
+    little = pair.little(label)
+    triv = RepClass(little, Cocycle.trivial(little), 1, np.ones(len(little)))
     return ExtHeckeElement(pair, {label: {triv: 1}})
 
 
@@ -316,7 +316,7 @@ def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
     label = pair.label_of(point)
     reads = pair._memo.get_or(("reads", point, by, meet.key()),
                               _read_map, pair, label, point, meet, by)
-    char = sum(m * np.array(cls.rep.character())
+    char = sum(m * cls.character()
                for cls, m in x.support[label].items())
     return char[reads]
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .permcore import DoubleCosetSystem, FiniteGroup, Memo, Perm, Subgroup
@@ -161,17 +161,6 @@ class GL2Hecke:
     @property
     def unit_label(self):
         return (Fraction(1), Fraction(1))
-
-    @staticmethod
-    def from_matrix(x: tuple) -> Elt:
-        """The element (content, P) equal to a rational matrix (a, b, c, d)."""
-        fracs = [Fraction(e) for e in x]
-        if fracs[0] * fracs[3] - fracs[1] * fracs[2] <= 0:
-            raise ValueError("only positive-determinant matrices are supported")
-        denom = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (denom // f.denominator) for f in fracs]
-        g = gcd(*ints)
-        return (Fraction(g, denom), tuple(i // g for i in ints))
 
     def canonical_label(self, x: Elt):
         c, p = x

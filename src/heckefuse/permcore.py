@@ -34,7 +34,8 @@ MAX_ACTION_POINTS = 6
 
 
 class GroupTooLarge(ValueError):
-    """Raised when a closure exceeds the configured order cap."""
+    """Raised when a closure exceeds the configured order cap, or dense
+    matrices would exceed ``projrep.MAX_DENSE_BYTES``."""
 
 
 class DegreeTooLarge(ValueError):
@@ -128,9 +129,6 @@ class Perm:
             g = self * g
             n += 1
         return n
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> list[list[int]]:
         seen, out = set(), []
@@ -599,12 +597,6 @@ class GroupAction:
     @classmethod
     def natural(cls, group: FiniteGroup) -> "GroupAction":
         return cls(group, group.degree, lambda g, i: g(i))
-
-    @classmethod
-    def regular(cls, group: FiniteGroup) -> "GroupAction":
-        """Left multiplication on the element list (points = element indices)."""
-        return cls(group, len(group),
-                   lambda g, i: group.mul_table()[group.index_of(g), i])
 
     def act(self, g: Perm, i: int) -> int:
         return int(self._table[self.group.index_of(g), i])

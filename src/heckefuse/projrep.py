@@ -7,15 +7,17 @@ intertwiner ranks); the tolerances below leave them enormous margins at the
 group orders this package targets.
 
 ``Rep(...)`` validates matrices where they enter, on a generating set of the
-group: matrices from outside, and the blocks of the commutant split.  A
-construction from checked representations makes only its exact checks (same
-group and cocycle, containment, a homomorphism on generators, cocycle
-exponents) and builds through the unchecked ``Rep._of``.  The irreducible
-classes of a (group, cocycle) come from the classical randomized commutant
-split of its regular representation: average a random Hermitian matrix over
-the group and cut along the eigenspaces of the result.  Seeds are fixed, so
-runs are reproducible.  Every other representation is decomposed by inner
-products of characters against those classes.
+group: matrices from outside, and the block built for an irreducible class.
+A construction from checked representations makes only its exact checks
+(same group and cocycle, containment, a homomorphism on generators, cocycle
+exponents) and builds through the unchecked ``Rep._of``.
+
+The irreducible classes of a (group, cocycle) come from Burnside's
+class-sum character table of the central extension Z/m x_omega G, checked
+where it enters; a class builds its matrices only when they are read.
+Every other representation is decomposed by inner products of characters
+against the classes.  Dense arrays over ``MAX_DENSE_BYTES`` raise
+``GroupTooLarge`` before they are allocated.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .cocycle import Cocycle, PhaseFunction
-from .permcore import FiniteGroup, Memo, Perm, right_coset_reps
+from .permcore import FiniteGroup, GroupTooLarge, Memo, Perm, right_coset_reps
 
 UNITARY_TOL = 1e-8
 RANK_SV_TOL = 1e-9
 INT_TOL = 1e-6
 EIG_GAP_TOL = 1e-6
-MAX_SPLIT_TRIES = 8
+MAX_SEEDS = 8  # fixed seeds tried for separated eigenvalues before giving up
+MAX_DENSE_BYTES = 1 << 28  # largest dense complex array built: 256 MiB
 
 
 class NumericalDegradation(RuntimeError):
@@ -44,12 +47,14 @@ def _roots(m: int) -> np.ndarray:
     return np.array([cmath.exp(2j * cmath.pi * e / m) for e in range(m)])
 
 
-def _round_part(x: float) -> float:
-    return round(x, 6) + 0.0  # normalize -0.0
-
-
 def round_char(values: Iterable[complex]) -> tuple:
-    return tuple((_round_part(z.real), _round_part(z.imag)) for z in values)
+    """(re, im) of each value rounded to 6 decimals, as Python floats, -0.0
+    normalized to 0.0.  rint(x 10^6) / 10^6 is round(x, 6) except within
+    about 1e-16 |x| 10^6 of a half-way point, which character values, sums
+    of roots of unity, stay far from."""
+    z = np.asarray(values, dtype=complex)
+    re, im = (np.rint(part * 1e6) / 1e6 + 0.0 for part in (z.real, z.imag))
+    return tuple(zip(re.tolist(), im.tolist()))
 
 
 class Rep:
@@ -125,19 +130,38 @@ class Rep:
 
 
 class RepClass:
-    """Equivalence class of a representation, fingerprinted by its rounded
-    character; ``rep`` is the representation it was built from."""
+    """Equivalence class of an irreducible representation of (group,
+    cocycle), fingerprinted by ``char``, its rounded character.
 
-    __slots__ = ("rep", "group", "cocycle", "dim", "char", "_key", "_hash")
+    ``character()`` is the unrounded character; ``rep``, a representation in
+    the class, is built on first read and kept.
+    """
 
-    def __init__(self, rep: Rep):
-        self.rep = rep
-        self.group = rep.group
-        self.cocycle = rep.cocycle
-        self.dim = rep.dim
-        self.char = rep.char_key()
-        self._key = (self.group.key(), self.cocycle.key(), self.char)
+    __slots__ = ("group", "cocycle", "dim", "char", "_character", "_rep",
+                 "_key", "_hash")
+
+    def __init__(self, group: FiniteGroup, cocycle: Cocycle, dim: int, character):
+        self.group = group
+        self.cocycle = cocycle
+        self.dim = dim
+        self._character = np.array(character, dtype=complex)
+        self._character.flags.writeable = False
+        self.char = round_char(self._character)
+        self._rep = None
+        self._key = (group.key(), cocycle.key(), self.char)
         self._hash = hash(self._key)
+
+    @property
+    def rep(self) -> Rep:
+        if self._rep is None:
+            self._rep = _class_rep(self)
+        return self._rep
+
+    def character(self) -> np.ndarray:
+        return self._character
+
+    def char_key(self) -> tuple:
+        return self.char
 
     def sort_key(self):
         return (self.dim, self.char)
@@ -177,10 +201,13 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
     unitary, and ``Rep``'s checks reduce to exact ones on exponents: pi(e) = I
     iff omega(e, -) = 0, and pi(s) pi(h) = omega(s, h) pi(sh) iff
     omega(h, k) + omega(s, hk) - omega(s, h) - omega(sh, k) = 0 mod m for
-    every k.  They raise ``Rep``'s errors.
+    every k.  They raise ``Rep``'s errors.  Its |G|^3 entries must fit in
+    ``MAX_DENSE_BYTES``.
     """
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
+    n = len(group)
+    _check_dense_size(f"the regular representation of a group of order {n}", n ** 3)
     if cocycle.group != group:
         raise ValueError("cocycle lives on a different group")
     t, m, mul = cocycle.arr, cocycle.modulus, group.mul_table()
@@ -193,10 +220,19 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
             h = group.elements[int(np.flatnonzero(off.any(axis=1))[0])]
             raise ValueError(
                 f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
-    n = len(group)
     mats = np.zeros((n, n, n), dtype=complex)
     mats[np.arange(n)[:, None], mul, np.arange(n)] = _roots(m)[t]
     return Rep._of(group, cocycle, mats)
+
+
+def _check_dense_size(what: str, entries: int) -> None:
+    """Raise ``GroupTooLarge`` unless that many complex entries fit in
+    ``MAX_DENSE_BYTES``."""
+    size = 16 * entries
+    if size > MAX_DENSE_BYTES:
+        raise GroupTooLarge(
+            f"{what} needs {size / 2 ** 20:.0f} MiB of dense matrices, over "
+            f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES // 2 ** 20} MiB")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,10 +246,6 @@ def tensor(a: Rep, b: Rep) -> Rep:
     if a.group != b.group:
         raise ValueError("tensor factors live on different groups")
     return Rep._of(a.group, a.cocycle * b.cocycle, kron(a.matrices, b.matrices))
-
-
-def conjugate_rep(a: Rep) -> Rep:
-    return Rep._of(a.group, a.cocycle.inverse(), a.matrices.conj())
 
 
 def restrict(a: Rep, sub: FiniteGroup) -> Rep:
@@ -257,23 +289,6 @@ def check_homomorphism(new_group: FiniteGroup, old_group: FiniteGroup,
         s = new_group.index_of(g)
         if (idx[mul_new[s]] != mul_old[idx[s], idx]).any():
             raise ValueError(f"map is not a homomorphism at {g.cycle_string()}")
-
-
-def direct_sum(reps: Iterable[Rep]) -> Rep:
-    reps = list(reps)
-    if not reps:
-        raise ValueError("empty direct sum")
-    group, cocycle = reps[0].group, reps[0].cocycle
-    for r in reps[1:]:
-        if r.group != group or r.cocycle != cocycle:
-            raise ValueError("direct summands must share group and cocycle")
-    dim = sum(r.dim for r in reps)
-    mats = np.zeros((len(group), dim, dim), dtype=complex)
-    at = 0
-    for r in reps:
-        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
-        at += r.dim
-    return Rep._of(group, cocycle, mats)
 
 
 def induce(rep: Rep, big: FiniteGroup, ext_cocycle: Cocycle,
@@ -364,62 +379,32 @@ def clear_caches() -> None:
     _IRREDUCIBLES.clear()
 
 
-def _average_commutant(rep: Rep, rng: np.random.Generator) -> np.ndarray:
-    d = rep.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = x + x.conj().T
-    mats = rep.matrices
-    return (mats.conj().transpose(0, 2, 1) @ h @ mats).sum(axis=0) / len(rep.group)
-
-
-def _eigensplit(rep: Rep, rng: np.random.Generator) -> Optional[list[Rep]]:
-    c = _average_commutant(rep, rng)
-    w, v = np.linalg.eigh(c)
-    blocks, start = [], 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > EIG_GAP_TOL:
-            blocks.append(range(start, i))
-            start = i
-    blocks.append(range(start, len(w)))
-    if len(blocks) == 1:
-        return None
-    subs = []
-    for block in blocks:
-        basis = v[:, list(block)]
-        mats = basis.conj().T @ rep.matrices @ basis
-        subs.append(Rep(rep.group, rep.cocycle, mats))
-    return subs
-
-
-def _characters(classes) -> np.ndarray:
-    return np.array([cls.rep.character() for cls in classes])
-
-
 def character_table(group: FiniteGroup, cocycle: Cocycle) -> tuple:
     """(characters as rows, dimensions) of ``irreducibles(group, cocycle)``,
     read-only; memoized next to the classes."""
     def table():
         classes = irreducibles(group, cocycle)
-        chars, dims = _characters(classes), np.array([c.dim for c in classes])
+        chars = np.array([c.character() for c in classes])
+        dims = np.array([c.dim for c in classes])
         chars.flags.writeable = dims.flags.writeable = False
         return chars, dims
     return _IRREDUCIBLES.get_or(("table", group.key(), cocycle.key()), table)
 
 
 def _check_rows(chars: np.ndarray, dims, irr: np.ndarray, irr_dims: np.ndarray,
-                mults: np.ndarray, raw: Optional[np.ndarray] = None) -> None:
+                mults: np.ndarray, raw: np.ndarray) -> None:
     """Raise at the first row of mults, the multiplicities of the matching
-    row of chars, that fails a check: its inner products ``raw`` (when
-    given) are within INT_TOL of mults, its constituents add up to its
-    entry of dims and reconstruct its character."""
-    integral = True if raw is None else np.abs(raw - mults).max(axis=1) <= INT_TOL
+    row of chars, that fails a check: its inner products ``raw`` are within
+    INT_TOL of mults, its constituents add up to its entry of dims and
+    reconstruct its character."""
+    integral = np.abs(raw - mults).max(axis=1) <= INT_TOL
     adds_up = mults @ irr_dims == dims
     rebuilds = np.abs(mults @ irr - chars).max(axis=1) <= INT_TOL
     ok = integral & adds_up & rebuilds
     if ok.all():
         return
     row = int(np.argmin(ok))
-    if raw is not None and not integral[row]:
+    if not integral[row]:
         raise NumericalDegradation(
             f"non-integral multiplicities {np.round(raw[row], 9).tolist()}")
     if not adds_up[row]:
@@ -467,38 +452,154 @@ def irreducibles(group: FiniteGroup,
                  cocycle: Optional[Cocycle] = None) -> tuple[RepClass, ...]:
     """All irreducible classes, canonically ordered by (dim, character).
 
-    Split out of the (twisted) regular representation, which contains each
-    irreducible dim times, so the squared dimensions sum to |G|.
+    Read from the character table of the central extension of group by the
+    cocycle (``_extension_tables``, ``_class_characters``): its rows with
+    central character zeta_m, restricted to (0, g).  Raises
+    ``NumericalDegradation`` unless the degrees are integral, their squares
+    add up to |G| and the rows are orthonormal, all within INT_TOL.
     """
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
     return _IRREDUCIBLES.get_or((group.key(), cocycle.key()),
-                                _split_regular, group, cocycle)
+                                _irreducibles, group, cocycle)
 
 
-def _split_regular(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
-    """One eigensplit of the regular representation per seed, accepted when
-    each class appears dim times, which no reducible block psi can: the
-    regular representation holds each irreducible chi_i d_i times, and dim psi
-    copies of a psi holding chi_i m_i times would hold it dim psi * m_i > d_i."""
-    regular, n = regular_rep(group, cocycle), len(group)
-    for attempt in range(MAX_SPLIT_TRIES):
-        # one fixed seed: the classes cached by irreducibles must not depend
-        # on which caller split a group first
-        rng = np.random.default_rng((0, attempt, n, n))
-        counts: dict[RepClass, int] = {}
-        for block in _eigensplit(regular, rng) or [regular]:
-            cls = RepClass(block)
-            counts[cls] = counts.get(cls, 0) + 1
-        classes = tuple(sorted(counts, key=lambda c: c.sort_key()))
-        if all(counts[c] == c.dim for c in classes):
-            _check_rows(np.array([regular.character()]), n, _characters(classes),
-                        np.array([c.dim for c in classes]),
-                        np.array([[counts[c] for c in classes]]))
-            return classes
+def _irreducibles(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
+    if cocycle.group != group:
+        raise ValueError("cocycle lives on a different group")
+    n, m = len(group), cocycle.modulus
+    table = _class_characters(*_extension_tables(group, cocycle))
+    degrees = np.rint(table[:, 0].real)
+    if np.abs(table[:, 0] - degrees).max() > INT_TOL:
+        raise NumericalDegradation(
+            f"non-integral degrees {np.round(table[:, 0], 9).tolist()}")
+    if m > 1:  # (1, e) is element n and acts as zeta_m
+        keep = np.abs(table[:, n] - _roots(m)[1] * table[:, 0]) <= INT_TOL
+        table, degrees = table[keep, :n], degrees[keep]
+    if int(np.sum(degrees ** 2)) != n:
+        raise NumericalDegradation(
+            f"squared degrees {degrees.astype(int).tolist()} miss |G| = {n}")
+    if np.abs(table @ table.conj().T / n - np.eye(len(table))).max() > INT_TOL:
+        raise NumericalDegradation("irreducible characters are not orthonormal")
+    classes = (RepClass(group, cocycle, int(d), row) for d, row in zip(degrees, table))
+    return tuple(sorted(classes, key=RepClass.sort_key))
+
+
+def _extension_tables(group: FiniteGroup, cocycle: Cocycle) -> tuple:
+    """Multiplication, inverse and conjugation tables of Z/m x_omega G, with
+    (a, g) at index a |G| + g and (a, g)(b, h) = (a + b + omega(g, h), gh);
+    the group's own tables when m = 1."""
+    mul, inv, m = group.mul_table(), group.inv_indices(), cocycle.modulus
+    if m == 1:
+        return mul, inv, group.conj_table()
+    n, t, a = len(group), cocycle.arr, np.arange(m)
+    ext_mul = ((a[:, None, None, None] + a[None, None, :, None] + t[None, :, None, :]) % m
+               * n + mul[None, :, None, :]).reshape(m * n, m * n)
+    ext_inv = ((-a[:, None] - t[np.arange(n), inv]) % m * n + inv).reshape(m * n)
+    return ext_mul, ext_inv, ext_mul[ext_mul, ext_inv[:, None]]
+
+
+def _class_characters(mul: np.ndarray, inv: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """The irreducible characters of the group with these tables, one row
+    each over its elements, by Burnside's class-sum method.
+
+    Class sums multiply as K_j K_k = sum_l c_jkl K_l, and each irreducible
+    chi gives the central character w_l = |C_l| chi(z_l) / chi(1) with
+    w_j w_k = sum_l c_jkl w_l: w is a right eigenvector of every matrix
+    (c_jkl)_kl, normalised by w = 1 at the identity.  One fixed-seed random
+    combination of those matrices (weighted by 1 / |C_j|) gives every w at
+    once when its eigenvalues are separated by EIG_GAP_TOL; otherwise the
+    next seed is tried, up to MAX_SEEDS.  The degree follows from
+    sum_l |w_l|^2 / |C_l| = |G| / chi(1)^2.
+    """
+    n = len(mul)
+    # each element's class is numbered by its least member, so the
+    # identity's class is class 0
+    reps, cls_of, sizes = np.unique(conj.min(axis=0), return_inverse=True,
+                                    return_counts=True)
+    r = len(reps)
+    lands = _class_coefficients(mul, inv, cls_of, reps)
+    flat = (lands * r + np.arange(r)).ravel()
+    for attempt in range(MAX_SEEDS):
+        weights = np.broadcast_to((_draw(attempt, n, r) / sizes)[cls_of][:, None],
+                                  lands.shape).ravel()
+        combo = np.bincount(flat, weights, minlength=r * r).reshape(r, r)
+        eig, vecs = np.linalg.eig(combo)
+        gaps = np.abs(eig[:, None] - eig)
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() > EIG_GAP_TOL:
+            break
+    else:
+        raise NumericalDegradation(
+            f"class-sum eigenvalues of a group of order {n} stay unseparated "
+            f"after {MAX_SEEDS} seeds")
+    central = (vecs / vecs[0]).T  # rows w, over classes
+    degrees = np.sqrt(n / (np.abs(central) ** 2 / sizes).sum(axis=1))
+    return (degrees[:, None] * central / sizes)[:, cls_of]
+
+
+def _class_coefficients(mul: np.ndarray, inv: np.ndarray, cls_of: np.ndarray,
+                        reps: np.ndarray) -> np.ndarray:
+    """lands[x, l] = the class of x^-1 z_l, z_l the least element of class l:
+    c_jkl counts the x of class j with lands[x, l] = k."""
+    return cls_of[mul[inv[:, None], reps]]
+
+
+def _draw(attempt: int, n: int, shape) -> np.ndarray:
+    """Standard normal draws of the fixed seed (attempt, n): the classes
+    cached by irreducibles must not depend on which caller asked first."""
+    return np.random.default_rng((attempt, n)).normal(size=shape)
+
+
+def _class_rep(cls: RepClass) -> Rep:
+    """A representation in cls, checked by ``Rep(...)``.
+
+    A degree-1 class is its character.  Otherwise the chi-isotypic part of
+    the regular representation rho, the image of the projection
+    P = (d/|G|) sum_g conj chi(g) rho(g), holds d copies of the class; it is
+    read from index arrays (P[k, h] = (d/|G|) conj chi(g) omega(g, h) with
+    g = k h^-1) and must have rank d^2.  Averaging a random Hermitian matrix
+    X over the group, |G|^-1 sum_g rho(g)* X rho(g), gives an intertwiner
+    whose eigenspaces of dimension d are copies of the class.
+    """
+    group, cocycle, d, n = cls.group, cls.cocycle, cls.dim, len(cls.group)
+    if d == 1:
+        return _class_block(cls, cls.character().reshape(n, 1, 1))
+    _check_dense_size(f"a degree-{d} class of a group of order {n}", (n * d) ** 2)
+    mul, omega = group.mul_table(), _roots(cocycle.modulus)[cocycle.arr]
+    g = mul[:, group.inv_indices()]
+    vals, vecs = np.linalg.eigh(d / n * cls.character().conj()[g] * omega[g, np.arange(n)])
+    inside = vals > 0.5
+    if inside.sum() != d * d or np.abs(vals - inside).max() > INT_TOL:
+        raise NumericalDegradation(
+            f"isotypic projection of a degree-{d} class has rank "
+            f"{int(inside.sum())}, not {d * d}")
+    basis = vecs[:, inside]
+    # B* rho(g) B = sum_h conj B[gh]^T omega(g, h) B[h]
+    moved = basis[mul]
+    np.conjugate(moved, out=moved)
+    moved *= omega[:, :, None]
+    piece = moved.transpose(0, 2, 1) @ basis
+    for attempt in range(MAX_SEEDS):
+        x = _draw(attempt, n, (d * d, d * d, 2)) @ np.array([1, 1j])
+        vals, vecs = np.linalg.eigh(
+            (piece.conj().transpose(0, 2, 1) @ (x + x.conj().T) @ piece).mean(axis=0))
+        cuts = [0, *np.flatnonzero(np.diff(vals) > EIG_GAP_TOL) + 1, d * d]
+        sizes = np.diff(cuts)
+        if (sizes == d).any():
+            at = cuts[int(np.argmax(sizes == d))]
+            u = vecs[:, at:at + d]
+            return _class_block(cls, u.conj().T @ piece @ u)
     raise NumericalDegradation(
-        f"regular representation of |G| = {n} splits as (dim, mult) "
-        f"{[(c.dim, counts[c]) for c in classes]} after {MAX_SPLIT_TRIES} seeds")
+        f"no eigenspace of dimension {d} in the isotypic part after {MAX_SEEDS} seeds")
+
+
+def _class_block(cls: RepClass, matrices: np.ndarray) -> Rep:
+    rep = Rep(cls.group, cls.cocycle, matrices)
+    if rep.char_key() != cls.char:
+        raise NumericalDegradation(
+            f"the matrices built for a degree-{cls.dim} class have another character")
+    return rep
 
 
 def multiset_dim(parts: dict[RepClass, int]) -> int:

@@ -6,7 +6,12 @@ import pytest
 
 import heckefuse
 from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
-from heckefuse.elementary import admissible_classes, fuse as elem_fuse, make
+from heckefuse.elementary import (
+    admissible_classes,
+    canonical_representative,
+    fuse as elem_fuse,
+    make,
+)
 from heckefuse.exthecke import basis, conjugate, fuse
 from heckefuse.permcore import Memo
 
@@ -22,7 +27,13 @@ def exercise(pair) -> None:
     if omega is not None:
         label = pair.labels()[-1]
         h = make(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
-        elem_fuse(h, h).total_dim()
+        total_dim(elem_fuse(h, h))
+
+
+def total_dim(total) -> int:
+    """Dimension of a BimoduleSum, read from its canonical representatives."""
+    return sum(canonical_representative(total.pair, total.omega, t).rep.dim * m
+               for t, m in total.terms.items())
 
 
 def stores(owner) -> list:

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import heckefuse
@@ -18,10 +19,10 @@ from heckefuse.cocycle import (
 from heckefuse.elementary import (
     BimoduleSum,
     CocycleBookkeepingError,
+    ElementaryBimodule,
     admissible_classes,
     canonical_representative,
     canonical_term,
-    direct_sum_objects,
     fuse,
     fuse_objects,
     identity_object,
@@ -37,11 +38,26 @@ from heckefuse.exthecke import fuse as ext_fuse, unit as ext_unit
 from heckefuse.permcore import FiniteGroup, Perm
 from heckefuse.projrep import (
     NumericalDegradation,
+    Rep,
     irreducibles,
     regular_rep,
     trivial_rep,
     twist,
 )
+
+
+def direct_sum(reps):
+    """Block-diagonal sum of representations sharing group and cocycle."""
+    group, cocycle = reps[0].group, reps[0].cocycle
+    if any(r.group != group or r.cocycle != cocycle for r in reps):
+        raise ValueError("direct summands must share group and cocycle")
+    dim = sum(r.dim for r in reps)
+    mats = np.zeros((len(group), dim, dim), dtype=complex)
+    at = 0
+    for r in reps:
+        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
+        at += r.dim
+    return Rep._of(group, cocycle, mats)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +208,7 @@ def test_normalizing_deltas_give_single_summand(d4_klein):
         result = fuse_objects(a, b)
         deltas = {rep.delta.images for rep, _ in result.items()}
         assert len(deltas) == 1
-        assert result.total_dim() == a.rep.dim * b.rep.dim
+        assert total_dim(result) == a.rep.dim * b.rep.dim
 
 
 def test_cross_oracle_with_ext_hecke(s3s4):
@@ -297,6 +313,21 @@ def test_isomorphism_round_trip_twisted(d4_klein):
 
 # ------------------------------------------------------------ direct sums
 
+def direct_sum_objects(a, b):
+    """The object (delta, a.rep + b.rep) of two objects at one delta."""
+    if a.delta != b.delta:
+        raise ValueError("direct summands must share the same delta")
+    if a.omega != b.omega:
+        raise ValueError("direct summands must share the ambient cocycle")
+    return ElementaryBimodule(a.pair, a.omega, a.delta, direct_sum([a.rep, b.rep]))
+
+
+def total_dim(total) -> int:
+    """Dimension of a BimoduleSum, read from its canonical representatives."""
+    return sum(canonical_representative(total.pair, total.omega, t).rep.dim * m
+               for t, m in total.terms.items())
+
+
 def test_direct_sum_dims_add(s3s4):
     pair = s3s4
     omega = Cocycle.trivial(pair.gamma)
@@ -392,6 +423,32 @@ def catalog_case(name):
     return pair, build_omega(BUILTIN[name], pair) or Cocycle.trivial(pair.gamma)
 
 
+def transferred_minimum(pair, omega, delta, rep):
+    """The canonical term by building every transferred representation."""
+    label = pair.label_of(delta)
+    best = min((transfer_rep(pair, omega, delta, rep, g, c)
+                for g, c in pair.decompositions(delta, label)),
+               key=lambda moved: moved.char_key())
+    return label.images, best.char_key()
+
+
+@pytest.mark.parametrize("name", ["D4_klein", "Heis3", "S3_in_S4", "Z3_regular"])
+def test_canonical_terms_from_characters_match_transferred_matrices(name):
+    pair, omega = catalog_case(name)
+    rng = random.Random(5)
+    for obj in elementary_basis(pair, omega):
+        cls = next(c for c in admissible_classes(pair, omega, obj.delta)
+                   if c.char == obj.rep.char_key())
+        for _ in range(3):
+            g, h = (rng.choice(pair.gamma.elements) for _ in range(2))
+            moved = make(pair, omega, g * obj.delta * h,
+                         transfer_rep(pair, omega, obj.delta, obj.rep, g, h))
+            assert canonical_term(pair, omega, moved.delta, moved.rep) == \
+                transferred_minimum(pair, omega, moved.delta, moved.rep)
+        assert canonical_term(pair, omega, obj.delta, cls) == \
+            transferred_minimum(pair, omega, obj.delta, obj.rep)
+
+
 def test_sums_survive_clear_caches():
     pair, omega = catalog_case("S3_in_S4")
     objs = elementary_basis(pair, omega)
@@ -399,7 +456,7 @@ def test_sums_survive_clear_caches():
 
     def observe():
         return ([(obj.delta, obj.rep.char_key(), mult) for obj, mult in total.items()],
-                total.total_dim(), repr(total), to_ext_hecke(total),
+                total_dim(total), repr(total), to_ext_hecke(total),
                 fuse(total, total))
 
     before = observe()

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from heckefuse import projrep
@@ -27,10 +28,9 @@ from heckefuse.exthecke import (
 from heckefuse.hecke import convolve
 from heckefuse.permcore import FiniteGroup, Perm, conjugate_intersection
 from heckefuse.projrep import (
+    Rep,
     add_multiset,
-    conjugate_rep,
     decompose,
-    direct_sum,
     hom_dim,
     induce,
     irreducibles,
@@ -40,6 +40,25 @@ from heckefuse.projrep import (
     transport,
     trivial_rep,
 )
+
+
+def direct_sum(reps):
+    """Block-diagonal sum of representations sharing group and cocycle."""
+    group, cocycle = reps[0].group, reps[0].cocycle
+    if any(r.group != group or r.cocycle != cocycle for r in reps):
+        raise ValueError("direct summands must share group and cocycle")
+    dim = sum(r.dim for r in reps)
+    mats = np.zeros((len(group), dim, dim), dtype=complex)
+    at = 0
+    for r in reps:
+        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
+        at += r.dim
+    return Rep._of(group, cocycle, mats)
+
+
+def conjugate_rep(a):
+    """The complex conjugate representation, with the inverse cocycle."""
+    return Rep._of(a.group, a.cocycle.inverse(), a.matrices.conj())
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,13 @@ import pytest
 
 from heckefuse import projrep
 from heckefuse.cocycle import Cocycle, PhaseFunction, coboundary, heisenberg_cocycle
-from heckefuse.permcore import FiniteGroup, Perm, conj_map, right_coset_reps
+from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm, conj_map, right_coset_reps
 from heckefuse.projrep import (
     NumericalDegradation,
     Rep,
     RepClass,
     clear_caches,
-    conjugate_rep,
     decompose,
-    direct_sum,
     equivalent,
     hom_dim,
     induce,
@@ -24,6 +22,25 @@ from heckefuse.projrep import (
     trivial_rep,
     twist,
 )
+
+
+def direct_sum(reps):
+    """Block-diagonal sum of representations sharing group and cocycle."""
+    group, cocycle = reps[0].group, reps[0].cocycle
+    if any(r.group != group or r.cocycle != cocycle for r in reps):
+        raise ValueError("direct summands must share group and cocycle")
+    dim = sum(r.dim for r in reps)
+    mats = np.zeros((len(group), dim, dim), dtype=complex)
+    at = 0
+    for r in reps:
+        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
+        at += r.dim
+    return Rep._of(group, cocycle, mats)
+
+
+def conjugate_rep(a):
+    """The complex conjugate representation, with the inverse cocycle."""
+    return Rep._of(a.group, a.cocycle.inverse(), a.matrices.conj())
 
 
 @pytest.fixture(autouse=True)
@@ -276,8 +293,8 @@ def test_frobenius_reciprocity():
 
 def test_decompose_irreducible_is_singleton():
     g = s3()
-    std = (irreducibles(g)[-1]).rep
-    assert decompose(std) == {RepClass(std): 1}
+    cls = irreducibles(g)[-1]
+    assert decompose(cls.rep) == {cls: 1}
 
 
 def test_decompose_respects_character_sum():
@@ -474,44 +491,221 @@ def test_transport_rejects_a_bijection_that_is_not_a_homomorphism():
             transport(rep, g, form)
 
 
-def _merging_first_two(merges: int):
-    """_eigensplit, except that its first ``merges`` calls return the first
-    two blocks merged into one reducible block; and the list of its calls."""
-    original = projrep._eigensplit
-    made = []
+# ------------------------------------------------------------ class-sum tables
 
-    def merging(rep, rng):
-        subs = original(rep, rng)
-        made.append(rep)
-        if len(made) <= merges:
-            return [direct_sum(subs[:2]), *subs[2:]]
-        return subs
-    return merging, made
+def _generated(degree, gens):
+    return FiniteGroup.generate(degree, [Perm.parse(degree, x) for x in gens])
 
 
-SPLIT_CASES = {
-    "s3": lambda: (s3(), None),
-    "heisenberg3": lambda: heisenberg_cocycle(3, 1)[::2],
+def _catalog_little(name, which):
+    """(group, cocycle): the little group at a label of a twisted catalog
+    pair with its required cocycle, or gamma with the pair's cocycle."""
+    from heckefuse.catalog import BUILTIN, build_omega, build_pair
+    from heckefuse.elementary import required_cocycle
+    pair = build_pair(BUILTIN[name])
+    omega = build_omega(BUILTIN[name], pair)
+    if which == "gamma":
+        return pair.gamma, omega
+    label = pair.labels()[which]
+    return pair.little_of_element(label), required_cocycle(pair, omega, label)
+
+
+TABLE_CASES = {
+    "S3": lambda: (FiniteGroup.symmetric(3), None),
+    "S4": lambda: (FiniteGroup.symmetric(4), None),
+    "A5": lambda: (_generated(5, ("(0 1 2)", "(0 1 2 3 4)")), None),
+    "S5": lambda: (FiniteGroup.symmetric(5), None),
+    "S3xS3": lambda: (_generated(6, ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")), None),
+    "S4xZ2": lambda: (_generated(6, ("(0 1)", "(0 1 2 3)", "(4 5)")), None),
+    "S3xZ3": lambda: (_generated(6, ("(0 1)", "(0 1 2)", "(3 4 5)")), None),
+    **{f"heis{n}-{k}": (lambda n=n, k=k: heisenberg_cocycle(n, k)[::2])
+       for n in (3, 4) for k in range(n)},
+    "D4_klein-label0": lambda: _catalog_little("D4_klein", 0),
+    "D4_klein-label1": lambda: _catalog_little("D4_klein", 1),
+    "D4_klein-gamma": lambda: _catalog_little("D4_klein", "gamma"),
+    "Heis3-label0": lambda: _catalog_little("Heis3", 0),
+    "Heis3-gamma": lambda: _catalog_little("Heis3", "gamma"),
+}
+
+# SHA-256 of the JSON of [c.to_json() for c in irreducibles(...)], computed
+# while the classes were split out of the regular representation
+SPLIT_DIGESTS = {
+    "S3": "f31a04856060080b2da0a6421c1f7bdc129cc9467fa50d6a7d356ea09f01170c",
+    "S4": "e067f17de456c0219a3e2d0416cdf2bb43e97ff1c39138252386b6408c2a6b57",
+    "A5": "1354f63990a9caf7b04a0dd1ebf574ae4931ac00b8aa61cb8562c164f91d66f7",
+    "S5": "73e527eb72e1f5122ccc1d3b98e0c4b892da53daafcfae1111403833e5bd44f4",
+    "S3xS3": "bba8431982f137e6e1a26009a32f988cd4f0592b3918cdaee3a1c2e05f29882b",
+    "S4xZ2": "48b239669ea75af54a49bf330202a43d517eb52b07e372dad42ea76897b8cc47",
+    "S3xZ3": "2afc3a88ea6be6891dfd21e27f31a26d0523117e2ce4e76215520eec57a8ba32",
+    "heis3-0": "e0c0cfa5016c254c92478f2f1c07bdd4a7bdd4225da2d37bf38e070268f264c6",
+    "heis3-1": "d73260ef6b50fa92852bc317a66d5e4de0fec3e2b4cf6bde390d250547fbe66d",
+    "heis3-2": "d73260ef6b50fa92852bc317a66d5e4de0fec3e2b4cf6bde390d250547fbe66d",
+    "heis4-0": "3bce12f8b197937a3e31249c1f7e965226fd3310b870567ae6921c14e653e46c",
+    "heis4-1": "57ed1eb45cce70ec97faf90767a1eae36715c56370994df9501dd106e3267142",
+    "heis4-2": "0638a5ab42c2b4ec2a301baa82c9c46174911b1d33d12600b2671d77f40b9ffc",
+    "heis4-3": "57ed1eb45cce70ec97faf90767a1eae36715c56370994df9501dd106e3267142",
+    "D4_klein-label0": "093a1058325d718083329b3386a74b89ba0c4024dad7a3149e3137570cc839f8",
+    "D4_klein-label1": "23ac69fd73c9d60eb0eefe802c5786961a5ca5d1b0149c1beb4305886ff0bc63",
+    "D4_klein-gamma": "4dc27282c74aad71c4fbd92e4683ae8101b29f41f9b97fa3be019a5d21309a4e",
+    "Heis3-label0": "e0c0cfa5016c254c92478f2f1c07bdd4a7bdd4225da2d37bf38e070268f264c6",
+    "Heis3-gamma": "d73260ef6b50fa92852bc317a66d5e4de0fec3e2b4cf6bde390d250547fbe66d",
 }
 
 
-@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-def test_irreducibles_retry_a_merged_split(case, monkeypatch):
-    group, cocycle = SPLIT_CASES[case]()
+def _digest(classes):
+    import hashlib
+    import json
+    return hashlib.sha256(json.dumps([c.to_json() for c in classes],
+                                     sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_class_sum_tables_match_the_split_digests(case):
+    assert _digest(irreducibles(*TABLE_CASES[case]())) == SPLIT_DIGESTS[case]
+
+
+def test_irreducibles_of_s6():
+    classes = irreducibles(FiniteGroup.symmetric(6))
+    assert [c.dim for c in classes] == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+
+
+def test_cold_fusion_table_builds_no_matrices(monkeypatch):
+    from heckefuse import catalog
+    from heckefuse.exthecke import FinitePair
+    import heckefuse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    s5 = _generated(5, ("(0 1)", "(0 1 2 3 4)"))
+    s4 = _generated(5, ("(0 1)", "(0 1 2 3)"))
+    pair = FinitePair(s5, s5.subgroup(s4.elements), name="S4_in_S5")
+    heckefuse.clear_caches()
+    monkeypatch.setattr(Rep, "__init__", refuse)
+    monkeypatch.setattr(Rep, "_of", refuse)
+    for module in (projrep, heckefuse):
+        monkeypatch.setattr(module, "regular_rep", refuse)
+    table = catalog.fusion_table(pair)
+    assert table["basis"] and table["products"]
+
+
+# S3xZ3 has characters of degree 2 with complex values
+LAZY_CASES = ["S3", "S4", "A5", "S3xS3", "S3xZ3", "heis3-1", "heis4-2", "D4_klein-label1",
+              "D4_klein-gamma", "Heis3-gamma"]
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_lazy_rep_is_checked_and_matches_its_class(case, monkeypatch):
+    group, cocycle = TABLE_CASES[case]()
+    classes = irreducibles(group, cocycle)
+    checked = []
+    validate = Rep._validate
+
+    def counted(rep):
+        checked.append(rep)
+        validate(rep)
+    monkeypatch.setattr(Rep, "_validate", counted)
+    for cls in classes:
+        rep = cls.rep
+        assert checked[-1] is rep and cls.rep is rep
+        assert (rep.group, rep.cocycle, rep.dim) == (cls.group, cls.cocycle, cls.dim)
+        assert rep.char_key() == cls.char
+        assert hom_dim(rep, rep) == 1
+    assert len(checked) == len(classes)
+
+
+def test_lazy_rep_rejects_a_character_that_is_no_class():
+    g = s3()
+    std = irreducibles(g)[-1]
+    bent = np.array(std.character())
+    bent[1] += 0.01
+    with pytest.raises(NumericalDegradation, match="rank"):
+        RepClass(g, std.cocycle, std.dim, bent).rep
+    # a bend within INT_TOL passes the projection but moves the rounded key
+    bent[1] -= 0.01 - 6e-7
+    with pytest.raises(NumericalDegradation, match="another character"):
+        RepClass(g, std.cocycle, std.dim, bent).rep
+    twisted = RepClass(g, std.cocycle, 1, np.ones(len(g)) * [1, -1, -1, 1, 1, 1])
+    with pytest.raises(ValueError, match="multiplicativity"):
+        twisted.rep
+
+
+def _perturbed_coefficients(monkeypatch):
+    """Move one count of the coefficients c_jk0 (the identity's class 0,
+    where every central character is 1) to the next class k."""
+    original = projrep._class_coefficients
+
+    def perturbed(*args):
+        lands = original(*args).copy()
+        lands[-1, 0] = (lands[-1, 0] + 1) % (lands.max() + 1)
+        return lands
+    monkeypatch.setattr(projrep, "_class_coefficients", perturbed)
+
+
+SEED_CASES = ["S3", "heis3-1", "S4xZ2"]
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_a_perturbed_class_coefficient_raises(case, monkeypatch):
+    _perturbed_coefficients(monkeypatch)
+    with pytest.raises(NumericalDegradation):
+        irreducibles(*TABLE_CASES[case]())
+
+
+def _degenerate_first(monkeypatch, k):
+    """Make the first k draws all zero, a combination whose eigenvalues all
+    coincide; return the list of draws made."""
+    original, made = projrep._draw, []
+
+    def draw(attempt, n, shape):
+        made.append(attempt)
+        return np.zeros(shape) if len(made) <= k else original(attempt, n, shape)
+    monkeypatch.setattr(projrep, "_draw", draw)
+    return made
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_a_degenerate_combination_retries_on_the_next_seed(case, monkeypatch):
+    group, cocycle = TABLE_CASES[case]()
     want = irreducibles(group, cocycle)
     clear_caches()
-    merging, made = _merging_first_two(1)
-    monkeypatch.setattr(projrep, "_eigensplit", merging)
+    made = _degenerate_first(monkeypatch, 1)
     got = irreducibles(group, cocycle)
-    assert len(made) == 2
-    assert got == want
+    assert made == [0, 1] and _digest(got) == _digest(want)
+    for a, b in zip(got, want):
+        assert np.abs(a.character() - b.character()).max() < 1e-9
 
 
-@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-def test_irreducibles_give_up_when_every_split_merges(case, monkeypatch):
-    group, cocycle = SPLIT_CASES[case]()
-    merging, made = _merging_first_two(projrep.MAX_SPLIT_TRIES)
-    monkeypatch.setattr(projrep, "_eigensplit", merging)
-    with pytest.raises(NumericalDegradation):
-        irreducibles(group, cocycle)
-    assert len(made) == projrep.MAX_SPLIT_TRIES
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_tables_give_up_when_every_combination_is_degenerate(case, monkeypatch):
+    made = _degenerate_first(monkeypatch, projrep.MAX_SEEDS)
+    with pytest.raises(NumericalDegradation, match="unseparated"):
+        irreducibles(*TABLE_CASES[case]())
+    assert made == list(range(projrep.MAX_SEEDS))
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_lazy_rep_retries_then_gives_up_on_a_degenerate_average(case, monkeypatch):
+    cls = irreducibles(*TABLE_CASES[case]())[-1]
+    assert cls.dim > 1
+    made = _degenerate_first(monkeypatch, projrep.MAX_SEEDS)
+    with pytest.raises(NumericalDegradation, match="no eigenspace"):
+        cls.rep
+    assert made == list(range(projrep.MAX_SEEDS))
+    made.clear()
+    monkeypatch.setattr(projrep, "MAX_SEEDS", projrep.MAX_SEEDS + 1)
+    assert cls.rep.char_key() == cls.char
+    assert made == list(range(projrep.MAX_SEEDS))
+
+
+def test_dense_builds_fail_fast_over_the_byte_limit(monkeypatch):
+    g = s3()
+    std = irreducibles(g)[-1]
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 16 * 6 ** 3 - 1)
+    with pytest.raises(GroupTooLarge, match="regular representation"):
+        regular_rep(g)
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 16 * (6 * 2) ** 2 - 1)
+    with pytest.raises(GroupTooLarge, match="degree-2 class"):
+        std.rep
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 16 * 6 ** 3)
+    assert regular_rep(g).dim == 6 and std.rep.dim == 2
