@@ -202,9 +202,10 @@ def check_heisenberg_classification(pair: FinitePair, omega: Cocycle,
 def check_rep_completeness(pair: FinitePair, omega: Optional[Cocycle],
                            cfg: Config) -> None:
     gamma = pair.little(pair.labels()[0])
-    plain = irreducibles(gamma)
-    if sum(c.dim ** 2 for c in plain) != len(gamma):
-        raise CheckFailure("sum of squared dimensions misses the group order")
+    want = {cls: cls.dim for cls in irreducibles(gamma)}
+    if decompose(regular_rep(gamma)) != want:
+        raise CheckFailure("the regular representation does not hold each "
+                           "irreducible class dim times")
     if omega is not None:
         twisted = decompose(regular_rep(gamma, omega.restrict(gamma)))
         total = sum(c.dim * m for c, m in twisted.items())

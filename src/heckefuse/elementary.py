@@ -219,7 +219,7 @@ def canonical_representative(pair: FinitePair, omega: Cocycle,
 
 def _canonical_representative(pair: FinitePair, omega: Cocycle,
                               term: tuple) -> ElementaryBimodule:
-    label = Perm(term[0])
+    label = Perm._of(term[0])  # a label's images, read from canonical_term
     cls = next((c for c in admissible_classes(pair, omega, label)
                 if c.char == term[1]), None)
     if cls is None:

@@ -17,6 +17,14 @@ a (|G|, degree) array of image rows, looked up exactly by a sorted search
 A subgroup is its parent plus ``idx``, its elements' sorted parent positions,
 and every group is closed from generator rows by one breadth-first closure.
 Groups here are small: explicit lists beat stabilizer chains at this scale.
+
+Values are checked once, where they enter: ``Perm(...)`` that its images
+are a permutation, ``FiniteGroup(...)`` the degree of each element, and
+``Subgroup(...)`` containment and closure.  What is computed from checked
+values is built unchecked: products, inverses, powers and conjugates by
+``Perm._of``, groups from the sorted, distinct rows of a closure or a scan
+by ``FiniteGroup._of_rows``, and subgroups picked from their parent by
+index by ``Subgroup._of``.
 """
 
 from __future__ import annotations
@@ -57,13 +65,21 @@ class Perm:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _of(cls, images: tuple) -> "Perm":
+        """The permutation with this tuple of images, unchecked: for images
+        computed from permutations, or read from a group's rows."""
+        perm = cls.__new__(cls)
+        perm.images, perm._hash = images, hash(images)
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return cls._of(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Perm":
@@ -101,13 +117,13 @@ class Perm:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch")
-        return Perm(a[b[i]] for i in range(len(a)))
+        return Perm._of(tuple(map(a.__getitem__, b)))
 
     def inverse(self) -> "Perm":
         images = [0] * len(self.images)
         for i, j in enumerate(self.images):
             images[j] = i
-        return Perm(images)
+        return Perm._of(tuple(images))
 
     __invert__ = inverse
 
@@ -119,8 +135,15 @@ class Perm:
         return g
 
     def conjugate(self, by: "Perm") -> "Perm":
-        """Ad(by) applied to self: by * self * by^-1."""
-        return by * self * by.inverse()
+        """Ad(by) applied to self: by * self * by^-1, which sends by(i) to
+        by(self(i))."""
+        a, b = self.images, by.images
+        if len(a) != len(b):
+            raise ValueError("degree mismatch")
+        images = [0] * len(a)
+        for i, j in zip(b, a):
+            images[i] = b[j]
+        return Perm._of(tuple(images))
 
     def order(self) -> int:
         n, g = 1, self
@@ -237,11 +260,25 @@ class FiniteGroup:
         rows = np.array([g.images for g in elements],
                         dtype=np.intp).reshape(len(elements), degree)
         keys, first = np.unique(_row_keys(rows), return_index=True)  # sorted, distinct
+        self._fill(degree, tuple(elements[i] for i in first.tolist()),
+                   rows[first], keys, generators)
+
+    @classmethod
+    def _of_rows(cls, degree: int, rows: np.ndarray,
+                 generators: Sequence[Perm] = ()) -> "FiniteGroup":
+        """The group whose image rows are rows, unchecked: for closures and
+        scans whose rows come out sorted and distinct."""
+        group = cls.__new__(cls)
+        group._fill(degree, tuple(map(Perm._of, map(tuple, rows.tolist()))),
+                    rows, _row_keys(rows), generators)
+        return group
+
+    def _fill(self, degree, elements, rows, keys, generators) -> None:
         self.degree = degree
-        self.elements = tuple(elements[i] for i in first.tolist())
+        self.elements = elements
         self.generators = tuple(generators)
-        self._index = dict(zip(self.elements, range(len(first))))
-        self.images = rows[first]
+        self._index = dict(zip(elements, range(len(elements))))
+        self.images = rows
         self._row_keys = keys
         self._key = (degree, keys.tobytes())
         self._memo = Memo()
@@ -254,11 +291,7 @@ class FiniteGroup:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         rows = _closure(np.array([g.images for g in generators], dtype=np.intp)
                         .reshape(len(generators), degree), max_order)
-        return cls(degree, map(Perm, rows.tolist()), generators)
-
-    @classmethod
-    def symmetric(cls, degree: int) -> "FiniteGroup":
-        return cls(degree, (Perm(p) for p in itertools.permutations(range(degree))))
+        return cls._of_rows(degree, rows, generators)
 
     @classmethod
     def cyclic(cls, degree: int) -> "FiniteGroup":
@@ -443,8 +476,8 @@ class Subgroup(FiniteGroup):
     def _of(cls, parent: FiniteGroup, idx: np.ndarray) -> "Subgroup":
         """The subgroup at sorted parent positions idx, unchecked."""
         sub = cls.__new__(cls)
-        FiniteGroup.__init__(sub, parent.degree,
-                             map(parent.elements.__getitem__, idx.tolist()))
+        sub._fill(parent.degree, tuple(map(parent.elements.__getitem__, idx.tolist())),
+                  parent.images[idx], parent._row_keys[idx], ())
         sub.parent, sub.idx = parent, idx
         return sub
 
@@ -572,7 +605,7 @@ def normalizer_in_sym(gamma: FiniteGroup,
     sym_inv, inside = np.argsort(sym, axis=1), np.ones(len(sym), dtype=bool)
     for g in gamma.images:  # s g s^-1 for every s at once
         inside &= gamma.positions(np.take_along_axis(sym, g[sym_inv], axis=1)) >= 0
-    return FiniteGroup(n, [Perm(s) for s in sym[inside].tolist()])
+    return FiniteGroup._of_rows(n, sym[inside])  # permutations() yields sorted rows
 
 
 class GroupAction:

@@ -16,6 +16,8 @@ from heckefuse.permcore import (
     commutator_subgroup,
 )
 
+from groups import symmetric
+
 PAIRS = ["D4_klein", "Heis3", "S3_in_S4", "Z3_regular"]
 
 
@@ -112,7 +114,7 @@ def test_generate_matches_the_perm_set_closure(case):
 
 
 def test_bytes_key_orders_like_image_tuples():
-    groups = FiniteGroup.symmetric(4).subgroups()
+    groups = symmetric(4).subgroups()
     assert sorted(groups, key=lambda h: h.key()) == sorted(
         groups, key=lambda h: (h.degree, tuple(g.images for g in h.elements)))
     assert len({h.key() for h in groups}) == len(groups)
@@ -128,7 +130,7 @@ def z3_squared():
     return FiniteGroup.generate(6, [Perm.parse(6, "(0 1 2)"), Perm.parse(6, "(3 4 5)")])
 
 
-@pytest.mark.parametrize("make", [lambda: FiniteGroup.symmetric(4), dihedral4, z3_squared],
+@pytest.mark.parametrize("make", [lambda: symmetric(4), dihedral4, z3_squared],
                          ids=["S4", "D4", "Z3xZ3"])
 def test_subgroups_match_the_all_elements_join(make):
     group = make()
@@ -146,12 +148,12 @@ def alternating5():
 
 
 def s4_inside_s5():
-    s5 = FiniteGroup.symmetric(5)
+    s5 = symmetric(5)
     return s5.subgroup(g for g in s5.elements if g.images[4] == 4)
 
 
-@pytest.mark.parametrize("make", [lambda: FiniteGroup.symmetric(4), alternating5,
-                                  lambda: FiniteGroup.symmetric(5), z3_squared,
+@pytest.mark.parametrize("make", [lambda: symmetric(4), alternating5,
+                                  lambda: symmetric(5), z3_squared,
                                   s4_inside_s5],
                          ids=["S4", "A5", "S5", "Z3xZ3", "S4<S5"])
 def test_commutator_subgroup_matches_the_all_commutators_closure(make):

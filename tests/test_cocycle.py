@@ -25,6 +25,8 @@ from heckefuse.cocycle import (
 )
 from heckefuse.permcore import FiniteGroup, Perm, conj_map
 
+from groups import symmetric
+
 
 def conjugated(omega, g):
     """omega o Ad g on its own group: (x, y) -> omega(gxg^-1, gyg^-1)."""
@@ -46,7 +48,7 @@ def klein_yx_cocycle():
 # ---------------------------------------------------------------- validation
 
 def test_trivial_cocycle_validates():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     omega = Cocycle.trivial(g)
     assert omega.is_trivial_table()
 
@@ -92,7 +94,7 @@ def test_unnormalized_input_is_rejected():
 # ---------------------------------------------------------------- coboundary
 
 def test_zero_phase_gives_trivial_cocycle():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     assert coboundary(PhaseFunction(g, 2, [0] * len(g))) == Cocycle.trivial(g)
 
 
@@ -214,7 +216,7 @@ def test_solver_against_brute_force():
 # ---------------------------------------------------------------- twists
 
 def test_conjugation_phase_trivial_cocycle():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     omega = Cocycle.trivial(g)
     for x in g:
         assert all(v == 0 for v in conjugation_phase(omega, x).values)
@@ -247,7 +249,7 @@ def test_conjugation_phase_heisenberg3():
 def test_conjugation_phase_nonabelian():
     # a cocycle on the Klein subgroup pulled to D4 makes no sense; instead
     # check the identity on S3 with a trivial cocycle twisted by a coboundary
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     phi0 = PhaseFunction(g, 3, [0, 1, 2, 0, 1, 2])
     omega = coboundary(phi0)
     for x in g:
@@ -315,7 +317,7 @@ def test_heisenberg_commutation_pairing():
 
 
 def test_group_exponent():
-    assert group_exponent(FiniteGroup.symmetric(3)) == 6
+    assert group_exponent(symmetric(3)) == 6
     assert group_exponent(FiniteGroup.cyclic(4)) == 4
 
 
@@ -349,7 +351,7 @@ def d4_tables():
 def s3_cocycles():
     """k * sgn(g) * sgn(h) mod m on S3 (sgn in {0, 1}), pulled back from Z/2;
     at (m, k) = (2, 1) it splits over S^1 but not over mu_2."""
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     sgn = [sum(len(c) - 1 for c in g.cycles()) % 2 for g in s3.elements]
     return [Cocycle(s3, m, [[k * a * b for b in sgn] for a in sgn])
             for m in (2, 4, 6) for k in range(m)]

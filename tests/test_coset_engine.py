@@ -17,11 +17,13 @@ from heckefuse.permcore import (
     conjugate_intersection,
 )
 
+from groups import symmetric
+
 PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3", "S4_in_S5"]
 
 
 def s4_in_s5():
-    s5 = FiniteGroup.symmetric(5)
+    s5 = symmetric(5)
     return s5, s5.subgroup([g for g in s5 if g(4) == 4])
 
 
@@ -186,7 +188,7 @@ def test_right_cosets_partition_in_order_of_minimum():
 
 
 def test_right_cosets_reject_a_foreign_subset():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     with pytest.raises(ValueError):
         s3.right_cosets(FiniteGroup.cyclic(4))
 
@@ -267,7 +269,7 @@ def small_groups():
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"),
                                      Perm.parse(4, "(0 2)(1 3)")])
     d4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")])
-    return {"S3": FiniteGroup.symmetric(3), "S4": FiniteGroup.symmetric(4),
+    return {"S3": symmetric(3), "S4": symmetric(4),
             "D4": d4, "Z3": FiniteGroup.cyclic(3), "Z2^2": klein}
 
 

@@ -41,6 +41,8 @@ from heckefuse.projrep import (
     trivial_rep,
 )
 
+from groups import symmetric
+
 
 def direct_sum(reps):
     """Block-diagonal sum of representations sharing group and cocycle."""
@@ -240,7 +242,7 @@ def test_crossed_dim_identity(s3s4, klein_d4):
     lhs, rhs = crossed_dim_identity(klein_d4)
     assert lhs == rhs
     # gamma = G: identity reads |G| = |G|
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     pair = FinitePair(g, g.subgroup(g.elements))
     assert crossed_dim_identity(pair) == (6, 6)
     # gamma normal: every coset contributes 1^2 * |gamma|

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from heckefuse import checks
-from heckefuse.catalog import BUILTIN, build_pair, fusion_table
+from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
 from heckefuse.checks import (
     Config,
     check_elementary_cross_oracle,
@@ -33,6 +33,8 @@ from heckefuse.projrep import (
     decompose_characters,
     irreducibles,
 )
+
+from groups import symmetric
 
 CATALOG = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
 
@@ -176,7 +178,7 @@ def test_decompose_characters_matches_one_row_decompositions():
 
 
 def test_decompose_characters_reports_the_first_bad_row():
-    group = FiniteGroup.symmetric(3)
+    group = symmetric(3)
     classes = irreducibles(group)
     chars = np.array([c.rep.character() for c in classes])
     trivial = Cocycle.trivial(group)
@@ -218,3 +220,13 @@ def test_index_one_induction_check_runs(monkeypatch):
     checks.check_induction_frobenius(pair, Config())
     assert len(induced) == len(irreducibles(pair.little(pair.labels()[0])))
 
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "Heis3"])
+def test_rep_completeness_catches_a_truncated_table(name, monkeypatch):
+    pair, cfg = build_pair(BUILTIN[name]), Config()
+    omega = build_omega(BUILTIN[name], pair)
+    checks.check_rep_completeness(pair, omega, cfg)
+    monkeypatch.setattr(checks, "irreducibles",
+                        lambda group, *args: irreducibles(group, *args)[:-1])
+    with pytest.raises(checks.CheckFailure, match="regular representation"):
+        checks.check_rep_completeness(pair, omega, cfg)

@@ -24,6 +24,8 @@ from heckefuse.permcore import (
     conjugate_intersection,
 )
 
+from groups import symmetric
+
 PAIR_NAMES = ("D4_klein", "Heis3", "S3_in_S4", "Z3_regular", "S4_in_S5")
 
 
@@ -241,7 +243,7 @@ def test_lookup_reports_elements_missing_from_the_group():
 
 
 def test_conj_map_rejects_a_map_out_of_the_target():
-    s4 = FiniteGroup.symmetric(4)
+    s4 = symmetric(4)
     sub = s4.subgroup([s4.identity, Perm.parse(4, "(0 1)")])
     with pytest.raises(ValueError, match="does not carry"):
         conj_map(sub, Perm.parse(4, "(1 2)"), sub)
@@ -270,7 +272,7 @@ def oracle_closure_error(elements):
     ["(0 1)", "(0 1 2)", "(0 2 1)"],
 ])
 def test_subgroup_rejects_non_closed_lists_with_the_same_message(cycles):
-    s4 = FiniteGroup.symmetric(4)
+    s4 = symmetric(4)
     elements = [Perm.parse(4, c) for c in cycles]
     want = oracle_closure_error(elements)
     assert want is not None
@@ -280,7 +282,7 @@ def test_subgroup_rejects_non_closed_lists_with_the_same_message(cycles):
 
 
 def test_subgroup_accepts_every_subgroup_of_s4():
-    s4 = FiniteGroup.symmetric(4)
+    s4 = symmetric(4)
     for sub in s4.subgroups():
         assert oracle_closure_error(sub.elements) is None
         assert Subgroup(s4, sub.elements) == sub
@@ -300,6 +302,7 @@ def test_check_pass_object_counts(monkeypatch):
         monkeypatch.setattr(owner, attr, wrap(counted))
 
     counting(permcore.Perm, "__init__", "perm")
+    counting(permcore.Perm, "_of", "perm_of", staticmethod)
     counting(permcore.FiniteGroup, "positions", "positions")
     counting(cocycle.Cocycle, "__init__", "cocycle")
     counting(cocycle.Cocycle, "_of", "cocycle_of", staticmethod)
@@ -310,7 +313,10 @@ def test_check_pass_object_counts(monkeypatch):
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
-    assert counts["perm"] < 30_000
+    # 7,133 Perms, all checked, while products, inverses, conjugates and
+    # closures re-checked theirs; now only the parsed inputs are (22)
+    assert counts["perm"] + counts["perm_of"] <= 7_000
+    assert counts["perm"] <= 30
     # every cocycle of a check pass is derived from checked ones; elementary
     # fusion built 5,448 while it redid its cocycle work for every product
     # (7,754 positions lookups, 3,514 derived Reps), and builds 1,619 since
@@ -344,16 +350,23 @@ def test_table_path_builds_no_ambient_group_table():
 def test_generate_builds_one_perm_per_element(monkeypatch):
     gens = [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3 4)")]
     built = collections.Counter()
-    init = permcore.Perm.__init__
+    init, of = permcore.Perm.__init__, permcore.Perm._of
 
     def counted(self, images):
-        built["perm"] += 1
+        built["checked"] += 1
         init(self, images)
+
+    def counted_of(images):
+        built["unchecked"] += 1
+        return of(images)
     monkeypatch.setattr(permcore.Perm, "__init__", counted)
+    monkeypatch.setattr(permcore.Perm, "_of", staticmethod(counted_of))
     s5 = FiniteGroup.generate(5, gens)
     assert len(s5) == 120
-    # 243 while the closure multiplied Perm sets
-    assert built["perm"] <= len(s5) + 5
+    # 243 while the closure multiplied Perm sets; the closure's rows are
+    # sorted and distinct, so none of the 120 is checked again
+    assert built["checked"] == 0
+    assert built["unchecked"] == len(s5)
 
 
 def test_little_groups_and_meets_build_no_perm(monkeypatch):
@@ -373,18 +386,19 @@ def test_little_groups_and_meets_build_no_perm(monkeypatch):
                 inside[0] -= 1
         monkeypatch.setattr(owner, attr, call)
 
-    def counted(owner, attr, name):
+    def counted(owner, attr, name, wrap=lambda f: f):
         original = getattr(owner, attr)
 
         def call(*args, **kwargs):
             counts[name] += bool(inside[0])
             return original(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, call)
+        monkeypatch.setattr(owner, attr, wrap(call))
 
     builder(permcore, "conjugate_intersection")
     builder(exthecke, "conjugate_intersection")
     builder(FinitePair, "intersection")
     counted(permcore.Perm, "__init__", "perm")
+    counted(permcore.Perm, "_of", "perm", staticmethod)
     counted(FiniteGroup, "_product_blocks", "blocks")
     heckefuse.clear_caches()
     from heckefuse.catalog import fusion_table

@@ -24,6 +24,8 @@ from heckefuse.permcore import (
     right_coset_reps,
 )
 
+from groups import symmetric
+
 
 def regular_action(group):
     """Left multiplication on the element list (points = element indices)."""
@@ -103,7 +105,7 @@ def test_generating_set_completes_stored_generators():
     g = s4()
     assert g.small_generating_set() == g.generators
     # a transposition alone does not generate S3: the set is completed
-    s3 = FiniteGroup(3, FiniteGroup.symmetric(3).elements, [Perm.parse(3, "(0 1)")])
+    s3 = FiniteGroup(3, symmetric(3).elements, [Perm.parse(3, "(0 1)")])
     gens = s3.small_generating_set()
     assert gens[0] == Perm.parse(3, "(0 1)") and len(gens) == 2
     assert FiniteGroup.generate(3, gens).elements == s3.elements
@@ -239,7 +241,7 @@ def test_normalizer_z3():
 
 
 def test_normalizer_full_s3():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     assert normalizer_in_sym(s3) == s3
 
 
@@ -270,7 +272,7 @@ def test_normalizer_degree_cap():
 # ---------------------------------------------------------------- actions
 
 def test_action_summary_s3_natural():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     summary = action_summary(GroupAction.natural(s3))
     assert summary.orbits == ((0, 1, 2),)
     assert summary.stabilizer_orders == (2, 2, 2)
@@ -290,7 +292,7 @@ def test_action_fixed_points_4_cycle():
 
 
 def test_regular_action_is_free():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     act = regular_action(s3)
     for g in s3:
         if g != s3.identity:
@@ -322,7 +324,7 @@ def test_commensurations_z4_vs_klein():
 
 
 def test_commensurations_s3_match_exhaustive_search():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     act = GroupAction.natural(s3)
     found = commensurations(act, act)
 
@@ -367,20 +369,20 @@ def test_abelian_invariants():
     assert abelian_invariants(FiniteGroup.cyclic(6)) == (6,)
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"), Perm.parse(4, "(0 2)(1 3)")])
     assert abelian_invariants(klein) == (2, 2)
-    assert abelian_invariants(FiniteGroup.symmetric(3)) == (2,)
+    assert abelian_invariants(symmetric(3)) == (2,)
     a4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2)"), Perm.parse(4, "(1 2 3)")])
     assert abelian_invariants(a4) == (3,)
 
 
 def test_characters_counts():
     assert len(characters(FiniteGroup.cyclic(4))) == 4
-    assert len(characters(FiniteGroup.symmetric(3))) == 2
+    assert len(characters(symmetric(3))) == 2
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"), Perm.parse(4, "(0 2)(1 3)")])
     assert len(characters(klein)) == 4
 
 
 def test_characters_are_homomorphisms():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric(3)
     for c in characters(g):
         for a in g:
             for b in g:
@@ -405,7 +407,7 @@ def test_out_description_z3_regular():
 
 
 def test_out_description_s3():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     desc = out_description(s3)
     assert desc.char_invariants == (2,)
     assert desc.quotient_order == 1
@@ -433,7 +435,7 @@ def test_right_coset_reps():
 
 
 def test_subgroups_of_s3():
-    s3 = FiniteGroup.symmetric(3)
+    s3 = symmetric(3)
     subs = s3.subgroups()
     assert sorted(len(h) for h in subs) == [1, 2, 2, 2, 3, 6]
 

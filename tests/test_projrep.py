@@ -23,6 +23,8 @@ from heckefuse.projrep import (
     twist,
 )
 
+from groups import symmetric
+
 
 def direct_sum(reps):
     """Block-diagonal sum of representations sharing group and cocycle."""
@@ -50,7 +52,7 @@ def fresh_caches():
 
 
 def s3():
-    return FiniteGroup.symmetric(3)
+    return symmetric(3)
 
 
 def z2_in_s3():
@@ -511,10 +513,10 @@ def _catalog_little(name, which):
 
 
 TABLE_CASES = {
-    "S3": lambda: (FiniteGroup.symmetric(3), None),
-    "S4": lambda: (FiniteGroup.symmetric(4), None),
+    "S3": lambda: (symmetric(3), None),
+    "S4": lambda: (symmetric(4), None),
     "A5": lambda: (_generated(5, ("(0 1 2)", "(0 1 2 3 4)")), None),
-    "S5": lambda: (FiniteGroup.symmetric(5), None),
+    "S5": lambda: (symmetric(5), None),
     "S3xS3": lambda: (_generated(6, ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")), None),
     "S4xZ2": lambda: (_generated(6, ("(0 1)", "(0 1 2 3)", "(4 5)")), None),
     "S3xZ3": lambda: (_generated(6, ("(0 1)", "(0 1 2)", "(3 4 5)")), None),
@@ -565,7 +567,7 @@ def test_class_sum_tables_match_the_split_digests(case):
 
 
 def test_irreducibles_of_s6():
-    classes = irreducibles(FiniteGroup.symmetric(6))
+    classes = irreducibles(symmetric(6))
     assert [c.dim for c in classes] == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
 
 

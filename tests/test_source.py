@@ -1,7 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
-import re
+import collections
+import tokenize
 from pathlib import Path
 
 import heckefuse
@@ -20,9 +21,17 @@ def test_no_assert_statements():
 
 def test_every_def_is_used_elsewhere_in_the_package():
     # a helper that only tests call belongs in the tests; one nothing calls
-    # is dead and gets deleted
-    lines = [(path.name, n, line) for path in SOURCES
-             for n, line in enumerate(path.read_text().splitlines(), 1)]
+    # is dead and gets deleted.  A use is an identifier token, so a name
+    # that only appears in a comment or a string does not count.
+    names = collections.Counter()
+    for path in SOURCES:
+        with tokenize.open(path) as f:
+            names.update((path.name, tok.start[0], tok.string)
+                         for tok in tokenize.generate_tokens(f.readline)
+                         if tok.type == tokenize.NAME)
+    uses = collections.Counter()
+    for (_, _, name), n in names.items():
+        uses[name] += n
     unused = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -31,8 +40,6 @@ def test_every_def_is_used_elsewhere_in_the_package():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(line) for file, n, line in lines
-                       if (file, n) != (path.name, node.lineno)):
+            if uses[name] == names[path.name, node.lineno, name]:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert SOURCES and unused == []
