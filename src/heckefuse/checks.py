@@ -424,13 +424,12 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
         if to_hecke(fuse(x, y)) != convolve(to_hecke(x), to_hecke(y)):
             raise CheckFailure("to_hecke is not multiplicative")
     gamma_classes = irreducibles(pair.little(pair.labels()[0]))
-    for a in gamma_classes:
-        for b in gamma_classes:
-            lhs = fuse(from_rep(pair, a.rep), from_rep(pair, b.rep))
-            product_parts = decompose(rep_tensor(a.rep, b.rep))
-            rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
-            if lhs != rhs:
-                raise CheckFailure("from_rep is not multiplicative")
+    embedded = [from_rep(pair, a.rep) for a in gamma_classes]
+    for (a, x), (b, y) in itertools.product(zip(gamma_classes, embedded), repeat=2):
+        product_parts = decompose(rep_tensor(a.rep, b.rep))
+        rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
+        if fuse(x, y) != rhs:
+            raise CheckFailure("from_rep is not multiplicative")
 
 
 def check_ext_dims_multiplicative(pair: FinitePair, cfg: Config) -> None:

@@ -28,9 +28,10 @@ gather, Kronecker product, phase multiply and induction.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
 label of its double coset and a character fingerprint); plans, products,
-terms, their representative objects, required cocycles and conjugation
-phases are memoized on the pair, not in the module.  Conjugations act on
-index arrays (``permcore.conj_map``), not on ``Perm`` objects.
+object sums and their extended-Hecke identifications, terms, their
+representative objects, required cocycles and conjugation phases are
+memoized on the pair, not in the module.  Conjugations act on index arrays
+(``permcore.conj_map``), not on ``Perm`` objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -45,7 +46,7 @@ import numpy as np
 
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import Perm, Subgroup, conj_map
+from .permcore import Perm, Subgroup, conj_map, conj_maps
 from .projrep import (
     Induction,
     NumericalDegradation,
@@ -57,6 +58,7 @@ from .projrep import (
     irreducibles,
     kron,
     phase_roots,
+    roots_of_unity,
     round_char,
     transport,
     trivial_rep,
@@ -157,22 +159,25 @@ def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
     Build (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on the right
     subgroup of g delta h, where phase_x is the conjugation phase of omega.
     """
-    idx, phase = _transfer(pair, omega, delta, rep.group, g, h)
-    return twist(transport(rep, phase.group, idx), phase)
+    little, idx, phases = _transfers(pair, omega, delta, rep.group, [(g, h)])
+    return twist(transport(rep, little, idx[0]),
+                 PhaseFunction(little, omega.modulus, phases[0]))
 
 
-def _transfer(pair: FinitePair, omega: Cocycle, delta: Perm, group: Subgroup,
-              g: Perm, h: Perm) -> tuple[np.ndarray, PhaseFunction]:
-    """``transfer_rep``'s exact part: the positions in group of Ad h of the
-    right subgroup of g delta h, and the phase on it."""
-    dh = delta * h
-    rig_new = pair.little_of_element(g * dh)
-    gamma = omega.group
-    phase = PhaseFunction(
-        rig_new, omega.modulus,
-        pair_conjugation_phase(pair, omega, g).values[conj_map(rig_new, dh, gamma)]
-        + pair_conjugation_phase(pair, omega, h).values[gamma.positions(rig_new.images)])
-    return conj_map(rig_new, h, group), phase
+def _transfers(pair: FinitePair, omega: Cocycle, delta: Perm, group: Subgroup,
+               moves: list) -> tuple[Subgroup, np.ndarray, np.ndarray]:
+    """``transfer_rep``'s exact part for moves (g, h) that all carry delta to
+    one g delta h: its right subgroup, and one row per move of the positions
+    in group of Ad h of that subgroup and of the phase exponents on it."""
+    g0, h0 = moves[0]
+    little, gamma = pair.little_of_element(g0 * delta * h0), omega.group
+    hs = np.array([h.images for _, h in moves])
+    by_dh = conj_maps(little, np.array(delta.images)[hs], gamma)
+    g_phases = np.array([pair_conjugation_phase(pair, omega, g).values for g, _ in moves])
+    h_phases = np.array([pair_conjugation_phase(pair, omega, h).values for _, h in moves])
+    phases = (np.take_along_axis(g_phases, by_dh, axis=1)
+              + h_phases[:, gamma.positions(little.images)]) % omega.modulus
+    return little, conj_maps(little, hs, group), phases
 
 
 def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
@@ -189,24 +194,25 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
 
 
 def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
-    """Each transfer's character is the phase times rep's character read
-    through the transport index, so no matrices are built; the winner's
+    """All decompositions are read at once: each transfer's character is the
+    phase times rep's character read through the transport index, so no
+    matrices are built.  The first least fingerprint wins, and the winner's
     cocycle is checked against the label's required cocycle."""
     label = pair.label_of(delta)
-    char, best = np.asarray(rep.character()), None
-    for g, c in pair.decompositions(delta, label):
-        idx, phase = _transfer(pair, omega, delta, rep.group, g, c)
-        key = round_char(phase_roots(phase) * char[idx])
-        if best is None or key < best[0]:
-            best = key, idx, phase
-    key, idx, phase = best
-    moved = rep.cocycle.pullback(phase.group, idx) * phase.coboundary()
+    moves = list(pair.decompositions(delta, label))
+    little, idx, phases = _transfers(pair, omega, delta, rep.group, moves)
+    chars = roots_of_unity(omega.modulus)[phases] * np.asarray(rep.character())[idx]
+    keys = [round_char(row) for row in chars]
+    best = min(range(len(keys)), key=keys.__getitem__)
+    phase = PhaseFunction(little, omega.modulus, phases[best])
+    moved = rep.cocycle.pullback(little, idx[best]) * phase.coboundary()
     need = required_cocycle(pair, omega, label)
     if moved != need:
+        g, c = (x.cycle_string() for x in moves[best])
         raise CocycleBookkeepingError(
-            f"transfer to {label.cycle_string()} carries the wrong cocycle; "
-            "witness pair " + _witness_pair(moved, need))
-    return label.images, key
+            f"transfer to {label.cycle_string()} by ({g}, {c}) carries the "
+            "wrong cocycle; witness pair " + _witness_pair(moved, need))
+    return label.images, keys[best]
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,
@@ -248,8 +254,11 @@ class BimoduleSum:
 
     @classmethod
     def of(cls, h: ElementaryBimodule) -> "BimoduleSum":
-        """Decompose an object into irreducibles and canonicalize the result."""
-        return cls(h.pair, h.omega, _add_terms({}, h.pair, h.omega, h.delta, h.rep))
+        """Decompose an object into irreducibles and canonicalize the result;
+        memoized on the pair under the delta and character key."""
+        return h.pair._memo.get_or(
+            ("sum", h.omega.key(), h.delta.images, h.rep.char_key()),
+            lambda: cls(h.pair, h.omega, _add_terms({}, h.pair, h.omega, h.delta, h.rep)))
 
     def __add__(self, other: "BimoduleSum") -> "BimoduleSum":
         if other.omega != self.omega:
@@ -264,11 +273,12 @@ class BimoduleSum:
                            {t: n * m for t, m in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BimoduleSum) and self.omega == other.omega
-                and self.terms == other.terms)
+        return (isinstance(other, BimoduleSum) and self.pair.group == other.pair.group
+                and self.omega == other.omega and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.omega.key(), tuple(sorted(self.terms.items()))))
+        return hash((self.pair.group.key(), self.omega.key(),
+                     tuple(sorted(self.terms.items()))))
 
     def items(self):
         for term in sorted(self.terms):
@@ -409,6 +419,11 @@ def to_ext_hecke(h) -> ExtHeckeElement:
         return out
     if not h.omega.is_trivial_table():
         raise ValueError("no untwisted identification: the cocycle is nontrivial")
+    return h.pair._memo.get_or(
+        ("to_ext", h.omega.key(), h.delta.images, h.rep.char_key()), _to_ext_hecke, h)
+
+
+def _to_ext_hecke(h: ElementaryBimodule) -> ExtHeckeElement:
     pair = h.pair
     label = pair.label_of(h.delta)
     c1, c2 = pair.decomposition(label, h.delta)

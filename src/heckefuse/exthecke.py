@@ -86,9 +86,9 @@ class FinitePair:
     its label's basis keys, the fusion blocks of label pairs
     (``fusion_block``), fusion and conjugation results (the elements
     themselves, keyed by their factors), and the fusion plans and products,
-    canonical terms, representatives, required cocycles and conjugation
-    phases of elementary objects over it (filled by
-    :mod:`heckefuse.elementary`).
+    object sums and their identifications, canonical terms,
+    representatives, required cocycles and conjugation phases of elementary
+    objects over it (filled by :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",

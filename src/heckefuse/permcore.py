@@ -498,6 +498,17 @@ def conj_map(src: FiniteGroup, x: Perm, dst: FiniteGroup) -> np.ndarray:
     return pos
 
 
+def conj_maps(src: FiniteGroup, xs: np.ndarray, dst: FiniteGroup) -> np.ndarray:
+    """``conj_map`` for each image row x of xs at once, one row of positions
+    per x; each Ad x must carry src into dst."""
+    inv = np.argsort(xs, axis=1)
+    rows = xs[np.arange(len(xs))[:, None, None], src.images[:, inv].swapaxes(0, 1)]
+    pos = dst.positions(rows)
+    if (pos < 0).any():
+        raise ValueError("a conjugation does not carry src into dst")
+    return pos
+
+
 def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Subgroup]:
     """(gamma ∩ delta gamma delta^-1, gamma ∩ delta^-1 gamma delta).
 
@@ -815,19 +826,7 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
     subgroup: for each prime p, #\\{x : x^(p^j) = e\\} determines the p-power
     elementary divisors.
     """
-    comm = commutator_subgroup(group)
-    # cosets of the normal commutator subgroup, with coset order = order
-    # in the quotient
-    cosets = right_coset_reps(group, comm)
-
-    def coset_order(x: Perm) -> int:
-        k, y = 1, x
-        while y not in comm:
-            y = y * x
-            k += 1
-        return k
-
-    orders = [coset_order(x) for x in cosets]
+    orders = quotient_orders(group, commutator_subgroup(group))
     n = len(orders)
     if n == 1:
         return ()
@@ -877,6 +876,18 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
                 f *= powers[i]
         factors.append(f)
     return tuple(sorted(factors))
+
+
+def quotient_orders(group: FiniteGroup, normal: FiniteGroup) -> list[int]:
+    """The order in group/normal of each coset of the normal subgroup, in
+    order of coset minimum: the least k with x^k in normal, read on image
+    rows for all coset minima x at once."""
+    reps = np.array([x.images for x in right_coset_reps(group, normal)])
+    orders, power, k = np.zeros(len(reps), dtype=np.int64), reps, 1
+    while not orders.all():
+        orders[(orders == 0) & (normal.positions(power) >= 0)] = k
+        power, k = np.take_along_axis(power, reps, axis=1), k + 1  # x^k * x
+    return orders.tolist()
 
 
 def characters(group: FiniteGroup) -> list[dict[Perm, int]]:

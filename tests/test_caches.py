@@ -54,9 +54,10 @@ def test_pair_and_group_each_keep_one_store(name):
     assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
                      "orbits_by_labels", "reads", "class_index", "block", "fuse",
                      "conjugate", "required", "phase", "term", "rep", "plan",
-                     "product"}
+                     "product", "sum", "to_ext"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "rep", "plan", "product"} <= kinds
+        assert {"required", "phase", "term", "rep", "plan", "product",
+                "sum"} <= kinds
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
 
 

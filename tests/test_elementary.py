@@ -2,19 +2,22 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 import heckefuse
-from heckefuse import elementary, permcore
+from heckefuse import checks, elementary, permcore
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cli import elem_sum_json
 from heckefuse.cocycle import (
     Cocycle,
     CocycleError,
+    PhaseFunction,
     bilinear_cocycle,
     coboundary_witness_s1,
+    conjugation_phase,
 )
 from heckefuse.elementary import (
     BimoduleSum,
@@ -35,12 +38,14 @@ from heckefuse.elementary import (
 )
 from heckefuse.exthecke import FinitePair, basis as ext_basis
 from heckefuse.exthecke import fuse as ext_fuse, unit as ext_unit
-from heckefuse.permcore import FiniteGroup, Perm
+from heckefuse.permcore import FiniteGroup, Perm, conj_map
 from heckefuse.projrep import (
     NumericalDegradation,
     Rep,
     irreducibles,
+    phase_roots,
     regular_rep,
+    round_char,
     trivial_rep,
     twist,
 )
@@ -447,6 +452,97 @@ def test_canonical_terms_from_characters_match_transferred_matrices(name):
                 transferred_minimum(pair, omega, moved.delta, moved.rep)
         assert canonical_term(pair, omega, obj.delta, cls) == \
             transferred_minimum(pair, omega, obj.delta, obj.rep)
+
+
+# ------------------------------------------------------------ batched canonical terms
+
+def looped_canonical_term(pair, omega, delta, rep):
+    """(canonical term, winning decomposition) by one transfer per
+    decomposition label = g delta c, the first least fingerprint winning:
+    the loop that the batched search replaced."""
+    label = pair.label_of(delta)
+    gamma, char, best = omega.group, np.asarray(rep.character()), None
+    for g, c in pair.decompositions(delta, label):
+        dc = delta * c
+        little = pair.little_of_element(g * dc)
+        phase = PhaseFunction(
+            little, omega.modulus,
+            conjugation_phase(omega, g).values[conj_map(little, dc, gamma)]
+            + conjugation_phase(omega, c).values[gamma.positions(little.images)])
+        key = round_char(phase_roots(phase) * char[conj_map(little, c, rep.group)])
+        if best is None or key < best[0]:
+            best = key, (g, c)
+    return (label.images, best[0]), best[1]
+
+
+def canonicalized_by_checks(pair, omega, monkeypatch):
+    """Every (delta, rep) that the elementary checks canonicalize over pair,
+    with omega and with the trivial cocycle, and the term each got."""
+    calls, compute = [], elementary._canonical_term
+
+    def recording(pair, omega, delta, rep):
+        term = compute(pair, omega, delta, rep)
+        calls.append((omega, delta, rep, term))
+        return term
+
+    monkeypatch.setattr(elementary, "_canonical_term", recording)
+    cfg = checks.Config()
+    checks.check_elementary_cross_oracle(pair, cfg)
+    checks.check_elementary_associativity(pair, omega, cfg)
+    checks.check_elementary_irreducibility(pair, omega, cfg)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name", ["D4_klein", "Heis3", "S3_in_S4", "Z3_regular"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_batched_canonical_terms_match_the_decomposition_loop(name, seed, monkeypatch):
+    base, omega = catalog_case(name)
+    pair = base if seed is None else base.with_choices(random.Random(seed))
+    calls = canonicalized_by_checks(pair, omega, monkeypatch)
+    assert {o.is_trivial_table() for o, *_ in calls} == \
+        {True, omega.is_trivial_table()}
+    for omega_used, delta, rep, term in calls:
+        assert term == looped_canonical_term(pair, omega_used, delta, rep)[0]
+
+
+def test_the_first_least_decomposition_is_the_one_checked():
+    """A rep without the required cocycle fails the winner's check, and the
+    error names the winning decomposition: the loop's first least one, where
+    all four decompositions tie."""
+    pair, omega = catalog_case("D4_klein")
+    failed = 0
+    for delta in pair.group.elements:
+        rep = trivial_rep(pair.little_of_element(delta))
+        if rep.cocycle == required_cocycle(pair, omega, delta):
+            continue
+        g, c = looped_canonical_term(pair, omega, delta, rep)[1]
+        with pytest.raises(CocycleBookkeepingError,
+                           match=re.escape(f"by ({g.cycle_string()}, {c.cycle_string()})")):
+            elementary._canonical_term(pair, omega, delta, rep)
+        failed += 1
+    assert failed == 4
+
+
+def test_object_sums_and_identifications_are_memoized():
+    pair, omega = catalog_case("S3_in_S4")
+    for obj in elementary_basis(pair, omega):
+        twin = make(pair, omega, obj.delta, obj.rep)
+        assert BimoduleSum.of(twin) is BimoduleSum.of(obj)
+        assert to_ext_hecke(twin) is to_ext_hecke(obj)
+
+
+def test_sums_over_different_ambient_groups_differ():
+    swap = Perm.parse(4, "(0 1)")
+    s4 = FiniteGroup.generate(4, [swap, Perm.parse(4, "(0 1 2 3)")])
+    klein = FiniteGroup.generate(4, [swap, Perm.parse(4, "(2 3)")])
+    sums = []
+    for group in (s4, klein):
+        pair = FinitePair(group, group.subgroup([group.identity, swap]))
+        sums.append(BimoduleSum.of(identity_object(pair, Cocycle.trivial(pair.gamma))))
+    assert sums[0].omega == sums[1].omega and sums[0].terms == sums[1].terms
+    assert sums[0] != sums[1]
+    assert hash(sums[0]) != hash(sums[1])
 
 
 def test_sums_survive_clear_caches():

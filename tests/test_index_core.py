@@ -309,6 +309,8 @@ def test_check_pass_object_counts(monkeypatch):
     counting(projrep.Rep, "__init__", "rep")
     counting(projrep.Rep, "_of", "rep_of", staticmethod)
     counting(elementary, "conjugation_phase", "phase")
+    counting(elementary, "conj_map", "elementary_conj_map")
+    counting(projrep, "decompose_characters", "decompose_characters")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
@@ -320,12 +322,18 @@ def test_check_pass_object_counts(monkeypatch):
     # every cocycle of a check pass is derived from checked ones; elementary
     # fusion built 5,448 while it redid its cocycle work for every product
     # (7,754 positions lookups, 3,514 derived Reps), and builds 1,619 since
-    # it plans that work once per pair of deltas (2,623 lookups, 1,228 Reps)
+    # it plans that work once per pair of deltas (2,623 lookups, 1,228 Reps).
+    # Canonical terms read all decompositions in one batch, and object sums
+    # and identifications are memoized: 1,801 lookups, 712 cocycles, 523 Reps,
+    # 67 elementary conj_maps (761 before) and 882 one-row character
+    # decompositions, the calls through projrep (1,442 before)
     assert counts["cocycle"] == 0
-    assert counts["cocycle_of"] <= 1_700
-    assert counts["positions"] <= 2_700
-    assert counts["rep_of"] <= 1_300
+    assert counts["cocycle_of"] <= 750
+    assert counts["positions"] <= 1_900
+    assert counts["rep_of"] <= 560
     assert counts["phase"] <= 40
+    assert counts["elementary_conj_map"] <= 80
+    assert counts["decompose_characters"] <= 950
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
     # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
     # It now restricts each irreducible of G once (103 fewer), and the 13

@@ -17,10 +17,12 @@ from heckefuse.permcore import (
     characters,
     commensurations,
     commensuration_subgroups,
+    commutator_subgroup,
     conjugate_intersection,
     double_cosets,
     normalizer_in_sym,
     out_description,
+    quotient_orders,
     right_coset_reps,
 )
 
@@ -372,6 +374,24 @@ def test_abelian_invariants():
     assert abelian_invariants(symmetric(3)) == (2,)
     a4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2)"), Perm.parse(4, "(1 2 3)")])
     assert abelian_invariants(a4) == (3,)
+
+
+def looped_quotient_orders(group, normal):
+    """The order of each coset minimum in group/normal, by multiplying Perms."""
+    orders = []
+    for x in right_coset_reps(group, normal):
+        k, y = 1, x
+        while y not in normal:
+            y, k = y * x, k + 1
+        orders.append(k)
+    return orders
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_quotient_orders_match_perm_products(degree):
+    for sub in symmetric(degree).subgroups():
+        for normal in (commutator_subgroup(sub), sub.subgroup([sub.identity])):
+            assert quotient_orders(sub, normal) == looped_quotient_orders(sub, normal)
 
 
 def test_characters_counts():
