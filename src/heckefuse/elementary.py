@@ -44,6 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import projrep
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
 from .permcore import Perm, Subgroup, conj_map, conj_maps
@@ -51,6 +52,7 @@ from .projrep import (
     Induction,
     NumericalDegradation,
     Rep,
+    _roots,
     check_homomorphism,
     decompose,
     equivalent,
@@ -58,12 +60,14 @@ from .projrep import (
     irreducibles,
     kron,
     phase_roots,
-    roots_of_unity,
     round_char,
     transport,
     trivial_rep,
     twist,
 )
+
+
+STACK_BYTES = 32  # peak bytes per stacked conjugation-row entry, temporaries included
 
 
 class CocycleBookkeepingError(AssertionError):
@@ -194,25 +198,31 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
 
 
 def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
-    """All decompositions are read at once: each transfer's character is the
+    """Decompositions are read a chunk at a time, each chunk's stacked rows
+    within ``projrep.MAX_DENSE_BYTES``: each transfer's character is the
     phase times rep's character read through the transport index, so no
     matrices are built.  The first least fingerprint wins, and the winner's
     cocycle is checked against the label's required cocycle."""
-    label = pair.label_of(delta)
+    label, char, best = pair.label_of(delta), np.asarray(rep.character()), None
     moves = list(pair.decompositions(delta, label))
-    little, idx, phases = _transfers(pair, omega, delta, rep.group, moves)
-    chars = roots_of_unity(omega.modulus)[phases] * np.asarray(rep.character())[idx]
-    keys = [round_char(row) for row in chars]
-    best = min(range(len(keys)), key=keys.__getitem__)
-    phase = PhaseFunction(little, omega.modulus, phases[best])
-    moved = rep.cocycle.pullback(little, idx[best]) * phase.coboundary()
+    per_move = STACK_BYTES * len(pair.little(label)) * label.degree
+    step = max(1, projrep.MAX_DENSE_BYTES // per_move)
+    for chunk in (moves[i:i + step] for i in range(0, len(moves), step)):
+        little, idx, phases = _transfers(pair, omega, delta, rep.group, chunk)
+        keys = [round_char(row) for row in _roots(omega.modulus)[phases] * char[idx]]
+        i = min(range(len(keys)), key=keys.__getitem__)
+        if best is None or keys[i] < best[0]:
+            best = keys[i], chunk[i], idx[i].copy(), phases[i].copy()
+    key, (g, c), idx, phases = best
+    phase = PhaseFunction(little, omega.modulus, phases)
+    moved = rep.cocycle.pullback(little, idx) * phase.coboundary()
     need = required_cocycle(pair, omega, label)
     if moved != need:
-        g, c = (x.cycle_string() for x in moves[best])
         raise CocycleBookkeepingError(
-            f"transfer to {label.cycle_string()} by ({g}, {c}) carries the "
-            "wrong cocycle; witness pair " + _witness_pair(moved, need))
-    return label.images, keys[best]
+            f"transfer to {label.cycle_string()} by ({g.cycle_string()}, "
+            f"{c.cycle_string()}) carries the wrong cocycle; witness pair "
+            + _witness_pair(moved, need))
+    return label.images, key
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,

@@ -216,10 +216,12 @@ def _closure(gens: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray
     return rows.astype(np.intp)
 
 
-def _conj_rows(rows: np.ndarray, x: Perm) -> np.ndarray:
-    """The image rows of x t x^-1 for each image row t."""
-    xa = np.array(x.images)
-    return xa[rows[..., np.argsort(xa)]]
+def _conj_rows(rows: np.ndarray, xs) -> np.ndarray:
+    """The image rows of x t x^-1 for each image row x of xs and each image
+    row t of rows, one stack of rows per x."""
+    xs = np.asarray(xs)
+    inv = np.argsort(xs, axis=1)
+    return xs[np.arange(len(xs))[:, None, None], rows[:, inv].swapaxes(0, 1)]
 
 
 class Memo(dict):
@@ -486,26 +488,22 @@ def conjugate_intersection(gamma: Subgroup, g: Perm) -> Subgroup:
     """gamma ∩ g^-1 gamma g, the subgroup of gamma attached to the coset of g."""
     if g not in gamma.parent:
         raise ValueError("element must lie in the parent group")
-    inside = gamma.positions(_conj_rows(gamma.images, g)) >= 0
+    inside = gamma.positions(_conj_rows(gamma.images, [g.images])[0]) >= 0
     return Subgroup._of(gamma.parent, gamma.idx[inside])
 
 
 def conj_map(src: FiniteGroup, x: Perm, dst: FiniteGroup) -> np.ndarray:
     """Positions in dst of x t x^-1 for each t in src; Ad x must carry src into dst."""
-    pos = dst.positions(_conj_rows(src.images, x))
-    if (pos < 0).any():
-        raise ValueError(f"Ad {x.cycle_string()} does not carry src into dst")
-    return pos
+    return conj_maps(src, [x.images], dst)[0]
 
 
-def conj_maps(src: FiniteGroup, xs: np.ndarray, dst: FiniteGroup) -> np.ndarray:
+def conj_maps(src: FiniteGroup, xs, dst: FiniteGroup) -> np.ndarray:
     """``conj_map`` for each image row x of xs at once, one row of positions
     per x; each Ad x must carry src into dst."""
-    inv = np.argsort(xs, axis=1)
-    rows = xs[np.arange(len(xs))[:, None, None], src.images[:, inv].swapaxes(0, 1)]
-    pos = dst.positions(rows)
+    pos = dst.positions(_conj_rows(src.images, xs))
     if (pos < 0).any():
-        raise ValueError("a conjugation does not carry src into dst")
+        x = Perm._of(tuple(np.asarray(xs)[np.argmax((pos < 0).any(axis=1))].tolist()))
+        raise ValueError(f"Ad {x.cycle_string()} does not carry src into dst")
     return pos
 
 
@@ -516,7 +514,7 @@ def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Su
     """
     dinv = delta.inverse()
     left, right = conjugate_intersection(gamma, dinv), conjugate_intersection(gamma, delta)
-    carried = right.positions(_conj_rows(left.images, dinv))
+    carried = right.positions(_conj_rows(left.images, [dinv.images])[0])
     if len(left) != len(right) or (carried < 0).any():
         raise AssertionError("Ad(delta^-1) does not map the left onto the right subgroup")
     return left, right
@@ -826,7 +824,14 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
     subgroup: for each prime p, #\\{x : x^(p^j) = e\\} determines the p-power
     elementary divisors.
     """
-    orders = quotient_orders(group, commutator_subgroup(group))
+    comm = commutator_subgroup(group)
+    # the order in the quotient of each coset of the normal commutator
+    # subgroup: the least k with x^k in comm, on image rows for all cosets
+    reps = np.array([x.images for x in right_coset_reps(group, comm)])
+    orders, power, k = np.zeros(len(reps), dtype=np.int64), reps, 1
+    while not orders.all():
+        orders[(orders == 0) & (comm.positions(power) >= 0)] = k
+        power, k = np.take_along_axis(power, reps, axis=1), k + 1  # x^k * x
     n = len(orders)
     if n == 1:
         return ()
@@ -876,18 +881,6 @@ def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
                 f *= powers[i]
         factors.append(f)
     return tuple(sorted(factors))
-
-
-def quotient_orders(group: FiniteGroup, normal: FiniteGroup) -> list[int]:
-    """The order in group/normal of each coset of the normal subgroup, in
-    order of coset minimum: the least k with x^k in normal, read on image
-    rows for all coset minima x at once."""
-    reps = np.array([x.images for x in right_coset_reps(group, normal)])
-    orders, power, k = np.zeros(len(reps), dtype=np.int64), reps, 1
-    while not orders.all():
-        orders[(orders == 0) & (normal.positions(power) >= 0)] = k
-        power, k = np.take_along_axis(power, reps, axis=1), k + 1  # x^k * x
-    return orders.tolist()
 
 
 def characters(group: FiniteGroup) -> list[dict[Perm, int]]:

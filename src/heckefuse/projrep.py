@@ -42,7 +42,7 @@ class NumericalDegradation(RuntimeError):
     """A result that must be integral failed its tolerance check."""
 
 
-def roots_of_unity(m: int) -> np.ndarray:
+def _roots(m: int) -> np.ndarray:
     """exp(2 pi i e / m) for e = 0..m-1: exponent arrays index into it."""
     return np.array([cmath.exp(2j * cmath.pi * e / m) for e in range(m)])
 
@@ -104,7 +104,7 @@ class Rep:
         group, eye, stack = self.group, np.eye(self.dim), self.matrices
         if np.abs(stack[0] - eye).max() > UNITARY_TOL:  # the identity is element 0
             raise ValueError("identity element must act as the identity matrix")
-        mul, roots = group.mul_table(), roots_of_unity(self.cocycle.modulus)
+        mul, roots = group.mul_table(), _roots(self.cocycle.modulus)
         for g in group.small_generating_set():
             s = group.index_of(g)
             if np.abs(stack[s] @ stack[s].conj().T - eye).max() > UNITARY_TOL:
@@ -221,7 +221,7 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
             raise ValueError(
                 f"multiplicativity fails at ({g.cycle_string()}, {h.cycle_string()})")
     mats = np.zeros((n, n, n), dtype=complex)
-    mats[np.arange(n)[:, None], mul, np.arange(n)] = roots_of_unity(m)[t]
+    mats[np.arange(n)[:, None], mul, np.arange(n)] = _roots(m)[t]
     return Rep._of(group, cocycle, mats)
 
 
@@ -263,7 +263,7 @@ def twist(a: Rep, phase: PhaseFunction) -> Rep:
 
 def phase_roots(phase: PhaseFunction) -> np.ndarray:
     """The phase's complex values, one per group element."""
-    return roots_of_unity(phase.modulus)[phase.values]
+    return _roots(phase.modulus)[phase.values]
 
 
 def transport(a: Rep, new_group: FiniteGroup,
@@ -334,7 +334,7 @@ class Induction:
         w, m = ext_cocycle.arr, ext_cocycle.modulus
         exp = (w[at[:, None], np.arange(len(big))]
                - w[big.positions(h_rows), at[self.cols]]) % m
-        self.roots = roots_of_unity(m)[exp]
+        self.roots = _roots(m)[exp]
         self.at = sub.positions(h_rows)
 
     def apply(self, matrices: np.ndarray) -> np.ndarray:
@@ -474,7 +474,7 @@ def _irreducibles(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
         raise NumericalDegradation(
             f"non-integral degrees {np.round(table[:, 0], 9).tolist()}")
     if m > 1:  # (1, e) is element n and acts as zeta_m
-        keep = np.abs(table[:, n] - roots_of_unity(m)[1] * table[:, 0]) <= INT_TOL
+        keep = np.abs(table[:, n] - _roots(m)[1] * table[:, 0]) <= INT_TOL
         table, degrees = table[keep, :n], degrees[keep]
     if int(np.sum(degrees ** 2)) != n:
         raise NumericalDegradation(
@@ -566,7 +566,7 @@ def _class_rep(cls: RepClass) -> Rep:
     if d == 1:
         return _class_block(cls, cls.character().reshape(n, 1, 1))
     _check_dense_size(f"a degree-{d} class of a group of order {n}", (n * d) ** 2)
-    mul, omega = group.mul_table(), roots_of_unity(cocycle.modulus)[cocycle.arr]
+    mul, omega = group.mul_table(), _roots(cocycle.modulus)[cocycle.arr]
     g = mul[:, group.inv_indices()]
     vals, vecs = np.linalg.eigh(d / n * cls.character().conj()[g] * omega[g, np.arange(n)])
     inside = vals > 0.5

@@ -3,12 +3,13 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import heckefuse
-from heckefuse import checks, elementary, permcore
+from heckefuse import checks, elementary, permcore, projrep
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cli import elem_sum_json
 from heckefuse.cocycle import (
@@ -49,6 +50,8 @@ from heckefuse.projrep import (
     trivial_rep,
     twist,
 )
+
+from groups import symmetric
 
 
 def direct_sum(reps):
@@ -506,11 +509,14 @@ def test_batched_canonical_terms_match_the_decomposition_loop(name, seed, monkey
         assert term == looped_canonical_term(pair, omega_used, delta, rep)[0]
 
 
-def test_the_first_least_decomposition_is_the_one_checked():
+@pytest.mark.parametrize("one_per_chunk", [False, True])
+def test_the_first_least_decomposition_is_the_one_checked(one_per_chunk, monkeypatch):
     """A rep without the required cocycle fails the winner's check, and the
     error names the winning decomposition: the loop's first least one, where
-    all four decompositions tie."""
+    all four decompositions tie, also when each is read in a chunk of its own."""
     pair, omega = catalog_case("D4_klein")
+    if one_per_chunk:
+        monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 1)
     failed = 0
     for delta in pair.group.elements:
         rep = trivial_rep(pair.little_of_element(delta))
@@ -522,6 +528,43 @@ def test_the_first_least_decomposition_is_the_one_checked():
             elementary._canonical_term(pair, omega, delta, rep)
         failed += 1
     assert failed == 4
+
+
+def traced_peak(compute, *args):
+    """(compute(*args), the peak of its traced allocations)."""
+    tracemalloc.start()
+    try:
+        return compute(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_whole_group_search_stacks_rows_within_the_byte_limit(monkeypatch):
+    """Gamma = G = S5: the identity object has 120 decompositions.  Under a
+    limit of an eighth of their stacked rows, the search reads them in eight
+    chunks, its traced peak exceeds that of one decomposition per chunk (the
+    winner's cocycle tables) by at most the limit, and the term is unchanged."""
+    s5 = symmetric(5)
+    pair = FinitePair(s5, s5.subgroup(s5.elements))
+    omega = Cocycle.trivial(pair.gamma)
+    obj = identity_object(pair, omega)
+    args = pair, omega, obj.delta, obj.rep
+    term = elementary._canonical_term(*args)
+    per_move = elementary.STACK_BYTES * 120 * 5
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 1)
+    base = traced_peak(elementary._canonical_term, *args)[1]
+    limit = 120 * per_move // 8
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", limit)
+    chunks, transfers = [], elementary._transfers
+
+    def recording(pair, omega, delta, group, moves):
+        chunks.append(len(moves))
+        return transfers(pair, omega, delta, group, moves)
+
+    monkeypatch.setattr(elementary, "_transfers", recording)
+    chunked, peak = traced_peak(elementary._canonical_term, *args)
+    assert chunked == term and chunks == [15] * 8
+    assert peak <= base + limit
 
 
 def test_object_sums_and_identifications_are_memoized():

@@ -27,10 +27,10 @@ from heckefuse.elementary import (
 )
 from heckefuse.permcore import conj_map, right_coset_reps
 from heckefuse.projrep import (
+    _roots,
     induce,
     irreducibles,
     restrict,
-    roots_of_unity,
     tensor,
     transport,
     twist,
@@ -176,7 +176,7 @@ def looped_induce_matrices(rep, big, ext_cocycle, rng=None) -> np.ndarray:
     rows = np.array([r.images for r in reps])
     at, inv_rows = big.positions(rows), np.argsort(rows, axis=1)
     n, k, d = len(big), len(reps), rep.dim
-    w, roots, every = ext_cocycle.arr, roots_of_unity(ext_cocycle.modulus), np.arange(n)
+    w, roots, every = ext_cocycle.arr, _roots(ext_cocycle.modulus), np.arange(n)
     mats = np.zeros((n, k, d, k, d), dtype=complex)
     for i in range(k):
         t = rows[i][big.images]

@@ -21,6 +21,7 @@ from heckefuse.permcore import (
     Perm,
     Subgroup,
     conj_map,
+    conj_maps,
     conjugate_intersection,
 )
 
@@ -247,6 +248,17 @@ def test_conj_map_rejects_a_map_out_of_the_target():
     sub = s4.subgroup([s4.identity, Perm.parse(4, "(0 1)")])
     with pytest.raises(ValueError, match="does not carry"):
         conj_map(sub, Perm.parse(4, "(1 2)"), sub)
+
+
+def test_conj_maps_name_the_first_map_out_of_the_target():
+    s4 = symmetric(4)
+    sub = s4.subgroup([s4.identity, Perm.parse(4, "(0 1)")])
+    xs = [Perm.parse(4, text).images for text in ("(0 1)", "(1 2)", "(0 2)")]
+    assert conj_maps(sub, xs[:1], sub).tolist() == [[0, 1]]
+    with pytest.raises(ValueError, match=r"^Ad \(1 2\) does not carry"):
+        conj_maps(sub, xs, sub)
+    with pytest.raises(ValueError, match=r"^Ad \(0 2\) does not carry"):
+        conj_map(sub, Perm.parse(4, "(0 2)"), sub)
 
 
 # ------------------------------------------------------------ Subgroup closure

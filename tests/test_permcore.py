@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,6 @@ from heckefuse.permcore import (
     double_cosets,
     normalizer_in_sym,
     out_description,
-    quotient_orders,
     right_coset_reps,
 )
 
@@ -388,10 +388,19 @@ def looped_quotient_orders(group, normal):
 
 
 @pytest.mark.parametrize("degree", [4, 5])
-def test_quotient_orders_match_perm_products(degree):
+def test_abelian_invariants_match_perm_product_orders(degree):
+    """The abelianization by Perm products has as many elements of order
+    dividing m as Z/d1 x Z/d2 x ... has, for every m dividing its order;
+    that determines a finite abelian group."""
     for sub in symmetric(degree).subgroups():
-        for normal in (commutator_subgroup(sub), sub.subgroup([sub.identity])):
-            assert quotient_orders(sub, normal) == looped_quotient_orders(sub, normal)
+        orders = looped_quotient_orders(sub, commutator_subgroup(sub))
+        factors = abelian_invariants(sub)
+        assert math.prod(factors) == len(orders)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        for m in range(1, len(orders) + 1):
+            if len(orders) % m == 0:
+                killed = sum(1 for o in orders if m % o == 0)
+                assert killed == math.prod(math.gcd(m, d) for d in factors)
 
 
 def test_characters_counts():
