@@ -41,6 +41,8 @@ from .exthecke import (
     crossed_dim_identity,
     dims,
     from_rep,
+    fusion_block,
+    fusion_blocks,
     overcount_check,
     to_hecke,
     transport_class,
@@ -60,6 +62,7 @@ from .hecke import (
     parse_element,
 )
 from .permcore import (
+    CommensurationError,
     FiniteGroup,
     GroupAction,
     GroupTooLarge,

@@ -18,12 +18,13 @@ become the coordinate axes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .cocycle import Cocycle, bilinear_cocycle
-from .exthecke import FinitePair, basis, dims, fusion_block
+from .exthecke import FinitePair, basis, dims, fusion_blocks
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
 from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm
 
@@ -204,8 +205,9 @@ def fusion_table(pair: FinitePair) -> dict:
 
     Multiplicities are exact integers; representation classes serialize as
     dimension plus rounded character; lambda values are fraction strings.
-    Basis products are read from ``fusion_block``, with their terms in the
-    order of ``ExtHeckeElement.terms``: labels, then class indices.
+    Basis products are read from the ``fusion_blocks`` of every label pair,
+    computed in one sweep, with their terms in the order of
+    ``ExtHeckeElement.terms``: labels, then class indices.
     """
     hk = pair.hecke()
     names = {label: hk.label_str(label) for label in pair.labels()}
@@ -224,13 +226,17 @@ def fusion_table(pair: FinitePair) -> dict:
             "dim_left": left,
             "dim_right": right,
         })
+    label_pairs = list(itertools.product(pair.labels(), repeat=2))
+    # per label pair, (output label name, nested multiplicity lists) per g0
+    blocks = {lp: [(names[g0], block[g0].tolist())
+                   for g0 in pair.labels() if g0 in block]
+              for lp, block in zip(label_pairs, fusion_blocks(pair, label_pairs))}
     products = []
     for kx, label_x, i in generators:
         for ky, label_y, j in generators:
-            block = fusion_block(pair, label_x, label_y)
-            terms = [{"z": f"{names[g0]}:{k}", "mult": mult}
-                     for g0 in pair.labels() if g0 in block
-                     for k, mult in enumerate(block[g0][i, j].tolist()) if mult]
+            terms = [{"z": f"{name}:{k}", "mult": mult}
+                     for name, mults in blocks[label_x, label_y]
+                     for k, mult in enumerate(mults[i][j]) if mult]
             products.append({"x": kx, "y": ky, "terms": terms})
     lambdas = [{"label": names[label],
                 "value": str(modular_lambda(hk, label))}

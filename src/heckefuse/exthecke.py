@@ -14,11 +14,12 @@ the induction, from little(g) ∩ little(h) up to little(g), of the transported
 value of x at g h^-1 (composed with conjugation by h) tensored with the value
 of y at h.  Each orbit reads x at one label la and y at one label lb, so the
 products of all basis elements at la with all basis elements at lb form one
-``fusion_block``: per orbit that reads (la, lb), one representative h, the
-product characters of every class pair, induced and decomposed into
-irreducible classes in one batched step.  ``fuse`` is the bilinear
-contraction of the blocks over the supports of x and y, so elements stay
-canonical and multiplicities exact.  Summing over all cosets instead of
+``fusion_block``.  ``fusion_blocks`` computes the blocks of many label pairs
+in one sweep: one representative h per orbit, the product characters of
+every class pair, induced per output label and meet, and decomposed into
+irreducible classes in one batched step per output label.  ``fuse`` is the
+bilinear contraction of the blocks over the supports of x and y, so elements
+stay canonical and multiplicities exact.  Summing over all cosets instead of
 orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
 divisibility on concrete inputs, orbit by orbit and independently of the
@@ -26,19 +27,21 @@ blocks, as ``triple_fuse`` does for associativity.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
-tensor products are pointwise products, induction is the Frobenius formula
-and conjugation is complex conjugation.  No representation matrix is built,
-and no induction coset representatives are chosen (the character does not
-depend on them).  The matrix constructions of :mod:`heckefuse.projrep` stay
+tensor products are pointwise products, induction sums each character over
+the conjugacy classes of the bigger group, and conjugation is complex
+conjugation.  No representation matrix is built, and no induction coset
+representatives are chosen (the character does not depend on them).  The matrix constructions of :mod:`heckefuse.projrep` stay
 as the independent path of elementary fusion and of the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
+from . import projrep
 from .cocycle import Cocycle
 from .hecke import FiniteHecke, HeckeElement
 from .permcore import (
@@ -47,7 +50,7 @@ from .permcore import (
     Memo,
     Perm,
     Subgroup,
-    conj_map,
+    conj_maps,
     conjugate_intersection,
 )
 from .projrep import (
@@ -55,6 +58,7 @@ from .projrep import (
     RepClass,
     add_multiset,
     character_table,
+    conjugacy_classes,
     decompose,
     decompose_character,
     decompose_characters,
@@ -82,7 +86,8 @@ class FinitePair:
     tagged by kind: little groups of elements, decompositions, meets of
     little groups, the double cosets each orbit reads (``orbit_labels``) and
     the orbits grouped by them (``orbits_by_labels``), the index arrays
-    through which characters are read at a point, the index of each class in
+    through which characters are read at a point (``_read_key``: keyed by
+    label, total conjugator and meet), the index of each class in
     its label's basis keys, the fusion blocks of label pairs
     (``fusion_block``), fusion and conjugation results (the elements
     themselves, keyed by their factors), and the fusion plans and products,
@@ -307,45 +312,55 @@ def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
 
 def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
                   by: Perm) -> np.ndarray:
-    """The character of (x at point) ∘ Ad(by) on meet, in meet's element order.
-
-    With point = c1 * label * c2, x at point is (x at label) ∘ Ad(c2), so the
-    value at t is the label's multiset character at (c2 by) t (c2 by)^-1.
-    """
-    pair = x.pair
-    label = pair.label_of(point)
-    reads = pair._memo.get_or(("reads", point, by, meet.key()),
-                              _read_map, pair, label, point, meet, by)
-    char = sum(m * cls.character()
-               for cls, m in x.support[label].items())
+    """The character of (x at point) ∘ Ad(by) on meet, in meet's element order."""
+    key = _read_key(x.pair, point, meet, by)
+    reads = x.pair._memo.get_or(key, lambda: _conj_reads(x.pair, [key])[0])
+    char = sum(m * cls.character() for cls, m in x.support[key[1]].items())
     return char[reads]
 
 
-def _read_map(pair: FinitePair, label: Perm, point: Perm, meet: Subgroup,
-              by: Perm) -> np.ndarray:
-    """Positions in little(label) of (c2 by) t (c2 by)^-1 for t in meet."""
+def _read_key(pair: FinitePair, point: Perm, meet: Subgroup, by: Perm) -> tuple:
+    """("reads", label, c2 by, meet) with point = c1 * label * c2: x at
+    point is (x at label) ∘ Ad(c2), so x at point composed with Ad(by)
+    reads x at label through the map of this key."""
+    label = pair.label_of(point)
     if point != label:
         by = pair.decomposition(label, point)[1] * by
-    return conj_map(meet, by, pair.little(label))
+    return ("reads", label, by, meet)
+
+
+def _conj_reads(pair: FinitePair, keys: list) -> list[np.ndarray]:
+    """Per key ("reads", label, x, meet), the positions in little(label) of
+    x t x^-1 for t in meet, the maps of each (label, meet) from one
+    ``conj_maps``; the pair memoizes them under their keys."""
+    rows: dict[tuple, list] = {}
+    for _, label, x, meet in keys:
+        rows.setdefault((label, meet), []).append(x.images)
+    maps = {(label, meet): iter(conj_maps(meet, xs, pair.little(label)))
+            for (label, meet), xs in rows.items()}
+    return [next(maps[label, meet]) for _, label, _, meet in keys]
 
 
 def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray:
-    """Ind from meet to little_g of each row of chars, a character of meet.
+    """Ind from meet to little_g of each row of chars, a character of meet,
+    as its value on each class of ``conjugacy_classes(little_g)``.
 
-    The induced character is chi↑(g) = |meet|^-1 sum over x in little_g of
-    chi(x g x^-1), with chi zero off meet (Isaacs, Character Theory of
-    Finite Groups, ch. 5).
+    Ind chi(g) = |little_g| / (|meet| |C|) sum over m in meet ∩ C of chi(m),
+    with C the class of g in little_g (Isaacs, Character Theory of Finite
+    Groups, ch. 5).
     """
-    spread = np.zeros((len(chars), len(little_g)), dtype=complex)
-    spread[:, little_g.positions(meet.images)] = chars
-    return spread[:, little_g.conj_table()].sum(axis=1) / len(meet)
+    _, cls_of, sizes = conjugacy_classes(little_g)
+    at = cls_of[little_g.positions(meet.images)]
+    sums = chars @ (at[:, None] == np.arange(len(sizes)))
+    return sums * (len(little_g) / (len(meet) * sizes))
 
 
 def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
                      char: np.ndarray, dim: int) -> dict:
     """decompose(Ind from meet to little_g) of a dim-dimensional character of meet."""
+    cls_of = conjugacy_classes(little_g)[1]
     return decompose_character(little_g, Cocycle.trivial(little_g),
-                               _induce(little_g, meet, char[None]),
+                               _induce(little_g, meet, char[None])[:, cls_of],
                                dim * (len(little_g) // len(meet)))
 
 
@@ -369,39 +384,70 @@ def fusion_block(pair: FinitePair, label_a: Perm,
     """The fusion of every irreducible class at label_a with every one at
     label_b: per output label g0 with an orbit that reads (label_a, label_b),
     a read-only int array (n_a, n_b, classes of little(g0)) of
-    multiplicities, classes in ``irreducibles`` order.  Memoized on the pair.
+    multiplicities, classes in ``irreducibles`` order.  The one-pair
+    ``fusion_blocks``."""
+    return fusion_blocks(pair, [(label_a, label_b)])[0]
 
-    Each orbit contributes once for all n_a * n_b class pairs: one drawn
-    representative h, one meet little(g0) ∩ little(h), one pair of read maps,
-    and one batched induction and decomposition of the product characters.
+
+def fusion_blocks(pair: FinitePair, label_pairs: list) -> list[dict]:
+    """``fusion_block`` of each (label_a, label_b) of label_pairs; memoized
+    on the pair, the missing blocks computed in one sweep.
+
+    The sweep draws one representative h per orbit, label pairs in order and
+    orbits in ``orbits_by_labels`` order, and reads both factors on the meet
+    little(g0) ∩ little(h) through read maps memoized under ``_read_key``.
+    It induces the product characters of the orbits of one output label g0
+    and one meet together, and decomposes all those at g0 in one
+    ``decompose_characters`` call per chunk of ``projrep.MAX_DENSE_BYTES``.
     """
-    return pair._memo.get_or(("block", label_a, label_b), _fusion_block,
-                             pair, label_a, label_b)
+    return pair._memo.get_all([("block", a, b) for a, b in label_pairs],
+                              lambda keys: _fusion_sweep(pair, [k[1:] for k in keys]))
 
 
-def _fusion_block(pair: FinitePair, label_a: Perm,
-                  label_b: Perm) -> dict[Perm, np.ndarray]:
-    little_a, little_b = pair.little(label_a), pair.little(label_b)
-    chars_a, dims_a = character_table(little_a, Cocycle.trivial(little_a))
-    chars_b, dims_b = character_table(little_b, Cocycle.trivial(little_b))
-    dims = np.outer(dims_a, dims_b).ravel()
-    out: dict[Perm, np.ndarray] = {}
-    for g0, orbit in pair.orbits_by_labels().get((label_a, label_b), ()):
-        h = pair.random_coset_element(pair.pick(orbit))
-        little_g = pair.little(g0)
-        meet = pair.intersection(little_g, pair.little_of_element(h))
-        at_a = _read_map(pair, label_a, g0 * h.inverse(), meet, h)
-        at_b = _read_map(pair, label_b, h, meet, pair.group.identity)
-        products = chars_a[:, None, at_a] * chars_b[None, :, at_b]
-        mults = decompose_characters(
-            little_g, Cocycle.trivial(little_g),
-            _induce(little_g, meet, products.reshape(-1, len(meet))),
-            dims * (len(little_g) // len(meet)))
-        mults = mults.reshape(len(dims_a), len(dims_b), -1)
-        out[g0] = out[g0] + mults if g0 in out else mults
-    for mults in out.values():
-        mults.flags.writeable = False
-    return out
+def _fusion_sweep(pair: FinitePair, label_pairs: list) -> list[dict]:
+    identity, grouped = pair.group.identity, pair.orbits_by_labels()
+    blocks, orbits, keys = [], [], []  # keys: each orbit's two read keys
+    for label_a, label_b in label_pairs:
+        blocks.append({})
+        for g0, orbit in grouped.get((label_a, label_b), ()):
+            h = pair.random_coset_element(pair.pick(orbit))
+            meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
+            blocks[-1][g0] = 0  # the block's labels in orbit order
+            orbits.append((g0, meet, blocks[-1], label_a, label_b))
+            keys += [_read_key(pair, g0 * h.inverse(), meet, h),
+                     _read_key(pair, h, meet, identity)]
+    reads = pair._memo.get_all(keys, lambda missing: _conj_reads(pair, missing))
+    by_meet: dict[Perm, dict] = {}  # g0 -> meet -> (block, labels, read maps)
+    for (g0, meet, *entry), at_a, at_b in zip(orbits, reads[::2], reads[1::2]):
+        by_meet.setdefault(g0, {}).setdefault(meet, []).append((*entry, at_a, at_b))
+    tables = {label: character_table(pair.little(label),
+                                     Cocycle.trivial(pair.little(label)))
+              for label in {label for labels in label_pairs for label in labels}}
+    for g0, meets in by_meet.items():
+        little_g, values, dims, parts = pair.little(g0), [], [], []
+        for meet, entries in meets.items():
+            products = []
+            for block, label_a, label_b, at_a, at_b in entries:
+                (chars_a, dims_a), (chars_b, dims_b) = tables[label_a], tables[label_b]
+                products.append((chars_a[:, None, at_a] * chars_b[None, :, at_b])
+                                .reshape(-1, len(meet)))
+                dims.append(np.outer(dims_a, dims_b).ravel()
+                            * (len(little_g) // len(meet)))
+                parts.append((block, len(dims_a), len(dims_b)))
+            values.append(_induce(little_g, meet, np.concatenate(products)))
+        values, dims = np.concatenate(values), np.concatenate(dims)
+        cls_of, step = conjugacy_classes(little_g)[1], max(
+            1, projrep.MAX_DENSE_BYTES // (16 * len(little_g)))  # rows per chunk
+        mults = np.concatenate([decompose_characters(
+            little_g, Cocycle.trivial(little_g), values[i:i + step, cls_of],
+            dims[i:i + step]) for i in range(0, len(dims), step)])
+        for block, n_a, n_b in parts:
+            part, mults = mults[:n_a * n_b].reshape(n_a, n_b, -1), mults[n_a * n_b:]
+            block[g0] = block[g0] + part
+    for block in blocks:
+        for mults in block.values():
+            mults.flags.writeable = False
+    return blocks
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
@@ -428,15 +474,15 @@ def _coefficients(pair: FinitePair, label: Perm, parts: dict) -> np.ndarray:
 
 def _fuse(pair: FinitePair, x: ExtHeckeElement,
           y: ExtHeckeElement) -> ExtHeckeElement:
+    coeffs_a = [_coefficients(pair, label, parts) for label, parts in x.support.items()]
+    coeffs_b = [_coefficients(pair, label, parts) for label, parts in y.support.items()]
+    blocks = fusion_blocks(pair, [(a, b) for a in x.support for b in y.support])
     totals: dict[Perm, np.ndarray] = {}
-    coeffs_b = [(label_b, _coefficients(pair, label_b, parts_b))
-                for label_b, parts_b in y.support.items()]
-    for label_a, parts_a in x.support.items():
-        coeff_a = _coefficients(pair, label_a, parts_a)
-        for label_b, coeff_b in coeffs_b:
-            for g0, block in fusion_block(pair, label_a, label_b).items():
-                mults = np.einsum("i,j,ijk->k", coeff_a, coeff_b, block)
-                totals[g0] = totals[g0] + mults if g0 in totals else mults
+    for (coeff_a, coeff_b), block in zip(
+            itertools.product(coeffs_a, coeffs_b), blocks):
+        for g0, mults in block.items():
+            mults = np.einsum("i,j,ijk->k", coeff_a, coeff_b, mults)
+            totals[g0] = totals[g0] + mults if g0 in totals else mults
     out = {}
     for g0 in pair.labels():
         if g0 in totals:

@@ -50,6 +50,11 @@ class DegreeTooLarge(ValueError):
     """Raised when a brute-force scan over Sym(n) is out of reach."""
 
 
+class CommensurationError(AssertionError):
+    """Ad(delta^-1) fails to carry gamma ∩ delta gamma delta^-1 onto
+    gamma ∩ delta^-1 gamma delta; carries a witness."""
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -225,7 +230,8 @@ def _conj_rows(rows: np.ndarray, xs) -> np.ndarray:
 
 
 class Memo(dict):
-    """A cache store; every memo of the package is one, filled by ``get_or``.
+    """A cache store; every memo of the package is one, filled by ``get_or``
+    one key at a time or by ``get_all`` for keys computed together.
 
     Each owner keeps one: a group its tables and coset data, a pair its
     coset, character and fusion data, a module its ``_UPPERCASE`` cache.
@@ -240,6 +246,16 @@ class Memo(dict):
             pass
         value = self[key] = compute(*args)
         return value
+
+    def get_all(self, keys: list, compute: Callable) -> list:
+        """The values stored under keys, in order; the missing keys, each
+        once in order of first appearance, are computed together by
+        compute(missing), a list of their values, and stored; a compute that
+        raises stores nothing."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self]
+        if missing:
+            self.update(zip(missing, compute(missing)))
+        return [self[key] for key in keys]
 
 
 class FiniteGroup:
@@ -516,7 +532,10 @@ def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Su
     left, right = conjugate_intersection(gamma, dinv), conjugate_intersection(gamma, delta)
     carried = right.positions(_conj_rows(left.images, [dinv.images])[0])
     if len(left) != len(right) or (carried < 0).any():
-        raise AssertionError("Ad(delta^-1) does not map the left onto the right subgroup")
+        raise CommensurationError(
+            f"Ad(delta^-1) for delta = {delta.cycle_string()} does not map the "
+            f"left subgroup (order {len(left)}) onto the right one "
+            f"(order {len(right)})")
     return left, right
 
 

@@ -486,22 +486,37 @@ def _irreducibles(group: FiniteGroup, cocycle: Cocycle) -> tuple[RepClass, ...]:
 
 
 def _extension_tables(group: FiniteGroup, cocycle: Cocycle) -> tuple:
-    """Multiplication, inverse and conjugation tables of Z/m x_omega G, with
-    (a, g) at index a |G| + g and (a, g)(b, h) = (a + b + omega(g, h), gh);
-    the group's own tables when m = 1."""
+    """Multiplication and inverse tables and conjugacy classes (as
+    ``conjugacy_classes`` gives them) of Z/m x_omega G, with (a, g) at index
+    a |G| + g and (a, g)(b, h) = (a + b + omega(g, h), gh); the group's own
+    when m = 1."""
     mul, inv, m = group.mul_table(), group.inv_indices(), cocycle.modulus
     if m == 1:
-        return mul, inv, group.conj_table()
+        return mul, inv, conjugacy_classes(group)
     n, t, a = len(group), cocycle.arr, np.arange(m)
     ext_mul = ((a[:, None, None, None] + a[None, None, :, None] + t[None, :, None, :]) % m
                * n + mul[None, :, None, :]).reshape(m * n, m * n)
     ext_inv = ((-a[:, None] - t[np.arange(n), inv]) % m * n + inv).reshape(m * n)
-    return ext_mul, ext_inv, ext_mul[ext_mul, ext_inv[:, None]]
+    return ext_mul, ext_inv, _classes(ext_mul[ext_mul, ext_inv[:, None]])
 
 
-def _class_characters(mul: np.ndarray, inv: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """The irreducible characters of the group with these tables, one row
-    each over its elements, by Burnside's class-sum method.
+def conjugacy_classes(group: FiniteGroup) -> tuple:
+    """(least member, class of each element, size) of the conjugacy classes
+    of group, each class numbered by its least member, so the identity's
+    class is class 0; memoized next to the irreducible classes."""
+    return _IRREDUCIBLES.get_or(("classes", group.key()),
+                                lambda: _classes(group.conj_table()))
+
+
+def _classes(conj: np.ndarray) -> tuple:
+    """``conjugacy_classes`` of the group with conjugation table conj."""
+    return np.unique(conj.min(axis=0), return_inverse=True, return_counts=True)
+
+
+def _class_characters(mul: np.ndarray, inv: np.ndarray, classes: tuple) -> np.ndarray:
+    """The irreducible characters of the group with these multiplication
+    and inverse tables and conjugacy classes, one row each over its
+    elements, by Burnside's class-sum method.
 
     Class sums multiply as K_j K_k = sum_l c_jkl K_l, and each irreducible
     chi gives the central character w_l = |C_l| chi(z_l) / chi(1) with
@@ -512,11 +527,7 @@ def _class_characters(mul: np.ndarray, inv: np.ndarray, conj: np.ndarray) -> np.
     next seed is tried, up to MAX_SEEDS.  The degree follows from
     sum_l |w_l|^2 / |C_l| = |G| / chi(1)^2.
     """
-    n = len(mul)
-    # each element's class is numbered by its least member, so the
-    # identity's class is class 0
-    reps, cls_of, sizes = np.unique(conj.min(axis=0), return_inverse=True,
-                                    return_counts=True)
+    n, (reps, cls_of, sizes) = len(mul), classes
     r = len(reps)
     lands = _class_coefficients(mul, inv, cls_of, reps)
     flat = (lands * r + np.arange(r)).ravel()

@@ -257,6 +257,23 @@ def test_conjugation_phase_nonabelian():
         assert conjugated(omega, x) == coboundary(phi) * omega
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_conjugation_phase_catches_a_corrupt_generator_row(k):
+    # the identity is checked only on generator rows s; a wrong entry at
+    # (s, h) must still fail: for g not commuting with s and h != g it
+    # enters the right side of row s and neither the phase nor the left side
+    group = symmetric(4)
+    s = group.small_generating_set()[k]
+    g = next(x for x in group if x * s != s * x)
+    h = next(x for x in group if x not in (group.identity, g))
+    omega = coboundary(PhaseFunction(group, 4, [0] + [1] * (len(group) - 1)))
+    conjugation_phase(omega, g)
+    table = omega.arr.copy()
+    table[group.index_of(s), group.index_of(h)] += 1
+    with pytest.raises(CocycleError, match="conjugation identity fails"):
+        conjugation_phase(Cocycle._of(group, 4, table), g)
+
+
 # ---------------------------------------------------------------- heisenberg
 
 def test_heisenberg_zero_class_is_trivial():

@@ -1,15 +1,19 @@
 """Fusion by label-pair blocks against the orbit-by-orbit fusion it replaces,
-the batched decomposition against one-row decompositions, and the checks
-that must notice a wrong block."""
+one sweep over many label pairs against one pair at a time, class-sum
+induction against the conjugation-table formula, the batched decomposition
+against one-row decompositions, and the checks that must notice a wrong
+block."""
 
 import collections
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heckefuse import checks
+import heckefuse
+from heckefuse import checks, exthecke, projrep
 from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
 from heckefuse.checks import (
     Config,
@@ -20,15 +24,19 @@ from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
     FinitePair,
+    _induce,
     _orbit_contribution,
     basis,
     fuse,
     fusion_block,
+    fusion_blocks,
 )
 from heckefuse.permcore import FiniteGroup, Perm
 from heckefuse.projrep import (
     NumericalDegradation,
     add_multiset,
+    character_table,
+    conjugacy_classes,
     decompose_character,
     decompose_characters,
     irreducibles,
@@ -136,6 +144,106 @@ def test_fusion_table_builds_no_element_per_product(name, monkeypatch):
     table = fusion_table(pair)
     assert len(built) == len(table["basis"])
     assert not any(key[0] == "fuse" for key in pair._memo)
+
+
+def with_choice(pair, choice):
+    return pair if choice is None else pair.with_choices(random.Random(choice))
+
+
+def all_label_pairs(pair):
+    return list(itertools.product(pair.labels(), repeat=2))
+
+
+def same_blocks(a, b):
+    return list(a) == list(b) and all(
+        a[g0].dtype == b[g0].dtype and (a[g0] == b[g0]).all() for g0 in a)
+
+
+@pytest.mark.parametrize("choice", [None, 0, 1])
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_one_sweep_matches_one_label_pair_at_a_time(name, choice):
+    swept_pair = with_choice(make_pair(name), choice)
+    label_pairs = all_label_pairs(swept_pair)
+    swept = fusion_blocks(swept_pair, label_pairs)
+    single_pair = with_choice(make_pair(name), choice)
+    for (label_a, label_b), block in zip(label_pairs, swept):
+        assert same_blocks(block, fusion_block(single_pair, label_a, label_b))
+        assert fusion_block(swept_pair, label_a, label_b) is block
+
+
+def test_chunked_sweep_matches_the_unchunked_one(monkeypatch):
+    whole = fusion_blocks(make_pair("S4_in_S5"), all_label_pairs(make_pair("S4_in_S5")))
+    limit = 16 * 24 * 5  # 5 stacked rows over the little group S4
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", limit)
+    calls = count_decompositions(monkeypatch)
+    pair = make_pair("S4_in_S5")
+    chunked = fusion_blocks(pair, all_label_pairs(pair))
+    assert len(calls) > len(pair.labels())
+    assert all(16 * rows * len(group) <= limit for group, rows in calls)
+    assert all(same_blocks(a, b) for a, b in zip(whole, chunked))
+
+
+def gather_induce(little_g, meet, chars):
+    """Ind from meet to little_g by chi(g) = |meet|^-1 sum over x in little_g
+    of chi(x g x^-1), chi zero off meet, read through the conjugation table."""
+    spread = np.zeros((len(chars), len(little_g)), dtype=complex)
+    spread[:, little_g.positions(meet.images)] = chars
+    return spread[:, little_g.conj_table()].sum(axis=1) / len(meet)
+
+
+@pytest.mark.parametrize("choice", [None, 0])
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_class_sum_induction_matches_the_conjugation_gather(name, choice):
+    pair = with_choice(make_pair(name), choice)
+    rng = np.random.default_rng(len(pair.group))
+    for g0 in pair.labels():
+        little_g = pair.little(g0)
+        for orbit, _, _ in pair.orbit_labels(g0):
+            h = pair.random_coset_element(pair.pick(orbit))
+            meet = pair.intersection(little_g, pair.little_of_element(h))
+            irr, _ = character_table(meet, Cocycle.trivial(meet))
+            chars = np.vstack([rng.integers(0, 3, size=(3, len(irr))) @ irr,
+                               rng.normal(size=(1, len(meet)))
+                               + 1j * rng.normal(size=(1, len(meet)))])
+            induced = _induce(little_g, meet, chars)[:, conjugacy_classes(little_g)[1]]
+            assert np.abs(induced - gather_induce(little_g, meet, chars)).max() < 1e-9
+
+
+def count_decompositions(monkeypatch):
+    """(group, row count) per ``decompose_characters`` call of exthecke."""
+    calls = []
+    decompose = exthecke.decompose_characters
+
+    def counting(group, cocycle, chars, dims):
+        calls.append((group, len(chars)))
+        return decompose(group, cocycle, chars, dims)
+
+    monkeypatch.setattr(exthecke, "decompose_characters", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_cold_fusion_table_decomposes_once_per_output_label(name, monkeypatch):
+    pair = make_pair(name)
+    calls = count_decompositions(monkeypatch)
+    fusion_table(pair)
+    littles = collections.Counter(pair.little(g0).key() for g0 in pair.labels())
+    assert collections.Counter(group.key() for group, _ in calls) <= littles
+
+
+def test_fusion_table_of_s6_in_itself_stays_small():
+    # inducing through the conjugation table, rows x |S6|^2 entries, takes 980 MiB
+    g = symmetric(6)
+    pair = FinitePair(g, g.subgroup(g.elements), name="S6")
+    heckefuse.clear_caches()
+    tracemalloc.start()
+    try:
+        table = fusion_table(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table["products"]) == 11 ** 2
+    assert peak < 64 * 2 ** 20
 
 
 def corrupt_one_block(pair):

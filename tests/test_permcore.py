@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heckefuse import permcore
 from heckefuse.permcore import (
     Commensuration,
+    CommensurationError,
     DegreeTooLarge,
     FiniteGroup,
     GroupAction,
@@ -232,6 +234,17 @@ def test_commensuration_subgroups():
     # generic element
     left, right = commensuration_subgroups(gamma, Perm.parse(4, "(2 3)"))
     assert len(left) == len(right) == 2
+
+
+def test_commensuration_mismatch_raises_a_named_error(monkeypatch):
+    g, gamma = s3_in_s4()
+    delta = Perm.parse(4, "(2 3)")
+    meet = conjugate_intersection
+    # a wrong right subgroup: gamma itself in place of gamma ∩ delta^-1 gamma delta
+    monkeypatch.setattr(permcore, "conjugate_intersection",
+                        lambda sub, x: sub if x == delta else meet(sub, x))
+    with pytest.raises(CommensurationError, match=r"delta = \(2 3\)"):
+        commensuration_subgroups(gamma, delta)
 
 
 # ---------------------------------------------------------------- normalizers

@@ -19,6 +19,18 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
+def test_no_bare_assertion_errors():
+    # an internal-consistency failure raises its own named error, which
+    # callers can catch apart from a test's AssertionError
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+             and getattr(node.exc, "func", node.exc).id == "AssertionError"]
+    assert SOURCES and found == []
+
+
 def test_every_def_is_used_elsewhere_in_the_package():
     # a helper that only tests call belongs in the tests; one nothing calls
     # is dead and gets deleted.  A use is an identifier token, so a name
