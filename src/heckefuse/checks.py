@@ -51,6 +51,7 @@ from .exthecke import (
     fuse,
     overcount_check,
     to_hecke,
+    triple_blocks,
     triple_fuse,
     unit,
 )
@@ -390,6 +391,9 @@ def check_ext_associativity(pair: FinitePair, cfg: Config,
     if not exhaustive and len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
+    labels = [next(iter(el.support)) for el in els]
+    # the blocks of every sampled triple in one sweep
+    triple_blocks(pair, [(labels[i], labels[j], labels[k]) for i, j, k in triples])
     for i, j, k in triples:
         x, y, z = els[i], els[j], els[k]
         t = triple_fuse(x, y, z)

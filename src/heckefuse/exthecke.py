@@ -22,8 +22,10 @@ bilinear contraction of the blocks over the supports of x and y, so elements
 stay canonical and multiplicities exact.  Summing over all cosets instead of
 orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
-divisibility on concrete inputs, orbit by orbit and independently of the
-blocks, as ``triple_fuse`` does for associativity.
+divisibility on the term of every coset (``overcount_blocks``), and
+``triple_fuse`` checks associativity through the symmetric three-factor
+formula (``triple_blocks``).  Both are computed once per label tuple, swept
+like the fusion blocks but independently of them.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -89,7 +91,9 @@ class FinitePair:
     through which characters are read at a point (``_read_key``: keyed by
     label, total conjugator and meet), the index of each class in
     its label's basis keys, the fusion blocks of label pairs
-    (``fusion_block``), fusion and conjugation results (the elements
+    (``fusion_block``), the three-factor blocks of label triples
+    (``triple_blocks``), the per-coset terms of label pairs
+    (``overcount_blocks``), fusion and conjugation results (the elements
     themselves, keyed by their factors), and the fusion plans and products,
     object sums and their identifications, canonical terms,
     representatives, required cocycles and conjugation phases of elementary
@@ -228,11 +232,22 @@ class ExtHeckeElement:
                 if not cls.cocycle.is_trivial_table():
                     raise ValueError("extended Hecke values carry trivial cocycles")
             clean[label] = dict(parts)
+        self._fill(pair, clean)
+
+    @classmethod
+    def _of(cls, pair: FinitePair, support: dict) -> "ExtHeckeElement":
+        """The element with this support, unchecked: for supports computed
+        from checked elements and blocks."""
+        el = cls.__new__(cls)
+        el._fill(pair, support)
+        return el
+
+    def _fill(self, pair: FinitePair, support: dict) -> None:
         self.pair = pair
-        self.support = clean
+        self.support = support
         self._key = tuple(sorted(
             (label.images, tuple(sorted((c.key(), m) for c, m in parts.items())))
-            for label, parts in clean.items()))
+            for label, parts in support.items()))
         self._hash = hash(self._key)
 
     def key(self) -> tuple:
@@ -240,9 +255,10 @@ class ExtHeckeElement:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtHeckeElement)
-                and self.pair.group == other.pair.group
-                and self.pair.gamma == other.pair.gamma
-                and self._key == other._key)
+                and self._key == other._key
+                and (self.pair is other.pair
+                     or (self.pair.group == other.pair.group
+                         and self.pair.gamma == other.pair.gamma)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -355,30 +371,6 @@ def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray
     return sums * (len(little_g) / (len(meet) * sizes))
 
 
-def _induced_classes(pair: FinitePair, little_g: Subgroup, meet: Subgroup,
-                     char: np.ndarray, dim: int) -> dict:
-    """decompose(Ind from meet to little_g) of a dim-dimensional character of meet."""
-    cls_of = conjugacy_classes(little_g)[1]
-    return decompose_character(little_g, Cocycle.trivial(little_g),
-                               _induce(little_g, meet, char[None])[:, cls_of],
-                               dim * (len(little_g) // len(meet)))
-
-
-def _orbit_contribution(pair: FinitePair, x: ExtHeckeElement, y: ExtHeckeElement,
-                        g0: Perm, h: Perm) -> Optional[dict]:
-    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗ (y at h))."""
-    w = g0 * h.inverse()
-    label_w, label_h = pair.label_of(w), pair.label_of(h)
-    if label_w not in x.support or label_h not in y.support:
-        return None
-    little_g = pair.little(g0)
-    meet = pair.intersection(little_g, pair.little_of_element(h))
-    product = (_character_on(x, w, meet, h)
-               * _character_on(y, h, meet, pair.group.identity))
-    dim = multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
-    return _induced_classes(pair, little_g, meet, product, dim)
-
-
 def fusion_block(pair: FinitePair, label_a: Perm,
                  label_b: Perm) -> dict[Perm, np.ndarray]:
     """The fusion of every irreducible class at label_a with every one at
@@ -395,10 +387,7 @@ def fusion_blocks(pair: FinitePair, label_pairs: list) -> list[dict]:
 
     The sweep draws one representative h per orbit, label pairs in order and
     orbits in ``orbits_by_labels`` order, and reads both factors on the meet
-    little(g0) ∩ little(h) through read maps memoized under ``_read_key``.
-    It induces the product characters of the orbits of one output label g0
-    and one meet together, and decomposes all those at g0 in one
-    ``decompose_characters`` call per chunk of ``projrep.MAX_DENSE_BYTES``.
+    little(g0) ∩ little(h) (``_induced_products``).
     """
     return pair._memo.get_all([("block", a, b) for a, b in label_pairs],
                               lambda keys: _fusion_sweep(pair, [k[1:] for k in keys]))
@@ -406,48 +395,112 @@ def fusion_blocks(pair: FinitePair, label_pairs: list) -> list[dict]:
 
 def _fusion_sweep(pair: FinitePair, label_pairs: list) -> list[dict]:
     identity, grouped = pair.group.identity, pair.orbits_by_labels()
-    blocks, orbits, keys = [], [], []  # keys: each orbit's two read keys
+    blocks, entries = [], []
     for label_a, label_b in label_pairs:
         blocks.append({})
         for g0, orbit in grouped.get((label_a, label_b), ()):
             h = pair.random_coset_element(pair.pick(orbit))
             meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
             blocks[-1][g0] = 0  # the block's labels in orbit order
-            orbits.append((g0, meet, blocks[-1], label_a, label_b))
-            keys += [_read_key(pair, g0 * h.inverse(), meet, h),
-                     _read_key(pair, h, meet, identity)]
-    reads = pair._memo.get_all(keys, lambda missing: _conj_reads(pair, missing))
-    by_meet: dict[Perm, dict] = {}  # g0 -> meet -> (block, labels, read maps)
-    for (g0, meet, *entry), at_a, at_b in zip(orbits, reads[::2], reads[1::2]):
-        by_meet.setdefault(g0, {}).setdefault(meet, []).append((*entry, at_a, at_b))
+            entries.append(((blocks[-1], g0), g0, meet, [
+                _read_key(pair, g0 * h.inverse(), meet, h),
+                _read_key(pair, h, meet, identity)]))
+    return _summed_blocks(pair, blocks, entries)
+
+
+def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
+    """Per (label_a, label_b, label_c) of label_triples, the symmetric
+    three-factor formula on every class triple at those labels, as a dict
+    like ``fusion_block`` of arrays (n_a, n_b, n_c, classes of little(g0));
+    memoized on the pair, the missing blocks computed in one sweep.
+
+    The (h, k) orbit of little(g0) on pairs of right cosets contributes the
+    induction from little(g0) ∩ little(h) ∩ little(k) of
+    (x at g0 h^-1 ∘ Ad h) ⊗ (y at h k^-1 ∘ Ad k) ⊗ (z at k).  The sweep
+    draws one h per orbit of little(g0) and one k per orbit of
+    little(g0) ∩ little(h), each once (``_induced_products``).
+    """
+    return pair._memo.get_all([("triple", *labels) for labels in label_triples],
+                              lambda keys: _triple_sweep(pair, [k[1:] for k in keys]))
+
+
+def _triple_sweep(pair: FinitePair, label_triples: list) -> list[dict]:
+    identity = pair.group.identity
+    wanted = {labels: {} for labels in label_triples}
+    firsts, entries = {labels[0] for labels in label_triples}, []
+    for g0 in pair.labels():
+        little_g = pair.little(g0)
+        for h_orbit, label_w, _ in pair.orbit_labels(g0):
+            if label_w not in firsts:
+                continue
+            h = pair.random_coset_element(pair.pick(h_orbit))
+            stab = pair.intersection(little_g, pair.little_of_element(h))
+            for k_orbit in pair.coset_orbits(stab):
+                k = pair.random_coset_element(pair.pick(k_orbit))
+                v = h * k.inverse()
+                block = wanted.get((label_w, pair.label_of(v), pair.label_of(k)))
+                if block is None:
+                    continue
+                meet = pair.intersection(stab, pair.little_of_element(k))
+                block[g0] = 0
+                entries.append(((block, g0), g0, meet, [
+                    _read_key(pair, g0 * h.inverse(), meet, h),
+                    _read_key(pair, v, meet, k),
+                    _read_key(pair, k, meet, identity)]))
+    return _summed_blocks(pair, list(wanted.values()), entries)
+
+
+def _summed_blocks(pair: FinitePair, blocks: list[dict], entries: list) -> list[dict]:
+    """blocks, with block[key] the sum of the ``_induced_products`` of the
+    entries tagged (block, key), made read-only."""
+    for (block, key), mults in _induced_products(pair, entries):
+        block[key] = block[key] + mults
+    for block in blocks:
+        for mults in block.values():
+            mults.flags.writeable = False
+    return blocks
+
+
+def _induced_products(pair: FinitePair, entries: list):
+    """Per entry (tag, g0, meet, read keys), (tag, mults): mults[i, j, ...]
+    the multiplicities, over ``irreducibles`` of little(g0), of Ind from meet
+    of the product of class i at the first key's label, class j at the
+    second's, ..., each read through its key's map (memoized on the pair).
+    The products of one g0 and one meet are induced together, and all those
+    of one g0 decomposed in one ``decompose_characters`` call per chunk of
+    ``projrep.MAX_DENSE_BYTES``.
+    """
+    every_key = [key for *_, keys in entries for key in keys]
+    reads = iter(pair._memo.get_all(every_key,
+                                    lambda missing: _conj_reads(pair, missing)))
     tables = {label: character_table(pair.little(label),
                                      Cocycle.trivial(pair.little(label)))
-              for label in {label for labels in label_pairs for label in labels}}
-    for g0, meets in by_meet.items():
+              for label in {key[1] for key in every_key}}
+    stacks: dict[Perm, dict] = {}  # g0 -> meet -> (tag, shape, chars, dims)
+    for tag, g0, meet, keys in entries:
+        chars, dims = tables[keys[0][1]]
+        chars, shape = chars[:, next(reads)], (len(dims),)
+        for key in keys[1:]:
+            chars_f, dims_f = tables[key[1]]
+            chars = (chars[:, None] * chars_f[None, :, next(reads)]).reshape(-1, len(meet))
+            dims, shape = np.outer(dims, dims_f).ravel(), shape + (len(dims_f),)
+        stacks.setdefault(g0, {}).setdefault(meet, []).append((tag, shape, chars, dims))
+    for g0, meets in stacks.items():
         little_g, values, dims, parts = pair.little(g0), [], [], []
-        for meet, entries in meets.items():
-            products = []
-            for block, label_a, label_b, at_a, at_b in entries:
-                (chars_a, dims_a), (chars_b, dims_b) = tables[label_a], tables[label_b]
-                products.append((chars_a[:, None, at_a] * chars_b[None, :, at_b])
-                                .reshape(-1, len(meet)))
-                dims.append(np.outer(dims_a, dims_b).ravel()
-                            * (len(little_g) // len(meet)))
-                parts.append((block, len(dims_a), len(dims_b)))
-            values.append(_induce(little_g, meet, np.concatenate(products)))
+        for meet, stack in meets.items():
+            values.append(_induce(little_g, meet, np.concatenate([s[2] for s in stack])))
+            for tag, shape, _, dim in stack:
+                dims.append(dim * (len(little_g) // len(meet)))
+                parts.append((tag, shape, len(dim)))
         values, dims = np.concatenate(values), np.concatenate(dims)
         cls_of, step = conjugacy_classes(little_g)[1], max(
             1, projrep.MAX_DENSE_BYTES // (16 * len(little_g)))  # rows per chunk
         mults = np.concatenate([decompose_characters(
             little_g, Cocycle.trivial(little_g), values[i:i + step, cls_of],
             dims[i:i + step]) for i in range(0, len(dims), step)])
-        for block, n_a, n_b in parts:
-            part, mults = mults[:n_a * n_b].reshape(n_a, n_b, -1), mults[n_a * n_b:]
-            block[g0] = block[g0] + part
-    for block in blocks:
-        for mults in block.values():
-            mults.flags.writeable = False
-    return blocks
+        for tag, shape, rows in parts:
+            yield tag, mults[:rows].reshape(*shape, -1)
+            mults = mults[rows:]
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
@@ -460,7 +513,7 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
     if y.pair is not pair and (y.pair.group != pair.group
                                or y.pair.gamma != pair.gamma):
         raise ValueError("elements live over different pairs")
-    return pair._memo.get_or(("fuse", x, y), _fuse, pair, x, y)
+    return pair._memo.get_or(("fuse", x, y), _contract, pair, [x, y], fusion_blocks)
 
 
 def _coefficients(pair: FinitePair, label: Perm, parts: dict) -> np.ndarray:
@@ -472,108 +525,95 @@ def _coefficients(pair: FinitePair, label: Perm, parts: dict) -> np.ndarray:
     return out
 
 
-def _fuse(pair: FinitePair, x: ExtHeckeElement,
-          y: ExtHeckeElement) -> ExtHeckeElement:
-    coeffs_a = [_coefficients(pair, label, parts) for label, parts in x.support.items()]
-    coeffs_b = [_coefficients(pair, label, parts) for label, parts in y.support.items()]
-    blocks = fusion_blocks(pair, [(a, b) for a in x.support for b in y.support])
+def _contract(pair: FinitePair, factors: list, blocks_of) -> ExtHeckeElement:
+    """The multilinear contraction of blocks_of(pair, label tuples), the
+    blocks of every tuple of labels of the supports of factors, with the
+    factors' multiplicities."""
+    supports = [factor.support for factor in factors]
+    blocks = blocks_of(pair, list(itertools.product(*supports)))
+    coeffs = itertools.product(*([_coefficients(pair, label, parts)
+                                  for label, parts in support.items()]
+                                 for support in supports))
+    axes = "ijk"[:len(factors)]
+    contraction = f"{','.join(axes)},{axes}z->z"
     totals: dict[Perm, np.ndarray] = {}
-    for (coeff_a, coeff_b), block in zip(
-            itertools.product(coeffs_a, coeffs_b), blocks):
+    for coeff, block in zip(coeffs, blocks):
         for g0, mults in block.items():
-            mults = np.einsum("i,j,ijk->k", coeff_a, coeff_b, mults)
+            mults = np.einsum(contraction, *coeff, mults)
             totals[g0] = totals[g0] + mults if g0 in totals else mults
-    out = {}
-    for g0 in pair.labels():
-        if g0 in totals:
-            classes = irreducibles(pair.little(g0))
-            out[g0] = {cls: m for cls, m in zip(classes, totals[g0].tolist()) if m}
-    return ExtHeckeElement(pair, out)
+    return ExtHeckeElement._of(pair, {
+        g0: {cls: m for cls, m in zip(irreducibles(pair.little(g0)), totals[g0].tolist())
+             if m} for g0 in pair.labels() if g0 in totals})
+
+
+def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
+    """Per (label_a, label_b) of label_pairs, (g0, cosets) per orbit of
+    ``orbits_by_labels``: cosets maps each coset of the orbit, by its
+    minimum h and in orbit order, to the read-only int array
+    (n_a, n_b, classes of little(g0)) of its fusion term, read at g0 h^-1
+    and h.  Memoized on the pair, the missing ones computed in one sweep,
+    which checks that every coset reads the orbit's two labels."""
+    return pair._memo.get_all([("overcount", a, b) for a, b in label_pairs],
+                              lambda keys: _overcount_sweep(pair, [k[1:] for k in keys]))
+
+
+def _overcount_sweep(pair: FinitePair, label_pairs: list) -> list[list]:
+    identity, grouped = pair.group.identity, pair.orbits_by_labels()
+    out, entries = [], []
+    for labels in label_pairs:
+        out.append([])
+        for g0, orbit in grouped.get(labels, ()):
+            cosets = dict.fromkeys(orbit, 0)
+            out[-1].append((g0, cosets))
+            for h in orbit:
+                w = g0 * h.inverse()
+                if (pair.label_of(w), pair.label_of(h)) != labels:
+                    raise FusionFormulaError(
+                        f"orbit of {orbit[0].cycle_string()} at label "
+                        f"{g0.cycle_string()}: support is not orbit-invariant")
+                meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
+                entries.append(((cosets, h), g0, meet, [
+                    _read_key(pair, w, meet, h), _read_key(pair, h, meet, identity)]))
+    _summed_blocks(pair, [cosets for orbits in out for _, cosets in orbits], entries)
+    return out
 
 
 def overcount_check(x: ExtHeckeElement, y: ExtHeckeElement) -> None:
     """Re-derive the fusion by summing over all cosets; check exact divisibility.
 
-    Every coset of an orbit must contribute an isomorphic induction, the
-    orbit size must equal [little(g) : little(g) ∩ little(h)], and the full
-    sum must be exactly that index times the orbit representative's
-    contribution.  Any failure is a fusion-formula implementation bug.
+    Every coset of an orbit must read the orbit's labels (checked by
+    ``overcount_blocks``), the orbit size must equal
+    [little(g) : little(g) ∩ little(h)], and the full sum must be exactly
+    that index times the orbit representative's contribution, so divisible
+    by it.  Any failure is a fusion-formula implementation bug.
     """
     pair = x.pair
-    for g0 in pair.labels():
-        little_g = pair.little(g0)
-        for orbit in pair.coset_orbits(little_g):
-            contributions = [_orbit_contribution(pair, x, y, g0, h) for h in orbit]
-            nonzero = [c for c in contributions if c]
-            if not nonzero:
-                continue
-            if len(nonzero) != len(orbit):
+    label_pairs = [(a, b) for a in x.support for b in y.support]
+    for (a, b), orbits in zip(label_pairs, overcount_blocks(pair, label_pairs)):
+        coeff_a = _coefficients(pair, a, x.support[a])
+        coeff_b = _coefficients(pair, b, y.support[b])
+        for g0, cosets in orbits:
+            h, little_g = next(iter(cosets)), pair.little(g0)
+            index = len(little_g) // len(pair.intersection(
+                little_g, pair.little_of_element(h)))
+            if index != len(cosets):
                 raise FusionFormulaError(
-                    f"orbit of {orbit[0].cycle_string()} at label "
-                    f"{g0.cycle_string()}: support is not orbit-invariant")
-            h = orbit[0]
-            meet = pair.intersection(little_g, pair.little_of_element(h))
-            index = len(little_g) // len(meet)
-            if index != len(orbit):
-                raise FusionFormulaError(
-                    f"orbit size {len(orbit)} != index {index} at "
+                    f"orbit size {len(cosets)} != index {index} at "
                     f"({g0.cycle_string()}, {h.cycle_string()})")
-            total: dict[RepClass, int] = {}
-            for c in nonzero:
-                total = add_multiset(total, c)
-            for cls, mult in total.items():
-                if mult % index:
-                    raise FusionFormulaError(
-                        f"multiplicity {mult} of a class at {g0.cycle_string()} "
-                        f"is not divisible by the index {index}")
-            if {c: m // index for c, m in total.items()} != nonzero[0]:
+            contributions = np.einsum("i,j,hijk->hk", coeff_a, coeff_b,
+                                      np.stack(list(cosets.values())))
+            if (contributions.sum(axis=0) != index * contributions[0]).any():
                 raise FusionFormulaError(
-                    f"orbit total at {g0.cycle_string()} is not index times "
-                    "the representative contribution")
+                    f"orbit total at {g0.cycle_string()} is not the index {index} "
+                    "times the representative contribution")
 
 
 def triple_fuse(x: ExtHeckeElement, y: ExtHeckeElement,
                 z: ExtHeckeElement) -> ExtHeckeElement:
-    """Direct evaluation of the symmetric three-factor formula.
-
-    Sums over orbits of little(g) acting diagonally on pairs of right cosets
-    (h, k); the (h, k) orbit contributes the induction from
-    little(g) ∩ little(h) ∩ little(k) of
-    (x at g h^-1 ∘ Ad h) ⊗ (y at h k^-1 ∘ Ad k) ⊗ (z at k).
-    The pair orbits are enumerated as the orbits of h, and for each h the
-    orbits of its stabilizer little(g) ∩ little(h) on k.  Must agree with
-    both iterated fusions.
-    """
-    pair = x.pair
-    identity = pair.group.identity
-    out: dict[Perm, dict] = {}
-    for g0 in pair.labels():
-        little_g = pair.little(g0)
-        total: dict[RepClass, int] = {}
-        for h_orbit, label_w, _ in pair.orbit_labels(g0):
-            if label_w not in x.support:
-                continue
-            h = pair.random_coset_element(pair.pick(h_orbit))
-            w = g0 * h.inverse()
-            stab = pair.intersection(little_g, pair.little_of_element(h))
-            for k_orbit in pair.coset_orbits(stab):
-                k = pair.random_coset_element(pair.pick(k_orbit))
-                v = h * k.inverse()
-                label_v, label_k = pair.label_of(v), pair.label_of(k)
-                if label_v not in y.support or label_k not in z.support:
-                    continue
-                meet = pair.intersection(stab, pair.little_of_element(k))
-                product = (_character_on(x, w, meet, h)
-                           * _character_on(y, v, meet, k)
-                           * _character_on(z, k, meet, identity))
-                dim = (multiset_dim(x.support[label_w])
-                       * multiset_dim(y.support[label_v])
-                       * multiset_dim(z.support[label_k]))
-                total = add_multiset(
-                    total, _induced_classes(pair, little_g, meet, product, dim))
-        if total:
-            out[g0] = total
-    return ExtHeckeElement(pair, out)
+    """Direct evaluation of the symmetric three-factor formula: the
+    trilinear contraction of the ``triple_blocks`` of the label triples of
+    the supports of x, y and z.  Must agree with both iterated fusions."""
+    return _contract(x.pair, [x, y, z], triple_blocks)
 
 
 def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
@@ -596,7 +636,7 @@ def _conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
         char = np.conj(_character_on(x, new_label.inverse(), little_new, new_label))
         out[new_label] = add_multiset(out.get(new_label, {}), decompose_character(
             little_new, Cocycle.trivial(little_new), char, multiset_dim(parts)))
-    return ExtHeckeElement(pair, out)
+    return ExtHeckeElement._of(pair, out)
 
 
 def to_hecke(x: ExtHeckeElement) -> HeckeElement:
@@ -624,7 +664,7 @@ def basis(pair: FinitePair) -> list[tuple[str, ExtHeckeElement]]:
     for label in pair.labels():
         name = hk.label_str(label)
         for i, cls in enumerate(irreducibles(pair.little(label))):
-            out.append((f"{name}:{i}", ExtHeckeElement(pair, {label: {cls: 1}})))
+            out.append((f"{name}:{i}", ExtHeckeElement._of(pair, {label: {cls: 1}})))
     return out
 
 

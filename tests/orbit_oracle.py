@@ -1,0 +1,65 @@
+"""The fusion product and the three-factor formula one orbit at a time: the
+oracle that the block sweeps of ``heckefuse.exthecke`` are checked against."""
+
+from heckefuse.cocycle import Cocycle
+from heckefuse.exthecke import ExtHeckeElement, _character_on, _induce
+from heckefuse.projrep import (
+    add_multiset,
+    conjugacy_classes,
+    decompose_character,
+    multiset_dim,
+)
+
+
+def induced_classes(little_g, meet, char, dim):
+    """decompose(Ind from meet to little_g) of a dim-dimensional character of meet."""
+    cls_of = conjugacy_classes(little_g)[1]
+    return decompose_character(little_g, Cocycle.trivial(little_g),
+                               _induce(little_g, meet, char[None])[:, cls_of],
+                               dim * (len(little_g) // len(meet)))
+
+
+def orbit_contribution(pair, x, y, g0, h):
+    """decompose(Ind from little(g0) ∩ little(h) of (x at g0 h^-1 ∘ Ad h) ⊗
+    (y at h)), or None where x or y is zero at those points."""
+    w = g0 * h.inverse()
+    label_w, label_h = pair.label_of(w), pair.label_of(h)
+    if label_w not in x.support or label_h not in y.support:
+        return None
+    little_g = pair.little(g0)
+    meet = pair.intersection(little_g, pair.little_of_element(h))
+    product = (_character_on(x, w, meet, h)
+               * _character_on(y, h, meet, pair.group.identity))
+    dim = multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
+    return induced_classes(little_g, meet, product, dim)
+
+
+def orbit_triple_fuse(x, y, z):
+    """The symmetric three-factor formula one (h, k) orbit at a time: the
+    orbits of little(g0) on h, and for each h those of little(g0) ∩
+    little(h) on k, each with its own induction and decomposition."""
+    pair, identity = x.pair, x.pair.group.identity
+    out = {}
+    for g0 in pair.labels():
+        little_g, total = pair.little(g0), {}
+        for h_orbit, label_w, _ in pair.orbit_labels(g0):
+            if label_w not in x.support:
+                continue
+            h = pair.random_coset_element(pair.pick(h_orbit))
+            stab = pair.intersection(little_g, pair.little_of_element(h))
+            for k_orbit in pair.coset_orbits(stab):
+                k = pair.random_coset_element(pair.pick(k_orbit))
+                v = h * k.inverse()
+                label_v, label_k = pair.label_of(v), pair.label_of(k)
+                if label_v not in y.support or label_k not in z.support:
+                    continue
+                meet = pair.intersection(stab, pair.little_of_element(k))
+                product = (_character_on(x, g0 * h.inverse(), meet, h)
+                           * _character_on(y, v, meet, k)
+                           * _character_on(z, k, meet, identity))
+                dim = (multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_v])
+                       * multiset_dim(z.support[label_k]))
+                total = add_multiset(total, induced_classes(little_g, meet, product, dim))
+        if total:
+            out[g0] = total
+    return ExtHeckeElement(pair, out)

@@ -11,7 +11,6 @@ from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
     FinitePair,
-    _orbit_contribution,
     basis,
     conjugate,
     crossed_dim_identity,
@@ -42,6 +41,7 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
+from orbit_oracle import orbit_contribution
 
 
 def direct_sum(reps):
@@ -314,7 +314,7 @@ def test_orbit_contribution_matches_matrix_formula(name, choice):
                 h = pair.random_coset_element(coset_min)
                 for x in els:
                     for y in els:
-                        got = _orbit_contribution(pair, x, y, g0, h)
+                        got = orbit_contribution(pair, x, y, g0, h)
                         assert got == matrix_contribution(pair, x, y, g0, h)
                         nonzero += got is not None
     assert nonzero

@@ -1,13 +1,15 @@
-"""Fusion by label-pair blocks against the orbit-by-orbit fusion it replaces,
-one sweep over many label pairs against one pair at a time, class-sum
-induction against the conjugation-table formula, the batched decomposition
-against one-row decompositions, and the checks that must notice a wrong
-block."""
+"""Fusion by label-pair blocks, and the three-factor and overcount blocks,
+against the orbit-by-orbit formulas they replace, one sweep over many label
+tuples against one at a time, class-sum induction against the
+conjugation-table formula, the batched decomposition against one-row
+decompositions, and the checks that must notice a wrong block."""
 
 import collections
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,17 +21,22 @@ from heckefuse.checks import (
     Config,
     check_elementary_cross_oracle,
     check_ext_associativity,
+    check_ext_overcount,
 )
 from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
     FinitePair,
+    FusionFormulaError,
     _induce,
-    _orbit_contribution,
     basis,
     fuse,
     fusion_block,
     fusion_blocks,
+    overcount_blocks,
+    overcount_check,
+    triple_blocks,
+    triple_fuse,
 )
 from heckefuse.permcore import FiniteGroup, Perm
 from heckefuse.projrep import (
@@ -43,6 +50,7 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
+from orbit_oracle import orbit_contribution, orbit_triple_fuse
 
 CATALOG = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
 
@@ -67,7 +75,7 @@ def orbit_fuse(pair, x, y):
             if label_w not in x.support or label_h not in y.support:
                 continue
             h = pair.random_coset_element(pair.pick(orbit))
-            total = add_multiset(total, _orbit_contribution(pair, x, y, g0, h))
+            total = add_multiset(total, orbit_contribution(pair, x, y, g0, h))
         if total:
             out[g0] = total
     return ExtHeckeElement(pair, out)
@@ -134,16 +142,36 @@ def test_blocks_cover_each_orbit_once(name):
 def test_fusion_table_builds_no_element_per_product(name, monkeypatch):
     pair = make_pair(name)
     built = []
-    init = ExtHeckeElement.__init__
+    init, of = ExtHeckeElement.__init__, ExtHeckeElement._of
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def counting_of(*args, **kwargs):
+        built.append(args)
+        return of(*args, **kwargs)
+
     monkeypatch.setattr(ExtHeckeElement, "__init__", counting)
+    monkeypatch.setattr(ExtHeckeElement, "_of", staticmethod(counting_of))
     table = fusion_table(pair)
     assert len(built) == len(table["basis"])
     assert not any(key[0] == "fuse" for key in pair._memo)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_a_pair_dropped_after_a_cold_table_is_freed_by_reference_counting(name):
+    # an element memoized on the table path would hold its pair in a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        pair = make_pair(name)
+        fusion_table(pair)
+        dropped = weakref.ref(pair)
+        del pair
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def with_choice(pair, choice):
@@ -266,6 +294,107 @@ def test_checks_catch_a_wrong_block_entry(name):
         corrupt_one_block(pair)
         with pytest.raises(checks.CheckFailure):
             check(pair, cfg)
+
+
+# ------------------------------------------------------------ triple and overcount blocks
+
+@pytest.mark.parametrize("choice", [None, 0, 1])
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_triple_fuse_matches_the_orbit_formula_on_sums(name, choice):
+    pair = with_choice(make_pair(name), choice)
+    rng = random.Random(5)
+    for _ in range(3):
+        x, y, z = (random_sum(pair, rng) for _ in range(3))
+        assert triple_fuse(x, y, z) == orbit_triple_fuse(x, y, z)
+
+
+@pytest.mark.parametrize("choice", [None, 0])
+@pytest.mark.parametrize("name", CATALOG)
+def test_one_triple_sweep_matches_one_label_triple_at_a_time(name, choice):
+    swept_pair = with_choice(make_pair(name), choice)
+    triples = list(itertools.product(swept_pair.labels(), repeat=3))
+    swept = triple_blocks(swept_pair, triples)
+    single_pair = with_choice(make_pair(name), choice)
+    for labels, block in zip(triples, swept):
+        assert same_blocks(block, triple_blocks(single_pair, [labels])[0])
+        assert triple_blocks(swept_pair, [labels])[0] is block
+        assert all(not mults.flags.writeable for mults in block.values())
+
+
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_overcount_blocks_cover_every_coset_once(name):
+    pair = make_pair(name)
+    grouped = pair.orbits_by_labels()
+    for labels, orbits in zip(grouped, overcount_blocks(pair, list(grouped))):
+        assert [(g0, tuple(cosets)) for g0, cosets in orbits] == [
+            (g0, tuple(orbit)) for g0, orbit in grouped[labels]]
+        # the representatives' terms add up to the fusion block
+        firsts = {}
+        for g0, cosets in orbits:
+            firsts[g0] = firsts.get(g0, 0) + next(iter(cosets.values()))
+            assert all(not mults.flags.writeable for mults in cosets.values())
+        assert same_blocks(firsts, fusion_block(pair, *labels))
+    rng = random.Random(3)
+    for _ in range(4):
+        overcount_check(random_sum(pair, rng), random_sum(pair, rng))
+
+
+def corrupt_one_triple_block(pair):
+    """Add 1 to one entry of the three-factor block of the last label."""
+    labels = (pair.labels()[-1],) * 3
+    block, = triple_blocks(pair, [labels])
+    assert block
+    wrong = {g0: mults.copy() for g0, mults in block.items()}
+    wrong[next(iter(wrong))][0, 0, 0] += 1
+    pair._memo[("triple", *labels)] = wrong
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
+def test_associativity_catches_a_wrong_triple_block_entry(name):
+    cfg = Config()
+    check_ext_associativity(make_pair(name), cfg, exhaustive=True)
+    pair = make_pair(name)
+    corrupt_one_triple_block(pair)
+    with pytest.raises(checks.CheckFailure, match="associativity"):
+        check_ext_associativity(pair, cfg, exhaustive=True)
+
+
+@pytest.mark.parametrize("coset", [0, -1])
+@pytest.mark.parametrize("name", ["S3_in_S4", "S4_in_S5"])
+def test_overcount_catches_a_wrong_coset_term(name, coset):
+    # an orbit of one coset is its own representative; these pairs have larger
+    pair = make_pair(name)
+    check_ext_overcount(pair, Config())
+    grouped = pair.orbits_by_labels()
+    labels, cosets = next(
+        (labels, cosets)
+        for labels, orbits in zip(grouped, overcount_blocks(pair, list(grouped)))
+        for _, cosets in orbits if len(cosets) > 1)
+    wrong = dict(cosets)
+    h = list(wrong)[coset]
+    wrong[h] = wrong[h].copy()
+    wrong[h][0, 0, 0] += 1
+    pair._memo[("overcount", *labels)] = [
+        (g, wrong if c is cosets else c) for g, c in pair._memo[("overcount", *labels)]]
+    with pytest.raises(FusionFormulaError, match="index"):
+        check_ext_overcount(pair, Config())
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein", "S4_in_S5"])
+def test_overcount_catches_a_coset_from_another_orbit(name):
+    pair = make_pair(name)
+    grouped = pair.orbits_by_labels()
+    labels = next(iter(grouped))
+    foreign = next(orbit[0] for (_, label_h), orbits in grouped.items()
+                   if label_h != labels[1] for _, orbit in orbits)
+    (g0, orbit), *rest = grouped[labels]
+    pair._memo[("orbits_by_labels",)] = {
+        **grouped, labels: [(g0, tuple(orbit) + (foreign,)), *rest]}
+    x, y = (ExtHeckeElement(pair, {label: {irreducibles(pair.little(label))[0]: 1}})
+            for label in labels)
+    with pytest.raises(FusionFormulaError, match="orbit-invariant"):
+        overcount_check(x, y)
+    assert ("overcount", *labels) not in pair._memo
 
 
 # ------------------------------------------------------------ batched decomposition

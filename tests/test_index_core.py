@@ -323,7 +323,9 @@ def test_check_pass_object_counts(monkeypatch):
     counting(elementary, "conjugation_phase", "phase")
     counting(elementary, "conj_map", "elementary_conj_map")
     counting(projrep, "decompose_characters", "decompose_characters")
+    counting(exthecke, "decompose_characters", "decompose_characters")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
+    counting(exthecke.ExtHeckeElement, "_of", "ext_of", staticmethod)
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
@@ -338,14 +340,16 @@ def test_check_pass_object_counts(monkeypatch):
     # Canonical terms read all decompositions in one batch, and object sums
     # and identifications are memoized: 1,801 lookups, 712 cocycles, 523 Reps,
     # 67 elementary conj_maps (761 before) and 882 one-row character
-    # decompositions, the calls through projrep (1,442 before)
+    # decompositions, the calls through projrep (1,442 before).  Counting
+    # exthecke's batched calls too, 923 while the triple product and the
+    # overcount identity decomposed one orbit at a time; 595 in blocks
     assert counts["cocycle"] == 0
     assert counts["cocycle_of"] <= 750
     assert counts["positions"] <= 1_900
     assert counts["rep_of"] <= 560
     assert counts["phase"] <= 40
     assert counts["elementary_conj_map"] <= 80
-    assert counts["decompose_characters"] <= 950
+    assert counts["decompose_characters"] <= 625
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
     # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
     # It now restricts each irreducible of G once (103 fewer), and the 13
@@ -355,8 +359,11 @@ def test_check_pass_object_counts(monkeypatch):
     # Irreducibles now come from class-sum character tables, and a class
     # builds and checks one block only when its matrices are read: 35
     assert counts["rep"] == 35
-    # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit
-    assert counts["ext"] <= 2_600
+    # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit;
+    # 1,218, all checked, until products, conjugates and basis elements were
+    # built unchecked: 539 checked and 679 unchecked
+    assert counts["ext"] <= 565
+    assert counts["ext"] + counts["ext_of"] <= 1_280
 
 
 def test_table_path_builds_no_ambient_group_table():
