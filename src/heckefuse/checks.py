@@ -335,9 +335,10 @@ def check_bc_lambda(cfg: Config) -> None:
         if modular_lambda(bk, (Fraction(p), Fraction(0))) != p:
             raise CheckFailure(f"modular value at ({p}, 0) is not {p}")
     fracs = dict.fromkeys(Fraction(n, d) for n in range(1, 7) for d in range(1, 7))
-    for a1, a2 in itertools.product(fracs, repeat=2):
-        x = HeckeElement(bk, {bk.canonical_label((a1, Fraction(0))): 1})
-        y = HeckeElement(bk, {bk.canonical_label((a2, Fraction(1, 2))): 1})
+    half = Fraction(1, 2)
+    xs = [HeckeElement(bk, {bk.canonical_label((a, 0)): 1}) for a in fracs]
+    ys = [HeckeElement(bk, {bk.canonical_label((a, half)): 1}) for a in fracs]
+    for x, y in itertools.product(xs, ys):
         bad = lambda_multiplicativity_witnesses(x, y)
         if bad:
             raise CheckFailure(f"modular multiplicativity fails: {bad[0]}")

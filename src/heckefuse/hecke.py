@@ -25,7 +25,9 @@ Shimura's and Macdonald's Hecke rings, ax+b by one coefficient spread over
 backend and is the oracle the closed forms are checked against.
 
 All coefficients are Python integers and all label data is exact, so there
-is no overflow and no rounding anywhere in this module.
+is no overflow and no rounding anywhere in this module.  Arithmetic labels
+stay ``Fraction`` pairs, but the inner loops work on their numerators and
+denominators as integers and build one ``Fraction`` per output label.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .permcore import DoubleCosetSystem, FiniteGroup, Memo, Perm, Subgroup
@@ -164,16 +166,21 @@ class GL2Hecke:
 
     def canonical_label(self, x: Elt):
         c, p = x
-        return (c, c * (p[0] * p[3] - p[1] * p[2]))
+        return (c, Fraction(c.numerator * (p[0] * p[3] - p[1] * p[2]),
+                            c.denominator))
 
     def _split(self, label) -> tuple[Fraction, int]:
         """(d1, d2 / d1) of a valid label; checks d1 before dividing by it."""
-        d1, d2 = Fraction(label[0]), Fraction(label[1])
-        if d1 > 0:
-            ratio = d2 / d1
-            if ratio.denominator == 1 and ratio >= 1:
-                return d1, int(ratio)
-        raise ValueError(f"not a valid label: {self.label_str((d1, d2))}")
+        d1, d2 = label
+        if not isinstance(d1, Fraction):
+            d1 = Fraction(d1)
+        if d1.numerator > 0:
+            # d2 / d1 = (n2 q1) / (q2 n1)
+            m, rem = divmod(d2.numerator * d1.denominator,
+                            d2.denominator * d1.numerator)
+            if not rem and m >= 1:
+                return d1, m
+        raise ValueError(f"not a valid label: {self.label_str(label)}")
 
     def element_of(self, label) -> Elt:
         d1, m = self._split(label)
@@ -276,8 +283,12 @@ class BostConnesHecke:
         return (Fraction(1), Fraction(0))
 
     def canonical_label(self, x):
-        a, b = Fraction(x[0]), Fraction(x[1])
-        if a <= 0:
+        a, b = x
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+        if a.numerator <= 0:
             raise ValueError("the scaling part must be positive")
         # b = n/d, so b mod 1/q = ((n q) mod d) / (d q)
         q, d = a.denominator, b.denominator
@@ -304,10 +315,10 @@ class BostConnesHecke:
         return self.canonical_label(self.inv(self.element_of(label)))
 
     def right_count(self, label) -> int:
-        return Fraction(label[0]).denominator
+        return label[0].denominator
 
     def left_count(self, label) -> int:
-        return Fraction(label[0]).numerator
+        return label[0].numerator
 
     def sort_key(self, label):
         return (label[0], label[1])
@@ -328,27 +339,27 @@ class BostConnesHecke:
         """Labels of the double cosets meeting coset(kx) * coset(ky), closed form.
 
         The translation parts of the product set fill the coset
-        r1 + a1 r2 + (Z + a1 Z + a1 a2 Z); that subgroup is g Z for the
-        fraction gcd g, and it splits into double cosets at spacing
-        1/denom(a1 a2).
+        r1 + a1 r2 + (Z + a1 Z + a1 a2 Z).  With a1 = p1/q1 and a1 a2 = p/q
+        in lowest terms that subgroup is (1/g) Z, g = lcm(q1, q), and it
+        splits into g/q double cosets at spacing 1/q.  The translations are
+        summed as integers over one common denominator d, so the residue
+        mod 1/q of n/d is (n mod d/q)/d.
         """
-        a1, r1 = kx
-        a2, r2 = ky
-        a = a1 * a2
-        step = Fraction(1, a.denominator)
-
-        def frac_gcd(u: Fraction, v: Fraction) -> Fraction:
-            return Fraction(gcd(u.numerator * v.denominator,
-                                v.numerator * u.denominator),
-                            u.denominator * v.denominator)
-
-        g = frac_gcd(frac_gcd(Fraction(1), a1), a)
-        base = r1 + a1 * r2
-        count = step / g
-        if count.denominator != 1:
-            raise RuntimeError(f"{kx} * {ky} splits into {count} double cosets")
-        return {self.canonical_label((a, base + t * g))
-                for t in range(int(count))}
+        (a1, r1), (a2, r2) = kx, ky
+        p1, q1 = a1.numerator, a1.denominator
+        a = Fraction(p1 * a2.numerator, q1 * a2.denominator)
+        q = a.denominator
+        g = lcm(q1, q)
+        count, rem = divmod(g, q)
+        if rem:
+            raise RuntimeError(
+                f"{kx} * {ky} splits into {Fraction(g, q)} double cosets")
+        e1, e2 = r1.denominator, q1 * r2.denominator
+        d = lcm(e1, e2, g)
+        base = r1.numerator * (d // e1) + p1 * r2.numerator * (d // e2)
+        step, width = d // g, d // q
+        return {(a, Fraction((base + t * step) % width, d))
+                for t in range(count)}
 
     def closed_product(self, kx, ky) -> dict:
         """T(kx) T(ky) as {label: coefficient}, in closed form.
@@ -530,13 +541,15 @@ def lambda_multiplicativity_witnesses(x: HeckeElement, y: HeckeElement) -> list:
                or functools.partial(_product_labels, bk))
     bad = []
     for kx in x.coeffs:
-        lam_x = modular_lambda(bk, kx)
+        lx, rx = degrees(bk, kx)
         for ky in y.coeffs:
-            want = lam_x * modular_lambda(bk, ky)
+            ly, ry = degrees(bk, ky)
             for label in support(kx, ky):
-                got = modular_lambda(bk, label)
-                if got != want:
-                    bad.append((kx, ky, label, got, want))
+                # l/r == (lx/rx) (ly/ry), cross-multiplied: counts are positive
+                l, r = degrees(bk, label)
+                if l * rx * ry != lx * ly * r:
+                    bad.append((kx, ky, label,
+                                Fraction(l, r), Fraction(lx * ly, rx * ry)))
     return bad
 
 

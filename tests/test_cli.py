@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,16 @@ def test_list(capsys):
     assert code == 0
     for name in ("S3_in_S4", "D4_klein", "gl2", "bc"):
         assert name in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(heckefuse.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "heckefuse", "list"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in ("S3_in_S4", "D4_klein", "gl2", "bc"):
+        assert name in done.stdout
 
 
 def test_hecke_mul_pinned_example(capsys):

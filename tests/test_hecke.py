@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -345,6 +346,32 @@ def test_gl2_invalid_labels(gl2):
         parse_element(gl2, "T[0,1]")
 
 
+@pytest.mark.parametrize("label, want", [
+    ((1, 6), (Fraction(1), 6)),
+    ((2, 2), (Fraction(2), 1)),
+    ((Fraction(1, 2), 3), (Fraction(1, 2), 6)),
+    ((Fraction(2, 3), Fraction(2)), (Fraction(2, 3), 3)),
+    ((Fraction(5, 7), Fraction(10, 7)), (Fraction(5, 7), 2)),
+])
+def test_gl2_split(gl2, label, want):
+    d1, m = gl2._split(label)
+    assert (d1, m) == want
+    assert type(d1) is Fraction and type(m) is int
+
+
+@pytest.mark.parametrize("label", [
+    # d1 <= 0
+    (0, 1), (-1, 2), (Fraction(-1, 2), Fraction(1)), (Fraction(0), Fraction(0)),
+    # d2 / d1 not a positive integer
+    (2, 3), (2, 1), (1, 0), (1, -2), (Fraction(1, 2), Fraction(3, 4)),
+    (1, Fraction(7, 2)), (Fraction(2, 3), Fraction(-4, 3)),
+])
+def test_gl2_split_rejects(gl2, label):
+    text = f"{label[0]},{label[1]}"
+    with pytest.raises(ValueError, match=re.escape(f"not a valid label: {text}")):
+        gl2._split(label)
+
+
 def test_gl2_commutativity(gl2):
     labels = [gl2.parse_label(s) for s in ("1,2", "1,3", "2,2", "1,4")]
     for a, b in itertools.product(labels, repeat=2):
@@ -460,6 +487,27 @@ def test_bc_product_support_closed_form(bc):
             assert bc.product_support(kx, ky) == brute
             conv = convolve(HeckeElement(bc, {kx: 1}), HeckeElement(bc, {ky: 1}))
             assert set(conv.coeffs) == brute
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.fractions(min_value=0, max_value=12, max_denominator=12).filter(bool),
+    st.fractions(min_value=-30, max_value=0, max_denominator=12)),
+    min_size=2, max_size=2))
+@example([(Fraction(3, 2), Fraction(-7, 3)), (Fraction(5, 12), Fraction(-1, 8))])
+@example([(Fraction(1, 12), Fraction(-11, 12)), (Fraction(12, 11), Fraction(-5, 7))])
+def test_bc_product_support_matches_representative_products(pairs):
+    # on labels and on raw pairs with negative translations: any translation
+    # names the same double coset
+    bc = BostConnesHecke()
+    kx, ky = (bc.canonical_label(p) for p in pairs)
+    brute = {bc.canonical_label(bc.mul(r, s))
+             for r in bc.right_reps(kx) for s in bc.right_reps(ky)}
+    assert bc.product_support(kx, ky) == brute
+    assert bc.product_support(*pairs) == brute
+    for label in brute:
+        assert all(type(part) is Fraction for part in label)
+        assert label == bc.canonical_label(label)
 
 
 def test_bc_degree_homomorphism(bc):
@@ -582,13 +630,7 @@ def test_product_canonicalizes_once_per_representative(kind, expr, bound, monkey
     assert len(calls) <= bound
 
 
-@pytest.mark.parametrize("kind, expr, bound", [
-    # arithmetic on Fraction matrices built 21,396 and 4,002 Fractions here
-    ("gl2", "T[1,42]*T[1,66]", 3000),
-    ("bc", "T[1/130;0]*T[1/182;0]", 3500),
-])
-def test_product_fraction_builds(kind, expr, bound, monkeypatch):
-    cls = GL2Hecke if kind == "gl2" else BostConnesHecke
+def fraction_builds(monkeypatch, run) -> int:
     builds = []
     original = Fraction.__new__
 
@@ -596,11 +638,48 @@ def test_product_fraction_builds(kind, expr, bound, monkeypatch):
         builds.append(1)
         return original(frac_cls, *args, **kwargs)
 
-    backend = cls()
     monkeypatch.setattr(Fraction, "__new__", counting)
-    convolve_factors(backend, expr)
+    run()
     monkeypatch.undo()
-    assert 0 < len(builds) <= bound
+    return len(builds)
+
+
+@pytest.mark.parametrize("kind, expr, bound", [
+    # arithmetic on Fraction matrices built 21,396 and 4,002 Fractions here;
+    # the BC labels of this product take 2,432
+    ("gl2", "T[1,42]*T[1,66]", 3000),
+    ("bc", "T[1/130;0]*T[1/182;0]", 2500),
+])
+def test_product_fraction_builds(kind, expr, bound, monkeypatch):
+    backend = GL2Hecke() if kind == "gl2" else BostConnesHecke()
+    builds = fraction_builds(monkeypatch, lambda: convolve_factors(backend, expr))
+    assert 0 < builds <= bound
+
+
+def test_bc_lambda_check_fraction_builds(monkeypatch):
+    # 529 label pairs; rebuilding every label and modular value as a
+    # Fraction took 18,546 builds, integer cross-multiplication takes 1,435
+    builds = fraction_builds(monkeypatch, lambda: checks.check_bc_lambda(checks.Config()))
+    assert 0 < builds <= 3000
+
+
+def test_bc_lambda_check_catches_a_wrong_left_count(bc, monkeypatch):
+    checks.check_bc_lambda(checks.Config())
+    original = BostConnesHecke.left_count
+
+    def off_by_one(self, label):
+        # (36, 0) is only ever a product, T[6;0] * T[6;1/2]
+        return original(self, label) + (label[0] == 36)
+
+    monkeypatch.setattr(BostConnesHecke, "left_count", off_by_one)
+    with pytest.raises(checks.CheckFailure, match="modular multiplicativity fails"):
+        checks.check_bc_lambda(checks.Config())
+    x = HeckeElement(bc, {bc.parse_label("6;0"): 1})
+    y = HeckeElement(bc, {bc.parse_label("6;1/2"): 1})
+    [(kx, ky, label, got, want)] = lambda_multiplicativity_witnesses(x, y)
+    assert (kx, ky, label) == (*x.coeffs, *y.coeffs, (Fraction(36), Fraction(0)))
+    assert type(got) is Fraction and type(want) is Fraction
+    assert (got, want) == (37, 36)
 
 
 def test_product_inverts_each_right_representative_once(monkeypatch):
