@@ -645,15 +645,22 @@ def fraction_builds(monkeypatch, run) -> int:
 
 
 @pytest.mark.parametrize("kind, expr, bound", [
-    # arithmetic on Fraction matrices built 21,396 and 4,002 Fractions here;
-    # the BC labels of this product take 2,432
+    # arithmetic on Fraction matrices built 21,396 and 4,002 Fractions here
     ("gl2", "T[1,42]*T[1,66]", 3000),
-    ("bc", "T[1/130;0]*T[1/182;0]", 2500),
+    ("bc", "T[1/130;0]*T[1/182;0]", 3500),
 ])
 def test_product_fraction_builds(kind, expr, bound, monkeypatch):
     backend = GL2Hecke() if kind == "gl2" else BostConnesHecke()
     builds = fraction_builds(monkeypatch, lambda: convolve_factors(backend, expr))
     assert 0 < builds <= bound
+
+
+def test_bc_product_fraction_builds_with_integer_labels(monkeypatch):
+    # integer label arithmetic builds one Fraction per output label: 2,432 here
+    backend = BostConnesHecke()
+    builds = fraction_builds(
+        monkeypatch, lambda: convolve_factors(backend, "T[1/130;0]*T[1/182;0]"))
+    assert 0 < builds <= 2500
 
 
 def test_bc_lambda_check_fraction_builds(monkeypatch):
