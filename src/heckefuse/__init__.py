@@ -38,12 +38,14 @@ from .exthecke import (
     ExtHeckeElement,
     FinitePair,
     basis,
+    basis_vector,
     crossed_dim_identity,
     dims,
     from_rep,
     fusion_block,
     fusion_blocks,
     overcount_check,
+    structure_constants,
     to_hecke,
     transport_class,
     triple_fuse,

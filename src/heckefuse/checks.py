@@ -8,11 +8,14 @@ runner collects outcomes.  Random draws (trials, sampled triples) come from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from .catalog import (
     BUILTIN,
@@ -44,23 +47,26 @@ from .elementary import (
 from .exthecke import (
     FinitePair,
     basis,
+    basis_spans,
+    basis_vector,
     conjugate,
     crossed_dim_identity,
     dims,
     from_rep,
-    fuse,
-    overcount_check,
+    overcount_identity,
+    structure_constants,
     to_hecke,
     triple_blocks,
-    triple_fuse,
     unit,
 )
 from .hecke import (
     BostConnesHecke,
     GL2Hecke,
     HeckeElement,
+    basis_product,
     convolve,
     degree,
+    expand,
     involution,
     lambda_multiplicativity_witnesses,
     modular_lambda,
@@ -73,6 +79,7 @@ from .permcore import (
     normalizer_in_sym,
 )
 from .projrep import (
+    check_dense_size,
     decompose,
     equivalent,
     hom_dim,
@@ -253,54 +260,68 @@ def check_equivalence_vs_hom(pair: FinitePair, cfg: Config) -> None:
 
 # ------------------------------------------------------------ hecke checks
 
+def _hecke_table(backend) -> np.ndarray:
+    """H[a, b, c], the coefficient of T[c] in T[a] T[b], over the labels of
+    a finite backend, read from its memoized basis products."""
+    labels = backend.labels()
+    at = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    check_dense_size(f"the Hecke products of {n} labels", n ** 3, itemsize=8)
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for (i, a), (j, b) in itertools.product(enumerate(labels), repeat=2):
+        for label, c in basis_product(backend, a, b).items():
+            out[i, j, at[label]] = c
+    return out
+
+
 def check_hecke_associativity(backend, cfg: Config, labels=None) -> None:
     if labels is None:
         labels = backend.labels()
-    els = [HeckeElement(backend, {l: 1}) for l in labels]
-    for x, y, z in itertools.product(els, repeat=3):
-        if convolve(convolve(x, y), z) != convolve(x, convolve(y, z)):
-            raise CheckFailure("convolution is not associative")
+    product = functools.partial(basis_product, backend)
+    for x, y in itertools.product(labels, repeat=2):
+        xy = product(x, y)
+        for z in labels:
+            if expand(xy, {z: 1}, product) != expand({x: 1}, product(y, z), product):
+                raise CheckFailure("convolution is not associative")
 
 
 def check_degree_homomorphism(backend, cfg: Config, labels=None) -> None:
     if labels is None:
         labels = backend.labels()
-    els = [HeckeElement(backend, {l: 1}) for l in labels]
-    for x, y in itertools.product(els, repeat=2):
-        if degree(convolve(x, y)) != degree(x) * degree(y):
+    for x, y in itertools.product(labels, repeat=2):
+        xy = HeckeElement(backend, basis_product(backend, x, y))
+        if degree(xy) != backend.right_count(x) * backend.right_count(y):
             raise CheckFailure("degree is not multiplicative")
 
 
 def check_involution_laws(backend, cfg: Config, labels=None) -> None:
     if labels is None:
         labels = backend.labels()
-    els = [HeckeElement(backend, {l: 1}) for l in labels]
-    for x in els:
-        if involution(involution(x)) != x:
-            raise CheckFailure("involution is not involutive")
-    for x, y in itertools.product(els, repeat=2):
-        if involution(convolve(x, y)) != convolve(involution(y), involution(x)):
+    bars = {l: involution(HeckeElement(backend, {l: 1})) for l in labels}
+    if any(involution(bars[l]).coeffs != {l: 1} for l in labels):
+        raise CheckFailure("involution is not involutive")
+    product = functools.partial(basis_product, backend)
+    for x, y in itertools.product(labels, repeat=2):
+        xy = HeckeElement(backend, product(x, y))
+        if involution(xy).coeffs != expand(bars[y].coeffs, bars[x].coeffs, product):
             raise CheckFailure("involution is not anti-multiplicative")
 
 
 def check_hecke_frobenius_weighted(backend, cfg: Config) -> None:
     labels = backend.labels()
-
-    def mult(a, b, t):
-        return convolve(HeckeElement(backend, {a: 1}),
-                        HeckeElement(backend, {b: 1})).coeffs.get(t, 0)
-
-    def bar(l):
-        return backend.canonical_label(backend.inv(backend.element_of(l)))
-
-    for x, y, z in itertools.product(labels, repeat=3):
-        lhs = mult(x, y, z) * backend.right_count(z)
-        mid = mult(bar(x), z, y) * backend.right_count(y)
-        rhs = mult(z, bar(y), x) * backend.right_count(x)
-        if not lhs == mid == rhs:
-            raise CheckFailure(
-                f"weighted reciprocity fails at ({backend.label_str(x)}, "
-                f"{backend.label_str(y)}, {backend.label_str(z)})")
+    at = {label: i for i, label in enumerate(labels)}
+    bar = [at[backend.canonical_label(backend.inv(backend.element_of(l)))]
+           for l in labels]
+    counts = np.array([backend.right_count(l) for l in labels])
+    h = _hecke_table(backend)
+    # at (x, y, z): m(x, y; z) r(z), m(bar x, z; y) r(y), m(z, bar y; x) r(x)
+    lhs = h * counts
+    mid = h[bar].transpose(0, 2, 1) * counts[:, None]
+    rhs = h[:, bar].transpose(2, 1, 0) * counts[:, None, None]
+    bad = np.argwhere((lhs != mid) | (mid != rhs))
+    if len(bad):
+        x, y, z = (backend.label_str(labels[i]) for i in bad[0])
+        raise CheckFailure(f"weighted reciprocity fails at ({x}, {y}, {z})")
 
 
 def check_lambda_trivial_finite(backend, cfg: Config) -> None:
@@ -387,69 +408,75 @@ def check_bc_closed_form(cfg: Config) -> None:
 
 def check_ext_associativity(pair: FinitePair, cfg: Config,
                             exhaustive: bool = False) -> None:
-    els = [b for _, b in basis(pair)]
-    triples = list(itertools.product(range(len(els)), repeat=3))
+    """The three-factor formula against both iterated products, on sampled
+    basis triples; the iterated products read ``structure_constants``."""
+    spans = basis_spans(pair)
+    at = [(label, i) for label, span in spans.items()
+          for i in range(span.stop - span.start)]
+    triples = list(itertools.product(range(len(at)), repeat=3))
     if not exhaustive and len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
-    labels = [next(iter(el.support)) for el in els]
     # the blocks of every sampled triple in one sweep
-    triple_blocks(pair, [(labels[i], labels[j], labels[k]) for i, j, k in triples])
-    for i, j, k in triples:
-        x, y, z = els[i], els[j], els[k]
-        t = triple_fuse(x, y, z)
-        if t != fuse(fuse(x, y), z) or t != fuse(x, fuse(y, z)):
+    blocks = triple_blocks(pair, [(at[i][0], at[j][0], at[k][0])
+                                  for i, j, k in triples])
+    consts = structure_constants(pair)
+    for (i, j, k), block in zip(triples, blocks):
+        t = np.zeros(len(at), dtype=np.int64)
+        for g0, mults in block.items():
+            t[spans[g0]] = mults[at[i][1], at[j][1], at[k][1]]
+        if ((t != consts[i, j] @ consts[:, k]).any()
+                or (t != consts[j, k] @ consts[i]).any()):
             raise CheckFailure(f"associativity fails on basis triple ({i},{j},{k})")
 
 
 def check_ext_frobenius(pair: FinitePair, cfg: Config) -> None:
-    els = [b for _, b in basis(pair)]
-    bars = [conjugate(b) for b in els]
-
-    def mult(x, y, target):
-        (label, parts), = target.support.items()
-        (cls, _), = parts.items()
-        return fuse(x, y).support.get(label, {}).get(cls, 0)
-
-    for (x, xb), (y, yb), z in itertools.product(
-            zip(els, bars), zip(els, bars), els):
-        if not mult(x, y, z) == mult(xb, z, y) == mult(z, yb, x):
-            raise CheckFailure("extended reciprocity fails on a basis triple")
+    consts = structure_constants(pair)
+    # conj[x, a]: the multiplicity of basis element a in conjugate(x)
+    conj = np.array([basis_vector(conjugate(b)) for _, b in basis(pair)])
+    mid = np.einsum("xa,azy->xyz", conj, consts)  # conjugate(x) * z, at y
+    rhs = np.einsum("yb,zbx->xyz", conj, consts)  # z * conjugate(y), at x
+    if (consts != mid).any() or (mid != rhs).any():
+        raise CheckFailure("extended reciprocity fails on a basis triple")
 
 
 def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     from .exthecke import ExtHeckeElement
     from .projrep import tensor as rep_tensor
-    els = [b for _, b in basis(pair)]
-    one = unit(pair)
-    for x in els:
-        if fuse(one, x) != x or fuse(x, one) != x:
-            raise CheckFailure("the unit element is not neutral")
-    for x, y in itertools.product(els, repeat=2):
-        if to_hecke(fuse(x, y)) != convolve(to_hecke(x), to_hecke(y)):
-            raise CheckFailure("to_hecke is not multiplicative")
+    consts = structure_constants(pair)
+    one = basis_vector(unit(pair))
+    eye = np.eye(len(one), dtype=np.int64)
+    if ((np.einsum("x,xyz->yz", one, consts) != eye).any()
+            or (np.einsum("y,xyz->xz", one, consts) != eye).any()):
+        raise CheckFailure("the unit element is not neutral")
+    bk = pair.hecke()
+    at = {label: i for i, label in enumerate(bk.labels())}
+    # forget[x, a]: the coefficient of T[a] in to_hecke of basis element x
+    forget = np.zeros((len(one), len(at)), dtype=np.int64)
+    for x, (_, b) in enumerate(basis(pair)):
+        for label, c in to_hecke(b).coeffs.items():
+            forget[x, at[label]] = c
+    products = np.einsum("xa,yb,abl->xyl", forget, forget, _hecke_table(bk),
+                         optimize=True)
+    if (consts @ forget != products).any():
+        raise CheckFailure("to_hecke is not multiplicative")
     gamma_classes = irreducibles(pair.little(pair.labels()[0]))
-    embedded = [from_rep(pair, a.rep) for a in gamma_classes]
+    embedded = [basis_vector(from_rep(pair, a.rep)) for a in gamma_classes]
     for (a, x), (b, y) in itertools.product(zip(gamma_classes, embedded), repeat=2):
         product_parts = decompose(rep_tensor(a.rep, b.rep))
         rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
-        if fuse(x, y) != rhs:
+        if (np.einsum("i,j,ijk->k", x, y, consts) != basis_vector(rhs)).any():
             raise CheckFailure("from_rep is not multiplicative")
 
 
 def check_ext_dims_multiplicative(pair: FinitePair, cfg: Config) -> None:
-    els = [b for _, b in basis(pair)]
-    for x, y in itertools.product(els, repeat=2):
-        dx, dy = dims(x), dims(y)
-        dxy = dims(fuse(x, y))
-        if dxy != (dx[0] * dy[0], dx[1] * dy[1]):
-            raise CheckFailure("fusion dimensions are not multiplicative")
+    d = np.array([dims(b) for _, b in basis(pair)])  # (left, right) per element
+    if (structure_constants(pair) @ d != d[:, None] * d[None, :]).any():
+        raise CheckFailure("fusion dimensions are not multiplicative")
 
 
 def check_ext_overcount(pair: FinitePair, cfg: Config) -> None:
-    els = [b for _, b in basis(pair)]
-    for x, y in itertools.product(els, repeat=2):
-        overcount_check(x, y)
+    overcount_identity(pair)
 
 
 def check_crossed_dim(pair: FinitePair, cfg: Config) -> None:
@@ -493,11 +520,12 @@ def check_elementary_associativity(pair: FinitePair, omega: Cocycle,
 
 def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
     objs = _elementary_basis(pair, Cocycle.trivial(pair.gamma))
-    ext_els = [b for _, b in basis(pair)]
-    for (x_obj, x_ext), (y_obj, y_ext) in itertools.product(
-            zip(objs, ext_els), repeat=2):
-        if elem_to_ext(fuse_objects(x_obj, y_obj)) != fuse(x_ext, y_ext):
-            raise CheckFailure("elementary and extended fusion disagree")
+    consts = structure_constants(pair)
+    got = [basis_vector(elem_to_ext(fuse_objects(x, y)))
+           for x, y in itertools.product(objs, repeat=2)]
+    # the rows of N in the same order; a basis of another size cannot reshape
+    if (np.array(got) != consts.reshape(len(got), -1)).any():
+        raise CheckFailure("elementary and extended fusion disagree")
 
 
 def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,

@@ -25,7 +25,9 @@ orbits overcounts each orbit contribution exactly
 divisibility on the term of every coset (``overcount_blocks``), and
 ``triple_fuse`` checks associativity through the symmetric three-factor
 formula (``triple_blocks``).  Both are computed once per label tuple, swept
-like the fusion blocks but independently of them.
+like the fusion blocks but independently of them.  ``structure_constants``
+holds the blocks of every label pair as one array N[x, y, z] over the basis,
+which the algebra-law checks read.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -93,9 +95,10 @@ class FinitePair:
     its label's basis keys, the fusion blocks of label pairs
     (``fusion_block``), the three-factor blocks of label triples
     (``triple_blocks``), the per-coset terms of label pairs
-    (``overcount_blocks``), fusion and conjugation results (the elements
-    themselves, keyed by their factors), and the fusion plans and products,
-    object sums and their identifications, canonical terms,
+    (``overcount_blocks``), the ``structure_constants`` and the
+    ``basis_spans`` they are indexed by, fusion and conjugation results
+    (the elements themselves, keyed by their factors), and the fusion plans
+    and products, object sums and their identifications, canonical terms,
     representatives, required cocycles and conjugation phases of elementary
     objects over it (filled by :mod:`heckefuse.elementary`).
     """
@@ -592,20 +595,35 @@ def overcount_check(x: ExtHeckeElement, y: ExtHeckeElement) -> None:
     for (a, b), orbits in zip(label_pairs, overcount_blocks(pair, label_pairs)):
         coeff_a = _coefficients(pair, a, x.support[a])
         coeff_b = _coefficients(pair, b, y.support[b])
-        for g0, cosets in orbits:
-            h, little_g = next(iter(cosets)), pair.little(g0)
-            index = len(little_g) // len(pair.intersection(
-                little_g, pair.little_of_element(h)))
-            if index != len(cosets):
-                raise FusionFormulaError(
-                    f"orbit size {len(cosets)} != index {index} at "
-                    f"({g0.cycle_string()}, {h.cycle_string()})")
-            contributions = np.einsum("i,j,hijk->hk", coeff_a, coeff_b,
-                                      np.stack(list(cosets.values())))
-            if (contributions.sum(axis=0) != index * contributions[0]).any():
-                raise FusionFormulaError(
-                    f"orbit total at {g0.cycle_string()} is not the index {index} "
-                    "times the representative contribution")
+        _check_orbit_totals(pair, orbits, lambda terms: np.einsum(
+            "i,j,hijk->hk", coeff_a, coeff_b, terms))
+
+
+def overcount_identity(pair: FinitePair) -> None:
+    """``overcount_check`` of every pair of basis elements at once: the
+    identity on the whole per-coset blocks of every label pair."""
+    label_pairs = list(itertools.product(pair.labels(), repeat=2))
+    for orbits in overcount_blocks(pair, label_pairs):
+        _check_orbit_totals(pair, orbits, lambda terms: terms)
+
+
+def _check_orbit_totals(pair: FinitePair, orbits: list, contract) -> None:
+    """The overcount identity on each (g0, cosets) of orbits, read through
+    contract(terms), terms the orbit's per-coset blocks stacked in orbit
+    order."""
+    for g0, cosets in orbits:
+        h, little_g = next(iter(cosets)), pair.little(g0)
+        index = len(little_g) // len(pair.intersection(
+            little_g, pair.little_of_element(h)))
+        if index != len(cosets):
+            raise FusionFormulaError(
+                f"orbit size {len(cosets)} != index {index} at "
+                f"({g0.cycle_string()}, {h.cycle_string()})")
+        contributions = contract(np.stack(list(cosets.values())))
+        if (contributions.sum(axis=0) != index * contributions[0]).any():
+            raise FusionFormulaError(
+                f"orbit total at {g0.cycle_string()} is not the index {index} "
+                "times the representative contribution")
 
 
 def triple_fuse(x: ExtHeckeElement, y: ExtHeckeElement,
@@ -665,6 +683,53 @@ def basis(pair: FinitePair) -> list[tuple[str, ExtHeckeElement]]:
         name = hk.label_str(label)
         for i, cls in enumerate(irreducibles(pair.little(label))):
             out.append((f"{name}:{i}", ExtHeckeElement._of(pair, {label: {cls: 1}})))
+    return out
+
+
+def basis_spans(pair: FinitePair) -> dict[Perm, slice]:
+    """The positions in ``basis`` of each label's elements; memoized."""
+    return pair._memo.get_or(("basis_spans",), _basis_spans, pair)
+
+
+def _basis_spans(pair: FinitePair) -> dict[Perm, slice]:
+    out, start = {}, 0
+    for label in pair.labels():
+        stop = start + len(irreducibles(pair.little(label)))
+        out[label], start = slice(start, stop), stop
+    return out
+
+
+def basis_vector(x: ExtHeckeElement) -> np.ndarray:
+    """The multiplicities of x over ``basis``, an int64 vector."""
+    spans = basis_spans(x.pair)
+    out = np.zeros(next(reversed(spans.values())).stop, dtype=np.int64)
+    for label, parts in x.support.items():
+        index, start = x.pair.class_index(label), spans[label].start
+        for cls, mult in parts.items():
+            out[start + index[cls]] = mult
+    return out
+
+
+def structure_constants(pair: FinitePair) -> np.ndarray:
+    """N[x, y, z], the multiplicity of basis element z in the fusion of
+    basis elements x and y, in ``basis`` order: a read-only int64 array read
+    from the ``fusion_blocks`` of every label pair; memoized on the pair.
+    Its n^3 entries must fit in ``projrep.MAX_DENSE_BYTES``, or it raises
+    ``GroupTooLarge`` before computing anything."""
+    return pair._memo.get_or(("structure_constants",), _structure_constants, pair)
+
+
+def _structure_constants(pair: FinitePair) -> np.ndarray:
+    spans = basis_spans(pair)
+    n = next(reversed(spans.values())).stop
+    projrep.check_dense_size(f"the structure constants of {n} basis elements",
+                             n ** 3, itemsize=8)
+    out = np.zeros((n, n, n), dtype=np.int64)
+    label_pairs = list(itertools.product(spans, repeat=2))
+    for (a, b), block in zip(label_pairs, fusion_blocks(pair, label_pairs)):
+        for g0, mults in block.items():
+            out[spans[a], spans[b], spans[g0]] = mults
+    out.flags.writeable = False
     return out
 
 

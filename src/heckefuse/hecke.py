@@ -22,7 +22,9 @@ Shimura's and Macdonald's Hecke rings, ax+b by one coefficient spread over
 ``product_support``.  ``multiply``, the product behind ``*`` and
 ``parse_element``, expands over those closed forms and falls back on
 ``convolve`` for finite pairs.  ``convolve`` stays the generic path on every
-backend and is the oracle the closed forms are checked against.
+backend and is the oracle the closed forms are checked against; each backend
+memoizes the convolved products of basis elements that the algebra laws read
+(``basis_product``).
 
 All coefficients are Python integers and all label data is exact, so there
 is no overflow and no rounding anywhere in this module.  Arithmetic labels
@@ -53,6 +55,7 @@ class FiniteHecke:
         self.group = group
         self.gamma = gamma
         self.cosets = cosets if cosets is not None else DoubleCosetSystem(group, gamma)
+        self._products = Memo()
         self._names = {}
         self._by_name = {}
         for i, label in enumerate(self.cosets.labels()):
@@ -159,6 +162,9 @@ class GL2Hecke:
     """
 
     kind = "gl2"
+
+    def __init__(self):
+        self._products = Memo()
 
     @property
     def unit_label(self):
@@ -277,6 +283,7 @@ class BostConnesHecke:
 
     def __init__(self):
         self._reps_cache = Memo()
+        self._products = Memo()
 
     @property
     def unit_label(self):
@@ -492,12 +499,26 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     closed = getattr(x.backend, "closed_product", None)
     if closed is None:
         return convolve(x, y)
+    return HeckeElement(x.backend, expand(x.coeffs, y.coeffs, closed))
+
+
+def expand(x: dict, y: dict, product) -> dict:
+    """The product of the coefficient maps x and y, expanded bilinearly over
+    product(kx, ky), the {label: coefficient} map of T[kx] T[ky]."""
     out: dict = {}
-    for kx, cx in x.coeffs.items():
-        for ky, cy in y.coeffs.items():
-            for label, c in closed(kx, ky).items():
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            for label, c in product(kx, ky).items():
                 out[label] = out.get(label, 0) + cx * cy * c
-    return HeckeElement(x.backend, out)
+    return out
+
+
+def basis_product(backend, kx, ky) -> dict:
+    """T[kx] T[ky] as {label: coefficient}, by ``convolve``; memoized on the
+    backend, so each basis product the algebra laws read is convolved once.
+    The map is shared: callers must not change it."""
+    return backend._products.get_or((kx, ky), lambda: convolve(
+        HeckeElement(backend, {kx: 1}), HeckeElement(backend, {ky: 1})).coeffs)
 
 
 def involution(x: HeckeElement) -> HeckeElement:

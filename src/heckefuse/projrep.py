@@ -207,7 +207,7 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
     if cocycle is None:
         cocycle = Cocycle.trivial(group)
     n = len(group)
-    _check_dense_size(f"the regular representation of a group of order {n}", n ** 3)
+    check_dense_size(f"the regular representation of a group of order {n}", n ** 3)
     if cocycle.group != group:
         raise ValueError("cocycle lives on a different group")
     t, m, mul = cocycle.arr, cocycle.modulus, group.mul_table()
@@ -225,13 +225,13 @@ def regular_rep(group: FiniteGroup, cocycle: Optional[Cocycle] = None) -> Rep:
     return Rep._of(group, cocycle, mats)
 
 
-def _check_dense_size(what: str, entries: int) -> None:
-    """Raise ``GroupTooLarge`` unless that many complex entries fit in
-    ``MAX_DENSE_BYTES``."""
-    size = 16 * entries
+def check_dense_size(what: str, entries: int, itemsize: int = 16) -> None:
+    """Raise ``GroupTooLarge`` unless that many entries of itemsize bytes
+    (complex by default) fit in ``MAX_DENSE_BYTES``."""
+    size = itemsize * entries
     if size > MAX_DENSE_BYTES:
         raise GroupTooLarge(
-            f"{what} needs {size / 2 ** 20:.0f} MiB of dense matrices, over "
+            f"{what} needs {size / 2 ** 20:.0f} MiB of dense arrays, over "
             f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES // 2 ** 20} MiB")
 
 
@@ -576,7 +576,7 @@ def _class_rep(cls: RepClass) -> Rep:
     group, cocycle, d, n = cls.group, cls.cocycle, cls.dim, len(cls.group)
     if d == 1:
         return _class_block(cls, cls.character().reshape(n, 1, 1))
-    _check_dense_size(f"a degree-{d} class of a group of order {n}", (n * d) ** 2)
+    check_dense_size(f"a degree-{d} class of a group of order {n}", (n * d) ** 2)
     mul, omega = group.mul_table(), _roots(cocycle.modulus)[cocycle.arr]
     g = mul[:, group.inv_indices()]
     vals, vecs = np.linalg.eigh(d / n * cls.character().conj()[g] * omega[g, np.arange(n)])

@@ -1,8 +1,9 @@
 """Fusion by label-pair blocks, and the three-factor and overcount blocks,
 against the orbit-by-orbit formulas they replace, one sweep over many label
-tuples against one at a time, class-sum induction against the
-conjugation-table formula, the batched decomposition against one-row
-decompositions, and the checks that must notice a wrong block."""
+tuples against one at a time, the structure constants against fusion of
+sums, class-sum induction against the conjugation-table formula, the batched
+decomposition against one-row decompositions, and the checks that must
+notice a wrong block or a wrong Hecke basis product."""
 
 import collections
 import gc
@@ -30,15 +31,18 @@ from heckefuse.exthecke import (
     FusionFormulaError,
     _induce,
     basis,
+    basis_vector,
     fuse,
     fusion_block,
     fusion_blocks,
     overcount_blocks,
     overcount_check,
+    structure_constants,
     triple_blocks,
     triple_fuse,
 )
-from heckefuse.permcore import FiniteGroup, Perm
+from heckefuse.hecke import basis_product
+from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm
 from heckefuse.projrep import (
     NumericalDegradation,
     add_multiset,
@@ -174,6 +178,24 @@ def test_a_pair_dropped_after_a_cold_table_is_freed_by_reference_counting(name):
         gc.enable()
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_structure_constants_and_hecke_products_keep_a_dropped_pair_collectable(name):
+    # they hold arrays and label -> int maps, never an element of the pair
+    gc.collect()
+    gc.disable()
+    try:
+        pair = make_pair(name)
+        structure_constants(pair)
+        bk = pair.hecke()
+        for label_a, label_b in all_label_pairs(pair):
+            basis_product(bk, label_a, label_b)
+        dropped = weakref.ref(pair)
+        del pair, bk
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def with_choice(pair, choice):
     return pair if choice is None else pair.with_choices(random.Random(choice))
 
@@ -197,6 +219,44 @@ def test_one_sweep_matches_one_label_pair_at_a_time(name, choice):
     for (label_a, label_b), block in zip(label_pairs, swept):
         assert same_blocks(block, fusion_block(single_pair, label_a, label_b))
         assert fusion_block(swept_pair, label_a, label_b) is block
+
+
+@pytest.mark.parametrize("choice", [None, 0])
+@pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
+def test_fuse_of_sums_contracts_the_structure_constants(name, choice):
+    # check reads N and never fuses sums; this keeps fuse's sum path tied to
+    # N, each read on its own pair (and its own representatives under rng)
+    n = structure_constants(with_choice(make_pair(name), choice))
+    assert n.dtype == np.int64 and not n.flags.writeable
+    pair = with_choice(make_pair(name), choice)
+    keys = [key for key, _ in basis(pair)]
+
+    def vector(x):
+        out = np.zeros(len(keys), dtype=np.int64)
+        for key, mult in x.terms():
+            out[keys.index(key)] = mult
+        return out
+
+    rng = random.Random(7)
+    for _ in range(6):
+        x, y = random_sum(pair, rng), random_sum(pair, rng)
+        assert (basis_vector(x) == vector(x)).all()
+        want = np.einsum("i,j,ijk->k", vector(x), vector(y), n)
+        assert (vector(fuse(x, y)) == want).all()
+    assert structure_constants(pair) is structure_constants(pair)
+
+
+def test_structure_constants_refuse_an_array_over_the_dense_limit(monkeypatch):
+    # trivial gamma in S6 would need 720^3 entries of 8 bytes, 2,848 MiB
+    pair = make_pair("S4_in_S5")
+    n = len(basis(pair))
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3 - 1)
+    with pytest.raises(GroupTooLarge,
+                       match=f"structure constants of {n} basis elements needs 0 MiB"):
+        structure_constants(pair)
+    assert not any(key[0] in ("block", "structure_constants") for key in pair._memo)
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3)
+    assert structure_constants(pair).nbytes == 8 * n ** 3
 
 
 def test_chunked_sweep_matches_the_unchunked_one(monkeypatch):
@@ -285,15 +345,37 @@ def corrupt_one_block(pair):
 
 @pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
 def test_checks_catch_a_wrong_block_entry(name):
+    # ext-overcount reads its own per-coset blocks; see the overcount tests
     cfg = Config()
     for check in (check_elementary_cross_oracle,
-                  lambda p, c: check_ext_associativity(p, c, exhaustive=True)):
+                  lambda p, c: check_ext_associativity(p, c, exhaustive=True),
+                  checks.check_ext_frobenius, checks.check_ext_dims_multiplicative,
+                  checks.check_ext_homomorphisms):
         pair = make_pair(name)
         check(pair, cfg)
         pair = make_pair(name)
         corrupt_one_block(pair)
         with pytest.raises(checks.CheckFailure):
             check(pair, cfg)
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
+def test_hecke_checks_catch_a_wrong_basis_product(name):
+    # one extra T[e] in T[e] T[K].  On these two-label pairs an extra
+    # coefficient in T[K] T[K] leaves associativity and the involution laws
+    # intact (both sides read the same product), and an extra T[e] in
+    # T[e] T[e] leaves the involution laws and weighted reciprocity intact
+    cfg = Config()
+    for check in (checks.check_hecke_associativity, checks.check_degree_homomorphism,
+                  checks.check_involution_laws, checks.check_hecke_frobenius_weighted):
+        check(make_pair(name).hecke(), cfg)
+        bk = make_pair(name).hecke()
+        e, k = bk.labels()[0], bk.labels()[-1]
+        wrong = dict(basis_product(bk, e, k))
+        wrong[e] = wrong.get(e, 0) + 1
+        bk._products[e, k] = wrong
+        with pytest.raises(checks.CheckFailure):
+            check(bk, cfg)
 
 
 # ------------------------------------------------------------ triple and overcount blocks

@@ -15,6 +15,7 @@ from heckefuse.hecke import (
     FiniteHecke,
     GL2Hecke,
     HeckeElement,
+    basis_product,
     convolve,
     degree,
     degrees,
@@ -172,6 +173,22 @@ def test_unweighted_frobenius_fails_on_coset_basis(finite_s3_s4):
 
 
 # ------------------------------------------------------------ GL2 backend
+
+def test_basis_product_is_the_memoized_convolution(bc):
+    # trivial gamma in S3 gives the group algebra of S3, which is not
+    # commutative, so a product read in the wrong order shows
+    g = FiniteGroup.generate(3, [Perm.parse(3, "(0 1)"), Perm.parse(3, "(0 1 2)")])
+    group_algebra = FiniteHecke(g, g.subgroup([g.identity]))
+    small = [bc.parse_label(s) for s in ("2;0", "1/2;0", "3;1/3")]
+    for bk, labels in ((group_algebra, group_algebra.labels()), (bc, small)):
+        for a, b in itertools.product(labels, repeat=2):
+            product = basis_product(bk, a, b)
+            assert product == convolve(HeckeElement(bk, {a: 1}),
+                                       HeckeElement(bk, {b: 1})).coeffs
+            assert basis_product(bk, a, b) is product
+    assert any(basis_product(group_algebra, a, b) != basis_product(group_algebra, b, a)
+               for a, b in itertools.product(group_algebra.labels(), repeat=2))
+
 
 def test_hnf_representative_counts(gl2):
     assert len(primitive_hnf_reps(1)) == 1

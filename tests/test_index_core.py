@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import heckefuse
-from heckefuse import checks, cocycle, elementary, exthecke, permcore, projrep
+from heckefuse import checks, cocycle, elementary, exthecke, hecke, permcore, projrep
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cocycle import Cocycle, PhaseFunction, conjugation_phase, heisenberg_group
 from heckefuse.elementary import required_cocycle
@@ -326,6 +326,8 @@ def test_check_pass_object_counts(monkeypatch):
     counting(exthecke, "decompose_characters", "decompose_characters")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
     counting(exthecke.ExtHeckeElement, "_of", "ext_of", staticmethod)
+    counting(hecke, "convolve", "convolve")
+    counting(checks, "convolve", "convolve")
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
@@ -361,9 +363,14 @@ def test_check_pass_object_counts(monkeypatch):
     assert counts["rep"] == 35
     # 7,937 while fuse and conjugate cached dict copies and rebuilt each hit;
     # 1,218, all checked, until products, conjugates and basis elements were
-    # built unchecked: 539 checked and 679 unchecked
+    # built unchecked: 539 checked and 679 unchecked.  The algebra-law checks
+    # now read the structure constants instead of fusing basis elements: 250
+    # unchecked
     assert counts["ext"] <= 565
-    assert counts["ext"] + counts["ext_of"] <= 1_280
+    assert counts["ext"] + counts["ext_of"] <= 820
+    # 652 while the Hecke law checks convolved every product they compared;
+    # 185 with each basis product a law reads convolved once per backend
+    assert counts["convolve"] <= 200
 
 
 def test_table_path_builds_no_ambient_group_table():
