@@ -26,7 +26,7 @@ from typing import Optional
 from .cocycle import Cocycle, bilinear_cocycle
 from .exthecke import FinitePair, basis, dims, fusion_blocks
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
-from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm
+from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm, Subgroup
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def build_pair(entry: CatalogEntry,
     g_gens = [Perm.parse(entry.degree, s) for s in entry.g_gens]
     gamma_gens = [Perm.parse(entry.degree, s) for s in entry.gamma_gens]
     group = FiniteGroup.generate(entry.degree, g_gens, max_order)
-    gamma_closure = FiniteGroup.generate(entry.degree, gamma_gens, max_order)
-    gamma = group.subgroup(gamma_closure.elements)
-    return FinitePair(group, gamma, name=entry.name)
+    if not group.contains_subset(gamma_gens):
+        raise ValueError("subgroup elements must lie in the parent group")
+    return FinitePair(group, Subgroup._of(group, group.span(gamma_gens)), name=entry.name)
 
 
 def heisenberg_chart(entry: CatalogEntry, group: FiniteGroup, n: int) -> dict:

@@ -15,16 +15,16 @@ so concurrent use needs no locking.  A group is its sorted element list plus
 a (|G|, degree) array of image rows, looked up exactly by a sorted search
 (``FiniteGroup.positions``); hot paths work on index arrays, not ``Perm``s.
 A subgroup is its parent plus ``idx``, its elements' sorted parent positions,
-and every group is closed from generator rows by one breadth-first closure.
+and every group is closed from generator tuples by one breadth-first closure.
 Groups here are small: explicit lists beat stabilizer chains at this scale.
 
 Values are checked once, where they enter: ``Perm(...)`` that its images
 are a permutation, ``FiniteGroup(...)`` the degree of each element, and
 ``Subgroup(...)`` containment and closure.  What is computed from checked
 values is built unchecked: products, inverses, powers and conjugates by
-``Perm._of``, groups from the sorted, distinct rows of a closure or a scan
-by ``FiniteGroup._of_rows``, and subgroups picked from their parent by
-index by ``Subgroup._of``.
+``Perm._of``, groups from the sorted, distinct image tuples of a closure or
+a scan by ``FiniteGroup._of_images``, and subgroups picked from their parent
+by index by ``Subgroup._of``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -202,23 +203,37 @@ def _row_keys(rows) -> np.ndarray:
     return rows.view(np.dtype((np.void, 2 * rows.shape[-1])))[..., 0]
 
 
-def _closure(gens: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """The sorted image rows of the group the rows gens generate, breadth-first:
-    each round composes every generator with the whole frontier at once."""
-    degree = gens.shape[1]
-    frontier = np.arange(degree)[None]
-    keys = _row_keys(frontier)
-    while len(frontier):
-        products = gens[:, frontier].reshape(-1, degree)
-        new, first = np.unique(_row_keys(products), return_index=True)
-        at = np.searchsorted(keys, new)
-        fresh = keys[np.minimum(at, len(keys) - 1)] != new
-        frontier = products[first[fresh]]
-        keys = np.insert(keys, at[fresh], new[fresh])
-        if len(keys) > max_order:
+def _closure(degree: int, gens: Sequence[tuple],
+             max_order: int = DEFAULT_MAX_ORDER) -> list[tuple]:
+    """The sorted image tuples of the group the image tuples gens generate,
+    breadth-first.  An identity generator adds nothing and is dropped: at
+    degree 1 ``itemgetter`` would return a bare int."""
+    identity = tuple(range(degree))
+    times = [itemgetter(*g) for g in gens if g != identity]  # x -> x * g
+    found, queue = {identity}, [identity]
+    for x in queue:  # grows while iterating: breadth-first
+        if len(queue) > max_order:
             raise GroupTooLarge(f"group too large: closure exceeds {max_order} elements")
-    rows = np.frombuffer(keys.tobytes(), dtype=">u2").reshape(len(keys), degree)
-    return rows.astype(np.intp)
+        for times_g in times:
+            y = times_g(x)
+            if y not in found:
+                found.add(y)
+                queue.append(y)
+    return sorted(queue)
+
+
+def _class_minima(n: int, width: int, members: Callable) -> np.ndarray:
+    """least[i] = the least item of the class of item i, for a partition of
+    the items 0..n-1 whose classes members(todo) lists, a row per item of
+    todo.  Asks only for items no class found so far covers, in blocks of
+    about 2^20 / width items, like ``FiniteGroup._product_blocks``."""
+    least = np.full(n, -1)
+    step = max(1, (1 << 20) // width)
+    for start in range(0, n, step):
+        todo = start + np.flatnonzero(least[start:start + step] < 0)
+        found = members(todo)
+        least[found] = found.min(axis=1, keepdims=True)
+    return least
 
 
 def _conj_rows(rows: np.ndarray, xs) -> np.ndarray:
@@ -282,13 +297,14 @@ class FiniteGroup:
                    rows[first], keys, generators)
 
     @classmethod
-    def _of_rows(cls, degree: int, rows: np.ndarray,
-                 generators: Sequence[Perm] = ()) -> "FiniteGroup":
-        """The group whose image rows are rows, unchecked: for closures and
-        scans whose rows come out sorted and distinct."""
+    def _of_images(cls, degree: int, images: list[tuple],
+                   generators: Sequence[Perm] = ()) -> "FiniteGroup":
+        """The group of these image tuples, unchecked: for closures and
+        scans whose tuples come out sorted and distinct."""
+        rows = np.array(images, dtype=np.intp).reshape(len(images), degree)
         group = cls.__new__(cls)
-        group._fill(degree, tuple(map(Perm._of, map(tuple, rows.tolist()))),
-                    rows, _row_keys(rows), generators)
+        group._fill(degree, tuple(map(Perm._of, images)), rows, _row_keys(rows),
+                    generators)
         return group
 
     def _fill(self, degree, elements, rows, keys, generators) -> None:
@@ -307,9 +323,8 @@ class FiniteGroup:
         for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-        rows = _closure(np.array([g.images for g in generators], dtype=np.intp)
-                        .reshape(len(generators), degree), max_order)
-        return cls._of_rows(degree, rows, generators)
+        images = _closure(degree, [g.images for g in generators], max_order)
+        return cls._of_images(degree, images, generators)
 
     @classmethod
     def cyclic(cls, degree: int) -> "FiniteGroup":
@@ -343,6 +358,11 @@ class FiniteGroup:
         pos = np.minimum(np.searchsorted(self._row_keys, keys), len(self) - 1)
         return np.where(self._row_keys[pos] == keys, pos, -1)
 
+    def span(self, generators: Sequence[Perm]) -> np.ndarray:
+        """Sorted positions of the subgroup that generators, all elements, generate."""
+        return self.positions(np.array(_closure(
+            self.degree, [g.images for g in generators], len(self))))
+
     def key(self):
         """Hashable identity of the group (degree + bytes of the sorted rows)."""
         return self._key
@@ -375,28 +395,29 @@ class FiniteGroup:
         """The right cosets sub * g, each a sorted tuple, in order of their
         minima, and the number of the coset holding each element.
 
-        Computed once per subgroup and kept on the group, like ``mul_table``.
+        Found in stacked blocks of rows h * g over h in sub; computed once
+        per subgroup and kept on the group, like ``mul_table``.
         """
         return self._memo.get_or(("right_cosets", sub.key()), self._right_cosets, sub)
 
     def _right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
         if not self.contains_subset(sub.elements):
             raise ValueError("cosets need a subgroup of the group")
-        cosets, coset_of, els = [], {}, self.elements
-        for g in els:
-            if g not in coset_of:
-                found = np.sort(self.positions(sub.images[:, g.images]))
-                coset = tuple(els[i] for i in found.tolist())
-                coset_of.update(dict.fromkeys(coset, len(cosets)))
-                cosets.append(coset)
-        return tuple(cosets), coset_of
+        least = _class_minima(len(self), sub.images.size, lambda todo: self.positions(
+            sub.images[:, self.images[todo]].swapaxes(0, 1)))
+        number = np.unique(least, return_inverse=True)[1]
+        members = np.argsort(least, kind="stable").reshape(-1, len(sub))
+        els = self.elements
+        return (tuple(tuple(map(els.__getitem__, row)) for row in members.tolist()),
+                dict(zip(els, number.tolist())))
 
     def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
         """The orbits of actor, acting by right multiplication on sub\\group,
         each the sorted tuple of its cosets' minima, in order of minimum.
 
         An orbit of sub on its own cosets is a double coset; one of L on
-        R\\group is a double coset R g L.  Kept on the group, like
+        R\\group is a double coset R g L.  Found in stacked blocks of rows
+        m * a over a in actor, m a coset's minimum; kept on the group, like
         ``right_cosets``.
         """
         return self._memo.get_or(("coset_orbits", sub.key(), actor.key()),
@@ -404,15 +425,12 @@ class FiniteGroup:
 
     def _coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
         cosets, coset_of = self.right_cosets(sub)
-        seen, orbits, els = set(), [], self.elements
-        for coset in cosets:
-            if coset[0] not in seen:
-                moved = self.positions(np.array(coset[0].images)[actor.images])
-                orbit = tuple(sorted({cosets[coset_of[els[i]]][0]
-                                      for i in moved.tolist()}))
-                seen.update(orbit)
-                orbits.append(orbit)
-        return tuple(orbits)
+        number = np.fromiter(map(coset_of.__getitem__, self.elements), np.intp, len(self))
+        at = np.unique(number, return_index=True)[1]  # each coset's minimum
+        orbit = _class_minima(len(at), actor.images.size, lambda todo: number[
+            self.positions(self.images[at[todo]][:, actor.images])]).tolist()
+        return tuple(tuple(cosets[c][0] for c in part) for _, part in itertools.groupby(
+            sorted(range(len(orbit)), key=orbit.__getitem__), orbit.__getitem__))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._key == other._key
@@ -426,9 +444,6 @@ class FiniteGroup:
     def contains_subset(self, elements: Iterable[Perm]) -> bool:
         return all(g in self._index for g in elements)
 
-    def subgroup(self, elements: Iterable[Perm]) -> "Subgroup":
-        return Subgroup(self, elements)
-
     def small_generating_set(self) -> tuple[Perm, ...]:
         """A short generating list, verified to generate the group.
 
@@ -441,13 +456,13 @@ class FiniteGroup:
     def _small_generating_set(self) -> tuple[Perm, ...]:
         if not self.contains_subset(self.generators):
             raise ValueError("stored generators lie outside the group")
-        found = [self.index_of(g) for g in self.generators]
+        found = list(self.generators)
         have = np.zeros(len(self), dtype=bool)
         while True:
-            have[self.positions(_closure(self.images[found], len(self)))] = True
+            have[self.span(found)] = True
             if have.all():
-                return tuple(self.elements[i] for i in found)
-            found.append(int(np.argmin(have)))  # the least element not generated
+                return tuple(found)
+            found.append(self.elements[np.argmin(have)])  # the least not generated
 
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups, grown to a fixpoint by joining with cyclic subgroups;
@@ -455,7 +470,7 @@ class FiniteGroup:
         seen, queue = set(), []
 
         def register(gens: list[int]) -> None:
-            idx = self.positions(_closure(self.images[gens], len(self)))
+            idx = self.span([self.elements[i] for i in gens])
             if idx.tobytes() not in seen:
                 seen.add(idx.tobytes())
                 queue.append((idx, gens))
@@ -571,15 +586,19 @@ class DoubleCosetSystem:
         self._by_label: dict[Perm, DoubleCoset] = {}
         right_cosets, coset_of = group.right_cosets(gamma)
         # a double coset is an orbit of gamma on the right cosets gamma\G
-        for orbit in group.coset_orbits(gamma, gamma):
+        orbits = group.coset_orbits(gamma, gamma)
+        # gamma ∩ x^-1 gamma x for x = each label, then each label's inverse
+        labels = np.array([orbit[0].images for orbit in orbits])
+        inside = gamma.positions(_conj_rows(gamma.images, np.concatenate(
+            [labels, np.argsort(labels, axis=1)]))) >= 0
+        littles = [Subgroup._of(gamma.parent, gamma.idx[row]) for row in inside]
+        for orbit, little, left_little in zip(orbits, littles, littles[len(orbits):]):
             label = orbit[0]
             members = [right_cosets[coset_of[m]] for m in orbit]
             if rng is None:
                 right_reps = orbit
             else:
                 right_reps = tuple(rc[rng.randrange(len(rc))] for rc in members)
-            little = conjugate_intersection(gamma, label)
-            left_little = conjugate_intersection(gamma, label.inverse())
             dc = DoubleCoset(
                 label=label,
                 elements=frozenset(x for rc in members for x in rc),
@@ -633,7 +652,8 @@ def normalizer_in_sym(gamma: FiniteGroup,
     sym_inv, inside = np.argsort(sym, axis=1), np.ones(len(sym), dtype=bool)
     for g in gamma.images:  # s g s^-1 for every s at once
         inside &= gamma.positions(np.take_along_axis(sym, g[sym_inv], axis=1)) >= 0
-    return FiniteGroup._of_rows(n, sym[inside])  # permutations() yields sorted rows
+    # permutations() yields sorted rows
+    return FiniteGroup._of_images(n, list(map(tuple, sym[inside].tolist())))
 
 
 class GroupAction:
@@ -829,7 +849,7 @@ def commutator_subgroup(group: FiniteGroup) -> Subgroup:
         if have[n]:
             continue
         normal.append(n)
-        have[group.positions(_closure(rows[normal], len(group)))] = True
+        have[group.span([group.elements[i] for i in normal])] = True
         # s n s^-1 for every generator s
         conjugates = np.take_along_axis(gens[:, rows[n]], inv, axis=1)
         queue += group.positions(conjugates).tolist()

@@ -16,7 +16,7 @@ from heckefuse.exthecke import (
     triple_fuse,
 )
 from heckefuse.hecke import HeckeElement, convolve, degree
-from heckefuse.permcore import FiniteGroup, Perm
+from heckefuse.permcore import FiniteGroup, Perm, Subgroup
 from heckefuse.projrep import decompose, irreducibles, regular_rep
 
 
@@ -24,14 +24,14 @@ from heckefuse.projrep import decompose, irreducibles, regular_rep
 def d4_in_s4():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2 3)")])
     d4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")])
-    return FinitePair(g, g.subgroup(d4.elements), name="D4_in_S4")
+    return FinitePair(g, Subgroup(g, d4.elements), name="D4_in_S4")
 
 
 @pytest.fixture(scope="module")
 def s4_in_s5():
     g = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3 4)")])
     s4 = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3)")])
-    return FinitePair(g, g.subgroup(s4.elements), name="S4_in_S5")
+    return FinitePair(g, Subgroup(g, s4.elements), name="S4_in_S5")
 
 
 def test_s4_regular_decomposition():

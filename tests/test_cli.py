@@ -318,6 +318,25 @@ def test_run_checks_survives_a_bad_entry():
     assert rest and all(o.passed and o.target == "z3" for o in rest)
 
 
+FOREIGN_GAMMA_RECORD = (
+    "name = foreign_gamma\n"
+    "degree = 3\n"
+    'G = ["(0 1 2)"]\n'
+    'Gamma = ["(0 1)"]\n'
+)
+
+
+def test_a_gamma_generator_outside_g_fails_its_entry():
+    from heckefuse.checks import Config, run_checks
+    catalog = parse_catalog(FOREIGN_GAMMA_RECORD)
+    with pytest.raises(ValueError, match="must lie in the parent group"):
+        build_pair(catalog["foreign_gamma"])
+    outcomes = run_checks(["foreign_gamma"], catalog, Config(trials=2))
+    assert [(o.name, o.target, o.passed) for o in outcomes] == [
+        ("build-entry", "foreign_gamma", False)]
+    assert "must lie in the parent group" in outcomes[0].detail
+
+
 def test_check_command_fails_on_a_bad_entry(tmp_path, capsys):
     catalog = tmp_path / "bad.cat"
     catalog.write_text(BAD_OMEGA_RECORD)

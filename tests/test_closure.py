@@ -94,7 +94,7 @@ def oracle_commutator_elements(group):
 
 # ------------------------------------------------------------ closure
 
-generator_sets = st.integers(3, 5).flatmap(lambda n: st.tuples(
+generator_sets = st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.permutations(range(n)).map(Perm), max_size=3)))
 
 
@@ -111,6 +111,20 @@ def test_generate_matches_the_perm_set_closure(case):
     # passes generators that already fill the group; the cap is on the order
     with pytest.raises(GroupTooLarge, match=f"exceeds {len(want) - 1} elements"):
         FiniteGroup.generate(n, gens, max_order=len(want) - 1)
+
+
+def test_degree_one_closes_to_the_trivial_group():
+    # the only generator is the identity, whose image tuple has one entry
+    group = FiniteGroup.generate(1, [Perm([0])])
+    assert list(group.elements) == [Perm([0])]
+    assert group.images.tolist() == [[0]]
+    assert group.subgroups() == [group]
+
+
+def test_s8_exceeds_the_default_cap():
+    with pytest.raises(GroupTooLarge, match=f"exceeds {DEFAULT_MAX_ORDER} elements"):
+        FiniteGroup.generate(8, [Perm.parse(8, "(0 1)"),
+                                 Perm.parse(8, "(0 1 2 3 4 5 6 7)")])
 
 
 def test_bytes_key_orders_like_image_tuples():
@@ -149,7 +163,7 @@ def alternating5():
 
 def s4_inside_s5():
     s5 = symmetric(5)
-    return s5.subgroup(g for g in s5.elements if g.images[4] == 4)
+    return Subgroup(s5, [g for g in s5.elements if g.images[4] == 4])
 
 
 @pytest.mark.parametrize("make", [lambda: symmetric(4), alternating5,

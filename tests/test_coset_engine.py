@@ -11,6 +11,7 @@ from heckefuse.permcore import (
     DoubleCosetSystem,
     FiniteGroup,
     Perm,
+    Subgroup,
     _injective_homs,
     abelian_invariants,
     characters,
@@ -20,16 +21,30 @@ from heckefuse.permcore import (
 from groups import symmetric
 
 PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3", "S4_in_S5"]
+S4_SUBGROUPS = [f"S4.{i}" for i in range(30)]  # 1 in S4 .. S4 in S4
+# subgroups of S5 with a label x where gamma ∩ x^-1 gamma x differs from
+# gamma ∩ x gamma x^-1; no subgroup of S4 has one
+S5_SUBGROUPS = {"S5.V4": ("(3 4)", "(1 2)"), "S5.S3": ("(2 3)", "(1 2)"),
+                "S5.S3x": ("(2 3 4)", "(0 1)(3 4)"),
+                "S5.D5": ("(1 2)(3 4)", "(0 1)(2 3)"),
+                "S5.A4": ("(1 2 3)", "(0 1)(2 3)")}
 
 
 def s4_in_s5():
     s5 = symmetric(5)
-    return s5, s5.subgroup([g for g in s5 if g(4) == 4])
+    return s5, Subgroup(s5, [g for g in s5 if g(4) == 4])
 
 
 def group_and_gamma(name):
     if name == "S4_in_S5":
         return s4_in_s5()
+    if name in S4_SUBGROUPS:
+        s4 = symmetric(4)
+        return s4, s4.subgroups()[int(name[3:])]
+    if name in S5_SUBGROUPS:
+        s5 = symmetric(5)
+        gens = [Perm.parse(5, text) for text in S5_SUBGROUPS[name]]
+        return s5, Subgroup(s5, FiniteGroup.generate(5, gens).elements)
     pair = build_pair(BUILTIN[name])
     return pair.group, pair.gamma
 
@@ -65,6 +80,22 @@ def scan_double_cosets(group, gamma, rng=None):
         out.append((label, coset, right_reps, len(gamma) // len(left_little),
                     len(gamma) // len(little), little.elements))
     return out
+
+
+def scan_right_cosets(group, sub):
+    """The sets {h * g : h in sub} of every element g, sorted, and the
+    number of the coset holding each element."""
+    cosets = sorted({tuple(sorted({h * g for h in sub.elements})) for g in group.elements})
+    return tuple(cosets), {x: i for i, coset in enumerate(cosets) for x in coset}
+
+
+def scan_coset_orbits(group, sub, actor):
+    """The sets of coset minima {min(sub * c * a) : a in actor} of every
+    right coset sub * c, sorted."""
+    cosets, coset_of = scan_right_cosets(group, sub)
+    return tuple(sorted({tuple(sorted({cosets[coset_of[coset[0] * a]][0]
+                                       for a in actor.elements}))
+                         for coset in cosets}))
 
 
 def scan_two_sided_reps(group, left, right):
@@ -193,24 +224,28 @@ def test_right_cosets_reject_a_foreign_subset():
         s3.right_cosets(FiniteGroup.cyclic(4))
 
 
-@pytest.mark.parametrize("name", PAIRS)
+@pytest.mark.parametrize("name", PAIRS + S4_SUBGROUPS + list(S5_SUBGROUPS))
 def test_coset_orbits_are_orbit_stabilizer_sized(name):
     group, gamma = group_and_gamma(name)
     cosets, coset_of = group.right_cosets(gamma)
-    for dc in DoubleCosetSystem(group, gamma).cosets:
-        little = dc.little
-        orbits = group.coset_orbits(gamma, little)
+    assert (cosets, coset_of) == scan_right_cosets(group, gamma)
+    # every subgroup of S4 acts on the cosets of every other one
+    actors = (group.subgroups() if name in S4_SUBGROUPS
+              else [dc.little for dc in DoubleCosetSystem(group, gamma).cosets])
+    for actor in actors:
+        orbits = group.coset_orbits(gamma, actor)
+        assert orbits == scan_coset_orbits(group, gamma, actor)
         assert sorted(m for orbit in orbits for m in orbit) == [c[0] for c in cosets]
         for orbit in orbits:
-            meet = [x for x in little.elements
+            meet = [x for x in actor.elements
                     if coset_of[orbit[0] * x] == coset_of[orbit[0]]]
-            assert len(orbit) == len(little) // len(meet)
-        assert group.coset_orbits(gamma, little) is orbits
+            assert len(orbit) == len(actor) // len(meet)
+        assert group.coset_orbits(gamma, actor) is orbits
 
 
 # ------------------------------------------------------------ against the scans
 
-@pytest.mark.parametrize("name", PAIRS)
+@pytest.mark.parametrize("name", PAIRS + S4_SUBGROUPS + list(S5_SUBGROUPS))
 def test_double_coset_system_matches_the_scan(name):
     group, gamma = group_and_gamma(name)
     for rng_seed in (None, 0, 1, 2):

@@ -39,7 +39,7 @@ from heckefuse.elementary import (
 )
 from heckefuse.exthecke import FinitePair, basis as ext_basis
 from heckefuse.exthecke import fuse as ext_fuse, unit as ext_unit
-from heckefuse.permcore import FiniteGroup, Perm, conj_map
+from heckefuse.permcore import FiniteGroup, Perm, Subgroup, conj_map
 from heckefuse.projrep import (
     NumericalDegradation,
     Rep,
@@ -71,8 +71,8 @@ def direct_sum(reps):
 @pytest.fixture(scope="module")
 def s3s4():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2 3)")])
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
     )
     return FinitePair(g, gamma, name="S3_in_S4")
 
@@ -80,9 +80,9 @@ def s3s4():
 @pytest.fixture(scope="module")
 def d4_klein():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")])
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"),
-                                 Perm.parse(4, "(0 2)(1 3)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"),
+                                    Perm.parse(4, "(0 2)(1 3)")]).elements
     )
     return FinitePair(g, gamma, name="Klein_in_D4")
 
@@ -545,7 +545,7 @@ def test_a_whole_group_search_stacks_rows_within_the_byte_limit(monkeypatch):
     chunks, its traced peak exceeds that of one decomposition per chunk (the
     winner's cocycle tables) by at most the limit, and the term is unchanged."""
     s5 = symmetric(5)
-    pair = FinitePair(s5, s5.subgroup(s5.elements))
+    pair = FinitePair(s5, Subgroup(s5, s5.elements))
     omega = Cocycle.trivial(pair.gamma)
     obj = identity_object(pair, omega)
     args = pair, omega, obj.delta, obj.rep
@@ -581,7 +581,7 @@ def test_sums_over_different_ambient_groups_differ():
     klein = FiniteGroup.generate(4, [swap, Perm.parse(4, "(2 3)")])
     sums = []
     for group in (s4, klein):
-        pair = FinitePair(group, group.subgroup([group.identity, swap]))
+        pair = FinitePair(group, Subgroup(group, [group.identity, swap]))
         sums.append(BimoduleSum.of(identity_object(pair, Cocycle.trivial(pair.gamma))))
     assert sums[0].omega == sums[1].omega and sums[0].terms == sums[1].terms
     assert sums[0] != sums[1]

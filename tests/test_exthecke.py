@@ -25,7 +25,7 @@ from heckefuse.exthecke import (
     unit,
 )
 from heckefuse.hecke import convolve
-from heckefuse.permcore import FiniteGroup, Perm, conjugate_intersection
+from heckefuse.permcore import FiniteGroup, Perm, Subgroup, conjugate_intersection
 from heckefuse.projrep import (
     Rep,
     add_multiset,
@@ -66,8 +66,8 @@ def conjugate_rep(a):
 @pytest.fixture(scope="module")
 def s3s4():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2 3)")])
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
     )
     return FinitePair(g, gamma, name="S3_in_S4")
 
@@ -75,9 +75,9 @@ def s3s4():
 @pytest.fixture(scope="module")
 def klein_d4():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")])
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"),
-                                 Perm.parse(4, "(0 2)(1 3)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"),
+                                    Perm.parse(4, "(0 2)(1 3)")]).elements
     )
     return FinitePair(g, gamma, name="Klein_in_D4")
 
@@ -243,12 +243,12 @@ def test_crossed_dim_identity(s3s4, klein_d4):
     assert lhs == rhs
     # gamma = G: identity reads |G| = |G|
     g = symmetric(3)
-    pair = FinitePair(g, g.subgroup(g.elements))
+    pair = FinitePair(g, Subgroup(g, g.elements))
     assert crossed_dim_identity(pair) == (6, 6)
     # gamma normal: every coset contributes 1^2 * |gamma|
     a4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2)"), Perm.parse(4, "(1 2 3)")])
     g4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2 3)")])
-    normal = FinitePair(g4, g4.subgroup(a4.elements))
+    normal = FinitePair(g4, Subgroup(g4, a4.elements))
     lhs, rhs = crossed_dim_identity(normal)
     assert lhs == rhs == 2 * 12
     assert all(dc.right_count == 1 for dc in normal.cosets.cosets)

@@ -42,7 +42,7 @@ from heckefuse.exthecke import (
     triple_fuse,
 )
 from heckefuse.hecke import basis_product
-from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm
+from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm, Subgroup
 from heckefuse.projrep import (
     NumericalDegradation,
     add_multiset,
@@ -62,7 +62,7 @@ CATALOG = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
 def s4_in_s5():
     g = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3 4)")])
     s4 = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3)")])
-    return FinitePair(g, g.subgroup(s4.elements), name="S4_in_S5")
+    return FinitePair(g, Subgroup(g, s4.elements), name="S4_in_S5")
 
 
 def make_pair(name):
@@ -322,7 +322,7 @@ def test_cold_fusion_table_decomposes_once_per_output_label(name, monkeypatch):
 def test_fusion_table_of_s6_in_itself_stays_small():
     # inducing through the conjugation table, rows x |S6|^2 entries, takes 980 MiB
     g = symmetric(6)
-    pair = FinitePair(g, g.subgroup(g.elements), name="S6")
+    pair = FinitePair(g, Subgroup(g, g.elements), name="S6")
     heckefuse.clear_caches()
     tracemalloc.start()
     try:

@@ -26,14 +26,14 @@ from heckefuse.hecke import (
     parse_element,
     primitive_hnf_reps,
 )
-from heckefuse.permcore import FiniteGroup, Perm
+from heckefuse.permcore import FiniteGroup, Perm, Subgroup
 
 
 @pytest.fixture(scope="module")
 def finite_s3_s4():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2 3)")])
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
     )
     return FiniteHecke(g, gamma)
 
@@ -178,7 +178,7 @@ def test_basis_product_is_the_memoized_convolution(bc):
     # trivial gamma in S3 gives the group algebra of S3, which is not
     # commutative, so a product read in the wrong order shows
     g = FiniteGroup.generate(3, [Perm.parse(3, "(0 1)"), Perm.parse(3, "(0 1 2)")])
-    group_algebra = FiniteHecke(g, g.subgroup([g.identity]))
+    group_algebra = FiniteHecke(g, Subgroup(g, [g.identity]))
     small = [bc.parse_label(s) for s in ("2;0", "1/2;0", "3;1/3")]
     for bk, labels in ((group_algebra, group_algebra.labels()), (bc, small)):
         for a, b in itertools.product(labels, repeat=2):

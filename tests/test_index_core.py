@@ -35,7 +35,7 @@ def make_pair(name: str) -> FinitePair:
         return build_pair(BUILTIN[name])
     s5 = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3 4)")])
     s4 = FiniteGroup.generate(5, [Perm.parse(5, "(0 1)"), Perm.parse(5, "(0 1 2 3)")])
-    return FinitePair(s5, s5.subgroup(s4.elements), name=name)
+    return FinitePair(s5, Subgroup(s5, s4.elements), name=name)
 
 
 @pytest.fixture(scope="module", params=PAIR_NAMES)
@@ -245,14 +245,14 @@ def test_lookup_reports_elements_missing_from_the_group():
 
 def test_conj_map_rejects_a_map_out_of_the_target():
     s4 = symmetric(4)
-    sub = s4.subgroup([s4.identity, Perm.parse(4, "(0 1)")])
+    sub = Subgroup(s4, [s4.identity, Perm.parse(4, "(0 1)")])
     with pytest.raises(ValueError, match="does not carry"):
         conj_map(sub, Perm.parse(4, "(1 2)"), sub)
 
 
 def test_conj_maps_name_the_first_map_out_of_the_target():
     s4 = symmetric(4)
-    sub = s4.subgroup([s4.identity, Perm.parse(4, "(0 1)")])
+    sub = Subgroup(s4, [s4.identity, Perm.parse(4, "(0 1)")])
     xs = [Perm.parse(4, text).images for text in ("(0 1)", "(1 2)", "(0 2)")]
     assert conj_maps(sub, xs[:1], sub).tolist() == [[0, 1]]
     with pytest.raises(ValueError, match=r"^Ad \(1 2\) does not carry"):

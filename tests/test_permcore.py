@@ -43,8 +43,8 @@ def s4():
 
 def s3_in_s4():
     g = s4()
-    gamma = g.subgroup(
-        FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
+    gamma = Subgroup(
+        g, FiniteGroup.generate(4, [Perm.parse(4, "(0 1)"), Perm.parse(4, "(0 1 2)")]).elements
     )
     return g, gamma
 
@@ -163,7 +163,7 @@ def test_double_cosets_s3_in_s4():
 
 def test_double_cosets_gamma_equal_g():
     g = s4()
-    gamma = g.subgroup(g.elements)
+    gamma = Subgroup(g, g.elements)
     system = double_cosets(g, gamma)
     assert len(system) == 1
     assert system.cosets[0].label == g.identity
@@ -172,7 +172,7 @@ def test_double_cosets_gamma_equal_g():
 def test_double_cosets_normal_subgroup():
     g = s4()
     a4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2)"), Perm.parse(4, "(1 2 3)")])
-    gamma = g.subgroup(a4.elements)
+    gamma = Subgroup(g, a4.elements)
     system = double_cosets(g, gamma)
     assert len(system) == len(g) // len(gamma) == 2
     assert all(dc.left_count == dc.right_count == 1 for dc in system.cosets)
@@ -218,7 +218,7 @@ def test_conjugate_intersection_inside_gamma():
 
 def test_conjugate_intersection_trivial_case():
     g = s4()
-    gamma = g.subgroup([g.identity, Perm.parse(4, "(0 1)")])
+    gamma = Subgroup(g, [g.identity, Perm.parse(4, "(0 1)")])
     t = Perm.parse(4, "(1 2)")
     assert len(conjugate_intersection(gamma, t)) == 1
 

@@ -3,7 +3,14 @@ import pytest
 
 from heckefuse import projrep
 from heckefuse.cocycle import Cocycle, PhaseFunction, coboundary, heisenberg_cocycle
-from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm, conj_map, right_coset_reps
+from heckefuse.permcore import (
+    FiniteGroup,
+    GroupTooLarge,
+    Perm,
+    Subgroup,
+    conj_map,
+    right_coset_reps,
+)
 from heckefuse.projrep import (
     NumericalDegradation,
     Rep,
@@ -57,7 +64,7 @@ def s3():
 
 def z2_in_s3():
     g = s3()
-    return g, g.subgroup([g.identity, Perm.parse(3, "(0 1)")])
+    return g, Subgroup(g, [g.identity, Perm.parse(3, "(0 1)")])
 
 
 # ------------------------------------------------------------ regular rep
@@ -185,7 +192,7 @@ def test_induced_dimension_formula():
 
 def test_induce_cocycle_restriction_mismatch():
     group, _, omega = heisenberg_cocycle(2, 1)
-    sub = group.subgroup([group.identity])
+    sub = Subgroup(group, [group.identity])
     bad = trivial_rep(sub)
     ok = induce(bad, group, omega)  # restriction of omega to {e} is trivial
     assert ok.dim == 4
@@ -201,7 +208,7 @@ def test_induce_cocycle_restriction_mismatch():
 def test_induce_along_twisted_cocycle():
     # induce a genuinely projective representation along its cocycle extension
     group, coords, omega = heisenberg_cocycle(2, 1)
-    sub = group.subgroup([g for g in group if coords[g][1] == 0])  # the x-axis
+    sub = Subgroup(group, [g for g in group if coords[g][1] == 0])  # the x-axis
     sub_omega = omega.restrict(sub)
     assert sub_omega.is_trivial_table()  # bilinear form vanishes on the axis
     ind = induce(Rep(sub, sub_omega, [np.eye(1)] * len(sub)), group, omega)
@@ -380,7 +387,7 @@ def _heisenberg3_regular():
 
 def _heisenberg3_induced():
     group, coords, omega = heisenberg_cocycle(3, 1)
-    axis = group.subgroup([g for g in group if coords[g][1] == 0])
+    axis = Subgroup(group, [g for g in group if coords[g][1] == 0])
     line = Rep(axis, omega.restrict(axis), [np.eye(1)] * len(axis))
     return induce(line, group, omega)
 
@@ -453,7 +460,7 @@ def _trusted_outputs(group, cocycle):
     rng = np.random.default_rng(len(group))
     phase = PhaseFunction(group, 6, [0, *rng.integers(0, 6, len(group) - 1)])
     h = group.elements[-1]
-    sub = group.subgroup(FiniteGroup.generate(group.degree, [h]).elements)
+    sub = Subgroup(group, FiniteGroup.generate(group.degree, [h]).elements)
     return {
         "tensor": tensor(a, b),
         "conjugate_rep": conjugate_rep(a),
@@ -581,7 +588,7 @@ def test_cold_fusion_table_builds_no_matrices(monkeypatch):
 
     s5 = _generated(5, ("(0 1)", "(0 1 2 3 4)"))
     s4 = _generated(5, ("(0 1)", "(0 1 2 3)"))
-    pair = FinitePair(s5, s5.subgroup(s4.elements), name="S4_in_S5")
+    pair = FinitePair(s5, Subgroup(s5, s4.elements), name="S4_in_S5")
     heckefuse.clear_caches()
     monkeypatch.setattr(Rep, "__init__", refuse)
     monkeypatch.setattr(Rep, "_of", refuse)
