@@ -30,7 +30,6 @@ from .elementary import (
     admissible_classes,
     identity_object,
     is_irreducible,
-    isomorphism_witness,
     make,
     required_cocycle,
 )
@@ -42,13 +41,9 @@ from .exthecke import (
     crossed_dim_identity,
     dims,
     from_rep,
-    fusion_block,
     fusion_blocks,
-    overcount_check,
     structure_constants,
     to_hecke,
-    transport_class,
-    triple_fuse,
     unit,
 )
 from .hecke import (
@@ -71,11 +66,9 @@ from .permcore import (
     DegreeTooLarge,
     Perm,
     Subgroup,
-    action_summary,
     commensuration_subgroups,
     commensurations,
     conjugate_intersection,
-    double_cosets,
     normalizer_in_sym,
     out_description,
 )
@@ -92,7 +85,6 @@ from .projrep import (
     tensor,
     transport,
     trivial_rep,
-    twist,
 )
 
 # the fusion products of the two calculi share a name; import the modules

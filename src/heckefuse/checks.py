@@ -45,6 +45,7 @@ from .elementary import (
     to_ext_hecke as elem_to_ext,
 )
 from .exthecke import (
+    ExtHeckeElement,
     FinitePair,
     basis,
     basis_spans,
@@ -87,6 +88,7 @@ from .projrep import (
     irreducibles,
     regular_rep,
     restrict,
+    tensor,
     transport,
 )
 
@@ -441,8 +443,6 @@ def check_ext_frobenius(pair: FinitePair, cfg: Config) -> None:
 
 
 def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
-    from .exthecke import ExtHeckeElement
-    from .projrep import tensor as rep_tensor
     consts = structure_constants(pair)
     one = basis_vector(unit(pair))
     eye = np.eye(len(one), dtype=np.int64)
@@ -463,7 +463,7 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     gamma_classes = irreducibles(pair.little(pair.labels()[0]))
     embedded = [basis_vector(from_rep(pair, a.rep)) for a in gamma_classes]
     for (a, x), (b, y) in itertools.product(zip(gamma_classes, embedded), repeat=2):
-        product_parts = decompose(rep_tensor(a.rep, b.rep))
+        product_parts = decompose(tensor(a.rep, b.rep))
         rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
         if (np.einsum("i,j,ijk->k", x, y, consts) != basis_vector(rhs)).any():
             raise CheckFailure("from_rep is not multiplicative")

@@ -40,7 +40,7 @@ algebra, which serves as an independent cross-check (``to_ext_hecke``).
 from __future__ import annotations
 
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .projrep import (
     _roots,
     check_homomorphism,
     decompose,
-    equivalent,
     hom_dim,
     irreducibles,
     kron,
@@ -63,7 +62,6 @@ from .projrep import (
     round_char,
     transport,
     trivial_rep,
-    twist,
 )
 
 
@@ -156,23 +154,14 @@ def is_irreducible(h: ElementaryBimodule) -> bool:
     return hom_dim(h.rep, h.rep) == 1
 
 
-def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
-                 g: Perm, h: Perm) -> Rep:
-    """The representation that moves (delta, rep) to (g delta h, . ).
-
-    Build (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on the right
-    subgroup of g delta h, where phase_x is the conjugation phase of omega.
-    """
-    little, idx, phases = _transfers(pair, omega, delta, rep.group, [(g, h)])
-    return twist(transport(rep, little, idx[0]),
-                 PhaseFunction(little, omega.modulus, phases[0]))
-
-
 def _transfers(pair: FinitePair, omega: Cocycle, delta: Perm, group: Subgroup,
                moves: list) -> tuple[Subgroup, np.ndarray, np.ndarray]:
-    """``transfer_rep``'s exact part for moves (g, h) that all carry delta to
-    one g delta h: its right subgroup, and one row per move of the positions
-    in group of Ad h of that subgroup and of the phase exponents on it."""
+    """The exact part of moving (delta, rep) to (g delta h, . ), for moves
+    (g, h) that all carry delta to one g delta h: its right subgroup, and one
+    row per move of the positions in group of Ad h of that subgroup and of
+    the phase exponents on it.  The moved representation is
+    (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on that subgroup, where
+    phase_x is the conjugation phase of omega."""
     g0, h0 = moves[0]
     little, gamma = pair.little_of_element(g0 * delta * h0), omega.group
     hs = np.array([h.images for _, h in moves])
@@ -396,25 +385,6 @@ def fuse(a, b) -> BimoduleSum:
         for rb, mb in b.items():
             out = out + fuse_objects(ra, rb).scale(ma * mb)
     return out
-
-
-def isomorphism_witness(h1: ElementaryBimodule,
-                        h2: ElementaryBimodule) -> Optional[tuple[Perm, Perm]]:
-    """(g, h) with delta2 = g delta1 h carrying rep1 to rep2, if one exists.
-
-    Both objects must be irreducible; absence of a witness means the objects
-    are not isomorphic.
-    """
-    if not (is_irreducible(h1) and is_irreducible(h2)):
-        raise ValueError("the isomorphism criterion applies to irreducible objects")
-    pair = h1.pair
-    if pair.label_of(h1.delta) != pair.label_of(h2.delta):
-        return None
-    for g, h in pair.decompositions(h1.delta, h2.delta):
-        moved = transfer_rep(pair, h1.omega, h1.delta, h1.rep, g, h)
-        if equivalent(moved, h2.rep):
-            return g, h
-    return None
 
 
 def to_ext_hecke(h) -> ExtHeckeElement:

@@ -14,33 +14,36 @@ the induction, from little(g) ∩ little(h) up to little(g), of the transported
 value of x at g h^-1 (composed with conjugation by h) tensored with the value
 of y at h.  Each orbit reads x at one label la and y at one label lb, so the
 products of all basis elements at la with all basis elements at lb form one
-``fusion_block``.  ``fusion_blocks`` computes the blocks of many label pairs
-in one sweep: one representative h per orbit, the product characters of
-every class pair, induced per output label and meet, and decomposed into
-irreducible classes in one batched step per output label.  ``fuse`` is the
-bilinear contraction of the blocks over the supports of x and y, so elements
-stay canonical and multiplicities exact.  Summing over all cosets instead of
-orbits overcounts each orbit contribution exactly
-[little(g) : little(g) ∩ little(h)] times; ``overcount_check`` verifies that
-divisibility on the term of every coset (``overcount_blocks``), and
-``triple_fuse`` checks associativity through the symmetric three-factor
-formula (``triple_blocks``).  Both are computed once per label tuple, swept
-like the fusion blocks but independently of them.  ``structure_constants``
-holds the blocks of every label pair as one array N[x, y, z] over the basis,
-which the algebra-law checks read.
+block: per output label g0, an int array of multiplicities.
+``fusion_blocks`` computes the blocks of many label pairs in one sweep: one
+representative h per orbit, the product characters of every class pair,
+induced per output label and meet, and decomposed into irreducible classes
+in one batched step per output label.  ``fuse`` is the bilinear contraction
+of the blocks over the supports of x and y, so elements stay canonical and
+multiplicities exact.  Summing over all cosets instead of orbits overcounts
+each orbit contribution exactly [little(g) : little(g) ∩ little(h)] times;
+``overcount_identity`` verifies that divisibility on the term of every coset
+(``overcount_blocks``), and ``triple_blocks`` evaluate the symmetric
+three-factor formula that associativity is checked against.  Both are
+computed once per label tuple, swept like the fusion blocks but
+independently of them.  ``structure_constants`` holds the blocks of every
+label pair as one array N[x, y, z] over the basis, which the algebra-law
+checks read.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
 tensor products are pointwise products, induction sums each character over
 the conjugacy classes of the bigger group, and conjugation is complex
 conjugation.  No representation matrix is built, and no induction coset
-representatives are chosen (the character does not depend on them).  The matrix constructions of :mod:`heckefuse.projrep` stay
-as the independent path of elementary fusion and of the tests.
+representatives are chosen (the character does not depend on them).  The
+matrix constructions of :mod:`heckefuse.projrep` stay as the independent
+path of elementary fusion and of the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Optional
 
 import numpy as np
@@ -93,7 +96,7 @@ class FinitePair:
     through which characters are read at a point (``_read_key``: keyed by
     label, total conjugator and meet), the index of each class in
     its label's basis keys, the fusion blocks of label pairs
-    (``fusion_block``), the three-factor blocks of label triples
+    (``fusion_blocks``), the three-factor blocks of label triples
     (``triple_blocks``), the per-coset terms of label pairs
     (``overcount_blocks``), the ``structure_constants`` and the
     ``basis_spans`` they are indexed by, fusion and conjugation results
@@ -313,22 +316,6 @@ def from_rep(pair: FinitePair, rep: Rep) -> ExtHeckeElement:
     return ExtHeckeElement(pair, {label: decompose(rep)})
 
 
-def transport_class(pair: FinitePair, label: Perm, cls: RepClass,
-                    target: Perm) -> RepClass:
-    """The class over little(target) induced by equivariance from (label, cls)."""
-    x = ExtHeckeElement(pair, {label: {cls: 1}})
-    if pair.label_of(target) != label:
-        raise ValueError(
-            f"{target.cycle_string()} is not in the double coset of "
-            f"{label.cycle_string()}")
-    little = pair.little_of_element(target)
-    char = _character_on(x, target, little, pair.group.identity)
-    parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim)
-    if list(parts.values()) != [1]:
-        raise ValueError("transport_class takes an irreducible class")
-    return next(iter(parts))
-
-
 def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
                   by: Perm) -> np.ndarray:
     """The character of (x at point) ∘ Ad(by) on meet, in meet's element order."""
@@ -374,19 +361,13 @@ def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray
     return sums * (len(little_g) / (len(meet) * sizes))
 
 
-def fusion_block(pair: FinitePair, label_a: Perm,
-                 label_b: Perm) -> dict[Perm, np.ndarray]:
-    """The fusion of every irreducible class at label_a with every one at
-    label_b: per output label g0 with an orbit that reads (label_a, label_b),
-    a read-only int array (n_a, n_b, classes of little(g0)) of
-    multiplicities, classes in ``irreducibles`` order.  The one-pair
-    ``fusion_blocks``."""
-    return fusion_blocks(pair, [(label_a, label_b)])[0]
-
-
 def fusion_blocks(pair: FinitePair, label_pairs: list) -> list[dict]:
-    """``fusion_block`` of each (label_a, label_b) of label_pairs; memoized
-    on the pair, the missing blocks computed in one sweep.
+    """The fusion of every irreducible class at label_a with every one at
+    label_b, for each (label_a, label_b) of label_pairs: per output label g0
+    with an orbit that reads (label_a, label_b), a read-only int array
+    (n_a, n_b, classes of little(g0)) of multiplicities, classes in
+    ``irreducibles`` order.  Memoized on the pair, the missing blocks
+    computed in one sweep.
 
     The sweep draws one representative h per orbit, label pairs in order and
     orbits in ``orbits_by_labels`` order, and reads both factors on the meet
@@ -414,7 +395,7 @@ def _fusion_sweep(pair: FinitePair, label_pairs: list) -> list[dict]:
 def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     """Per (label_a, label_b, label_c) of label_triples, the symmetric
     three-factor formula on every class triple at those labels, as a dict
-    like ``fusion_block`` of arrays (n_a, n_b, n_c, classes of little(g0));
+    like a fusion block of arrays (n_a, n_b, n_c, classes of little(g0));
     memoized on the pair, the missing blocks computed in one sweep.
 
     The (h, k) orbit of little(g0) on pairs of right cosets contributes the
@@ -581,57 +562,32 @@ def _overcount_sweep(pair: FinitePair, label_pairs: list) -> list[list]:
     return out
 
 
-def overcount_check(x: ExtHeckeElement, y: ExtHeckeElement) -> None:
-    """Re-derive the fusion by summing over all cosets; check exact divisibility.
+def overcount_identity(pair: FinitePair) -> None:
+    """Re-derive the fusion by summing over all cosets; check exact
+    divisibility, on the per-coset blocks of every label pair at once.
 
     Every coset of an orbit must read the orbit's labels (checked by
     ``overcount_blocks``), the orbit size must equal
     [little(g) : little(g) ∩ little(h)], and the full sum must be exactly
     that index times the orbit representative's contribution, so divisible
-    by it.  Any failure is a fusion-formula implementation bug.
-    """
-    pair = x.pair
-    label_pairs = [(a, b) for a in x.support for b in y.support]
-    for (a, b), orbits in zip(label_pairs, overcount_blocks(pair, label_pairs)):
-        coeff_a = _coefficients(pair, a, x.support[a])
-        coeff_b = _coefficients(pair, b, y.support[b])
-        _check_orbit_totals(pair, orbits, lambda terms: np.einsum(
-            "i,j,hijk->hk", coeff_a, coeff_b, terms))
-
-
-def overcount_identity(pair: FinitePair) -> None:
-    """``overcount_check`` of every pair of basis elements at once: the
-    identity on the whole per-coset blocks of every label pair."""
+    by it.  The identity is bilinear, so the blocks of basis elements cover
+    every pair of elements.  Any failure is a fusion-formula implementation
+    bug."""
     label_pairs = list(itertools.product(pair.labels(), repeat=2))
     for orbits in overcount_blocks(pair, label_pairs):
-        _check_orbit_totals(pair, orbits, lambda terms: terms)
-
-
-def _check_orbit_totals(pair: FinitePair, orbits: list, contract) -> None:
-    """The overcount identity on each (g0, cosets) of orbits, read through
-    contract(terms), terms the orbit's per-coset blocks stacked in orbit
-    order."""
-    for g0, cosets in orbits:
-        h, little_g = next(iter(cosets)), pair.little(g0)
-        index = len(little_g) // len(pair.intersection(
-            little_g, pair.little_of_element(h)))
-        if index != len(cosets):
-            raise FusionFormulaError(
-                f"orbit size {len(cosets)} != index {index} at "
-                f"({g0.cycle_string()}, {h.cycle_string()})")
-        contributions = contract(np.stack(list(cosets.values())))
-        if (contributions.sum(axis=0) != index * contributions[0]).any():
-            raise FusionFormulaError(
-                f"orbit total at {g0.cycle_string()} is not the index {index} "
-                "times the representative contribution")
-
-
-def triple_fuse(x: ExtHeckeElement, y: ExtHeckeElement,
-                z: ExtHeckeElement) -> ExtHeckeElement:
-    """Direct evaluation of the symmetric three-factor formula: the
-    trilinear contraction of the ``triple_blocks`` of the label triples of
-    the supports of x, y and z.  Must agree with both iterated fusions."""
-    return _contract(x.pair, [x, y, z], triple_blocks)
+        for g0, cosets in orbits:
+            h, little_g = next(iter(cosets)), pair.little(g0)
+            index = len(little_g) // len(pair.intersection(
+                little_g, pair.little_of_element(h)))
+            if index != len(cosets):
+                raise FusionFormulaError(
+                    f"orbit size {len(cosets)} != index {index} at "
+                    f"({g0.cycle_string()}, {h.cycle_string()})")
+            terms = np.stack(list(cosets.values()))  # in orbit order
+            if (terms.sum(axis=0) != index * terms[0]).any():
+                raise FusionFormulaError(
+                    f"orbit total at {g0.cycle_string()} is not the index {index} "
+                    "times the representative contribution")
 
 
 def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
@@ -742,7 +698,6 @@ def crossed_dim_identity(pair: FinitePair) -> tuple[int, int]:
 
 def parse_ext_element(pair: FinitePair, text: str) -> ExtHeckeElement:
     """Sums of integer multiples of basis descriptors: "B[K:0] + 2*B[e:1]"."""
-    import re
     out: Optional[ExtHeckeElement] = None
     for term in text.split("+"):
         term = term.strip()

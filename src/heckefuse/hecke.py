@@ -402,10 +402,6 @@ class HeckeElement:
     def unit(cls, backend) -> "HeckeElement":
         return cls(backend, {backend.unit_label: 1})
 
-    @classmethod
-    def basis(cls, backend, label) -> "HeckeElement":
-        return cls(backend, {backend.canonical_label(backend.element_of(label)): 1})
-
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if other.backend is not self.backend:
             raise ValueError("cannot add elements over different backends")

@@ -326,11 +326,6 @@ class FiniteGroup:
         images = _closure(degree, [g.images for g in generators], max_order)
         return cls._of_images(degree, images, generators)
 
-    @classmethod
-    def cyclic(cls, degree: int) -> "FiniteGroup":
-        shift = Perm([(i + 1) % degree for i in range(degree)])
-        return cls.generate(degree, [shift])
-
     @property
     def identity(self) -> Perm:
         """Element 0: the identity is the lexicographically least permutation."""
@@ -628,10 +623,6 @@ class DoubleCosetSystem:
         return len(self.cosets)
 
 
-def double_cosets(group: FiniteGroup, gamma: Subgroup) -> DoubleCosetSystem:
-    return DoubleCosetSystem(group, gamma)
-
-
 def right_coset_reps(group: FiniteGroup, sub: FiniteGroup,
                      rng=None) -> list[Perm]:
     """Representatives of sub\\group, in order of coset minimum; the
@@ -681,45 +672,6 @@ class GroupAction:
 
     def act(self, g: Perm, i: int) -> int:
         return int(self._table[self.group.index_of(g), i])
-
-    def orbits(self) -> list[list[int]]:
-        seen, out = set(), []
-        for i in range(self.npoints):
-            if i in seen:
-                continue
-            orbit = sorted({self.act(g, i) for g in self.group})
-            seen.update(orbit)
-            out.append(orbit)
-        return out
-
-    def stabilizer(self, i: int) -> Subgroup:
-        return Subgroup(self.group,
-                        [g for g in self.group if self.act(g, i) == i])
-
-    def fixed_points(self, g: Perm) -> list[int]:
-        return [i for i in range(self.npoints) if self.act(g, i) == i]
-
-
-@dataclass(frozen=True)
-class ActionSummary:
-    """Raw orbit/stabilizer/fixed-point data of a finite action.
-
-    No attempt is made to decide infinite-action regularity conditions here:
-    those have no finite analogue, so only the data itself is reported.
-    """
-    orbits: tuple
-    stabilizer_orders: tuple
-    fixed_points: dict
-
-
-def action_summary(action: GroupAction) -> ActionSummary:
-    return ActionSummary(
-        orbits=tuple(tuple(o) for o in action.orbits()),
-        stabilizer_orders=tuple(len(action.stabilizer(i))
-                                for i in range(action.npoints)),
-        fixed_points={g: tuple(action.fixed_points(g)) for g in action.group},
-    )
-
 
 @dataclass(frozen=True)
 class Commensuration:

@@ -253,14 +253,6 @@ def restrict(a: Rep, sub: FiniteGroup) -> Rep:
     return Rep._of(sub, cocycle, a.matrices[a.group.positions(sub.images)])
 
 
-def twist(a: Rep, phase: PhaseFunction) -> Rep:
-    """Multiply by a scalar phase; the cocycle picks up the phase coboundary."""
-    if phase.group != a.group:
-        raise ValueError("phase lives on a different group")
-    return Rep._of(a.group, a.cocycle * phase.coboundary(),
-                   phase_roots(phase)[:, None, None] * a.matrices)
-
-
 def phase_roots(phase: PhaseFunction) -> np.ndarray:
     """The phase's complex values, one per group element."""
     return _roots(phase.modulus)[phase.values]

@@ -1,8 +1,16 @@
 """The fusion product and the three-factor formula one orbit at a time: the
-oracle that the block sweeps of ``heckefuse.exthecke`` are checked against."""
+oracle that the block sweeps of ``heckefuse.exthecke`` are checked against.
+With them, the paths of ``heckefuse.exthecke`` that only the tests take: the
+triple product of elements and the transport of one class."""
 
 from heckefuse.cocycle import Cocycle
-from heckefuse.exthecke import ExtHeckeElement, _character_on, _induce
+from heckefuse.exthecke import (
+    ExtHeckeElement,
+    _character_on,
+    _contract,
+    _induce,
+    triple_blocks,
+)
 from heckefuse.projrep import (
     add_multiset,
     conjugacy_classes,
@@ -63,3 +71,24 @@ def orbit_triple_fuse(x, y, z):
         if total:
             out[g0] = total
     return ExtHeckeElement(pair, out)
+
+
+def triple_fuse(x, y, z):
+    """The symmetric three-factor formula, the trilinear contraction of the
+    ``triple_blocks`` of the label triples of the supports of x, y and z."""
+    return _contract(x.pair, [x, y, z], triple_blocks)
+
+
+def transport_class(pair, label, cls, target):
+    """The class over little(target) induced by equivariance from (label, cls)."""
+    x = ExtHeckeElement(pair, {label: {cls: 1}})
+    if pair.label_of(target) != label:
+        raise ValueError(
+            f"{target.cycle_string()} is not in the double coset of "
+            f"{label.cycle_string()}")
+    little = pair.little_of_element(target)
+    char = _character_on(x, target, little, pair.group.identity)
+    parts = decompose_character(little, Cocycle.trivial(little), char, cls.dim)
+    if list(parts.values()) != [1]:
+        raise ValueError("transport_class takes an irreducible class")
+    return next(iter(parts))

@@ -25,7 +25,6 @@ from heckefuse.exthecke import (
     dims,
     fuse,
     to_hecke,
-    triple_fuse,
 )
 from heckefuse.hecke import (
     BostConnesHecke,
@@ -36,7 +35,7 @@ from heckefuse.hecke import (
     lambda_multiplicativity_witnesses,
     modular_lambda,
 )
-from heckefuse.permcore import FiniteGroup, Perm, out_description
+from heckefuse.permcore import Perm, out_description
 from heckefuse.projrep import (
     decompose,
     hom_dim,
@@ -46,6 +45,9 @@ from heckefuse.projrep import (
     regular_rep,
     restrict,
 )
+
+from groups import cyclic
+from orbit_oracle import triple_fuse
 
 FINITE_PAIRS = ("S3_in_S4", "Z3_regular", "D4_klein", "Heis3")
 
@@ -273,7 +275,7 @@ def test_criterion_11(pairs):
 
 @criterion(12, "outer-symmetry description")
 def test_criterion_12():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     desc = out_description(z3)
     assert desc.char_invariants == (3,)
     assert desc.quotient_order == 2

@@ -11,13 +11,14 @@ from heckefuse.exthecke import (
     crossed_dim_identity,
     dims,
     fuse,
-    overcount_check,
+    overcount_identity,
     to_hecke,
-    triple_fuse,
 )
 from heckefuse.hecke import HeckeElement, convolve, degree
 from heckefuse.permcore import FiniteGroup, Perm, Subgroup
 from heckefuse.projrep import decompose, irreducibles, regular_rep
+
+from orbit_oracle import triple_fuse
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_d4_in_s4_fusion_laws(d4_in_s4):
         assert t == fuse(fuse(x, y), z) == fuse(x, fuse(y, z))
     for x in els:
         assert conjugate(conjugate(x)) == x
-    overcount_check(els[5], els[7])
+    overcount_identity(pair)
 
 
 def test_s4_in_s5_basics(s4_in_s5):

@@ -25,7 +25,7 @@ from heckefuse.cocycle import (
 )
 from heckefuse.permcore import FiniteGroup, Perm, conj_map
 
-from groups import symmetric
+from groups import cyclic, symmetric
 
 
 def conjugated(omega, g):
@@ -85,7 +85,7 @@ def test_unchecked_constructor_equals_the_checked_one(name):
 
 
 def test_unnormalized_input_is_rejected():
-    g = FiniteGroup.cyclic(2)
+    g = cyclic(2)
     # constant table: a valid cocycle, but not normalized
     with pytest.raises(CocycleError):
         Cocycle(g, 4, [[1, 1], [1, 1]])
@@ -99,14 +99,14 @@ def test_zero_phase_gives_trivial_cocycle():
 
 
 def test_any_phase_on_z2_has_trivial_coboundary():
-    g = FiniteGroup.cyclic(2)
+    g = cyclic(2)
     for v in range(2):
         phi = PhaseFunction(g, 2, [0, v])
         assert coboundary(phi) == Cocycle.trivial(g)
 
 
 def test_parity_phase_on_z4():
-    g = FiniteGroup.cyclic(4)
+    g = cyclic(4)
     # phi(rotation by k) = k mod 2; additive, so its coboundary is trivial
     phi = PhaseFunction(g, 2, [p(0) % 2 for p in g.elements])
     oracle = {}
@@ -120,7 +120,7 @@ def test_parity_phase_on_z4():
 
 @given(st.lists(st.integers(0, 3), min_size=5, max_size=5))
 def test_coboundary_always_validates(values):
-    g = FiniteGroup.cyclic(6)
+    g = cyclic(6)
     phi = PhaseFunction(g, 4, [0] + values)
     coboundary(phi)  # constructor would raise if the identity failed
 
@@ -184,7 +184,7 @@ def test_cohomologous_is_symmetric_and_transitive():
 
 def test_s1_splitting_beyond_own_modulus():
     # on Z/2 the cocycle with a single -1 entry splits over S^1 but not over mu_2
-    g = FiniteGroup.cyclic(2)
+    g = cyclic(2)
     omega = Cocycle(g, 2, [[0, 0], [0, 1]])
     assert coboundary_witness(omega) is None
     phi = coboundary_witness_s1(omega)
@@ -335,7 +335,7 @@ def test_heisenberg_commutation_pairing():
 
 def test_group_exponent():
     assert group_exponent(symmetric(3)) == 6
-    assert group_exponent(FiniteGroup.cyclic(4)) == 4
+    assert group_exponent(cyclic(4)) == 4
 
 
 # ---------------------------------------------------------------- generator validation
@@ -453,14 +453,14 @@ def oracle_targets():
     S^1 modulus, and the trivial group."""
     rng = random.Random(7)
     group, omega = klein_yx_cocycle()
-    z2 = Cocycle(FiniteGroup.cyclic(2), 2, [[0, 0], [0, 1]])
+    z2 = Cocycle(cyclic(2), 2, [[0, 0], [0, 1]])
     out = {
         "klein-self": omega * omega.inverse(),
         "klein-vs-trivial": omega,
         "klein-shifted": coboundary(PhaseFunction(group, 2, [0, 1, 1, 0])),
         "z2-mu2": z2,
         "z2-s1": z2.rescale(4),
-        "trivial-group": Cocycle.trivial(FiniteGroup.cyclic(1), 3),
+        "trivial-group": Cocycle.trivial(cyclic(1), 3),
     }
     for n in (2, 3, 4):
         hgroup, coords, _ = heisenberg_cocycle(n, 0)

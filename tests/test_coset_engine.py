@@ -18,7 +18,7 @@ from heckefuse.permcore import (
     conjugate_intersection,
 )
 
-from groups import symmetric
+from groups import cyclic, symmetric
 
 PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3", "S4_in_S5"]
 S4_SUBGROUPS = [f"S4.{i}" for i in range(30)]  # 1 in S4 .. S4 in S4
@@ -221,7 +221,7 @@ def test_right_cosets_partition_in_order_of_minimum():
 def test_right_cosets_reject_a_foreign_subset():
     s3 = symmetric(3)
     with pytest.raises(ValueError):
-        s3.right_cosets(FiniteGroup.cyclic(4))
+        s3.right_cosets(cyclic(4))
 
 
 @pytest.mark.parametrize("name", PAIRS + S4_SUBGROUPS + list(S5_SUBGROUPS))
@@ -305,7 +305,7 @@ def small_groups():
                                      Perm.parse(4, "(0 2)(1 3)")])
     d4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)"), Perm.parse(4, "(1 3)")])
     return {"S3": symmetric(3), "S4": symmetric(4),
-            "D4": d4, "Z3": FiniteGroup.cyclic(3), "Z2^2": klein}
+            "D4": d4, "Z3": cyclic(3), "Z2^2": klein}
 
 
 @pytest.mark.parametrize("name", sorted(small_groups()))

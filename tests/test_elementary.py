@@ -31,11 +31,9 @@ from heckefuse.elementary import (
     fuse_objects,
     identity_object,
     is_irreducible,
-    isomorphism_witness,
     make,
     required_cocycle,
     to_ext_hecke,
-    transfer_rep,
 )
 from heckefuse.exthecke import FinitePair, basis as ext_basis
 from heckefuse.exthecke import fuse as ext_fuse, unit as ext_unit
@@ -48,9 +46,9 @@ from heckefuse.projrep import (
     regular_rep,
     round_char,
     trivial_rep,
-    twist,
 )
 
+from elementary_oracle import isomorphism_witness, transfer_rep, twist
 from groups import symmetric
 
 

@@ -17,11 +17,11 @@ from heckefuse.exthecke import (
     dims,
     from_rep,
     fuse,
-    overcount_check,
+    fusion_blocks,
+    overcount_blocks,
+    overcount_identity,
     parse_ext_element,
     to_hecke,
-    transport_class,
-    triple_fuse,
     unit,
 )
 from heckefuse.hecke import convolve
@@ -41,7 +41,7 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
-from orbit_oracle import orbit_contribution
+from orbit_oracle import orbit_contribution, transport_class, triple_fuse
 
 
 def direct_sum(reps):
@@ -373,21 +373,24 @@ def test_little_takes_labels_only_whatever_was_cached(s3s4):
 # ------------------------------------------------------------ overcount
 
 def test_overcount_check_unit(s3s4):
-    overcount_check(unit(s3s4), unit(s3s4))
+    # the unit label with itself: one orbit, of the one coset gamma, at the
+    # unit label, whose term is the fusion block
+    e_label = s3s4.labels()[0]
+    orbits, = overcount_blocks(s3s4, [(e_label, e_label)])
+    (g0, cosets), = orbits
+    (h, term), = cosets.items()
+    assert g0 == h == e_label
+    block, = fusion_blocks(s3s4, [(e_label, e_label)])
+    assert list(block) == [e_label] and (block[e_label] == term).all()
 
 
 def test_overcount_check_basis_pairs(s3s4):
-    els = [b for _, b in basis(s3s4)]
-    for x in els:
-        for y in els:
-            overcount_check(x, y)
+    # the identity is bilinear, so the blocks of basis pairs cover every pair
+    overcount_identity(s3s4)
 
 
 def test_overcount_check_klein_d4(klein_d4):
-    els = [b for _, b in basis(klein_d4)]
-    x = els[0] + els[-1].scale(2)
-    y = els[1] + els[-2]
-    overcount_check(x, y)
+    overcount_identity(klein_d4)
 
 
 # ------------------------------------------------------------ associativity

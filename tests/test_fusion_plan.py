@@ -33,8 +33,9 @@ from heckefuse.projrep import (
     restrict,
     tensor,
     transport,
-    twist,
 )
+
+from elementary_oracle import twist
 
 PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
 

@@ -10,25 +10,24 @@ from heckefuse.permcore import (
     Commensuration,
     CommensurationError,
     DegreeTooLarge,
+    DoubleCosetSystem,
     FiniteGroup,
     GroupAction,
     GroupTooLarge,
     Perm,
     Subgroup,
     abelian_invariants,
-    action_summary,
     characters,
     commensurations,
     commensuration_subgroups,
     commutator_subgroup,
     conjugate_intersection,
-    double_cosets,
     normalizer_in_sym,
     out_description,
     right_coset_reps,
 )
 
-from groups import symmetric
+from groups import cyclic, symmetric
 
 
 def regular_action(group):
@@ -145,7 +144,7 @@ def brute_force_double_cosets(group, gamma):
 
 def test_double_cosets_s3_in_s4():
     g, gamma = s3_in_s4()
-    system = double_cosets(g, gamma)
+    system = DoubleCosetSystem(g, gamma)
     oracle = brute_force_double_cosets(g, gamma)
     assert len(system) == len(oracle) == 2
     sizes = sorted(len(dc.elements) for dc in system.cosets)
@@ -164,7 +163,7 @@ def test_double_cosets_s3_in_s4():
 def test_double_cosets_gamma_equal_g():
     g = s4()
     gamma = Subgroup(g, g.elements)
-    system = double_cosets(g, gamma)
+    system = DoubleCosetSystem(g, gamma)
     assert len(system) == 1
     assert system.cosets[0].label == g.identity
 
@@ -173,7 +172,7 @@ def test_double_cosets_normal_subgroup():
     g = s4()
     a4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2)"), Perm.parse(4, "(1 2 3)")])
     gamma = Subgroup(g, a4.elements)
-    system = double_cosets(g, gamma)
+    system = DoubleCosetSystem(g, gamma)
     assert len(system) == len(g) // len(gamma) == 2
     assert all(dc.left_count == dc.right_count == 1 for dc in system.cosets)
 
@@ -181,7 +180,7 @@ def test_double_cosets_normal_subgroup():
 def test_double_coset_counting_identity():
     # |gamma g gamma| = |gamma| * [gamma : gamma_g], and left = right count
     g, gamma = s3_in_s4()
-    system = double_cosets(g, gamma)
+    system = DoubleCosetSystem(g, gamma)
     for dc in system.cosets:
         assert len(dc.elements) == len(gamma) * dc.right_count
         assert dc.left_count == dc.right_count
@@ -189,8 +188,8 @@ def test_double_coset_counting_identity():
 
 def test_canonical_labels_stable():
     g, gamma = s3_in_s4()
-    first = double_cosets(g, gamma)
-    second = double_cosets(g, gamma)
+    first = DoubleCosetSystem(g, gamma)
+    second = DoubleCosetSystem(g, gamma)
     assert first.labels() == second.labels()
     assert [dc.right_reps for dc in first.cosets] == [dc.right_reps for dc in second.cosets]
 
@@ -284,40 +283,10 @@ def test_normalizer_degree_cap():
         normalizer_in_sym(FiniteGroup.generate(9, [Perm.parse(9, "(0 1)")]))
 
 
-# ---------------------------------------------------------------- actions
-
-def test_action_summary_s3_natural():
-    s3 = symmetric(3)
-    summary = action_summary(GroupAction.natural(s3))
-    assert summary.orbits == ((0, 1, 2),)
-    assert summary.stabilizer_orders == (2, 2, 2)
-
-
-def test_action_summary_trivial_group():
-    triv = FiniteGroup.generate(3, [])
-    summary = action_summary(GroupAction.natural(triv))
-    assert summary.orbits == ((0,), (1,), (2,))
-    assert summary.fixed_points[triv.identity] == (0, 1, 2)
-
-
-def test_action_fixed_points_4_cycle():
-    z4 = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)")])
-    act = GroupAction.natural(z4)
-    assert act.fixed_points(Perm.parse(4, "(0 2)(1 3)")) == []
-
-
-def test_regular_action_is_free():
-    s3 = symmetric(3)
-    act = regular_action(s3)
-    for g in s3:
-        if g != s3.identity:
-            assert act.fixed_points(g) == []
-
-
 # ---------------------------------------------------------------- commensurations
 
 def test_commensurations_z3_regular_contains_identity_triple():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     act = regular_action(z3)
     found = commensurations(act, act)
     ident = Commensuration(
@@ -329,7 +298,7 @@ def test_commensurations_z3_regular_contains_identity_triple():
 
 
 def test_commensurations_z4_vs_klein():
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"), Perm.parse(4, "(0 2)(1 3)")])
     a = regular_action(z4)
     b = regular_action(klein)
@@ -369,7 +338,7 @@ def test_commensurations_s3_match_exhaustive_search():
 
 
 def test_commensurations_symmetry():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     act = regular_action(z3)
     found = commensurations(act, act)
     keys = {(c.eta, c.domain, c.iso) for c in found}
@@ -381,7 +350,7 @@ def test_commensurations_symmetry():
 # ---------------------------------------------------------------- characters / out
 
 def test_abelian_invariants():
-    assert abelian_invariants(FiniteGroup.cyclic(6)) == (6,)
+    assert abelian_invariants(cyclic(6)) == (6,)
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"), Perm.parse(4, "(0 2)(1 3)")])
     assert abelian_invariants(klein) == (2, 2)
     assert abelian_invariants(symmetric(3)) == (2,)
@@ -417,7 +386,7 @@ def test_abelian_invariants_match_perm_product_orders(degree):
 
 
 def test_characters_counts():
-    assert len(characters(FiniteGroup.cyclic(4))) == 4
+    assert len(characters(cyclic(4))) == 4
     assert len(characters(symmetric(3))) == 2
     klein = FiniteGroup.generate(4, [Perm.parse(4, "(0 1)(2 3)"), Perm.parse(4, "(0 2)(1 3)")])
     assert len(characters(klein)) == 4
@@ -432,7 +401,7 @@ def test_characters_are_homomorphisms():
 
 
 def test_out_description_z3_regular():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     desc = out_description(z3)
     assert desc.char_invariants == (3,)
     assert len(desc.char_exponents) == 3

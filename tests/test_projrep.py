@@ -27,10 +27,10 @@ from heckefuse.projrep import (
     tensor,
     transport,
     trivial_rep,
-    twist,
 )
 
-from groups import symmetric
+from elementary_oracle import twist
+from groups import cyclic, symmetric
 
 
 def direct_sum(reps):
@@ -70,7 +70,7 @@ def z2_in_s3():
 # ------------------------------------------------------------ regular rep
 
 def test_regular_rep_z2():
-    g = FiniteGroup.cyclic(2)
+    g = cyclic(2)
     reg = regular_rep(g)
     assert reg.dim == 2
     assert reg.char_key() == (((2.0, 0.0)), (0.0, 0.0))
@@ -128,7 +128,7 @@ def test_regular_rep_rejects_a_cocycle_with_one_wrong_entry(at):
 
 def test_regular_rep_rejects_a_cocycle_of_another_group():
     with pytest.raises(ValueError, match="different group"):
-        regular_rep(s3(), Cocycle.trivial(FiniteGroup.cyclic(6)))
+        regular_rep(s3(), Cocycle.trivial(cyclic(6)))
 
 
 # ------------------------------------------------------------ irreducibles
@@ -140,7 +140,7 @@ def test_irreducibles_s3():
 
 
 def test_irreducibles_z4():
-    classes = irreducibles(FiniteGroup.cyclic(4))
+    classes = irreducibles(cyclic(4))
     assert [c.dim for c in classes] == [1, 1, 1, 1]
 
 
@@ -335,7 +335,7 @@ def test_equivalence_matches_hom_dim_on_irreducibles():
 
 
 def test_rep_validation_rejects_wrong_cocycle():
-    g = FiniteGroup.cyclic(2)
+    g = cyclic(2)
     omega = Cocycle(g, 2, [[0, 0], [0, 1]])
     with pytest.raises(ValueError):
         Rep(g, omega, [np.eye(1), np.eye(1)])
