@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import projrep
 from .catalog import (
     BUILTIN,
     CatalogEntry,
@@ -35,13 +36,12 @@ from .cocycle import (
 )
 from .elementary import (
     BimoduleSum,
-    admissible_classes,
-    fuse as elem_fuse,
-    fuse_objects,
+    basis_objects,
     identity_object,
     is_irreducible,
-    make,
     pair_conjugation_phase,
+    structure_constants as elem_structure_constants,
+    term_vector,
     to_ext_hecke as elem_to_ext,
 )
 from .exthecke import (
@@ -74,6 +74,7 @@ from .hecke import (
 )
 from .permcore import (
     GroupAction,
+    GroupTooLarge,
     MAX_SYM_DEGREE,
     commensuration_subgroups,
     commensurations,
@@ -277,14 +278,34 @@ def _hecke_table(backend) -> np.ndarray:
 
 
 def check_hecke_associativity(backend, cfg: Config, labels=None) -> None:
-    if labels is None:
-        labels = backend.labels()
-    product = functools.partial(basis_product, backend)
-    for x, y in itertools.product(labels, repeat=2):
-        xy = product(x, y)
-        for z in labels:
-            if expand(xy, {z: 1}, product) != expand({x: 1}, product(y, z), product):
-                raise CheckFailure("convolution is not associative")
+    """(x y) z against x (y z) on basis triples.  A finite backend
+    (labels=None) compares einsum("xyl,lzw") with einsum("yzl,xlw") over its
+    table H, whose products stay in its labels: a block of x at a time within
+    ``projrep.MAX_DENSE_BYTES``, as float64 matrix products, exact while
+    every sum stays below 2^53.  Products of given labels leave them, so
+    those are expanded."""
+    if labels is not None:
+        product = functools.partial(basis_product, backend)
+        for x, y in itertools.product(labels, repeat=2):
+            xy = product(x, y)
+            for z in labels:
+                if expand(xy, {z: 1}, product) != expand({x: 1}, product(y, z), product):
+                    raise CheckFailure("convolution is not associative")
+        return
+    h = _hecke_table(backend)
+    n = len(h)
+    if n * int(h.max()) ** 2 >= 2 ** 53:
+        raise GroupTooLarge(f"Hecke coefficients up to {h.max()} are too large "
+                            "for an exact float64 associativity check")
+    table = h.astype(float)
+    step = max(1, projrep.MAX_DENSE_BYTES // (24 * n ** 3))
+    for start in range(0, n, step):
+        block = table[start:start + step]
+        left = block.reshape(-1, n) @ table.reshape(n, -1)  # [(x, y), (z, w)]
+        right = table.reshape(-1, n) @ block.transpose(1, 0, 2).reshape(n, -1)
+        right = right.reshape(n, n, len(block), n).transpose(2, 0, 1, 3)
+        if (left.reshape(right.shape) != right).any():
+            raise CheckFailure("convolution is not associative")
 
 
 def check_degree_homomorphism(backend, cfg: Config, labels=None) -> None:
@@ -495,51 +516,54 @@ def check_representative_independence(pair: FinitePair, cfg: Config) -> None:
 
 # ------------------------------------------------------------ elementary checks
 
-def _elementary_basis(pair: FinitePair, omega: Cocycle):
-    out = []
-    for label in pair.labels():
-        for cls in admissible_classes(pair, omega, label):
-            out.append(make(pair, omega, label, cls.rep))
-    return out
-
-
 def check_elementary_associativity(pair: FinitePair, omega: Cocycle,
                                    cfg: Config) -> None:
-    objs = _elementary_basis(pair, omega)
+    """(x y) z against x (y z) on sampled basis triples, each side a
+    contraction of the structure constants E through the object sums S."""
+    objs = basis_objects(pair, omega)
     triples = list(itertools.product(range(len(objs)), repeat=3))
     if len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
-    for i, j, k in triples:
-        x, y, z = objs[i], objs[j], objs[k]
-        left = elem_fuse(fuse_objects(x, y), BimoduleSum.of(z))
-        right = elem_fuse(BimoduleSum.of(x), fuse_objects(y, z))
-        if left != right:
-            raise CheckFailure(f"elementary associativity fails at ({i},{j},{k})")
+    consts = elem_structure_constants(pair, omega)
+    sums = np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms)
+                     for obj in objs])
+    i, j, k = np.array(triples).T
+    left = np.einsum("ta,tb,abw->tw", consts[i, j], sums[k], consts, optimize=True)
+    right = np.einsum("ta,tb,abw->tw", sums[i], consts[j, k], consts, optimize=True)
+    bad = np.flatnonzero((left != right).any(axis=1))
+    if len(bad):
+        raise CheckFailure("elementary associativity fails at "
+                           f"({i[bad[0]]},{j[bad[0]]},{k[bad[0]]})")
 
 
 def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
-    objs = _elementary_basis(pair, Cocycle.trivial(pair.gamma))
+    """E M against N: row z of M is the extended Hecke identification of
+    basis object z, so E M holds the identified elementary products."""
+    omega = Cocycle.trivial(pair.gamma)
+    identified = np.array([basis_vector(elem_to_ext(obj))
+                           for obj in basis_objects(pair, omega)])
+    got = elem_structure_constants(pair, omega) @ identified
     consts = structure_constants(pair)
-    got = [basis_vector(elem_to_ext(fuse_objects(x, y)))
-           for x, y in itertools.product(objs, repeat=2)]
-    # the rows of N in the same order; a basis of another size cannot reshape
-    if (np.array(got) != consts.reshape(len(got), -1)).any():
+    if got.shape != consts.shape or (got != consts).any():
         raise CheckFailure("elementary and extended fusion disagree")
 
 
 def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
                                     cfg: Config) -> None:
-    objs = _elementary_basis(pair, omega)
+    objs = basis_objects(pair, omega)
     for obj in objs:
         if not is_irreducible(obj):
             raise CheckFailure("a basis object is not irreducible")
         if sum(BimoduleSum.of(obj).terms.values()) != 1:
             raise CheckFailure("an irreducible object decomposes")
+    # the identity object is the basis object at the identity label with the
+    # trivial class; its row of E holds its products with every basis object
     e_obj = identity_object(pair, omega)
-    for obj in objs:
-        if fuse_objects(e_obj, obj) != BimoduleSum.of(obj):
-            raise CheckFailure("identity object is not neutral")
+    unit = term_vector(pair, omega, {(e_obj.delta.images, e_obj.rep.char_key()): 1})
+    sums = [term_vector(pair, omega, BimoduleSum.of(obj).terms) for obj in objs]
+    if (unit @ elem_structure_constants(pair, omega) != sums).any():
+        raise CheckFailure("identity object is not neutral")
 
 
 # ------------------------------------------------------------ runner

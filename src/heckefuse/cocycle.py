@@ -98,9 +98,6 @@ class Cocycle:
         return _TRIVIAL_CACHE.get_or((group.key(), modulus), lambda: cls._of(
             group, modulus, np.zeros((n, n), np.int64)))
 
-    def exponent(self, g: Perm, h: Perm) -> int:
-        return int(self.arr[self.group.index_of(g), self.group.index_of(h)])
-
     def is_trivial_table(self) -> bool:
         return not self.arr.any()
 
@@ -159,9 +156,6 @@ class PhaseFunction:
         self.group = group
         self.modulus = modulus
         self.values = values
-
-    def exponent(self, g: Perm) -> int:
-        return int(self.values[self.group.index_of(g)])
 
     def rescale(self, new_modulus: int) -> "PhaseFunction":
         if new_modulus % self.modulus:

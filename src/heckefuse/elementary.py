@@ -23,15 +23,21 @@ arrays.  The plan runs its exact checks once, on the required cocycles of
 delta and delta~ instead of on pi and pi~: an object's cocycle equals its
 required cocycle exactly (``ElementaryBimodule`` refuses it otherwise), so
 the integrand of every pair of classes at (delta, delta~) carries the
-cocycle checked for the plan.  A product then does matrix work only:
-gather, Kronecker product, phase multiply and induction.
+cocycle checked for the plan.  Products then do matrix work only, for
+every pair of classes at (delta, delta~) at once (``_fuse_classes``): per
+step, the pairs of one pair of dimensions are gathered into one stack that
+gets one Kronecker product, phase multiply, induction and character
+decomposition.  ``fuse_objects`` asks it for one pair of classes, and
+``structure_constants`` for every pair of basis objects of two labels, the
+array E that the elementary checks read.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
-label of its double coset and a character fingerprint); plans, products,
-object sums and their extended-Hecke identifications, terms, their
-representative objects, required cocycles and conjugation phases are
-memoized on the pair, not in the module.  Conjugations act on index arrays
-(``permcore.conj_map``), not on ``Perm`` objects.
+label of its double coset and a character fingerprint); the constituents at
+one delta are canonicalized in one transfer sweep.  Plans, products, the
+structure constants, object sums and their extended-Hecke identifications,
+terms, their representative objects, required cocycles and conjugation
+phases are memoized on the pair, not in the module.  Conjugations act on
+index arrays (``permcore.conj_map``), not on ``Perm`` objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -39,6 +45,7 @@ algebra, which serves as an independent cross-check (``to_ext_hecke``).
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
 from typing import NamedTuple
 
@@ -55,6 +62,7 @@ from .projrep import (
     _roots,
     check_homomorphism,
     decompose,
+    decompose_characters,
     hom_dim,
     irreducibles,
     kron,
@@ -66,6 +74,7 @@ from .projrep import (
 
 
 STACK_BYTES = 32  # peak bytes per stacked conjugation-row entry, temporaries included
+INDUCED_BYTES = 80  # peak bytes per stacked induced-matrix entry, temporaries included
 
 
 class CocycleBookkeepingError(AssertionError):
@@ -182,36 +191,55 @@ def canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
     over all of them does not depend on any representative choice made
     elsewhere.  Memoized on the pair.
     """
-    return pair._memo.get_or(("term", omega.key(), delta.images, rep.char_key()),
+    return pair._memo.get_or(_term_key(omega, delta, rep),
                              _canonical_term, pair, omega, delta, rep)
 
 
+def _term_key(omega: Cocycle, delta: Perm, rep) -> tuple:
+    return "term", omega.key(), delta.images, rep.char_key()
+
+
 def _canonical_term(pair: FinitePair, omega: Cocycle, delta: Perm, rep) -> tuple:
-    """Decompositions are read a chunk at a time, each chunk's stacked rows
-    within ``projrep.MAX_DENSE_BYTES``: each transfer's character is the
-    phase times rep's character read through the transport index, so no
-    matrices are built.  The first least fingerprint wins, and the winner's
-    cocycle is checked against the label's required cocycle."""
-    label, char, best = pair.label_of(delta), np.asarray(rep.character()), None
+    return _canonical_terms(pair, omega, delta, [rep])[0]
+
+
+def _canonical_terms(pair: FinitePair, omega: Cocycle, delta: Perm,
+                     reps: list) -> list[tuple]:
+    """The canonical terms of (delta, rep) for each of reps, representations
+    or classes of one group.
+
+    Decompositions are read a chunk at a time, each chunk's stacked rows for
+    all of reps within ``projrep.MAX_DENSE_BYTES``, and one transfer sweep
+    per chunk serves every rep: each transfer's character is the phase times
+    rep's character read through the transport index, so no matrices are
+    built.  The first least fingerprint wins, and each winner's cocycle is
+    checked against the label's required cocycle."""
+    label, chars = pair.label_of(delta), np.array([rep.character() for rep in reps])
+    roots, best = _roots(omega.modulus), [None] * len(reps)
     moves = list(pair.decompositions(delta, label))
-    per_move = STACK_BYTES * len(pair.little(label)) * label.degree
+    per_move = STACK_BYTES * len(pair.little(label)) * label.degree * len(reps)
     step = max(1, projrep.MAX_DENSE_BYTES // per_move)
     for chunk in (moves[i:i + step] for i in range(0, len(moves), step)):
-        little, idx, phases = _transfers(pair, omega, delta, rep.group, chunk)
-        keys = [round_char(row) for row in _roots(omega.modulus)[phases] * char[idx]]
-        i = min(range(len(keys)), key=keys.__getitem__)
-        if best is None or keys[i] < best[0]:
-            best = keys[i], chunk[i], idx[i].copy(), phases[i].copy()
-    key, (g, c), idx, phases = best
-    phase = PhaseFunction(little, omega.modulus, phases)
-    moved = rep.cocycle.pullback(little, idx) * phase.coboundary()
-    need = required_cocycle(pair, omega, label)
-    if moved != need:
-        raise CocycleBookkeepingError(
-            f"transfer to {label.cycle_string()} by ({g.cycle_string()}, "
-            f"{c.cycle_string()}) carries the wrong cocycle; witness pair "
-            + _witness_pair(moved, need))
-    return label.images, key
+        little, idx, phases = _transfers(pair, omega, delta, reps[0].group, chunk)
+        for r, rows in enumerate(roots[phases] * chars[:, idx]):
+            keys = [round_char(row) for row in rows]
+            i = min(range(len(keys)), key=keys.__getitem__)
+            if best[r] is None or keys[i] < best[r][0]:
+                best[r] = keys[i], chunk[i], idx[i].copy(), phases[i].copy()
+    need, checked = required_cocycle(pair, omega, label), set()
+    for rep, (key, (g, c), idx, phases) in zip(reps, best):
+        # reps of one cocycle won at one move carry one moved cocycle
+        if (rep.cocycle, g, c) in checked:
+            continue
+        checked.add((rep.cocycle, g, c))
+        phase = PhaseFunction(little, omega.modulus, phases)
+        moved = rep.cocycle.pullback(little, idx) * phase.coboundary()
+        if moved != need:
+            raise CocycleBookkeepingError(
+                f"transfer to {label.cycle_string()} by ({g.cycle_string()}, "
+                f"{c.cycle_string()}) carries the wrong cocycle; witness pair "
+                + _witness_pair(moved, need))
+    return [(label.images, key) for key, *_ in best]
 
 
 def canonical_representative(pair: FinitePair, omega: Cocycle,
@@ -307,18 +335,48 @@ def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
     return pair._memo.get_or(
         ("product", omega.key(), h1.delta.images, h2.delta.images,
          h1.rep.char_key(), h2.rep.char_key()),
-        _fuse_objects, pair, omega, h1, h2)
+        lambda: BimoduleSum(pair, omega, _fuse_classes(
+            pair, omega, h1.delta, [h1.rep], h2.delta, [h2.rep])[0]))
 
 
-def _fuse_objects(pair: FinitePair, omega: Cocycle, h1: ElementaryBimodule,
-                  h2: ElementaryBimodule) -> BimoduleSum:
-    out: dict = {}
-    for step in fusion_plan(pair, omega, h1.delta, h2.delta):
-        integrand = kron(h1.rep.matrices[step.moved], h2.rep.matrices[step.restricted])
-        fused = step.induction.apply(step.phase_roots[:, None, None] * integrand)
-        _add_terms(out, pair, omega, step.delta,
-                   Rep._of(step.little, step.target, fused))
-    return BimoduleSum(pair, omega, out)
+def _fuse_classes(pair: FinitePair, omega: Cocycle, delta1: Perm, reps1: list,
+                  delta2: Perm, reps2: list) -> list[dict]:
+    """The canonical terms, with multiplicities, of the fusion of (delta1, a)
+    and (delta2, b) for every a in reps1 and b in reps2, in that order.
+
+    Per plan step, the pairs of one (dim a, dim b) are stacked: one
+    Kronecker product, one induction and one character decomposition per
+    stack, each stack within ``projrep.MAX_DENSE_BYTES``.  The constituents
+    met at the step's delta are canonicalized in one batch."""
+    pairs = [(a, b) for a in reps1 for b in reps2]
+    out: list[dict] = [{} for _ in pairs]
+    by_dims: dict = {}
+    for p, (a, b) in enumerate(pairs):
+        by_dims.setdefault((a.dim, b.dim), []).append(p)
+    for step in fusion_plan(pair, omega, delta1, delta2):
+        (k, n), classes = step.induction.cols.shape, irreducibles(step.little, step.target)
+        mults = np.zeros((len(pairs), len(classes)), dtype=np.int64)
+        for (d1, d2), group in by_dims.items():
+            dim = k * d1 * d2  # of the induced representation
+            size = max(1, projrep.MAX_DENSE_BYTES // (INDUCED_BYTES * n * dim * dim))
+            for chunk in (group[i:i + size] for i in range(0, len(group), size)):
+                left = np.stack([pairs[p][0].matrices[step.moved] for p in chunk])
+                right = np.stack([pairs[p][1].matrices[step.restricted] for p in chunk])
+                integrand = kron(left.reshape(-1, d1, d1), right.reshape(-1, d2, d2))
+                induced = step.induction.apply(
+                    step.phase_roots[:, None, None]
+                    * integrand.reshape(len(chunk), -1, d1 * d2, d1 * d2))
+                mults[chunk] = decompose_characters(
+                    step.little, step.target, np.trace(induced, axis1=2, axis2=3), dim)
+        met = np.flatnonzero(mults.any(axis=0))
+        by_key = {_term_key(omega, step.delta, classes[c]): classes[c] for c in met}
+        terms = pair._memo.get_all(list(by_key), lambda missing: _canonical_terms(
+            pair, omega, step.delta, [by_key[key] for key in missing]))
+        for sums, row in zip(out, mults[:, met].tolist()):
+            for term, mult in zip(terms, row):
+                if mult:
+                    sums[term] = sums.get(term, 0) + mult
+    return out
 
 
 class FusionStep(NamedTuple):
@@ -384,6 +442,59 @@ def fuse(a, b) -> BimoduleSum:
     for ra, ma in a.items():
         for rb, mb in b.items():
             out = out + fuse_objects(ra, rb).scale(ma * mb)
+    return out
+
+
+def basis_objects(pair: FinitePair, omega: Cocycle) -> list[ElementaryBimodule]:
+    """The object (label, class) of every label and admissible class: the
+    basis that ``structure_constants`` and ``term_vector`` are indexed by."""
+    return [ElementaryBimodule(pair, omega, label, cls.rep)
+            for label in pair.labels() for cls in admissible_classes(pair, omega, label)]
+
+
+def term_vector(pair: FinitePair, omega: Cocycle, terms: dict) -> np.ndarray:
+    """The multiplicities of the canonical terms over ``basis_objects``, an
+    int64 vector; a term names the basis object at its label whose class has
+    its fingerprint."""
+    at = pair._memo.get_or(("basis_index", omega.key()), lambda: {
+        (label.images, cls.char): i for i, (label, cls) in enumerate(
+            (label, cls) for label in pair.labels()
+            for cls in admissible_classes(pair, omega, label))})
+    out = np.zeros(len(at), dtype=np.int64)
+    for term, mult in terms.items():
+        if term not in at:
+            raise NumericalDegradation(
+                f"no admissible class at {Perm._of(term[0]).cycle_string()} has "
+                "the canonical fingerprint")
+        out[at[term]] = mult
+    return out
+
+
+def structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
+    """E[x, y, z], the multiplicity of basis object z in the fusion of basis
+    objects x and y, in ``basis_objects`` order: a read-only int64 array, one
+    ``_fuse_classes`` call per pair of labels; memoized on the pair.  Its
+    n^3 entries must fit in ``projrep.MAX_DENSE_BYTES``, or it raises
+    ``GroupTooLarge`` before computing anything."""
+    return pair._memo.get_or(("elementary_constants", omega.key()),
+                             _structure_constants, pair, omega)
+
+
+def _structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
+    spans, n = {}, 0
+    for label in pair.labels():
+        count = len(admissible_classes(pair, omega, label))
+        spans[label], n = range(n, n + count), n + count
+    projrep.check_dense_size(
+        f"the elementary structure constants of {n} basis objects", n ** 3, itemsize=8)
+    reps = {label: [cls.rep for cls in admissible_classes(pair, omega, label)]
+            for label in spans}
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for a, b in itertools.product(spans, repeat=2):
+        sums = _fuse_classes(pair, omega, a, reps[a], b, reps[b])
+        for (i, j), terms in zip(itertools.product(spans[a], spans[b]), sums):
+            out[i, j] = term_vector(pair, omega, terms)
+    out.flags.writeable = False
     return out
 
 

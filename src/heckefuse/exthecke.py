@@ -100,10 +100,11 @@ class FinitePair:
     (``triple_blocks``), the per-coset terms of label pairs
     (``overcount_blocks``), the ``structure_constants`` and the
     ``basis_spans`` they are indexed by, fusion and conjugation results
-    (the elements themselves, keyed by their factors), and the fusion plans
-    and products, object sums and their identifications, canonical terms,
-    representatives, required cocycles and conjugation phases of elementary
-    objects over it (filled by :mod:`heckefuse.elementary`).
+    (the elements themselves, keyed by their factors), and the fusion plans,
+    products and structure constants with their basis index, object sums and
+    their identifications, canonical terms, representatives, required
+    cocycles and conjugation phases of elementary objects over it (filled by
+    :mod:`heckefuse.elementary`).
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",

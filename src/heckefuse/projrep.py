@@ -330,12 +330,15 @@ class Induction:
         self.at = sub.positions(h_rows)
 
     def apply(self, matrices: np.ndarray) -> np.ndarray:
-        """The induced (|big|, k d, k d) matrices of the (|sub|, d, d) ones."""
-        (k, n), d = self.cols.shape, matrices.shape[1]
-        mats = np.zeros((n, k, d, k, d), dtype=complex)
-        mats[np.arange(n), np.arange(k)[:, None], :, self.cols, :] = (
-            self.roots[:, :, None, None] * matrices[self.at])
-        return mats.reshape(n, k * d, k * d)
+        """The induced (|big|, k d, k d) matrices of the (|sub|, d, d) ones,
+        or a (b, |big|, k d, k d) stack of a (b, |sub|, d, d) one."""
+        (k, n), d = self.cols.shape, matrices.shape[-1]
+        stack = matrices.reshape(-1, *matrices.shape[-3:])
+        b = len(stack)
+        mats = np.zeros((b, n, k, d, k, d), dtype=complex)
+        mats[np.arange(b)[:, None, None], np.arange(n), np.arange(k)[:, None], :,
+             self.cols, :] = self.roots[:, :, None, None] * stack[:, self.at]
+        return mats.reshape(*matrices.shape[:-3], n, k * d, k * d)
 
 
 # ------------------------------------------------------------ intertwiners

@@ -11,6 +11,7 @@ from heckefuse.elementary import (
     canonical_representative,
     fuse as elem_fuse,
     make,
+    structure_constants as elem_structure_constants,
 )
 from heckefuse.exthecke import basis, conjugate, fuse
 from heckefuse.permcore import Memo
@@ -19,7 +20,8 @@ PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
 
 
 def exercise(pair) -> None:
-    """Fusion table, conjugation and one twisted elementary product."""
+    """Fusion table, conjugation, one twisted elementary product and the
+    twisted elementary structure constants."""
     fusion_table(pair)
     for _, x in basis(pair):
         conjugate(x)
@@ -28,6 +30,7 @@ def exercise(pair) -> None:
         label = pair.labels()[-1]
         h = make(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
         total_dim(elem_fuse(h, h))
+        elem_structure_constants(pair, omega)
 
 
 def total_dim(total) -> int:
@@ -54,10 +57,11 @@ def test_pair_and_group_each_keep_one_store(name):
     assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
                      "orbits_by_labels", "reads", "class_index", "block", "fuse",
                      "conjugate", "required", "phase", "term", "rep", "plan",
-                     "product", "sum", "to_ext"}
+                     "product", "sum", "to_ext", "elementary_constants",
+                     "basis_index"}
     if build_omega(BUILTIN[name], pair) is not None:
         assert {"required", "phase", "term", "rep", "plan", "product",
-                "sum"} <= kinds
+                "sum", "elementary_constants", "basis_index"} <= kinds
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
 
 

@@ -25,6 +25,7 @@ from heckefuse.cocycle import (
 )
 from heckefuse.permcore import FiniteGroup, Perm, conj_map
 
+from exponents import exponent, phase_exponent
 from groups import cyclic, symmetric
 
 
@@ -59,8 +60,8 @@ def test_klein_bilinear_validates():
     for a in group:
         for b in group:
             for c in group:
-                left = (omega.exponent(a, b) + omega.exponent(a * b, c)) % 2
-                right = (omega.exponent(b, c) + omega.exponent(a, b * c)) % 2
+                left = (exponent(omega, a, b) + exponent(omega, a * b, c)) % 2
+                right = (exponent(omega, b, c) + exponent(omega, a, b * c)) % 2
                 assert left == right
 
 
@@ -112,9 +113,10 @@ def test_parity_phase_on_z4():
     oracle = {}
     for a in g:
         for b in g:
-            oracle[(a, b)] = (phi.exponent(a) + phi.exponent(b) - phi.exponent(a * b)) % 2
+            oracle[(a, b)] = (phase_exponent(phi, a) + phase_exponent(phi, b)
+                              - phase_exponent(phi, a * b)) % 2
     d = coboundary(phi)
-    assert all(d.exponent(a, b) == v for (a, b), v in oracle.items())
+    assert all(exponent(d, a, b) == v for (a, b), v in oracle.items())
     assert d == Cocycle.trivial(g)
 
 
@@ -230,7 +232,7 @@ def test_conjugation_phase_klein():
         for h in group:
             hx, hy = coords[h]
             # abelian group: phase(h) = omega(h, g) - omega(g, h) = k(hx*gy - gx*hy)
-            assert phi.exponent(h) == (hx * gy - gx * hy) % 2
+            assert phase_exponent(phi, h) == (hx * gy - gx * hy) % 2
         # the group is abelian, so Ad g is trivial and the coboundary must vanish
         assert coboundary(phi) == Cocycle.trivial(group)
         assert conjugated(omega, g) == omega
@@ -329,7 +331,7 @@ def test_heisenberg_commutation_pairing():
         for h in group:
             gx, gy = coords[g]
             hx, hy = coords[h]
-            pairing = (omega.exponent(g, h) - omega.exponent(h, g)) % 3
+            pairing = (exponent(omega, g, h) - exponent(omega, h, g)) % 3
             assert pairing == (gx * hy - gy * hx) % 3
 
 

@@ -479,14 +479,14 @@ def looped_canonical_term(pair, omega, delta, rep):
 def canonicalized_by_checks(pair, omega, monkeypatch):
     """Every (delta, rep) that the elementary checks canonicalize over pair,
     with omega and with the trivial cocycle, and the term each got."""
-    calls, compute = [], elementary._canonical_term
+    calls, compute = [], elementary._canonical_terms
 
-    def recording(pair, omega, delta, rep):
-        term = compute(pair, omega, delta, rep)
-        calls.append((omega, delta, rep, term))
-        return term
+    def recording(pair, omega, delta, reps):
+        terms = compute(pair, omega, delta, reps)
+        calls.extend((omega, delta, rep, term) for rep, term in zip(reps, terms))
+        return terms
 
-    monkeypatch.setattr(elementary, "_canonical_term", recording)
+    monkeypatch.setattr(elementary, "_canonical_terms", recording)
     cfg = checks.Config()
     checks.check_elementary_cross_oracle(pair, cfg)
     checks.check_elementary_associativity(pair, omega, cfg)

@@ -376,6 +376,21 @@ def test_hecke_checks_catch_a_wrong_basis_product(name):
             check(bk, cfg)
 
 
+@pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
+def test_hecke_associativity_catches_a_wrong_product_one_x_at_a_time(name, monkeypatch):
+    # room for the table and for one x per block of the two sides
+    n = len(make_pair(name).hecke().labels())
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 24 * n ** 3)
+    checks.check_hecke_associativity(make_pair(name).hecke(), Config())
+    bk = make_pair(name).hecke()
+    e, k = bk.labels()[0], bk.labels()[-1]
+    wrong = dict(basis_product(bk, e, k))
+    wrong[e] = wrong.get(e, 0) + 1
+    bk._products[e, k] = wrong
+    with pytest.raises(checks.CheckFailure, match="convolution is not associative"):
+        checks.check_hecke_associativity(bk, Config())
+
+
 # ------------------------------------------------------------ triple and overcount blocks
 
 @pytest.mark.parametrize("choice", [None, 0, 1])

@@ -1,31 +1,36 @@
-"""Elementary fusion through memoized fusion plans: the plan and the
-vectorized induction against the composed constructions they replace."""
+"""Elementary fusion through memoized fusion plans: the plan, the
+vectorized induction and the batched products of many class pairs against
+the composed constructions and one-pair products they replace."""
 
 import collections
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 import heckefuse
-from heckefuse import checks, elementary
+from heckefuse import checks, elementary, projrep
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cocycle import Cocycle, PhaseFunction
 from heckefuse.elementary import (
     BimoduleSum,
     CocycleBookkeepingError,
     _add_terms,
-    admissible_classes,
+    basis_objects,
     fuse,
     fuse_objects,
     make,
     pair_conjugation_phase,
     required_cocycle,
+    structure_constants,
+    term_vector,
 )
-from heckefuse.permcore import conj_map, right_coset_reps
+from heckefuse.permcore import GroupTooLarge, conj_map, right_coset_reps
 from heckefuse.projrep import (
     _roots,
     induce,
@@ -45,11 +50,6 @@ def catalog_omegas(name):
     pair = build_pair(BUILTIN[name])
     omegas = [Cocycle.trivial(pair.gamma), build_omega(BUILTIN[name], pair)]
     return pair, [omega for omega in omegas if omega is not None]
-
-
-def basis_objects(pair, omega):
-    return [make(pair, omega, label, cls.rep) for label in pair.labels()
-            for cls in admissible_classes(pair, omega, label)]
 
 
 def composed_fuse_objects(h1, h2) -> BimoduleSum:
@@ -92,25 +92,127 @@ def test_a_repeated_product_is_the_memoized_sum():
 
 
 def test_one_check_pass_builds_one_plan_per_label_pair(monkeypatch):
-    built, products = collections.Counter(), [0]
-    plan, product = elementary._fusion_plan, elementary._fuse_objects
+    built, fused = collections.Counter(), collections.Counter()
+    plan, product = elementary._fusion_plan, elementary._fuse_classes
 
     def planning(pair, omega, delta1, delta2):
         built[pair.name, omega.key(), delta1, delta2] += 1
         return plan(pair, omega, delta1, delta2)
 
-    def fusing(*args):
-        products[0] += 1
-        return product(*args)
+    def fusing(pair, omega, delta1, reps1, delta2, reps2):
+        fused[pair.name, omega.key(), delta1, delta2] += 1
+        return product(pair, omega, delta1, reps1, delta2, reps2)
 
     monkeypatch.setattr(elementary, "_fusion_plan", planning)
-    monkeypatch.setattr(elementary, "_fuse_objects", fusing)
+    monkeypatch.setattr(elementary, "_fuse_classes", fusing)
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
     assert built and set(built.values()) == {1}
-    # distinct products share plans: 310 products on 15 plans at the time of writing
-    assert products[0] > 10 * len(built)
+    # every product of basis objects at one pair of deltas in one batched call
+    assert fused == built
+
+
+# ------------------------------------------------------------ batched products
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_a_batched_induction_is_the_induction_of_each_item(name):
+    """Every step of every plan of the catalog, with the trivial and the
+    catalog cocycle, on a stack of three random (|meet|, 2, 2) arrays."""
+    pair, omegas = catalog_omegas(name)
+    rng = np.random.default_rng(0)
+    for omega, (delta1, delta2) in itertools.product(
+            omegas, itertools.product(pair.labels(), repeat=2)):
+        for step in elementary.fusion_plan(pair, omega, delta1, delta2):
+            stack = rng.normal(size=(3, len(step.restricted), 2, 2, 2)) @ [1, 1j]
+            batched = step.induction.apply(stack)
+            assert batched.shape == (3, len(step.little), *batched.shape[2:])
+            for item, induced in zip(stack, batched):
+                assert np.array_equal(induced, step.induction.apply(item))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_structure_constants_hold_every_product_of_basis_objects(name):
+    """Row (x, y) of E is the product of basis objects x and y, fused one
+    pair at a time; so it is with one item per stack and one decomposition
+    per canonical-term chunk."""
+    pair, omegas = catalog_omegas(name)
+    for omega in omegas:
+        objs = basis_objects(pair, omega)
+        consts = structure_constants(pair, omega)
+        assert consts.dtype == np.int64 and not consts.flags.writeable
+        assert structure_constants(pair, omega) is consts
+        for (i, x), (j, y) in itertools.product(enumerate(objs), repeat=2):
+            assert (consts[i, j] == term_vector(pair, omega, fuse_objects(x, y).terms)).all()
+
+
+@pytest.mark.parametrize("name", ["D4_klein", "Heis3"])
+def test_structure_constants_do_not_depend_on_the_stack_size(name, monkeypatch):
+    pair, (_, omega) = catalog_omegas(name)
+    whole = structure_constants(pair, omega)
+    sizes, apply = [], projrep.Induction.apply
+
+    def recording(self, matrices):
+        if matrices.ndim == 4:
+            sizes.append(len(matrices))
+        return apply(self, matrices)
+
+    # every stack holds one class pair, every transfer chunk one decomposition
+    monkeypatch.setattr(elementary, "INDUCED_BYTES", projrep.MAX_DENSE_BYTES)
+    monkeypatch.setattr(elementary, "STACK_BYTES", projrep.MAX_DENSE_BYTES)
+    monkeypatch.setattr(projrep.Induction, "apply", recording)
+    assert (structure_constants(catalog_omegas(name)[0], omega) == whole).all()
+    assert set(sizes) == {1}
+
+
+def test_elementary_structure_constants_refuse_an_array_over_the_dense_limit(monkeypatch):
+    pair, (_, omega) = catalog_omegas("D4_klein")
+    n = len(basis_objects(pair, omega))
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3 - 1)
+    with pytest.raises(GroupTooLarge, match=f"structure constants of {n} basis objects"):
+        structure_constants(pair, omega)
+    assert not any(key[0] in ("plan", "elementary_constants") for key in pair._memo)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_structure_constants_keep_a_dropped_pair_collectable(name):
+    # E is an int array, and the plans and terms it fills hold subgroups,
+    # cocycles and tuples, never the pair
+    gc.collect()
+    gc.disable()
+    try:
+        pair, omegas = catalog_omegas(name)
+        for omega in omegas:
+            structure_constants(pair, omega)
+        dropped = weakref.ref(pair)
+        del pair
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def misaligned_batches(monkeypatch):
+    """Swap the first two induced items of every stacked batch, so that two
+    class pairs each get the other's product."""
+    apply = projrep.Induction.apply
+
+    def swapped(self, matrices):
+        out = apply(self, matrices)
+        if out.ndim == 4 and len(out) > 1:
+            out[[0, 1]] = out[[1, 0]]
+        return out
+    monkeypatch.setattr(projrep.Induction, "apply", swapped)
+
+
+@pytest.mark.parametrize("name, check", [
+    ("S3_in_S4", "elementary-cross-oracle"),
+    ("D4_klein", "elementary-associativity"),
+    ("Heis3", "elementary-associativity"),
+])
+def test_a_misaligned_batch_fails_the_elementary_checks(name, check, monkeypatch):
+    assert elementary_outcomes(name)[check]
+    misaligned_batches(monkeypatch)
+    assert not elementary_outcomes(name)[check]
 
 
 def corrupted_plans(monkeypatch, corrupt):
