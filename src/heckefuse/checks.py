@@ -36,10 +36,12 @@ from .cocycle import (
 )
 from .elementary import (
     BimoduleSum,
+    basis_index,
     basis_objects,
     identity_object,
     is_irreducible,
     pair_conjugation_phase,
+    product_rows,
     structure_constants as elem_structure_constants,
     term_vector,
     to_ext_hecke as elem_to_ext,
@@ -516,21 +518,36 @@ def check_representative_independence(pair: FinitePair, cfg: Config) -> None:
 
 # ------------------------------------------------------------ elementary checks
 
+def _object_sums(pair: FinitePair, omega: Cocycle) -> np.ndarray:
+    """S: row z holds the decomposed sum of basis object z over the basis."""
+    return np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms)
+                     for obj in basis_objects(pair, omega)])
+
+
+def _fuse_rows(pair: FinitePair, omega: Cocycle, first: np.ndarray,
+               second: np.ndarray) -> np.ndarray:
+    """Row t is the product of the sums first[t] and second[t]: the sum over
+    basis objects a, b of first[t, a] second[t, b] E[a, b]."""
+    t, a, b = np.nonzero((first[:, :, None] != 0) & (second[:, None, :] != 0))
+    rows = product_rows(pair, omega, list(zip(a.tolist(), b.tolist())))
+    out = np.zeros_like(first)
+    np.add.at(out, t, (first[t, a] * second[t, b])[:, None] * rows)
+    return out
+
+
 def check_elementary_associativity(pair: FinitePair, omega: Cocycle,
                                    cfg: Config) -> None:
     """(x y) z against x (y z) on sampled basis triples, each side a
-    contraction of the structure constants E through the object sums S."""
-    objs = basis_objects(pair, omega)
-    triples = list(itertools.product(range(len(objs)), repeat=3))
+    contraction of the structure constants E through the object sums S;
+    only the rows of E that the triples reach are computed."""
+    sums = _object_sums(pair, omega)
+    triples = list(itertools.product(range(len(sums)), repeat=3))
     if len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
-    consts = elem_structure_constants(pair, omega)
-    sums = np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms)
-                     for obj in objs])
     i, j, k = np.array(triples).T
-    left = np.einsum("ta,tb,abw->tw", consts[i, j], sums[k], consts, optimize=True)
-    right = np.einsum("ta,tb,abw->tw", sums[i], consts[j, k], consts, optimize=True)
+    left = _fuse_rows(pair, omega, product_rows(pair, omega, list(zip(i, j))), sums[k])
+    right = _fuse_rows(pair, omega, sums[i], product_rows(pair, omega, list(zip(j, k))))
     bad = np.flatnonzero((left != right).any(axis=1))
     if len(bad):
         raise CheckFailure("elementary associativity fails at "
@@ -557,12 +574,11 @@ def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
             raise CheckFailure("a basis object is not irreducible")
         if sum(BimoduleSum.of(obj).terms.values()) != 1:
             raise CheckFailure("an irreducible object decomposes")
-    # the identity object is the basis object at the identity label with the
-    # trivial class; its row of E holds its products with every basis object
+    # e x = x for every basis object x: row e of E against S
     e_obj = identity_object(pair, omega)
-    unit = term_vector(pair, omega, {(e_obj.delta.images, e_obj.rep.char_key()): 1})
-    sums = [term_vector(pair, omega, BimoduleSum.of(obj).terms) for obj in objs]
-    if (unit @ elem_structure_constants(pair, omega) != sums).any():
+    e = basis_index(pair, omega, (e_obj.delta.images, e_obj.rep.char_key()))
+    if (product_rows(pair, omega, [(e, x) for x in range(len(objs))])
+            != _object_sums(pair, omega)).any():
         raise CheckFailure("identity object is not neutral")
 
 

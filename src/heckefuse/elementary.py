@@ -28,8 +28,10 @@ every pair of classes at (delta, delta~) at once (``_fuse_classes``): per
 step, the pairs of one pair of dimensions are gathered into one stack that
 gets one Kronecker product, phase multiply, induction and character
 decomposition.  ``fuse_objects`` asks it for one pair of classes, and
-``structure_constants`` for every pair of basis objects of two labels, the
-array E that the elementary checks read.
+the elementary structure constants E for every pair of basis objects of
+two labels: one memoized block per pair of labels, which
+``structure_constants`` assembles whole and ``product_rows`` reads for
+the products a check needs.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
 label of its double coset and a character fingerprint); the constituents at
@@ -445,28 +447,78 @@ def fuse(a, b) -> BimoduleSum:
     return out
 
 
+class _Basis(NamedTuple):
+    """The basis order, enumerated once per (pair, omega)."""
+    classes: list  # (label, admissible class) of each basis object
+    index: dict  # canonical term (label images, fingerprint) -> basis index
+    spans: dict  # label -> range of the basis indices of its classes
+
+
+def _basis(pair: FinitePair, omega: Cocycle) -> _Basis:
+    def build():
+        per_label = {label: admissible_classes(pair, omega, label)
+                     for label in pair.labels()}
+        classes = [(label, cls) for label, found in per_label.items() for cls in found]
+        ends = itertools.accumulate(map(len, per_label.values()))
+        spans = {label: range(end - len(found), end)
+                 for (label, found), end in zip(per_label.items(), ends)}
+        return _Basis(classes, {(label.images, cls.char): i
+                                for i, (label, cls) in enumerate(classes)}, spans)
+    return pair._memo.get_or(("basis", omega.key()), build)
+
+
 def basis_objects(pair: FinitePair, omega: Cocycle) -> list[ElementaryBimodule]:
     """The object (label, class) of every label and admissible class: the
     basis that ``structure_constants`` and ``term_vector`` are indexed by."""
     return [ElementaryBimodule(pair, omega, label, cls.rep)
-            for label in pair.labels() for cls in admissible_classes(pair, omega, label)]
+            for label, cls in _basis(pair, omega).classes]
+
+
+def basis_index(pair: FinitePair, omega: Cocycle, term: tuple) -> int:
+    """The basis object that a canonical term names: the one at the term's
+    label whose class has the term's fingerprint."""
+    try:
+        return _basis(pair, omega).index[term]
+    except KeyError:
+        raise NumericalDegradation(
+            f"no admissible class at {Perm._of(term[0]).cycle_string()} has "
+            "the canonical fingerprint") from None
 
 
 def term_vector(pair: FinitePair, omega: Cocycle, terms: dict) -> np.ndarray:
     """The multiplicities of the canonical terms over ``basis_objects``, an
-    int64 vector; a term names the basis object at its label whose class has
-    its fingerprint."""
-    at = pair._memo.get_or(("basis_index", omega.key()), lambda: {
-        (label.images, cls.char): i for i, (label, cls) in enumerate(
-            (label, cls) for label in pair.labels()
-            for cls in admissible_classes(pair, omega, label))})
-    out = np.zeros(len(at), dtype=np.int64)
+    int64 vector."""
+    out = np.zeros(len(_basis(pair, omega).classes), dtype=np.int64)
     for term, mult in terms.items():
-        if term not in at:
-            raise NumericalDegradation(
-                f"no admissible class at {Perm._of(term[0]).cycle_string()} has "
-                "the canonical fingerprint")
-        out[at[term]] = mult
+        out[basis_index(pair, omega, term)] = mult
+    return out
+
+
+def _product_block(pair: FinitePair, omega: Cocycle, a: Perm, b: Perm) -> np.ndarray:
+    """E[x, y] for every basis object x at label a and y at label b, a
+    read-only (classes of a, classes of b, n) int64 array from one
+    ``_fuse_classes`` call; memoized on the pair."""
+    def build():
+        reps_a = [cls.rep for cls in admissible_classes(pair, omega, a)]
+        reps_b = [cls.rep for cls in admissible_classes(pair, omega, b)]
+        sums = _fuse_classes(pair, omega, a, reps_a, b, reps_b)
+        block = np.array([term_vector(pair, omega, terms) for terms in sums])
+        block = block.reshape(len(reps_a), len(reps_b), -1)
+        block.flags.writeable = False
+        return block
+    return pair._memo.get_or(("elementary_block", omega.key(), a.images, b.images), build)
+
+
+def product_rows(pair: FinitePair, omega: Cocycle, pairs: list) -> np.ndarray:
+    """E[x, y] for each pair (x, y) of basis indices, a (len(pairs), n)
+    int64 array.  It computes only the label pairs that pairs reach, each
+    label pair's products in one batched call."""
+    basis = _basis(pair, omega)
+    out = np.zeros((len(pairs), len(basis.classes)), dtype=np.int64)
+    for row, (x, y) in enumerate(pairs):
+        a, b = basis.classes[x][0], basis.classes[y][0]
+        out[row] = _product_block(pair, omega, a, b)[
+            x - basis.spans[a].start, y - basis.spans[b].start]
     return out
 
 
@@ -481,19 +533,13 @@ def structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
 
 
 def _structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
-    spans, n = {}, 0
-    for label in pair.labels():
-        count = len(admissible_classes(pair, omega, label))
-        spans[label], n = range(n, n + count), n + count
+    spans = _basis(pair, omega).spans
+    n = sum(map(len, spans.values()))
     projrep.check_dense_size(
         f"the elementary structure constants of {n} basis objects", n ** 3, itemsize=8)
-    reps = {label: [cls.rep for cls in admissible_classes(pair, omega, label)]
-            for label in spans}
     out = np.zeros((n, n, n), dtype=np.int64)
-    for a, b in itertools.product(spans, repeat=2):
-        sums = _fuse_classes(pair, omega, a, reps[a], b, reps[b])
-        for (i, j), terms in zip(itertools.product(spans[a], spans[b]), sums):
-            out[i, j] = term_vector(pair, omega, terms)
+    for (a, rows), (b, cols) in itertools.product(spans.items(), repeat=2):
+        out[rows.start:rows.stop, cols.start:cols.stop] = _product_block(pair, omega, a, b)
     out.flags.writeable = False
     return out
 

@@ -57,11 +57,11 @@ def test_pair_and_group_each_keep_one_store(name):
     assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
                      "orbits_by_labels", "reads", "class_index", "block", "fuse",
                      "conjugate", "required", "phase", "term", "rep", "plan",
-                     "product", "sum", "to_ext", "elementary_constants",
-                     "basis_index"}
+                     "product", "sum", "to_ext", "basis", "elementary_block",
+                     "elementary_constants"}
     if build_omega(BUILTIN[name], pair) is not None:
         assert {"required", "phase", "term", "rep", "plan", "product",
-                "sum", "elementary_constants", "basis_index"} <= kinds
+                "sum", "basis", "elementary_block", "elementary_constants"} <= kinds
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
 
 

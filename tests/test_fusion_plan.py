@@ -144,6 +144,9 @@ def test_structure_constants_hold_every_product_of_basis_objects(name):
         assert structure_constants(pair, omega) is consts
         for (i, x), (j, y) in itertools.product(enumerate(objs), repeat=2):
             assert (consts[i, j] == term_vector(pair, omega, fuse_objects(x, y).terms)).all()
+        pairs = list(itertools.product(range(len(objs)), repeat=2))
+        rows = elementary.product_rows(pair, omega, pairs)
+        assert (rows == consts.reshape(len(pairs), -1)).all()
 
 
 @pytest.mark.parametrize("name", ["D4_klein", "Heis3"])
@@ -213,6 +216,43 @@ def test_a_misaligned_batch_fails_the_elementary_checks(name, check, monkeypatch
     assert elementary_outcomes(name)[check]
     misaligned_batches(monkeypatch)
     assert not elementary_outcomes(name)[check]
+
+
+def doubled_identity_products(monkeypatch):
+    """Double e y for the first class y other than e at every label, so
+    that only products with the identity on the left change."""
+    product = elementary._fuse_classes
+
+    def fusing(pair, omega, delta1, reps1, delta2, reps2):
+        out = product(pair, omega, delta1, reps1, delta2, reps2)
+        if delta1 == pair.group.identity:
+            unit = next(p for p, a in enumerate(reps1) if np.allclose(a.character(), 1))
+            y = next(q for q in range(len(reps2)) if delta2 != delta1 or q != unit)
+            p = unit * len(reps2) + y
+            out[p] = {term: 2 * mult for term, mult in out[p].items()}
+        return out
+    monkeypatch.setattr(elementary, "_fuse_classes", fusing)
+
+
+@pytest.mark.parametrize("name", ["D4_klein", "Heis3"])
+def test_a_wrong_left_identity_product_fails_elementary_irreducibility(name, monkeypatch):
+    pair, (_, omega) = catalog_omegas(name)
+    assert len(elementary.admissible_classes(pair, omega, pair.group.identity)) > 1
+    assert elementary_outcomes(name)["elementary-irreducibility"]
+    doubled_identity_products(monkeypatch)
+    assert not elementary_outcomes(name)["elementary-irreducibility"]
+
+
+def test_elementary_checks_on_a_twisted_pair_compute_only_the_products_they_read():
+    """With one sampled triple, associativity and the identity law read a
+    few blocks of E and never assemble it whole."""
+    pair, (_, omega) = catalog_omegas("D4_klein")
+    cfg = checks.Config(triple_limit=1)
+    checks.check_elementary_associativity(pair, omega, cfg)
+    checks.check_elementary_irreducibility(pair, omega, cfg)
+    blocks = [key for key in pair._memo if key[0] == "elementary_block"]
+    assert 0 < len(blocks) < len(pair.labels()) ** 2
+    assert not any(key[0] == "elementary_constants" for key in pair._memo)
 
 
 def corrupted_plans(monkeypatch, corrupt):
