@@ -78,7 +78,7 @@ from .permcore import (
     GroupAction,
     GroupTooLarge,
     MAX_SYM_DEGREE,
-    commensuration_subgroups,
+    check_commensuration_subgroups,
     commensurations,
     normalizer_in_sym,
 )
@@ -136,8 +136,7 @@ def check_labels_stable(pair: FinitePair, cfg: Config) -> None:
 
 
 def check_conjugation_isomorphism(pair: FinitePair, cfg: Config) -> None:
-    for delta in pair.group.elements:
-        commensuration_subgroups(pair.gamma, delta)  # raises on failure
+    check_commensuration_subgroups(pair.gamma, pair.group.elements)  # raises on failure
 
 
 def check_normalizer_contains(pair: FinitePair, cfg: Config) -> None:

@@ -244,6 +244,23 @@ def _conj_rows(rows: np.ndarray, xs) -> np.ndarray:
     return xs[np.arange(len(xs))[:, None, None], rows[:, inv].swapaxes(0, 1)]
 
 
+def _join(rows: list, sub: Sequence[int], c: int) -> tuple:
+    """The sorted indices of the subgroup that the subgroup at indices sub
+    and the element c generate, read off multiplication-table rows (lists).
+
+    The join is a union of left cosets x sub, so it grows by a whole coset,
+    read from one row, for each x c it lacks, x over its elements.
+    """
+    found, queue = set(sub), list(sub)
+    for x in queue:  # grows while iterating: every x c is looked up
+        y = rows[x][c]
+        if y not in found:
+            coset = [rows[y][h] for h in sub]
+            found.update(coset)
+            queue += coset
+    return tuple(sorted(found))
+
+
 class Memo(dict):
     """A cache store; every memo of the package is one, filled by ``get_or``
     one key at a time or by ``get_all`` for keys computed together.
@@ -460,23 +477,27 @@ class FiniteGroup:
             found.append(self.elements[np.argmin(have)])  # the least not generated
 
     def subgroups(self) -> list["Subgroup"]:
-        """All subgroups, grown to a fixpoint by joining with cyclic subgroups;
-        a join closes the subgroup's generators and one more element."""
-        seen, queue = set(), []
+        """All subgroups, grown to a fixpoint by joining with cyclic subgroups,
+        on ``mul_table()`` rows.
 
-        def register(gens: list[int]) -> None:
-            idx = self.span([self.elements[i] for i in gens])
-            if idx.tobytes() not in seen:
-                seen.add(idx.tobytes())
-                queue.append((idx, gens))
-
-        for gens in [[]] + [[i] for i in range(len(self))]:
-            register(gens)
-        cyclic = [gens[0] for _, gens in queue[1:]]
-        for idx, gens in queue:  # grows while iterating: every join is tried
-            for c in np.setdiff1d(cyclic, idx, assume_unique=True).tolist():
-                register(gens + [c])
-        return sorted((Subgroup._of(self, idx) for idx, _ in queue),
+        The join of a subgroup H with an element c outside it closes inside
+        the group, by ``_join``, and subgroups are told apart by index set:
+        the cyclic extension of Holt, Eick and O'Brien's *Handbook of
+        Computational Group Theory* (2005), with every join tried.
+        """
+        rows = self.mul_table().tolist()
+        cyclic = {}  # each nontrivial cyclic subgroup, with its least generator
+        for c in range(1, len(self)):
+            cyclic.setdefault(_join(rows, (0,), c), c)
+        queue = [(0,), *cyclic]
+        seen = set(queue)
+        for idx in queue:  # grows while iterating: every join is tried
+            inside = set(idx)
+            for join in (_join(rows, idx, c) for c in cyclic.values() if c not in inside):
+                if join not in seen:
+                    seen.add(join)
+                    queue.append(join)
+        return sorted((Subgroup._of(self, np.array(idx, dtype=np.intp)) for idx in queue),
                       key=lambda h: (len(h), h.key()))
 
 
@@ -547,6 +568,26 @@ def commensuration_subgroups(gamma: Subgroup, delta: Perm) -> tuple[Subgroup, Su
             f"left subgroup (order {len(left)}) onto the right one "
             f"(order {len(right)})")
     return left, right
+
+
+def check_commensuration_subgroups(gamma: Subgroup, deltas: Sequence[Perm]) -> None:
+    """``commensuration_subgroups`` for every delta of deltas, in one
+    ``_conj_rows``/``positions`` pass and without building the subgroups;
+    the first delta that fails is handed to ``commensuration_subgroups``,
+    which raises its CommensurationError."""
+    rows = np.array([d.images for d in deltas])
+    # positions in gamma of delta^-1 t delta, then of delta t delta^-1, for t
+    # in gamma: the left subgroup carried by Ad(delta^-1), and the right one
+    carried, back = np.split(gamma.positions(_conj_rows(
+        gamma.images, np.concatenate([np.argsort(rows, axis=1), rows]))), 2)
+    left, right = carried >= 0, back >= 0
+    onto = np.take_along_axis(right, np.where(left, carried, 0), axis=1) | ~left
+    bad = (left.sum(axis=1) != right.sum(axis=1)) | ~onto.all(axis=1)
+    if bad.any():
+        delta = deltas[int(np.argmax(bad))]
+        commensuration_subgroups(gamma, delta)  # raises
+        raise CommensurationError(f"the stacked check fails at delta = "
+                                  f"{delta.cycle_string()}, one delta at a time passes")
 
 
 @dataclass(frozen=True)
@@ -635,14 +676,17 @@ def right_coset_reps(group: FiniteGroup, sub: FiniteGroup,
 
 def normalizer_in_sym(gamma: FiniteGroup,
                       max_degree: int = MAX_SYM_DEGREE) -> FiniteGroup:
-    """{s in Sym(degree) : s gamma s^-1 = gamma}, by scanning all of Sym."""
+    """{s in Sym(degree) : s gamma s^-1 = gamma}, by scanning all of Sym
+    with the conjugates of a small generating set of gamma."""
     n = gamma.degree
     if n > max_degree:
         raise DegreeTooLarge(f"degree too large for brute force: {n} > {max_degree}")
     sym = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     sym_inv, inside = np.argsort(sym, axis=1), np.ones(len(sym), dtype=bool)
-    for g in gamma.images:  # s g s^-1 for every s at once
-        inside &= gamma.positions(np.take_along_axis(sym, g[sym_inv], axis=1)) >= 0
+    # s S s^-1 in gamma for a generating set S gives s gamma s^-1 = gamma
+    for g in gamma.small_generating_set():  # s g s^-1 for every s at once
+        inside &= gamma.positions(np.take_along_axis(
+            sym, np.array(g.images)[sym_inv], axis=1)) >= 0
     # permutations() yields sorted rows
     return FiniteGroup._of_images(n, list(map(tuple, sym[inside].tolist())))
 
@@ -696,21 +740,21 @@ class Commensuration:
                               iso_inv)
 
 
-def _hom_from_generators(group: FiniteGroup, values: dict, one,
-                         mul: Callable) -> Optional[dict]:
-    """The homomorphism f on group with f(s) = values[s] on
-    ``small_generating_set()``, or None if there is none.
+def _hom_from_generators(identity, gens: Sequence, values: Sequence,
+                         times: Callable, one, mul: Callable) -> Optional[dict]:
+    """The homomorphism f with f(gens[k]) = values[k] on the group that gens
+    generate, or None if there is none; times and mul are the products of
+    the domain and the codomain, identity and one their identities.
 
     Propagates f(g s) = f(g) f(s) along a breadth-first tree over the
     generators and checks every other edge (g, s) of group x generators; by
     induction on word length that gives f(g s1..sk) = f(g) f(s1)..f(sk).
     """
-    gens = group.small_generating_set()
-    table = {group.identity: one}
-    queue = [group.identity]
+    table = {identity: one}
+    queue = [identity]
     for g in queue:  # grows while iterating: breadth-first
-        for s in gens:
-            gs, image = g * s, mul(table[g], values[s])
+        for s, v in zip(gens, values):
+            gs, image = times(g, s), mul(table[g], v)
             if gs not in table:
                 table[gs] = image
                 queue.append(gs)
@@ -719,64 +763,62 @@ def _hom_from_generators(group: FiniteGroup, values: dict, one,
     return table
 
 
-def _injective_homs(domain: Subgroup, codomain: FiniteGroup,
-                    allowed: dict[Perm, set[Perm]]) -> list[dict[Perm, Perm]]:
-    """All injective homomorphisms with values constrained pointwise."""
-    gens = domain.small_generating_set()
-    results = []
-
-    def backtrack(k: int, assignment: dict[Perm, Perm]):
-        if k == len(gens):
-            table = _hom_from_generators(domain, assignment, codomain.identity,
-                                         lambda a, b: a * b)
-            if table is None or len(set(table.values())) != len(table):
-                return
-            if all(lam in allowed[g] for g, lam in table.items()):
-                results.append(table)
-            return
-        for lam in sorted(allowed[gens[k]]):
-            assignment[gens[k]] = lam
-            backtrack(k + 1, assignment)
-            del assignment[gens[k]]
-
-    backtrack(0, {})
-    # distinct generator assignments can close to the same hom
-    unique = {tuple(sorted((g, h) for g, h in t.items())): t for t in results}
-    return [unique[k] for k in sorted(unique)]
+def _injective_homs(rows_a: list, rows_b: list, gens: list[int],
+                    allowed: Sequence[set]) -> list[dict[int, int]]:
+    """All injective homomorphisms f, index -> index, from the group that
+    gens generate, on multiplication-table rows rows_a (lists), into the
+    group of rows_b, with f(g) in allowed[g] for every g; index 0 is the
+    identity on both sides.  One ``_hom_from_generators`` per choice of
+    allowed images of gens."""
+    homs = (_hom_from_generators(0, gens, values, lambda g, s: rows_a[g][s],
+                                 0, lambda x, v: rows_b[x][v])
+            for values in itertools.product(*(sorted(allowed[s]) for s in gens)))
+    return [f for f in homs if f is not None and len(set(f.values())) == len(f)
+            and all(lam in allowed[g] for g, lam in f.items())]
 
 
 def commensurations(a: GroupAction, b: GroupAction,
                     max_points: int = MAX_ACTION_POINTS) -> list[Commensuration]:
-    """All (eta, subgroup, iso) with eta(g.i) = iso(g).eta(i), canonically ordered."""
+    """All (eta, subgroup, iso) with eta(g.i) = iso(g).eta(i), canonically ordered.
+
+    Exhaustive over eta in Sym(npoints) and the subgroups of A, on indices:
+    the images allowed for g are the elements of B whose action row is
+    eta a(g) eta^-1, looked up among B's rows grouped once, and each
+    subgroup whose elements all have one gets every injective homomorphism
+    of ``_injective_homs`` on its generators.  ``Perm``s and
+    ``Commensuration``s are built for the results only.
+    """
     if a.npoints != b.npoints:
         return []
     if a.npoints > max_points:
         raise DegreeTooLarge(
             f"too many points for exhaustive commensuration search: {a.npoints}")
-    out = []
-    subs = a.group.subgroups()
-    for eta in itertools.permutations(range(a.npoints)):
-        # candidates per group element, shared across subgroups
-        allowed: dict[Perm, set[Perm]] = {}
-        for g in a.group:
-            want = tuple(eta[a.act(g, i)] for i in range(a.npoints))
-            allowed[g] = {lam for lam in b.group
-                          if tuple(b.act(lam, eta[i]) for i in range(a.npoints)) == want}
-        for sub in subs:
-            if any(not allowed[g] for g in sub.elements):
-                continue
-            for hom in _injective_homs(sub, b.group, allowed):
-                image = sorted(hom.values())
-                # image must be a subgroup of b.group; it is, being an injective
-                # hom image, but the elements must belong to b.group (they do).
-                out.append(Commensuration(
-                    eta=tuple(eta),
-                    domain=tuple(sub.elements),
-                    iso=tuple(sorted(hom.items())),
-                ))
-    out.sort(key=lambda c: (c.eta, tuple(g.images for g in c.domain),
-                            tuple((g.images, h.images) for g, h in c.iso)))
-    return out
+    perms = list(itertools.permutations(range(a.npoints)))
+    # the distinct action rows of B, each with the elements that act by it;
+    # members[-1] stays empty, for the rows B lacks
+    keys, row_of = np.unique(_row_keys(b._table), return_inverse=True)
+    members = [set() for _ in range(len(keys) + 1)]
+    for lam, k in enumerate(row_of.tolist()):
+        members[k].add(lam)
+    # want[e, g]: the number of the row eta_e a(g) eta_e^-1 among B's, else -1
+    wanted = _row_keys(_conj_rows(a._table, np.array(perms, dtype=np.intp)))
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    want = np.where(keys[at] == wanted, at, -1)
+    rows_a, rows_b = a.group.mul_table().tolist(), b.group.mul_table().tolist()
+    found = []
+    for sub in a.group.subgroups():
+        idx = sub.idx.tolist()
+        gens = [a.group.index_of(g) for g in sub.small_generating_set()]
+        # every eta under which each element of the subgroup has an image
+        for e in np.flatnonzero((want[:, idx] >= 0).all(axis=1)).tolist():
+            allowed = [members[w] for w in want[e].tolist()]
+            for hom in _injective_homs(rows_a, rows_b, gens, allowed):
+                found.append((perms[e], idx, sorted(hom.items())))
+    found.sort()  # index order is the canonical order of elements
+    els_a, els_b = a.group.elements, b.group.elements
+    return [Commensuration(eta=eta, domain=tuple(els_a[g] for g in idx),
+                           iso=tuple((els_a[g], els_b[lam]) for g, lam in iso))
+            for eta, idx, iso in found]
 
 
 def commutator_subgroup(group: FiniteGroup) -> Subgroup:
@@ -886,7 +928,7 @@ def characters(group: FiniteGroup) -> list[dict[Perm, int]]:
     found: set[tuple] = set()
     out = []
     for values in itertools.product(range(m), repeat=len(gens)):
-        table = _hom_from_generators(group, dict(zip(gens, values)), 0,
+        table = _hom_from_generators(group.identity, gens, values, Perm.__mul__, 0,
                                      lambda a, b: (a + b) % m)
         if table is None:
             continue

@@ -16,7 +16,7 @@ from heckefuse.permcore import (
     commutator_subgroup,
 )
 
-from groups import symmetric
+from groups import span_subgroups, symmetric
 
 PAIRS = ["D4_klein", "Heis3", "S3_in_S4", "Z3_regular"]
 
@@ -175,6 +175,19 @@ def test_commutator_subgroup_matches_the_all_commutators_closure(make):
     comm = commutator_subgroup(group)
     assert list(comm.elements) == oracle_commutator_elements(group)
     assert comm.parent is group
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric(4), alternating5, dihedral4,
+                                  z3_squared], ids=["S4", "A5", "D4", "Z3xZ3"])
+def test_subgroups_match_the_span_joins(make):
+    # the lattice closed on multiplication-table rows against the one that
+    # closes every join from scratch; Z3xZ3 is the Heis3 pair's gamma
+    group = make()
+    assert group.subgroups() == span_subgroups(group)
+
+
+def test_s5_has_156_subgroups():
+    assert len(symmetric(5).subgroups()) == 156
 
 
 def test_a5_has_59_subgroups():

@@ -316,6 +316,7 @@ def test_check_pass_object_counts(monkeypatch):
     counting(permcore.Perm, "__init__", "perm")
     counting(permcore.Perm, "_of", "perm_of", staticmethod)
     counting(permcore.FiniteGroup, "positions", "positions")
+    counting(permcore, "_closure", "closure")
     counting(cocycle.Cocycle, "__init__", "cocycle")
     counting(cocycle.Cocycle, "_of", "cocycle_of", staticmethod)
     counting(projrep.Rep, "__init__", "rep")
@@ -332,9 +333,13 @@ def test_check_pass_object_counts(monkeypatch):
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
     # 7,133 Perms, all checked, while products, inverses, conjugates and
-    # closures re-checked theirs; now only the parsed inputs are (22)
-    assert counts["perm"] + counts["perm_of"] <= 7_000
+    # closures re-checked theirs; now only the parsed inputs are (22).  The
+    # exhaustive searches of permcore built 2,325 (and made 117 closures)
+    # while they multiplied Perms and closed every subgroup join from
+    # scratch; on multiplication-table indices 1,249 (80 closures)
+    assert counts["perm"] + counts["perm_of"] <= 1_300
     assert counts["perm"] <= 30
+    assert counts["closure"] <= 85
     # every cocycle of a check pass is derived from checked ones; elementary
     # fusion built 5,448 while it redid its cocycle work for every product
     # (7,754 positions lookups, 3,514 derived Reps), and builds 1,619 since

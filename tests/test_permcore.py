@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heckefuse import permcore
+from heckefuse.catalog import BUILTIN, build_pair
 from heckefuse.permcore import (
     Commensuration,
     CommensurationError,
@@ -27,7 +29,7 @@ from heckefuse.permcore import (
     right_coset_reps,
 )
 
-from groups import cyclic, symmetric
+from groups import cyclic, span_subgroups, symmetric
 
 
 def regular_action(group):
@@ -246,6 +248,21 @@ def test_commensuration_mismatch_raises_a_named_error(monkeypatch):
         commensuration_subgroups(gamma, delta)
 
 
+def test_stacked_commensuration_check_raises_at_the_failing_delta(monkeypatch):
+    g, gamma = s3_in_s4()
+    permcore.check_commensuration_subgroups(gamma, g.elements)
+    delta = Perm.parse(4, "(1 2 3)")
+    conj_rows = permcore._conj_rows
+
+    def wrong(rows, xs):  # Ad(delta) read as the identity: a wrong right subgroup
+        out = conj_rows(rows, xs)
+        out[(np.asarray(xs) == delta.images).all(axis=1)] = rows
+        return out
+    monkeypatch.setattr(permcore, "_conj_rows", wrong)
+    with pytest.raises(CommensurationError, match=r"delta = \(1 2 3\)"):
+        permcore.check_commensuration_subgroups(gamma, g.elements)
+
+
 # ---------------------------------------------------------------- normalizers
 
 def test_normalizer_z3():
@@ -276,6 +293,14 @@ def test_normalizer_contains_group():
     g = FiniteGroup.generate(4, [Perm.parse(4, "(0 1 2 3)")])
     norm = normalizer_in_sym(g)
     assert set(g.elements) <= set(norm.elements)
+
+
+def test_normalizer_matches_the_all_elements_scan():
+    # conjugating a generating set decides what conjugating every element does
+    s4 = symmetric(4)
+    for gamma in s4.subgroups():
+        want = [s for s in s4 if all(g.conjugate(s) in gamma for g in gamma)]
+        assert list(normalizer_in_sym(gamma).elements) == want
 
 
 def test_normalizer_degree_cap():
@@ -335,6 +360,36 @@ def test_commensurations_s3_match_exhaustive_search():
                         (eta, tuple(els), tuple(sorted(table.items())))
                     )
     assert {(c.eta, c.domain, c.iso) for c in found} == oracle
+
+
+def faithful_commensuration_count(group):
+    """The number of commensurations of group's natural action with itself
+    in closed form: a faithful action leaves at most one allowed image per
+    element, and that map is an injective homomorphism, so there is one per
+    (eta, H) with eta h eta^-1 in group for every h in H."""
+    subs = span_subgroups(group)
+    count = 0
+    for eta in map(Perm, itertools.permutations(range(group.degree))):
+        inside = [h.conjugate(eta) in group for h in group.elements]
+        count += sum(all(inside[i] for i in sub.idx.tolist()) for sub in subs)
+    return count
+
+
+@pytest.mark.parametrize("name", ["S3", "D4_klein", "S3_in_S4", "Z3_regular", "Heis3"])
+def test_commensurations_match_the_closed_form_count(name):
+    group = symmetric(3) if name == "S3" else build_pair(BUILTIN[name]).gamma
+    act = GroupAction.natural(group)
+    found = commensurations(act, act)
+    # as many distinct triples as the closed form counts, each one valid
+    keys = {(c.eta, c.domain, c.iso) for c in found}
+    assert len(keys) == len(found) == faithful_commensuration_count(group)
+    for c in found:
+        assert [g for g, _ in c.iso] == list(c.domain)
+        assert all(c.eta[g(i)] == lam(c.eta[i])
+                   for g, lam in c.iso for i in range(group.degree))
+    if name == "Heis3":  # six points, which check skips
+        assert len(found) == 1_080
+        assert {(c.eta, c.domain, c.iso) for c in map(Commensuration.inverse, found)} == keys
 
 
 def test_commensurations_symmetry():
