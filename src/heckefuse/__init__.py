@@ -41,7 +41,6 @@ from .exthecke import (
     crossed_dim_identity,
     dims,
     from_rep,
-    fusion_blocks,
     structure_constants,
     to_hecke,
     unit,

@@ -18,13 +18,12 @@ become the coordinate axes.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .cocycle import Cocycle, bilinear_cocycle
-from .exthecke import FinitePair, basis, dims, fusion_blocks
+from .exthecke import FinitePair, basis, dims, structure_constants
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
 from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm, Subgroup
 
@@ -205,39 +204,31 @@ def fusion_table(pair: FinitePair) -> dict:
 
     Multiplicities are exact integers; representation classes serialize as
     dimension plus rounded character; lambda values are fraction strings.
-    Basis products are read from the ``fusion_blocks`` of every label pair,
-    computed in one sweep, with their terms in the order of
-    ``ExtHeckeElement.terms``: labels, then class indices.
+    Basis products are read from the structure constants N, with their
+    terms in the order of ``ExtHeckeElement.terms``: labels, then class
+    indices.
     """
     hk = pair.hecke()
     names = {label: hk.label_str(label) for label in pair.labels()}
-    generators, basis_json = [], []  # (key, label, class index) per element
+    keys, basis_json = [], []
     for key, el in basis(pair):
         (label, parts), = el.support.items()
         (cls, _), = parts.items()
-        index = pair.class_index(label)[cls]
         left, right = dims(el)
-        generators.append((key, label, index))
+        keys.append(key)
         basis_json.append({
             "key": key,
             "label": names[label],
-            "class_index": index,
+            "class_index": pair.class_index(label)[cls],
             "repclass": cls.to_json(),
             "dim_left": left,
             "dim_right": right,
         })
-    label_pairs = list(itertools.product(pair.labels(), repeat=2))
-    # per label pair, (output label name, nested multiplicity lists) per g0
-    blocks = {lp: [(names[g0], block[g0].tolist())
-                   for g0 in pair.labels() if g0 in block]
-              for lp, block in zip(label_pairs, fusion_blocks(pair, label_pairs))}
-    products = []
-    for kx, label_x, i in generators:
-        for ky, label_y, j in generators:
-            terms = [{"z": f"{name}:{k}", "mult": mult}
-                     for name, mults in blocks[label_x, label_y]
-                     for k, mult in enumerate(mults[i][j]) if mult]
-            products.append({"x": kx, "y": ky, "terms": terms})
+    consts = structure_constants(pair).whole().tolist()
+    products = [{"x": kx, "y": ky,
+                 "terms": [{"z": keys[z], "mult": mult}
+                           for z, mult in enumerate(consts[x][y]) if mult]}
+                for x, kx in enumerate(keys) for y, ky in enumerate(keys)]
     lambdas = [{"label": names[label],
                 "value": str(modular_lambda(hk, label))}
                for label in pair.labels()]

@@ -41,7 +41,6 @@ from .elementary import (
     identity_object,
     is_irreducible,
     pair_conjugation_phase,
-    product_rows,
     structure_constants as elem_structure_constants,
     term_vector,
     to_ext_hecke as elem_to_ext,
@@ -73,6 +72,7 @@ from .hecke import (
     involution,
     lambda_multiplicativity_witnesses,
     modular_lambda,
+    structure_constants as hecke_structure_constants,
 )
 from .permcore import (
     GroupAction,
@@ -83,7 +83,6 @@ from .permcore import (
     normalizer_in_sym,
 )
 from .projrep import (
-    check_dense_size,
     decompose,
     equivalent,
     hom_dim,
@@ -264,49 +263,19 @@ def check_equivalence_vs_hom(pair: FinitePair, cfg: Config) -> None:
 
 # ------------------------------------------------------------ hecke checks
 
-def _hecke_table(backend) -> np.ndarray:
-    """H[a, b, c], the coefficient of T[c] in T[a] T[b], over the labels of
-    a finite backend, read from its memoized basis products."""
-    labels = backend.labels()
-    at = {label: i for i, label in enumerate(labels)}
-    n = len(labels)
-    check_dense_size(f"the Hecke products of {n} labels", n ** 3, itemsize=8)
-    out = np.zeros((n, n, n), dtype=np.int64)
-    for (i, a), (j, b) in itertools.product(enumerate(labels), repeat=2):
-        for label, c in basis_product(backend, a, b).items():
-            out[i, j, at[label]] = c
-    return out
-
-
 def check_hecke_associativity(backend, cfg: Config, labels=None) -> None:
-    """(x y) z against x (y z) on basis triples.  A finite backend
-    (labels=None) compares einsum("xyl,lzw") with einsum("yzl,xlw") over its
-    table H, whose products stay in its labels: a block of x at a time within
-    ``projrep.MAX_DENSE_BYTES``, as float64 matrix products, exact while
-    every sum stays below 2^53.  Products of given labels leave them, so
+    """(x y) z against x (y z) on basis triples: over the whole table H of a
+    finite backend (labels=None); products of given labels leave them, so
     those are expanded."""
-    if labels is not None:
-        product = functools.partial(basis_product, backend)
-        for x, y in itertools.product(labels, repeat=2):
-            xy = product(x, y)
-            for z in labels:
-                if expand(xy, {z: 1}, product) != expand({x: 1}, product(y, z), product):
-                    raise CheckFailure("convolution is not associative")
+    if labels is None:
+        _associative(hecke_structure_constants(backend), "convolution")
         return
-    h = _hecke_table(backend)
-    n = len(h)
-    if n * int(h.max()) ** 2 >= 2 ** 53:
-        raise GroupTooLarge(f"Hecke coefficients up to {h.max()} are too large "
-                            "for an exact float64 associativity check")
-    table = h.astype(float)
-    step = max(1, projrep.MAX_DENSE_BYTES // (24 * n ** 3))
-    for start in range(0, n, step):
-        block = table[start:start + step]
-        left = block.reshape(-1, n) @ table.reshape(n, -1)  # [(x, y), (z, w)]
-        right = table.reshape(-1, n) @ block.transpose(1, 0, 2).reshape(n, -1)
-        right = right.reshape(n, n, len(block), n).transpose(2, 0, 1, 3)
-        if (left.reshape(right.shape) != right).any():
-            raise CheckFailure("convolution is not associative")
+    product = functools.partial(basis_product, backend)
+    for x, y in itertools.product(labels, repeat=2):
+        xy = product(x, y)
+        for z in labels:
+            if expand(xy, {z: 1}, product) != expand({x: 1}, product(y, z), product):
+                raise CheckFailure("convolution is not associative")
 
 
 def check_degree_homomorphism(backend, cfg: Config, labels=None) -> None:
@@ -332,20 +301,14 @@ def check_involution_laws(backend, cfg: Config, labels=None) -> None:
 
 
 def check_hecke_frobenius_weighted(backend, cfg: Config) -> None:
+    """Weighted reciprocity over H, the dual of T[g] being T[g^-1] and the
+    weights the right coset counts."""
     labels = backend.labels()
     at = {label: i for i, label in enumerate(labels)}
     bar = [at[backend.canonical_label(backend.inv(backend.element_of(l)))]
            for l in labels]
-    counts = np.array([backend.right_count(l) for l in labels])
-    h = _hecke_table(backend)
-    # at (x, y, z): m(x, y; z) r(z), m(bar x, z; y) r(y), m(z, bar y; x) r(x)
-    lhs = h * counts
-    mid = h[bar].transpose(0, 2, 1) * counts[:, None]
-    rhs = h[:, bar].transpose(2, 1, 0) * counts[:, None, None]
-    bad = np.argwhere((lhs != mid) | (mid != rhs))
-    if len(bad):
-        x, y, z = (backend.label_str(labels[i]) for i in bad[0])
-        raise CheckFailure(f"weighted reciprocity fails at ({x}, {y}, {z})")
+    _reciprocal(hecke_structure_constants(backend), np.eye(len(labels), dtype=np.int64)[bar],
+                np.array([backend.right_count(l) for l in labels]), "weighted")
 
 
 def check_lambda_trivial_finite(backend, cfg: Config) -> None:
@@ -432,8 +395,8 @@ def check_bc_closed_form(cfg: Config) -> None:
 
 def check_ext_associativity(pair: FinitePair, cfg: Config,
                             exhaustive: bool = False) -> None:
-    """The three-factor formula against both iterated products, on sampled
-    basis triples; the iterated products read ``structure_constants``."""
+    """The three-factor formula against the iterated products, both read
+    from the rows of N, on sampled basis triples."""
     spans = basis_spans(pair)
     at = [(label, i) for label, span in spans.items()
           for i in range(span.stop - span.start)]
@@ -444,56 +407,49 @@ def check_ext_associativity(pair: FinitePair, cfg: Config,
     # the blocks of every sampled triple in one sweep
     blocks = triple_blocks(pair, [(at[i][0], at[j][0], at[k][0])
                                   for i, j, k in triples])
-    consts = structure_constants(pair)
-    for (i, j, k), block in zip(triples, blocks):
+    iterated = _associative(structure_constants(pair), "extended fusion", triples)
+    for (i, j, k), block, row in zip(triples, blocks, iterated):
         t = np.zeros(len(at), dtype=np.int64)
         for g0, mults in block.items():
             t[spans[g0]] = mults[at[i][1], at[j][1], at[k][1]]
-        if ((t != consts[i, j] @ consts[:, k]).any()
-                or (t != consts[j, k] @ consts[i]).any()):
+        if (t != row).any():
             raise CheckFailure(f"associativity fails on basis triple ({i},{j},{k})")
 
 
 def check_ext_frobenius(pair: FinitePair, cfg: Config) -> None:
-    consts = structure_constants(pair)
-    # conj[x, a]: the multiplicity of basis element a in conjugate(x)
-    conj = np.array([basis_vector(conjugate(b)) for _, b in basis(pair)])
-    mid = np.einsum("xa,azy->xyz", conj, consts)  # conjugate(x) * z, at y
-    rhs = np.einsum("yb,zbx->xyz", conj, consts)  # z * conjugate(y), at x
-    if (consts != mid).any() or (mid != rhs).any():
-        raise CheckFailure("extended reciprocity fails on a basis triple")
+    """Reciprocity over N, the dual of each basis element its
+    ``conjugate``."""
+    dual = np.array([basis_vector(conjugate(b)) for _, b in basis(pair)])
+    _reciprocal(structure_constants(pair), dual, np.ones(len(dual), dtype=np.int64),
+                "extended")
 
 
 def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     consts = structure_constants(pair)
-    one = basis_vector(unit(pair))
-    eye = np.eye(len(one), dtype=np.int64)
-    if ((np.einsum("x,xyz->yz", one, consts) != eye).any()
-            or (np.einsum("y,xyz->xz", one, consts) != eye).any()):
-        raise CheckFailure("the unit element is not neutral")
+    _unital(consts, int(basis_vector(unit(pair)).argmax()), "the unit element")
     bk = pair.hecke()
     at = {label: i for i, label in enumerate(bk.labels())}
     # forget[x, a]: the coefficient of T[a] in to_hecke of basis element x
-    forget = np.zeros((len(one), len(at)), dtype=np.int64)
+    forget = np.zeros((len(consts), len(at)), dtype=np.int64)
     for x, (_, b) in enumerate(basis(pair)):
         for label, c in to_hecke(b).coeffs.items():
             forget[x, at[label]] = c
-    products = np.einsum("xa,yb,abl->xyl", forget, forget, _hecke_table(bk),
-                         optimize=True)
-    if (consts @ forget != products).any():
+    products = np.einsum("xa,yb,abl->xyl", forget, forget,
+                         hecke_structure_constants(bk).whole(), optimize=True)
+    if (consts.whole() @ forget != products).any():
         raise CheckFailure("to_hecke is not multiplicative")
     gamma_classes = irreducibles(pair.little(pair.labels()[0]))
     embedded = [basis_vector(from_rep(pair, a.rep)) for a in gamma_classes]
     for (a, x), (b, y) in itertools.product(zip(gamma_classes, embedded), repeat=2):
         product_parts = decompose(tensor(a.rep, b.rep))
         rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
-        if (np.einsum("i,j,ijk->k", x, y, consts) != basis_vector(rhs)).any():
+        if (consts.product(x, y) != basis_vector(rhs)).any():
             raise CheckFailure("from_rep is not multiplicative")
 
 
 def check_ext_dims_multiplicative(pair: FinitePair, cfg: Config) -> None:
     d = np.array([dims(b) for _, b in basis(pair)])  # (left, right) per element
-    if (structure_constants(pair) @ d != d[:, None] * d[None, :]).any():
+    if (structure_constants(pair).whole() @ d != d[:, None] * d[None, :]).any():
         raise CheckFailure("fusion dimensions are not multiplicative")
 
 
@@ -517,40 +473,16 @@ def check_representative_independence(pair: FinitePair, cfg: Config) -> None:
 
 # ------------------------------------------------------------ elementary checks
 
-def _object_sums(pair: FinitePair, omega: Cocycle) -> np.ndarray:
-    """S: row z holds the decomposed sum of basis object z over the basis."""
-    return np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms)
-                     for obj in basis_objects(pair, omega)])
-
-
-def _fuse_rows(pair: FinitePair, omega: Cocycle, first: np.ndarray,
-               second: np.ndarray) -> np.ndarray:
-    """Row t is the product of the sums first[t] and second[t]: the sum over
-    basis objects a, b of first[t, a] second[t, b] E[a, b]."""
-    t, a, b = np.nonzero((first[:, :, None] != 0) & (second[:, None, :] != 0))
-    rows = product_rows(pair, omega, list(zip(a.tolist(), b.tolist())))
-    out = np.zeros_like(first)
-    np.add.at(out, t, (first[t, a] * second[t, b])[:, None] * rows)
-    return out
-
-
 def check_elementary_associativity(pair: FinitePair, omega: Cocycle,
                                    cfg: Config) -> None:
-    """(x y) z against x (y z) on sampled basis triples, each side a
-    contraction of the structure constants E through the object sums S;
-    only the rows of E that the triples reach are computed."""
-    sums = _object_sums(pair, omega)
-    triples = list(itertools.product(range(len(sums)), repeat=3))
+    """(x y) z against x (y z) on sampled basis triples, read from the rows
+    of E that the triples reach."""
+    consts = elem_structure_constants(pair, omega)
+    triples = list(itertools.product(range(len(consts)), repeat=3))
     if len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
-    i, j, k = np.array(triples).T
-    left = _fuse_rows(pair, omega, product_rows(pair, omega, list(zip(i, j))), sums[k])
-    right = _fuse_rows(pair, omega, sums[i], product_rows(pair, omega, list(zip(j, k))))
-    bad = np.flatnonzero((left != right).any(axis=1))
-    if len(bad):
-        raise CheckFailure("elementary associativity fails at "
-                           f"({i[bad[0]]},{j[bad[0]]},{k[bad[0]]})")
+    _associative(consts, "elementary fusion", triples)
 
 
 def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
@@ -559,26 +491,103 @@ def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
     omega = Cocycle.trivial(pair.gamma)
     identified = np.array([basis_vector(elem_to_ext(obj))
                            for obj in basis_objects(pair, omega)])
-    got = elem_structure_constants(pair, omega) @ identified
-    consts = structure_constants(pair)
+    got = elem_structure_constants(pair, omega).whole() @ identified
+    consts = structure_constants(pair).whole()
     if got.shape != consts.shape or (got != consts).any():
         raise CheckFailure("elementary and extended fusion disagree")
 
 
 def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
                                     cfg: Config) -> None:
+    """Every basis object is irreducible and decomposes to itself alone
+    (the object sums S are the identity, so E is read without them), and
+    the identity object is the unit of E."""
     objs = basis_objects(pair, omega)
     for obj in objs:
         if not is_irreducible(obj):
             raise CheckFailure("a basis object is not irreducible")
-        if sum(BimoduleSum.of(obj).terms.values()) != 1:
-            raise CheckFailure("an irreducible object decomposes")
-    # e x = x for every basis object x: row e of E against S
-    e_obj = identity_object(pair, omega)
-    e = basis_index(pair, omega, (e_obj.delta.images, e_obj.rep.char_key()))
-    if (product_rows(pair, omega, [(e, x) for x in range(len(objs))])
-            != _object_sums(pair, omega)).any():
-        raise CheckFailure("identity object is not neutral")
+    sums = np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms) for obj in objs])
+    if (sums != np.eye(len(objs), dtype=np.int64)).any():
+        raise CheckFailure("a basis object does not decompose to itself")
+    e = identity_object(pair, omega)
+    _unital(elem_structure_constants(pair, omega),
+            basis_index(pair, omega, (e.delta.images, e.rep.char_key())), "the identity object")
+
+
+# ------------------------------------------------------------ based-ring laws
+
+def _associative(consts, what: str, triples=None) -> Optional[np.ndarray]:
+    """(x y) z against x (y z) in a table of structure constants.
+
+    Whole (triples=None): einsum("xyl,lzw") against einsum("yzl,xlw"), a
+    block of x at a time within ``projrep.MAX_DENSE_BYTES``, as float64
+    matrix products, exact while every sum stays below 2^53.  On given basis
+    triples: both sides from the rows they reach; returns (x y) z per
+    triple."""
+    if triples is not None:
+        x, y, z = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+        left = _times(consts, consts.rows(np.stack([x, y], axis=1)), z, on_right=True)
+        right = _times(consts, consts.rows(np.stack([y, z], axis=1)), x, on_right=False)
+        bad = np.flatnonzero((left != right).any(axis=1))
+        if len(bad):
+            t = bad[0]
+            raise CheckFailure(f"{what} is not associative at ({x[t]}, {y[t]}, {z[t]})")
+        return left
+    table = consts.whole()
+    n = len(table)
+    if n * int(table.max()) ** 2 >= 2 ** 53:
+        raise GroupTooLarge(f"structure constants up to {table.max()} are too large "
+                            "for an exact float64 associativity check")
+    table = table.astype(float)
+    step = max(1, projrep.MAX_DENSE_BYTES // (24 * n ** 3))
+    for start in range(0, n, step):
+        block = table[start:start + step]
+        left = block.reshape(-1, n) @ table.reshape(n, -1)  # [(x, y), (z, w)]
+        right = table.reshape(-1, n) @ block.transpose(1, 0, 2).reshape(n, -1)
+        right = right.reshape(n, n, len(block), n).transpose(2, 0, 1, 3)
+        bad = np.argwhere(left.reshape(right.shape) != right)
+        if len(bad):
+            x, y, z, _ = bad[0]
+            raise CheckFailure(f"{what} is not associative at ({start + x}, {y}, {z})")
+    return None
+
+
+def _times(consts, vectors: np.ndarray, factors: np.ndarray,
+           on_right: bool) -> np.ndarray:
+    """Row t: vectors[t] times basis element factors[t], the factor on the
+    right or on the left, from the rows of the table it reaches."""
+    t, w = np.nonzero(vectors)
+    pairs = [w, factors[t]] if on_right else [factors[t], w]
+    out = np.zeros_like(vectors)
+    np.add.at(out, t, vectors[t, w, None] * consts.rows(np.stack(pairs, axis=1)))
+    return out
+
+
+def _unital(consts, unit: int, what: str) -> None:
+    """unit x = x = x unit for every basis element x."""
+    pairs = [(unit, x) for x in range(len(consts))]
+    eye = np.eye(len(consts), dtype=np.int64)
+    if ((consts.rows(pairs) != eye).any()
+            or (consts.rows([pair[::-1] for pair in pairs]) != eye).any()):
+        raise CheckFailure(f"{what} is not neutral")
+
+
+def _reciprocal(consts, dual: np.ndarray, weights: np.ndarray, what: str) -> None:
+    """T[x, y, z] w_z = T[x*, z, y] w_y = T[z, y*, x] w_x on every basis
+    triple, with row x of dual the vector of x* over the basis, which must
+    be a permutation of it."""
+    star = dual.argmax(axis=1)
+    if (sorted(star.tolist()) != list(range(len(dual)))
+            or (dual != np.eye(len(dual), dtype=dual.dtype)[star]).any()):
+        raise CheckFailure(f"the {what} dual does not permute the basis")
+    table = consts.whole()
+    lhs = table * weights
+    mid = table[star].transpose(0, 2, 1) * weights[:, None]
+    rhs = table[:, star].transpose(2, 1, 0) * weights[:, None, None]
+    bad = np.argwhere((lhs != mid) | (mid != rhs))
+    if len(bad):
+        raise CheckFailure(f"{what} reciprocity fails at "
+                           f"({', '.join(map(str, bad[0].tolist()))})")
 
 
 # ------------------------------------------------------------ runner

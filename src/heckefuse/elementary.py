@@ -27,19 +27,20 @@ cocycle checked for the plan.  Products then do matrix work only, for
 every pair of classes at (delta, delta~) at once (``_fuse_classes``): per
 step, the pairs of one pair of dimensions are gathered into one stack that
 gets one Kronecker product, phase multiply, induction and character
-decomposition.  ``fuse_objects`` asks it for one pair of classes, and
-the elementary structure constants E for every pair of basis objects of
-two labels: one memoized block per pair of labels, which
-``structure_constants`` assembles whole and ``product_rows`` reads for
-the products a check needs.
+decomposition.  That is the fill function of the elementary structure
+constants E (``structure_constants``, a ``ring.Table``): one call per pair
+of labels fills the products of every pair of basis objects at them, on the
+first read of any of them.  ``fuse`` canonicalizes its factors, objects
+or sums, and contracts the rows of E they reach.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
 label of its double coset and a character fingerprint); the constituents at
-one delta are canonicalized in one transfer sweep.  Plans, products, the
-structure constants, object sums and their extended-Hecke identifications,
-terms, their representative objects, required cocycles and conjugation
-phases are memoized on the pair, not in the module.  Conjugations act on
-index arrays (``permcore.conj_map``), not on ``Perm`` objects.
+one delta are canonicalized in one transfer sweep.  Plans, the structure
+constants, the terms of object sums and their extended-Hecke
+identifications, terms, their representative objects, required cocycles
+and conjugation phases are memoized on the pair, not in the module.
+Conjugations act on index arrays (``permcore.conj_map``), not on ``Perm``
+objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -47,6 +48,7 @@ algebra, which serves as an independent cross-check (``to_ext_hecke``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import lcm
 from typing import NamedTuple
@@ -73,6 +75,7 @@ from .projrep import (
     transport,
     trivial_rep,
 )
+from .ring import Table
 
 
 STACK_BYTES = 32  # peak bytes per stacked conjugation-row entry, temporaries included
@@ -284,10 +287,11 @@ class BimoduleSum:
     @classmethod
     def of(cls, h: ElementaryBimodule) -> "BimoduleSum":
         """Decompose an object into irreducibles and canonicalize the result;
-        memoized on the pair under the delta and character key."""
-        return h.pair._memo.get_or(
+        the terms are memoized on the pair under the delta and character
+        key."""
+        return cls(h.pair, h.omega, h.pair._memo.get_or(
             ("sum", h.omega.key(), h.delta.images, h.rep.char_key()),
-            lambda: cls(h.pair, h.omega, _add_terms({}, h.pair, h.omega, h.delta, h.rep)))
+            _add_terms, {}, h.pair, h.omega, h.delta, h.rep))
 
     def __add__(self, other: "BimoduleSum") -> "BimoduleSum":
         if other.omega != self.omega:
@@ -320,25 +324,6 @@ class BimoduleSum:
             body = f"H({rep.delta.cycle_string()}, dim {rep.rep.dim})"
             bits.append(body if mult == 1 else f"{mult}*{body}")
         return " + ".join(bits) if bits else "0"
-
-
-def fuse_objects(h1: ElementaryBimodule, h2: ElementaryBimodule) -> BimoduleSum:
-    """Fusion of two elementary objects, canonicalized and fully decomposed.
-
-    The sum depends only on the two classes, so it is memoized on the pair
-    under the deltas and character keys.
-    """
-    pair, omega = h1.pair, h1.omega
-    if h2.pair is not pair and (h2.pair.group != pair.group
-                                or h2.pair.gamma != pair.gamma):
-        raise ValueError("objects live over different pairs")
-    if h2.omega != omega:
-        raise ValueError("objects carry different ambient cocycles")
-    return pair._memo.get_or(
-        ("product", omega.key(), h1.delta.images, h2.delta.images,
-         h1.rep.char_key(), h2.rep.char_key()),
-        lambda: BimoduleSum(pair, omega, _fuse_classes(
-            pair, omega, h1.delta, [h1.rep], h2.delta, [h2.rep])[0]))
 
 
 def _fuse_classes(pair: FinitePair, omega: Cocycle, delta1: Perm, reps1: list,
@@ -435,16 +420,21 @@ def _fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
 
 
 def fuse(a, b) -> BimoduleSum:
-    """Fusion, bilinear over sums; accepts objects or sums."""
-    if isinstance(a, ElementaryBimodule):
-        a = BimoduleSum.of(a)
-    if isinstance(b, ElementaryBimodule):
-        b = BimoduleSum.of(b)
-    out = BimoduleSum(a.pair, a.omega, {})
-    for ra, ma in a.items():
-        for rb, mb in b.items():
-            out = out + fuse_objects(ra, rb).scale(ma * mb)
-    return out
+    """Fusion, bilinear over sums; accepts objects or sums.  The product is
+    read from the rows of E that the terms of a and b reach."""
+    a, b = (BimoduleSum.of(s) if isinstance(s, ElementaryBimodule) else s
+            for s in (a, b))
+    pair, omega = a.pair, a.omega
+    if b.pair is not pair and (b.pair.group != pair.group
+                               or b.pair.gamma != pair.gamma):
+        raise ValueError("objects live over different pairs")
+    if b.omega != omega:
+        raise ValueError("objects carry different ambient cocycles")
+    total = structure_constants(pair, omega).product(
+        term_vector(pair, omega, a.terms), term_vector(pair, omega, b.terms))
+    return BimoduleSum(pair, omega, {
+        (label.images, cls.char): m
+        for (label, cls), m in zip(_basis(pair, omega).classes, total.tolist()) if m})
 
 
 class _Basis(NamedTuple):
@@ -494,54 +484,24 @@ def term_vector(pair: FinitePair, omega: Cocycle, terms: dict) -> np.ndarray:
     return out
 
 
-def _product_block(pair: FinitePair, omega: Cocycle, a: Perm, b: Perm) -> np.ndarray:
-    """E[x, y] for every basis object x at label a and y at label b, a
-    read-only (classes of a, classes of b, n) int64 array from one
-    ``_fuse_classes`` call; memoized on the pair."""
-    def build():
+def structure_constants(pair: FinitePair, omega: Cocycle) -> Table:
+    """E[x, y, z], the multiplicity of basis object z in the fusion of basis
+    objects x and y, in ``basis_objects`` order: the table of the
+    elementary calculus under omega, one ``_fuse_classes`` call per block;
+    memoized on the pair."""
+    return pair._memo.get_or(("ring", omega.key()), lambda: Table(
+        pair, "elementary structure constants", _basis(pair, omega).spans,
+        functools.partial(_elementary_fill, omega=omega)))
+
+
+def _elementary_fill(pair: FinitePair, label_pairs: list, views: list,
+                     omega: Cocycle) -> None:
+    for (a, b), view in zip(label_pairs, views):
         reps_a = [cls.rep for cls in admissible_classes(pair, omega, a)]
         reps_b = [cls.rep for cls in admissible_classes(pair, omega, b)]
         sums = _fuse_classes(pair, omega, a, reps_a, b, reps_b)
-        block = np.array([term_vector(pair, omega, terms) for terms in sums])
-        block = block.reshape(len(reps_a), len(reps_b), -1)
-        block.flags.writeable = False
-        return block
-    return pair._memo.get_or(("elementary_block", omega.key(), a.images, b.images), build)
-
-
-def product_rows(pair: FinitePair, omega: Cocycle, pairs: list) -> np.ndarray:
-    """E[x, y] for each pair (x, y) of basis indices, a (len(pairs), n)
-    int64 array.  It computes only the label pairs that pairs reach, each
-    label pair's products in one batched call."""
-    basis = _basis(pair, omega)
-    out = np.zeros((len(pairs), len(basis.classes)), dtype=np.int64)
-    for row, (x, y) in enumerate(pairs):
-        a, b = basis.classes[x][0], basis.classes[y][0]
-        out[row] = _product_block(pair, omega, a, b)[
-            x - basis.spans[a].start, y - basis.spans[b].start]
-    return out
-
-
-def structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
-    """E[x, y, z], the multiplicity of basis object z in the fusion of basis
-    objects x and y, in ``basis_objects`` order: a read-only int64 array, one
-    ``_fuse_classes`` call per pair of labels; memoized on the pair.  Its
-    n^3 entries must fit in ``projrep.MAX_DENSE_BYTES``, or it raises
-    ``GroupTooLarge`` before computing anything."""
-    return pair._memo.get_or(("elementary_constants", omega.key()),
-                             _structure_constants, pair, omega)
-
-
-def _structure_constants(pair: FinitePair, omega: Cocycle) -> np.ndarray:
-    spans = _basis(pair, omega).spans
-    n = sum(map(len, spans.values()))
-    projrep.check_dense_size(
-        f"the elementary structure constants of {n} basis objects", n ** 3, itemsize=8)
-    out = np.zeros((n, n, n), dtype=np.int64)
-    for (a, rows), (b, cols) in itertools.product(spans.items(), repeat=2):
-        out[rows.start:rows.stop, cols.start:cols.stop] = _product_block(pair, omega, a, b)
-    out.flags.writeable = False
-    return out
+        view[...] = np.array([term_vector(pair, omega, terms)
+                              for terms in sums]).reshape(view.shape)
 
 
 def to_ext_hecke(h) -> ExtHeckeElement:

@@ -14,21 +14,20 @@ the induction, from little(g) ∩ little(h) up to little(g), of the transported
 value of x at g h^-1 (composed with conjugation by h) tensored with the value
 of y at h.  Each orbit reads x at one label la and y at one label lb, so the
 products of all basis elements at la with all basis elements at lb form one
-block: per output label g0, an int array of multiplicities.
-``fusion_blocks`` computes the blocks of many label pairs in one sweep: one
-representative h per orbit, the product characters of every class pair,
-induced per output label and meet, and decomposed into irreducible classes
-in one batched step per output label.  ``fuse`` is the bilinear contraction
-of the blocks over the supports of x and y, so elements stay canonical and
-multiplicities exact.  Summing over all cosets instead of orbits overcounts
-each orbit contribution exactly [little(g) : little(g) ∩ little(h)] times;
-``overcount_identity`` verifies that divisibility on the term of every coset
-(``overcount_blocks``), and ``triple_blocks`` evaluate the symmetric
-three-factor formula that associativity is checked against.  Both are
-computed once per label tuple, swept like the fusion blocks but
-independently of them.  ``structure_constants`` holds the blocks of every
-label pair as one array N[x, y, z] over the basis, which the algebra-law
-checks read.
+block of the structure constants N[x, y, z] over the basis
+(``structure_constants``, a ``ring.Table``).  Its fill function computes the
+blocks of many label pairs in one sweep: one representative h per orbit, the
+product characters of every class pair, induced per output label and meet,
+and decomposed into irreducible classes in one batched step per output
+label.  ``fuse`` is the bilinear contraction of the rows of N over the
+supports of x and y, so elements stay canonical and multiplicities exact,
+and the algebra-law checks read N.  Summing over all cosets instead of
+orbits overcounts each orbit contribution exactly
+[little(g) : little(g) ∩ little(h)] times; ``overcount_identity`` verifies
+that divisibility on the term of every coset (``overcount_blocks``), and
+``triple_blocks`` evaluate the symmetric three-factor formula that
+associativity is checked against.  Both are computed once per label tuple,
+swept like the fusion blocks but independently of them.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -73,6 +72,7 @@ from .projrep import (
     multiset_dim,
     restrict,
 )
+from .ring import Table
 
 
 class FusionFormulaError(AssertionError):
@@ -95,15 +95,14 @@ class FinitePair:
     the orbits grouped by them (``orbits_by_labels``), the index arrays
     through which characters are read at a point (``_read_key``: keyed by
     label, total conjugator and meet), the index of each class in
-    its label's basis keys, the fusion blocks of label pairs
-    (``fusion_blocks``), the three-factor blocks of label triples
-    (``triple_blocks``), the per-coset terms of label pairs
-    (``overcount_blocks``), the ``structure_constants`` and the
-    ``basis_spans`` they are indexed by, fusion and conjugation results
-    (the elements themselves, keyed by their factors), and the fusion plans,
-    products and structure constants with their basis index, object sums and
-    their identifications, canonical terms, representatives, required
-    cocycles and conjugation phases of elementary objects over it (filled by
+    its label's basis keys, the table of structure constants N
+    (``structure_constants``) and the ``basis_spans`` it is indexed by, the
+    three-factor blocks of label triples (``triple_blocks``), the per-coset
+    terms of label pairs (``overcount_blocks``), conjugation results (the
+    elements themselves), and the fusion plans, elementary structure
+    constants with their basis, object sums and their identifications,
+    canonical terms, representatives, required cocycles and conjugation
+    phases of elementary objects over it (filled by
     :mod:`heckefuse.elementary`).
     """
 
@@ -362,35 +361,27 @@ def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray
     return sums * (len(little_g) / (len(meet) * sizes))
 
 
-def fusion_blocks(pair: FinitePair, label_pairs: list) -> list[dict]:
-    """The fusion of every irreducible class at label_a with every one at
-    label_b, for each (label_a, label_b) of label_pairs: per output label g0
-    with an orbit that reads (label_a, label_b), a read-only int array
-    (n_a, n_b, classes of little(g0)) of multiplicities, classes in
-    ``irreducibles`` order.  Memoized on the pair, the missing blocks
-    computed in one sweep.
+def _fusion_fill(pair: FinitePair, label_pairs: list, views: list) -> None:
+    """The fill function of N: the fusion of every irreducible class at
+    label_a with every one at label_b, for each (label_a, label_b) of
+    label_pairs, added into its view (n_a, n_b, n) at the span of each
+    output label, in one sweep.
 
     The sweep draws one representative h per orbit, label pairs in order and
     orbits in ``orbits_by_labels`` order, and reads both factors on the meet
     little(g0) ∩ little(h) (``_induced_products``).
     """
-    return pair._memo.get_all([("block", a, b) for a, b in label_pairs],
-                              lambda keys: _fusion_sweep(pair, [k[1:] for k in keys]))
-
-
-def _fusion_sweep(pair: FinitePair, label_pairs: list) -> list[dict]:
-    identity, grouped = pair.group.identity, pair.orbits_by_labels()
-    blocks, entries = [], []
-    for label_a, label_b in label_pairs:
-        blocks.append({})
+    identity, grouped, spans = pair.group.identity, pair.orbits_by_labels(), basis_spans(pair)
+    entries = []
+    for (label_a, label_b), view in zip(label_pairs, views):
         for g0, orbit in grouped.get((label_a, label_b), ()):
             h = pair.random_coset_element(pair.pick(orbit))
             meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
-            blocks[-1][g0] = 0  # the block's labels in orbit order
-            entries.append(((blocks[-1], g0), g0, meet, [
+            entries.append(((view, spans[g0]), g0, meet, [
                 _read_key(pair, g0 * h.inverse(), meet, h),
                 _read_key(pair, h, meet, identity)]))
-    return _summed_blocks(pair, blocks, entries)
+    for (view, span), mults in _induced_products(pair, entries):
+        view[:, :, span] += mults
 
 
 def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
@@ -489,46 +480,20 @@ def _induced_products(pair: FinitePair, entries: list):
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
-    """The fusion product: the bilinear contraction of the fusion blocks of
-    the label pairs of the supports of x and y.
-
-    Memoized on the pair: a repeated product returns the same element.
-    """
+    """The fusion product: the bilinear contraction of the rows of N that
+    the supports of x and y reach."""
     pair = x.pair
     if y.pair is not pair and (y.pair.group != pair.group
                                or y.pair.gamma != pair.gamma):
         raise ValueError("elements live over different pairs")
-    return pair._memo.get_or(("fuse", x, y), _contract, pair, [x, y], fusion_blocks)
-
-
-def _coefficients(pair: FinitePair, label: Perm, parts: dict) -> np.ndarray:
-    """The multiplicities of parts as a vector over ``irreducibles`` at label."""
-    index = pair.class_index(label)
-    out = np.zeros(len(index), dtype=np.int64)
-    for cls, mult in parts.items():
-        out[index[cls]] = mult
-    return out
-
-
-def _contract(pair: FinitePair, factors: list, blocks_of) -> ExtHeckeElement:
-    """The multilinear contraction of blocks_of(pair, label tuples), the
-    blocks of every tuple of labels of the supports of factors, with the
-    factors' multiplicities."""
-    supports = [factor.support for factor in factors]
-    blocks = blocks_of(pair, list(itertools.product(*supports)))
-    coeffs = itertools.product(*([_coefficients(pair, label, parts)
-                                  for label, parts in support.items()]
-                                 for support in supports))
-    axes = "ijk"[:len(factors)]
-    contraction = f"{','.join(axes)},{axes}z->z"
-    totals: dict[Perm, np.ndarray] = {}
-    for coeff, block in zip(coeffs, blocks):
-        for g0, mults in block.items():
-            mults = np.einsum(contraction, *coeff, mults)
-            totals[g0] = totals[g0] + mults if g0 in totals else mults
-    return ExtHeckeElement._of(pair, {
-        g0: {cls: m for cls, m in zip(irreducibles(pair.little(g0)), totals[g0].tolist())
-             if m} for g0 in pair.labels() if g0 in totals})
+    total = structure_constants(pair).product(basis_vector(x), basis_vector(y))
+    support = {}
+    for label, span in basis_spans(pair).items():
+        parts = {cls: m for cls, m in zip(irreducibles(pair.little(label)),
+                                          total[span].tolist()) if m}
+        if parts:
+            support[label] = parts
+    return ExtHeckeElement._of(pair, support)
 
 
 def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
@@ -667,27 +632,12 @@ def basis_vector(x: ExtHeckeElement) -> np.ndarray:
     return out
 
 
-def structure_constants(pair: FinitePair) -> np.ndarray:
+def structure_constants(pair: FinitePair) -> Table:
     """N[x, y, z], the multiplicity of basis element z in the fusion of
-    basis elements x and y, in ``basis`` order: a read-only int64 array read
-    from the ``fusion_blocks`` of every label pair; memoized on the pair.
-    Its n^3 entries must fit in ``projrep.MAX_DENSE_BYTES``, or it raises
-    ``GroupTooLarge`` before computing anything."""
-    return pair._memo.get_or(("structure_constants",), _structure_constants, pair)
-
-
-def _structure_constants(pair: FinitePair) -> np.ndarray:
-    spans = basis_spans(pair)
-    n = next(reversed(spans.values())).stop
-    projrep.check_dense_size(f"the structure constants of {n} basis elements",
-                             n ** 3, itemsize=8)
-    out = np.zeros((n, n, n), dtype=np.int64)
-    label_pairs = list(itertools.product(spans, repeat=2))
-    for (a, b), block in zip(label_pairs, fusion_blocks(pair, label_pairs)):
-        for g0, mults in block.items():
-            out[spans[a], spans[b], spans[g0]] = mults
-    out.flags.writeable = False
-    return out
+    basis elements x and y, in ``basis`` order: the table of the extended
+    fusion algebra, filled by the fusion sweep; memoized on the pair."""
+    return pair._memo.get_or(("ring",), lambda: Table(
+        pair, "structure constants", basis_spans(pair), _fusion_fill))
 
 
 def crossed_dim_identity(pair: FinitePair) -> tuple[int, int]:

@@ -24,7 +24,8 @@ Shimura's and Macdonald's Hecke rings, ax+b by one coefficient spread over
 ``convolve`` for finite pairs.  ``convolve`` stays the generic path on every
 backend and is the oracle the closed forms are checked against; each backend
 memoizes the convolved products of basis elements that the algebra laws read
-(``basis_product``).
+(``basis_product``), and a finite backend holds them as its table of
+structure constants H (``structure_constants``).
 
 All coefficients are Python integers and all label data is exact, so there
 is no overflow and no rounding anywhere in this module.  Arithmetic labels
@@ -41,6 +42,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .permcore import DoubleCosetSystem, FiniteGroup, Memo, Perm, Subgroup
+from .ring import Table
 
 _LETTERS = "KLMNPQRSUVWXYZABCDFGHIJ"
 
@@ -515,6 +517,22 @@ def basis_product(backend, kx, ky) -> dict:
     The map is shared: callers must not change it."""
     return backend._products.get_or((kx, ky), lambda: convolve(
         HeckeElement(backend, {kx: 1}), HeckeElement(backend, {ky: 1})).coeffs)
+
+
+def structure_constants(backend: FiniteHecke) -> Table:
+    """H[a, b, c], the coefficient of T[c] in T[a] T[b], over the labels of
+    a finite backend: its table, filled from ``basis_product``; memoized on
+    the backend."""
+    return backend._products.get_or(("ring",), lambda: Table(
+        backend, "Hecke structure constants",
+        {label: range(i, i + 1) for i, label in enumerate(backend.labels())}, _hecke_fill))
+
+
+def _hecke_fill(backend: FiniteHecke, label_pairs: list, views: list) -> None:
+    at = {label: i for i, label in enumerate(backend.labels())}
+    for (a, b), view in zip(label_pairs, views):
+        for label, c in basis_product(backend, a, b).items():
+            view[0, 0, at[label]] = c
 
 
 def involution(x: HeckeElement) -> HeckeElement:

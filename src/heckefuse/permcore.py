@@ -714,9 +714,6 @@ class GroupAction:
     def natural(cls, group: FiniteGroup) -> "GroupAction":
         return cls(group, group.degree, lambda g, i: g(i))
 
-    def act(self, g: Perm, i: int) -> int:
-        return int(self._table[self.group.index_of(g), i])
-
 @dataclass(frozen=True)
 class Commensuration:
     """A triple (eta, domain subgroup, iso) with eta(g.i) = iso(g).eta(i).

@@ -3,11 +3,14 @@ oracle that the block sweeps of ``heckefuse.exthecke`` are checked against.
 With them, the paths of ``heckefuse.exthecke`` that only the tests take: the
 triple product of elements and the transport of one class."""
 
+import itertools
+
+import numpy as np
+
 from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
     _character_on,
-    _contract,
     _induce,
     triple_blocks,
 )
@@ -15,6 +18,7 @@ from heckefuse.projrep import (
     add_multiset,
     conjugacy_classes,
     decompose_character,
+    irreducibles,
     multiset_dim,
 )
 
@@ -73,10 +77,40 @@ def orbit_triple_fuse(x, y, z):
     return ExtHeckeElement(pair, out)
 
 
+def coefficients(pair, label, parts):
+    """The multiplicities of parts as a vector over ``irreducibles`` at label."""
+    index = pair.class_index(label)
+    out = np.zeros(len(index), dtype=np.int64)
+    for cls, mult in parts.items():
+        out[index[cls]] = mult
+    return out
+
+
+def contract(pair, factors, blocks_of):
+    """The multilinear contraction of blocks_of(pair, label tuples), the
+    blocks of every tuple of labels of the supports of factors, with the
+    factors' multiplicities."""
+    supports = [factor.support for factor in factors]
+    blocks = blocks_of(pair, list(itertools.product(*supports)))
+    coeffs = itertools.product(*([coefficients(pair, label, parts)
+                                  for label, parts in support.items()]
+                                 for support in supports))
+    axes = "ijk"[:len(factors)]
+    contraction = f"{','.join(axes)},{axes}z->z"
+    totals = {}
+    for coeff, block in zip(coeffs, blocks):
+        for g0, mults in block.items():
+            mults = np.einsum(contraction, *coeff, mults)
+            totals[g0] = totals[g0] + mults if g0 in totals else mults
+    return ExtHeckeElement._of(pair, {
+        g0: {cls: m for cls, m in zip(irreducibles(pair.little(g0)), totals[g0].tolist())
+             if m} for g0 in pair.labels() if g0 in totals})
+
+
 def triple_fuse(x, y, z):
     """The symmetric three-factor formula, the trilinear contraction of the
     ``triple_blocks`` of the label triples of the supports of x, y and z."""
-    return _contract(x.pair, [x, y, z], triple_blocks)
+    return contract(x.pair, [x, y, z], triple_blocks)
 
 
 def transport_class(pair, label, cls, target):

@@ -17,7 +17,7 @@ import pytest
 
 from heckefuse.catalog import BUILTIN, build_pair, fusion_table
 from heckefuse.cocycle import Cocycle, conjugation_phase, heisenberg_cocycle
-from heckefuse.elementary import fuse_objects, make, to_ext_hecke
+from heckefuse.elementary import fuse as elem_fuse, make, to_ext_hecke
 from heckefuse.exthecke import (
     basis,
     conjugate,
@@ -259,7 +259,7 @@ def test_criterion_10(pairs):
             objs.append(make(pair, omega, label, cls.rep))
     for (obj_x, ext_x), (obj_y, ext_y) in itertools.product(
             zip(objs, ext_els), repeat=2):
-        assert to_ext_hecke(fuse_objects(obj_x, obj_y)) == fuse(ext_x, ext_y)
+        assert to_ext_hecke(elem_fuse(obj_x, obj_y)) == fuse(ext_x, ext_y)
 
 
 @criterion(11, "representative independence")

@@ -1,6 +1,6 @@
-"""One cache store per owner: a group and a pair each keep one ``Memo``,
-and fusion results are cached as the elements themselves, which outlive
-``clear_caches``."""
+"""One cache store per owner: a group and a pair each keep one ``Memo``;
+fusion is read from the pair's structure constants and conjugation results
+are cached as the elements themselves, and both outlive ``clear_caches``."""
 
 import pytest
 
@@ -30,7 +30,7 @@ def exercise(pair) -> None:
         label = pair.labels()[-1]
         h = make(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
         total_dim(elem_fuse(h, h))
-        elem_structure_constants(pair, omega)
+        elem_structure_constants(pair, omega).whole()
 
 
 def total_dim(total) -> int:
@@ -53,15 +53,15 @@ def test_pair_and_group_each_keep_one_store(name):
         assert set(vars(owner)) == attrs  # nothing cached on the side
     kinds = {key[0] for key in pair._memo}
     assert {"little", "meet", "orbit_labels", "orbits_by_labels", "reads",
-            "block", "conjugate"} <= kinds
+            "ring", "conjugate"} <= kinds
     assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
-                     "orbits_by_labels", "reads", "class_index", "block", "fuse",
-                     "conjugate", "required", "phase", "term", "rep", "plan",
-                     "product", "sum", "to_ext", "basis", "elementary_block",
-                     "elementary_constants"}
+                     "orbits_by_labels", "reads", "class_index", "ring",
+                     "basis_spans", "conjugate", "required", "phase", "term",
+                     "rep", "plan", "sum", "to_ext", "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "rep", "plan", "product",
-                "sum", "basis", "elementary_block", "elementary_constants"} <= kinds
+        assert {"required", "phase", "term", "rep", "plan", "sum", "basis"} <= kinds
+        # one table each: N and the E of the catalog cocycle
+        assert len([key for key in pair._memo if key[0] == "ring"]) == 2
     assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
 
 
@@ -72,7 +72,7 @@ def test_cached_fusion_is_the_fresh_product(name):
     cached = {(i, j): fuse(x, y) for i, x in enumerate(elements)
               for j, y in enumerate(elements)}
     for (i, j), z in cached.items():
-        assert fuse(elements[i], elements[j]) is z
+        assert fuse(elements[i], elements[j]) == z
     fresh = build_pair(BUILTIN[name])
     fresh_elements = [x for _, x in basis(fresh)]
     for (i, j), z in cached.items():
@@ -87,7 +87,7 @@ def test_cached_element_survives_clear_caches():
     text, terms = str(z), z.terms()
     heckefuse.clear_caches()
     assert (str(z), z.terms()) == (text, terms)
-    assert fuse(elements[-1], elements[-1]) is z
+    assert fuse(elements[-1], elements[-1]) == z
     fresh = build_pair(BUILTIN["S3_in_S4"])
     last = basis(fresh)[-1][1]
     assert fuse(last, last) == z

@@ -28,7 +28,6 @@ from heckefuse.elementary import (
     canonical_representative,
     canonical_term,
     fuse,
-    fuse_objects,
     identity_object,
     is_irreducible,
     make,
@@ -191,8 +190,8 @@ def test_identity_is_neutral(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     e_obj = identity_object(pair, omega)
     for obj in elementary_basis(pair, omega):
-        assert fuse_objects(e_obj, obj) == BimoduleSum.of(obj)
-        assert fuse_objects(obj, e_obj) == BimoduleSum.of(obj)
+        assert fuse(e_obj, obj) == BimoduleSum.of(obj)
+        assert fuse(obj, e_obj) == BimoduleSum.of(obj)
 
 
 def test_identity_is_neutral_twisted(d4_klein):
@@ -200,8 +199,8 @@ def test_identity_is_neutral_twisted(d4_klein):
     omega = klein_cocycle(pair)
     e_obj = identity_object(pair, omega)
     for obj in elementary_basis(pair, omega):
-        assert fuse_objects(e_obj, obj) == BimoduleSum.of(obj)
-        assert fuse_objects(obj, e_obj) == BimoduleSum.of(obj)
+        assert fuse(e_obj, obj) == BimoduleSum.of(obj)
+        assert fuse(obj, e_obj) == BimoduleSum.of(obj)
 
 
 def test_normalizing_deltas_give_single_summand(d4_klein):
@@ -211,7 +210,7 @@ def test_normalizing_deltas_give_single_summand(d4_klein):
     # the Klein subgroup is normal in D4, so every double coset is a coset and
     # the fusion of two basis objects is supported on a single delta
     for a, b in itertools.product(objs[:4], objs[4:]):
-        result = fuse_objects(a, b)
+        result = fuse(a, b)
         deltas = {rep.delta.images for rep, _ in result.items()}
         assert len(deltas) == 1
         assert total_dim(result) == a.rep.dim * b.rep.dim
@@ -230,7 +229,7 @@ def test_cross_oracle_with_ext_hecke(s3s4):
         assert to_ext_hecke(BimoduleSum.of(x_elem)) == x_ext
     for (x_ext, x_elem), (y_ext, y_elem) in itertools.product(
             zip(ext, elem), repeat=2):
-        lhs = to_ext_hecke(fuse_objects(x_elem, y_elem))
+        lhs = to_ext_hecke(fuse(x_elem, y_elem))
         rhs = ext_fuse(x_ext, y_ext)
         assert lhs == rhs
 
@@ -242,8 +241,8 @@ def test_fuse_associativity_twisted_sample(d4_klein):
     sample = [(objs[0], objs[4], objs[5]), (objs[4], objs[5], objs[6]),
               (objs[1], objs[4], objs[1]), (objs[4], objs[4], objs[4])]
     for x, y, z in sample:
-        left = fuse(fuse_objects(x, y), BimoduleSum.of(z))
-        right = fuse(BimoduleSum.of(x), fuse_objects(y, z))
+        left = fuse(fuse(x, y), BimoduleSum.of(z))
+        right = fuse(BimoduleSum.of(x), fuse(y, z))
         assert left == right
 
 
@@ -252,7 +251,7 @@ def test_fuse_dimension_bookkeeping(s3s4):
     omega = Cocycle.trivial(pair.gamma)
     objs = elementary_basis(pair, omega)
     for x, y in itertools.product(objs, repeat=2):
-        product = fuse_objects(x, y)
+        product = fuse(x, y)
         lhs = to_ext_hecke(product)
         # dimension of the fusion matches the Hecke-level convolution dims
         from heckefuse.exthecke import to_hecke
@@ -396,11 +395,11 @@ def test_canonical_sums_are_representative_independent(d4_klein):
     pair = d4_klein
     omega = klein_cocycle(pair)
     objs = elementary_basis(pair, omega)
-    baseline = fuse_objects(objs[4], objs[5]).terms
+    baseline = fuse(objs[4], objs[5]).terms
     for trial in range(3):
         shuffled = pair.with_choices(random.Random(trial))
         objs2 = elementary_basis(shuffled, klein_cocycle(shuffled))
-        got = fuse_objects(objs2[4], objs2[5]).terms
+        got = fuse(objs2[4], objs2[5]).terms
         assert got == baseline
 
 
@@ -566,11 +565,14 @@ def test_a_whole_group_search_stacks_rows_within_the_byte_limit(monkeypatch):
 
 
 def test_object_sums_and_identifications_are_memoized():
+    # a sum's terms are memoized, not the sum, which would hold the pair
     pair, omega = catalog_case("S3_in_S4")
-    for obj in elementary_basis(pair, omega):
+    objs = elementary_basis(pair, omega)
+    for obj in objs:
         twin = make(pair, omega, obj.delta, obj.rep)
-        assert BimoduleSum.of(twin) is BimoduleSum.of(obj)
+        assert BimoduleSum.of(twin) == BimoduleSum.of(obj)
         assert to_ext_hecke(twin) is to_ext_hecke(obj)
+    assert len([key for key in pair._memo if key[0] == "sum"]) == len(objs)
 
 
 def test_sums_over_different_ambient_groups_differ():
@@ -589,7 +591,7 @@ def test_sums_over_different_ambient_groups_differ():
 def test_sums_survive_clear_caches():
     pair, omega = catalog_case("S3_in_S4")
     objs = elementary_basis(pair, omega)
-    total = fuse_objects(objs[-1], objs[-1]) + fuse_objects(objs[1], objs[-1])
+    total = fuse(objs[-1], objs[-1]) + fuse(objs[1], objs[-1])
 
     def observe():
         return ([(obj.delta, obj.rep.char_key(), mult) for obj, mult in total.items()],
@@ -606,7 +608,7 @@ def test_repeated_fusion_builds_no_objects_or_subgroups(name, monkeypatch):
     pair, omega = catalog_case(name)
     objs = elementary_basis(pair, omega)
     for x, y in itertools.product(objs, repeat=2):
-        fuse_objects(x, y)
+        fuse(x, y)
     built = []
     for cls in (elementary.ElementaryBimodule, permcore.Subgroup):
         init = cls.__init__
@@ -617,11 +619,11 @@ def test_repeated_fusion_builds_no_objects_or_subgroups(name, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
     for x, y in itertools.product(objs, repeat=2):
-        fuse_objects(x, y)
+        fuse(x, y)
     assert built == []
 
 
-# sha256 of the elem_sum_json of fuse_objects over every pair of basis objects
+# sha256 of the elem_sum_json of fuse over every pair of basis objects
 # (catalog cocycle, trivial where the catalog has none), recorded before
 # canonical forms moved onto the pair
 GOLDEN_ELEMENTARY = {
@@ -635,7 +637,7 @@ GOLDEN_ELEMENTARY = {
 def test_elementary_products_match_golden_digests(name):
     pair, omega = catalog_case(name)
     objs = elementary_basis(pair, omega)
-    products = [elem_sum_json(pair, omega, fuse_objects(x, y))
+    products = [elem_sum_json(pair, omega, fuse(x, y))
                 for x, y in itertools.product(objs, repeat=2)]
     digest = hashlib.sha256(json.dumps(products, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_ELEMENTARY[name]

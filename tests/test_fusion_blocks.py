@@ -1,7 +1,7 @@
-"""Fusion by label-pair blocks, and the three-factor and overcount blocks,
-against the orbit-by-orbit formulas they replace, one sweep over many label
-tuples against one at a time, the structure constants against fusion of
-sums, class-sum induction against the conjugation-table formula, the batched
+"""Fusion by label-pair blocks of the structure constants N, and the
+three-factor and overcount blocks, against the orbit-by-orbit formulas they
+replace, one sweep over many label tuples against one at a time, N against
+fusion of sums, class-sum induction against the conjugation-table formula, the batched
 decomposition against one-row decompositions, and the checks that must
 notice a wrong block or a wrong Hecke basis product."""
 
@@ -32,14 +32,14 @@ from heckefuse.exthecke import (
     _induce,
     basis,
     basis_vector,
+    basis_spans,
     fuse,
-    fusion_blocks,
     overcount_blocks,
     overcount_identity,
     structure_constants,
     triple_blocks,
 )
-from heckefuse.hecke import basis_product
+from heckefuse.hecke import basis_product, structure_constants as hecke_constants
 from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm, Subgroup
 from heckefuse.projrep import (
     NumericalDegradation,
@@ -81,6 +81,24 @@ def orbit_fuse(pair, x, y):
         if total:
             out[g0] = total
     return ExtHeckeElement(pair, out)
+
+
+def label_block(consts, label_a, label_b):
+    """T[x, y, :] for every x at label_a and y at label_b, read as rows, so
+    that only this block of the table is filled."""
+    rows_a, rows_b = (range(consts.spans[l].start, consts.spans[l].stop)
+                      for l in (label_a, label_b))
+    pairs = list(itertools.product(rows_a, rows_b))
+    return consts.rows(pairs).reshape(len(rows_a), len(rows_b), len(consts))
+
+
+def output_blocks(pair, label_a, label_b):
+    """The block of N at (label_a, label_b) per output label g0 it reaches:
+    an orbit's contribution is never zero, so those are the labels whose
+    spans hold a nonzero entry."""
+    block = label_block(structure_constants(pair), label_a, label_b)
+    return {g0: block[:, :, span] for g0, span in basis_spans(pair).items()
+            if block[:, :, span].any()}
 
 
 def random_sum(pair, rng):
@@ -130,14 +148,14 @@ def test_blocks_cover_each_orbit_once(name):
     grouped = pair.orbits_by_labels()
     assert collections.Counter(g0 for group in grouped.values() for g0, _ in group) == {
         g0: len(pair.orbit_labels(g0)) for g0 in pair.labels()}
-    for (label_a, label_b), orbits in grouped.items():
-        block, = fusion_blocks(pair, [(label_a, label_b)])
-        assert fusion_blocks(pair, [(label_a, label_b)])[0] is block
-        assert set(block) == {g0 for g0, _ in orbits}
+    consts = structure_constants(pair)
+    for label_a, label_b in all_label_pairs(pair):
+        block = label_block(consts, label_a, label_b)
         n_a, n_b = (len(irreducibles(pair.little(l))) for l in (label_a, label_b))
-        for g0, mults in block.items():
-            assert mults.shape == (n_a, n_b, len(irreducibles(pair.little(g0))))
-            assert mults.dtype == np.int64 and not mults.flags.writeable
+        assert block.shape == (n_a, n_b, len(consts)) and block.dtype == np.int64
+        assert set(output_blocks(pair, label_a, label_b)) == {
+            g0 for g0, _ in grouped.get((label_a, label_b), ())}
+    assert not consts.whole().flags.writeable
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -183,10 +201,11 @@ def test_structure_constants_and_hecke_products_keep_a_dropped_pair_collectable(
     gc.disable()
     try:
         pair = make_pair(name)
-        structure_constants(pair)
+        structure_constants(pair).whole()
         bk = pair.hecke()
         for label_a, label_b in all_label_pairs(pair):
             basis_product(bk, label_a, label_b)
+        hecke_constants(bk).whole()
         dropped = weakref.ref(pair)
         del pair, bk
         assert dropped() is None
@@ -202,6 +221,15 @@ def all_label_pairs(pair):
     return list(itertools.product(pair.labels(), repeat=2))
 
 
+def fused_a_pair_at_a_time(name, choice):
+    """N of a fresh pair, filled one block of a label pair per fill."""
+    pair = with_choice(make_pair(name), choice)
+    consts = structure_constants(pair)
+    for a, b in all_label_pairs(pair):
+        label_block(consts, a, b)
+    return consts.whole()
+
+
 def same_blocks(a, b):
     return list(a) == list(b) and all(
         a[g0].dtype == b[g0].dtype and (a[g0] == b[g0]).all() for g0 in a)
@@ -210,13 +238,9 @@ def same_blocks(a, b):
 @pytest.mark.parametrize("choice", [None, 0, 1])
 @pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
 def test_one_sweep_matches_one_label_pair_at_a_time(name, choice):
-    swept_pair = with_choice(make_pair(name), choice)
-    label_pairs = all_label_pairs(swept_pair)
-    swept = fusion_blocks(swept_pair, label_pairs)
-    single_pair = with_choice(make_pair(name), choice)
-    for (label_a, label_b), block in zip(label_pairs, swept):
-        assert same_blocks(block, fusion_blocks(single_pair, [(label_a, label_b)])[0])
-        assert fusion_blocks(swept_pair, [(label_a, label_b)])[0] is block
+    pair = with_choice(make_pair(name), choice)
+    swept = structure_constants(pair).whole()
+    assert (swept == fused_a_pair_at_a_time(name, choice)).all()
 
 
 @pytest.mark.parametrize("choice", [None, 0])
@@ -224,7 +248,8 @@ def test_one_sweep_matches_one_label_pair_at_a_time(name, choice):
 def test_fuse_of_sums_contracts_the_structure_constants(name, choice):
     # check reads N and never fuses sums; this keeps fuse's sum path tied to
     # N, each read on its own pair (and its own representatives under rng)
-    n = structure_constants(with_choice(make_pair(name), choice))
+    own = with_choice(make_pair(name), choice)
+    n = structure_constants(own).whole()
     assert n.dtype == np.int64 and not n.flags.writeable
     pair = with_choice(make_pair(name), choice)
     keys = [key for key, _ in basis(pair)]
@@ -252,21 +277,23 @@ def test_structure_constants_refuse_an_array_over_the_dense_limit(monkeypatch):
     with pytest.raises(GroupTooLarge,
                        match=f"structure constants of {n} basis elements needs 0 MiB"):
         structure_constants(pair)
-    assert not any(key[0] in ("block", "structure_constants") for key in pair._memo)
+    assert not any(key[0] in ("ring", "reads") for key in pair._memo)
     monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3)
-    assert structure_constants(pair).nbytes == 8 * n ** 3
+    assert structure_constants(pair).whole().nbytes == 8 * n ** 3
 
 
 def test_chunked_sweep_matches_the_unchunked_one(monkeypatch):
-    whole = fusion_blocks(make_pair("S4_in_S5"), all_label_pairs(make_pair("S4_in_S5")))
+    unchunked = make_pair("S4_in_S5")
+    whole = structure_constants(unchunked).whole()
+    pair = make_pair("S4_in_S5")
+    consts = structure_constants(pair)  # built under the default limit
     limit = 16 * 24 * 5  # 5 stacked rows over the little group S4
     monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", limit)
     calls = count_decompositions(monkeypatch)
-    pair = make_pair("S4_in_S5")
-    chunked = fusion_blocks(pair, all_label_pairs(pair))
+    chunked = consts.whole()
     assert len(calls) > len(pair.labels())
     assert all(16 * rows * len(group) <= limit for group, rows in calls)
-    assert all(same_blocks(a, b) for a, b in zip(whole, chunked))
+    assert (whole == chunked).all()
 
 
 def gather_induce(little_g, meet, chars):
@@ -333,12 +360,13 @@ def test_fusion_table_of_s6_in_itself_stays_small():
 
 
 def corrupt_one_block(pair):
-    """Add 1 to one entry of the block of the last label with itself."""
+    """Add 1 to the first entry, over the first output label, of the block
+    of the last label with itself, in the stored N."""
     label = pair.labels()[-1]
-    block, = fusion_blocks(pair, [(label, label)])
-    wrong = {g0: mults.copy() for g0, mults in block.items()}
-    wrong[next(iter(wrong))][0, 0, 0] += 1
-    pair._memo[("block", label, label)] = wrong
+    g0 = next(iter(output_blocks(pair, label, label)))
+    consts = structure_constants(pair)
+    consts._array[consts.spans[label].start, consts.spans[label].start,
+                  consts.spans[g0].start] += 1
 
 
 @pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])
@@ -428,7 +456,7 @@ def test_overcount_blocks_cover_every_coset_once(name):
         for g0, cosets in orbits:
             firsts[g0] = firsts.get(g0, 0) + next(iter(cosets.values()))
             assert all(not mults.flags.writeable for mults in cosets.values())
-        assert same_blocks(firsts, fusion_blocks(pair, [labels])[0])
+        assert same_blocks(firsts, output_blocks(pair, *labels))
     overcount_identity(pair)
 
 

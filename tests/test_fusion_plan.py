@@ -23,7 +23,6 @@ from heckefuse.elementary import (
     _add_terms,
     basis_objects,
     fuse,
-    fuse_objects,
     make,
     pair_conjugation_phase,
     required_cocycle,
@@ -52,7 +51,7 @@ def catalog_omegas(name):
     return pair, [omega for omega in omegas if omega is not None]
 
 
-def composed_fuse_objects(h1, h2) -> BimoduleSum:
+def composed_fuse(h1, h2) -> BimoduleSum:
     """Elementary fusion as one chain of constructions per orbit:
     induce(twist(tensor(transport(...), restrict(...)), phase), ...)."""
     pair, omega, gamma = h1.pair, h1.omega, h1.pair.gamma
@@ -80,15 +79,17 @@ def test_planned_fusion_equals_the_composed_constructions(name):
     for omega in omegas:
         objs = basis_objects(pair, omega)
         for x, y in itertools.product(objs, repeat=2):
-            assert fuse_objects(x, y) == composed_fuse_objects(x, y)
+            assert fuse(x, y) == composed_fuse(x, y)
 
 
-def test_a_repeated_product_is_the_memoized_sum():
+def test_a_repeated_product_is_the_memoized_sum(monkeypatch):
+    # read from the stored E: no product is computed again
     pair, (_, omega) = catalog_omegas("D4_klein")
     objs = basis_objects(pair, omega)
-    first = fuse_objects(objs[-1], objs[-2])
+    first = fuse(objs[-1], objs[-2])
     again = make(pair, omega, objs[-1].delta, objs[-1].rep)
-    assert fuse_objects(again, objs[-2]) is first
+    monkeypatch.setattr(elementary, "_fuse_classes", None)
+    assert fuse(again, objs[-2]) == first
 
 
 def test_one_check_pass_builds_one_plan_per_label_pair(monkeypatch):
@@ -139,20 +140,22 @@ def test_structure_constants_hold_every_product_of_basis_objects(name):
     pair, omegas = catalog_omegas(name)
     for omega in omegas:
         objs = basis_objects(pair, omega)
-        consts = structure_constants(pair, omega)
+        table = structure_constants(pair, omega)
+        assert structure_constants(pair, omega) is table
+        consts = table.whole()
         assert consts.dtype == np.int64 and not consts.flags.writeable
-        assert structure_constants(pair, omega) is consts
         for (i, x), (j, y) in itertools.product(enumerate(objs), repeat=2):
-            assert (consts[i, j] == term_vector(pair, omega, fuse_objects(x, y).terms)).all()
+            terms, = elementary._fuse_classes(pair, omega, x.delta, [x.rep],
+                                              y.delta, [y.rep])
+            assert (consts[i, j] == term_vector(pair, omega, terms)).all()
         pairs = list(itertools.product(range(len(objs)), repeat=2))
-        rows = elementary.product_rows(pair, omega, pairs)
-        assert (rows == consts.reshape(len(pairs), -1)).all()
+        assert (table.rows(pairs) == consts.reshape(len(pairs), -1)).all()
 
 
 @pytest.mark.parametrize("name", ["D4_klein", "Heis3"])
 def test_structure_constants_do_not_depend_on_the_stack_size(name, monkeypatch):
     pair, (_, omega) = catalog_omegas(name)
-    whole = structure_constants(pair, omega)
+    whole = structure_constants(pair, omega).whole()
     sizes, apply = [], projrep.Induction.apply
 
     def recording(self, matrices):
@@ -164,7 +167,8 @@ def test_structure_constants_do_not_depend_on_the_stack_size(name, monkeypatch):
     monkeypatch.setattr(elementary, "INDUCED_BYTES", projrep.MAX_DENSE_BYTES)
     monkeypatch.setattr(elementary, "STACK_BYTES", projrep.MAX_DENSE_BYTES)
     monkeypatch.setattr(projrep.Induction, "apply", recording)
-    assert (structure_constants(catalog_omegas(name)[0], omega) == whole).all()
+    other = catalog_omegas(name)[0]
+    assert (structure_constants(other, omega).whole() == whole).all()
     assert set(sizes) == {1}
 
 
@@ -172,9 +176,10 @@ def test_elementary_structure_constants_refuse_an_array_over_the_dense_limit(mon
     pair, (_, omega) = catalog_omegas("D4_klein")
     n = len(basis_objects(pair, omega))
     monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3 - 1)
-    with pytest.raises(GroupTooLarge, match=f"structure constants of {n} basis objects"):
+    with pytest.raises(GroupTooLarge,
+                       match=f"elementary structure constants of {n} basis elements"):
         structure_constants(pair, omega)
-    assert not any(key[0] in ("plan", "elementary_constants") for key in pair._memo)
+    assert not any(key[0] in ("plan", "ring") for key in pair._memo)
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -250,9 +255,8 @@ def test_elementary_checks_on_a_twisted_pair_compute_only_the_products_they_read
     cfg = checks.Config(triple_limit=1)
     checks.check_elementary_associativity(pair, omega, cfg)
     checks.check_elementary_irreducibility(pair, omega, cfg)
-    blocks = [key for key in pair._memo if key[0] == "elementary_block"]
-    assert 0 < len(blocks) < len(pair.labels()) ** 2
-    assert not any(key[0] == "elementary_constants" for key in pair._memo)
+    filled = structure_constants(pair, omega)._filled.sum()
+    assert 0 < filled < len(pair.labels()) ** 2
 
 
 def corrupted_plans(monkeypatch, corrupt):
@@ -307,7 +311,7 @@ def test_a_wrong_conjugation_phase_fails_the_plan_check(monkeypatch):
     monkeypatch.setattr(elementary, "pair_conjugation_phase", shifted)
     with pytest.raises(CocycleBookkeepingError):
         for x, y in itertools.product(objs, repeat=2):
-            fuse_objects(x, y)
+            fuse(x, y)
 
 
 def looped_induce_matrices(rep, big, ext_cocycle, rng=None) -> np.ndarray:

@@ -334,12 +334,16 @@ def test_commensurations_z4_vs_klein():
 
 def test_commensurations_s3_match_exhaustive_search():
     s3 = symmetric(3)
-    act = GroupAction.natural(s3)
-    found = commensurations(act, act)
+    action = GroupAction.natural(s3)
+    found = commensurations(action, action)
+
+    def act(g, i):
+        """g.i, read from the action's table."""
+        return int(action._table[s3.index_of(g), i])
 
     # independent oracle: try every injective map on every subgroup directly
     oracle = set()
-    for sub in act.group.subgroups():
+    for sub in action.group.subgroups():
         els = list(sub.elements)
         for eta in itertools.permutations(range(3)):
             for images in itertools.permutations(s3.elements, len(els)):
@@ -352,7 +356,7 @@ def test_commensurations_s3_match_exhaustive_search():
                 ):
                     continue
                 if all(
-                    eta[act.act(g, i)] == act.act(table[g], eta[i])
+                    eta[act(g, i)] == act(table[g], eta[i])
                     for g in els
                     for i in range(3)
                 ):

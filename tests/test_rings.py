@@ -1,0 +1,159 @@
+"""The structure-constant tables H, N and E as based rings: their axioms
+read from each table alone, one storage per table after a check pass,
+products that keep a dropped pair collectable, and the one-call-per-row
+shape of the check runner that the benchmark's op timing relies on."""
+
+import gc
+import itertools
+import weakref
+
+import numpy as np
+import pytest
+
+import heckefuse
+from heckefuse import checks, elementary, exthecke, hecke
+from heckefuse.catalog import BUILTIN, build_omega, build_pair
+from heckefuse.cocycle import Cocycle
+from heckefuse.ring import Table
+
+from based_ring import based_ring_failures
+
+PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
+TWISTED = ["D4_klein", "Heis3"]
+
+
+def catalog_omegas(name):
+    """The pair, and its trivial cocycle and catalog cocycle (when it has one)."""
+    pair = build_pair(BUILTIN[name])
+    omegas = [Cocycle.trivial(pair.gamma), build_omega(BUILTIN[name], pair)]
+    return pair, [omega for omega in omegas if omega is not None]
+
+
+def elementary_unit(pair, omega):
+    """The basis index of the identity object."""
+    e = elementary.identity_object(pair, omega)
+    return elementary.basis_index(pair, omega, (e.delta.images, e.rep.char_key()))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_extended_structure_constants_form_a_based_ring(name):
+    pair = build_pair(BUILTIN[name])
+    unit = int(exthecke.basis_vector(exthecke.unit(pair)).argmax())
+    consts = exthecke.structure_constants(pair)
+    assert based_ring_failures(consts.whole(), unit) == []
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_elementary_structure_constants_form_a_based_ring(name):
+    pair, omegas = catalog_omegas(name)
+    assert len(omegas) == (2 if name in TWISTED else 1)
+    for omega in omegas:
+        consts = elementary.structure_constants(pair, omega)
+        assert based_ring_failures(consts.whole(), elementary_unit(pair, omega)) == []
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_one_entry_off_the_symmetric_orbits_breaks_the_based_ring(name):
+    pair, (_, omega) = catalog_omegas(name)
+    consts = elementary.structure_constants(pair, omega)
+    t = consts.whole().copy()
+    n, unit = len(t), elementary_unit(pair, omega)
+    star = t[:, :, unit].argmax(axis=1)
+    # an entry off the unit rows whose S3 images are other entries
+    x, y, z = next((x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
+                   if unit not in (x, y, z)
+                   and len({(x, y, z), (star[x], z, y), (z, star[y], x)}) > 1)
+    t[x, y, z] += 1
+    assert based_ring_failures(t, unit) == ["S3 symmetry"]
+
+
+def tables(owner_memo) -> list:
+    return [value for value in owner_memo.values() if isinstance(value, Table)]
+
+
+def test_a_check_pass_stores_each_table_once(monkeypatch):
+    """After a catalog ``run_checks``, each pair holds N and the E of each
+    cocycle it was checked under, and its backend H, each as one array of
+    8 n^3 bytes: no block or assembled copy is held beside it."""
+    built = []
+
+    def recording(entry, *args):
+        built.append(build_pair(entry, *args))
+        return built[-1]
+
+    monkeypatch.setattr(checks, "build_pair", recording)
+    heckefuse.clear_caches()
+    assert all(o.passed for o in checks.run_checks())
+    assert len(built) == 4
+    for pair in built:
+        held = tables(pair._memo)
+        assert len(held) == (3 if pair.name in TWISTED else 2)
+        (hecke_table,) = tables(pair.hecke()._products)
+        for table in held + [hecke_table]:
+            assert table._array.nbytes == 8 * len(table) ** 3
+        # everything else the pair keeps is not a structure constant
+        assert not any(isinstance(value, np.ndarray) and value.ndim == 3
+                       for value in pair._memo.values())
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_products_keep_a_dropped_pair_collectable(name):
+    # fusion of extended elements, of elementary objects and of elementary
+    # sums reads table rows and memoizes nothing that holds the pair
+    gc.collect()
+    gc.disable()
+    try:
+        pair, omegas = catalog_omegas(name)
+        x = exthecke.basis(pair)[-1][1]
+        exthecke.fuse(x, x)
+        for omega in omegas:
+            objs = elementary.basis_objects(pair, omega)
+            total = elementary.fuse(objs[-1], objs[-1]) + elementary.fuse(objs[0], objs[-1])
+            elementary.fuse(total, total)
+        dropped = weakref.ref(pair)
+        del pair, x, objs, total
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_each_outcome_comes_from_one_top_level_check_call(monkeypatch):
+    """The benchmark's ``check`` workload wraps every ``check_*`` callable
+    of the module and pairs its top-level calls with the outcomes in order,
+    so every row must make exactly one top-level ``check_*`` call, and the
+    shared law helpers must not be named ``check_*``."""
+    calls, depth = [], [0]
+
+    def timed(fn, name):
+        def call(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                calls.append(name)
+        return call
+
+    for name, fn in list(vars(checks).items()):
+        if name.startswith("check_") and callable(fn):
+            monkeypatch.setattr(checks, name, timed(fn, name))
+    outcomes = checks.run_checks()
+    assert outcomes and all(o.passed for o in outcomes)
+    assert len(calls) == len(outcomes)
+    for call, outcome in zip(calls, outcomes):
+        row = "check_" + outcome.name.replace("-", "_")
+        assert row.startswith(call) or call.startswith(row), (call, outcome.name)
+
+
+def test_the_hecke_table_is_read_from_the_basis_products():
+    pair = build_pair(BUILTIN["S3_in_S4"])
+    bk = pair.hecke()
+    consts = hecke.structure_constants(bk)
+    assert hecke.structure_constants(bk) is consts
+    labels = bk.labels()
+    whole = consts.whole()
+    for (i, a), (j, b) in itertools.product(enumerate(labels), repeat=2):
+        got = {labels[k]: int(c) for k, c in enumerate(whole[i, j]) if c}
+        assert got == hecke.basis_product(bk, a, b)
