@@ -10,11 +10,13 @@ Three backends provide labels and coset data:
 
 * ``FiniteHecke``     -- a finite pair Gamma <= G of permutation groups;
 * ``GL2Hecke``        -- SL(2,Z) inside rational 2x2 matrices of positive
-  determinant; labels are rational elementary-divisor pairs (d1, d2) with
-  d2/d1 a positive integer, so inverses stay inside the label set; elements
-  are a rational content times a primitive integer matrix;
+  determinant; a label is the elementary-divisor pair (d1, d2), d2/d1 a
+  positive integer m, held as the integers (n, q, m) with d1 = n/q in
+  lowest terms; an element is (n, q, P), the content n/q times a primitive
+  integer matrix P with det P > 0;
 * ``BostConnesHecke`` -- the integer-translation subgroup inside the rational
-  ax+b group, with exact fraction arithmetic.
+  ax+b group; a label or element (a, b) is held as the integers
+  (p, q, r, s) with a = p/q and b = r/s in lowest terms.
 
 The two arithmetic backends also give the product of two basis elements in
 closed form (``closed_product``): GL2 by the local product formula of
@@ -29,8 +31,11 @@ structure constants H (``structure_constants``).
 
 All coefficients are Python integers and all label data is exact, so there
 is no overflow and no rounding anywhere in this module.  Arithmetic labels
-stay ``Fraction`` pairs, but the inner loops work on their numerators and
-denominators as integers and build one ``Fraction`` per output label.
+and elements are plain integer tuples, cheap to hash, so convolution builds
+and hashes no ``Fraction``.  Rationals appear only at the boundary:
+``parse_label`` reads and validates the text ``d1,d2`` or ``a;b`` once,
+``label_str`` prints it, ``sort_key`` orders labels as the rational pairs
+(d1, d2) and (a, b), and ``modular_lambda`` returns a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -110,9 +115,15 @@ class FiniteHecke:
 # ------------------------------------------------------------------ GL2
 
 Mat = tuple  # (a, b, c, d): rows (a b) / (c d), entries int
-Elt = tuple  # (content, P): a positive Fraction times a primitive Mat, det P > 0
+Elt = tuple  # (n, q, P): content n/q in lowest terms times a primitive Mat, det P > 0
 
 _HNF_REPS = Memo()
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def primitive_hnf_reps(m: int) -> tuple[Mat, ...]:
@@ -156,11 +167,12 @@ def _local_coeffs(p: int, m: int, n: int) -> list[int]:
 class GL2Hecke:
     """SL(2,Z) double cosets of rational 2x2 matrices with positive determinant.
 
-    Labels are pairs (d1, d2) of positive rationals with d2/d1 a positive
-    integer.  A primitive integer matrix P has elementary divisors (1, det P),
-    so the element (content, P) has label (content, content * det P).
-    Right-coset representatives pair d1 with the primitive Hermite forms of
-    determinant d2/d1.
+    A double coset has elementary divisors (d1, d2), positive rationals with
+    d2/d1 a positive integer m; its label is (n, q, m) with d1 = n/q in
+    lowest terms.  A primitive integer matrix P has elementary divisors
+    (1, det P), so the element (n, q, P) has label (n, q, det P).
+    Right-coset representatives pair the content n/q with the primitive
+    Hermite forms of determinant m.
     """
 
     kind = "gl2"
@@ -170,48 +182,32 @@ class GL2Hecke:
 
     @property
     def unit_label(self):
-        return (Fraction(1), Fraction(1))
+        return (1, 1, 1)
 
     def canonical_label(self, x: Elt):
-        c, p = x
-        return (c, Fraction(c.numerator * (p[0] * p[3] - p[1] * p[2]),
-                            c.denominator))
-
-    def _split(self, label) -> tuple[Fraction, int]:
-        """(d1, d2 / d1) of a valid label; checks d1 before dividing by it."""
-        d1, d2 = label
-        if not isinstance(d1, Fraction):
-            d1 = Fraction(d1)
-        if d1.numerator > 0:
-            # d2 / d1 = (n2 q1) / (q2 n1)
-            m, rem = divmod(d2.numerator * d1.denominator,
-                            d2.denominator * d1.numerator)
-            if not rem and m >= 1:
-                return d1, m
-        raise ValueError(f"not a valid label: {self.label_str(label)}")
+        n, q, p = x
+        return (n, q, p[0] * p[3] - p[1] * p[2])
 
     def element_of(self, label) -> Elt:
-        d1, m = self._split(label)
-        return (d1, (1, 0, 0, m))
+        n, q, m = label
+        return (n, q, (1, 0, 0, m))
 
     def right_reps(self, label) -> list[Elt]:
-        d1, m = self._split(label)
-        return [(d1, h) for h in primitive_hnf_reps(m)]
+        n, q, m = label
+        return [(n, q, h) for h in primitive_hnf_reps(m)]
 
     def mul(self, x: Elt, y: Elt) -> Elt:
-        (cx, p), (cy, q) = x, y
-        m = (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
-             p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+        (nx, qx, p), (ny, qy, r) = x, y
+        m = (p[0] * r[0] + p[1] * r[2], p[0] * r[1] + p[1] * r[3],
+             p[2] * r[0] + p[3] * r[2], p[2] * r[1] + p[3] * r[3])
         g = gcd(*m)
-        return (Fraction(cx.numerator * cy.numerator * g,
-                         cx.denominator * cy.denominator),
+        return (*_lowest(nx * ny * g, qx * qy),
                 (m[0] // g, m[1] // g, m[2] // g, m[3] // g))
 
     def inv(self, x: Elt) -> Elt:
         # (c P)^-1 = adj P / (c det P), and adj P is primitive with det P
-        c, (a, b, g, d) = x
-        return (Fraction(c.denominator, c.numerator * (a * d - b * g)),
-                (d, -b, -g, a))
+        n, q, (a, b, g, d) = x
+        return (*_lowest(q, n * (a * d - b * g)), (d, -b, -g, a))
 
     def inverse_label(self, label):
         return self.canonical_label(self.inv(self.element_of(label)))
@@ -229,22 +225,23 @@ class GL2Hecke:
         p^(n-1) (p+1) if m = n, else p^n (Shimura 1971, ch. 3; Macdonald,
         Symmetric Functions and Hall Polynomials, ch. V).
         """
-        (ax, nx), (ay, ny) = self._split(kx), self._split(ky)
-        fx, fy = _factor(nx), _factor(ny)
+        (nx, qx, mx), (ny, qy, my) = kx, ky
+        fx, fy = _factor(mx), _factor(my)
         terms = {(1, 1): 1}  # integer (d1, d2) -> coefficient
         for p in fx.keys() | fy.keys():
             m, n = sorted((fx.get(p, 0), fy.get(p, 0)), reverse=True)
             local = _local_coeffs(p, m, n)
             terms = {(d1 * p ** k, d2 * p ** (m + n - k)): c * ck
                      for (d1, d2), c in terms.items() for k, ck in enumerate(local)}
-        a = ax * ay
-        return {(a * d1, a * d2): c for (d1, d2), c in terms.items()}
+        # the content (nx ny)/(qx qy) times each (d1, d2)
+        return {(*_lowest(nx * ny * d1, qx * qy), d2 // d1): c
+                for (d1, d2), c in terms.items()}
 
     def right_count(self, label) -> int:
-        """psi(n) = n prod_{p | n} (1 + 1/p), n = d2/d1: the number of
-        primitive Hermite forms of determinant n, without listing them."""
+        """psi(m) = m prod_{p | m} (1 + 1/p), m = d2/d1: the number of
+        primitive Hermite forms of determinant m, without listing them."""
         count = 1
-        for p, e in _factor(self._split(label)[1]).items():
+        for p, e in _factor(label[2]).items():
             count *= p ** (e - 1) * (p + 1)
         return count
 
@@ -253,21 +250,30 @@ class GL2Hecke:
         return self.right_count(self.inverse_label(label))
 
     def sort_key(self, label):
-        return (label[0], label[1])
+        # the order of (d1, d2): d2 = d1 m, so after d1 the order of m
+        n, q, m = label
+        return (Fraction(n, q), m)
 
     def label_str(self, label) -> str:
-        return f"{label[0]},{label[1]}"
+        n, q, m = label
+        return f"{Fraction(n, q)},{Fraction(n * m, q)}"
 
     def parse_label(self, text: str):
+        """The label of the text ``d1,d2``, checked: d1 > 0 and d2/d1 a
+        positive integer."""
         if text.strip() == "e":
             return self.unit_label
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"GL2 labels look like 'd1,d2', got {text!r}")
         d1, d2 = (Fraction(p.strip()) for p in parts)
-        label = (d1, d2)
-        self._split(label)  # validates
-        return label
+        if d1 > 0:
+            # d2 / d1 = (n2 q1) / (q2 n1)
+            m, rem = divmod(d2.numerator * d1.denominator,
+                            d2.denominator * d1.numerator)
+            if not rem and m >= 1:
+                return (d1.numerator, d1.denominator, m)
+        raise ValueError(f"not a valid label: {d1},{d2}")
 
 
 # ------------------------------------------------------------------ ax + b
@@ -278,7 +284,9 @@ class BostConnesHecke:
     Group law (a, b)(c, d) = (ac, ad + b) with a ranging over positive
     rationals; the subgroup is (1, Z).  The double coset of (a, b) is
     {(a, b')} with b' running over b + Z + aZ = b + (1/q)Z, q = denom(a),
-    so labels are (a, b mod 1/q) with the least nonnegative residue.
+    so labels are (a, b mod 1/q) with the least nonnegative residue.  An
+    element or label (a, b) is the integer tuple (p, q, r, s) with a = p/q
+    and b = r/s in lowest terms; ``element`` builds one from rationals.
     """
 
     kind = "bc"
@@ -289,60 +297,69 @@ class BostConnesHecke:
 
     @property
     def unit_label(self):
-        return (Fraction(1), Fraction(0))
+        return (1, 1, 0, 1)
+
+    @staticmethod
+    def element(a, b) -> tuple:
+        """The element (a, b) of two rationals (ints or Fractions), a > 0."""
+        if a <= 0:
+            raise ValueError("the scaling part must be positive")
+        return (a.numerator, a.denominator, b.numerator, b.denominator)
 
     def canonical_label(self, x):
-        a, b = x
-        if not isinstance(a, Fraction):
-            a = Fraction(a)
-        if not isinstance(b, Fraction):
-            b = Fraction(b)
-        if a.numerator <= 0:
-            raise ValueError("the scaling part must be positive")
-        # b = n/d, so b mod 1/q = ((n q) mod d) / (d q)
-        q, d = a.denominator, b.denominator
-        return (a, Fraction(b.numerator * q % d, d * q))
+        p, q, r, s = x
+        # b mod 1/q = ((r q) mod s) / (s q)
+        return (p, q, *_lowest(r * q % s, s * q))
 
     def element_of(self, label):
-        return (Fraction(label[0]), Fraction(label[1]))
+        return label
 
     def right_reps(self, label) -> list:
         return self._reps_cache.get_or(label, self._right_reps, label)
 
     @staticmethod
     def _right_reps(label) -> list:
-        a, r = Fraction(label[0]), Fraction(label[1])
-        return [(a, r + Fraction(j, a.denominator)) for j in range(a.denominator)]
+        # b + j/q = (r q + j s) / (s q)
+        p, q, r, s = label
+        return [(p, q, *_lowest(r * q + j * s, s * q)) for j in range(q)]
 
     def mul(self, x, y):
-        return (x[0] * y[0], x[0] * y[1] + x[1])
+        # (a1 a2, a1 b2 + b1), a1 b2 + b1 = (p1 r2 s1 + r1 q1 s2) / (q1 s2 s1)
+        (p1, q1, r1, s1), (p2, q2, r2, s2) = x, y
+        return (*_lowest(p1 * p2, q1 * q2),
+                *_lowest(p1 * r2 * s1 + r1 * q1 * s2, q1 * s2 * s1))
 
     def inv(self, x):
-        return (1 / x[0], -x[1] / x[0])
+        # (1/a, -b/a) = (q/p, -(r q)/(s p))
+        p, q, r, s = x
+        return (q, p, *_lowest(-r * q, s * p))
 
     def inverse_label(self, label):
         return self.canonical_label(self.inv(self.element_of(label)))
 
     def right_count(self, label) -> int:
-        return label[0].denominator
+        return label[1]
 
     def left_count(self, label) -> int:
-        return label[0].numerator
+        return label[0]
 
     def sort_key(self, label):
-        return (label[0], label[1])
+        p, q, r, s = label
+        return (Fraction(p, q), Fraction(r, s))
 
     def label_str(self, label) -> str:
-        return f"{label[0]};{label[1]}"
+        p, q, r, s = label
+        return f"{Fraction(p, q)};{Fraction(r, s)}"
 
     def parse_label(self, text: str):
+        """The label of the text ``a;b``, checked: a > 0."""
         if text.strip() == "e":
             return self.unit_label
         parts = text.split(";")
         if len(parts) != 2:
             raise ValueError(f"ax+b labels look like 'a;b', got {text!r}")
         a, b = (Fraction(p.strip()) for p in parts)
-        return self.canonical_label((a, b))
+        return self.canonical_label(self.element(a, b))
 
     def product_support(self, kx, ky) -> set:
         """Labels of the double cosets meeting coset(kx) * coset(ky), closed form.
@@ -354,20 +371,18 @@ class BostConnesHecke:
         summed as integers over one common denominator d, so the residue
         mod 1/q of n/d is (n mod d/q)/d.
         """
-        (a1, r1), (a2, r2) = kx, ky
-        p1, q1 = a1.numerator, a1.denominator
-        a = Fraction(p1 * a2.numerator, q1 * a2.denominator)
-        q = a.denominator
+        (p1, q1, r1, s1), (p2, q2, r2, s2) = kx, ky
+        p, q = _lowest(p1 * p2, q1 * q2)
         g = lcm(q1, q)
         count, rem = divmod(g, q)
         if rem:
-            raise RuntimeError(
-                f"{kx} * {ky} splits into {Fraction(g, q)} double cosets")
-        e1, e2 = r1.denominator, q1 * r2.denominator
-        d = lcm(e1, e2, g)
-        base = r1.numerator * (d // e1) + p1 * r2.numerator * (d // e2)
+            raise RuntimeError(f"{self.label_str(kx)} * {self.label_str(ky)} "
+                               f"splits into {Fraction(g, q)} double cosets")
+        e2 = q1 * s2  # the denominator of a1 r2
+        d = lcm(s1, e2, g)
+        base = r1 * (d // s1) + p1 * r2 * (d // e2)
         step, width = d // g, d // q
-        return {(a, Fraction((base + t * step) % width, d))
+        return {(p, q, *_lowest((base + t * step) % width, d))
                 for t in range(count)}
 
     def closed_product(self, kx, ky) -> dict:
@@ -380,11 +395,12 @@ class BostConnesHecke:
         q1 q2 / (q |support|), with q = denom(a1 a2) the right count of each.
         """
         support = self.product_support(kx, ky)
-        q = Fraction(kx[0] * ky[0]).denominator
+        q = _lowest(kx[0] * ky[0], kx[1] * ky[1])[1]
         c, rem = divmod(self.right_count(kx) * self.right_count(ky),
                         q * len(support))
         if rem:
-            raise RuntimeError(f"{kx} * {ky} has a non-integral coefficient")
+            raise RuntimeError(f"{self.label_str(kx)} * {self.label_str(ky)} "
+                               f"has a non-integral coefficient")
         return dict.fromkeys(support, c)
 
 

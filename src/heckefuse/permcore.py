@@ -295,8 +295,8 @@ class FiniteGroup:
     the same elements as a (|G|, degree) array of image rows.
 
     ``_memo`` holds what is computed once per group: the multiplication,
-    inverse and conjugation tables, a small generating set, and the right
-    cosets and coset orbits of each subgroup.
+    inverse and conjugation tables, a small generating set, the subgroups,
+    and the right cosets and coset orbits of each subgroup.
     """
 
     def __init__(self, degree: int, elements: Iterable[Perm],
@@ -476,15 +476,19 @@ class FiniteGroup:
                 return tuple(found)
             found.append(self.elements[np.argmin(have)])  # the least not generated
 
-    def subgroups(self) -> list["Subgroup"]:
+    def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, grown to a fixpoint by joining with cyclic subgroups,
-        on ``mul_table()`` rows.
+        on ``mul_table()`` rows; computed once and kept on the group, with
+        each subgroup's own memo.
 
         The join of a subgroup H with an element c outside it closes inside
         the group, by ``_join``, and subgroups are told apart by index set:
         the cyclic extension of Holt, Eick and O'Brien's *Handbook of
         Computational Group Theory* (2005), with every join tried.
         """
+        return self._memo.get_or("subgroups", self._subgroups)
+
+    def _subgroups(self) -> tuple["Subgroup", ...]:
         rows = self.mul_table().tolist()
         cyclic = {}  # each nontrivial cyclic subgroup, with its least generator
         for c in range(1, len(self)):
@@ -497,8 +501,8 @@ class FiniteGroup:
                 if join not in seen:
                     seen.add(join)
                     queue.append(join)
-        return sorted((Subgroup._of(self, np.array(idx, dtype=np.intp)) for idx in queue),
-                      key=lambda h: (len(h), h.key()))
+        return tuple(sorted((Subgroup._of(self, np.array(idx, dtype=np.intp))
+                             for idx in queue), key=lambda h: (len(h), h.key())))
 
 
 class Subgroup(FiniteGroup):

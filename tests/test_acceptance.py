@@ -107,8 +107,8 @@ def test_criterion_3():
     bk = GL2Hecke()
 
     def matrix(x):
-        c, p = x
-        return tuple(Fraction(c) * e for e in p)
+        n, q, p = x  # the content n/q times P
+        return tuple(Fraction(n, q) * e for e in p)
 
     def mat_mul(x, y):
         return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
@@ -125,18 +125,18 @@ def test_criterion_3():
 
     t2 = HeckeElement(bk, {bk.parse_label("1,2"): 1})
     t3 = HeckeElement(bk, {bk.parse_label("1,3"): 1})
-    assert convolve(t2, t3).coeffs == {(Fraction(1), Fraction(6)): 1}
+    assert convolve(t2, t3).coeffs == {bk.parse_label("1,6"): 1}
     # independent enumeration for the same coefficient
-    reps2, reps3 = bk.right_reps((1, 2)), bk.right_reps((1, 3))
-    g6 = bk.element_of((Fraction(1), Fraction(6)))
+    reps2, reps3 = (bk.right_reps(bk.parse_label(s)) for s in ("1,2", "1,3"))
+    g6 = bk.element_of(bk.parse_label("1,6"))
     assert sum(1 for x in reps2 for y in reps3
                if in_right_coset(x, y, g6)) == 1
     for p in (2, 3):
-        tp = HeckeElement(bk, {(Fraction(1), Fraction(p)): 1})
+        tp = HeckeElement(bk, {bk.parse_label(f"1,{p}"): 1})
         got = convolve(tp, tp).coeffs
-        assert got == {(Fraction(1), Fraction(p * p)): 1,
-                       (Fraction(p), Fraction(p)): p + 1}
-        reps = bk.right_reps((Fraction(1), Fraction(p)))
+        assert got == {bk.parse_label(f"1,{p * p}"): 1,
+                       bk.parse_label(f"{p},{p}"): p + 1}
+        reps = bk.right_reps(bk.parse_label(f"1,{p}"))
         for target, coeff in got.items():
             g = bk.element_of(target)
             assert sum(1 for x in reps for y in reps
@@ -147,18 +147,17 @@ def test_criterion_3():
 def test_criterion_4():
     bk = BostConnesHecke()
     for p in (2, 3, 5):
-        assert modular_lambda(bk, (Fraction(p), Fraction(0))) == p
+        assert modular_lambda(bk, bk.element(p, 0)) == p
     # all products of basis elements with numerator and denominator up to 12;
     # the scaling part determines lambda, residues sample the translation part
     scalings = sorted({Fraction(n, d) for n in range(1, 13)
                        for d in range(1, 13)})
-    elements = [HeckeElement(bk, {bk.canonical_label((a, Fraction(0))): 1})
+    elements = [HeckeElement(bk, {bk.canonical_label(bk.element(a, 0)): 1})
                 for a in scalings]
     for x, y in itertools.product(elements, repeat=2):
         assert not lambda_multiplicativity_witnesses(x, y)
-    with_residues = [
-        HeckeElement(bk, {bk.canonical_label((a, Fraction(1, 2 * a.denominator))): 1})
-        for a in scalings[:12]]
+    with_residues = [HeckeElement(bk, {bk.canonical_label(
+        bk.element(a, Fraction(1, 2 * a.denominator))): 1}) for a in scalings[:12]]
     for x, y in itertools.product(with_residues, repeat=2):
         assert not lambda_multiplicativity_witnesses(x, y)
 

@@ -20,9 +20,10 @@ PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
 
 
 def exercise(pair) -> None:
-    """Fusion table, conjugation, one twisted elementary product and the
-    twisted elementary structure constants."""
+    """Fusion table, conjugation, one twisted elementary product, the
+    twisted elementary structure constants and the subgroups of G."""
     fusion_table(pair)
+    assert pair.group.subgroups() is pair.group.subgroups()
     for _, x in basis(pair):
         conjugate(x)
     omega = build_omega(BUILTIN[pair.name], pair)
@@ -43,6 +44,11 @@ def stores(owner) -> list:
     return [v for v in vars(owner).values() if isinstance(v, Memo)]
 
 
+def kinds(memo: Memo) -> set:
+    """The kinds of value in a store: a key, or a key tuple's first entry."""
+    return {key if isinstance(key, str) else key[0] for key in memo}
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_pair_and_group_each_keep_one_store(name):
     pair = build_pair(BUILTIN[name])
@@ -51,18 +57,19 @@ def test_pair_and_group_each_keep_one_store(name):
     for owner, attrs in before:
         assert len(stores(owner)) == 1
         assert set(vars(owner)) == attrs  # nothing cached on the side
-    kinds = {key[0] for key in pair._memo}
+    pair_kinds = kinds(pair._memo)
     assert {"little", "meet", "orbit_labels", "orbits_by_labels", "reads",
-            "ring", "conjugate"} <= kinds
-    assert kinds <= {"little", "decomposition", "meet", "orbit_labels",
-                     "orbits_by_labels", "reads", "class_index", "ring",
-                     "basis_spans", "conjugate", "required", "phase", "term",
-                     "rep", "plan", "sum", "to_ext", "basis"}
+            "ring", "conjugate"} <= pair_kinds
+    assert pair_kinds <= {"little", "decomposition", "meet", "orbit_labels",
+                          "orbits_by_labels", "reads", "class_index", "ring",
+                          "basis_spans", "conjugate", "required", "phase", "term",
+                          "rep", "plan", "sum", "to_ext", "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "rep", "plan", "sum", "basis"} <= kinds
+        assert {"required", "phase", "term", "rep", "plan", "sum", "basis"} <= pair_kinds
         # one table each: N and the E of the catalog cocycle
         assert len([key for key in pair._memo if key[0] == "ring"]) == 2
-    assert {key[0] for key in pair.group._memo} == {"right_cosets", "coset_orbits"}
+    assert kinds(pair.group._memo) == {"right_cosets", "coset_orbits", "mul_table",
+                                       "subgroups"}
 
 
 @pytest.mark.parametrize("name", PAIRS)

@@ -4,6 +4,7 @@ int64 arrays, elementary bookkeeping, and the object counts of a ``check``
 pass."""
 
 import collections
+import fractions
 import random
 from math import gcd, lcm
 
@@ -329,6 +330,8 @@ def test_check_pass_object_counts(monkeypatch):
     counting(exthecke.ExtHeckeElement, "_of", "ext_of", staticmethod)
     counting(hecke, "convolve", "convolve")
     counting(checks, "convolve", "convolve")
+    counting(fractions.Fraction, "__new__", "fraction")
+    counting(fractions.Fraction, "__hash__", "fraction_hash")
     heckefuse.clear_caches()
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
@@ -336,10 +339,12 @@ def test_check_pass_object_counts(monkeypatch):
     # closures re-checked theirs; now only the parsed inputs are (22).  The
     # exhaustive searches of permcore built 2,325 (and made 117 closures)
     # while they multiplied Perms and closed every subgroup join from
-    # scratch; on multiplication-table indices 1,249 (80 closures)
+    # scratch; on multiplication-table indices 1,249 (80 closures).  Each
+    # group's subgroups are now kept on it, but a pass builds its pairs
+    # afresh and asks each group once, so the count stays at 80
     assert counts["perm"] + counts["perm_of"] <= 1_300
     assert counts["perm"] <= 30
-    assert counts["closure"] <= 85
+    assert counts["closure"] <= 80
     # every cocycle of a check pass is derived from checked ones; elementary
     # fusion built 5,448 while it redid its cocycle work for every product
     # (7,754 positions lookups, 3,514 derived Reps), and builds 1,619 since
@@ -376,6 +381,12 @@ def test_check_pass_object_counts(monkeypatch):
     # 652 while the Hecke law checks convolved every product they compared;
     # 185 with each basis product a law reads convolved once per backend
     assert counts["convolve"] <= 200
+    # 7,043 Fractions built and 9,958 hashed while GL2 and ax+b labels were
+    # Fraction pairs; with integer labels only text, checks' rational draws
+    # and modular values build them (160), and only the bc-lambda draws
+    # hash them (36)
+    assert counts["fraction"] <= 200
+    assert counts["fraction_hash"] <= 50
 
 
 def test_table_path_builds_no_ambient_group_table():
