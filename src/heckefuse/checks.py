@@ -394,15 +394,14 @@ def check_bc_closed_form(cfg: Config) -> None:
 
 # ------------------------------------------------------------ ext-hecke checks
 
-def check_ext_associativity(pair: FinitePair, cfg: Config,
-                            exhaustive: bool = False) -> None:
+def check_ext_associativity(pair: FinitePair, cfg: Config) -> None:
     """The three-factor formula against the iterated products, both read
     from the rows of N, on sampled basis triples."""
     spans = basis_spans(pair)
     at = [(label, i) for label, span in spans.items()
           for i in range(span.stop - span.start)]
     triples = list(itertools.product(range(len(at)), repeat=3))
-    if not exhaustive and len(triples) > cfg.triple_limit:
+    if len(triples) > cfg.triple_limit:
         rng = random.Random(cfg.seed)
         triples = rng.sample(triples, cfg.triple_limit)
     # the blocks of every sampled triple in one sweep

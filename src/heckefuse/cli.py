@@ -108,9 +108,12 @@ def parse_elem_element(pair: FinitePair, omega: Cocycle, degree: int,
         if not m:
             raise SystemExit(f"cannot parse elementary term {term!r}")
         mult = int(m.group(1)) if m.group(1) else 1
-        delta = Perm.parse(degree, m.group(2))
+        try:
+            delta = Perm.parse(degree, m.group(2))
+            classes = admissible_classes(pair, omega, delta)
+        except ValueError as exc:
+            raise SystemExit(f"cannot parse elementary term {term!r}: {exc}") from None
         idx = int(m.group(3))
-        classes = admissible_classes(pair, omega, delta)
         if idx >= len(classes):
             raise SystemExit(
                 f"class index {idx} out of range ({len(classes)} admissible)")

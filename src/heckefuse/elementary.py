@@ -35,12 +35,12 @@ or sums, and contracts the rows of E they reach.
 
 A fused sum keeps each irreducible constituent as a canonical term (the
 label of its double coset and a character fingerprint); the constituents at
-one delta are canonicalized in one transfer sweep.  Plans, the structure
-constants, the terms of object sums and their extended-Hecke
-identifications, terms, their representative objects, required cocycles
-and conjugation phases are memoized on the pair, not in the module.
-Conjugations act on index arrays (``permcore.conj_map``), not on ``Perm``
-objects.
+one delta are canonicalized in one transfer sweep.  The structure
+constants with their basis, canonical terms, required cocycles and
+conjugation phases are memoized on the pair, not in the module; plans,
+object sums, representative objects and extended-Hecke identifications are
+computed on each call and not kept.  Conjugations act on index arrays
+(``permcore.conj_map``), not on ``Perm`` objects.
 
 With a trivial omega the calculus collapses onto the extended Hecke fusion
 algebra, which serves as an independent cross-check (``to_ext_hecke``).
@@ -250,13 +250,7 @@ def _canonical_terms(pair: FinitePair, omega: Cocycle, delta: Perm,
 def canonical_representative(pair: FinitePair, omega: Cocycle,
                              term: tuple) -> ElementaryBimodule:
     """The object at the term's label carrying the admissible class whose
-    character is the term's fingerprint; memoized on the pair."""
-    return pair._memo.get_or(("rep", omega.key(), term),
-                             _canonical_representative, pair, omega, term)
-
-
-def _canonical_representative(pair: FinitePair, omega: Cocycle,
-                              term: tuple) -> ElementaryBimodule:
+    character is the term's fingerprint."""
     label = Perm._of(term[0])  # a label's images, read from canonical_term
     cls = next((c for c in admissible_classes(pair, omega, label)
                 if c.char == term[1]), None)
@@ -286,12 +280,8 @@ class BimoduleSum:
 
     @classmethod
     def of(cls, h: ElementaryBimodule) -> "BimoduleSum":
-        """Decompose an object into irreducibles and canonicalize the result;
-        the terms are memoized on the pair under the delta and character
-        key."""
-        return cls(h.pair, h.omega, h.pair._memo.get_or(
-            ("sum", h.omega.key(), h.delta.images, h.rep.char_key()),
-            _add_terms, {}, h.pair, h.omega, h.delta, h.rep))
+        """Decompose an object into irreducibles and canonicalize the result."""
+        return cls(h.pair, h.omega, _add_terms({}, h.pair, h.omega, h.delta, h.rep))
 
     def __add__(self, other: "BimoduleSum") -> "BimoduleSum":
         if other.omega != self.omega:
@@ -380,13 +370,7 @@ class FusionStep(NamedTuple):
 def fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
                 delta2: Perm) -> tuple[FusionStep, ...]:
     """The index and cocycle work of fusing any object at delta1 with any
-    object at delta2, one step per orbit; memoized on the pair."""
-    return pair._memo.get_or(("plan", omega.key(), delta1.images, delta2.images),
-                             _fusion_plan, pair, omega, delta1, delta2)
-
-
-def _fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
-                 delta2: Perm) -> tuple[FusionStep, ...]:
+    object at delta2, one step per orbit."""
     gamma = pair.gamma
     right1, right2 = pair.little_of_element(delta1), pair.little_of_element(delta2)
     need1 = required_cocycle(pair, omega, delta1)
@@ -516,11 +500,6 @@ def to_ext_hecke(h) -> ExtHeckeElement:
         return out
     if not h.omega.is_trivial_table():
         raise ValueError("no untwisted identification: the cocycle is nontrivial")
-    return h.pair._memo.get_or(
-        ("to_ext", h.omega.key(), h.delta.images, h.rep.char_key()), _to_ext_hecke, h)
-
-
-def _to_ext_hecke(h: ElementaryBimodule) -> ExtHeckeElement:
     pair = h.pair
     label = pair.label_of(h.delta)
     c1, c2 = pair.decomposition(label, h.delta)

@@ -26,8 +26,8 @@ orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_identity`` verifies
 that divisibility on the term of every coset (``overcount_blocks``), and
 ``triple_blocks`` evaluate the symmetric three-factor formula that
-associativity is checked against.  Both are computed once per label tuple,
-swept like the fusion blocks but independently of them.
+associativity is checked against.  Each is computed in one sweep per call,
+like the fusion blocks but independently of them.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -94,16 +94,13 @@ class FinitePair:
     little groups, the double cosets each orbit reads (``orbit_labels``) and
     the orbits grouped by them (``orbits_by_labels``), the index arrays
     through which characters are read at a point (``_read_key``: keyed by
-    label, total conjugator and meet), the index of each class in
-    its label's basis keys, the table of structure constants N
-    (``structure_constants``) and the ``basis_spans`` it is indexed by, the
-    three-factor blocks of label triples (``triple_blocks``), the per-coset
-    terms of label pairs (``overcount_blocks``), conjugation results (the
-    elements themselves), and the fusion plans, elementary structure
-    constants with their basis, object sums and their identifications,
-    canonical terms, representatives, required cocycles and conjugation
-    phases of elementary objects over it (filled by
-    :mod:`heckefuse.elementary`).
+    label, total conjugator and meet), the index of each class in its
+    label's basis keys, the table of structure constants N
+    (``structure_constants``) and the ``basis_spans`` it is indexed by, and
+    the elementary structure constants with their basis, canonical terms,
+    required cocycles and conjugation phases of elementary objects over it
+    (filled by :mod:`heckefuse.elementary`).  None of them holds the pair,
+    so a dropped pair is freed by reference counting.
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -387,8 +384,8 @@ def _fusion_fill(pair: FinitePair, label_pairs: list, views: list) -> None:
 def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     """Per (label_a, label_b, label_c) of label_triples, the symmetric
     three-factor formula on every class triple at those labels, as a dict
-    like a fusion block of arrays (n_a, n_b, n_c, classes of little(g0));
-    memoized on the pair, the missing blocks computed in one sweep.
+    like a fusion block of arrays (n_a, n_b, n_c, classes of little(g0)),
+    all computed in one sweep.
 
     The (h, k) orbit of little(g0) on pairs of right cosets contributes the
     induction from little(g0) ∩ little(h) ∩ little(k) of
@@ -396,11 +393,6 @@ def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     draws one h per orbit of little(g0) and one k per orbit of
     little(g0) ∩ little(h), each once (``_induced_products``).
     """
-    return pair._memo.get_all([("triple", *labels) for labels in label_triples],
-                              lambda keys: _triple_sweep(pair, [k[1:] for k in keys]))
-
-
-def _triple_sweep(pair: FinitePair, label_triples: list) -> list[dict]:
     identity = pair.group.identity
     wanted = {labels: {} for labels in label_triples}
     firsts, entries = {labels[0] for labels in label_triples}, []
@@ -423,18 +415,15 @@ def _triple_sweep(pair: FinitePair, label_triples: list) -> list[dict]:
                     _read_key(pair, g0 * h.inverse(), meet, h),
                     _read_key(pair, v, meet, k),
                     _read_key(pair, k, meet, identity)]))
-    return _summed_blocks(pair, list(wanted.values()), entries)
+    _summed_blocks(pair, entries)
+    return [wanted[labels] for labels in label_triples]
 
 
-def _summed_blocks(pair: FinitePair, blocks: list[dict], entries: list) -> list[dict]:
-    """blocks, with block[key] the sum of the ``_induced_products`` of the
-    entries tagged (block, key), made read-only."""
+def _summed_blocks(pair: FinitePair, entries: list) -> None:
+    """Set block[key] to the sum of the ``_induced_products`` of the entries
+    tagged (block, key)."""
     for (block, key), mults in _induced_products(pair, entries):
         block[key] = block[key] + mults
-    for block in blocks:
-        for mults in block.values():
-            mults.flags.writeable = False
-    return blocks
 
 
 def _induced_products(pair: FinitePair, entries: list):
@@ -499,15 +488,10 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
 def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
     """Per (label_a, label_b) of label_pairs, (g0, cosets) per orbit of
     ``orbits_by_labels``: cosets maps each coset of the orbit, by its
-    minimum h and in orbit order, to the read-only int array
+    minimum h and in orbit order, to the int array
     (n_a, n_b, classes of little(g0)) of its fusion term, read at g0 h^-1
-    and h.  Memoized on the pair, the missing ones computed in one sweep,
-    which checks that every coset reads the orbit's two labels."""
-    return pair._memo.get_all([("overcount", a, b) for a, b in label_pairs],
-                              lambda keys: _overcount_sweep(pair, [k[1:] for k in keys]))
-
-
-def _overcount_sweep(pair: FinitePair, label_pairs: list) -> list[list]:
+    and h.  All are computed in one sweep, which checks that every coset
+    reads the orbit's two labels."""
     identity, grouped = pair.group.identity, pair.orbits_by_labels()
     out, entries = [], []
     for labels in label_pairs:
@@ -524,7 +508,7 @@ def _overcount_sweep(pair: FinitePair, label_pairs: list) -> list[list]:
                 meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
                 entries.append(((cosets, h), g0, meet, [
                     _read_key(pair, w, meet, h), _read_key(pair, h, meet, identity)]))
-    _summed_blocks(pair, [cosets for orbits in out for _, cosets in orbits], entries)
+    _summed_blocks(pair, entries)
     return out
 
 
@@ -562,12 +546,7 @@ def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
 
     The defining axioms fix conjugation only up to these domain constraints;
     this formula is validated by the involutivity and reciprocity tests.
-    Memoized on the pair, like ``fuse``.
     """
-    return x.pair._memo.get_or(("conjugate", x), _conjugate, x)
-
-
-def _conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
     pair, out = x.pair, {}
     for label, parts in x.support.items():
         new_label = pair.label_of(label.inverse())

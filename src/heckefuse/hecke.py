@@ -109,7 +109,10 @@ class FiniteHecke:
         text = text.strip()
         if text in self._by_name:
             return self._by_name[text]
-        return self.canonical_label(Perm.parse(self.group.degree, text))
+        g = Perm.parse(self.group.degree, text)
+        if g not in self.group:
+            raise ValueError(f"{g.cycle_string()} is not an element of G")
+        return self.canonical_label(g)
 
 
 # ------------------------------------------------------------------ GL2

@@ -294,9 +294,9 @@ class FiniteGroup:
     """A finite permutation group: its sorted element list, and ``images``,
     the same elements as a (|G|, degree) array of image rows.
 
-    ``_memo`` holds what is computed once per group: the multiplication,
-    inverse and conjugation tables, a small generating set, the subgroups,
-    and the right cosets and coset orbits of each subgroup.
+    ``_memo`` holds what is computed once per group: the multiplication and
+    inverse tables, a small generating set, and the right cosets and coset
+    orbits of each subgroup.
     """
 
     def __init__(self, degree: int, elements: Iterable[Perm],
@@ -399,9 +399,9 @@ class FiniteGroup:
             np.argsort(self.images, axis=1)))
 
     def conj_table(self) -> np.ndarray:
-        """conj_table()[x, g] = index of e_x * e_g * e_x^-1, as an int array."""
-        return self._memo.get_or("conj_table", lambda: self.mul_table()[
-            self.mul_table(), self.inv_indices()[:, None]])
+        """conj_table()[x, g] = index of e_x * e_g * e_x^-1, as an int array;
+        not kept on the group."""
+        return self.mul_table()[self.mul_table(), self.inv_indices()[:, None]]
 
     def right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
         """The right cosets sub * g, each a sorted tuple, in order of their
@@ -478,17 +478,14 @@ class FiniteGroup:
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, grown to a fixpoint by joining with cyclic subgroups,
-        on ``mul_table()`` rows; computed once and kept on the group, with
-        each subgroup's own memo.
+        on ``mul_table()`` rows; computed on each call and not kept, since
+        each subgroup holds the group.
 
         The join of a subgroup H with an element c outside it closes inside
         the group, by ``_join``, and subgroups are told apart by index set:
         the cyclic extension of Holt, Eick and O'Brien's *Handbook of
         Computational Group Theory* (2005), with every join tried.
         """
-        return self._memo.get_or("subgroups", self._subgroups)
-
-    def _subgroups(self) -> tuple["Subgroup", ...]:
         rows = self.mul_table().tolist()
         cyclic = {}  # each nontrivial cyclic subgroup, with its least generator
         for c in range(1, len(self)):
@@ -678,13 +675,13 @@ def right_coset_reps(group: FiniteGroup, sub: FiniteGroup,
     return [coset[rng.randrange(len(coset))] for coset in cosets]
 
 
-def normalizer_in_sym(gamma: FiniteGroup,
-                      max_degree: int = MAX_SYM_DEGREE) -> FiniteGroup:
+def normalizer_in_sym(gamma: FiniteGroup) -> FiniteGroup:
     """{s in Sym(degree) : s gamma s^-1 = gamma}, by scanning all of Sym
-    with the conjugates of a small generating set of gamma."""
+    with the conjugates of a small generating set of gamma; degree at most
+    ``MAX_SYM_DEGREE``."""
     n = gamma.degree
-    if n > max_degree:
-        raise DegreeTooLarge(f"degree too large for brute force: {n} > {max_degree}")
+    if n > MAX_SYM_DEGREE:
+        raise DegreeTooLarge(f"degree too large for brute force: {n} > {MAX_SYM_DEGREE}")
     sym = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     sym_inv, inside = np.argsort(sym, axis=1), np.ones(len(sym), dtype=bool)
     # s S s^-1 in gamma for a generating set S gives s gamma s^-1 = gamma
@@ -957,12 +954,11 @@ class OutDescription:
     measure_factor: str
 
 
-def out_description(gamma: FiniteGroup,
-                    max_degree: int = MAX_SYM_DEGREE) -> OutDescription:
+def out_description(gamma: FiniteGroup) -> OutDescription:
     chars = characters(gamma)
     invs = abelian_invariants(gamma)
     m = invs[-1] if invs else 1
-    norm = normalizer_in_sym(gamma, max_degree)
+    norm = normalizer_in_sym(gamma)
     # gamma is normal in norm, so its left and right cosets agree
     reps = right_coset_reps(norm, gamma)
     char_keys = [tuple(c[g] for g in gamma.elements) for c in chars]

@@ -1,6 +1,6 @@
 """One cache store per owner: a group and a pair each keep one ``Memo``;
-fusion is read from the pair's structure constants and conjugation results
-are cached as the elements themselves, and both outlive ``clear_caches``."""
+fusion is read from the pair's structure constants, conjugation is computed
+on each call, and the elements both return outlive ``clear_caches``."""
 
 import pytest
 
@@ -23,7 +23,7 @@ def exercise(pair) -> None:
     """Fusion table, conjugation, one twisted elementary product, the
     twisted elementary structure constants and the subgroups of G."""
     fusion_table(pair)
-    assert pair.group.subgroups() is pair.group.subgroups()
+    assert pair.group.subgroups() == pair.group.subgroups()
     for _, x in basis(pair):
         conjugate(x)
     omega = build_omega(BUILTIN[pair.name], pair)
@@ -59,17 +59,15 @@ def test_pair_and_group_each_keep_one_store(name):
         assert set(vars(owner)) == attrs  # nothing cached on the side
     pair_kinds = kinds(pair._memo)
     assert {"little", "meet", "orbit_labels", "orbits_by_labels", "reads",
-            "ring", "conjugate"} <= pair_kinds
+            "ring"} <= pair_kinds
     assert pair_kinds <= {"little", "decomposition", "meet", "orbit_labels",
                           "orbits_by_labels", "reads", "class_index", "ring",
-                          "basis_spans", "conjugate", "required", "phase", "term",
-                          "rep", "plan", "sum", "to_ext", "basis"}
+                          "basis_spans", "required", "phase", "term", "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "rep", "plan", "sum", "basis"} <= pair_kinds
+        assert {"required", "phase", "term", "basis"} <= pair_kinds
         # one table each: N and the E of the catalog cocycle
         assert len([key for key in pair._memo if key[0] == "ring"]) == 2
-    assert kinds(pair.group._memo) == {"right_cosets", "coset_orbits", "mul_table",
-                                       "subgroups"}
+    assert kinds(pair.group._memo) == {"right_cosets", "coset_orbits", "mul_table"}
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -84,7 +82,7 @@ def test_cached_fusion_is_the_fresh_product(name):
     fresh_elements = [x for _, x in basis(fresh)]
     for (i, j), z in cached.items():
         assert fuse(fresh_elements[i], fresh_elements[j]) == z
-        assert conjugate(z) is conjugate(z)
+        assert conjugate(z) == conjugate(z)
 
 
 def test_cached_element_survives_clear_caches():

@@ -158,6 +158,14 @@ def test_unknown_pair_errors(capsys):
     (["ext-mul", "--pair", "S3_in_S4", "--x", "B[Q:0]", "--y", "B[K:0]"], "'Q'"),
     (["ext-mul", "--pair", "S3_in_S4", "--x", "B[K:0]", "--y", "B[K:9]"],
      "class index 9"),
+    (["hecke-mul", "--pair", "D4_klein", "--expr", "T[(0 1)]"],
+     "(0 1) is not an element of G"),
+    (["ext-mul", "--pair", "D4_klein", "--x", "B[(0 1):0]", "--y", "B[e:0]"],
+     "(0 1) is not an element of G"),
+    (["elem-mul", "--pair", "D4_klein", "--x", "H((0 1),0)", "--y", "H((),0)"],
+     "'H((0 1),0)': element must lie in the parent group"),
+    (["elem-mul", "--pair", "D4_klein", "--x", "H((0 9),0)", "--y", "H((),0)"],
+     "point 9 out of range"),
 ])
 def test_bad_expression_exits_with_one_line(argv, detail):
     with pytest.raises(SystemExit) as err:

@@ -1,7 +1,8 @@
 """The structure-constant tables H, N and E as based rings: their axioms
 read from each table alone, one storage per table after a check pass,
-products that keep a dropped pair collectable, and the one-call-per-row
-shape of the check runner that the benchmark's op timing relies on."""
+products, conjugates and check passes that keep a dropped pair
+collectable, and the one-call-per-row shape of the check runner that the
+benchmark's op timing relies on."""
 
 import gc
 import itertools
@@ -14,6 +15,7 @@ import heckefuse
 from heckefuse import checks, elementary, exthecke, hecke
 from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cocycle import Cocycle
+from heckefuse.permcore import GroupAction, commensurations
 from heckefuse.ring import Table
 
 from based_ring import based_ring_failures
@@ -22,11 +24,16 @@ PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
 TWISTED = ["D4_klein", "Heis3"]
 
 
+def pair_omegas(pair):
+    """The pair's trivial cocycle, and its catalog cocycle when it has one."""
+    omegas = [Cocycle.trivial(pair.gamma), build_omega(BUILTIN[pair.name], pair)]
+    return [omega for omega in omegas if omega is not None]
+
+
 def catalog_omegas(name):
     """The pair, and its trivial cocycle and catalog cocycle (when it has one)."""
     pair = build_pair(BUILTIN[name])
-    omegas = [Cocycle.trivial(pair.gamma), build_omega(BUILTIN[name], pair)]
-    return pair, [omega for omega in omegas if omega is not None]
+    return pair, pair_omegas(pair)
 
 
 def elementary_unit(pair, omega):
@@ -91,30 +98,93 @@ def test_a_check_pass_stores_each_table_once(monkeypatch):
         (hecke_table,) = tables(pair.hecke()._products)
         for table in held + [hecke_table]:
             assert table._array.nbytes == 8 * len(table) ** 3
-        # everything else the pair keeps is not a structure constant
+        # everything else the pair keeps is not a structure constant, and
+        # is read again by later calls
         assert not any(isinstance(value, np.ndarray) and value.ndim == 3
                        for value in pair._memo.values())
+        assert {key[0] for key in pair._memo} <= {
+            "little", "decomposition", "meet", "orbit_labels", "orbits_by_labels",
+            "reads", "class_index", "ring", "basis_spans", "required", "phase",
+            "term", "basis"}
+        for group in (pair.group, pair.gamma):
+            assert {key if isinstance(key, str) else key[0] for key in group._memo} <= {
+                "mul_table", "inv_indices", "small_generating_set", "right_cosets",
+                "coset_orbits"}
+
+
+def freed_after(build, use) -> bool:
+    """Whether the object build() returns is freed by reference counting
+    alone once use(obj) has run and the object is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        owner = build()
+        use(owner)
+        dropped = weakref.ref(owner)
+        del owner
+        return dropped() is None
+    finally:
+        gc.enable()
+
+
+def last_element(pair):
+    return exthecke.basis(pair)[-1][1]
+
+
+def elementary_sums(pair) -> list:
+    """Per cocycle of pair_omegas, the square of a sum of two products of
+    basis objects."""
+    out = []
+    for omega in pair_omegas(pair):
+        objs = elementary.basis_objects(pair, omega)
+        total = elementary.fuse(objs[-1], objs[-1]) + elementary.fuse(objs[0], objs[-1])
+        out.append(elementary.fuse(total, total))
+    return out
+
+
+READS = {
+    "fusion": lambda pair: (exthecke.fuse(last_element(pair), last_element(pair)),
+                            elementary_sums(pair)),
+    "conjugate": lambda pair: exthecke.conjugate(last_element(pair)),
+    "to_ext_hecke": lambda pair: elementary.to_ext_hecke(elementary.basis_objects(
+        pair, Cocycle.trivial(pair.gamma))[-1]),
+    "items": lambda pair: [list(total.items()) for total in elementary_sums(pair)],
+    "repr": lambda pair: [repr(total) for total in elementary_sums(pair)],
+}
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_products_keep_a_dropped_pair_collectable(name):
-    # fusion of extended elements, of elementary objects and of elementary
-    # sums reads table rows and memoizes nothing that holds the pair
+    # fusion reads table rows, and conjugates, identifications with the
+    # extended algebra and the representatives of a sum are computed on each
+    # call: nothing memoized holds the pair.  Nor does gamma's memo hold the
+    # subgroups that a commensuration search walks, each holding gamma
+    for case, use in READS.items():
+        assert freed_after(lambda: build_pair(BUILTIN[name]), use), case
+    if BUILTIN[name].degree <= 4:  # the pairs whose commensurations check searches
+        assert freed_after(lambda: build_pair(BUILTIN[name]).gamma, lambda gamma: (
+            commensurations(GroupAction.natural(gamma), GroupAction.natural(gamma))))
+
+
+def test_a_check_pass_keeps_every_pair_collectable(monkeypatch):
+    built = []
+
+    def recording(entry, *args):
+        pair = build_pair(entry, *args)
+        built.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(checks, "build_pair", recording)
+    heckefuse.clear_caches()
     gc.collect()
     gc.disable()
     try:
-        pair, omegas = catalog_omegas(name)
-        x = exthecke.basis(pair)[-1][1]
-        exthecke.fuse(x, x)
-        for omega in omegas:
-            objs = elementary.basis_objects(pair, omega)
-            total = elementary.fuse(objs[-1], objs[-1]) + elementary.fuse(objs[0], objs[-1])
-            elementary.fuse(total, total)
-        dropped = weakref.ref(pair)
-        del pair, x, objs, total
-        assert dropped() is None
+        outcomes = checks.run_checks()
+        alive = [pair() for pair in built]
     finally:
         gc.enable()
+    assert outcomes and all(o.passed for o in outcomes)
+    assert len(alive) == 4 and alive == [None] * 4
 
 
 def test_each_outcome_comes_from_one_top_level_check_call(monkeypatch):
