@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import projrep
 from .catalog import (
     BUILTIN,
     CatalogEntry,
+    build_backend,
     build_omega,
     build_pair,
     fusion_table,
@@ -400,10 +401,7 @@ def check_ext_associativity(pair: FinitePair, cfg: Config) -> None:
     spans = basis_spans(pair)
     at = [(label, i) for label, span in spans.items()
           for i in range(span.stop - span.start)]
-    triples = list(itertools.product(range(len(at)), repeat=3))
-    if len(triples) > cfg.triple_limit:
-        rng = random.Random(cfg.seed)
-        triples = rng.sample(triples, cfg.triple_limit)
+    triples = _sampled_triples(len(at), cfg)
     # the blocks of every sampled triple in one sweep
     blocks = triple_blocks(pair, [(at[i][0], at[j][0], at[k][0])
                                   for i, j, k in triples])
@@ -478,11 +476,7 @@ def check_elementary_associativity(pair: FinitePair, omega: Cocycle,
     """(x y) z against x (y z) on sampled basis triples, read from the rows
     of E that the triples reach."""
     consts = elem_structure_constants(pair, omega)
-    triples = list(itertools.product(range(len(consts)), repeat=3))
-    if len(triples) > cfg.triple_limit:
-        rng = random.Random(cfg.seed)
-        triples = rng.sample(triples, cfg.triple_limit)
-    _associative(consts, "elementary fusion", triples)
+    _associative(consts, "elementary fusion", _sampled_triples(len(consts), cfg))
 
 
 def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
@@ -515,6 +509,15 @@ def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
 
 
 # ------------------------------------------------------------ based-ring laws
+
+def _sampled_triples(n: int, cfg: Config) -> list[tuple[int, int, int]]:
+    """The basis triples of an n-element basis, or a seeded sample of
+    ``cfg.triple_limit`` of them when there are more."""
+    triples = list(itertools.product(range(n), repeat=3))
+    if len(triples) > cfg.triple_limit:
+        triples = random.Random(cfg.seed).sample(triples, cfg.triple_limit)
+    return triples
+
 
 def _associative(consts, what: str, triples=None) -> Optional[np.ndarray]:
     """(x y) z against x (y z) in a table of structure constants.
@@ -592,94 +595,90 @@ def _reciprocal(consts, dual: np.ndarray, weights: np.ndarray, what: str) -> Non
 
 # ------------------------------------------------------------ runner
 
+# (outcome name, scope, check function), in report order.  A row runs on
+# each entry that ``_scopes`` gives its scope, with that scope's arguments.
+# Its function is looked up on the module by name as it runs, so a check
+# rebound there (perfbench times each check that way) is the one that runs.
+CHECKS = (
+    ("gl2-relations", "gl2", check_gl2_relations),
+    ("gl2-closed-form", "gl2", check_gl2_closed_form),
+    ("bc-lambda-homomorphism", "bc", check_bc_lambda),
+    ("bc-closed-form", "bc", check_bc_closed_form),
+    ("coset-counting", "pair", check_coset_counting),
+    ("labels-stable", "pair", check_labels_stable),
+    ("conjugation-isomorphism", "pair", check_conjugation_isomorphism),
+    ("normalizer-contains", "pair", check_normalizer_contains),
+    ("commensurations-symmetric", "pair", check_commensurations_symmetric),
+    ("rep-completeness", "any-omega", check_rep_completeness),
+    ("induction-frobenius", "pair", check_induction_frobenius),
+    ("inner-transport", "pair", check_inner_transport),
+    ("equivalence-vs-hom", "pair", check_equivalence_vs_hom),
+    ("hecke-associativity", "hecke", check_hecke_associativity),
+    ("degree-homomorphism", "hecke", check_degree_homomorphism),
+    ("involution-laws", "hecke", check_involution_laws),
+    ("hecke-frobenius-weighted", "finite-hecke", check_hecke_frobenius_weighted),
+    ("lambda-trivial", "finite-hecke", check_lambda_trivial_finite),
+    ("ext-associativity", "pair", check_ext_associativity),
+    ("ext-frobenius", "pair", check_ext_frobenius),
+    ("ext-homomorphisms", "pair", check_ext_homomorphisms),
+    ("ext-dims-multiplicative", "pair", check_ext_dims_multiplicative),
+    ("ext-overcount", "pair", check_ext_overcount),
+    ("crossed-dim-identity", "pair", check_crossed_dim),
+    ("representative-independence", "pair", check_representative_independence),
+    ("elementary-cross-oracle", "pair", check_elementary_cross_oracle),
+    ("coboundary-multiplicative", "omega", check_coboundary_multiplicative),
+    ("cohomologous-equivalence", "omega", check_cohomologous_equivalence),
+    ("conjugation-identity", "omega", check_conjugation_identity),
+    ("heisenberg-classification", "heisenberg", check_heisenberg_classification),
+    ("elementary-associativity", "omega", check_elementary_associativity),
+    ("elementary-irreducibility", "omega", check_elementary_irreducibility),
+)
+
+
+def _scopes(entry: CatalogEntry, cfg: Config) -> dict[str, tuple]:
+    """The arguments of each scope of ``CHECKS`` that covers entry: an
+    arithmetic entry's kind, and its backend on small labels (hecke); a
+    finite entry's pair, the pair with its cocycle or None (any-omega), its
+    backend (hecke, finite-hecke), and with a cocycle, omega (and heisenberg
+    for a Heisenberg cocycle)."""
+    small = {"gl2": ("1,2", "1,3", "2,2"),
+             "bc": ("2;0", "1/2;0", "3;1/3")}.get(entry.kind)
+    if small is not None:
+        bk = build_backend(entry)
+        labels = [bk.parse_label(s) for s in small]
+        return {entry.kind: (cfg,), "hecke": (bk, cfg, labels)}
+    pair = build_pair(entry)
+    omega = build_omega(entry, pair)
+    bk = pair.hecke()
+    scopes = {"pair": (pair, cfg), "any-omega": (pair, omega, cfg),
+              "hecke": (bk, cfg), "finite-hecke": (bk, cfg)}
+    if omega is not None:
+        scopes["omega"] = (pair, omega, cfg)
+        if entry.omega[0] == "heisenberg":
+            scopes["heisenberg"] = (pair, omega, cfg, entry)
+    return scopes
+
+
 def run_checks(entry_names: Optional[list[str]] = None,
                catalog: Optional[dict[str, CatalogEntry]] = None,
                cfg: Optional[Config] = None) -> list[Outcome]:
     catalog = dict(BUILTIN if catalog is None else catalog)
     cfg = cfg or Config()
-    names = entry_names or sorted(catalog)
     outcomes: list[Outcome] = []
-
-    def run(name: str, target: str, fn: Callable, *args) -> None:
-        try:
-            fn(*args)
-        except Exception as exc:  # noqa: BLE001 - report any witness
-            outcomes.append(Outcome(name, target, False, str(exc)))
-        else:
-            outcomes.append(Outcome(name, target, True))
-
-    # built per call, so a check rebound on the module (perfbench times
-    # each check that way) is the one that runs
-    hecke_laws = (("hecke-associativity", check_hecke_associativity),
-                  ("degree-homomorphism", check_degree_homomorphism),
-                  ("involution-laws", check_involution_laws))
-    arithmetic = {
-        "gl2": (GL2Hecke, (("gl2-relations", check_gl2_relations),
-                           ("gl2-closed-form", check_gl2_closed_form)),
-                ("1,2", "1,3", "2,2")),
-        "bc": (BostConnesHecke, (("bc-lambda-homomorphism", check_bc_lambda),
-                                 ("bc-closed-form", check_bc_closed_form)),
-               ("2;0", "1/2;0", "3;1/3")),
-    }
-    for entry_name in names:
+    for entry_name in entry_names or sorted(catalog):
         entry = catalog[entry_name]
-        if entry.kind in arithmetic:
-            backend, firsts, labels = arithmetic[entry.kind]
-            bk = backend()
-            small = [bk.parse_label(s) for s in labels]
-            for name, check in firsts:
-                run(name, entry_name, check, cfg)
-            for name, law in hecke_laws:
-                run(name, entry_name, law, bk, cfg, small)
-            continue
-
         try:
-            pair = build_pair(entry)
-            omega = build_omega(entry, pair)
+            scopes = _scopes(entry, cfg)
         except Exception as exc:  # noqa: BLE001 - a bad entry fails alone
             outcomes.append(Outcome("build-entry", entry_name, False, str(exc)))
             continue
-        run("coset-counting", entry_name, check_coset_counting, pair, cfg)
-        run("labels-stable", entry_name, check_labels_stable, pair, cfg)
-        run("conjugation-isomorphism", entry_name,
-            check_conjugation_isomorphism, pair, cfg)
-        run("normalizer-contains", entry_name, check_normalizer_contains, pair, cfg)
-        run("commensurations-symmetric", entry_name,
-            check_commensurations_symmetric, pair, cfg)
-        run("rep-completeness", entry_name, check_rep_completeness,
-            pair, omega, cfg)
-        run("induction-frobenius", entry_name, check_induction_frobenius, pair, cfg)
-        run("inner-transport", entry_name, check_inner_transport, pair, cfg)
-        run("equivalence-vs-hom", entry_name, check_equivalence_vs_hom, pair, cfg)
-        bk = pair.hecke()
-        for name, law in hecke_laws:
-            run(name, entry_name, law, bk, cfg)
-        run("hecke-frobenius-weighted", entry_name,
-            check_hecke_frobenius_weighted, bk, cfg)
-        run("lambda-trivial", entry_name, check_lambda_trivial_finite, bk, cfg)
-        run("ext-associativity", entry_name, check_ext_associativity, pair, cfg)
-        run("ext-frobenius", entry_name, check_ext_frobenius, pair, cfg)
-        run("ext-homomorphisms", entry_name, check_ext_homomorphisms, pair, cfg)
-        run("ext-dims-multiplicative", entry_name,
-            check_ext_dims_multiplicative, pair, cfg)
-        run("ext-overcount", entry_name, check_ext_overcount, pair, cfg)
-        run("crossed-dim-identity", entry_name, check_crossed_dim, pair, cfg)
-        run("representative-independence", entry_name,
-            check_representative_independence, pair, cfg)
-        run("elementary-cross-oracle", entry_name,
-            check_elementary_cross_oracle, pair, cfg)
-        if omega is not None:
-            run("coboundary-multiplicative", entry_name,
-                check_coboundary_multiplicative, pair, omega, cfg)
-            run("cohomologous-equivalence", entry_name,
-                check_cohomologous_equivalence, pair, omega, cfg)
-            run("conjugation-identity", entry_name,
-                check_conjugation_identity, pair, omega, cfg)
-            if entry.omega[0] == "heisenberg":
-                run("heisenberg-classification", entry_name,
-                    check_heisenberg_classification, pair, omega, cfg, entry)
-            run("elementary-associativity", entry_name,
-                check_elementary_associativity, pair, omega, cfg)
-            run("elementary-irreducibility", entry_name,
-                check_elementary_irreducibility, pair, omega, cfg)
+        for name, scope, check in CHECKS:
+            if scope not in scopes:
+                continue
+            try:
+                globals()[check.__name__](*scopes[scope])
+            except Exception as exc:  # noqa: BLE001 - report any witness
+                outcomes.append(Outcome(name, entry_name, False, str(exc)))
+            else:
+                outcomes.append(Outcome(name, entry_name, True))
     return outcomes

@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -57,6 +58,15 @@ def pick_entry(catalog: dict, name: str) -> CatalogEntry:
         known = ", ".join(sorted(catalog))
         raise SystemExit(f"unknown pair {name!r}; known: {known}")
     return catalog[name]
+
+
+def pick_pair(catalog: dict, args) -> tuple[CatalogEntry, FinitePair]:
+    """The entry named by --pair and its finite pair, within --max-group-order."""
+    entry = pick_entry(catalog, args.pair)
+    try:
+        return entry, build_pair(entry, args.max_group_order)
+    except ValueError as exc:  # not finite, too large, or a bad record
+        raise SystemExit(f"cannot build pair {entry.name!r}: {exc}") from None
 
 
 def emit(args, data, text: str) -> None:
@@ -158,10 +168,7 @@ def cmd_list(args, catalog) -> int:
 
 
 def cmd_cosets(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    if entry.kind != "finite":
-        raise SystemExit("cosets are enumerable only for finite pairs")
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     hk = pair.hecke()
     rows = []
     for dc in pair.cosets.cosets:
@@ -195,8 +202,7 @@ def cmd_hecke_mul(args, catalog) -> int:
 
 
 def cmd_ext_basis(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     rows = []
     for key, el in basis(pair):
         (label, parts), = el.support.items()
@@ -211,8 +217,7 @@ def cmd_ext_basis(args, catalog) -> int:
 
 
 def cmd_ext_mul(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     try:
         x, y = parse_ext_element(pair, args.x), parse_ext_element(pair, args.y)
     except ValueError as exc:
@@ -226,8 +231,7 @@ def cmd_ext_mul(args, catalog) -> int:
 
 
 def cmd_elem_mul(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     omega = resolve_omega(args, entry, pair)
     x = parse_elem_element(pair, omega, entry.degree, args.x)
     y = parse_elem_element(pair, omega, entry.degree, args.y)
@@ -240,8 +244,7 @@ def cmd_elem_mul(args, catalog) -> int:
 
 
 def cmd_out_desc(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     desc = out_description(pair.gamma)
     data = {
         "schema": SCHEMA,
@@ -264,8 +267,7 @@ def cmd_out_desc(args, catalog) -> int:
 
 
 def cmd_table(args, catalog) -> int:
-    entry = pick_entry(catalog, args.pair)
-    pair = build_pair(entry, args.max_group_order)
+    entry, pair = pick_pair(catalog, args)
     data = fusion_table(pair)
     text = (f"fusion table for {entry.name}: {len(data['basis'])} basis elements, "
             f"{len(data['products'])} products")
@@ -280,18 +282,15 @@ def cmd_table(args, catalog) -> int:
 
 
 def cmd_check(args, catalog) -> int:
-    names = [args.pair] if args.pair else None
-    cfg = Config(seed=args.seed, trials=args.trials)
-    outcomes = run_checks(names, catalog, cfg)
-    failures = [o for o in outcomes if not o.passed]
-    for o in outcomes:
-        status = "ok  " if o.passed else "FAIL"
-        line = f"{status} {o.name} [{o.target}]"
-        if not o.passed:
-            line += f": {o.detail}"
-        print(line)
-    print(f"{len(outcomes) - len(failures)}/{len(outcomes)} checks passed")
-    return 1 if failures else 0
+    names = [pick_entry(catalog, args.pair).name] if args.pair else None
+    outcomes = run_checks(names, catalog, Config(seed=args.seed, trials=args.trials))
+    passed = sum(o.passed for o in outcomes)
+    lines = [f"ok   {o.name} [{o.target}]" if o.passed
+             else f"FAIL {o.name} [{o.target}]: {o.detail}" for o in outcomes]
+    lines.append(f"{passed}/{len(outcomes)} checks passed")
+    emit(args, {"schema": SCHEMA, "outcomes": [asdict(o) for o in outcomes]},
+         "\n".join(lines))
+    return 0 if passed == len(outcomes) else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -775,8 +775,7 @@ def _injective_homs(rows_a: list, rows_b: list, gens: list[int],
             and all(lam in allowed[g] for g, lam in f.items())]
 
 
-def commensurations(a: GroupAction, b: GroupAction,
-                    max_points: int = MAX_ACTION_POINTS) -> list[Commensuration]:
+def commensurations(a: GroupAction, b: GroupAction) -> list[Commensuration]:
     """All (eta, subgroup, iso) with eta(g.i) = iso(g).eta(i), canonically ordered.
 
     Exhaustive over eta in Sym(npoints) and the subgroups of A, on indices:
@@ -788,7 +787,7 @@ def commensurations(a: GroupAction, b: GroupAction,
     """
     if a.npoints != b.npoints:
         return []
-    if a.npoints > max_points:
+    if a.npoints > MAX_ACTION_POINTS:
         raise DegreeTooLarge(
             f"too many points for exhaustive commensuration search: {a.npoints}")
     perms = list(itertools.permutations(range(a.npoints)))

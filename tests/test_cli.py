@@ -145,6 +145,20 @@ def test_check_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SEED0_SHA256
 
 
+def test_check_report_goes_through_the_output_flags(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code, printed = run(capsys, "check", "--pair", "Z3_regular", "--format", "json",
+                        "--out", str(out))
+    assert code == 0 and printed == ""
+    data = json.loads(out.read_text())
+    assert data["schema"] == 1 and data["outcomes"]
+    assert all(set(o) == {"name", "target", "passed", "detail"} and o["passed"]
+               and o["target"] == "Z3_regular" for o in data["outcomes"])
+    _, text = run(capsys, "check", "--pair", "Z3_regular")
+    assert [line.split()[1] for line in text.splitlines()[:-1]] == [
+        o["name"] for o in data["outcomes"]]
+
+
 def test_unknown_pair_errors(capsys):
     with pytest.raises(SystemExit):
         main(["cosets", "--pair", "nope"])
@@ -166,6 +180,17 @@ def test_unknown_pair_errors(capsys):
      "'H((0 1),0)': element must lie in the parent group"),
     (["elem-mul", "--pair", "D4_klein", "--x", "H((0 9),0)", "--y", "H((),0)"],
      "point 9 out of range"),
+    (["cosets", "--pair", "gl2"], "gl2 is not a finite pair"),
+    (["ext-basis", "--pair", "gl2"], "gl2 is not a finite pair"),
+    (["ext-mul", "--pair", "bc", "--x", "B[e:0]", "--y", "B[e:0]"],
+     "bc is not a finite pair"),
+    (["elem-mul", "--pair", "gl2", "--x", "H((),0)", "--y", "H((),0)"],
+     "gl2 is not a finite pair"),
+    (["out-desc", "--pair", "bc"], "bc is not a finite pair"),
+    (["table", "--pair", "bc"], "bc is not a finite pair"),
+    (["table", "--pair", "S3_in_S4", "--max-group-order", "3"],
+     "closure exceeds 3 elements"),
+    (["check", "--pair", "nosuch"], "unknown pair 'nosuch'"),
 ])
 def test_bad_expression_exits_with_one_line(argv, detail):
     with pytest.raises(SystemExit) as err:

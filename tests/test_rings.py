@@ -5,6 +5,7 @@ collectable, and the one-call-per-row shape of the check runner that the
 benchmark's op timing relies on."""
 
 import gc
+import inspect
 import itertools
 import weakref
 
@@ -190,8 +191,9 @@ def test_a_check_pass_keeps_every_pair_collectable(monkeypatch):
 def test_each_outcome_comes_from_one_top_level_check_call(monkeypatch):
     """The benchmark's ``check`` workload wraps every ``check_*`` callable
     of the module and pairs its top-level calls with the outcomes in order,
-    so every row must make exactly one top-level ``check_*`` call, and the
-    shared law helpers must not be named ``check_*``."""
+    so every outcome must come from exactly one top-level call, of the
+    function its ``CHECKS`` row names, and the shared law helpers must not
+    be named ``check_*``."""
     calls, depth = [], [0]
 
     def timed(fn, name):
@@ -212,9 +214,19 @@ def test_each_outcome_comes_from_one_top_level_check_call(monkeypatch):
     outcomes = checks.run_checks()
     assert outcomes and all(o.passed for o in outcomes)
     assert len(calls) == len(outcomes)
-    for call, outcome in zip(calls, outcomes):
-        row = "check_" + outcome.name.replace("-", "_")
-        assert row.startswith(call) or call.startswith(row), (call, outcome.name)
+    row_function = {name: check.__name__ for name, _, check in checks.CHECKS}
+    assert [row_function[o.name] for o in outcomes] == calls
+
+
+def test_every_check_function_has_one_row():
+    """Each ``check_*`` function of the module is named by exactly one row,
+    and each row names one of them."""
+    defined = sorted(name for name, fn in vars(checks).items()
+                     if name.startswith("check_") and inspect.isfunction(fn)
+                     and fn.__module__ == checks.__name__)
+    assert sorted(check.__name__ for _, _, check in checks.CHECKS) == defined
+    names = [name for name, _, _ in checks.CHECKS]
+    assert len(set(names)) == len(names)
 
 
 def test_the_hecke_table_is_read_from_the_basis_products():
