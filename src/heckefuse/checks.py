@@ -76,6 +76,7 @@ from .hecke import (
     structure_constants as hecke_structure_constants,
 )
 from .permcore import (
+    DEFAULT_MAX_ORDER,
     GroupAction,
     GroupTooLarge,
     MAX_SYM_DEGREE,
@@ -113,6 +114,7 @@ class Config:
     seed: int = 0
     trials: int = 5
     triple_limit: int = 40          # sampled associativity triples per pair
+    max_order: int = DEFAULT_MAX_ORDER  # closure bound of every group built
 
 
 # ------------------------------------------------------------ finite-pair checks
@@ -120,12 +122,12 @@ class Config:
 def check_coset_counting(pair: FinitePair, cfg: Config) -> None:
     gamma = pair.gamma
     for dc in pair.cosets.cosets:
-        if len(dc.elements) != len(gamma) * dc.right_count:
+        if len(dc.idx) != len(gamma) * dc.right_count:
             raise CheckFailure(f"|coset| != |gamma| * right count at "
                                f"{dc.label.cycle_string()}")
         if dc.left_count != dc.right_count:
             raise CheckFailure(f"left != right count at {dc.label.cycle_string()}")
-    if sum(len(dc.elements) for dc in pair.cosets.cosets) != len(pair.group):
+    if sum(len(dc.idx) for dc in pair.cosets.cosets) != len(pair.group):
         raise CheckFailure("double cosets do not partition the group")
 
 
@@ -644,10 +646,10 @@ def _scopes(entry: CatalogEntry, cfg: Config) -> dict[str, tuple]:
     small = {"gl2": ("1,2", "1,3", "2,2"),
              "bc": ("2;0", "1/2;0", "3;1/3")}.get(entry.kind)
     if small is not None:
-        bk = build_backend(entry)
+        bk = build_backend(entry, cfg.max_order)
         labels = [bk.parse_label(s) for s in small]
         return {entry.kind: (cfg,), "hecke": (bk, cfg, labels)}
-    pair = build_pair(entry)
+    pair = build_pair(entry, cfg.max_order)
     omega = build_omega(entry, pair)
     bk = pair.hecke()
     scopes = {"pair": (pair, cfg), "any-omega": (pair, omega, cfg),

@@ -175,7 +175,7 @@ def cmd_cosets(args, catalog) -> int:
         rows.append({
             "name": hk.label_str(dc.label),
             "representative": dc.label.cycle_string(),
-            "size": len(dc.elements),
+            "size": len(dc.idx),
             "left_count": dc.left_count,
             "right_count": dc.right_count,
             "little_order": len(dc.little),
@@ -283,7 +283,8 @@ def cmd_table(args, catalog) -> int:
 
 def cmd_check(args, catalog) -> int:
     names = [pick_entry(catalog, args.pair).name] if args.pair else None
-    outcomes = run_checks(names, catalog, Config(seed=args.seed, trials=args.trials))
+    outcomes = run_checks(names, catalog, Config(seed=args.seed, trials=args.trials,
+                                                 max_order=args.max_group_order))
     passed = sum(o.passed for o in outcomes)
     lines = [f"ok   {o.name} [{o.target}]" if o.passed
              else f"FAIL {o.name} [{o.target}]: {o.detail}" for o in outcomes]

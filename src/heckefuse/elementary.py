@@ -58,7 +58,7 @@ import numpy as np
 from . import projrep
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
 from .exthecke import ExtHeckeElement, FinitePair
-from .permcore import Perm, Subgroup, conj_map, conj_maps
+from .permcore import Perm, Subgroup, conj_map, conj_maps, index_groups
 from .projrep import (
     Induction,
     NumericalDegradation,
@@ -378,9 +378,10 @@ def fusion_plan(pair: FinitePair, omega: Cocycle, delta1: Perm,
     steps = []
     # right1\gamma/left2 as left2-orbits on the right cosets; g is the least
     # element of the double coset, or a random one
-    cosets, coset_of = gamma.right_cosets(right1)
-    for orbit in gamma.coset_orbits(right1, pair.little_of_element(delta2.inverse())):
-        g = pair.pick([x for m in orbit for x in cosets[coset_of[m]]])
+    members = gamma.right_cosets(right1)[0]
+    left2 = pair.little_of_element(delta2.inverse())
+    for orbit in index_groups(gamma.coset_orbits(right1, left2)):
+        g = gamma.elements[pair.pick(members[orbit].ravel().tolist())]
         new_delta = delta1 * g * delta2
         rig_new = pair.little_of_element(new_delta)
         meet = pair.intersection(rig_new, right2)

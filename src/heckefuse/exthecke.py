@@ -16,11 +16,13 @@ of y at h.  Each orbit reads x at one label la and y at one label lb, so the
 products of all basis elements at la with all basis elements at lb form one
 block of the structure constants N[x, y, z] over the basis
 (``structure_constants``, a ``ring.Table``).  Its fill function computes the
-blocks of many label pairs in one sweep: one representative h per orbit, the
-product characters of every class pair, induced per output label and meet,
-and decomposed into irreducible classes in one batched step per output
-label.  ``fuse`` is the bilinear contraction of the rows of N over the
-supports of x and y, so elements stay canonical and multiplicities exact,
+blocks of many label pairs in one sweep on element indices: one
+representative h per orbit, w = g0 h^-1 and the reads of both factors for
+every orbit at once (``_orbit_reads``), the product characters of every
+class pair summed per output label and label pair, induced, and decomposed
+into irreducible classes in one batched step per output label.  ``fuse`` is
+the bilinear contraction of the rows of N over the supports of x and y, so
+elements stay canonical and multiplicities exact,
 and the algebra-law checks read N.  Summing over all cosets instead of
 orbits overcounts each orbit contribution exactly
 [little(g) : little(g) ∩ little(h)] times; ``overcount_identity`` verifies
@@ -56,7 +58,7 @@ from .permcore import (
     Memo,
     Perm,
     Subgroup,
-    conj_maps,
+    _conj_rows,
     conjugate_intersection,
 )
 from .projrep import (
@@ -90,17 +92,19 @@ class FinitePair:
 
     The group keeps the right cosets of gamma and the orbits of each little
     group on them.  The pair keeps everything else in ``_memo``, under keys
-    tagged by kind: little groups of elements, decompositions, meets of
-    little groups, the double cosets each orbit reads (``orbit_labels``) and
-    the orbits grouped by them (``orbits_by_labels``), the index arrays
-    through which characters are read at a point (``_read_key``: keyed by
-    label, total conjugator and meet), the index of each class in its
-    label's basis keys, the table of structure constants N
-    (``structure_constants``) and the ``basis_spans`` it is indexed by, and
-    the elementary structure constants with their basis, canonical terms,
-    required cocycles and conjugation phases of elementary objects over it
-    (filled by :mod:`heckefuse.elementary`).  None of them holds the pair,
-    so a dropped pair is freed by reference counting.
+    tagged by kind: little groups of elements, decompositions and meets of
+    little groups (for elementary fusion and the overcount check), the
+    orbits of every little group with the labels at which fusion reads its
+    factors (``orbits``), the elements c2 of gamma that move each right
+    coset onto its label (``right_factors``), the characters of the little
+    groups laid out over gamma (``characters_on_gamma``), the maps through
+    which conjugation reads characters (``_conjugation_reads``), the index
+    of each class in its label's basis keys, the table of structure
+    constants N (``structure_constants``) and the ``basis_spans`` it is
+    indexed by, and the elementary structure constants with their basis,
+    canonical terms, required cocycles and conjugation phases of elementary
+    objects over it (filled by :mod:`heckefuse.elementary`).  None of them
+    holds the pair, so a dropped pair is freed by reference counting.
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -117,8 +121,13 @@ class FinitePair:
                            for dc in self.cosets.cosets})
 
     def with_choices(self, rng) -> "FinitePair":
-        """The same pair with all representative choices drawn from rng."""
-        return FinitePair(self.group, self.gamma, self.name, rng)
+        """The same pair with all representative choices drawn from rng; it
+        starts with this pair's ``orbits``, ``right_factors`` and
+        ``characters_on_gamma``, which no choice changes."""
+        pair = FinitePair(self.group, self.gamma, self.name, rng)
+        pair._memo.update((key, value) for key, value in self._memo.items()
+                          if key[0] in ("orbits", "right_factors", "characters"))
+        return pair
 
     def hecke(self) -> FiniteHecke:
         return self._hecke
@@ -174,35 +183,58 @@ class FinitePair:
         return self._memo.get_or(("meet", a.key(), b.key()), lambda: Subgroup._of(
             a.parent, a.idx[b.positions(a.images) >= 0]))
 
-    def coset_orbits(self, little: Subgroup) -> tuple:
-        """Orbits of the little group on right cosets (as coset-min tuples)."""
+    def coset_orbits(self, little: Subgroup) -> np.ndarray:
+        """The number of the orbit of the little group holding each right
+        coset of gamma (``FiniteGroup.coset_orbits``)."""
         return self.group.coset_orbits(self.gamma, little)
 
-    def orbit_labels(self, label: Perm) -> list[tuple[tuple, Perm, Perm]]:
-        """(orbit, label of label * m^-1, label of m) per orbit of little(label),
-        with m the orbit's minimum.
+    def orbits(self) -> tuple:
+        """(g0, start, size, label_w, label_h, cosets) over the orbits of
+        every little group on the right cosets, labels in order and each
+        one's orbits in order of minimum: the orbit at i is one of
+        little(label g0[i]), its cosets are numbered cosets[start[i]:start[i]
+        + size[i]], in order, and label_w[i] and label_h[i] number the double
+        cosets of g0 m^-1 and m, m its minimum; memoized.
 
         Both labels are the same for every element of every coset of the
-        orbit: label * x^-1 lies in gamma * label for x in little(label).
-        They are where the fusion of x and y reads x and y on that orbit.
+        orbit: g0 x^-1 lies in gamma g0 for x in little(g0).  They are where
+        the fusion of x and y reads x and y on that orbit.
         """
-        return self._memo.get_or(("orbit_labels", label), lambda: [
-            (orbit, self.label_of(label * orbit[0].inverse()),
-             self.label_of(orbit[0]))
-            for orbit in self.coset_orbits(self.little(label))])
+        return self._memo.get_or(("orbits",), self._orbits)
 
-    def orbits_by_labels(self) -> dict[tuple[Perm, Perm], list[tuple[Perm, tuple]]]:
-        """(label, orbit) per orbit of every little group, grouped by the two
-        labels of ``orbit_labels`` at which fusion reads its factors;
+    def _orbits(self) -> tuple:
+        members, rows = self.group.right_cosets(self.gamma)[0], self.group.images
+        orders, counts = [], []
+        for dc in self.cosets.cosets:
+            orbit = self.coset_orbits(dc.little)
+            orders.append(np.argsort(orbit, kind="stable"))
+            counts.append(np.bincount(orbit))
+        size, cosets = np.concatenate(counts), np.concatenate(orders)
+        start = np.cumsum(size) - size
+        g0 = np.repeat(np.arange(len(counts)), list(map(len, counts)))
+        m = members[cosets[start], 0]
+        label_w = self._numbers(_times_inverse(rows[self.cosets.label_idx[g0]], rows[m]))
+        return g0, start, size, label_w, self.cosets.number[m], cosets
+
+    def right_factors(self) -> tuple:
+        """(start, count, c2): the right coset numbered c (``right_cosets``)
+        is gamma label c2 for the elements of gamma at positions
+        c2[start[c]:start[c] + count[c]], in order, label its double coset's;
         memoized."""
-        return self._memo.get_or(("orbits_by_labels",), self._orbits_by_labels)
+        return self._memo.get_or(("right_factors",), self._right_factors)
 
-    def _orbits_by_labels(self) -> dict:
-        out: dict[tuple[Perm, Perm], list] = {}
-        for g0 in self.labels():
-            for orbit, label_w, label_h in self.orbit_labels(g0):
-                out.setdefault((label_w, label_h), []).append((g0, orbit))
-        return out
+    def _right_factors(self) -> tuple:
+        gamma, number = self.gamma, self.group.right_cosets(self.gamma)[1]
+        # the right coset of label c2 for every label and every c2 in gamma
+        labels = self.group.images[self.cosets.label_idx]
+        coset = number[self.group.positions(labels[:, gamma.images])]
+        count = np.bincount(coset.ravel(), minlength=len(self.group) // len(gamma))
+        return (np.cumsum(count) - count, count,
+                np.argsort(coset, axis=None, kind="stable") % len(gamma))
+
+    def _numbers(self, rows: np.ndarray) -> np.ndarray:
+        """The number of the double coset of each image row, all elements."""
+        return self.cosets.number[self.group.positions(rows)]
 
     def pick(self, items: list):
         """Orbit-representative choice: canonical minimum, or random under rng."""
@@ -210,11 +242,22 @@ class FinitePair:
             return items[0]
         return items[self.rng.randrange(len(items))]
 
-    def random_coset_element(self, coset_min: Perm) -> Perm:
-        """An element of the right coset gamma * coset_min: its minimum, or
-        one picked under rng."""
-        cosets, coset_of = self.group.right_cosets(self.gamma)
-        return self.pick(cosets[coset_of[coset_min]])
+    def draw(self, sizes) -> np.ndarray:
+        """An index below each entry of sizes: 0, the canonical choice, or
+        one drawn under rng."""
+        if self.rng is None:
+            return np.zeros(len(sizes), dtype=np.intp)
+        return np.array([self.rng.randrange(n) for n in np.asarray(sizes).tolist()],
+                        dtype=np.intp)
+
+    def orbit_elements(self, cosets: np.ndarray, start: np.ndarray,
+                       size: np.ndarray) -> np.ndarray:
+        """The position of one element of each orbit of right cosets, the
+        orbit of cosets[start:start + size]: its minimum, or under rng an
+        element of a coset of the orbit, the coset and the element drawn."""
+        members = self.group.right_cosets(self.gamma)[0]
+        picked = cosets[start + self.draw(size)]
+        return members[picked, self.draw(np.full(len(picked), members.shape[1]))]
 
 
 class ExtHeckeElement:
@@ -313,49 +356,55 @@ def from_rep(pair: FinitePair, rep: Rep) -> ExtHeckeElement:
     return ExtHeckeElement(pair, {label: decompose(rep)})
 
 
-def _character_on(x: ExtHeckeElement, point: Perm, meet: Subgroup,
-                  by: Perm) -> np.ndarray:
-    """The character of (x at point) ∘ Ad(by) on meet, in meet's element order."""
-    key = _read_key(x.pair, point, meet, by)
-    reads = x.pair._memo.get_or(key, lambda: _conj_reads(x.pair, [key])[0])
-    char = sum(m * cls.character() for cls, m in x.support[key[1]].items())
-    return char[reads]
-
-
-def _read_key(pair: FinitePair, point: Perm, meet: Subgroup, by: Perm) -> tuple:
-    """("reads", label, c2 by, meet) with point = c1 * label * c2: x at
-    point is (x at label) ∘ Ad(c2), so x at point composed with Ad(by)
-    reads x at label through the map of this key."""
-    label = pair.label_of(point)
-    if point != label:
-        by = pair.decomposition(label, point)[1] * by
-    return ("reads", label, by, meet)
-
-
-def _conj_reads(pair: FinitePair, keys: list) -> list[np.ndarray]:
-    """Per key ("reads", label, x, meet), the positions in little(label) of
-    x t x^-1 for t in meet, the maps of each (label, meet) from one
-    ``conj_maps``; the pair memoizes them under their keys."""
-    rows: dict[tuple, list] = {}
-    for _, label, x, meet in keys:
-        rows.setdefault((label, meet), []).append(x.images)
-    maps = {(label, meet): iter(conj_maps(meet, xs, pair.little(label)))
-            for (label, meet), xs in rows.items()}
-    return [next(maps[label, meet]) for _, label, _, meet in keys]
-
-
-def _induce(little_g: Subgroup, meet: Subgroup, chars: np.ndarray) -> np.ndarray:
-    """Ind from meet to little_g of each row of chars, a character of meet,
-    as its value on each class of ``conjugacy_classes(little_g)``.
-
-    Ind chi(g) = |little_g| / (|meet| |C|) sum over m in meet ∩ C of chi(m),
-    with C the class of g in little_g (Isaacs, Character Theory of Finite
-    Groups, ch. 5).
+def _reads(pair: FinitePair, p: np.ndarray, conj_b: np.ndarray) -> tuple:
+    """Where x at the elements at positions p, composed with Ad(b), reads x
+    at their labels, for conj_b the positions in gamma of b t b^-1 for each
+    t in gamma, -1 outside it: (the number of the double coset of each
+    element, conj).  Row i of conj holds the position in gamma of
+    c2 b t (c2 b)^-1 for each t in gamma, -1 outside it, with
+    p = c1 label c2 for c1, c2 in gamma: c2 is the first such element of
+    gamma, or one drawn under rng.  x at p is (x at label) ∘ Ad(c2), so on
+    little(b) the map of row i carries Ad(b) of x at p to x at label.
     """
-    _, cls_of, sizes = conjugacy_classes(little_g)
-    at = cls_of[little_g.positions(meet.images)]
-    sums = chars @ (at[:, None] == np.arange(len(sizes)))
-    return sums * (len(little_g) / (len(meet) * sizes))
+    dcs, (start, count, c2) = pair.cosets, pair.right_factors()
+    coset = pair.group.right_cosets(pair.gamma)[1][p]
+    c2 = c2[start[coset] + pair.draw(count[coset])][:, None]
+    # gamma is the little group of the identity, the first label
+    mul, inv = dcs.cosets[0].little.mul_table(), dcs.cosets[0].little.inv_indices()
+    return dcs.number[p], np.where(conj_b >= 0, mul[mul[c2, conj_b], inv[c2]], -1)
+
+
+def _orbit_reads(pair: FinitePair, a: np.ndarray, h: np.ndarray,
+                 around: np.ndarray) -> tuple:
+    """For the elements at positions a and h, and masks around over gamma:
+    (meets, [the reads of x at a h^-1 through Ad h, those of y at h]),
+    meets the masks of around ∩ little(h), the reads as ``_reads`` gives
+    them.  For a a label g0 and around little(g0), h an orbit's
+    representative, they are what the fusion of x and y reads on the orbit."""
+    rows, gamma, n = pair.group.images, pair.gamma, len(pair.gamma)
+    at = pair.group.positions(np.concatenate([_times_inverse(rows[a], rows[h]), _conj_rows(
+        gamma.images, rows[h]).reshape(-1, pair.group.degree)]))
+    w, conj_h = at[:len(h)], at[len(h):].reshape(-1, n)
+    # gamma is the right coset numbered 0, the one of the identity
+    members, number = pair.group.right_cosets(gamma)
+    conj_h = np.where(number[conj_h] == 0, np.searchsorted(members[0], conj_h), -1)
+    return around & (conj_h >= 0), [
+        _reads(pair, w, conj_h), _reads(pair, h, np.arange(n)[None])]
+
+
+def _times_inverse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The image rows of a b^-1 for the rows a and b of two stacks."""
+    return np.take_along_axis(a, np.argsort(b, axis=1), axis=1)
+
+
+def _tagger(pair: FinitePair, label_tuples: list):
+    """The function from columns of double-coset numbers, one per place of
+    the tuples, to the index in label_tuples of each row's labels, -1 where
+    they are not one of them."""
+    index = {tuple(map(pair.cosets.number_of, labels)): i
+             for i, labels in enumerate(label_tuples)}
+    return lambda *columns: np.array([index.get(key, -1) for key in zip(
+        *(column.tolist() for column in columns))], dtype=np.intp)
 
 
 def _fusion_fill(pair: FinitePair, label_pairs: list, views: list) -> None:
@@ -364,21 +413,19 @@ def _fusion_fill(pair: FinitePair, label_pairs: list, views: list) -> None:
     label_pairs, added into its view (n_a, n_b, n) at the span of each
     output label, in one sweep.
 
-    The sweep draws one representative h per orbit, label pairs in order and
-    orbits in ``orbits_by_labels`` order, and reads both factors on the meet
-    little(g0) ∩ little(h) (``_induced_products``).
+    The sweep draws one representative h per orbit of ``orbits`` that reads
+    a requested label pair, and reads both factors on the meet
+    little(g0) ∩ little(h) (``_orbit_reads``, ``_induced_products``).
     """
-    identity, grouped, spans = pair.group.identity, pair.orbits_by_labels(), basis_spans(pair)
-    entries = []
-    for (label_a, label_b), view in zip(label_pairs, views):
-        for g0, orbit in grouped.get((label_a, label_b), ()):
-            h = pair.random_coset_element(pair.pick(orbit))
-            meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
-            entries.append(((view, spans[g0]), g0, meet, [
-                _read_key(pair, g0 * h.inverse(), meet, h),
-                _read_key(pair, h, meet, identity)]))
-    for (view, span), mults in _induced_products(pair, entries):
-        view[:, :, span] += mults
+    g0, start, size, label_w, label_h, cosets = pair.orbits()
+    tag = _tagger(pair, label_pairs)(label_w, label_h)
+    at = np.flatnonzero(tag >= 0)
+    g0, dcs = g0[at], pair.cosets
+    meets, factors = _orbit_reads(pair, dcs.label_idx[g0], pair.orbit_elements(
+        cosets, start[at], size[at]), dcs.little_at[g0] >= 0)
+    spans = list(basis_spans(pair).values())
+    for t, g, mults in _induced_products(pair, tag[at], g0, meets, factors):
+        views[t][:, :, spans[g]] += mults
 
 
 def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
@@ -390,82 +437,119 @@ def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     The (h, k) orbit of little(g0) on pairs of right cosets contributes the
     induction from little(g0) ∩ little(h) ∩ little(k) of
     (x at g0 h^-1 ∘ Ad h) ⊗ (y at h k^-1 ∘ Ad k) ⊗ (z at k).  The sweep
-    draws one h per orbit of little(g0) and one k per orbit of
-    little(g0) ∩ little(h), each once (``_induced_products``).
+    draws one h per orbit of little(g0) whose first label is requested, and
+    one k per orbit of little(g0) ∩ little(h) whose labels, read at its
+    minimum, complete a requested triple (``_induced_products``).
     """
-    identity = pair.group.identity
     wanted = {labels: {} for labels in label_triples}
-    firsts, entries = {labels[0] for labels in label_triples}, []
-    for g0 in pair.labels():
-        little_g = pair.little(g0)
-        for h_orbit, label_w, _ in pair.orbit_labels(g0):
-            if label_w not in firsts:
-                continue
-            h = pair.random_coset_element(pair.pick(h_orbit))
-            stab = pair.intersection(little_g, pair.little_of_element(h))
-            for k_orbit in pair.coset_orbits(stab):
-                k = pair.random_coset_element(pair.pick(k_orbit))
-                v = h * k.inverse()
-                block = wanted.get((label_w, pair.label_of(v), pair.label_of(k)))
-                if block is None:
-                    continue
-                meet = pair.intersection(stab, pair.little_of_element(k))
-                block[g0] = 0
-                entries.append(((block, g0), g0, meet, [
-                    _read_key(pair, g0 * h.inverse(), meet, h),
-                    _read_key(pair, v, meet, k),
-                    _read_key(pair, k, meet, identity)]))
-    _summed_blocks(pair, entries)
+    triples, rows, dcs = list(wanted), pair.group.images, pair.cosets
+    tags = _tagger(pair, triples)
+    g0, start, size, label_w, _, cosets = pair.orbits()
+    first_label = np.zeros(len(dcs), dtype=bool)
+    first_label[[dcs.number_of(labels[0]) for labels in triples]] = True
+    at = np.flatnonzero(first_label[label_w])
+    g0, h = g0[at], pair.orbit_elements(cosets, start[at], size[at])
+    stabs, (first, _) = _orbit_reads(pair, dcs.label_idx[g0], h, dcs.little_at[g0] >= 0)
+    members = pair.group.right_cosets(pair.gamma)[0]
+    picked = [[np.zeros(0, np.intp)] for _ in range(3)]  # h's index, k, tag
+    by_stab: dict[bytes, list] = {}  # the h of each stabilizer
+    for i, stab in enumerate(stabs):
+        by_stab.setdefault(stab.tobytes(), []).append(i)
+    for hs in by_stab.values():
+        orbit = pair.coset_orbits(Subgroup._of(pair.group, pair.gamma.idx[stabs[hs[0]]]))
+        k_cosets, k_size = np.argsort(orbit, kind="stable"), np.bincount(orbit)
+        k_start = np.cumsum(k_size) - k_size
+        # every h of this stab with every k-orbit, whose two labels are
+        # constant on it: read them at its minimum m
+        i = np.repeat(hs, len(k_size))
+        o = np.tile(np.arange(len(k_size)), len(hs))
+        m = members[k_cosets[k_start[o]], 0]
+        tag = tags(label_w[at[i]], pair._numbers(_times_inverse(rows[h[i]], rows[m])),
+                   dcs.number[m])
+        keep = np.flatnonzero(tag >= 0)
+        k = pair.orbit_elements(k_cosets, k_start[o[keep]], k_size[o[keep]])
+        for column, values in zip(picked, (i[keep], k, tag[keep])):
+            column.append(values)
+    i, k, tag = map(np.concatenate, picked)
+    meets, (second, third) = _orbit_reads(pair, h[i], k, stabs[i])
+    labels = pair.labels()
+    for t, g, mults in _induced_products(pair, tag, g0[i], meets, [
+            (first[0][i], first[1][i]), second, third]):
+        wanted[triples[t]][labels[g]] = mults
     return [wanted[labels] for labels in label_triples]
 
 
-def _summed_blocks(pair: FinitePair, entries: list) -> None:
-    """Set block[key] to the sum of the ``_induced_products`` of the entries
-    tagged (block, key)."""
-    for (block, key), mults in _induced_products(pair, entries):
-        block[key] = block[key] + mults
+def _induced_products(pair: FinitePair, tags: np.ndarray, g0: np.ndarray,
+                      meets: np.ndarray, factors: list):
+    """Per distinct (tag, g0) of the entries, (tag, g0, mults): mults[i, j,
+    ..., z] the multiplicity of irreducible z of little(g0) in the sum, over
+    the entries so tagged, of Ind from the entry's meet (a mask over gamma)
+    of the product of class i at the first factor's label, class j at the
+    second's, ..., each read through its factor's map (``_reads``).  The
+    entries of one tag read the same labels.
 
-
-def _induced_products(pair: FinitePair, entries: list):
-    """Per entry (tag, g0, meet, read keys), (tag, mults): mults[i, j, ...]
-    the multiplicities, over ``irreducibles`` of little(g0), of Ind from meet
-    of the product of class i at the first key's label, class j at the
-    second's, ..., each read through its key's map (memoized on the pair).
-    The products of one g0 and one meet are induced together, and all those
-    of one g0 decomposed in one ``decompose_characters`` call per chunk of
+    The class products of all entries are formed at once on the characters
+    of ``characters_on_gamma``, padded to the most classes, in chunks of
+    about 2^20 values, summed per (tag, g0) and induced; those of one g0
+    are decomposed in one ``decompose_characters`` call per chunk of
     ``projrep.MAX_DENSE_BYTES``.
     """
-    every_key = [key for *_, keys in entries for key in keys]
-    reads = iter(pair._memo.get_all(every_key,
-                                    lambda missing: _conj_reads(pair, missing)))
-    tables = {label: character_table(pair.little(label),
-                                     Cocycle.trivial(pair.little(label)))
-              for label in {key[1] for key in every_key}}
-    stacks: dict[Perm, dict] = {}  # g0 -> meet -> (tag, shape, chars, dims)
-    for tag, g0, meet, keys in entries:
-        chars, dims = tables[keys[0][1]]
-        chars, shape = chars[:, next(reads)], (len(dims),)
-        for key in keys[1:]:
-            chars_f, dims_f = tables[key[1]]
-            chars = (chars[:, None] * chars_f[None, :, next(reads)]).reshape(-1, len(meet))
-            dims, shape = np.outer(dims, dims_f).ravel(), shape + (len(dims_f),)
-        stacks.setdefault(g0, {}).setdefault(meet, []).append((tag, shape, chars, dims))
-    for g0, meets in stacks.items():
-        little_g, values, dims, parts = pair.little(g0), [], [], []
-        for meet, stack in meets.items():
-            values.append(_induce(little_g, meet, np.concatenate([s[2] for s in stack])))
-            for tag, shape, _, dim in stack:
-                dims.append(dim * (len(little_g) // len(meet)))
-                parts.append((tag, shape, len(dim)))
-        values, dims = np.concatenate(values), np.concatenate(dims)
-        cls_of, step = conjugacy_classes(little_g)[1], max(
-            1, projrep.MAX_DENSE_BYTES // (16 * len(little_g)))  # rows per chunk
-        mults = np.concatenate([decompose_characters(
-            little_g, Cocycle.trivial(little_g), values[i:i + step, cls_of],
-            dims[i:i + step]) for i in range(0, len(dims), step)])
-        for tag, shape, rows in parts:
-            yield tag, mults[:rows].reshape(*shape, -1)
-            mults = mults[rows:]
+    if not len(tags):
+        return
+    dcs, n = pair.cosets, len(pair.gamma)
+    chars_at, dims_at, induce_at = characters_on_gamma(pair)
+    width = dims_at.shape[1]
+    for labels, conj in factors:
+        outside = meets & ((conj < 0) | (dcs.little_at[labels[:, None], conj] < 0))
+        if outside.any():
+            label = dcs.cosets[labels[np.argmax(outside.any(axis=1))]].label
+            raise FusionFormulaError(
+                f"a read at {label.cycle_string()} leaves its little group")
+    # the entries in order of (g0, tag): a group per (g0, tag), from starts
+    code = g0 * (tags.max() + 1) + tags
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.concatenate([[True], code[1:] != code[:-1]])
+    group, first = np.cumsum(starts) - 1, order[starts]
+    # the 1 / |meet| of induction goes into each entry's weight
+    weights = meets / meets.sum(axis=1, keepdims=True)
+    sums = np.zeros((len(first), width ** len(factors), n), dtype=complex)
+    step = max(1, (1 << 20) // sums[0].size)  # entries per chunk
+    for start in range(0, len(order), step):
+        rows = order[start:start + step]
+        product = weights[rows][:, None]
+        for labels, conj in factors:
+            read = chars_at[labels[rows][:, None, None], np.arange(width)[:, None],
+                            conj[rows][:, None]]
+            product = (product[:, :, None] * read[:, None]).reshape(len(rows), -1, n)
+        at = starts[start:start + step].copy()
+        at[0] = True  # a chunk may start inside a group
+        at = np.flatnonzero(at)
+        sums[group[start + at]] += np.add.reduceat(product, at, axis=0)
+    # each product's dimension, times the sum of |little(g0)| / |meet|
+    counts = np.bincount(group, weights=1 / meets[order].sum(axis=1))
+    dims = np.ones((len(first), 1), dtype=np.int64)
+    for labels, _ in factors:
+        dims = (dims[:, :, None] * dims_at[labels[first]][:, None]).reshape(len(first), -1)
+    ncls = (dims_at > 0).sum(axis=1)
+    shapes = list(zip(*(ncls[labels[first]].tolist() for labels, _ in factors)))
+    g0, tags = g0[first].tolist(), tags[first].tolist()
+    start = 0
+    for g, run in itertools.groupby(g0):  # the groups of one g0 are consecutive
+        at = slice(start, start + len(list(run)))
+        start = at.stop
+        little_g = dcs.cosets[g].little
+        dims_g = (dims[at] * np.rint(counts[at] * len(little_g)).astype(np.int64)[:, None])
+        real = np.flatnonzero(dims_g)  # the rows of class products, not padding
+        values = sums[at].reshape(-1, n)[real] @ induce_at[g][:, :len(little_g)]
+        step = max(1, projrep.MAX_DENSE_BYTES // (16 * len(little_g)))  # rows per chunk
+        mults = np.zeros((dims_g.size, ncls[g]), dtype=np.int64)
+        mults[real] = np.concatenate([decompose_characters(
+            little_g, Cocycle.trivial(little_g), values[i:i + step],
+            dims_g.ravel()[real[i:i + step]]) for i in range(0, len(real), step)])
+        mults = mults.reshape((-1,) + (width,) * len(factors) + (ncls[g],))
+        for a, block in zip(range(at.start, at.stop), mults):
+            yield tags[a], g, block[tuple(map(slice, shapes[a]))]
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
@@ -487,28 +571,36 @@ def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
 
 def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
     """Per (label_a, label_b) of label_pairs, (g0, cosets) per orbit of
-    ``orbits_by_labels``: cosets maps each coset of the orbit, by its
+    ``orbits`` that reads them: cosets maps each coset of the orbit, by its
     minimum h and in orbit order, to the int array
     (n_a, n_b, classes of little(g0)) of its fusion term, read at g0 h^-1
     and h.  All are computed in one sweep, which checks that every coset
     reads the orbit's two labels."""
-    identity, grouped = pair.group.identity, pair.orbits_by_labels()
-    out, entries = [], []
-    for labels in label_pairs:
-        out.append([])
-        for g0, orbit in grouped.get(labels, ()):
-            cosets = dict.fromkeys(orbit, 0)
-            out[-1].append((g0, cosets))
-            for h in orbit:
-                w = g0 * h.inverse()
-                if (pair.label_of(w), pair.label_of(h)) != labels:
-                    raise FusionFormulaError(
-                        f"orbit of {orbit[0].cycle_string()} at label "
-                        f"{g0.cycle_string()}: support is not orbit-invariant")
-                meet = pair.intersection(pair.little(g0), pair.little_of_element(h))
-                entries.append(((cosets, h), g0, meet, [
-                    _read_key(pair, w, meet, h), _read_key(pair, h, meet, identity)]))
-    _summed_blocks(pair, entries)
+    g0, start, size, label_w, label_h, cosets = pair.orbits()
+    tag = _tagger(pair, label_pairs)(label_w, label_h)
+    at = np.flatnonzero(tag >= 0)
+    # every coset of every orbit at, by its minimum, in orbit order
+    orbit = np.repeat(at, size[at])
+    first = np.repeat(np.cumsum(size[at]) - size[at], size[at])
+    h = pair.group.right_cosets(pair.gamma)[0][
+        cosets[start[orbit] + np.arange(len(orbit)) - first], 0]
+    meets, factors = _orbit_reads(pair, pair.cosets.label_idx[g0[orbit]], h,
+                                  pair.cosets.little_at[g0[orbit]] >= 0)
+    moved = (factors[0][0] != label_w[orbit]) | (factors[1][0] != label_h[orbit])
+    els, labels = pair.group.elements, pair.labels()
+    if moved.any():
+        o = orbit[np.argmax(moved)]
+        raise FusionFormulaError(
+            f"orbit of {els[h[np.searchsorted(orbit, o)]].cycle_string()} at label "
+            f"{labels[g0[o]].cycle_string()}: support is not orbit-invariant")
+    out, terms = [[] for _ in label_pairs], []
+    for o, hs in zip(at.tolist(), np.split(h, np.cumsum(size[at])[:-1])):
+        block = dict.fromkeys(els[x] for x in hs.tolist())
+        out[tag[o]].append((labels[g0[o]], block))
+        terms += [(block, els[x]) for x in hs.tolist()]
+    for t, _, mults in _induced_products(pair, np.arange(len(h)), g0[orbit], meets, factors):
+        block, key = terms[t]
+        block[key] = mults
     return out
 
 
@@ -524,20 +616,24 @@ def overcount_identity(pair: FinitePair) -> None:
     every pair of elements.  Any failure is a fusion-formula implementation
     bug."""
     label_pairs = list(itertools.product(pair.labels(), repeat=2))
-    for orbits in overcount_blocks(pair, label_pairs):
-        for g0, cosets in orbits:
-            h, little_g = next(iter(cosets)), pair.little(g0)
-            index = len(little_g) // len(pair.intersection(
-                little_g, pair.little_of_element(h)))
-            if index != len(cosets):
-                raise FusionFormulaError(
-                    f"orbit size {len(cosets)} != index {index} at "
-                    f"({g0.cycle_string()}, {h.cycle_string()})")
-            terms = np.stack(list(cosets.values()))  # in orbit order
-            if (terms.sum(axis=0) != index * terms[0]).any():
-                raise FusionFormulaError(
-                    f"orbit total at {g0.cycle_string()} is not the index {index} "
-                    "times the representative contribution")
+    orbits = [orbit for block in overcount_blocks(pair, label_pairs) for orbit in block]
+    # |little(g) ∩ little(h)| for the first coset h of every orbit at once
+    gamma, dcs = pair.gamma, pair.cosets
+    inside = gamma.positions(_conj_rows(gamma.images, [
+        next(iter(cosets)).images for _, cosets in orbits])) >= 0
+    meets = (inside & (dcs.little_at[[dcs.number_of(g0) for g0, _ in orbits]] >= 0)).sum(
+        axis=1).tolist()
+    for (g0, cosets), meet in zip(orbits, meets):
+        h, index = next(iter(cosets)), len(pair.little(g0)) // meet
+        if index != len(cosets):
+            raise FusionFormulaError(
+                f"orbit size {len(cosets)} != index {index} at "
+                f"({g0.cycle_string()}, {h.cycle_string()})")
+        terms = np.stack(list(cosets.values()))  # in orbit order
+        if (terms.sum(axis=0) != index * terms[0]).any():
+            raise FusionFormulaError(
+                f"orbit total at {g0.cycle_string()} is not the index {index} "
+                "times the representative contribution")
 
 
 def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
@@ -548,14 +644,38 @@ def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
     this formula is validated by the involutivity and reciprocity tests.
     """
     pair, out = x.pair, {}
+    new, reads = _conjugation_reads(pair)
     for label, parts in x.support.items():
-        new_label = pair.label_of(label.inverse())
+        k = pair.cosets.number_of(label)
+        new_label = pair.labels()[new[k]]
         little_new = pair.little(new_label)
-        # new_label^-1 lies in the double coset of label
-        char = np.conj(_character_on(x, new_label.inverse(), little_new, new_label))
+        char = np.conj(sum(m * cls.character() for cls, m in parts.items())[reads[k]])
         out[new_label] = add_multiset(out.get(new_label, {}), decompose_character(
             little_new, Cocycle.trivial(little_new), char, multiset_dim(parts)))
     return ExtHeckeElement._of(pair, out)
+
+
+def _conjugation_reads(pair: FinitePair) -> tuple:
+    """(new, reads): per label number k, the number new[k] of the double
+    coset of label_k^-1, and the map reads[k] through which conjugation
+    reads a value at label k: with N that coset's label, N^-1 lies in the
+    double coset of label k, and reads[k] holds the position in little(label
+    k) of c2 N t (c2 N)^-1 for each t in little(N), as ``_reads`` gives it;
+    memoized."""
+    return pair._memo.get_or(("conjugation",), _conjugation, pair)
+
+
+def _conjugation(pair: FinitePair) -> tuple:
+    dcs, gamma, rows = pair.cosets, pair.gamma, pair.group.images
+    new = pair._numbers(np.argsort(rows[dcs.label_idx], axis=1))
+    by = rows[dcs.label_idx[new]]
+    _, conj = _reads(pair, pair.group.positions(np.argsort(by, axis=1)),
+                     gamma.positions(_conj_rows(gamma.images, by)))
+    reads = [dcs.little_at[k][conj[k][dcs.little_at[n] >= 0]]
+             for k, n in enumerate(new.tolist())]
+    if any((read < 0).any() for read in reads):
+        raise FusionFormulaError("conjugation reads outside a little group")
+    return new, reads
 
 
 def to_hecke(x: ExtHeckeElement) -> HeckeElement:
@@ -585,6 +705,39 @@ def basis(pair: FinitePair) -> list[tuple[str, ExtHeckeElement]]:
         for i, cls in enumerate(irreducibles(pair.little(label))):
             out.append((f"{name}:{i}", ExtHeckeElement._of(pair, {label: {cls: 1}})))
     return out
+
+
+def characters_on_gamma(pair: FinitePair) -> tuple:
+    """(chars, dims, induce), the irreducible characters of the little
+    groups laid out over gamma for the fusion sweeps; memoized.
+
+    chars[k, i, t] is the character of class i of ``irreducibles`` of the
+    little group of label k at element t of gamma, zero outside that group
+    and beyond its classes, and dims[k, i] the class's dimension, zero
+    beyond.  A character chi of a subgroup M of little group L of label k,
+    weighted by 1 / |M| and zero off M, times induce[k] is Ind from M to L
+    of chi on the elements of L: Ind chi(g) = |L| / (|M| |C|) sum over m in
+    M ∩ C of chi(m), with C the class of g in L (Isaacs, Character Theory of
+    Finite Groups, ch. 5).
+    """
+    return pair._memo.get_or(("characters",), _characters_on_gamma, pair)
+
+
+def _characters_on_gamma(pair: FinitePair) -> tuple:
+    dcs, n = pair.cosets, len(pair.gamma)
+    tables = [character_table(dc.little, Cocycle.trivial(dc.little)) for dc in dcs.cosets]
+    width = max(len(dims) for _, dims in tables)
+    chars = np.zeros((len(tables), width, n), dtype=complex)
+    dims = np.zeros((len(tables), width), dtype=np.int64)
+    induce = np.zeros((len(tables), n, n))
+    for k, (dc, (chars_k, dims_k)) in enumerate(zip(dcs.cosets, tables)):
+        inside = dcs.little_at[k] >= 0
+        chars[k, :len(dims_k), inside] = chars_k.T
+        dims[k, :len(dims_k)] = dims_k
+        _, cls_of, sizes = conjugacy_classes(dc.little)
+        induce[k, inside, :len(dc.little)] = (cls_of[:, None] == cls_of) * (
+            len(dc.little) / sizes[cls_of])
+    return chars, dims, induce
 
 
 def basis_spans(pair: FinitePair) -> dict[Perm, slice]:

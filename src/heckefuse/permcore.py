@@ -403,29 +403,28 @@ class FiniteGroup:
         not kept on the group."""
         return self.mul_table()[self.mul_table(), self.inv_indices()[:, None]]
 
-    def right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
-        """The right cosets sub * g, each a sorted tuple, in order of their
-        minima, and the number of the coset holding each element.
+    def right_cosets(self, sub: "FiniteGroup") -> tuple[np.ndarray, np.ndarray]:
+        """(members, number): row c of members holds the sorted positions of
+        the right coset numbered c, cosets in order of their minima, and
+        number[i] is the number of the coset holding element i.
 
         Found in stacked blocks of rows h * g over h in sub; computed once
         per subgroup and kept on the group, like ``mul_table``.
         """
         return self._memo.get_or(("right_cosets", sub.key()), self._right_cosets, sub)
 
-    def _right_cosets(self, sub: "FiniteGroup") -> tuple[tuple, dict]:
+    def _right_cosets(self, sub: "FiniteGroup") -> tuple[np.ndarray, np.ndarray]:
         if not self.contains_subset(sub.elements):
             raise ValueError("cosets need a subgroup of the group")
         least = _class_minima(len(self), sub.images.size, lambda todo: self.positions(
             sub.images[:, self.images[todo]].swapaxes(0, 1)))
         number = np.unique(least, return_inverse=True)[1]
-        members = np.argsort(least, kind="stable").reshape(-1, len(sub))
-        els = self.elements
-        return (tuple(tuple(map(els.__getitem__, row)) for row in members.tolist()),
-                dict(zip(els, number.tolist())))
+        return np.argsort(least, kind="stable").reshape(-1, len(sub)), number
 
-    def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
-        """The orbits of actor, acting by right multiplication on sub\\group,
-        each the sorted tuple of its cosets' minima, in order of minimum.
+    def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> np.ndarray:
+        """The orbits of actor, acting by right multiplication on sub\\group:
+        the number of the orbit of each right coset of ``right_cosets``,
+        orbits in order of their minima.
 
         An orbit of sub on its own cosets is a double coset; one of L on
         R\\group is a double coset R g L.  Found in stacked blocks of rows
@@ -435,14 +434,11 @@ class FiniteGroup:
         return self._memo.get_or(("coset_orbits", sub.key(), actor.key()),
                                  self._coset_orbits, sub, actor)
 
-    def _coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> tuple:
-        cosets, coset_of = self.right_cosets(sub)
-        number = np.fromiter(map(coset_of.__getitem__, self.elements), np.intp, len(self))
-        at = np.unique(number, return_index=True)[1]  # each coset's minimum
-        orbit = _class_minima(len(at), actor.images.size, lambda todo: number[
-            self.positions(self.images[at[todo]][:, actor.images])]).tolist()
-        return tuple(tuple(cosets[c][0] for c in part) for _, part in itertools.groupby(
-            sorted(range(len(orbit)), key=orbit.__getitem__), orbit.__getitem__))
+    def _coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> np.ndarray:
+        members, number = self.right_cosets(sub)
+        least = _class_minima(len(members), actor.images.size, lambda todo: number[
+            self.positions(self.images[members[todo, 0]][:, actor.images])])
+        return np.unique(least, return_inverse=True)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._key == other._key
@@ -591,19 +587,26 @@ def check_commensuration_subgroups(gamma: Subgroup, deltas: Sequence[Perm]) -> N
                                   f"{delta.cycle_string()}, one delta at a time passes")
 
 
-@dataclass(frozen=True)
+def index_groups(number: np.ndarray) -> list[np.ndarray]:
+    """The sorted indices of each part of a partition, part k being where
+    number is k, for parts 0, 1, ..."""
+    order, stops = np.argsort(number, kind="stable"), np.cumsum(np.bincount(number)).tolist()
+    return [order[start:stop] for start, stop in zip([0] + stops, stops)]
+
+
+@dataclass(frozen=True, eq=False)
 class DoubleCoset:
     """One double coset gamma * label * gamma, with canonical data.
 
     label        lexicographic minimum of the double coset
-    elements     the full double coset as a frozenset
+    idx          the sorted positions in G of its elements
     right_reps   one representative per right coset gamma\\coset
     left_count   [gamma : gamma ∩ label gamma label^-1]
     right_count  [gamma : gamma ∩ label^-1 gamma label]
     little       gamma ∩ label^-1 gamma label, home of attached representations
     """
     label: Perm
-    elements: frozenset
+    idx: np.ndarray
     right_reps: tuple
     left_count: int
     right_count: int
@@ -611,55 +614,64 @@ class DoubleCoset:
 
 
 class DoubleCosetSystem:
-    """The partition of G into gamma-double cosets, with canonical labels."""
+    """The partition of G into gamma-double cosets, with canonical labels.
+
+    Double cosets are numbered in order of their labels: ``number[i]`` is
+    the number of the double coset holding element i, ``label_idx`` the
+    positions of the labels, and row k of ``little_at`` the position in the
+    little group of coset k of each element of gamma, -1 outside it.
+    """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, rng=None):
         if gamma.parent is not group and not group.contains_subset(gamma.elements):
             raise ValueError("gamma must be a subgroup of group")
         self.group = group
         self.gamma = gamma
-        self.cosets: list[DoubleCoset] = []
-        self._label_of: dict[Perm, Perm] = {}
-        self._by_label: dict[Perm, DoubleCoset] = {}
-        right_cosets, coset_of = group.right_cosets(gamma)
-        # a double coset is an orbit of gamma on the right cosets gamma\G
-        orbits = group.coset_orbits(gamma, gamma)
+        members, number = group.right_cosets(gamma)
+        # a double coset is an orbit of gamma on the right cosets gamma\\G
+        orbit = group.coset_orbits(gamma, gamma)
+        self.number = orbit[number]
+        orbits, elements = index_groups(orbit), index_groups(self.number)
+        self.label_idx = np.array([idx[0] for idx in elements])
         # gamma ∩ x^-1 gamma x for x = each label, then each label's inverse
-        labels = np.array([orbit[0].images for orbit in orbits])
+        labels = group.images[self.label_idx]
         inside = gamma.positions(_conj_rows(gamma.images, np.concatenate(
             [labels, np.argsort(labels, axis=1)]))) >= 0
+        self.little_at = np.where(inside, np.cumsum(inside, axis=1) - 1, -1)[:len(orbits)]
         littles = [Subgroup._of(gamma.parent, gamma.idx[row]) for row in inside]
-        for orbit, little, left_little in zip(orbits, littles, littles[len(orbits):]):
-            label = orbit[0]
-            members = [right_cosets[coset_of[m]] for m in orbit]
+        els, self.cosets = group.elements, []
+        for cosets, idx, little, left_little in zip(orbits, elements, littles,
+                                                    littles[len(orbits):]):
             if rng is None:
-                right_reps = orbit
+                reps = members[cosets, 0].tolist()
             else:
-                right_reps = tuple(rc[rng.randrange(len(rc))] for rc in members)
+                reps = [row[rng.randrange(len(row))] for row in members[cosets].tolist()]
             dc = DoubleCoset(
-                label=label,
-                elements=frozenset(x for rc in members for x in rc),
-                right_reps=right_reps,
+                label=els[idx[0]],
+                idx=idx,
+                right_reps=tuple(map(els.__getitem__, reps)),
                 left_count=len(gamma) // len(left_little),
                 right_count=len(gamma) // len(little),
                 little=little,
             )
-            if len(right_reps) != dc.right_count:
+            if len(reps) != dc.right_count:
                 raise RuntimeError(
-                    f"double coset of {label.cycle_string()} has "
-                    f"{len(right_reps)} right cosets, not {dc.right_count}")
+                    f"double coset of {dc.label.cycle_string()} has "
+                    f"{len(reps)} right cosets, not {dc.right_count}")
             self.cosets.append(dc)
-            self._by_label[label] = dc
-            self._label_of.update(dict.fromkeys(dc.elements, label))
+        self._number = {dc.label: k for k, dc in enumerate(self.cosets)}
 
     def label_of(self, g: Perm) -> Perm:
-        return self._label_of[g]
+        return self.cosets[self.number[self.group.index_of(g)]].label
+
+    def number_of(self, label: Perm) -> int:
+        return self._number[label]
 
     def labels(self) -> list[Perm]:
         return [dc.label for dc in self.cosets]
 
     def coset(self, label: Perm) -> DoubleCoset:
-        return self._by_label[label]
+        return self.cosets[self._number[label]]
 
     def __len__(self) -> int:
         return len(self.cosets)
@@ -669,10 +681,10 @@ def right_coset_reps(group: FiniteGroup, sub: FiniteGroup,
                      rng=None) -> list[Perm]:
     """Representatives of sub\\group, in order of coset minimum; the
     canonical choice is the minimum, else one rng draw per coset."""
-    cosets = group.right_cosets(sub)[0]
+    members, els = group.right_cosets(sub)[0], group.elements
     if rng is None:
-        return [coset[0] for coset in cosets]
-    return [coset[rng.randrange(len(coset))] for coset in cosets]
+        return [els[i] for i in members[:, 0].tolist()]
+    return [els[row[rng.randrange(len(row))]] for row in members.tolist()]
 
 
 def normalizer_in_sym(gamma: FiniteGroup) -> FiniteGroup:

@@ -316,8 +316,7 @@ class Induction:
             raise ValueError("extension cocycle must live on the big group")
         if ext_cocycle.restrict(sub) != sub_cocycle:
             raise ValueError("cocycle restriction mismatch")
-        coset_of = big.right_cosets(sub)[1]
-        coset = np.array([coset_of[g] for g in big.elements])
+        coset = big.right_cosets(sub)[1]
         rows = np.array([r.images for r in right_coset_reps(big, sub, rng)])
         at = big.positions(rows)
         t = rows[:, big.images]  # r_i g for every i and g

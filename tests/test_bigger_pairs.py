@@ -45,7 +45,7 @@ def test_s4_regular_decomposition():
 
 def test_d4_in_s4_structure(d4_in_s4):
     pair = d4_in_s4
-    assert [len(dc.elements) for dc in pair.cosets.cosets] == [8, 16]
+    assert [len(dc.idx) for dc in pair.cosets.cosets] == [8, 16]
     assert crossed_dim_identity(pair) == (3 * 8, 1 * 8 + 4 * 4)
     # basis: 5 classes of D4 at e, 4 classes of the order-4 little group at K
     assert len(basis(pair)) == 9
@@ -90,7 +90,7 @@ def test_d4_in_s4_fusion_laws(d4_in_s4):
 def test_s4_in_s5_basics(s4_in_s5):
     pair = s4_in_s5
     assert len(pair.group) == 120
-    sizes = sorted(len(dc.elements) for dc in pair.cosets.cosets)
+    sizes = sorted(len(dc.idx) for dc in pair.cosets.cosets)
     assert sizes == [24, 96]
     lhs, rhs = crossed_dim_identity(pair)
     assert lhs == rhs == 5 * 24

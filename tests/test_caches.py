@@ -58,10 +58,9 @@ def test_pair_and_group_each_keep_one_store(name):
         assert len(stores(owner)) == 1
         assert set(vars(owner)) == attrs  # nothing cached on the side
     pair_kinds = kinds(pair._memo)
-    assert {"little", "meet", "orbit_labels", "orbits_by_labels", "reads",
-            "ring"} <= pair_kinds
-    assert pair_kinds <= {"little", "decomposition", "meet", "orbit_labels",
-                          "orbits_by_labels", "reads", "class_index", "ring",
+    assert {"little", "orbits", "characters", "right_factors", "ring"} <= pair_kinds
+    assert pair_kinds <= {"little", "decomposition", "meet", "orbits", "characters",
+                          "right_factors", "conjugation", "class_index", "ring",
                           "basis_spans", "required", "phase", "term", "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
         assert {"required", "phase", "term", "basis"} <= pair_kinds

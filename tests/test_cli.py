@@ -370,6 +370,14 @@ def test_a_gamma_generator_outside_g_fails_its_entry():
     assert "must lie in the parent group" in outcomes[0].detail
 
 
+def test_check_honours_the_group_order_bound(capsys):
+    code, out = run(capsys, "check", "--pair", "S3_in_S4", "--max-group-order", "3")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL build-entry [S3_in_S4]: ")
+    assert "closure exceeds 3 elements" in out
+    assert out.splitlines()[-1] == "0/1 checks passed"
+
+
 def test_check_command_fails_on_a_bad_entry(tmp_path, capsys):
     catalog = tmp_path / "bad.cat"
     catalog.write_text(BAD_OMEGA_RECORD)

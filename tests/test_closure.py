@@ -211,6 +211,8 @@ def assert_picked_from_parent(h):
 def test_little_groups_and_meets_agree_with_the_checked_constructor(name):
     pair = build_pair(BUILTIN[name])
     fusion_table(pair)
+    for g in pair.group:  # the little group of every element, and its meets
+        pair.intersection(pair.little(pair.labels()[-1]), pair.little_of_element(g))
     derived = [h for key, h in pair._memo.items() if key[0] in ("little", "meet")]
     assert {key[0] for key in pair._memo} >= {"little", "meet"}
     for h in derived + [pair.gamma, commutator_subgroup(pair.gamma)]:

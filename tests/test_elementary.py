@@ -372,7 +372,7 @@ def test_to_ext_hecke_round_trip(s3s4):
     ext = to_ext_hecke(obj)
     assert ext.support == {k_label: {triv_cls: 1}}
     # move delta somewhere else in the double coset and come back
-    other = sorted(pair.cosets.coset(k_label).elements)[7]
+    other = [pair.group.elements[i] for i in pair.cosets.coset(k_label).idx][7]
     c1, c2 = pair.decomposition(k_label, other)
     from heckefuse.projrep import transport
     moved_rep = transport(triv_cls.rep, pair.little_of_element(other),

@@ -41,7 +41,14 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
-from orbit_oracle import orbit_contribution, transport_class, triple_fuse
+from orbit_oracle import (
+    orbit_contribution,
+    perm_cosets,
+    perm_orbits,
+    random_coset_element,
+    transport_class,
+    triple_fuse,
+)
 
 
 def direct_sum(reps):
@@ -111,7 +118,7 @@ def reciprocity_oracle(pair, x, y):
     for g0 in pair.labels():
         little_g = pair.little(g0)
         per_class = {}
-        for orbit in pair.coset_orbits(little_g):
+        for orbit in perm_orbits(pair.group, pair.gamma, little_g):
             h = orbit[0]
             w = g0 * h.inverse()
             if pair.label_of(w) not in x.support or pair.label_of(h) not in y.support:
@@ -146,7 +153,7 @@ def matrix_contribution(pair, x, y, g0, h):
 
 def pair_orbits(pair, little):
     """Orbits of the little group on pairs of right cosets, diagonally."""
-    cosets, coset_of = pair.group.right_cosets(pair.gamma)
+    cosets, coset_of = perm_cosets(pair.group, pair.gamma)
     mins = [coset[0] for coset in cosets]
     all_pairs = {(a, b) for a in mins for b in mins}
     orbits = []
@@ -177,8 +184,8 @@ def matrix_triple_fuse(x, y, z):
         total = {}
         for orbit in pair_orbits(pair, little_g):
             h0, k0 = pair.pick(orbit)
-            h = pair.random_coset_element(h0)
-            k = pair.random_coset_element(k0)
+            h = random_coset_element(pair, h0)
+            k = random_coset_element(pair, k0)
             w1 = g0 * h.inverse()
             w2 = h * k.inverse()
             if (pair.label_of(w1) not in x.support
@@ -309,9 +316,9 @@ def test_orbit_contribution_matches_matrix_formula(name, choice):
     els = [b for _, b in basis(pair)]
     nonzero = 0
     for g0 in pair.labels():
-        for orbit in pair.coset_orbits(pair.little(g0)):
+        for orbit in perm_orbits(pair.group, pair.gamma, pair.little(g0)):
             for coset_min in orbit:
-                h = pair.random_coset_element(coset_min)
+                h = random_coset_element(pair, coset_min)
                 for x in els:
                     for y in els:
                         got = orbit_contribution(pair, x, y, g0, h)
@@ -564,7 +571,7 @@ def test_transport_class_on_wrong_little_group_raises(s3s4):
     pair = s3s4
     e_label, k_label = pair.labels()
     gamma_cls = irreducibles(pair.little(e_label))[0]
-    target = sorted(pair.cosets.coset(k_label).elements)[5]
+    target = [pair.group.elements[i] for i in pair.cosets.coset(k_label).idx][5]
     k_cls = irreducibles(pair.little(k_label))[0]
     for label, cls, at in [(k_label, gamma_cls, target),
                            (e_label, k_cls, Perm.parse(4, "(1 2)"))]:
@@ -576,7 +583,7 @@ def test_decompositions_are_every_pair_in_gamma_order(s3s4):
     pair = s3s4
     e_label, k_label = pair.labels()
     gamma = pair.gamma.elements
-    for target in sorted(pair.cosets.coset(k_label).elements)[::4]:
+    for target in [pair.group.elements[i] for i in pair.cosets.coset(k_label).idx][::4]:
         brute = [(c1, c2) for c2 in gamma for c1 in gamma
                  if c1 * k_label * c2 == target]
         assert list(pair.decompositions(k_label, target)) == brute
@@ -587,7 +594,7 @@ def test_decompositions_are_every_pair_in_gamma_order(s3s4):
 def test_transport_decomposition_independent(s3s4):
     pair = s3s4
     k_label = pair.labels()[1]
-    target = sorted(pair.cosets.coset(k_label).elements)[5]
+    target = [pair.group.elements[i] for i in pair.cosets.coset(k_label).idx][5]
     classes = irreducibles(pair.little(k_label))
     canonical = [transport_class(pair, k_label, c, target) for c in classes]
     for i in range(5):

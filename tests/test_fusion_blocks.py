@@ -29,7 +29,6 @@ from heckefuse.exthecke import (
     ExtHeckeElement,
     FinitePair,
     FusionFormulaError,
-    _induce,
     basis,
     basis_vector,
     basis_spans,
@@ -52,7 +51,15 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
-from orbit_oracle import orbit_contribution, orbit_triple_fuse, triple_fuse
+from orbit_oracle import (
+    induce_on_classes,
+    orbit_contribution,
+    orbit_labels,
+    orbit_triple_fuse,
+    orbits_by_labels,
+    random_coset_element,
+    triple_fuse,
+)
 
 CATALOG = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
 
@@ -79,10 +86,10 @@ def orbit_fuse(pair, x, y):
     out = {}
     for g0 in pair.labels():
         total = {}
-        for orbit, label_w, label_h in pair.orbit_labels(g0):
+        for orbit, label_w, label_h in orbit_labels(pair, g0):
             if label_w not in x.support or label_h not in y.support:
                 continue
-            h = pair.random_coset_element(pair.pick(orbit))
+            h = random_coset_element(pair, pair.pick(orbit))
             total = add_multiset(total, orbit_contribution(pair, x, y, g0, h))
         if total:
             out[g0] = total
@@ -151,9 +158,9 @@ def test_block_fusion_is_bilinear_on_sums(name):
 @pytest.mark.parametrize("name", CATALOG)
 def test_blocks_cover_each_orbit_once(name):
     pair = make_pair(name)
-    grouped = pair.orbits_by_labels()
+    grouped = orbits_by_labels(pair)
     assert collections.Counter(g0 for group in grouped.values() for g0, _ in group) == {
-        g0: len(pair.orbit_labels(g0)) for g0 in pair.labels()}
+        g0: len(orbit_labels(pair, g0)) for g0 in pair.labels()}
     consts = structure_constants(pair)
     for label_a, label_b in all_label_pairs(pair):
         block = label_block(consts, label_a, label_b)
@@ -283,7 +290,8 @@ def test_structure_constants_refuse_an_array_over_the_dense_limit(monkeypatch):
     with pytest.raises(GroupTooLarge,
                        match=f"structure constants of {n} basis elements needs 0 MiB"):
         structure_constants(pair)
-    assert not any(key[0] in ("ring", "reads") for key in pair._memo)
+    assert not any(key[0] in ("ring", "orbits", "characters", "right_factors")
+                   for key in pair._memo)
     monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 8 * n ** 3)
     assert structure_constants(pair).whole().nbytes == 8 * n ** 3
 
@@ -317,14 +325,14 @@ def test_class_sum_induction_matches_the_conjugation_gather(name, choice):
     rng = np.random.default_rng(len(pair.group))
     for g0 in pair.labels():
         little_g = pair.little(g0)
-        for orbit, _, _ in pair.orbit_labels(g0):
-            h = pair.random_coset_element(pair.pick(orbit))
+        for orbit, _, _ in orbit_labels(pair, g0):
+            h = random_coset_element(pair, pair.pick(orbit))
             meet = pair.intersection(little_g, pair.little_of_element(h))
             irr, _ = character_table(meet, Cocycle.trivial(meet))
             chars = np.vstack([rng.integers(0, 3, size=(3, len(irr))) @ irr,
                                rng.normal(size=(1, len(meet)))
                                + 1j * rng.normal(size=(1, len(meet)))])
-            induced = _induce(little_g, meet, chars)[:, conjugacy_classes(little_g)[1]]
+            induced = induce_on_classes(little_g, meet, chars)[:, conjugacy_classes(little_g)[1]]
             assert np.abs(induced - gather_induce(little_g, meet, chars)).max() < 1e-9
 
 
@@ -452,7 +460,7 @@ def test_one_triple_sweep_matches_one_label_triple_at_a_time(name, choice):
 @pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
 def test_overcount_blocks_cover_every_coset_once(name):
     pair = make_pair(name)
-    grouped = pair.orbits_by_labels()
+    grouped = orbits_by_labels(pair)
     for labels, orbits in zip(grouped, overcount_blocks(pair, list(grouped))):
         assert [(g0, tuple(cosets)) for g0, cosets in orbits] == [
             (g0, tuple(orbit)) for g0, orbit in grouped[labels]]
@@ -493,7 +501,7 @@ def test_overcount_catches_a_wrong_coset_term(name, coset, monkeypatch):
     # an orbit of one coset is its own representative; these pairs have larger
     pair = make_pair(name)
     check_ext_overcount(pair, Config())
-    grouped = pair.orbits_by_labels()
+    grouped = orbits_by_labels(pair)
     labels, at, cosets = next(
         (labels, at, cosets)
         for labels, orbits in zip(grouped, overcount_blocks(pair, list(grouped)))
@@ -519,15 +527,17 @@ def test_overcount_catches_a_wrong_coset_term(name, coset, monkeypatch):
 @pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein", "S4_in_S5"])
 def test_overcount_catches_a_coset_from_another_orbit(name):
     pair = make_pair(name)
-    grouped = pair.orbits_by_labels()
-    labels = next(iter(grouped))
-    foreign = next(orbit[0] for (_, label_h), orbits in grouped.items()
-                   if label_h != labels[1] for _, orbit in orbits)
-    (g0, orbit), *rest = grouped[labels]
-    pair._memo[("orbits_by_labels",)] = {
-        **grouped, labels: [(g0, tuple(orbit) + (foreign,)), *rest]}
+    g0, start, size, label_w, label_h, cosets = pair.orbits()
+    # the first coset of the first orbit swapped for one of an orbit that
+    # reads y at another label
+    foreign = np.argmax(label_h != label_h[0])
+    assert label_h[foreign] != label_h[0]
+    cosets = cosets.copy()
+    cosets[start[0]] = cosets[start[foreign]]
+    pair._memo[("orbits",)] = (g0, start, size, label_w, label_h, cosets)
+    labels = pair.labels()
     with pytest.raises(FusionFormulaError, match="orbit-invariant"):
-        overcount_blocks(pair, [labels])
+        overcount_blocks(pair, [(labels[label_w[0]], labels[label_h[0]])])
 
 
 # ------------------------------------------------------------ batched decomposition

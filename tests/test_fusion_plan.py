@@ -40,6 +40,7 @@ from heckefuse.projrep import (
 )
 
 from elementary_oracle import twist
+from orbit_oracle import perm_cosets, perm_orbits
 
 PAIRS = ["S3_in_S4", "Z3_regular", "D4_klein", "Heis3"]
 
@@ -56,8 +57,8 @@ def composed_fuse(h1, h2) -> BimoduleSum:
     induce(twist(tensor(transport(...), restrict(...)), phase), ...)."""
     pair, omega, gamma = h1.pair, h1.omega, h1.pair.gamma
     out: dict = {}
-    cosets, coset_of = gamma.right_cosets(h1.right_subgroup)
-    for orbit in gamma.coset_orbits(h1.right_subgroup, h2.left_subgroup):
+    cosets, coset_of = perm_cosets(gamma, h1.right_subgroup)
+    for orbit in perm_orbits(gamma, h1.right_subgroup, h2.left_subgroup):
         g = pair.pick([x for m in orbit for x in cosets[coset_of[m]]])
         new_delta = h1.delta * g * h2.delta
         rig_new = pair.little_of_element(new_delta)
@@ -317,7 +318,7 @@ def test_a_wrong_conjugation_phase_fails_the_plan_check(monkeypatch):
 def looped_induce_matrices(rep, big, ext_cocycle, rng=None) -> np.ndarray:
     """Induced matrices built one coset representative at a time."""
     sub = rep.group
-    coset_of = big.right_cosets(sub)[1]
+    coset_of = perm_cosets(big, sub)[1]
     coset = np.array([coset_of[g] for g in big.elements])
     reps = right_coset_reps(big, sub, rng)
     rows = np.array([r.images for r in reps])

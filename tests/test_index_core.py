@@ -75,7 +75,7 @@ def test_conjugate_intersection_matches_perm_oracle(pair):
 
 def test_decompositions_match_perm_oracle(pair):
     for label in pair.labels():
-        members = sorted(pair.cosets.coset(label).elements)
+        members = [pair.group.elements[i] for i in pair.cosets.coset(label).idx]
         for target in sample(members, 6):
             for delta in sample(members, 3, seed=1):
                 got = list(pair.decompositions(delta, target))
@@ -341,8 +341,10 @@ def test_check_pass_object_counts(monkeypatch):
     # while they multiplied Perms and closed every subgroup join from
     # scratch; on multiplication-table indices 1,249 (80 closures).  Each
     # group's subgroups are now kept on it, but a pass builds its pairs
-    # afresh and asks each group once, so the count stays at 80
-    assert counts["perm"] + counts["perm_of"] <= 1_300
+    # afresh and asks each group once, so the count stays at 80.  The fusion
+    # sweeps built 1,187 while they formed products, inverses and
+    # decompositions on Perms; on element indices 682
+    assert counts["perm"] + counts["perm_of"] <= 700
     assert counts["perm"] <= 30
     assert counts["closure"] <= 80
     # every cocycle of a check pass is derived from checked ones; elementary
@@ -354,10 +356,12 @@ def test_check_pass_object_counts(monkeypatch):
     # 67 elementary conj_maps (761 before) and 882 one-row character
     # decompositions, the calls through projrep (1,442 before).  Counting
     # exthecke's batched calls too, 923 while the triple product and the
-    # overcount identity decomposed one orbit at a time; 595 in blocks
+    # overcount identity decomposed one orbit at a time; 595 in blocks.  The
+    # positions lookups were 885 while the fusion sweeps read each orbit's
+    # labels and maps one at a time, and are 775 with one batch per sweep
     assert counts["cocycle"] == 0
     assert counts["cocycle_of"] <= 750
-    assert counts["positions"] <= 1_900
+    assert counts["positions"] <= 800
     assert counts["rep_of"] <= 560
     assert counts["phase"] <= 40
     assert counts["elementary_conj_map"] <= 80
@@ -452,6 +456,25 @@ def test_little_groups_and_meets_build_no_perm(monkeypatch):
     counted(FiniteGroup, "_product_blocks", "blocks")
     heckefuse.clear_caches()
     from heckefuse.catalog import fusion_table
-    assert fusion_table(make_pair("S4_in_S5"))["products"]
+    pair = make_pair("S4_in_S5")
+    assert fusion_table(pair)["products"]
+    for g in sample(pair.group.elements):  # little groups and their meets
+        pair.intersection(pair.little(pair.labels()[-1]), pair.little_of_element(g))
     assert counts["built"]
     assert counts["perm"] == counts["blocks"] == 0
+
+
+def test_cold_structure_constants_multiply_and_invert_no_perm(monkeypatch):
+    # the fusion sweep formed g0 * h^-1 and the decompositions' c2 * by on
+    # Perms, 12 products and 10 inverses for this table; it now composes
+    # image rows
+    calls = collections.Counter()
+    for name in ("__mul__", "inverse"):
+        def counted(self, *args, name=name, original=getattr(Perm, name)):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(Perm, name, counted)
+    heckefuse.clear_caches()
+    pair = make_pair("S4_in_S5")
+    assert exthecke.structure_constants(pair).whole().any()
+    assert calls == {}

@@ -149,9 +149,9 @@ def test_double_cosets_s3_in_s4():
     system = DoubleCosetSystem(g, gamma)
     oracle = brute_force_double_cosets(g, gamma)
     assert len(system) == len(oracle) == 2
-    sizes = sorted(len(dc.elements) for dc in system.cosets)
+    sizes = sorted(len(dc.idx) for dc in system.cosets)
     assert sizes == sorted(len(p) for p in oracle) == [6, 18]
-    big = next(dc for dc in system.cosets if len(dc.elements) == 18)
+    big = next(dc for dc in system.cosets if len(dc.idx) == 18)
     assert big.right_count == 3 and len(big.right_reps) == 3
     # right reps lie in distinct right cosets and cover the double coset
     union = set()
@@ -159,7 +159,7 @@ def test_double_cosets_s3_in_s4():
         rc = {a * r for a in gamma.elements}
         assert not (rc & union)
         union |= rc
-    assert union == set(big.elements)
+    assert union == {g.elements[i] for i in big.idx}
 
 
 def test_double_cosets_gamma_equal_g():
@@ -184,7 +184,7 @@ def test_double_coset_counting_identity():
     g, gamma = s3_in_s4()
     system = DoubleCosetSystem(g, gamma)
     for dc in system.cosets:
-        assert len(dc.elements) == len(gamma) * dc.right_count
+        assert len(dc.idx) == len(gamma) * dc.right_count
         assert dc.left_count == dc.right_count
 
 

@@ -104,8 +104,8 @@ def test_a_check_pass_stores_each_table_once(monkeypatch):
         assert not any(isinstance(value, np.ndarray) and value.ndim == 3
                        for value in pair._memo.values())
         assert {key[0] for key in pair._memo} <= {
-            "little", "decomposition", "meet", "orbit_labels", "orbits_by_labels",
-            "reads", "class_index", "ring", "basis_spans", "required", "phase",
+            "little", "decomposition", "meet", "orbits", "characters", "right_factors",
+            "conjugation", "class_index", "ring", "basis_spans", "required", "phase",
             "term", "basis"}
         for group in (pair.group, pair.gamma):
             assert {key if isinstance(key, str) else key[0] for key in group._memo} <= {
