@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .cocycle import Cocycle, bilinear_cocycle
 from .exthecke import FinitePair, basis, dims, structure_constants
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
@@ -224,10 +226,13 @@ def fusion_table(pair: FinitePair) -> dict:
             "dim_left": left,
             "dim_right": right,
         })
-    consts = structure_constants(pair).whole().tolist()
-    products = [{"x": kx, "y": ky,
-                 "terms": [{"z": keys[z], "mult": mult}
-                           for z, mult in enumerate(consts[x][y]) if mult]}
+    consts, n = structure_constants(pair).whole(), len(keys)
+    terms = [[] for _ in range(n * n)]  # per (x, y), in order of z
+    at = np.flatnonzero(consts)
+    for xy, z, mult in zip((at // n).tolist(), (at % n).tolist(),
+                           consts.ravel()[at].tolist()):
+        terms[xy].append({"z": keys[z], "mult": mult})
+    products = [{"x": kx, "y": ky, "terms": terms[x * n + y]}
                 for x, kx in enumerate(keys) for y, ky in enumerate(keys)]
     lambdas = [{"label": names[label],
                 "value": str(modular_lambda(hk, label))}

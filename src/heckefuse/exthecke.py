@@ -69,7 +69,7 @@ from .projrep import (
     conjugacy_classes,
     decompose,
     decompose_character,
-    decompose_characters,
+    decompose_stack,
     irreducibles,
     multiset_dim,
     restrict,
@@ -122,11 +122,12 @@ class FinitePair:
 
     def with_choices(self, rng) -> "FinitePair":
         """The same pair with all representative choices drawn from rng; it
-        starts with this pair's ``orbits``, ``right_factors`` and
-        ``characters_on_gamma``, which no choice changes."""
+        starts with this pair's ``orbits``, ``right_factors``,
+        ``characters_on_gamma``, ``basis_spans`` and class indices, which no
+        choice changes."""
         pair = FinitePair(self.group, self.gamma, self.name, rng)
-        pair._memo.update((key, value) for key, value in self._memo.items()
-                          if key[0] in ("orbits", "right_factors", "characters"))
+        pair._memo.update((key, value) for key, value in self._memo.items() if key[0] in (
+            "orbits", "right_factors", "characters", "basis_spans", "class_index"))
         return pair
 
     def hecke(self) -> FiniteHecke:
@@ -238,9 +239,7 @@ class FinitePair:
 
     def pick(self, items: list):
         """Orbit-representative choice: canonical minimum, or random under rng."""
-        if self.rng is None:
-            return items[0]
-        return items[self.rng.randrange(len(items))]
+        return items[self.draw([len(items)])[0]]
 
     def draw(self, sizes) -> np.ndarray:
         """An index below each entry of sizes: 0, the canonical choice, or
@@ -394,7 +393,7 @@ def _orbit_reads(pair: FinitePair, a: np.ndarray, h: np.ndarray,
 
 def _times_inverse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The image rows of a b^-1 for the rows a and b of two stacks."""
-    return np.take_along_axis(a, np.argsort(b, axis=1), axis=1)
+    return a[np.arange(len(a))[:, None], np.argsort(b, axis=1)]
 
 
 def _tagger(pair: FinitePair, label_tuples: list):
@@ -441,6 +440,8 @@ def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     one k per orbit of little(g0) ∩ little(h) whose labels, read at its
     minimum, complete a requested triple (``_induced_products``).
     """
+    if not label_triples:
+        return []
     wanted = {labels: {} for labels in label_triples}
     triples, rows, dcs = list(wanted), pair.group.images, pair.cosets
     tags = _tagger(pair, triples)
@@ -450,27 +451,29 @@ def triple_blocks(pair: FinitePair, label_triples: list) -> list[dict]:
     at = np.flatnonzero(first_label[label_w])
     g0, h = g0[at], pair.orbit_elements(cosets, start[at], size[at])
     stabs, (first, _) = _orbit_reads(pair, dcs.label_idx[g0], h, dcs.little_at[g0] >= 0)
-    members = pair.group.right_cosets(pair.gamma)[0]
-    picked = [[np.zeros(0, np.intp)] for _ in range(3)]  # h's index, k, tag
-    by_stab: dict[bytes, list] = {}  # the h of each stabilizer
-    for i, stab in enumerate(stabs):
-        by_stab.setdefault(stab.tobytes(), []).append(i)
-    for hs in by_stab.values():
-        orbit = pair.coset_orbits(Subgroup._of(pair.group, pair.gamma.idx[stabs[hs[0]]]))
-        k_cosets, k_size = np.argsort(orbit, kind="stable"), np.bincount(orbit)
-        k_start = np.cumsum(k_size) - k_size
-        # every h of this stab with every k-orbit, whose two labels are
-        # constant on it: read them at its minimum m
-        i = np.repeat(hs, len(k_size))
-        o = np.tile(np.arange(len(k_size)), len(hs))
-        m = members[k_cosets[k_start[o]], 0]
-        tag = tags(label_w[at[i]], pair._numbers(_times_inverse(rows[h[i]], rows[m])),
-                   dcs.number[m])
-        keep = np.flatnonzero(tag >= 0)
-        k = pair.orbit_elements(k_cosets, k_start[o[keep]], k_size[o[keep]])
-        for column, values in zip(picked, (i[keep], k, tag[keep])):
-            column.append(values)
-    i, k, tag = map(np.concatenate, picked)
+    # the k-orbits of every distinct stabilizer, numbered on from the last's
+    distinct: dict[bytes, int] = {}
+    stab_of = np.array([distinct.setdefault(stab.tobytes(), len(distinct))
+                        for stab in stabs], dtype=np.intp)
+    members, number, count = pair.group.right_cosets(pair.gamma)[0], [], []
+    for mask in stabs[np.unique(stab_of, return_index=True)[1]]:
+        orbit = pair.coset_orbits(Subgroup._of(pair.group, pair.gamma.idx[mask]))
+        number.append(orbit + sum(count))
+        count.append(orbit.max() + 1)
+    number, count = np.concatenate(number), np.array(count)
+    k_cosets, k_size = np.argsort(number, kind="stable") % len(members), np.bincount(number)
+    k_start = np.cumsum(k_size) - k_size
+    # every h with every k-orbit of its stabilizer, whose two labels are
+    # constant on it: read them at its minimum m
+    per, base = count[stab_of], (np.cumsum(count) - count)[stab_of]
+    i = np.repeat(np.arange(len(h)), per)
+    o = base[i] + np.arange(len(i)) - np.repeat(np.cumsum(per) - per, per)
+    m = members[k_cosets[k_start[o]], 0]
+    tag = tags(label_w[at[i]], pair._numbers(_times_inverse(rows[h[i]], rows[m])),
+               dcs.number[m])
+    keep = np.flatnonzero(tag >= 0)
+    i, tag = i[keep], tag[keep]
+    k = pair.orbit_elements(k_cosets, k_start[o[keep]], k_size[o[keep]])
     meets, (second, third) = _orbit_reads(pair, h[i], k, stabs[i])
     labels = pair.labels()
     for t, g, mults in _induced_products(pair, tag, g0[i], meets, [
@@ -490,8 +493,8 @@ def _induced_products(pair: FinitePair, tags: np.ndarray, g0: np.ndarray,
 
     The class products of all entries are formed at once on the characters
     of ``characters_on_gamma``, padded to the most classes, in chunks of
-    about 2^20 values, summed per (tag, g0) and induced; those of one g0
-    are decomposed in one ``decompose_characters`` call per chunk of
+    about 2^20 values, summed per (tag, g0), induced and decomposed, all
+    (tag, g0) together in one ``decompose_stack`` call per chunk of
     ``projrep.MAX_DENSE_BYTES``.
     """
     if not len(tags):
@@ -527,29 +530,23 @@ def _induced_products(pair: FinitePair, tags: np.ndarray, g0: np.ndarray,
         at = np.flatnonzero(at)
         sums[group[start + at]] += np.add.reduceat(product, at, axis=0)
     # each product's dimension, times the sum of |little(g0)| / |meet|
-    counts = np.bincount(group, weights=1 / meets[order].sum(axis=1))
-    dims = np.ones((len(first), 1), dtype=np.int64)
+    g0 = g0[first]
+    size = (dcs.little_at[g0] >= 0).sum(axis=1)
+    dims = np.rint(np.bincount(group, weights=1 / meets[order].sum(axis=1)) * size)
+    dims = dims.astype(np.int64)[:, None]
+    ncls = (dims_at > 0).sum(axis=1)
     for labels, _ in factors:
         dims = (dims[:, :, None] * dims_at[labels[first]][:, None]).reshape(len(first), -1)
-    ncls = (dims_at > 0).sum(axis=1)
-    shapes = list(zip(*(ncls[labels[first]].tolist() for labels, _ in factors)))
-    g0, tags = g0[first].tolist(), tags[first].tolist()
-    start = 0
-    for g, run in itertools.groupby(g0):  # the groups of one g0 are consecutive
-        at = slice(start, start + len(list(run)))
-        start = at.stop
-        little_g = dcs.cosets[g].little
-        dims_g = (dims[at] * np.rint(counts[at] * len(little_g)).astype(np.int64)[:, None])
-        real = np.flatnonzero(dims_g)  # the rows of class products, not padding
-        values = sums[at].reshape(-1, n)[real] @ induce_at[g][:, :len(little_g)]
-        step = max(1, projrep.MAX_DENSE_BYTES // (16 * len(little_g)))  # rows per chunk
-        mults = np.zeros((dims_g.size, ncls[g]), dtype=np.int64)
-        mults[real] = np.concatenate([decompose_characters(
-            little_g, Cocycle.trivial(little_g), values[i:i + step],
-            dims_g.ravel()[real[i:i + step]]) for i in range(0, len(real), step)])
-        mults = mults.reshape((-1,) + (width,) * len(factors) + (ncls[g],))
-        for a, block in zip(range(at.start, at.stop), mults):
-            yield tags[a], g, block[tuple(map(slice, shapes[a]))]
+    shapes = [tuple(map(slice, shape)) for shape in zip(
+        *(ncls[labels[first]].tolist() for labels, _ in factors), ncls[g0].tolist())]
+    tags, labels = tags[first].tolist(), g0.tolist()
+    step = max(1, projrep.MAX_DENSE_BYTES // (16 * n * max(n, sums.shape[1])))
+    for start in range(0, len(first), step):  # (tag, g0) per chunk
+        at = slice(start, start + step)
+        mults = decompose_stack(sums[at] @ induce_at[g0[at]], dims[at],
+                                chars_at[g0[at]], dims_at[g0[at]], size[at])
+        for a, block in zip(range(start, start + len(mults)), mults):
+            yield tags[a], labels[a], block.reshape((width,) * (len(factors) + 1))[shapes[a]]
 
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
@@ -575,7 +572,8 @@ def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
     minimum h and in orbit order, to the int array
     (n_a, n_b, classes of little(g0)) of its fusion term, read at g0 h^-1
     and h.  All are computed in one sweep, which checks that every coset
-    reads the orbit's two labels."""
+    reads the orbit's two labels and that the orbit's size is the index
+    [little(g0) : little(g0) ∩ little(h)] at each of its cosets."""
     g0, start, size, label_w, label_h, cosets = pair.orbits()
     tag = _tagger(pair, label_pairs)(label_w, label_h)
     at = np.flatnonzero(tag >= 0)
@@ -584,15 +582,18 @@ def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
     first = np.repeat(np.cumsum(size[at]) - size[at], size[at])
     h = pair.group.right_cosets(pair.gamma)[0][
         cosets[start[orbit] + np.arange(len(orbit)) - first], 0]
-    meets, factors = _orbit_reads(pair, pair.cosets.label_idx[g0[orbit]], h,
-                                  pair.cosets.little_at[g0[orbit]] >= 0)
+    around = pair.cosets.little_at[g0[orbit]] >= 0
+    meets, factors = _orbit_reads(pair, pair.cosets.label_idx[g0[orbit]], h, around)
     moved = (factors[0][0] != label_w[orbit]) | (factors[1][0] != label_h[orbit])
+    index = around.sum(axis=1) // meets.sum(axis=1)
     els, labels = pair.group.elements, pair.labels()
-    if moved.any():
-        o = orbit[np.argmax(moved)]
-        raise FusionFormulaError(
-            f"orbit of {els[h[np.searchsorted(orbit, o)]].cycle_string()} at label "
-            f"{labels[g0[o]].cycle_string()}: support is not orbit-invariant")
+    bad = moved | (index != size[orbit])
+    if bad.any():
+        i = np.argmax(bad)
+        what = ("support is not orbit-invariant" if moved[i]
+                else f"orbit size {size[orbit[i]]} != index {index[i]}")
+        raise FusionFormulaError(f"orbit of {els[h[i]].cycle_string()} at label "
+                                 f"{labels[g0[orbit[i]]].cycle_string()}: {what}")
     out, terms = [[] for _ in label_pairs], []
     for o, hs in zip(at.tolist(), np.split(h, np.cumsum(size[at])[:-1])):
         block = dict.fromkeys(els[x] for x in hs.tolist())
@@ -608,32 +609,21 @@ def overcount_identity(pair: FinitePair) -> None:
     """Re-derive the fusion by summing over all cosets; check exact
     divisibility, on the per-coset blocks of every label pair at once.
 
-    Every coset of an orbit must read the orbit's labels (checked by
-    ``overcount_blocks``), the orbit size must equal
-    [little(g) : little(g) ∩ little(h)], and the full sum must be exactly
-    that index times the orbit representative's contribution, so divisible
-    by it.  The identity is bilinear, so the blocks of basis elements cover
+    Every coset of an orbit must read the orbit's labels, and the orbit
+    size must be the index [little(g) : little(g) ∩ little(h)] (both
+    checked by ``overcount_blocks``); the full sum must be exactly that
+    index times the orbit representative's contribution, so divisible by
+    it.  The identity is bilinear, so the blocks of basis elements cover
     every pair of elements.  Any failure is a fusion-formula implementation
     bug."""
     label_pairs = list(itertools.product(pair.labels(), repeat=2))
-    orbits = [orbit for block in overcount_blocks(pair, label_pairs) for orbit in block]
-    # |little(g) ∩ little(h)| for the first coset h of every orbit at once
-    gamma, dcs = pair.gamma, pair.cosets
-    inside = gamma.positions(_conj_rows(gamma.images, [
-        next(iter(cosets)).images for _, cosets in orbits])) >= 0
-    meets = (inside & (dcs.little_at[[dcs.number_of(g0) for g0, _ in orbits]] >= 0)).sum(
-        axis=1).tolist()
-    for (g0, cosets), meet in zip(orbits, meets):
-        h, index = next(iter(cosets)), len(pair.little(g0)) // meet
-        if index != len(cosets):
-            raise FusionFormulaError(
-                f"orbit size {len(cosets)} != index {index} at "
-                f"({g0.cycle_string()}, {h.cycle_string()})")
-        terms = np.stack(list(cosets.values()))  # in orbit order
-        if (terms.sum(axis=0) != index * terms[0]).any():
-            raise FusionFormulaError(
-                f"orbit total at {g0.cycle_string()} is not the index {index} "
-                "times the representative contribution")
+    for block in overcount_blocks(pair, label_pairs):
+        for g0, cosets in block:
+            terms = np.stack(list(cosets.values()))  # in orbit order
+            if (terms.sum(axis=0) != len(terms) * terms[0]).any():
+                raise FusionFormulaError(
+                    f"orbit total at {g0.cycle_string()} is not the index "
+                    f"{len(terms)} times the representative contribution")
 
 
 def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
@@ -716,9 +706,9 @@ def characters_on_gamma(pair: FinitePair) -> tuple:
     and beyond its classes, and dims[k, i] the class's dimension, zero
     beyond.  A character chi of a subgroup M of little group L of label k,
     weighted by 1 / |M| and zero off M, times induce[k] is Ind from M to L
-    of chi on the elements of L: Ind chi(g) = |L| / (|M| |C|) sum over m in
-    M ∩ C of chi(m), with C the class of g in L (Isaacs, Character Theory of
-    Finite Groups, ch. 5).
+    of chi, laid out the same way: Ind chi(g) = |L| / (|M| |C|) sum over m
+    in M ∩ C of chi(m), with C the class of g in L (Isaacs, Character
+    Theory of Finite Groups, ch. 5).
     """
     return pair._memo.get_or(("characters",), _characters_on_gamma, pair)
 
@@ -735,7 +725,7 @@ def _characters_on_gamma(pair: FinitePair) -> tuple:
         chars[k, :len(dims_k), inside] = chars_k.T
         dims[k, :len(dims_k)] = dims_k
         _, cls_of, sizes = conjugacy_classes(dc.little)
-        induce[k, inside, :len(dc.little)] = (cls_of[:, None] == cls_of) * (
+        induce[k][np.ix_(inside, inside)] = (cls_of[:, None] == cls_of) * (
             len(dc.little) / sizes[cls_of])
     return chars, dims, induce
 

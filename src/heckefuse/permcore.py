@@ -222,18 +222,20 @@ def _closure(degree: int, gens: Sequence[tuple],
     return sorted(queue)
 
 
-def _class_minima(n: int, width: int, members: Callable) -> np.ndarray:
-    """least[i] = the least item of the class of item i, for a partition of
-    the items 0..n-1 whose classes members(todo) lists, a row per item of
-    todo.  Asks only for items no class found so far covers, in blocks of
-    about 2^20 / width items, like ``FiniteGroup._product_blocks``."""
+def _class_numbers(n: int, width: int, members: Callable) -> np.ndarray:
+    """The number of the class of each item, classes numbered in order of
+    their least items, for a partition of the items 0..n-1 whose classes
+    members(todo) lists, a row per item of todo.  Asks only for items no
+    class found so far covers, in blocks of about 2^20 / width items, like
+    ``FiniteGroup._product_blocks``."""
     least = np.full(n, -1)
     step = max(1, (1 << 20) // width)
     for start in range(0, n, step):
         todo = start + np.flatnonzero(least[start:start + step] < 0)
         found = members(todo)
         least[found] = found.min(axis=1, keepdims=True)
-    return least
+    # a class's least item is its own least
+    return (np.cumsum(least == np.arange(n)) - 1)[least]
 
 
 def _conj_rows(rows: np.ndarray, xs) -> np.ndarray:
@@ -416,10 +418,9 @@ class FiniteGroup:
     def _right_cosets(self, sub: "FiniteGroup") -> tuple[np.ndarray, np.ndarray]:
         if not self.contains_subset(sub.elements):
             raise ValueError("cosets need a subgroup of the group")
-        least = _class_minima(len(self), sub.images.size, lambda todo: self.positions(
+        number = _class_numbers(len(self), sub.images.size, lambda todo: self.positions(
             sub.images[:, self.images[todo]].swapaxes(0, 1)))
-        number = np.unique(least, return_inverse=True)[1]
-        return np.argsort(least, kind="stable").reshape(-1, len(sub)), number
+        return np.argsort(number, kind="stable").reshape(-1, len(sub)), number
 
     def coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> np.ndarray:
         """The orbits of actor, acting by right multiplication on sub\\group:
@@ -436,9 +437,8 @@ class FiniteGroup:
 
     def _coset_orbits(self, sub: "FiniteGroup", actor: "FiniteGroup") -> np.ndarray:
         members, number = self.right_cosets(sub)
-        least = _class_minima(len(members), actor.images.size, lambda todo: number[
+        return _class_numbers(len(members), actor.images.size, lambda todo: number[
             self.positions(self.images[members[todo, 0]][:, actor.images])])
-        return np.unique(least, return_inverse=True)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._key == other._key
@@ -638,10 +638,11 @@ class DoubleCosetSystem:
         inside = gamma.positions(_conj_rows(gamma.images, np.concatenate(
             [labels, np.argsort(labels, axis=1)]))) >= 0
         self.little_at = np.where(inside, np.cumsum(inside, axis=1) - 1, -1)[:len(orbits)]
-        littles = [Subgroup._of(gamma.parent, gamma.idx[row]) for row in inside]
+        sizes = inside.sum(axis=1).tolist()
         els, self.cosets = group.elements, []
-        for cosets, idx, little, left_little in zip(orbits, elements, littles,
-                                                    littles[len(orbits):]):
+        for cosets, idx, mask, left_size in zip(orbits, elements, inside,
+                                                sizes[len(orbits):]):
+            little = Subgroup._of(gamma.parent, gamma.idx[mask])
             if rng is None:
                 reps = members[cosets, 0].tolist()
             else:
@@ -650,7 +651,7 @@ class DoubleCosetSystem:
                 label=els[idx[0]],
                 idx=idx,
                 right_reps=tuple(map(els.__getitem__, reps)),
-                left_count=len(gamma) // len(left_little),
+                left_count=len(gamma) // left_size,
                 right_count=len(gamma) // len(little),
                 little=little,
             )

@@ -390,18 +390,18 @@ def _check_rows(chars: np.ndarray, dims, irr: np.ndarray, irr_dims: np.ndarray,
     """Raise at the first row of mults, the multiplicities of the matching
     row of chars, that fails a check: its inner products ``raw`` are within
     INT_TOL of mults, its constituents add up to its entry of dims and
-    reconstruct its character."""
-    integral = np.abs(raw - mults).max(axis=1) <= INT_TOL
-    adds_up = mults @ irr_dims == dims
-    rebuilds = np.abs(mults @ irr - chars).max(axis=1) <= INT_TOL
-    ok = integral & adds_up & rebuilds
+    reconstruct its character.  Stacked rows read their stack's table."""
+    integral = np.abs(raw - mults).max(axis=-1) <= INT_TOL
+    adds_up = (mults * irr_dims[..., None, :]).sum(axis=-1) == dims
+    rebuilds = np.abs(mults @ irr - chars).max(axis=-1) <= INT_TOL
+    ok = (integral & adds_up & rebuilds).ravel()
     if ok.all():
         return
     row = int(np.argmin(ok))
-    if not integral[row]:
-        raise NumericalDegradation(
-            f"non-integral multiplicities {np.round(raw[row], 9).tolist()}")
-    if not adds_up[row]:
+    if not integral.ravel()[row]:
+        raise NumericalDegradation(f"non-integral multiplicities "
+                                   f"{np.round(raw.reshape(len(ok), -1)[row], 9).tolist()}")
+    if not adds_up.ravel()[row]:
         raise NumericalDegradation("constituent dimensions do not add up")
     raise NumericalDegradation("character reconstruction drifted")
 
@@ -421,8 +421,18 @@ def decompose_characters(group: FiniteGroup, cocycle: Cocycle, chars,
     the dimensions must come from the construction, not from the characters.
     """
     irr, irr_dims = character_table(group, cocycle)
-    chars = np.asarray(chars).reshape(-1, len(group))
-    raw = chars @ irr.conj().T / len(group)
+    return decompose_stack(np.asarray(chars).reshape(-1, len(group)), dims, irr,
+                           irr_dims, len(group))
+
+
+def decompose_stack(chars: np.ndarray, dims, irr: np.ndarray, irr_dims: np.ndarray,
+                    order) -> np.ndarray:
+    """``decompose_characters`` on a stack of groups: chars[..., r, :] is a
+    character of dimension dims[..., r] of a group of order order[...],
+    whose irreducible characters are the rows of irr[...], of dimensions
+    irr_dims[...]; all are laid out over one list of elements, zero off the
+    group.  A zero row of irr stands for no class and reads multiplicity 0."""
+    raw = chars @ irr.conj().swapaxes(-1, -2) / np.asarray(order)[..., None, None]
     mults = np.rint(raw.real).clip(0)  # a negative multiplicity fails as non-integral
     _check_rows(chars, dims, irr, irr_dims, mults, raw)
     return mults.astype(np.int64)

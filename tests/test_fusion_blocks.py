@@ -301,12 +301,12 @@ def test_chunked_sweep_matches_the_unchunked_one(monkeypatch):
     whole = structure_constants(unchunked).whole()
     pair = make_pair("S4_in_S5")
     consts = structure_constants(pair)  # built under the default limit
-    limit = 16 * 24 * 5  # 5 stacked rows over the little group S4
+    limit = 16 * 24 * 25  # one (tag, g0) of 25 class pairs over gamma = S4
     monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", limit)
     calls = count_decompositions(monkeypatch)
     chunked = consts.whole()
     assert len(calls) > len(pair.labels())
-    assert all(16 * rows * len(group) <= limit for group, rows in calls)
+    assert all(chars.nbytes <= limit for _, chars in calls)
     assert (whole == chunked).all()
 
 
@@ -337,25 +337,25 @@ def test_class_sum_induction_matches_the_conjugation_gather(name, choice):
 
 
 def count_decompositions(monkeypatch):
-    """(group, row count) per ``decompose_characters`` call of exthecke."""
+    """(tables, characters) per ``decompose_stack`` call of exthecke."""
     calls = []
-    decompose = exthecke.decompose_characters
+    decompose = exthecke.decompose_stack
 
-    def counting(group, cocycle, chars, dims):
-        calls.append((group, len(chars)))
-        return decompose(group, cocycle, chars, dims)
+    def counting(chars, dims, irr, irr_dims, order):
+        calls.append((irr, chars))
+        return decompose(chars, dims, irr, irr_dims, order)
 
-    monkeypatch.setattr(exthecke, "decompose_characters", counting)
+    monkeypatch.setattr(exthecke, "decompose_stack", counting)
     return calls
 
 
 @pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
 def test_cold_fusion_table_decomposes_once_per_output_label(name, monkeypatch):
+    # one call for the whole table, which decomposes into every output label
     pair = make_pair(name)
     calls = count_decompositions(monkeypatch)
     fusion_table(pair)
-    littles = collections.Counter(pair.little(g0).key() for g0 in pair.labels())
-    assert collections.Counter(group.key() for group, _ in calls) <= littles
+    assert len(calls) == 1
 
 
 def test_fusion_table_of_s6_in_itself_stays_small():
@@ -538,6 +538,20 @@ def test_overcount_catches_a_coset_from_another_orbit(name):
     labels = pair.labels()
     with pytest.raises(FusionFormulaError, match="orbit-invariant"):
         overcount_blocks(pair, [(labels[label_w[0]], labels[label_h[0]])])
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "S4_in_S5"])
+def test_overcount_catches_an_orbit_short_of_its_index(name):
+    pair = make_pair(name)
+    g0, start, size, label_w, label_h, cosets = pair.orbits()
+    # the first orbit of more than one coset loses its last coset
+    at = np.argmax(size > 1)
+    size = size.copy()
+    size[at] -= 1
+    pair._memo[("orbits",)] = (g0, start, size, label_w, label_h, cosets)
+    labels = pair.labels()
+    with pytest.raises(FusionFormulaError, match=f"orbit size {size[at]} != index"):
+        overcount_blocks(pair, [(labels[label_w[at]], labels[label_h[at]])])
 
 
 # ------------------------------------------------------------ batched decomposition

@@ -325,7 +325,7 @@ def test_check_pass_object_counts(monkeypatch):
     counting(elementary, "conjugation_phase", "phase")
     counting(elementary, "conj_map", "elementary_conj_map")
     counting(projrep, "decompose_characters", "decompose_characters")
-    counting(exthecke, "decompose_characters", "decompose_characters")
+    counting(exthecke, "decompose_stack", "decompose_characters")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
     counting(exthecke.ExtHeckeElement, "_of", "ext_of", staticmethod)
     counting(hecke, "convolve", "convolve")
@@ -343,8 +343,8 @@ def test_check_pass_object_counts(monkeypatch):
     # group's subgroups are now kept on it, but a pass builds its pairs
     # afresh and asks each group once, so the count stays at 80.  The fusion
     # sweeps built 1,187 while they formed products, inverses and
-    # decompositions on Perms; on element indices 682
-    assert counts["perm"] + counts["perm_of"] <= 700
+    # decompositions on Perms; on element indices 632
+    assert counts["perm"] + counts["perm_of"] <= 650
     assert counts["perm"] <= 30
     assert counts["closure"] <= 80
     # every cocycle of a check pass is derived from checked ones; elementary
@@ -356,16 +356,19 @@ def test_check_pass_object_counts(monkeypatch):
     # 67 elementary conj_maps (761 before) and 882 one-row character
     # decompositions, the calls through projrep (1,442 before).  Counting
     # exthecke's batched calls too, 923 while the triple product and the
-    # overcount identity decomposed one orbit at a time; 595 in blocks.  The
-    # positions lookups were 885 while the fusion sweeps read each orbit's
-    # labels and maps one at a time, and are 775 with one batch per sweep
+    # overcount identity decomposed one orbit at a time; 595 in blocks, 255
+    # with one call per output label of a sweep and 239 with one stacked
+    # call per sweep.  The positions lookups were 885 while the fusion
+    # sweeps read each orbit's labels and maps one at a time, 701 with one
+    # batch per sweep, and 697 since the overcount check reads its meets
+    # from its own sweep
     assert counts["cocycle"] == 0
     assert counts["cocycle_of"] <= 750
-    assert counts["positions"] <= 800
+    assert counts["positions"] <= 720
     assert counts["rep_of"] <= 560
     assert counts["phase"] <= 40
     assert counts["elementary_conj_map"] <= 80
-    assert counts["decompose_characters"] <= 625
+    assert counts["decompose_characters"] <= 250
     # 3,564 while induction-frobenius returned early on the index-1 pairs;
     # running it there built 90 (Heis3) and 12 (Z3_regular) more, 3,666.
     # It now restricts each irreducible of G once (103 fewer), and the 13
