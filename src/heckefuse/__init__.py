@@ -77,6 +77,7 @@ from .projrep import (
     RepClass,
     decompose,
     hom_dim,
+    hom_dims,
     induce,
     irreducibles,
     regular_rep,

@@ -39,15 +39,14 @@ from .elementary import (
     BimoduleSum,
     basis_index,
     basis_objects,
+    identification_rows,
     identity_object,
     is_irreducible,
     pair_conjugation_phase,
     structure_constants as elem_structure_constants,
     term_vector,
-    to_ext_hecke as elem_to_ext,
 )
 from .exthecke import (
-    ExtHeckeElement,
     FinitePair,
     basis,
     basis_spans,
@@ -87,12 +86,11 @@ from .permcore import (
 from .projrep import (
     decompose,
     equivalent,
-    hom_dim,
+    hom_dims,
     induce,
     irreducibles,
     regular_rep,
     restrict,
-    tensor,
     transport,
 )
 
@@ -233,14 +231,13 @@ def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
     triv = Cocycle.trivial(big)
     big_reps = [cls.rep for cls in irreducibles(big)]
     restricted = [restrict(rep, gamma_grp) for rep in big_reps]
-    for small_cls in irreducibles(gamma_grp):
-        ind = induce(small_cls.rep, big, triv)
-        for big_rep, res in zip(big_reps, restricted):
-            lhs = hom_dim(ind, big_rep)
-            rhs = hom_dim(small_cls.rep, res)
-            if lhs != rhs:
-                raise CheckFailure(
-                    f"induction reciprocity fails: {lhs} != {rhs}")
+    for s, small_cls in enumerate(irreducibles(gamma_grp)):
+        lhs = hom_dims(induce(small_cls.rep, big, triv), big_reps)
+        rhs = hom_dims(small_cls.rep, restricted)
+        for g, (l, r) in enumerate(zip(lhs, rhs)):
+            if l != r:
+                raise CheckFailure(f"induction reciprocity fails at gamma class {s}, "
+                                   f"G class {g}: {l} != {r}")
 
 
 def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
@@ -256,12 +253,13 @@ def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
 
 
 def check_equivalence_vs_hom(pair: FinitePair, cfg: Config) -> None:
-    gamma_grp = pair.little(pair.labels()[0])
-    classes = irreducibles(gamma_grp)
-    for a in classes:
-        for b in classes:
-            if (hom_dim(a.rep, b.rep) >= 1) != (a == b):
-                raise CheckFailure("hom_dim and character equality disagree")
+    classes = irreducibles(pair.little(pair.labels()[0]))
+    reps = [cls.rep for cls in classes]
+    for i, a in enumerate(classes):
+        for j, rank in enumerate(hom_dims(a.rep, reps)):
+            if (rank >= 1) != (a == classes[j]):
+                raise CheckFailure(
+                    f"hom_dim and character equality disagree at class pair ({i}, {j})")
 
 
 # ------------------------------------------------------------ hecke checks
@@ -438,13 +436,33 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
                          hecke_structure_constants(bk).whole(), optimize=True)
     if (consts.whole() @ forget != products).any():
         raise CheckFailure("to_hecke is not multiplicative")
-    gamma_classes = irreducibles(pair.little(pair.labels()[0]))
-    embedded = [basis_vector(from_rep(pair, a.rep)) for a in gamma_classes]
-    for (a, x), (b, y) in itertools.product(zip(gamma_classes, embedded), repeat=2):
-        product_parts = decompose(tensor(a.rep, b.rep))
-        rhs = ExtHeckeElement(pair, {pair.labels()[0]: product_parts})
-        if (consts.product(x, y) != basis_vector(rhs)).any():
-            raise CheckFailure("from_rep is not multiplicative")
+    # from_rep(a) from_rep(b), read from N, against the decomposition of the
+    # Kronecker product of a and b, for every pair (a, b) of classes of gamma
+    label = pair.labels()[0]
+    gamma, classes = pair.little(label), irreducibles(pair.little(label))
+    embedded = np.array([basis_vector(from_rep(pair, a.rep)) for a in classes])
+    got = (embedded @ np.tensordot(embedded, consts.whole(), 1)).reshape(-1, len(consts))
+    pairs = list(itertools.product(classes, repeat=2))
+    projrep.check_dense_size(f"the Kronecker products of the classes of a group of "
+                             f"order {len(gamma)}", len(gamma) ** 3)
+    chars = np.zeros((len(pairs), len(gamma)), dtype=complex)
+    by_dims: dict = {}
+    for p, (a, b) in enumerate(pairs):
+        by_dims.setdefault((a.dim, b.dim), []).append(p)
+    for (da, db), stack in by_dims.items():
+        left = np.stack([pairs[p][0].rep.matrices for p in stack]).reshape(-1, da, da)
+        right = np.stack([pairs[p][1].rep.matrices for p in stack]).reshape(-1, db, db)
+        chars[stack] = np.trace(projrep.kron(left, right), axis1=1,
+                                axis2=2).reshape(len(stack), -1)
+    cocycle = classes[0].cocycle * classes[0].cocycle  # every product's
+    want = np.zeros_like(got)
+    index, start = pair.class_index(label), basis_spans(pair)[label].start
+    want[:, [start + index[cls] for cls in irreducibles(gamma, cocycle)]] = \
+        projrep.decompose_characters(gamma, cocycle, chars, [a.dim * b.dim for a, b in pairs])
+    bad = np.flatnonzero((got != want).any(axis=1))
+    if len(bad):
+        i, j = divmod(int(bad[0]), len(classes))
+        raise CheckFailure(f"from_rep is not multiplicative at class pair ({i}, {j})")
 
 
 def check_ext_dims_multiplicative(pair: FinitePair, cfg: Config) -> None:
@@ -485,8 +503,7 @@ def check_elementary_cross_oracle(pair: FinitePair, cfg: Config) -> None:
     """E M against N: row z of M is the extended Hecke identification of
     basis object z, so E M holds the identified elementary products."""
     omega = Cocycle.trivial(pair.gamma)
-    identified = np.array([basis_vector(elem_to_ext(obj))
-                           for obj in basis_objects(pair, omega)])
+    identified = identification_rows(basis_objects(pair, omega))
     got = elem_structure_constants(pair, omega).whole() @ identified
     consts = structure_constants(pair).whole()
     if got.shape != consts.shape or (got != consts).any():

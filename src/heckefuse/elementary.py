@@ -57,7 +57,7 @@ import numpy as np
 
 from . import projrep
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
-from .exthecke import ExtHeckeElement, FinitePair
+from .exthecke import ExtHeckeElement, FinitePair, basis_spans
 from .permcore import Perm, Subgroup, conj_map, conj_maps, index_groups
 from .projrep import (
     Induction,
@@ -72,7 +72,6 @@ from .projrep import (
     kron,
     phase_roots,
     round_char,
-    transport,
     trivial_rep,
 )
 from .ring import Table
@@ -226,11 +225,16 @@ def _canonical_terms(pair: FinitePair, omega: Cocycle, delta: Perm,
     step = max(1, projrep.MAX_DENSE_BYTES // per_move)
     for chunk in (moves[i:i + step] for i in range(0, len(moves), step)):
         little, idx, phases = _transfers(pair, omega, delta, reps[0].group, chunk)
-        for r, rows in enumerate(roots[phases] * chars[:, idx]):
-            keys = [round_char(row) for row in rows]
-            i = min(range(len(keys)), key=keys.__getitem__)
-            if best[r] is None or keys[i] < best[r][0]:
-                best[r] = keys[i], chunk[i], idx[i].copy(), phases[i].copy()
+        values = np.multiply(roots[phases], chars[:, idx], order="C")  # [rep, move, element]
+        # round_char of every row at once, (re, im) interleaved; a stable
+        # sort keyed on rep, then columns in order, puts each rep's first
+        # least row at the head of its block of len(chunk)
+        keys = (np.rint(values.view(float) * 1e6) / 1e6 + 0.0).reshape(-1, values.shape[-1] * 2)
+        order = np.lexsort((*keys.T[::-1], np.repeat(np.arange(len(reps)), len(chunk))))
+        for r, i in enumerate((order[::len(chunk)] % len(chunk)).tolist()):
+            key = round_char(values[r, i])
+            if best[r] is None or key < best[r][0]:
+                best[r] = key, chunk[i], idx[i].copy(), phases[i].copy()
     need, checked = required_cocycle(pair, omega, label), set()
     for rep, (key, (g, c), idx, phases) in zip(reps, best):
         # reps of one cocycle won at one move carry one moved cocycle
@@ -499,11 +503,33 @@ def to_ext_hecke(h) -> ExtHeckeElement:
             piece = to_ext_hecke(rep_obj)
             out = out + (piece.scale(mult) if mult != 1 else piece)
         return out
-    if not h.omega.is_trivial_table():
+    label = h.pair.label_of(h.delta)
+    row = identification_rows([h])[0, basis_spans(h.pair)[label]]
+    return ExtHeckeElement(h.pair, {label: {
+        cls: m for cls, m in zip(irreducibles(h.pair.little(label)), row.tolist()) if m}})
+
+
+def identification_rows(objects: list) -> np.ndarray:
+    """Row i: ``to_ext_hecke(objects[i])`` over ``exthecke.basis``, for
+    objects of one pair.  The objects at one delta move to its label
+    together: one decomposition label = c1 delta c2, and their characters
+    read through one checked index of Ad c2^-1 and decomposed in one call."""
+    if any(not h.omega.is_trivial_table() for h in objects):
         raise ValueError("no untwisted identification: the cocycle is nontrivial")
-    pair = h.pair
-    label = pair.label_of(h.delta)
-    c1, c2 = pair.decomposition(label, h.delta)
-    little = pair.little(label)
-    moved = transport(h.rep, little, conj_map(little, c2.inverse(), h.rep.group))
-    return ExtHeckeElement(pair, {label: decompose(moved)})
+    pair, spans = objects[0].pair, basis_spans(objects[0].pair)
+    rows = np.zeros((len(objects), next(reversed(spans.values())).stop), dtype=np.int64)
+    by_delta: dict = {}
+    for i, h in enumerate(objects):
+        by_delta.setdefault(h.delta, []).append(i)
+    for delta, at in by_delta.items():
+        label = pair.label_of(delta)
+        _, c2 = pair.decomposition(label, delta)
+        little, first = pair.little(label), objects[at[0]].rep
+        idx = conj_map(little, c2.inverse(), first.group)
+        check_homomorphism(little, first.group, idx)
+        cocycle = first.cocycle.pullback(little, idx)
+        chars = np.array([objects[i].rep.character() for i in at])[:, idx]
+        index, start = pair.class_index(label), spans[label].start
+        rows[np.ix_(at, [start + index[cls] for cls in irreducibles(little, cocycle)])] = \
+            decompose_characters(little, cocycle, chars, [objects[i].dim() for i in at])
+    return rows

@@ -343,25 +343,40 @@ class Induction:
 # ------------------------------------------------------------ intertwiners
 
 def hom_dim(a: Rep, b: Rep) -> int:
-    """Dimension of the space of intertwiners X with a(g) X = X b(g).
+    """Dimension of the space of intertwiners X with a(g) X = X b(g); the
+    one-other ``hom_dims``."""
+    return hom_dims(a, [b])[0]
 
-    Computed as the rank of the averaging projector
-    X -> |G|^-1 sum_g a(g)* X b(g); same-cocycle phases cancel, so both
-    representations must carry equal cocycle tables.
-    """
-    if a.group != b.group:
-        raise ValueError("intertwiners need a common group")
-    if a.cocycle != b.cocycle:
-        raise ValueError("intertwiners need a common cocycle")
-    size = a.dim * b.dim
-    m = np.einsum("gji,glk->ikjl", a.matrices.conj(), b.matrices).reshape(size, size)
-    m /= len(a.group)
-    svals = np.linalg.svd(m, compute_uv=False)
-    total = float(np.sum(svals[svals > RANK_SV_TOL]))
-    rank = round(total)
-    if abs(total - rank) > INT_TOL:
-        raise NumericalDegradation(f"non-integral intertwiner rank {total}")
-    return rank
+
+def hom_dims(a: Rep, others: list) -> list[int]:
+    """``hom_dim(a, b)`` for each b of others, in order: the rank of the
+    averaging projector X -> |G|^-1 sum_g a(g)* X b(g), the sum of its
+    singular values over RANK_SV_TOL.  Same-cocycle phases cancel, so every
+    b must carry a's group and cocycle table.  The others of one dimension
+    get one matrix product and one batched SVD, a chunk at a time within
+    ``MAX_DENSE_BYTES``."""
+    for b in others:
+        if a.group != b.group:
+            raise ValueError("intertwiners need a common group")
+        if a.cocycle != b.cocycle:
+            raise ValueError("intertwiners need a common cocycle")
+    n, da = len(a.group), a.dim
+    conj = a.matrices.conj().reshape(n, -1).T / n  # rows (j, i)
+    ranks = [0] * len(others)
+    for db in dict.fromkeys(b.dim for b in others):
+        at, size = [i for i, b in enumerate(others) if b.dim == db], da * db
+        step = max(1, MAX_DENSE_BYTES // (16 * (n * db * db + 2 * size * size)))
+        for chunk in (at[i:i + step] for i in range(0, len(at), step)):
+            m = conj @ np.stack([others[i].matrices.reshape(n, -1) for i in chunk])
+            m = m.reshape(-1, da, da, db, db).transpose(0, 2, 4, 1, 3)  # [c, i, k, j, l]
+            svals = np.linalg.svd(m.reshape(-1, size, size), compute_uv=False)
+            totals = np.where(svals > RANK_SV_TOL, svals, 0).sum(axis=1).tolist()
+            for i, total in zip(chunk, totals):
+                rank = round(total)
+                if abs(total - rank) > INT_TOL:
+                    raise NumericalDegradation(f"non-integral intertwiner rank {total}")
+                ranks[i] = rank
+    return ranks
 
 
 # ------------------------------------------------------------ decomposition

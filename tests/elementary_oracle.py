@@ -1,14 +1,18 @@
 """Moving an elementary object along its double coset by matrices, and the
 isomorphism criterion built on it: the oracle that the character-based
-canonical terms of ``heckefuse.elementary`` are checked against."""
+canonical terms of ``heckefuse.elementary`` are checked against; and the
+row-by-row rule that picked the least transferred character before the pick
+was one sort over all rows."""
 
 from typing import Optional
+
+import numpy as np
 
 from heckefuse.cocycle import Cocycle, PhaseFunction
 from heckefuse.elementary import ElementaryBimodule, _transfers, is_irreducible
 from heckefuse.exthecke import FinitePair
 from heckefuse.permcore import Perm
-from heckefuse.projrep import Rep, equivalent, phase_roots, transport
+from heckefuse.projrep import Rep, _roots, equivalent, phase_roots, round_char, transport
 
 
 def twist(a: Rep, phase: PhaseFunction) -> Rep:
@@ -48,3 +52,20 @@ def isomorphism_witness(h1: ElementaryBimodule,
         if equivalent(moved, h2.rep):
             return g, h
     return None
+
+
+def row_by_row_canonical_terms(pair: FinitePair, omega: Cocycle, delta: Perm,
+                               reps: list) -> list[tuple[tuple, int]]:
+    """(canonical term, number of least rows) of (delta, rep) for each of
+    reps: every transferred character rounded by ``round_char``, one row at
+    a time, and the first least one kept by ``min``."""
+    label = pair.label_of(delta)
+    moves = list(pair.decompositions(delta, label))
+    _, idx, phases = _transfers(pair, omega, delta, reps[0].group, moves)
+    out = []
+    for rep in reps:
+        keys = [round_char(row)
+                for row in _roots(omega.modulus)[phases] * np.asarray(rep.character())[idx]]
+        least = min(keys)
+        out.append(((label.images, least), keys.count(least)))
+    return out

@@ -47,7 +47,12 @@ from heckefuse.projrep import (
     trivial_rep,
 )
 
-from elementary_oracle import isomorphism_witness, transfer_rep, twist
+from elementary_oracle import (
+    isomorphism_witness,
+    row_by_row_canonical_terms,
+    transfer_rep,
+    twist,
+)
 from groups import symmetric
 
 
@@ -504,6 +509,51 @@ def test_batched_canonical_terms_match_the_decomposition_loop(name, seed, monkey
         {True, omega.is_trivial_table()}
     for omega_used, delta, rep, term in calls:
         assert term == looped_canonical_term(pair, omega_used, delta, rep)[0]
+
+
+class Scrambled:
+    """A stand-in for a representation: its group, cocycle and dimension,
+    and a character of arbitrary values.  That is no class function, so its
+    transferred rows differ where a class's rows all agree."""
+
+    def __init__(self, rep, values):
+        self.group, self.cocycle, self.dim, self.values = rep.group, rep.cocycle, rep.dim, values
+
+    def character(self):
+        return self.values
+
+
+@pytest.mark.parametrize("one_per_chunk", [False, True])
+def test_sorted_canonical_terms_match_the_row_by_row_minimum(one_per_chunk, monkeypatch):
+    """Every canonical term that the elementary structure constants need, on
+    the four catalog pairs under the trivial and the catalog cocycle: each
+    delta that a fusion plan reaches, with each admissible class there and
+    with scrambled stand-ins for them, whose values are few and carry noise
+    under the rounding, so that their least rows are sometimes one and
+    sometimes tied.  Also with each decomposition read in a chunk of its own."""
+    rng = np.random.default_rng(7)
+    values = np.array([1, -1, 0, 0.5 + 0.5j, 1j])
+    unique = tied = 0
+    for name in ["D4_klein", "Heis3", "S3_in_S4", "Z3_regular"]:
+        pair = build_pair(BUILTIN[name])
+        for omega in {Cocycle.trivial(pair.gamma), catalog_case(name)[1]}:
+            deltas = {step.delta.images: step.delta
+                      for a, b in itertools.product(pair.labels(), repeat=2)
+                      for step in elementary.fusion_plan(pair, omega, a, b)}
+            for delta in deltas.values():
+                classes = list(admissible_classes(pair, omega, delta))
+                for reps in (classes, [Scrambled(cls, rng.choice(values, len(cls.group))
+                                                 + 1e-9 * rng.normal(size=len(cls.group)))
+                                       for cls in classes]):
+                    want = row_by_row_canonical_terms(pair, omega, delta, reps)
+                    if one_per_chunk:
+                        monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 1)
+                    got = elementary._canonical_terms(pair, omega, delta, reps)
+                    monkeypatch.undo()
+                    assert got == [term for term, _ in want]
+                    unique += sum(ties == 1 for _, ties in want)
+                    tied += sum(ties > 1 for _, ties in want)
+    assert unique and tied
 
 
 @pytest.mark.parametrize("one_per_chunk", [False, True])

@@ -3,12 +3,14 @@ three-factor and overcount blocks, against the orbit-by-orbit formulas they
 replace, one sweep over many label tuples against one at a time, N against
 fusion of sums, class-sum induction against the conjugation-table formula, the batched
 decomposition against one-row decompositions, and the checks that must
-notice a wrong block or a wrong Hecke basis product."""
+notice a wrong block, a wrong Hecke basis product, a wrong induced class or
+identification row, and name their witness."""
 
 import collections
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -397,6 +399,74 @@ def test_checks_catch_a_wrong_block_entry(name):
         corrupt_one_block(pair)
         with pytest.raises(checks.CheckFailure):
             check(pair, cfg)
+
+
+@pytest.mark.parametrize("name", ["Heis3", "S3_in_S4"])
+def test_ext_homomorphisms_catch_two_swapped_classes_of_one_dimension(name):
+    """Two classes of one dimension swapped in one product of non-unit
+    basis elements at the unit label of the stored N: the unit and to_hecke,
+    which forgets classes to their dimensions, still agree with the table
+    (their halves run first and would fail with their own messages), and
+    from_rep names the class pair."""
+    checks.check_ext_homomorphisms(make_pair(name), Config())
+    pair = make_pair(name)
+    consts = structure_constants(pair)
+    whole, span = consts.whole(), consts.spans[pair.labels()[0]]
+    unit = int(basis_vector(exthecke.unit(pair)).argmax())
+    dims = [cls.dim for cls in irreducibles(pair.little(pair.labels()[0]))]
+    at = [i for i in range(span.start, span.stop) if i != unit]
+    x, y, z, w = next(
+        (x, y, z, w) for x, y in itertools.product(at, repeat=2)
+        for z, w in itertools.combinations(range(span.start, span.stop), 2)
+        if dims[z - span.start] == dims[w - span.start] and whole[x, y, z] != whole[x, y, w])
+    consts._array[x, y, [z, w]] = consts._array[x, y, [w, z]]
+    with pytest.raises(checks.CheckFailure, match=re.escape(
+            f"from_rep is not multiplicative at class pair ({x - span.start}, "
+            f"{y - span.start})")):
+        checks.check_ext_homomorphisms(pair, Config())
+
+
+@pytest.mark.parametrize("name", ["S3_in_S4", "Heis3"])
+def test_induction_frobenius_catches_a_wrong_induced_class(name, monkeypatch):
+    pair = make_pair(name)
+    checks.check_induction_frobenius(pair, Config())
+    classes = irreducibles(pair.little(pair.labels()[0]))
+    induce = checks.induce
+
+    def wrong(rep, *args):
+        return induce(classes[0].rep if rep is classes[1].rep else rep, *args)
+
+    monkeypatch.setattr(checks, "induce", wrong)
+    with pytest.raises(checks.CheckFailure,
+                       match=r"reciprocity fails at gamma class 1, G class \d+: "):
+        checks.check_induction_frobenius(pair, Config())
+
+
+def test_equivalence_vs_hom_names_its_class_pair(monkeypatch):
+    # a nonzero rank between classes 1 and 2, one way round only
+    pair = make_pair("S3_in_S4")
+    checks.check_equivalence_vs_hom(pair, Config())
+    hom_dims = checks.hom_dims
+    monkeypatch.setattr(checks, "hom_dims", lambda a, others: [
+        1 - rank if b is others[2] and a is others[1] else rank
+        for b, rank in zip(others, hom_dims(a, others))])
+    with pytest.raises(checks.CheckFailure, match=re.escape("at class pair (1, 2)")):
+        checks.check_equivalence_vs_hom(pair, Config())
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_cross_oracle_catches_an_identification_row_off_by_one(name, monkeypatch):
+    check_elementary_cross_oracle(make_pair(name), Config())
+    rows = checks.identification_rows
+
+    def off_by_one(objects):
+        out = rows(objects)
+        out[-1, out[-1].argmax()] += 1
+        return out
+
+    monkeypatch.setattr(checks, "identification_rows", off_by_one)
+    with pytest.raises(checks.CheckFailure, match="elementary and extended fusion disagree"):
+        check_elementary_cross_oracle(make_pair(name), Config())
 
 
 @pytest.mark.parametrize("name", ["S3_in_S4", "D4_klein"])

@@ -19,6 +19,7 @@ from heckefuse.projrep import (
     decompose,
     equivalent,
     hom_dim,
+    hom_dims,
     induce,
     irreducibles,
     multiset_dim,
@@ -285,6 +286,53 @@ def test_hom_dim_requires_matching_cocycle():
     plain = regular_rep(group)
     with pytest.raises(ValueError):
         hom_dim(twisted, plain)
+
+
+def mixed_s3_reps():
+    """Representations of S3 of dimensions 1, 1, 2, 6, 4, 1 and 3."""
+    g = s3()
+    triv, sign, std = (cls.rep for cls in irreducibles(g))
+    return [triv, sign, std, regular_rep(g), direct_sum([std, std]), trivial_rep(g),
+            direct_sum([sign, std])]
+
+
+def character_inner_product(a, b):
+    """<chi_a, chi_b>, the intertwiner rank of two ordinary representations."""
+    value = np.vdot(a.character(), b.character()) / len(a.group)
+    return int(round(value.real))
+
+
+def test_hom_dims_match_the_one_pair_loop_in_order():
+    reps = mixed_s3_reps()
+    for a in reps:
+        ranks = hom_dims(a, reps)
+        assert ranks == [hom_dim(a, b) for b in reps]
+        assert ranks == [character_inner_product(a, b) for b in reps]
+        assert hom_dims(a, reps[::-1]) == ranks[::-1]
+
+
+def test_hom_dims_of_no_others_is_empty():
+    assert hom_dims(regular_rep(s3()), []) == []
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_hom_dims_reject_a_mismatch_at_any_position(at):
+    reps = mixed_s3_reps()[:4]
+    other_group = reps[:at] + [trivial_rep(cyclic(2))] + reps[at:]
+    with pytest.raises(ValueError, match="common group"):
+        hom_dims(reps[3], other_group)
+    group, _, omega = heisenberg_cocycle(2, 1)
+    plain = [trivial_rep(group)] * 4
+    twisted = plain[:at] + [regular_rep(group, omega)] + plain[at:]
+    with pytest.raises(ValueError, match="common cocycle"):
+        hom_dims(regular_rep(group), twisted)
+
+
+def test_hom_dims_chunked_give_the_same_ranks(monkeypatch):
+    reps = mixed_s3_reps()
+    whole = [hom_dims(a, reps) for a in reps]
+    monkeypatch.setattr(projrep, "MAX_DENSE_BYTES", 1)  # one other per chunk
+    assert [hom_dims(a, reps) for a in reps] == whole
 
 
 def test_frobenius_reciprocity():

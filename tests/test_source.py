@@ -94,6 +94,9 @@ EXTERNAL_EXPORTS = {
     "coboundary_witness_s1",
     # perfbench's scale workload builds its cocycles through it
     "heisenberg_cocycle",
+    # the tests' matrix oracles build Kronecker products of two
+    # representations through it; the package stacks them with kron
+    "tensor",
 }
 
 
