@@ -32,6 +32,7 @@ from .elementary import (
     is_irreducible,
     make,
     required_cocycle,
+    to_ext_hecke,
 )
 from .exthecke import (
     ExtHeckeElement,

@@ -37,14 +37,13 @@ from .cocycle import (
 )
 from .elementary import (
     BimoduleSum,
-    basis_index,
     basis_objects,
+    basis_rows,
     identification_rows,
     identity_object,
     is_irreducible,
     pair_conjugation_phase,
     structure_constants as elem_structure_constants,
-    term_vector,
 )
 from .exthecke import (
     FinitePair,
@@ -519,12 +518,10 @@ def check_elementary_irreducibility(pair: FinitePair, omega: Cocycle,
     for obj in objs:
         if not is_irreducible(obj):
             raise CheckFailure("a basis object is not irreducible")
-    sums = np.array([term_vector(pair, omega, BimoduleSum.of(obj).terms) for obj in objs])
-    if (sums != np.eye(len(objs), dtype=np.int64)).any():
+    if (basis_rows(objs) != np.eye(len(objs), dtype=np.int64)).any():
         raise CheckFailure("a basis object does not decompose to itself")
-    e = identity_object(pair, omega)
-    _unital(elem_structure_constants(pair, omega),
-            basis_index(pair, omega, (e.delta.images, e.rep.char_key())), "the identity object")
+    e = BimoduleSum.of(identity_object(pair, omega))
+    _unital(elem_structure_constants(pair, omega), int(e.vector.argmax()), "the identity object")
 
 
 # ------------------------------------------------------------ based-ring laws

@@ -135,19 +135,10 @@ def parse_elem_element(pair: FinitePair, omega: Cocycle, degree: int,
     return out
 
 
-def elem_sum_json(pair: FinitePair, omega: Cocycle, total: BimoduleSum) -> list:
-    terms = []
-    for rep_obj, mult in total.items():
-        label = rep_obj.delta
-        classes = admissible_classes(pair, omega, label)
-        index = [c.char for c in classes].index(rep_obj.rep.char_key())
-        terms.append({
-            "delta": label.cycle_string(),
-            "class_index": index,
-            "repclass": classes[index].to_json(),
-            "mult": mult,
-        })
-    return terms
+def elem_sum_json(total: BimoduleSum) -> list:
+    return [{"delta": label.cycle_string(), "class_index": index,
+             "repclass": cls.to_json(), "mult": mult}
+            for label, index, cls, mult in total.terms()]
 
 
 def elem_sum_text(terms: list) -> str:
@@ -235,7 +226,7 @@ def cmd_elem_mul(args, catalog) -> int:
     omega = resolve_omega(args, entry, pair)
     x = parse_elem_element(pair, omega, entry.degree, args.x)
     y = parse_elem_element(pair, omega, entry.degree, args.y)
-    terms = elem_sum_json(pair, omega, elem_fuse(x, y))
+    terms = elem_sum_json(elem_fuse(x, y))
     emit(args, {"schema": SCHEMA, "pair": entry.name,
                 "omega": omega_descriptor(entry, args),
                 "x": args.x, "y": args.y, "terms": terms},

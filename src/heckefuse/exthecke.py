@@ -102,7 +102,7 @@ class FinitePair:
     of each class in its label's basis keys, the table of structure
     constants N (``structure_constants``) and the ``basis_spans`` it is
     indexed by, and the elementary structure constants with their basis,
-    canonical terms, required cocycles and conjugation phases of elementary
+    identifications, required cocycles and conjugation phases of elementary
     objects over it (filled by :mod:`heckefuse.elementary`).  None of them
     holds the pair, so a dropped pair is freed by reference counting.
     """

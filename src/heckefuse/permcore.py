@@ -265,7 +265,7 @@ def _join(rows: list, sub: Sequence[int], c: int) -> tuple:
 
 class Memo(dict):
     """A cache store; every memo of the package is one, filled by ``get_or``
-    one key at a time or by ``get_all`` for keys computed together.
+    one key at a time.
 
     Each owner keeps one: a group its tables and coset data, a pair its
     coset, character and fusion data, a module its ``_UPPERCASE`` cache.
@@ -280,16 +280,6 @@ class Memo(dict):
             pass
         value = self[key] = compute(*args)
         return value
-
-    def get_all(self, keys: list, compute: Callable) -> list:
-        """The values stored under keys, in order; the missing keys, each
-        once in order of first appearance, are computed together by
-        compute(missing), a list of their values, and stored; a compute that
-        raises stores nothing."""
-        missing = [key for key in dict.fromkeys(keys) if key not in self]
-        if missing:
-            self.update(zip(missing, compute(missing)))
-        return [self[key] for key in keys]
 
 
 class FiniteGroup:

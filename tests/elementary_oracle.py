@@ -1,15 +1,16 @@
 """Moving an elementary object along its double coset by matrices, and the
-isomorphism criterion built on it: the oracle that the character-based
-canonical terms of ``heckefuse.elementary`` are checked against; and the
-row-by-row rule that picked the least transferred character before the pick
-was one sort over all rows."""
+isomorphism criterion built on it: the oracle that the one-move
+identifications of ``heckefuse.elementary`` are checked against; and the
+rule that named a constituent before them, the least rounded transferred
+character over every move, read as a row over the basis objects."""
 
 from typing import Optional
 
 import numpy as np
 
+from heckefuse import elementary
 from heckefuse.cocycle import Cocycle, PhaseFunction
-from heckefuse.elementary import ElementaryBimodule, _transfers, is_irreducible
+from heckefuse.elementary import ElementaryBimodule, _transfer, is_irreducible
 from heckefuse.exthecke import FinitePair
 from heckefuse.permcore import Perm
 from heckefuse.projrep import Rep, _roots, equivalent, phase_roots, round_char, transport
@@ -30,9 +31,8 @@ def transfer_rep(pair: FinitePair, omega: Cocycle, delta: Perm, rep: Rep,
     Build (phase_g o Ad(delta h)) * (rep o Ad h) * phase_h on the right
     subgroup of g delta h, where phase_x is the conjugation phase of omega.
     """
-    little, idx, phases = _transfers(pair, omega, delta, rep.group, [(g, h)])
-    return twist(transport(rep, little, idx[0]),
-                 PhaseFunction(little, omega.modulus, phases[0]))
+    little, idx, phases = _transfer(pair, omega, delta, rep.group, g, h)
+    return twist(transport(rep, little, idx), PhaseFunction(little, omega.modulus, phases))
 
 
 def isomorphism_witness(h1: ElementaryBimodule,
@@ -57,15 +57,28 @@ def isomorphism_witness(h1: ElementaryBimodule,
 def row_by_row_canonical_terms(pair: FinitePair, omega: Cocycle, delta: Perm,
                                reps: list) -> list[tuple[tuple, int]]:
     """(canonical term, number of least rows) of (delta, rep) for each of
-    reps: every transferred character rounded by ``round_char``, one row at
-    a time, and the first least one kept by ``min``."""
+    reps: the transferred character of every decomposition label = g delta c
+    rounded by ``round_char``, one row at a time, and the first least one
+    kept by ``min``."""
     label = pair.label_of(delta)
-    moves = list(pair.decompositions(delta, label))
-    _, idx, phases = _transfers(pair, omega, delta, reps[0].group, moves)
+    moves = [_transfer(pair, omega, delta, reps[0].group, g, c)[1:]
+             for g, c in pair.decompositions(delta, label)]
     out = []
     for rep in reps:
-        keys = [round_char(row)
-                for row in _roots(omega.modulus)[phases] * np.asarray(rep.character())[idx]]
+        char = np.asarray(rep.character())
+        keys = [round_char(_roots(omega.modulus)[phases] * char[idx]) for idx, phases in moves]
         least = min(keys)
         out.append(((label.images, least), keys.count(least)))
     return out
+
+
+def term_rows(pair: FinitePair, omega: Cocycle, terms: list) -> np.ndarray:
+    """A row over ``elementary.basis_objects`` per canonical term
+    (label images, fingerprint): 1 at the basis object at that label whose
+    class has that fingerprint."""
+    index = {(label.images, cls.char): i
+             for i, (label, cls) in enumerate(elementary._basis(pair, omega).classes)}
+    rows = np.zeros((len(terms), len(index)), dtype=np.int64)
+    for row, term in zip(rows, terms):
+        row[index[term]] = 1
+    return rows

@@ -8,7 +8,6 @@ import heckefuse
 from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
 from heckefuse.elementary import (
     admissible_classes,
-    canonical_representative,
     fuse as elem_fuse,
     make,
     structure_constants as elem_structure_constants,
@@ -35,9 +34,8 @@ def exercise(pair) -> None:
 
 
 def total_dim(total) -> int:
-    """Dimension of a BimoduleSum, read from its canonical representatives."""
-    return sum(canonical_representative(total.pair, total.omega, t).rep.dim * m
-               for t, m in total.terms.items())
+    """Dimension of a BimoduleSum, read from its basis objects' classes."""
+    return sum(cls.dim * mult for _, _, cls, mult in total.terms())
 
 
 def stores(owner) -> list:
@@ -61,9 +59,9 @@ def test_pair_and_group_each_keep_one_store(name):
     assert {"little", "orbits", "characters", "right_factors", "ring"} <= pair_kinds
     assert pair_kinds <= {"little", "decomposition", "meet", "orbits", "characters",
                           "right_factors", "conjugation", "class_index", "ring",
-                          "basis_spans", "required", "phase", "term", "basis"}
+                          "basis_spans", "required", "phase", "identified", "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
-        assert {"required", "phase", "term", "basis"} <= pair_kinds
+        assert {"required", "phase", "identified", "basis"} <= pair_kinds
         # one table each: N and the E of the catalog cocycle
         assert len([key for key in pair._memo if key[0] == "ring"]) == 2
     assert kinds(pair.group._memo) == {"right_cosets", "coset_orbits", "mul_table"}

@@ -20,14 +20,12 @@ from heckefuse.cocycle import Cocycle, PhaseFunction
 from heckefuse.elementary import (
     BimoduleSum,
     CocycleBookkeepingError,
-    _add_terms,
     basis_objects,
     fuse,
     make,
     pair_conjugation_phase,
     required_cocycle,
     structure_constants,
-    term_vector,
 )
 from heckefuse.permcore import GroupTooLarge, conj_map, right_coset_reps
 from heckefuse.projrep import (
@@ -56,7 +54,7 @@ def composed_fuse(h1, h2) -> BimoduleSum:
     """Elementary fusion as one chain of constructions per orbit:
     induce(twist(tensor(transport(...), restrict(...)), phase), ...)."""
     pair, omega, gamma = h1.pair, h1.omega, h1.pair.gamma
-    out: dict = {}
+    out = BimoduleSum(pair, omega, np.zeros(len(basis_objects(pair, omega)), dtype=np.int64))
     cosets, coset_of = perm_cosets(gamma, h1.right_subgroup)
     for orbit in perm_orbits(gamma, h1.right_subgroup, h2.left_subgroup):
         g = pair.pick([x for m in orbit for x in cosets[coset_of[m]]])
@@ -70,8 +68,8 @@ def composed_fuse(h1, h2) -> BimoduleSum:
         integrand = twist(tensor(moved, restrict(h2.rep, meet)), phase)
         fused = induce(integrand, rig_new, required_cocycle(pair, omega, new_delta),
                        rng=pair.rng)
-        _add_terms(out, pair, omega, new_delta, fused)
-    return BimoduleSum(pair, omega, out)
+        out = out + BimoduleSum.of(make(pair, omega, new_delta, fused))
+    return out
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -136,8 +134,7 @@ def test_a_batched_induction_is_the_induction_of_each_item(name):
 @pytest.mark.parametrize("name", PAIRS)
 def test_structure_constants_hold_every_product_of_basis_objects(name):
     """Row (x, y) of E is the product of basis objects x and y, fused one
-    pair at a time; so it is with one item per stack and one decomposition
-    per canonical-term chunk."""
+    pair at a time."""
     pair, omegas = catalog_omegas(name)
     for omega in omegas:
         objs = basis_objects(pair, omega)
@@ -146,9 +143,9 @@ def test_structure_constants_hold_every_product_of_basis_objects(name):
         consts = table.whole()
         assert consts.dtype == np.int64 and not consts.flags.writeable
         for (i, x), (j, y) in itertools.product(enumerate(objs), repeat=2):
-            terms, = elementary._fuse_classes(pair, omega, x.delta, [x.rep],
-                                              y.delta, [y.rep])
-            assert (consts[i, j] == term_vector(pair, omega, terms)).all()
+            row, = elementary._fuse_classes(pair, omega, x.delta, [x.rep],
+                                            y.delta, [y.rep])
+            assert (consts[i, j] == row).all()
         pairs = list(itertools.product(range(len(objs)), repeat=2))
         assert (table.rows(pairs) == consts.reshape(len(pairs), -1)).all()
 
@@ -164,9 +161,8 @@ def test_structure_constants_do_not_depend_on_the_stack_size(name, monkeypatch):
             sizes.append(len(matrices))
         return apply(self, matrices)
 
-    # every stack holds one class pair, every transfer chunk one decomposition
+    # every stack holds one class pair
     monkeypatch.setattr(elementary, "INDUCED_BYTES", projrep.MAX_DENSE_BYTES)
-    monkeypatch.setattr(elementary, "STACK_BYTES", projrep.MAX_DENSE_BYTES)
     monkeypatch.setattr(projrep.Induction, "apply", recording)
     other = catalog_omegas(name)[0]
     assert (structure_constants(other, omega).whole() == whole).all()
@@ -357,8 +353,10 @@ def test_vectorized_induction_equals_the_coset_loop(name):
                     assert np.array_equal(got.matrices, want)
 
 
-# sha256 of the sorted canonical terms of elementary.fuse over every ordered
-# pair of basis objects with the catalog cocycle, recorded before fusion plans
+# sha256 of the sorted canonical terms (label images, class fingerprint) of
+# elementary.fuse over every ordered pair of basis objects with the catalog
+# cocycle, recorded before fusion plans; the terms are now read from each
+# sum's vector over the basis
 TWISTED_FUSE_DIGESTS = {
     "D4_klein": "e0fcbf38efae5256ff6c18c6e940cac51342ad5c11cf5fe74407a4b66b91100f",
     "Heis3": "51cc4d130fd9c34bcb0213ce859654b341b65193e0a0091ecac41e07727c4da8",
@@ -369,6 +367,12 @@ TWISTED_FUSE_DIGESTS = {
 def test_twisted_products_match_pinned_digests(name):
     pair, (_, omega) = catalog_omegas(name)
     objs = basis_objects(pair, omega)
-    products = [sorted(fuse(x, y).terms.items()) for x in objs for y in objs]
+    classes = elementary._basis(pair, omega).classes
+
+    def terms(total):
+        return sorted(((classes[i][0].images, classes[i][1].char), int(total.vector[i]))
+                      for i in np.flatnonzero(total.vector))
+
+    products = [terms(fuse(x, y)) for x in objs for y in objs]
     digest = hashlib.sha256(json.dumps(products).encode()).hexdigest()
     assert digest == TWISTED_FUSE_DIGESTS[name]

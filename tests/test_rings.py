@@ -40,7 +40,7 @@ def catalog_omegas(name):
 def elementary_unit(pair, omega):
     """The basis index of the identity object."""
     e = elementary.identity_object(pair, omega)
-    return elementary.basis_index(pair, omega, (e.delta.images, e.rep.char_key()))
+    return int(elementary.BimoduleSum.of(e).vector.argmax())
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -106,7 +106,7 @@ def test_a_check_pass_stores_each_table_once(monkeypatch):
         assert {key[0] for key in pair._memo} <= {
             "little", "decomposition", "meet", "orbits", "characters", "right_factors",
             "conjugation", "class_index", "ring", "basis_spans", "required", "phase",
-            "term", "basis"}
+            "identified", "basis"}
         for group in (pair.group, pair.gamma):
             assert {key if isinstance(key, str) else key[0] for key in group._memo} <= {
                 "mul_table", "inv_indices", "small_generating_set", "right_cosets",

@@ -97,6 +97,9 @@ EXTERNAL_EXPORTS = {
     # the tests' matrix oracles build Kronecker products of two
     # representations through it; the package stacks them with kron
     "tensor",
+    # the untwisted identification of one object or sum, which the tests'
+    # cross-checks read; the package reads stacked identification_rows
+    "to_ext_hecke",
 }
 
 
