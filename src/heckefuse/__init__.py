@@ -30,7 +30,6 @@ from .elementary import (
     admissible_classes,
     identity_object,
     is_irreducible,
-    make,
     required_cocycle,
     to_ext_hecke,
 )
@@ -38,7 +37,6 @@ from .exthecke import (
     ExtHeckeElement,
     FinitePair,
     basis,
-    basis_vector,
     crossed_dim_identity,
     dims,
     from_rep,

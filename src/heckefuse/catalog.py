@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cocycle import Cocycle, bilinear_cocycle
-from .exthecke import FinitePair, basis, dims, structure_constants
+from .exthecke import FinitePair, basis_classes, basis_dims, basis_keys, structure_constants
 from .hecke import BostConnesHecke, GL2Hecke, modular_lambda
 from .permcore import DEFAULT_MAX_ORDER, FiniteGroup, Perm, Subgroup
 
@@ -206,18 +206,17 @@ def fusion_table(pair: FinitePair) -> dict:
 
     Multiplicities are exact integers; representation classes serialize as
     dimension plus rounded character; lambda values are fraction strings.
-    Basis products are read from the structure constants N, with their
-    terms in the order of ``ExtHeckeElement.terms``: labels, then class
-    indices.
+    The basis is listed in ``basis`` order, each element with its key,
+    label, class and dimensions (``basis_keys``, ``basis_classes``,
+    ``basis_dims``), and no element is built.  Basis products are read from
+    the structure constants N, their terms in basis order, like
+    ``ExtHeckeElement.terms``: labels, then class indices.
     """
     hk = pair.hecke()
     names = {label: hk.label_str(label) for label in pair.labels()}
-    keys, basis_json = [], []
-    for key, el in basis(pair):
-        (label, parts), = el.support.items()
-        (cls, _), = parts.items()
-        left, right = dims(el)
-        keys.append(key)
+    keys, basis_json = basis_keys(pair), []
+    for key, (label, cls), (left, right) in zip(keys, basis_classes(pair),
+                                                basis_dims(pair).tolist()):
         basis_json.append({
             "key": key,
             "label": names[label],

@@ -49,7 +49,6 @@ from .exthecke import (
     FinitePair,
     basis,
     basis_spans,
-    basis_vector,
     conjugate,
     crossed_dim_identity,
     dims,
@@ -83,10 +82,11 @@ from .permcore import (
     normalizer_in_sym,
 )
 from .projrep import (
+    Induction,
+    Rep,
     decompose,
     equivalent,
     hom_dims,
-    induce,
     irreducibles,
     regular_rep,
     restrict,
@@ -225,18 +225,28 @@ def check_rep_completeness(pair: FinitePair, omega: Optional[Cocycle],
 
 
 def check_induction_frobenius(pair: FinitePair, cfg: Config) -> None:
+    """hom(Ind a, b) = hom(a, Res b) for the irreducibles a of gamma and b of
+    G, one ``Induction`` applied to each dimension's stack of classes a."""
     gamma_grp = pair.little(pair.labels()[0])
     big = pair.group
     triv = Cocycle.trivial(big)
     big_reps = [cls.rep for cls in irreducibles(big)]
     restricted = [restrict(rep, gamma_grp) for rep in big_reps]
-    for s, small_cls in enumerate(irreducibles(gamma_grp)):
-        lhs = hom_dims(induce(small_cls.rep, big, triv), big_reps)
-        rhs = hom_dims(small_cls.rep, restricted)
-        for g, (l, r) in enumerate(zip(lhs, rhs)):
-            if l != r:
-                raise CheckFailure(f"induction reciprocity fails at gamma class {s}, "
-                                   f"G class {g}: {l} != {r}")
+    classes = irreducibles(gamma_grp)
+    induction = Induction(gamma_grp, big, triv, Cocycle.trivial(gamma_grp))
+    for dim in dict.fromkeys(cls.dim for cls in classes):
+        at = [s for s, cls in enumerate(classes) if cls.dim == dim]
+        induced_bytes = 16 * len(big) * (len(induction.cols) * dim) ** 2
+        step = max(1, projrep.MAX_DENSE_BYTES // induced_bytes)
+        for chunk in (at[i:i + step] for i in range(0, len(at), step)):
+            induced = induction.apply(np.stack([classes[s].rep.matrices for s in chunk]))
+            for s, matrices in zip(chunk, induced):
+                lhs = hom_dims(Rep._of(big, triv, matrices), big_reps)
+                rhs = hom_dims(classes[s].rep, restricted)
+                for g, (l, r) in enumerate(zip(lhs, rhs)):
+                    if l != r:
+                        raise CheckFailure(f"induction reciprocity fails at gamma class "
+                                           f"{s}, G class {g}: {l} != {r}")
 
 
 def check_inner_transport(pair: FinitePair, cfg: Config) -> None:
@@ -416,14 +426,14 @@ def check_ext_associativity(pair: FinitePair, cfg: Config) -> None:
 def check_ext_frobenius(pair: FinitePair, cfg: Config) -> None:
     """Reciprocity over N, the dual of each basis element its
     ``conjugate``."""
-    dual = np.array([basis_vector(conjugate(b)) for _, b in basis(pair)])
+    dual = np.array([conjugate(b).vector for _, b in basis(pair)])
     _reciprocal(structure_constants(pair), dual, np.ones(len(dual), dtype=np.int64),
                 "extended")
 
 
 def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     consts = structure_constants(pair)
-    _unital(consts, int(basis_vector(unit(pair)).argmax()), "the unit element")
+    _unital(consts, int(unit(pair).vector.argmax()), "the unit element")
     bk = pair.hecke()
     at = {label: i for i, label in enumerate(bk.labels())}
     # forget[x, a]: the coefficient of T[a] in to_hecke of basis element x
@@ -439,7 +449,7 @@ def check_ext_homomorphisms(pair: FinitePair, cfg: Config) -> None:
     # Kronecker product of a and b, for every pair (a, b) of classes of gamma
     label = pair.labels()[0]
     gamma, classes = pair.little(label), irreducibles(pair.little(label))
-    embedded = np.array([basis_vector(from_rep(pair, a.rep)) for a in classes])
+    embedded = np.array([from_rep(pair, a.rep).vector for a in classes])
     got = (embedded @ np.tensordot(embedded, consts.whole(), 1)).reshape(-1, len(consts))
     pairs = list(itertools.product(classes, repeat=2))
     projrep.check_dense_size(f"the Kronecker products of the classes of a group of "

@@ -32,11 +32,11 @@ from .checks import Config, run_checks
 from .cocycle import Cocycle
 from .elementary import (
     BimoduleSum,
+    ElementaryBimodule,
     admissible_classes,
     fuse as elem_fuse,
-    make,
 )
-from .exthecke import FinitePair, basis, dims, fuse, parse_ext_element
+from .exthecke import FinitePair, basis_classes, basis_dims, basis_keys, fuse, parse_ext_element
 from .hecke import modular_lambda, parse_element
 from .permcore import Perm, out_description
 
@@ -127,7 +127,7 @@ def parse_elem_element(pair: FinitePair, omega: Cocycle, degree: int,
         if idx >= len(classes):
             raise SystemExit(
                 f"class index {idx} out of range ({len(classes)} admissible)")
-        piece = BimoduleSum.of(make(pair, omega, delta, classes[idx].rep))
+        piece = BimoduleSum.of(ElementaryBimodule(pair, omega, delta, classes[idx].rep))
         piece = piece.scale(mult)
         out = piece if out is None else out + piece
     if out is None:
@@ -195,10 +195,8 @@ def cmd_hecke_mul(args, catalog) -> int:
 def cmd_ext_basis(args, catalog) -> int:
     entry, pair = pick_pair(catalog, args)
     rows = []
-    for key, el in basis(pair):
-        (label, parts), = el.support.items()
-        (cls, _), = parts.items()
-        left, right = dims(el)
+    for key, (_, cls), (left, right) in zip(basis_keys(pair), basis_classes(pair),
+                                            basis_dims(pair).tolist()):
         rows.append({"key": key, "dim": cls.dim, "dim_left": left,
                      "dim_right": right, "repclass": cls.to_json()})
     text = "\n".join(f"B[{r['key']}] dim {r['dim']} dims ({r['dim_left']}, "

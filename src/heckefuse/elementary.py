@@ -61,7 +61,7 @@ import numpy as np
 
 from . import projrep
 from .cocycle import Cocycle, CocycleError, PhaseFunction, conjugation_phase
-from .exthecke import ExtHeckeElement, FinitePair, basis_spans
+from .exthecke import ExtHeckeElement, FinitePair, basis_size, basis_spans
 from .permcore import Perm, Subgroup, conj_map, index_groups
 from .projrep import (
     Induction,
@@ -150,11 +150,6 @@ def _witness_pair(got: Cocycle, want: Cocycle) -> str:
         return "(none: moduli differ only)"
     g, h = (got.group.elements[i].cycle_string() for i in differ[0])
     return f"({g}, {h})"
-
-
-def make(pair: FinitePair, omega: Cocycle, delta: Perm,
-         rep: Rep) -> ElementaryBimodule:
-    return ElementaryBimodule(pair, omega, delta, rep)
 
 
 def identity_object(pair: FinitePair, omega: Cocycle) -> ElementaryBimodule:
@@ -417,25 +412,28 @@ def to_ext_hecke(h) -> ExtHeckeElement:
     """Identify an object or a sum with the extended Hecke algebra; only for
     a trivial cocycle, under which the basis objects at a label carry its
     little group's irreducible classes."""
-    if not h.omega.is_trivial_table():
-        raise ValueError("no untwisted identification: the cocycle is nontrivial")
+    columns = _identification_columns(h.pair, h.omega)
     total = BimoduleSum.of(h) if isinstance(h, ElementaryBimodule) else h
-    support: dict = {}
-    for label, _, cls, mult in total.terms():
-        support.setdefault(label, {})[cls] = mult
-    return ExtHeckeElement(total.pair, support)
+    vector = np.zeros(basis_size(h.pair), dtype=np.int64)
+    vector[columns] = total.vector
+    return ExtHeckeElement(h.pair, vector)
 
 
 def identification_rows(objects: list) -> np.ndarray:
     """Row i: ``to_ext_hecke(objects[i])`` over ``exthecke.basis``, for
-    objects of one pair: their ``basis_rows`` under the trivial cocycle,
-    each basis object's column placed at its class in its label's span
-    (``class_index``)."""
-    if any(not h.omega.is_trivial_table() for h in objects):
-        raise ValueError("no untwisted identification: the cocycle is nontrivial")
-    pair, spans = objects[0].pair, basis_spans(objects[0].pair)
-    columns = [spans[label].start + pair.class_index(label)[cls]
-               for label, cls in _basis(pair, objects[0].omega).classes]
-    rows = np.zeros((len(objects), next(reversed(spans.values())).stop), dtype=np.int64)
-    rows[:, columns] = basis_rows(objects)
+    objects of one pair and cocycle: their ``basis_rows``, each basis
+    object's column placed as ``_identification_columns`` gives it."""
+    pair = objects[0].pair
+    rows = np.zeros((len(objects), basis_size(pair)), dtype=np.int64)
+    rows[:, _identification_columns(pair, objects[0].omega)] = basis_rows(objects)
     return rows
+
+
+def _identification_columns(pair: FinitePair, omega: Cocycle) -> list[int]:
+    """The index over ``exthecke.basis`` of each basis object under a
+    trivial omega: its class in its label's span (``class_index``)."""
+    if not omega.is_trivial_table():
+        raise ValueError("no untwisted identification: the cocycle is nontrivial")
+    spans = basis_spans(pair)
+    return [spans[label].start + pair.class_index(label)[cls]
+            for label, cls in _basis(pair, omega).classes]

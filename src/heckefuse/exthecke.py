@@ -1,12 +1,14 @@
 """The extended Hecke fusion algebra of a finite pair gamma <= G.
 
-An element assigns to finitely many double cosets a multiset of irreducible
-representation classes of the little group attached to the coset's canonical
-representative g0 (the subgroup gamma ∩ g0^-1 gamma g0).  Values at other
-points of the double coset are never stored; they are derived by transport:
-for h = c1 * g0 * c2 with c1, c2 in gamma, the class at h is the class at g0
-composed with conjugation by c2.  Representative independence of everything
-built this way is a tested property, not an assumption.
+An element is one int64 vector of multiplicities over the basis of pairs
+(double coset, irreducible class of the little group gamma ∩ g0^-1 gamma g0
+of its canonical representative g0), each label's classes at consecutive
+indices (``basis_spans``); its value at g0 is the sum of those classes.
+Values at other points of the double coset are never stored; they are
+derived by transport: for h = c1 * g0 * c2 with c1, c2 in gamma, the class
+at h is the class at g0 composed with conjugation by c2.  Representative
+independence of everything built this way is a tested property, not an
+assumption.
 
 The fusion product of x and y at an output label g sums over orbits of the
 little group of g on right cosets of gamma in G; the orbit of h contributes
@@ -21,15 +23,15 @@ representative h per orbit, w = g0 h^-1 and the reads of both factors for
 every orbit at once (``_orbit_reads``), the product characters of every
 class pair summed per output label and label pair, induced, and decomposed
 into irreducible classes in one batched step per output label.  ``fuse`` is
-the bilinear contraction of the rows of N over the supports of x and y, so
-elements stay canonical and multiplicities exact,
-and the algebra-law checks read N.  Summing over all cosets instead of
-orbits overcounts each orbit contribution exactly
-[little(g) : little(g) ∩ little(h)] times; ``overcount_identity`` verifies
-that divisibility on the term of every coset (``overcount_blocks``), and
-``triple_blocks`` evaluate the symmetric three-factor formula that
-associativity is checked against.  Each is computed in one sweep per call,
-like the fusion blocks but independently of them.
+the bilinear contraction of the rows of N over the nonzero entries of x and
+y, so multiplicities stay exact, and the algebra-law checks read N.
+Summing over all cosets instead of orbits overcounts each orbit
+contribution exactly [little(g) : little(g) ∩ little(h)] times;
+``overcount_identity`` verifies that divisibility on the term of every
+coset (``overcount_blocks``), and ``triple_blocks`` evaluate the symmetric
+three-factor formula that associativity is checked against.  Each is
+computed in one sweep per call, like the fusion blocks but independently of
+them.
 
 Fusion, the triple product, conjugation and transport all work on
 characters: transport reads a class's character through the conjugation,
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Optional
 
 import numpy as np
 
@@ -64,14 +65,11 @@ from .permcore import (
 from .projrep import (
     Rep,
     RepClass,
-    add_multiset,
     character_table,
     conjugacy_classes,
-    decompose,
-    decompose_character,
+    decompose_characters,
     decompose_stack,
     irreducibles,
-    multiset_dim,
     restrict,
 )
 from .ring import Table
@@ -99,12 +97,14 @@ class FinitePair:
     coset onto its label (``right_factors``), the characters of the little
     groups laid out over gamma (``characters_on_gamma``), the maps through
     which conjugation reads characters (``_conjugation_reads``), the index
-    of each class in its label's basis keys, the table of structure
-    constants N (``structure_constants``) and the ``basis_spans`` it is
-    indexed by, and the elementary structure constants with their basis,
-    identifications, required cocycles and conjugation phases of elementary
-    objects over it (filled by :mod:`heckefuse.elementary`).  None of them
-    holds the pair, so a dropped pair is freed by reference counting.
+    of each class in its label's span (``class_index``), the table of
+    structure constants N (``structure_constants``), the ``basis_spans``
+    that N and the vector of every ``ExtHeckeElement`` are indexed by and
+    the dimension of each basis element's class, and the elementary
+    structure constants with their basis, identifications, required
+    cocycles and conjugation phases of elementary objects over it (filled
+    by :mod:`heckefuse.elementary`).  None of them holds the pair, so a
+    dropped pair is freed by reference counting.
     """
 
     def __init__(self, group: FiniteGroup, gamma: Subgroup, name: str = "",
@@ -148,7 +148,7 @@ class FinitePair:
 
     def class_index(self, label: Perm) -> dict[RepClass, int]:
         """The index of each irreducible class of little(label) in
-        ``irreducibles``, the class part of a basis key; memoized."""
+        ``irreducibles``, its offset in the label's span; memoized."""
         return self._memo.get_or(("class_index", label), lambda: {
             cls: i for i, cls in enumerate(irreducibles(self.little(label)))})
 
@@ -260,74 +260,45 @@ class FinitePair:
 
 
 class ExtHeckeElement:
-    """Double-coset-supported multisets of representation classes."""
+    """A nonnegative integer combination of the basis elements (double
+    coset, irreducible class of its little group): one int64 vector over
+    ``basis``, in the order of ``basis_spans``."""
 
-    def __init__(self, pair: FinitePair, support: dict):
-        clean = {}
-        for label, parts in support.items():
-            if not parts:
-                continue
-            little = pair.little(label)
-            for cls, mult in parts.items():
-                if not isinstance(mult, int) or mult < 1:
-                    raise ValueError("multiplicities must be positive integers")
-                if cls.group.key() != little.key():
-                    raise ValueError(
-                        "class lives on the wrong little group for its label")
-                if not cls.cocycle.is_trivial_table():
-                    raise ValueError("extended Hecke values carry trivial cocycles")
-            clean[label] = dict(parts)
-        self._fill(pair, clean)
-
-    @classmethod
-    def _of(cls, pair: FinitePair, support: dict) -> "ExtHeckeElement":
-        """The element with this support, unchecked: for supports computed
-        from checked elements and blocks."""
-        el = cls.__new__(cls)
-        el._fill(pair, support)
-        return el
-
-    def _fill(self, pair: FinitePair, support: dict) -> None:
+    def __init__(self, pair: FinitePair, vector):
+        vector = np.asarray(vector)
+        if vector.shape != (basis_size(pair),):
+            raise ValueError(f"need {basis_size(pair)} multiplicities, not shape {vector.shape}")
+        if vector.dtype.kind not in "iu":
+            raise ValueError("multiplicities must be integers")
+        if (vector < 0).any():
+            raise ValueError("multiplicities must be nonnegative")
         self.pair = pair
-        self.support = support
-        self._key = tuple(sorted(
-            (label.images, tuple(sorted((c.key(), m) for c, m in parts.items())))
-            for label, parts in support.items()))
-        self._hash = hash(self._key)
+        self.vector = vector.astype(np.int64)
 
-    def key(self) -> tuple:
-        return self._key
+    def key(self) -> bytes:
+        """The multiplicities as bytes: perfbench's tracer keys fused pairs by it."""
+        return self.vector.tobytes()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtHeckeElement)
-                and self._key == other._key
-                and (self.pair is other.pair
-                     or (self.pair.group == other.pair.group
-                         and self.pair.gamma == other.pair.gamma)))
+        return (isinstance(other, ExtHeckeElement) and _same_pair(self.pair, other.pair)
+                and np.array_equal(self.vector, other.vector))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key())
 
     def __add__(self, other: "ExtHeckeElement") -> "ExtHeckeElement":
-        out = {label: dict(parts) for label, parts in self.support.items()}
-        for label, parts in other.support.items():
-            out[label] = add_multiset(out.get(label, {}), parts)
-        return ExtHeckeElement(self.pair, out)
+        if not _same_pair(self.pair, other.pair):
+            raise ValueError("elements live over different pairs")
+        return ExtHeckeElement(self.pair, self.vector + other.vector)
 
     def scale(self, n: int) -> "ExtHeckeElement":
-        return ExtHeckeElement(self.pair, {
-            label: {c: n * m for c, m in parts.items()}
-            for label, parts in self.support.items()})
+        return ExtHeckeElement(self.pair, n * self.vector)
 
     def terms(self) -> list[tuple[str, int]]:
-        """(basis key "label:class index", multiplicity) per term, in the
-        canonical order; the keys are those of ``basis``."""
-        hk, out = self.pair.hecke(), []
-        for label in sorted(self.support, key=lambda l: l.images):
-            index, parts = self.pair.class_index(label), self.support[label]
-            for cls in sorted(parts, key=lambda c: c.sort_key()):
-                out.append((f"{hk.label_str(label)}:{index[cls]}", parts[cls]))
-        return out
+        """(basis key "label:class index", multiplicity) per nonzero entry,
+        in basis order; the keys are those of ``basis``."""
+        keys = basis_keys(self.pair)
+        return [(keys[i], int(self.vector[i])) for i in np.flatnonzero(self.vector).tolist()]
 
     def __str__(self) -> str:
         bits = [f"B[{z}]" if m == 1 else f"{m}*B[{z}]" for z, m in self.terms()]
@@ -337,22 +308,34 @@ class ExtHeckeElement:
         return f"ExtHeckeElement({self})"
 
 
+def _same_pair(a: FinitePair, b: FinitePair) -> bool:
+    return a is b or (a.group == b.group and a.gamma == b.gamma)
+
+
 def unit(pair: FinitePair) -> ExtHeckeElement:
-    """The identity: trivial representation of gamma at the unit coset."""
+    """The identity: trivial representation of gamma at the unit coset,
+    whose span starts the basis."""
     label = pair.labels()[0]
     little = pair.little(label)
     triv = RepClass(little, Cocycle.trivial(little), 1, np.ones(len(little)))
-    return ExtHeckeElement(pair, {label: {triv: 1}})
+    vector = np.zeros(basis_size(pair), dtype=np.int64)
+    vector[pair.class_index(label)[triv]] = 1
+    return ExtHeckeElement(pair, vector)
 
 
 def from_rep(pair: FinitePair, rep: Rep) -> ExtHeckeElement:
     """Embed a representation of gamma, or the restriction to gamma of a
-    representation of a group containing it, supported on the unit coset."""
-    label = pair.labels()[0]
-    little = pair.little(label)
+    representation of a group containing it, supported on the unit coset,
+    whose span starts the basis."""
+    little = pair.little(pair.labels()[0])
     if rep.group.key() != little.key():
         rep = restrict(rep, little)
-    return ExtHeckeElement(pair, {label: decompose(rep)})
+    if not rep.cocycle.is_trivial_table():
+        raise ValueError("extended Hecke values carry trivial cocycles")
+    vector = np.zeros(basis_size(pair), dtype=np.int64)
+    row = decompose_characters(little, Cocycle.trivial(little), rep.character(), rep.dim)[0]
+    vector[:len(row)] = row
+    return ExtHeckeElement(pair, vector)
 
 
 def _reads(pair: FinitePair, p: np.ndarray, conj_b: np.ndarray) -> tuple:
@@ -551,19 +534,10 @@ def _induced_products(pair: FinitePair, tags: np.ndarray, g0: np.ndarray,
 
 def fuse(x: ExtHeckeElement, y: ExtHeckeElement) -> ExtHeckeElement:
     """The fusion product: the bilinear contraction of the rows of N that
-    the supports of x and y reach."""
-    pair = x.pair
-    if y.pair is not pair and (y.pair.group != pair.group
-                               or y.pair.gamma != pair.gamma):
+    the nonzero entries of x and y reach."""
+    if not _same_pair(x.pair, y.pair):
         raise ValueError("elements live over different pairs")
-    total = structure_constants(pair).product(basis_vector(x), basis_vector(y))
-    support = {}
-    for label, span in basis_spans(pair).items():
-        parts = {cls: m for cls, m in zip(irreducibles(pair.little(label)),
-                                          total[span].tolist()) if m}
-        if parts:
-            support[label] = parts
-    return ExtHeckeElement._of(pair, support)
+    return ExtHeckeElement(x.pair, structure_constants(x.pair).product(x.vector, y.vector))
 
 
 def overcount_blocks(pair: FinitePair, label_pairs: list) -> list[list]:
@@ -633,16 +607,19 @@ def conjugate(x: ExtHeckeElement) -> ExtHeckeElement:
     The defining axioms fix conjugation only up to these domain constraints;
     this formula is validated by the involutivity and reciprocity tests.
     """
-    pair, out = x.pair, {}
+    pair, out = x.pair, np.zeros_like(x.vector)
     new, reads = _conjugation_reads(pair)
-    for label, parts in x.support.items():
-        k = pair.cosets.number_of(label)
-        new_label = pair.labels()[new[k]]
-        little_new = pair.little(new_label)
-        char = np.conj(sum(m * cls.character() for cls, m in parts.items())[reads[k]])
-        out[new_label] = add_multiset(out.get(new_label, {}), decompose_character(
-            little_new, Cocycle.trivial(little_new), char, multiset_dim(parts)))
-    return ExtHeckeElement._of(pair, out)
+    spans, cosets = list(basis_spans(pair).values()), pair.cosets.cosets
+    for k, span in enumerate(spans):
+        mults = x.vector[span]
+        if not mults.any():
+            continue
+        little, little_new = cosets[k].little, cosets[new[k]].little
+        chars, dims_k = character_table(little, Cocycle.trivial(little))
+        out[spans[new[k]]] += decompose_characters(
+            little_new, Cocycle.trivial(little_new), np.conj(mults @ chars)[reads[k]],
+            mults @ dims_k)[0]
+    return ExtHeckeElement(pair, out)
 
 
 def _conjugation_reads(pair: FinitePair) -> tuple:
@@ -670,31 +647,53 @@ def _conjugation(pair: FinitePair) -> tuple:
 
 def to_hecke(x: ExtHeckeElement) -> HeckeElement:
     """Forget representations to their dimensions."""
-    bk = x.pair.hecke()
-    coeffs = {label: multiset_dim(parts) for label, parts in x.support.items()}
-    return HeckeElement(bk, coeffs)
+    starts = [span.start for span in basis_spans(x.pair).values()]
+    label_dims = np.add.reduceat(x.vector * _class_dims(x.pair), starts)
+    return HeckeElement(x.pair.hecke(), {label: d for label, d in zip(
+        x.pair.labels(), label_dims.tolist()) if d})
 
 
 def dims(x: ExtHeckeElement) -> tuple[int, int]:
-    """(left, right) dimensions: sum over labels of coset count times value dim."""
-    left = right = 0
-    for label, parts in x.support.items():
-        dc = x.pair.cosets.coset(label)
-        d = multiset_dim(parts)
-        left += dc.left_count * d
-        right += dc.right_count * d
+    """(left, right) dimensions: x's multiplicities times the dimensions of
+    their basis elements."""
+    left, right = (x.vector @ basis_dims(x.pair)).tolist()
     return left, right
 
 
+def basis_dims(pair: FinitePair) -> np.ndarray:
+    """The (left, right) dimensions of each basis element, one row each in
+    ``basis`` order: its class's dimension times its double coset's left
+    and right coset counts."""
+    counts = [(dc.left_count, dc.right_count) for dc in pair.cosets.cosets]
+    sizes = [span.stop - span.start for span in basis_spans(pair).values()]
+    return _class_dims(pair)[:, None] * np.repeat(counts, sizes, axis=0)
+
+
+def _class_dims(pair: FinitePair) -> np.ndarray:
+    """The dimension of each basis element's class; memoized."""
+    return pair._memo.get_or(("class_dims",), lambda: np.array(
+        [cls.dim for _, cls in basis_classes(pair)], dtype=np.int64))
+
+
 def basis(pair: FinitePair) -> list[tuple[str, ExtHeckeElement]]:
-    """All (double coset, irreducible class) generators, canonically ordered."""
+    """All (double coset, irreducible class) generators, canonically
+    ordered, each with its key (``basis_keys``)."""
+    rows = np.eye(basis_size(pair), dtype=np.int64)
+    return [(key, ExtHeckeElement(pair, row)) for key, row in zip(basis_keys(pair), rows)]
+
+
+def basis_classes(pair: FinitePair) -> list[tuple[Perm, RepClass]]:
+    """(label, irreducible class of its little group) of each basis
+    element, in ``basis`` order."""
+    return [(label, cls) for label in pair.labels()
+            for cls in irreducibles(pair.little(label))]
+
+
+def basis_keys(pair: FinitePair) -> list[str]:
+    """The key "label:class index" of each basis element, in ``basis`` order."""
     hk = pair.hecke()
-    out = []
-    for label in pair.labels():
-        name = hk.label_str(label)
-        for i, cls in enumerate(irreducibles(pair.little(label))):
-            out.append((f"{name}:{i}", ExtHeckeElement._of(pair, {label: {cls: 1}})))
-    return out
+    return [f"{hk.label_str(label)}:{i}" for label, span in basis_spans(pair).items()
+            for i in range(span.stop - span.start)]
 
 
 def characters_on_gamma(pair: FinitePair) -> tuple:
@@ -743,15 +742,9 @@ def _basis_spans(pair: FinitePair) -> dict[Perm, slice]:
     return out
 
 
-def basis_vector(x: ExtHeckeElement) -> np.ndarray:
-    """The multiplicities of x over ``basis``, an int64 vector."""
-    spans = basis_spans(x.pair)
-    out = np.zeros(next(reversed(spans.values())).stop, dtype=np.int64)
-    for label, parts in x.support.items():
-        index, start = x.pair.class_index(label), spans[label].start
-        for cls, mult in parts.items():
-            out[start + index[cls]] = mult
-    return out
+def basis_size(pair: FinitePair) -> int:
+    """The number of basis elements."""
+    return next(reversed(basis_spans(pair).values())).stop
 
 
 def structure_constants(pair: FinitePair) -> Table:
@@ -771,20 +764,15 @@ def crossed_dim_identity(pair: FinitePair) -> tuple[int, int]:
 
 def parse_ext_element(pair: FinitePair, text: str) -> ExtHeckeElement:
     """Sums of integer multiples of basis descriptors: "B[K:0] + 2*B[e:1]"."""
-    out: Optional[ExtHeckeElement] = None
+    vector, spans = np.zeros(basis_size(pair), dtype=np.int64), basis_spans(pair)
     for term in text.split("+"):
         term = term.strip()
         m = re.fullmatch(r"(?:(\d+)\s*\*\s*)?B\[([^\]:]+):(\d+)\]", term)
         if not m:
             raise ValueError(f"cannot parse basis term {term!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        label = pair.hecke().parse_label(m.group(2))
-        classes = irreducibles(pair.little(label))
+        span = spans[pair.hecke().parse_label(m.group(2))]
         idx = int(m.group(3))
-        if idx >= len(classes):
+        if idx >= span.stop - span.start:
             raise ValueError(f"class index {idx} out of range for {m.group(2)}")
-        el = ExtHeckeElement(pair, {label: {classes[idx]: mult}})
-        out = el if out is None else out + el
-    if out is None:
-        raise ValueError("empty element")
-    return out
+        vector[span.start + idx] += int(m.group(1)) if m.group(1) else 1
+    return ExtHeckeElement(pair, vector)

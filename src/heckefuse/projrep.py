@@ -630,14 +630,3 @@ def _class_block(cls: RepClass, matrices: np.ndarray) -> Rep:
         raise NumericalDegradation(
             f"the matrices built for a degree-{cls.dim} class have another character")
     return rep
-
-
-def multiset_dim(parts: dict[RepClass, int]) -> int:
-    return sum(cls.dim * mult for cls, mult in parts.items())
-
-
-def add_multiset(a: dict[RepClass, int], b: dict[RepClass, int]) -> dict[RepClass, int]:
-    out = dict(a)
-    for cls, mult in b.items():
-        out[cls] = out.get(cls, 0) + mult
-    return out

@@ -10,15 +10,17 @@ import itertools
 import numpy as np
 
 from heckefuse.cocycle import Cocycle
-from heckefuse.exthecke import ExtHeckeElement, _reads, triple_blocks
-from heckefuse.permcore import _conj_rows, index_groups
-from heckefuse.projrep import (
-    add_multiset,
-    conjugacy_classes,
-    decompose_character,
-    irreducibles,
-    multiset_dim,
+from heckefuse.exthecke import (
+    ExtHeckeElement,
+    _reads,
+    basis_size,
+    basis_spans,
+    triple_blocks,
 )
+from heckefuse.permcore import _conj_rows, index_groups
+from heckefuse.projrep import conjugacy_classes, decompose_character
+
+from multisets import add_multiset, element, multiset_dim, support
 
 
 def character_on(x, point, meet, by):
@@ -29,7 +31,7 @@ def character_on(x, point, meet, by):
         _conj_rows(gamma.images, [by.images])))
     reads = pair.cosets.little_at[label][conj[0, gamma.positions(meet.images)]]
     assert (reads >= 0).all(), "Ad by must carry meet into the little group"
-    char = sum(m * cls.character() for cls, m in x.support[pair.labels()[label]].items())
+    char = sum(m * cls.character() for cls, m in support(x)[pair.labels()[label]].items())
     return char[reads]
 
 
@@ -100,13 +102,14 @@ def orbit_contribution(pair, x, y, g0, h):
     (y at h)), or None where x or y is zero at those points."""
     w = g0 * h.inverse()
     label_w, label_h = pair.label_of(w), pair.label_of(h)
-    if label_w not in x.support or label_h not in y.support:
+    sx, sy = support(x), support(y)
+    if label_w not in sx or label_h not in sy:
         return None
     little_g = pair.little(g0)
     meet = pair.intersection(little_g, pair.little_of_element(h))
     product = (character_on(x, w, meet, h)
                * character_on(y, h, meet, pair.group.identity))
-    dim = multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_h])
+    dim = multiset_dim(sx[label_w]) * multiset_dim(sy[label_h])
     return induced_classes(little_g, meet, product, dim)
 
 
@@ -115,11 +118,11 @@ def orbit_triple_fuse(x, y, z):
     orbits of little(g0) on h, and for each h those of little(g0) ∩
     little(h) on k, each with its own induction and decomposition."""
     pair, identity = x.pair, x.pair.group.identity
-    out = {}
+    out, sx, sy, sz = {}, support(x), support(y), support(z)
     for g0 in pair.labels():
         little_g, total = pair.little(g0), {}
         for h_orbit, label_w, _ in orbit_labels(pair, g0):
-            if label_w not in x.support:
+            if label_w not in sx:
                 continue
             h = random_coset_element(pair, pair.pick(h_orbit))
             stab = pair.intersection(little_g, pair.little_of_element(h))
@@ -127,48 +130,36 @@ def orbit_triple_fuse(x, y, z):
                 k = random_coset_element(pair, pair.pick(k_orbit))
                 v = h * k.inverse()
                 label_v, label_k = pair.label_of(v), pair.label_of(k)
-                if label_v not in y.support or label_k not in z.support:
+                if label_v not in sy or label_k not in sz:
                     continue
                 meet = pair.intersection(stab, pair.little_of_element(k))
                 product = (character_on(x, g0 * h.inverse(), meet, h)
                            * character_on(y, v, meet, k)
                            * character_on(z, k, meet, identity))
-                dim = (multiset_dim(x.support[label_w]) * multiset_dim(y.support[label_v])
-                       * multiset_dim(z.support[label_k]))
+                dim = (multiset_dim(sx[label_w]) * multiset_dim(sy[label_v])
+                       * multiset_dim(sz[label_k]))
                 total = add_multiset(total, induced_classes(little_g, meet, product, dim))
         if total:
             out[g0] = total
-    return ExtHeckeElement(pair, out)
-
-
-def coefficients(pair, label, parts):
-    """The multiplicities of parts as a vector over ``irreducibles`` at label."""
-    index = pair.class_index(label)
-    out = np.zeros(len(index), dtype=np.int64)
-    for cls, mult in parts.items():
-        out[index[cls]] = mult
-    return out
+    return element(pair, out)
 
 
 def contract(pair, factors, blocks_of):
     """The multilinear contraction of blocks_of(pair, label tuples), the
-    blocks of every tuple of labels of the supports of factors, with the
-    factors' multiplicities."""
-    supports = [factor.support for factor in factors]
-    blocks = blocks_of(pair, list(itertools.product(*supports)))
-    coeffs = itertools.product(*([coefficients(pair, label, parts)
-                                  for label, parts in support.items()]
-                                 for support in supports))
+    blocks of every tuple of labels where the factors are nonzero, with the
+    factors' multiplicities at those labels."""
+    spans = basis_spans(pair)
+    label_tuples = list(itertools.product(*(
+        [label for label, span in spans.items() if factor.vector[span].any()]
+        for factor in factors)))
     axes = "ijk"[:len(factors)]
     contraction = f"{','.join(axes)},{axes}z->z"
-    totals = {}
-    for coeff, block in zip(coeffs, blocks):
+    total = np.zeros(basis_size(pair), dtype=np.int64)
+    for labels, block in zip(label_tuples, blocks_of(pair, label_tuples)):
+        coeffs = [factor.vector[spans[label]] for factor, label in zip(factors, labels)]
         for g0, mults in block.items():
-            mults = np.einsum(contraction, *coeff, mults)
-            totals[g0] = totals[g0] + mults if g0 in totals else mults
-    return ExtHeckeElement._of(pair, {
-        g0: {cls: m for cls, m in zip(irreducibles(pair.little(g0)), totals[g0].tolist())
-             if m} for g0 in pair.labels() if g0 in totals})
+            total[spans[g0]] += np.einsum(contraction, *coeffs, mults)
+    return ExtHeckeElement(pair, total)
 
 
 def triple_fuse(x, y, z):
@@ -179,7 +170,7 @@ def triple_fuse(x, y, z):
 
 def transport_class(pair, label, cls, target):
     """The class over little(target) induced by equivariance from (label, cls)."""
-    x = ExtHeckeElement(pair, {label: {cls: 1}})
+    x = element(pair, {label: {cls: 1}})
     if pair.label_of(target) != label:
         raise ValueError(
             f"{target.cycle_string()} is not in the double coset of "

@@ -7,9 +7,9 @@ import pytest
 import heckefuse
 from heckefuse.catalog import BUILTIN, build_omega, build_pair, fusion_table
 from heckefuse.elementary import (
+    ElementaryBimodule,
     admissible_classes,
     fuse as elem_fuse,
-    make,
     structure_constants as elem_structure_constants,
 )
 from heckefuse.exthecke import basis, conjugate, fuse
@@ -28,7 +28,7 @@ def exercise(pair) -> None:
     omega = build_omega(BUILTIN[pair.name], pair)
     if omega is not None:
         label = pair.labels()[-1]
-        h = make(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
+        h = ElementaryBimodule(pair, omega, label, admissible_classes(pair, omega, label)[0].rep)
         total_dim(elem_fuse(h, h))
         elem_structure_constants(pair, omega).whole()
 
@@ -59,7 +59,8 @@ def test_pair_and_group_each_keep_one_store(name):
     assert {"little", "orbits", "characters", "right_factors", "ring"} <= pair_kinds
     assert pair_kinds <= {"little", "decomposition", "meet", "orbits", "characters",
                           "right_factors", "conjugation", "class_index", "ring",
-                          "basis_spans", "required", "phase", "identified", "basis"}
+                          "basis_spans", "class_dims", "required", "phase", "identified",
+                          "basis"}
     if build_omega(BUILTIN[name], pair) is not None:
         assert {"required", "phase", "identified", "basis"} <= pair_kinds
         # one table each: N and the E of the catalog cocycle

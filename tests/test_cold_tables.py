@@ -55,8 +55,8 @@ def test_clear_caches_empties_every_module_cache():
     pair = catalog.build_pair(catalog.BUILTIN["S3_in_S4"])
     catalog.fusion_table(pair)
     k_label = pair.labels()[1]
-    a = elementary.make(pair, Cocycle.trivial(pair.gamma), k_label,
-                        irreducibles(pair.little(k_label))[0].rep)
+    a = elementary.ElementaryBimodule(pair, Cocycle.trivial(pair.gamma), k_label,
+                                      irreducibles(pair.little(k_label))[0].rep)
     elementary.fuse(a, a)
     hecke.primitive_hnf_reps(6)
     caches = module_caches()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heckefuse import projrep
-from heckefuse.catalog import BUILTIN, build_pair
+from heckefuse.catalog import BUILTIN, build_omega, build_pair
 from heckefuse.cocycle import Cocycle
 from heckefuse.exthecke import (
     ExtHeckeElement,
@@ -28,7 +28,6 @@ from heckefuse.hecke import convolve
 from heckefuse.permcore import FiniteGroup, Perm, Subgroup, conjugate_intersection
 from heckefuse.projrep import (
     Rep,
-    add_multiset,
     decompose,
     hom_dim,
     induce,
@@ -41,6 +40,7 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
+from multisets import add_multiset, element, support
 from orbit_oracle import (
     orbit_contribution,
     perm_cosets,
@@ -94,7 +94,7 @@ def value_at(x, target):
     the block sum of its label's classes, transported along the decomposition."""
     pair = x.pair
     label = pair.label_of(target)
-    parts = x.support.get(label)
+    parts = support(x).get(label)
     if parts is None:
         return None
     base = direct_sum([cls.rep for cls in sorted(parts, key=lambda c: c.sort_key())
@@ -114,14 +114,14 @@ def reciprocity_oracle(pair, x, y):
     Ind_S(tau) is hom_dim(tau, Res_S r).  Shares only the transport
     conventions with the implementation.
     """
-    out = {}
+    out, sx, sy = {}, support(x), support(y)
     for g0 in pair.labels():
         little_g = pair.little(g0)
         per_class = {}
         for orbit in perm_orbits(pair.group, pair.gamma, little_g):
             h = orbit[0]
             w = g0 * h.inverse()
-            if pair.label_of(w) not in x.support or pair.label_of(h) not in y.support:
+            if pair.label_of(w) not in sx or pair.label_of(h) not in sy:
                 continue
             meet = pair.intersection(little_g, pair.little_of_element(h))
             left = transport(value_at(x, w), meet, lambda t: t.conjugate(h))
@@ -140,7 +140,7 @@ def matrix_contribution(pair, x, y, g0, h):
     """The orbit contribution by matrices: transport, restrict, tensor and
     induce representations, then decompose the induced one."""
     w = g0 * h.inverse()
-    if pair.label_of(w) not in x.support or pair.label_of(h) not in y.support:
+    if pair.label_of(w) not in support(x) or pair.label_of(h) not in support(y):
         return None
     little_g = pair.little(g0)
     meet = pair.intersection(little_g, pair.little_of_element(h))
@@ -178,7 +178,7 @@ def pair_orbits(pair, little):
 def matrix_triple_fuse(x, y, z):
     """The triple product by matrices, one induction per diagonal pair orbit."""
     pair = x.pair
-    out = {}
+    out, sx, sy, sz = {}, support(x), support(y), support(z)
     for g0 in pair.labels():
         little_g = pair.little(g0)
         total = {}
@@ -188,9 +188,9 @@ def matrix_triple_fuse(x, y, z):
             k = random_coset_element(pair, k0)
             w1 = g0 * h.inverse()
             w2 = h * k.inverse()
-            if (pair.label_of(w1) not in x.support
-                    or pair.label_of(w2) not in y.support
-                    or pair.label_of(k) not in z.support):
+            if (pair.label_of(w1) not in sx
+                    or pair.label_of(w2) not in sy
+                    or pair.label_of(k) not in sz):
                 continue
             meet = pair.intersection(
                 pair.intersection(little_g, pair.little_of_element(h)),
@@ -203,7 +203,7 @@ def matrix_triple_fuse(x, y, z):
             total = add_multiset(total, decompose(ind))
         if total:
             out[g0] = total
-    return ExtHeckeElement(pair, out)
+    return element(pair, out)
 
 
 def matrix_conjugate(x):
@@ -211,14 +211,14 @@ def matrix_conjugate(x):
     little(new_label) along Ad(new_label), then take the complex conjugate."""
     pair = x.pair
     out = {}
-    for label in x.support:
+    for label in support(x):
         new_label = pair.label_of(label.inverse())
         rep_t = value_at(x, new_label.inverse())
         moved = transport(rep_t, pair.little(new_label),
                           lambda t: t.conjugate(new_label))
         out[new_label] = add_multiset(out.get(new_label, {}),
                                       decompose(conjugate_rep(moved)))
-    return ExtHeckeElement(pair, out)
+    return element(pair, out)
 
 
 ORACLE_PAIRS = ["S3_in_S4", "D4_klein", "Heis3", "Z3_regular"]
@@ -236,6 +236,29 @@ def test_unit_is_neutral(s3s4):
     for _, b in basis(s3s4):
         assert fuse(e, b) == b
         assert fuse(b, e) == b
+
+
+def test_constructor_refuses_a_vector_that_is_no_element(s3s4):
+    n = len(basis(s3s4))
+    for vector, message in [(np.ones(n + 1, dtype=np.int64), "multiplicities, not shape"),
+                            (np.ones((1, n), dtype=np.int64), "multiplicities, not shape"),
+                            (np.ones(n), "integers"),
+                            (np.ones(n, dtype=bool), "integers"),
+                            (-np.eye(n, dtype=np.int64)[2], "nonnegative")]:
+        with pytest.raises(ValueError, match=message):
+            ExtHeckeElement(s3s4, vector)
+    x = ExtHeckeElement(s3s4, np.arange(n, dtype=np.int32))
+    assert x.vector.dtype == np.int64 and x == ExtHeckeElement(s3s4, np.arange(n))
+    with pytest.raises(ValueError, match="nonnegative"):
+        x.scale(-1)
+
+
+def test_elements_of_different_pairs_do_not_mix(s3s4, klein_d4):
+    x, y = unit(s3s4), unit(klein_d4)
+    assert x != y
+    for combine in (lambda: x + y, lambda: fuse(x, y)):
+        with pytest.raises(ValueError, match="different pairs"):
+            combine()
 
 
 def test_basis_size_s3s4(s3s4):
@@ -268,19 +291,19 @@ def test_kx_squared_structure(s3s4):
     e_label, k_label = pair.labels()
     triv_k = irreducibles(pair.little(k_label))[0]
     assert triv_k.dim == 1
-    x = ExtHeckeElement(pair, {k_label: {triv_k: 1}})
-    sq = fuse(x, x)
+    x = element(pair, {k_label: {triv_k: 1}})
+    sq = support(fuse(x, x))
     # at the unit coset: Ind of the trivial rep of an order-2 subgroup of S3
-    at_e = sq.support[e_label]
+    at_e = sq[e_label]
     dims_at_e = sorted(c.dim for c in at_e)
     assert dims_at_e == [1, 2] and all(m == 1 for m in at_e.values())
-    (unit_label, unit_parts), = unit(pair).support.items()
+    (unit_label, unit_parts), = support(unit(pair)).items()
     (unit_class, _), = unit_parts.items()
     assert at_e.get(unit_class) == 1  # the unit appears exactly once
     # at K: total dimension 2 over the order-2 little group
-    assert sum(c.dim * m for c, m in sq.support[k_label].items()) == 2
+    assert sum(c.dim * m for c, m in sq[k_label].items()) == 2
     # exact split cross-checked against the reciprocity oracle
-    assert {l: p for l, p in sq.support.items()} == reciprocity_oracle(pair, x, x)
+    assert sq == reciprocity_oracle(pair, x, x)
 
 
 def test_fuse_matches_reciprocity_oracle_on_all_basis_pairs(s3s4):
@@ -288,7 +311,7 @@ def test_fuse_matches_reciprocity_oracle_on_all_basis_pairs(s3s4):
     els = [b for _, b in basis(pair)]
     for x in els:
         for y in els:
-            assert fuse(x, y).support == reciprocity_oracle(pair, x, y)
+            assert support(fuse(x, y)) == reciprocity_oracle(pair, x, y)
 
 
 def test_to_hecke_cross_oracle(s3s4):
@@ -296,7 +319,7 @@ def test_to_hecke_cross_oracle(s3s4):
     bk = pair.hecke()
     e_label, k_label = pair.labels()
     triv_k = irreducibles(pair.little(k_label))[0]
-    x = ExtHeckeElement(pair, {k_label: {triv_k: 1}})
+    x = element(pair, {k_label: {triv_k: 1}})
     assert to_hecke(fuse(x, x)) == convolve(to_hecke(x), to_hecke(x))
     assert convolve(to_hecke(x), to_hecke(x)).coeffs == {e_label: 3, k_label: 2}
 
@@ -367,10 +390,10 @@ def test_little_takes_labels_only_whatever_was_cached(s3s4):
     cls = irreducibles(conjugate_intersection(pair.gamma, t))[0]
     named = re.escape(repr(t))
     with pytest.raises(ValueError, match=named):
-        ExtHeckeElement(pair, {t: {cls: 1}})
+        element(pair, {t: {cls: 1}})
     assert pair.little_of_element(t) == conjugate_intersection(pair.gamma, t)
     with pytest.raises(ValueError, match=named):
-        ExtHeckeElement(pair, {t: {cls: 1}})
+        element(pair, {t: {cls: 1}})
     with pytest.raises(ValueError, match=named):
         pair.little(t)
     for label in pair.labels():
@@ -445,7 +468,7 @@ def test_conjugate_k_triv(s3s4):
     pair = s3s4
     k_label = pair.labels()[1]
     triv_k = irreducibles(pair.little(k_label))[0]
-    x = ExtHeckeElement(pair, {k_label: {triv_k: 1}})
+    x = element(pair, {k_label: {triv_k: 1}})
     assert conjugate(x) == x
 
 
@@ -471,7 +494,7 @@ def test_dims_k_triv(s3s4):
     pair = s3s4
     k_label = pair.labels()[1]
     triv_k = irreducibles(pair.little(k_label))[0]
-    x = ExtHeckeElement(pair, {k_label: {triv_k: 1}})
+    x = element(pair, {k_label: {triv_k: 1}})
     assert dims(x) == (3, 3)
 
 
@@ -487,7 +510,7 @@ def test_dims_match_brute_force_counts(s3s4):
     pair = s3s4
     gamma = pair.gamma
     for _, b in basis(pair):
-        (label, parts), = b.support.items()
+        (label, parts), = support(b).items()
         d = sum(c.dim * m for c, m in parts.items())
         gamma_set = set(gamma.elements)
         left_little = [x for x in gamma if x.conjugate(label.inverse()) in gamma_set]
@@ -517,15 +540,24 @@ def test_from_rep_restricts_to_gamma(s3s4):
     assert from_rep(pair, trivial_rep(pair.group)) == unit(pair)
     # the regular representation of S4 is 4 copies of S3's on restriction
     classes = irreducibles(pair.little(e_label))
-    assert (from_rep(pair, regular_rep(pair.group)).support
+    assert (support(from_rep(pair, regular_rep(pair.group)))
             == {e_label: {c: 4 * c.dim for c in classes}})
     with pytest.raises(ValueError, match="not a subgroup"):
         from_rep(pair, trivial_rep(pair.little(k_label)))
 
 
+def test_from_rep_refuses_a_twisted_representation():
+    pair = build_pair(BUILTIN["D4_klein"])
+    gamma = pair.little(pair.labels()[0])
+    twisted = regular_rep(gamma, build_omega(BUILTIN["D4_klein"], pair).restrict(gamma))
+    assert not twisted.cocycle.is_trivial_table()
+    with pytest.raises(ValueError, match="trivial cocycles"):
+        from_rep(pair, twisted)
+
+
 def from_rep_multiset(pair, parts):
     label = pair.labels()[0]
-    return ExtHeckeElement(pair, {label: parts})
+    return element(pair, {label: parts})
 
 
 def test_frobenius_reciprocity_exhaustive(s3s4):
@@ -533,9 +565,9 @@ def test_frobenius_reciprocity_exhaustive(s3s4):
     els = basis(pair)
 
     def mult(x, y, target):
-        (label, parts), = target.support.items()
+        (label, parts), = support(target).items()
         (cls, _), = parts.items()
-        return fuse(x, y).support.get(label, {}).get(cls, 0)
+        return support(fuse(x, y)).get(label, {}).get(cls, 0)
 
     for (_, x), (_, y), (_, z) in itertools.product(els, repeat=3):
         assert mult(x, y, z) == mult(conjugate(x), z, y) == mult(z, conjugate(y), x)
@@ -625,8 +657,8 @@ def test_parse_ext_element(s3s4):
     pair = s3s4
     el = parse_ext_element(pair, "B[K:0] + 2*B[e:1]")
     k_label, e_label = pair.labels()[1], pair.labels()[0]
-    assert el.support[k_label] == {irreducibles(pair.little(k_label))[0]: 1}
-    assert el.support[e_label] == {irreducibles(pair.little(e_label))[1]: 2}
+    assert support(el)[k_label] == {irreducibles(pair.little(k_label))[0]: 1}
+    assert support(el)[e_label] == {irreducibles(pair.little(e_label))[1]: 2}
     assert str(el) == "2*B[e:1] + B[K:0]"
     with pytest.raises(ValueError):
         parse_ext_element(pair, "B[K:7]")

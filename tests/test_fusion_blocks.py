@@ -32,7 +32,6 @@ from heckefuse.exthecke import (
     FinitePair,
     FusionFormulaError,
     basis,
-    basis_vector,
     basis_spans,
     fuse,
     overcount_blocks,
@@ -44,7 +43,6 @@ from heckefuse.hecke import basis_product, structure_constants as hecke_constant
 from heckefuse.permcore import FiniteGroup, GroupTooLarge, Perm, Subgroup
 from heckefuse.projrep import (
     NumericalDegradation,
-    add_multiset,
     character_table,
     conjugacy_classes,
     decompose_character,
@@ -53,6 +51,7 @@ from heckefuse.projrep import (
 )
 
 from groups import symmetric
+from multisets import add_multiset, element, support
 from orbit_oracle import (
     induce_on_classes,
     orbit_contribution,
@@ -85,17 +84,17 @@ def every_triple(pair):
 def orbit_fuse(pair, x, y):
     """The fusion product orbit by orbit: one induction and decomposition
     per orbit whose labels meet the supports of x and y."""
-    out = {}
+    out, sx, sy = {}, support(x), support(y)
     for g0 in pair.labels():
         total = {}
         for orbit, label_w, label_h in orbit_labels(pair, g0):
-            if label_w not in x.support or label_h not in y.support:
+            if label_w not in sx or label_h not in sy:
                 continue
             h = random_coset_element(pair, pair.pick(orbit))
             total = add_multiset(total, orbit_contribution(pair, x, y, g0, h))
         if total:
             out[g0] = total
-    return ExtHeckeElement(pair, out)
+    return element(pair, out)
 
 
 def label_block(consts, label_a, label_b):
@@ -121,12 +120,12 @@ def random_sum(pair, rng):
     labels or more where the pair has two."""
     labels = rng.sample(pair.labels(), min(2, len(pair.labels())))
     labels += [rng.choice(pair.labels()) for _ in range(3 - len(labels))]
-    support = {}
+    terms = {}
     for label in labels:
         cls = rng.choice(irreducibles(pair.little(label)))
-        parts = support.setdefault(label, {})
+        parts = terms.setdefault(label, {})
         parts[cls] = parts.get(cls, 0) + rng.randint(1, 3)
-    return ExtHeckeElement(pair, support)
+    return element(pair, terms)
 
 
 @pytest.mark.parametrize("name", CATALOG + ["S4_in_S5"])
@@ -153,7 +152,7 @@ def test_block_fusion_is_bilinear_on_sums(name):
     for _ in range(8):
         x, y = random_sum(pair, rng), random_sum(pair, rng)
         spans = min(2, len(pair.labels()))
-        assert len(x.support) >= spans and len(y.support) >= spans
+        assert len(support(x)) >= spans and len(support(y)) >= spans
         assert fuse(x, y) == orbit_fuse(pair, x, y)
 
 
@@ -177,20 +176,15 @@ def test_blocks_cover_each_orbit_once(name):
 def test_fusion_table_builds_no_element_per_product(name, monkeypatch):
     pair = make_pair(name)
     built = []
-    init, of = ExtHeckeElement.__init__, ExtHeckeElement._of
+    init = ExtHeckeElement.__init__
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counting_of(*args, **kwargs):
-        built.append(args)
-        return of(*args, **kwargs)
-
     monkeypatch.setattr(ExtHeckeElement, "__init__", counting)
-    monkeypatch.setattr(ExtHeckeElement, "_of", staticmethod(counting_of))
     table = fusion_table(pair)
-    assert len(built) == len(table["basis"])
+    assert table["basis"] and built == []
     assert not any(key[0] == "fuse" for key in pair._memo)
 
 
@@ -278,7 +272,7 @@ def test_fuse_of_sums_contracts_the_structure_constants(name, choice):
     rng = random.Random(7)
     for _ in range(6):
         x, y = random_sum(pair, rng), random_sum(pair, rng)
-        assert (basis_vector(x) == vector(x)).all()
+        assert (x.vector == vector(x)).all()
         want = np.einsum("i,j,ijk->k", vector(x), vector(y), n)
         assert (vector(fuse(x, y)) == want).all()
     assert structure_constants(pair) is structure_constants(pair)
@@ -412,7 +406,7 @@ def test_ext_homomorphisms_catch_two_swapped_classes_of_one_dimension(name):
     pair = make_pair(name)
     consts = structure_constants(pair)
     whole, span = consts.whole(), consts.spans[pair.labels()[0]]
-    unit = int(basis_vector(exthecke.unit(pair)).argmax())
+    unit = int(exthecke.unit(pair).vector.argmax())
     dims = [cls.dim for cls in irreducibles(pair.little(pair.labels()[0]))]
     at = [i for i in range(span.start, span.stop) if i != unit]
     x, y, z, w = next(
@@ -431,12 +425,16 @@ def test_induction_frobenius_catches_a_wrong_induced_class(name, monkeypatch):
     pair = make_pair(name)
     checks.check_induction_frobenius(pair, Config())
     classes = irreducibles(pair.little(pair.labels()[0]))
-    induce = checks.induce
+    assert classes[0].dim == classes[1].dim
+    first, second = classes[0].rep.matrices, classes[1].rep.matrices
 
-    def wrong(rep, *args):
-        return induce(classes[0].rep if rep is classes[1].rep else rep, *args)
+    class Wrong(projrep.Induction):
+        def apply(self, matrices):
+            # induce class 0 in place of class 1
+            at = np.array([np.array_equal(m, second) for m in matrices])
+            return super().apply(np.where(at[:, None, None, None], first, matrices))
 
-    monkeypatch.setattr(checks, "induce", wrong)
+    monkeypatch.setattr(checks, "Induction", Wrong)
     with pytest.raises(checks.CheckFailure,
                        match=r"reciprocity fails at gamma class 1, G class \d+: "):
         checks.check_induction_frobenius(pair, Config())
@@ -673,15 +671,21 @@ def test_decompose_characters_reports_the_first_bad_row():
 def test_index_one_induction_check_runs(monkeypatch):
     pair = build_pair(BUILTIN["Z3_regular"])
     assert len(pair.gamma) == len(pair.group)
-    induced = []
-    induce = checks.induce
+    built, induced = [], []
 
-    def counting(rep, *args, **kwargs):
-        induced.append(rep)
-        return induce(rep, *args, **kwargs)
+    class Counting(projrep.Induction):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(checks, "induce", counting)
+        def apply(self, matrices):
+            induced.extend(matrices)
+            return super().apply(matrices)
+
+    monkeypatch.setattr(checks, "Induction", Counting)
     checks.check_induction_frobenius(pair, Config())
+    # one induction from gamma to G, applied to every class of gamma
+    assert len(built) == 1
     assert len(induced) == len(irreducibles(pair.little(pair.labels()[0])))
 
 

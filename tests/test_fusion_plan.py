@@ -20,9 +20,9 @@ from heckefuse.cocycle import Cocycle, PhaseFunction
 from heckefuse.elementary import (
     BimoduleSum,
     CocycleBookkeepingError,
+    ElementaryBimodule,
     basis_objects,
     fuse,
-    make,
     pair_conjugation_phase,
     required_cocycle,
     structure_constants,
@@ -68,7 +68,7 @@ def composed_fuse(h1, h2) -> BimoduleSum:
         integrand = twist(tensor(moved, restrict(h2.rep, meet)), phase)
         fused = induce(integrand, rig_new, required_cocycle(pair, omega, new_delta),
                        rng=pair.rng)
-        out = out + BimoduleSum.of(make(pair, omega, new_delta, fused))
+        out = out + BimoduleSum.of(ElementaryBimodule(pair, omega, new_delta, fused))
     return out
 
 
@@ -86,7 +86,7 @@ def test_a_repeated_product_is_the_memoized_sum(monkeypatch):
     pair, (_, omega) = catalog_omegas("D4_klein")
     objs = basis_objects(pair, omega)
     first = fuse(objs[-1], objs[-2])
-    again = make(pair, omega, objs[-1].delta, objs[-1].rep)
+    again = ElementaryBimodule(pair, omega, objs[-1].delta, objs[-1].rep)
     monkeypatch.setattr(elementary, "_fuse_classes", None)
     assert fuse(again, objs[-2]) == first
 

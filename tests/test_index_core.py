@@ -326,8 +326,8 @@ def test_check_pass_object_counts(monkeypatch):
     counting(elementary, "conj_map", "elementary_conj_map")
     counting(projrep, "decompose_characters", "decompose_characters")
     counting(exthecke, "decompose_stack", "decompose_characters")
+    counting(exthecke, "decompose_characters", "decompose_characters")
     counting(exthecke.ExtHeckeElement, "__init__", "ext")
-    counting(exthecke.ExtHeckeElement, "_of", "ext_of", staticmethod)
     counting(hecke, "convolve", "convolve")
     counting(checks, "convolve", "convolve")
     counting(fractions.Fraction, "__new__", "fraction")
@@ -394,8 +394,9 @@ def test_check_pass_object_counts(monkeypatch):
     # now read the structure constants instead of fusing basis elements: 250
     # unchecked.  ext-homomorphisms built 81 + 16 + 9 + 9 checked products and
     # the cross-oracle 25 checked identifications, and build none: 23 checked
-    assert counts["ext"] <= 25
-    assert counts["ext"] + counts["ext_of"] <= 280
+    # and 250 unchecked.  An element is now one int64 vector over the basis,
+    # with one constructor that checks its length, dtype and signs: 273
+    assert counts["ext"] <= 280
     # 652 while the Hecke law checks convolved every product they compared;
     # 185 with each basis product a law reads convolved once per backend
     assert counts["convolve"] <= 200

@@ -22,7 +22,6 @@ from heckefuse.projrep import (
     hom_dims,
     induce,
     irreducibles,
-    multiset_dim,
     regular_rep,
     restrict,
     tensor,
@@ -32,6 +31,7 @@ from heckefuse.projrep import (
 
 from elementary_oracle import twist
 from groups import cyclic, symmetric
+from multisets import multiset_dim
 
 
 def direct_sum(reps):

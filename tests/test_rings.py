@@ -46,7 +46,7 @@ def elementary_unit(pair, omega):
 @pytest.mark.parametrize("name", PAIRS)
 def test_extended_structure_constants_form_a_based_ring(name):
     pair = build_pair(BUILTIN[name])
-    unit = int(exthecke.basis_vector(exthecke.unit(pair)).argmax())
+    unit = int(exthecke.unit(pair).vector.argmax())
     consts = exthecke.structure_constants(pair)
     assert based_ring_failures(consts.whole(), unit) == []
 
@@ -105,8 +105,8 @@ def test_a_check_pass_stores_each_table_once(monkeypatch):
                        for value in pair._memo.values())
         assert {key[0] for key in pair._memo} <= {
             "little", "decomposition", "meet", "orbits", "characters", "right_factors",
-            "conjugation", "class_index", "ring", "basis_spans", "required", "phase",
-            "identified", "basis"}
+            "conjugation", "class_index", "ring", "basis_spans", "class_dims", "required",
+            "phase", "identified", "basis"}
         for group in (pair.group, pair.gamma):
             assert {key if isinstance(key, str) else key[0] for key in group._memo} <= {
                 "mul_table", "inv_indices", "small_generating_set", "right_cosets",
